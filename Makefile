@@ -1,14 +1,14 @@
 # Development entry points. `make check` is the CI gate: vet, the docs
-# link-checker, the race detector over the short suite, and the plain short
-# suite. `make test` adds the full-scale experiments (the ~1 min
-# TestFullScaleHeadline); `make full` chains everything and briefly runs the
-# wire-codec fuzzers.
+# link- and flag-checkers, the race detector over the short suite, the plain
+# short suite, and the benchmark module's smoke test. `make test` adds the
+# full-scale experiments (the ~1 min TestFullScaleHeadline); `make full`
+# chains everything and briefly runs the wire-codec fuzzers.
 
 GO ?= go
 
-.PHONY: check fmtcheck vet build linkcheck race race-detect test-short testshort test bench bench-json bench-udp bench-telemetry sweep largescale fuzz full fmt
+.PHONY: check fmtcheck vet build linkcheck race race-detect test-short testshort test bench bench-smoke bench-json bench-udp bench-telemetry sweep largescale fuzz full fmt
 
-check: fmtcheck vet build linkcheck race race-detect testshort
+check: fmtcheck vet build linkcheck race race-detect testshort bench-smoke
 
 # gofmt gate: fail (and list the offenders) if any file is unformatted.
 fmtcheck:
@@ -20,9 +20,10 @@ vet:
 build:
 	$(GO) build ./...
 
-# Every relative link in README/EXPERIMENTS/ROADMAP/docs must resolve.
+# Every relative link in README/EXPERIMENTS/ROADMAP/docs must resolve, and
+# every flag of a documented `go run ./cmd/...` line must exist.
 linkcheck:
-	$(GO) test -run '^TestDocsRelativeLinks$$' .
+	$(GO) test -run '^TestDocs' .
 
 # Race-detect the short suite: the sweep engine is the only concurrent code,
 # but pooled-event regressions would also surface here first.
@@ -49,6 +50,11 @@ testshort:
 
 test:
 	$(GO) test ./...
+
+# benchmark/ is a module of its own, so `./...` above never compiles it:
+# vet it and run every workload at toy size against this tree's internals.
+bench-smoke:
+	cd benchmark && $(GO) vet . && $(GO) test -short -race .
 
 # One iteration of every paper-figure benchmark (reduced scale).
 bench:

@@ -32,6 +32,8 @@
 //     aggregating per-cell summary statistics and merged lag CDFs.
 //   - Deployment API (this package): StartNode runs a HEAP node (optionally
 //     a stream source) on a real UDP socket.
+//   - internal/stack: the one per-node protocol wiring, in a pinned order,
+//     shared by simulated and real-UDP nodes.
 //   - internal/core: the dissemination engine (Algorithms 1 and 2).
 //   - internal/aggregation: capability aggregation and push-pull averaging.
 //   - internal/adapt: congestion-driven capability re-estimation.

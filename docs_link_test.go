@@ -47,3 +47,69 @@ func TestDocsRelativeLinks(t *testing.T) {
 		}
 	}
 }
+
+// TestDocsCommandFlags executes the docs' command lines as far as a test
+// can: every `go run ./cmd/<tool> ...` line inside a fenced block of the
+// README, EXPERIMENTS or docs/ must only use flags that tool's main.go
+// declares, so a renamed or misremembered flag fails here instead of in a
+// reader's terminal.
+func TestDocsCommandFlags(t *testing.T) {
+	docs, err := filepath.Glob(filepath.Join("docs", "*.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs = append(docs, "README.md", "EXPERIMENTS.md")
+	cmdRe := regexp.MustCompile(`^go run \./cmd/(\w+)(.*)$`)
+	flagRe := regexp.MustCompile(`(?:^|\s)--?([a-zA-Z][\w-]*)`)
+	declared := map[string]map[string]bool{} // tool -> flag set
+	checked := 0
+	for _, doc := range docs {
+		data, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fenced := false
+		for _, line := range strings.Split(string(data), "\n") {
+			line = strings.TrimSpace(line)
+			if strings.HasPrefix(line, "```") {
+				fenced = !fenced
+				continue
+			}
+			m := cmdRe.FindStringSubmatch(line)
+			if !fenced || m == nil {
+				continue
+			}
+			tool, args := m[1], m[2]
+			if i := strings.Index(args, " #"); i >= 0 {
+				args = args[:i] // trailing shell comment
+			}
+			if declared[tool] == nil {
+				declared[tool] = declaredFlags(t, tool)
+			}
+			for _, f := range flagRe.FindAllStringSubmatch(args, -1) {
+				checked++
+				if !declared[tool][f[1]] {
+					t.Errorf("%s: `%s` uses -%s, which cmd/%s/main.go does not declare", doc, line, f[1], tool)
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no documented command flags found: the parser matches nothing")
+	}
+}
+
+// declaredFlags returns the flag names cmd/<tool>/main.go registers with the
+// flag package.
+func declaredFlags(t *testing.T, tool string) map[string]bool {
+	t.Helper()
+	src, err := os.ReadFile(filepath.Join("cmd", tool, "main.go"))
+	if err != nil {
+		t.Fatalf("documented command: %v", err)
+	}
+	flags := map[string]bool{}
+	for _, m := range regexp.MustCompile(`flag\.\w+\((?:&\w+, )?"([\w-]+)"`).FindAllStringSubmatch(string(src), -1) {
+		flags[m[1]] = true
+	}
+	return flags
+}

@@ -133,6 +133,19 @@ func TestUDPNodesStreamThroughPublicAPI(t *testing.T) {
 	if est := started[1].EstimateKbps(); est <= 0 {
 		t.Fatalf("HEAP node has no capability estimate: %v", est)
 	}
+
+	// Accessors stay truthful after Close.
+	started[0].Close()
+	started[1].Close()
+	if !started[0].SourceDone() {
+		t.Fatal("SourceDone lost after Close")
+	}
+	if est := started[1].EstimateKbps(); est <= 0 {
+		t.Fatalf("post-Close capability estimate: %v", est)
+	}
+	if st := started[1].Stats(); st.EventsDelivered == 0 {
+		t.Fatalf("post-Close stats: %+v", st)
+	}
 }
 
 // TestUDPMultiSourceStreams drives the multi-source public API over real
@@ -423,5 +436,15 @@ func TestUDPNodeMisbehaveDetector(t *testing.T) {
 	}
 	if _, ok := started[1].MisbehaveEvidence(0); !ok {
 		t.Fatal("evidence lost after Close")
+	}
+	if st := started[1].Stats(); st.EventsDelivered == 0 {
+		t.Fatalf("post-Close stats: %+v", st)
+	}
+	if est := started[1].EstimateKbps(); est <= 0 {
+		t.Fatalf("post-Close capability estimate: %v", est)
+	}
+	started[0].Close()
+	if !started[0].SourceDone() {
+		t.Fatal("SourceDone lost after Close")
 	}
 }

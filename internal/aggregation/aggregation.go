@@ -307,14 +307,8 @@ func (e *Estimator) tick() {
 	if len(fresh) == 0 {
 		return
 	}
-	var peers []wire.NodeID
-	if ap, ok := e.cfg.Sampler.(membership.PeerAppender); ok {
-		e.peerScratch = ap.AppendPeers(e.peerScratch[:0], e.rt.Rand(), e.cfg.Fanout)
-		peers = e.peerScratch
-	} else {
-		peers = e.cfg.Sampler.SelectPeers(e.rt.Rand(), e.cfg.Fanout)
-	}
-	for _, p := range peers {
+	e.peerScratch = e.cfg.Sampler.AppendPeers(e.peerScratch[:0], e.rt.Rand(), e.cfg.Fanout)
+	for _, p := range e.peerScratch {
 		// Each recipient gets its own message value, but entry slices are
 		// shared; receivers must not mutate (env contract).
 		e.rt.Send(p, &wire.Aggregate{Entries: fresh})

@@ -34,7 +34,7 @@ type Averager struct {
 	value  float64
 	ticker *env.Ticker
 
-	// peerScratch is the per-tick sampling buffer (PeerAppender fast path).
+	// peerScratch is the per-tick sampling buffer.
 	peerScratch []wire.NodeID
 
 	// Exchanges counts completed (replied) exchanges at this node.
@@ -69,17 +69,11 @@ func (a *Averager) Stop() {
 }
 
 func (a *Averager) tick() {
-	var peers []wire.NodeID
-	if ap, ok := a.cfg.Sampler.(membership.PeerAppender); ok {
-		a.peerScratch = ap.AppendPeers(a.peerScratch[:0], a.rt.Rand(), 1)
-		peers = a.peerScratch
-	} else {
-		peers = a.cfg.Sampler.SelectPeers(a.rt.Rand(), 1)
-	}
-	if len(peers) == 0 {
+	a.peerScratch = a.cfg.Sampler.AppendPeers(a.peerScratch[:0], a.rt.Rand(), 1)
+	if len(a.peerScratch) == 0 {
 		return
 	}
-	a.rt.Send(peers[0], &wire.AvgPush{Value: a.value, Weight: 1})
+	a.rt.Send(a.peerScratch[0], &wire.AvgPush{Value: a.value, Weight: 1})
 }
 
 // Receive implements env.Handler.

@@ -182,10 +182,6 @@ type Config struct {
 	// this is a slice length, not a hash-table hint. Additional streams are
 	// presized through OpenStream.
 	ExpectedPackets int
-	// StreamRateKbps is stream 0's effective data rate for the fanout-budget
-	// allocator, used when stream 0 is opened lazily rather than through
-	// OpenStream. 0 means unknown (excluded from budget weighting).
-	StreamRateKbps float64
 	// UploadKbps is the node's upload capability in kilobits per second,
 	// the budget the fanout allocator divides across concurrent streams
 	// (see budgetScale in streams.go). 0 disables budgeting. With a single
@@ -293,9 +289,6 @@ func (c *Config) applyDefaults() error {
 	if c.BudgetHeadroom == 0 {
 		c.BudgetHeadroom = 0.8
 	}
-	if c.StreamRateKbps < 0 {
-		return fmt.Errorf("core: stream rate %v must not be negative", c.StreamRateKbps)
-	}
 	if (c.Adapt == nil) != (c.AdaptSignal == nil) {
 		return fmt.Errorf("core: Adapt and AdaptSignal must be set together")
 	}
@@ -363,10 +356,8 @@ type Engine struct {
 	retTargets []wire.NodeID
 	retGroups  [][]wire.PacketID
 
-	// appendSampler is the Sampler's optional zero-alloc fast path, with
-	// peerScratch the per-round target buffer it fills.
-	appendSampler membership.PeerAppender
-	peerScratch   []wire.NodeID
+	// peerScratch is the per-round target buffer the samplers fill.
+	peerScratch []wire.NodeID
 
 	gossipTicker *env.Ticker
 	adaptiveFn   func() // cached adaptiveRound closure (period-adaptation mode)
@@ -388,8 +379,7 @@ var _ env.Handler = (*Engine)(nil)
 
 // New builds an Engine. It returns an error for invalid configurations.
 // Streams are opened through OpenStream or lazily on first contact; the
-// default stream 0 inherits ExpectedPackets/StreamRateKbps when opened
-// lazily.
+// default stream 0 inherits ExpectedPackets when opened lazily.
 func New(cfg Config) (*Engine, error) {
 	if err := cfg.applyDefaults(); err != nil {
 		return nil, err
@@ -435,7 +425,6 @@ func (e *Engine) Collect(emit func(name string, value float64)) {
 // Start implements env.Handler.
 func (e *Engine) Start(rt env.Runtime) {
 	e.rt = rt
-	e.appendSampler, _ = e.cfg.Sampler.(membership.PeerAppender)
 	if e.cfg.Adapt != nil {
 		e.advertiser, _ = e.cfg.Capabilities.(CapabilityAdvertiser)
 	}
@@ -533,27 +522,22 @@ func (e *Engine) gossipRound() {
 // gossip sends a [Propose] for ids to fanout() random peers — or, when a
 // Split sampler is configured, to splitFanout() peers drawn per locality.
 func (e *Engine) gossip(st *streamState, ids []wire.PacketID) {
-	var peers []wire.NodeID
 	if e.cfg.Split != nil {
 		fIntra, fInter := e.splitFanout()
 		if fIntra+fInter <= 0 {
 			return
 		}
 		e.peerScratch = e.cfg.Split.AppendSplit(e.peerScratch[:0], e.rt.Rand(), fIntra, fInter)
-		peers = e.peerScratch
 	} else if f := e.fanout(); f <= 0 {
 		return
-	} else if e.appendSampler != nil {
-		e.peerScratch = e.appendSampler.AppendPeers(e.peerScratch[:0], e.rt.Rand(), f)
-		peers = e.peerScratch
 	} else {
-		peers = e.cfg.Sampler.SelectPeers(e.rt.Rand(), f)
+		e.peerScratch = e.cfg.Sampler.AppendPeers(e.peerScratch[:0], e.rt.Rand(), f)
 	}
-	if len(peers) == 0 {
+	if len(e.peerScratch) == 0 {
 		return
 	}
 	msg := &wire.Propose{Stream: st.id, IDs: ids}
-	for _, p := range peers {
+	for _, p := range e.peerScratch {
 		e.rt.Send(p, msg)
 		e.stats.ProposesSent++
 		if e.cfg.Monitor != nil {

@@ -109,5 +109,5 @@ func (noopTimer) Stop() bool { return false }
 
 type noopSampler struct{}
 
-func (noopSampler) SelectPeers(*rand.Rand, int) []wire.NodeID { return nil }
-func (noopSampler) PeerCount() int                            { return 0 }
+func (noopSampler) AppendPeers(dst []wire.NodeID, _ *rand.Rand, _ int) []wire.NodeID { return dst }
+func (noopSampler) PeerCount() int                                                   { return 0 }

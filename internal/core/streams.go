@@ -101,9 +101,9 @@ func (e *Engine) lookupStream(id wire.StreamID) *streamState {
 }
 
 // streamFor returns the state for id, lazily opening it when create is set.
-// Stream 0 — the legacy single stream — inherits the engine-level
-// ExpectedPackets/StreamRateKbps configuration; other lazily opened streams
-// start unsized with unknown rate. Returns nil past the stream bound.
+// Stream 0 — the legacy single stream — is presized from the engine-level
+// ExpectedPackets; every lazily opened stream starts with unknown rate.
+// Returns nil past the stream bound.
 func (e *Engine) streamFor(id wire.StreamID, create bool) *streamState {
 	if st := e.lookupStream(id); st != nil {
 		return st
@@ -113,7 +113,7 @@ func (e *Engine) streamFor(id wire.StreamID, create bool) *streamState {
 	}
 	sc := StreamConfig{}
 	if id == 0 {
-		sc = StreamConfig{ExpectedPackets: e.cfg.ExpectedPackets, RateKbps: e.cfg.StreamRateKbps}
+		sc.ExpectedPackets = e.cfg.ExpectedPackets
 	}
 	return e.addStream(id, sc)
 }

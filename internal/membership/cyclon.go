@@ -103,14 +103,8 @@ func (c *Cyclon) Stop() {
 // PeerCount implements Sampler.
 func (c *Cyclon) PeerCount() int { return len(c.view) }
 
-// SelectPeers implements Sampler by sampling the partial view without
+// AppendPeers implements Sampler by sampling the partial view without
 // replacement.
-func (c *Cyclon) SelectPeers(rng *rand.Rand, k int) []wire.NodeID {
-	return c.AppendPeers(nil, rng, k)
-}
-
-// AppendPeers implements PeerAppender: SelectPeers into a caller-owned
-// buffer, consuming exactly the same rng draws.
 func (c *Cyclon) AppendPeers(dst []wire.NodeID, rng *rand.Rand, k int) []wire.NodeID {
 	n := len(c.view)
 	if k > n {

@@ -154,11 +154,11 @@ func TestCyclonEvictsDeadPeers(t *testing.T) {
 	}
 }
 
-func TestCyclonSelectPeers(t *testing.T) {
+func TestCyclonAppendPeers(t *testing.T) {
 	cfg := CyclonConfig{}
 	c := NewCyclon(cfg, []wire.NodeID{1, 2, 3, 4, 5})
 	rng := rand.New(rand.NewSource(4))
-	sel := c.SelectPeers(rng, 3)
+	sel := c.AppendPeers(nil, rng, 3)
 	if len(sel) != 3 {
 		t.Fatalf("selected %d, want 3", len(sel))
 	}
@@ -169,10 +169,10 @@ func TestCyclonSelectPeers(t *testing.T) {
 		}
 		seen[id] = true
 	}
-	if got := c.SelectPeers(rng, 100); len(got) != 5 {
+	if got := c.AppendPeers(nil, rng, 100); len(got) != 5 {
 		t.Fatalf("oversized k returned %d, want 5", len(got))
 	}
-	if got := c.SelectPeers(rng, 0); got != nil {
+	if got := c.AppendPeers(nil, rng, 0); got != nil {
 		t.Fatalf("k=0 returned %v", got)
 	}
 }

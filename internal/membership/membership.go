@@ -23,20 +23,13 @@ import (
 // Sampler yields (approximately) uniformly random peers. Implementations
 // must never return the node's own id or duplicates within one call.
 type Sampler interface {
-	// SelectPeers returns up to k distinct peers chosen uniformly at
-	// random. Fewer than k are returned when the view is smaller than k.
-	SelectPeers(rng *rand.Rand, k int) []wire.NodeID
+	// AppendPeers appends up to k distinct peers chosen uniformly at random
+	// to dst and returns the extended slice, so hot loops reuse one scratch
+	// buffer per round (pass nil for a fresh slice). Fewer than k are
+	// appended when the view is smaller than k.
+	AppendPeers(dst []wire.NodeID, rng *rand.Rand, k int) []wire.NodeID
 	// PeerCount returns the number of peers currently in the view.
 	PeerCount() int
-}
-
-// PeerAppender is an optional Sampler fast path for hot loops: AppendPeers
-// appends up to k distinct peers to dst and returns the extended slice, so
-// callers can reuse one scratch buffer per round instead of allocating a
-// fresh result per call. Samplers that cannot offer it are used through
-// SelectPeers.
-type PeerAppender interface {
-	AppendPeers(dst []wire.NodeID, rng *rand.Rand, k int) []wire.NodeID
 }
 
 // SplitSampler is the locality-aware draw used by hierarchical
@@ -52,8 +45,8 @@ type SplitSampler interface {
 // concurrent use; in the simulator all accesses happen on the event loop.
 //
 // A view built with NewClusterView additionally partitions its peers by
-// topology cluster and offers AppendSplit; the uniform Sampler/PeerAppender
-// paths are unaffected by the partition.
+// topology cluster and offers AppendSplit; the uniform Sampler path is
+// unaffected by the partition.
 type View struct {
 	self  wire.NodeID
 	peers []wire.NodeID
@@ -74,9 +67,7 @@ type View struct {
 
 var (
 	_ Sampler      = (*View)(nil)
-	_ PeerAppender = (*View)(nil)
 	_ SplitSampler = (*View)(nil)
-	_ PeerAppender = (*Cyclon)(nil)
 )
 
 // NewView builds a view for self containing every node in peers except self
@@ -115,12 +106,9 @@ func NewClusterView(self wire.NodeID, peers []wire.NodeID, clusterOf func(wire.N
 
 // SetExclude installs a filter on the split path: AppendSplit never returns
 // a peer for which fn is true (the quarantine hook). Nil clears the filter.
-// The uniform SelectPeers/AppendPeers paths are unaffected; wrap those with
-// a filtering sampler instead.
+// The uniform AppendPeers path is unaffected; wrap that with a filtering
+// sampler instead.
 func (v *View) SetExclude(fn func(wire.NodeID) bool) { v.exclude = fn }
-
-// Self returns the owning node's id.
-func (v *View) Self() wire.NodeID { return v.self }
 
 // PeerCount implements Sampler.
 func (v *View) PeerCount() int { return len(v.peers) }
@@ -187,14 +175,8 @@ func dropAt(list *[]wire.NodeID, idx map[wire.NodeID]int, p int) {
 	*list = l[:last]
 }
 
-// SelectPeers implements Sampler with a partial Fisher–Yates shuffle: O(k)
+// AppendPeers implements Sampler with a partial Fisher–Yates shuffle: O(k)
 // time, uniform without replacement.
-func (v *View) SelectPeers(rng *rand.Rand, k int) []wire.NodeID {
-	return v.AppendPeers(nil, rng, k)
-}
-
-// AppendPeers implements PeerAppender: SelectPeers into a caller-owned
-// buffer. It consumes exactly the same rng draws as SelectPeers.
 func (v *View) AppendPeers(dst []wire.NodeID, rng *rand.Rand, k int) []wire.NodeID {
 	n := len(v.peers)
 	if k >= n {
@@ -267,13 +249,6 @@ func (v *View) drawFrom(list []wire.NodeID, idx map[wire.NodeID]int, dst []wire.
 		k--
 	}
 	return dst, used
-}
-
-// Peers returns a copy of the current peer set (order unspecified).
-func (v *View) Peers() []wire.NodeID {
-	out := make([]wire.NodeID, len(v.peers))
-	copy(out, v.peers)
-	return out
 }
 
 // Directory is the bootstrap membership of a run: the id set from which

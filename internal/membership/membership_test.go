@@ -38,7 +38,7 @@ func TestViewAddRemoveContains(t *testing.T) {
 	}
 }
 
-func TestViewSelectPeersNoDuplicatesNoSelf(t *testing.T) {
+func TestViewAppendPeersNoDuplicatesNoSelf(t *testing.T) {
 	ids := make([]wire.NodeID, 50)
 	for i := range ids {
 		ids[i] = wire.NodeID(i)
@@ -47,7 +47,7 @@ func TestViewSelectPeersNoDuplicatesNoSelf(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 200; trial++ {
 		k := rng.Intn(12)
-		sel := v.SelectPeers(rng, k)
+		sel := v.AppendPeers(nil, rng, k)
 		if len(sel) != min(k, 49) {
 			t.Fatalf("selected %d, want %d", len(sel), k)
 		}
@@ -64,17 +64,17 @@ func TestViewSelectPeersNoDuplicatesNoSelf(t *testing.T) {
 	}
 }
 
-func TestViewSelectPeersWholeViewWhenKTooLarge(t *testing.T) {
+func TestViewAppendPeersWholeViewWhenKTooLarge(t *testing.T) {
 	v := NewView(0, []wire.NodeID{1, 2, 3})
 	rng := rand.New(rand.NewSource(2))
-	sel := v.SelectPeers(rng, 10)
+	sel := v.AppendPeers(nil, rng, 10)
 	if len(sel) != 3 {
 		t.Fatalf("selected %d, want all 3", len(sel))
 	}
-	if got := v.SelectPeers(rng, 0); len(got) != 0 {
+	if got := v.AppendPeers(nil, rng, 0); len(got) != 0 {
 		t.Fatalf("k=0 returned %d peers", len(got))
 	}
-	if got := v.SelectPeers(rng, -1); len(got) != 0 {
+	if got := v.AppendPeers(nil, rng, -1); len(got) != 0 {
 		t.Fatalf("k=-1 returned %d peers", len(got))
 	}
 }
@@ -90,7 +90,7 @@ func TestViewSamplingIsApproximatelyUniform(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	counts := make([]int, n)
 	for trial := 0; trial < trials; trial++ {
-		for _, id := range v.SelectPeers(rng, 3) {
+		for _, id := range v.AppendPeers(nil, rng, 3) {
 			counts[id]++
 		}
 	}
@@ -113,7 +113,7 @@ func TestViewSamplingAfterRemovals(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 100; trial++ {
-		for _, id := range v.SelectPeers(rng, 5) {
+		for _, id := range v.AppendPeers(nil, rng, 5) {
 			if id < 10 {
 				t.Fatalf("selected removed peer %d", id)
 			}
@@ -146,11 +146,15 @@ func TestDirectoryPanicsOnEmpty(t *testing.T) {
 	NewDirectory(0)
 }
 
-func TestViewPeersCopy(t *testing.T) {
+// TestViewAppendPeersWholeView checks what callers copying out the whole view
+// rely on: no rng draw (a nil rng would panic) and no aliasing.
+func TestViewAppendPeersWholeView(t *testing.T) {
 	v := NewView(0, []wire.NodeID{1, 2, 3})
-	p := v.Peers()
+	p := v.AppendPeers(nil, nil, 3)
 	p[0] = 99
-	if v.Contains(99) {
-		t.Fatal("Peers returned aliased slice")
+	for _, id := range v.AppendPeers(nil, nil, 3) {
+		if id == 99 {
+			t.Fatal("AppendPeers returned an aliased slice")
+		}
 	}
 }

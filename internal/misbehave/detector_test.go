@@ -468,17 +468,17 @@ type scriptSampler struct {
 	count  int
 }
 
-func (s *scriptSampler) SelectPeers(_ *rand.Rand, k int) []wire.NodeID {
+func (s *scriptSampler) AppendPeers(dst []wire.NodeID, _ *rand.Rand, k int) []wire.NodeID {
 	if s.calls >= len(s.script) {
 		s.calls++
-		return nil
+		return dst
 	}
 	out := s.script[s.calls]
 	s.calls++
 	if len(out) > k {
 		out = out[:k]
 	}
-	return append([]wire.NodeID(nil), out...)
+	return append(dst, out...)
 }
 
 func (s *scriptSampler) PeerCount() int { return s.count }
@@ -487,7 +487,7 @@ func TestQuarantineSamplerPassThrough(t *testing.T) {
 	d := armed(t)
 	inner := &scriptSampler{script: [][]wire.NodeID{{1, 2, 3}}, count: 8}
 	qs := &misbehave.QuarantineSampler{Inner: inner, Detector: d}
-	got := qs.SelectPeers(rand.New(rand.NewSource(1)), 3)
+	got := qs.AppendPeers(nil, rand.New(rand.NewSource(1)), 3)
 	if len(got) != 3 || inner.calls != 1 {
 		t.Fatalf("clean draw: %v in %d calls, want one untouched draw", got, inner.calls)
 	}
@@ -505,8 +505,9 @@ func TestQuarantineSamplerFiltersAndRedraws(t *testing.T) {
 		{4},       // redraw fills the freed slot
 	}, count: 8}
 	qs := &misbehave.QuarantineSampler{Inner: inner, Detector: d}
-	got := qs.SelectPeers(rand.New(rand.NewSource(1)), 3)
-	want := []wire.NodeID{1, 3, 4}
+	// What dst already holds is the caller's: neither filtered nor counted.
+	got := qs.AppendPeers([]wire.NodeID{2}, rand.New(rand.NewSource(1)), 3)
+	want := []wire.NodeID{2, 1, 3, 4}
 	if len(got) != len(want) {
 		t.Fatalf("draw = %v, want %v", got, want)
 	}
@@ -528,7 +529,7 @@ func TestQuarantineSamplerRedrawDedup(t *testing.T) {
 		{4}, // must never be consulted
 	}, count: 8}
 	qs := &misbehave.QuarantineSampler{Inner: inner, Detector: d}
-	got := qs.SelectPeers(rand.New(rand.NewSource(1)), 3)
+	got := qs.AppendPeers(nil, rand.New(rand.NewSource(1)), 3)
 	if len(got) != 2 || got[0] != 1 || got[1] != 3 {
 		t.Fatalf("draw = %v, want [1 3]", got)
 	}
@@ -549,7 +550,7 @@ func TestQuarantineSamplerMassQuarantine(t *testing.T) {
 		{1, 2, 3}, {4, 5, 6}, {1, 2, 3}, {4, 5, 6}, {1, 2, 3},
 	}, count: 6}
 	qs := &misbehave.QuarantineSampler{Inner: inner, Detector: d}
-	got := qs.SelectPeers(rand.New(rand.NewSource(1)), 3)
+	got := qs.AppendPeers(nil, rand.New(rand.NewSource(1)), 3)
 	if len(got) != 0 {
 		t.Fatalf("mass quarantine drew %v, want empty", got)
 	}

@@ -28,29 +28,32 @@ type QuarantineSampler struct {
 // the correct outcome anyway (most of the view is convicted).
 const redrawRounds = 2
 
-// SelectPeers draws up to k non-quarantined peers.
-func (s *QuarantineSampler) SelectPeers(rng *rand.Rand, k int) []wire.NodeID {
-	peers := s.Inner.SelectPeers(rng, k)
-	kept := peers[:0]
-	for _, p := range peers {
+// AppendPeers implements membership.Sampler: up to k non-quarantined peers,
+// filtered in place in dst.
+func (s *QuarantineSampler) AppendPeers(dst []wire.NodeID, rng *rand.Rand, k int) []wire.NodeID {
+	base := len(dst)
+	dst = s.Inner.AppendPeers(dst, rng, k)
+	kept := dst[:base]
+	for _, p := range dst[base:] {
 		if !s.Detector.Quarantined(p) {
 			kept = append(kept, p)
 		}
 	}
-	if len(kept) == len(peers) {
+	if len(kept) == len(dst) {
 		return kept
 	}
-	for round := 0; round < redrawRounds && len(kept) < k; round++ {
-		extra := s.Inner.SelectPeers(rng, k-len(kept))
-		grew := false
-		for _, p := range extra {
-			if s.Detector.Quarantined(p) || contains(kept, p) {
+	for round := 0; round < redrawRounds && len(kept)-base < k; round++ {
+		// The redraw lands behind kept in the same buffer; survivors are
+		// compacted forward, so a write never overtakes the read position.
+		mark := len(kept)
+		extra := s.Inner.AppendPeers(kept, rng, k-(mark-base))
+		for _, p := range extra[mark:] {
+			if s.Detector.Quarantined(p) || contains(kept[base:], p) {
 				continue
 			}
 			kept = append(kept, p)
-			grew = true
 		}
-		if !grew {
+		if len(kept) == mark {
 			break
 		}
 	}

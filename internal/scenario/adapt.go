@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/adapt"
 	"repro/internal/metrics"
+	"repro/internal/stack"
 )
 
 // This file wires internal/adapt into the scenario layer: per-node
@@ -76,20 +77,19 @@ func (c *Config) validateAdapt() error {
 }
 
 // collectAdaptStats folds the per-node controllers into the result record.
-func collectAdaptStats(controllers []*adapt.Controller) *AdaptStats {
+func collectAdaptStats(nodes []*stack.Node) *AdaptStats {
 	stats := &AdaptStats{
-		ConfiguredKbps: make([]uint32, len(controllers)),
-		EffectiveKbps:  make([]uint32, len(controllers)),
-		Traces:         make([][]adapt.Readvertisement, len(controllers)),
+		ConfiguredKbps: make([]uint32, len(nodes)),
+		EffectiveKbps:  make([]uint32, len(nodes)),
+		Traces:         make([][]adapt.Readvertisement, len(nodes)),
 	}
-	for i, ctrl := range controllers {
-		if ctrl == nil {
-			continue
+	for i, n := range nodes {
+		if ctrl := n.Controller; ctrl != nil {
+			stats.ConfiguredKbps[i] = ctrl.ConfiguredKbps()
+			stats.EffectiveKbps[i] = ctrl.EffectiveKbps()
+			stats.Traces[i] = ctrl.Trace()
+			stats.Readvertisements += ctrl.Readvertisements()
 		}
-		stats.ConfiguredKbps[i] = ctrl.ConfiguredKbps()
-		stats.EffectiveKbps[i] = ctrl.EffectiveKbps()
-		stats.Traces[i] = ctrl.Trace()
-		stats.Readvertisements += ctrl.Readvertisements()
 	}
 	return stats
 }

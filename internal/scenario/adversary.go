@@ -7,11 +7,11 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/aggregation"
 	"repro/internal/env"
 	"repro/internal/metrics"
 	"repro/internal/misbehave"
 	"repro/internal/simnet"
+	"repro/internal/stack"
 	"repro/internal/wire"
 )
 
@@ -144,14 +144,14 @@ func (c *Config) validateAdversary() error {
 }
 
 // adversaryState is one run's materialized adversary assignment plus the
-// per-node detectors and interceptors built alongside the nodes.
+// interceptors built alongside the nodes. The honest cohort's detectors live
+// in the nodes' stacks.
 type adversaryState struct {
 	spec  AdversarySpec
 	class []misbehave.Class // dense by node id; ClassHonest for the rest
 
 	freeriders, liars, droppers []wire.NodeID
 
-	detectors    []*misbehave.Detector    // honest non-source nodes
 	interceptors []*misbehave.Interceptor // freeriders and droppers
 }
 
@@ -166,7 +166,6 @@ func newAdversaryState(cfg *Config, total int, sourceNode []bool) *adversaryStat
 	a := &adversaryState{
 		spec:         cfg.Adversary.withDefaults(),
 		class:        make([]misbehave.Class, total),
-		detectors:    make([]*misbehave.Detector, total),
 		interceptors: make([]*misbehave.Interceptor, total),
 	}
 	pool := make([]wire.NodeID, 0, total)
@@ -226,7 +225,7 @@ func (a *adversaryState) armed() bool { return a.spec.Detect != nil }
 // spec's thresholds (armed) or an observe-only zero config, plus the
 // simulator's liveness oracle so crashed peers are never convicted for
 // their silence. Nodes not yet joined (flash-crowd waves) read as alive.
-func (a *adversaryState) detectorConfig(net *simnet.Network) misbehave.Config {
+func (a *adversaryState) detectorConfig(net *simnet.Network) *misbehave.Config {
 	cfg := misbehave.Config{}
 	if a.spec.Detect != nil {
 		cfg = *a.spec.Detect
@@ -235,7 +234,7 @@ func (a *adversaryState) detectorConfig(net *simnet.Network) misbehave.Config {
 	cfg.Alive = func(p wire.NodeID) bool {
 		return int(p) >= net.NumNodes() || net.Alive(p)
 	}
-	return cfg
+	return &cfg
 }
 
 // liarAdvertised returns what a liar with real capability c advertises.
@@ -272,8 +271,7 @@ func (a *adversaryState) interceptorFor(i int, inner env.Handler) env.Handler {
 // advertised capability through the same SetSelfCapKbps path netem's
 // capability traces use. Onset-zero liars advertise the inflated value from
 // the start (wired in Run before estimators are built).
-func (a *adversaryState) scheduleLiars(net *simnet.Network, caps []uint32,
-	estimators []*aggregation.Estimator) {
+func (a *adversaryState) scheduleLiars(net *simnet.Network, caps []uint32, nodes []*stack.Node) {
 	if a.spec.Onset <= 0 {
 		return
 	}
@@ -281,8 +279,8 @@ func (a *adversaryState) scheduleLiars(net *simnet.Network, caps []uint32,
 		id := id
 		adv := a.liarAdvertised(caps[id])
 		net.Schedule(a.spec.Onset, func() {
-			if est := estimators[id]; est != nil {
-				est.SetSelfCapKbps(adv)
+			if n := nodes[id]; n != nil && n.Estimator != nil {
+				n.Estimator.SetSelfCapKbps(adv)
 			}
 		})
 	}
@@ -392,8 +390,8 @@ type AdversaryStats struct {
 
 // collectStats assembles AdversaryStats after the run. res must already
 // hold the delivery records (crash flags come from them).
-func (a *adversaryState) collectStats(cfg *Config, res *Result) *AdversaryStats {
-	total := cfg.totalNodes()
+func (a *adversaryState) collectStats(cfg *Config, res *Result, nodes []*stack.Node) *AdversaryStats {
+	total := len(nodes)
 	stats := &AdversaryStats{
 		Freeriders:     a.freeriders,
 		Liars:          a.liars,
@@ -402,14 +400,14 @@ func (a *adversaryState) collectStats(cfg *Config, res *Result) *AdversaryStats 
 		DetectedBy:     make([]int, total),
 		FirstQuorumSec: make([]float64, total),
 	}
-	detectors := 0
-	for _, d := range a.detectors {
-		if d != nil {
-			detectors++
+	detectors := make([]*misbehave.Detector, total) // honest non-source nodes
+	for i, n := range nodes {
+		if n.Detector != nil {
+			detectors[i] = n.Detector
+			stats.HonestDetectors++
 		}
 	}
-	stats.HonestDetectors = detectors
-	quorum := int(math.Ceil(a.spec.DetectQuorum * float64(detectors)))
+	quorum := int(math.Ceil(a.spec.DetectQuorum * float64(stats.HonestDetectors)))
 	if quorum < 1 {
 		quorum = 1
 	}
@@ -418,7 +416,7 @@ func (a *adversaryState) collectStats(cfg *Config, res *Result) *AdversaryStats 
 	// Per-target first-quarantine times across detectors; the quorum-th
 	// smallest is when the system as a whole detected the node.
 	times := make([][]time.Duration, total)
-	for _, d := range a.detectors {
+	for _, d := range detectors {
 		if d == nil {
 			continue
 		}
@@ -456,7 +454,7 @@ func (a *adversaryState) collectStats(cfg *Config, res *Result) *AdversaryStats 
 
 	// False positives: honest non-source survivors held at quorum at end.
 	for j := 0; j < total; j++ {
-		if a.class[j] != misbehave.ClassHonest || a.detectors[j] == nil {
+		if a.class[j] != misbehave.ClassHonest || detectors[j] == nil {
 			continue // adversaries and sources are not false positives
 		}
 		if res.Run.Nodes[j].Crashed {
@@ -478,11 +476,11 @@ func (a *adversaryState) collectStats(cfg *Config, res *Result) *AdversaryStats 
 		stats.ProposesIgnored += res.CoreStats[i].ProposesIgnored
 	}
 
-	a.probeLocalization(cfg, stats)
+	a.probeLocalization(cfg, stats, detectors)
 
 	// One honest detector's evidence table, for diagnostics and the fuzz
 	// corpus; the lowest-id detector keeps the choice deterministic.
-	for j, d := range a.detectors {
+	for j, d := range detectors {
 		if d == nil {
 			continue
 		}
@@ -534,12 +532,12 @@ func classStats(name string, members []wire.NodeID, stats *AdversaryStats,
 // the broadcaster — the strongest estimate order-only observers have. The
 // probe is pure post-run analysis on its own rng stream: it perturbs
 // nothing, so it runs identically with the detector armed or off.
-func (a *adversaryState) probeLocalization(cfg *Config, stats *AdversaryStats) {
+func (a *adversaryState) probeLocalization(cfg *Config, stats *AdversaryStats, detectors []*misbehave.Detector) {
 	if a.spec.CoalitionTrials == 0 {
 		return
 	}
-	pool := make([]wire.NodeID, 0, len(a.detectors))
-	for j, d := range a.detectors {
+	pool := make([]wire.NodeID, 0, len(detectors))
+	for j, d := range detectors {
 		if d == nil {
 			continue
 		}
@@ -567,7 +565,7 @@ func (a *adversaryState) probeLocalization(cfg *Config, stats *AdversaryStats) {
 			var estimate wire.NodeID
 			for _, pi := range perm[:size] {
 				obs := pool[pi]
-				from, at, _ := a.detectors[obs].FirstReceipt()
+				from, at, _ := detectors[obs].FirstReceipt()
 				// Strict (time, observer id) order keeps the winner unique
 				// regardless of draw order.
 				if best == wire.NodeNone || at < bestAt || (at == bestAt && obs < best) {

@@ -6,8 +6,8 @@ import (
 	"math/rand"
 	"time"
 
-	"repro/internal/membership"
 	"repro/internal/simnet"
+	"repro/internal/stack"
 	"repro/internal/wire"
 )
 
@@ -109,7 +109,7 @@ func (b ChurnBurst) withDefaults() ChurnBurst {
 // chosen lazily at burst time among the then-alive non-source nodes, so
 // bursts compose with join waves and with each other. The returned slice is
 // filled in as bursts execute; read it only after the run completes.
-func applyChurnBursts(net *simnet.Network, cfg *Config, views []*membership.View, victims *[]wire.NodeID) {
+func applyChurnBursts(net *simnet.Network, cfg *Config, nodes []*stack.Node, victims *[]wire.NodeID) {
 	if len(cfg.ChurnBursts) == 0 {
 		return
 	}
@@ -155,7 +155,7 @@ func applyChurnBursts(net *simnet.Network, cfg *Config, views []*membership.View
 			// their bootstrap views filter on liveness).
 			net.Schedule(net.Now()+b.Spread, func() {
 				for i := 0; i < net.NumNodes(); i++ {
-					view := views[i]
+					view := nodes[i].View
 					if view == nil || !net.Alive(wire.NodeID(i)) {
 						continue
 					}

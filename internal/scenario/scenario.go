@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"time"
 
@@ -16,6 +15,7 @@ import (
 	"repro/internal/misbehave"
 	"repro/internal/netem"
 	"repro/internal/simnet"
+	"repro/internal/stack"
 	"repro/internal/stream"
 	"repro/internal/telemetry"
 	"repro/internal/topo"
@@ -257,18 +257,14 @@ type Config struct {
 	FreezeMeanDuration time.Duration
 }
 
+// applyDefaults resolves every zero knob to its documented default, then
+// validates the result.
 func (c *Config) applyDefaults() error {
 	if c.Nodes == 0 {
 		c.Nodes = 270
 	}
-	if c.Nodes < 3 {
-		return fmt.Errorf("scenario: need at least 3 nodes, got %d", c.Nodes)
-	}
 	if c.Protocol == "" {
 		c.Protocol = StandardGossip
-	}
-	if c.Protocol != StandardGossip && c.Protocol != HEAP && c.Protocol != StaticTree {
-		return fmt.Errorf("scenario: unknown protocol %q", c.Protocol)
 	}
 	if c.Fanout == 0 {
 		c.Fanout = 7
@@ -276,17 +272,11 @@ func (c *Config) applyDefaults() error {
 	if c.MaxFanout == 0 {
 		c.MaxFanout = 64
 	}
-	if c.Dist == nil && !c.Unconstrained {
-		return fmt.Errorf("scenario: a distribution is required unless Unconstrained")
-	}
 	if c.Windows == 0 {
 		c.Windows = 31
 	}
 	if c.Geometry == (stream.Geometry{}) {
 		c.Geometry = stream.PaperGeometry()
-	}
-	if err := c.Geometry.Validate(); err != nil {
-		return err
 	}
 	if c.StreamStart == 0 {
 		c.StreamStart = 5 * time.Second
@@ -323,10 +313,6 @@ func (c *Config) applyDefaults() error {
 		// always had, now made explicit so it passes simnet's validation).
 		c.LatencyMax = c.LatencyMin
 	}
-	if c.LatencyMin < 0 || c.LatencyMax < c.LatencyMin || c.LatencyJitter < 0 {
-		return fmt.Errorf("scenario: invalid latency range [%v, %v] jitter %v",
-			c.LatencyMin, c.LatencyMax, c.LatencyJitter)
-	}
 	if c.LatencyJitter == 0 {
 		c.LatencyJitter = 5 * time.Millisecond
 	}
@@ -339,12 +325,6 @@ func (c *Config) applyDefaults() error {
 	if c.FreeriderFactor == 0 {
 		c.FreeriderFactor = 0.25
 	}
-	if c.FreeriderFraction < 0 || c.FreeriderFraction >= 1 {
-		return fmt.Errorf("scenario: freerider fraction %v outside [0,1)", c.FreeriderFraction)
-	}
-	if c.AdaptPeriod && c.Protocol != HEAP {
-		return fmt.Errorf("scenario: AdaptPeriod requires the HEAP protocol")
-	}
 	if c.PSSViewSize == 0 {
 		c.PSSViewSize = 24
 	}
@@ -356,6 +336,35 @@ func (c *Config) applyDefaults() error {
 	}
 	if c.FreezeMeanDuration == 0 {
 		c.FreezeMeanDuration = 2 * time.Second
+	}
+	return c.validate()
+}
+
+// validate checks the defaulted config, resolving the stream specs on the
+// way (their checks need the stream-independent fields settled, and the
+// dynamics' checks need the streams).
+func (c *Config) validate() error {
+	if c.Nodes < 3 {
+		return fmt.Errorf("scenario: need at least 3 nodes, got %d", c.Nodes)
+	}
+	if c.Protocol != StandardGossip && c.Protocol != HEAP && c.Protocol != StaticTree {
+		return fmt.Errorf("scenario: unknown protocol %q", c.Protocol)
+	}
+	if c.Dist == nil && !c.Unconstrained {
+		return fmt.Errorf("scenario: a distribution is required unless Unconstrained")
+	}
+	if err := c.Geometry.Validate(); err != nil {
+		return err
+	}
+	if c.LatencyMin < 0 || c.LatencyMax < c.LatencyMin || c.LatencyJitter < 0 {
+		return fmt.Errorf("scenario: invalid latency range [%v, %v] jitter %v",
+			c.LatencyMin, c.LatencyMax, c.LatencyJitter)
+	}
+	if c.FreeriderFraction < 0 || c.FreeriderFraction >= 1 {
+		return fmt.Errorf("scenario: freerider fraction %v outside [0,1)", c.FreeriderFraction)
+	}
+	if c.AdaptPeriod && c.Protocol != HEAP {
+		return fmt.Errorf("scenario: AdaptPeriod requires the HEAP protocol")
 	}
 	if c.FreezesPerNode < 0 {
 		return fmt.Errorf("scenario: negative freezes per node")
@@ -503,80 +512,123 @@ type BacklogSample struct {
 	Max float64
 }
 
+// run is the state of one scenario execution, threaded through Run's phases.
+type run struct {
+	cfg Config
+	// total counts every node that will ever exist: the initial system plus
+	// all flash-crowd join waves. Capability assignment, views, and metric
+	// collection cover them all; wave nodes simply enter the simulation
+	// later. cfg.Nodes remains the size at time zero.
+	total int
+	// specs is the stream layout: the configured multi-source specs, or the
+	// implicit single stream 0 broadcast by node 0. specIdx maps wire-level
+	// stream ids to spec indices for the per-node delivery dispatch.
+	specs      []StreamSpec
+	specIdx    map[wire.StreamID]int
+	sourceNode []bool
+
+	caps, advertised []uint32
+	effective        []int64 // what each uplink really delivers, bps
+	freerider        []bool
+	adv              *adversaryState
+
+	net      *simnet.Network
+	netem    *netem.Engine
+	topol    *topo.Topology
+	treeTopo *tree.Topology // StaticTree only
+	pssRng   *rand.Rand
+	// nodes[i] is node i's stack, nil until its join wave lands. Static-tree
+	// nodes carry only Receivers.
+	nodes    []*stack.Node
+	buildErr error // first failure inside a join-wave callback
+
+	victims              []wire.NodeID
+	startBytes, endBytes []int64
+	backlogSamples       []BacklogSample
+}
+
 // Run executes the scenario and returns its measurements.
 func Run(cfg Config) (*Result, error) {
 	if err := cfg.applyDefaults(); err != nil {
 		return nil, err
 	}
+	r := &run{cfg: cfg, total: cfg.totalNodes(), specs: cfg.effectiveStreams()}
+	r.assignCapabilities()
+	if err := r.buildNetwork(); err != nil {
+		return nil, err
+	}
+	if err := r.buildNodes(); err != nil {
+		return nil, err
+	}
+	if err := r.scheduleDynamics(); err != nil {
+		return nil, err
+	}
+	_, streamEnd := cfg.streamsSpan()
+	r.net.Run(streamEnd + cfg.Drain)
+	if r.buildErr != nil {
+		return nil, r.buildErr
+	}
+	if r.net.NumNodes() != r.total {
+		return nil, fmt.Errorf("scenario: %d of %d nodes joined (a wave fell outside the run)",
+			r.net.NumNodes(), r.total)
+	}
+	return r.collect()
+}
+
+// assignCapabilities decides what every node has, delivers and claims. Source
+// nodes are the paper's well-provisioned broadcasters: they get
+// SourceCapKbps, never degrade, freeride, or adapt their fanout.
+func (r *run) assignCapabilities() {
+	cfg, total := &r.cfg, r.total
 	setupRng := rand.New(rand.NewSource(cfg.Seed ^ 0x5ca1ab1e))
-
-	// total counts every node that will ever exist: the initial system plus
-	// all flash-crowd join waves. Capability assignment, views, and metric
-	// collection cover them all; wave nodes simply enter the simulation
-	// later. cfg.Nodes remains the size at time zero.
-	total := cfg.totalNodes()
-
-	// Stream layout: the configured multi-source specs, or the implicit
-	// single stream 0 broadcast by node 0. Source nodes are the paper's
-	// well-provisioned broadcasters: they get SourceCapKbps, never degrade,
-	// freeride, or adapt their fanout.
-	specs := cfg.effectiveStreams()
-	sourceNode := make([]bool, total)
+	r.sourceNode = make([]bool, total)
 	numSources := 0
-	for _, sp := range specs {
-		if !sourceNode[sp.Source] {
-			sourceNode[sp.Source] = true
+	for _, sp := range r.specs {
+		if !r.sourceNode[sp.Source] {
+			r.sourceNode[sp.Source] = true
 			numSources++
 		}
 	}
 
-	// Capability assignment.
-	caps := make([]uint32, total)
+	r.caps = make([]uint32, total)
 	if cfg.Dist != nil {
 		assigned := cfg.Dist.Assign(total-numSources, setupRng)
 		j := 0
-		for i := range caps {
-			if sourceNode[i] {
-				continue
+		for i := range r.caps {
+			if !r.sourceNode[i] {
+				r.caps[i] = assigned[j]
+				j++
 			}
-			caps[i] = assigned[j]
-			j++
 		}
 	}
-	for i := range caps {
-		if sourceNode[i] {
-			caps[i] = cfg.SourceCapKbps
+	for i := range r.caps {
+		if r.sourceNode[i] {
+			r.caps[i] = cfg.SourceCapKbps
 		}
 	}
 	// Degraded nodes deliver less than they advertise.
-	effective := make([]int64, total)
-	for i, c := range caps {
-		effective[i] = int64(c) * 1000
+	r.effective = make([]int64, total)
+	for i, c := range r.caps {
+		r.effective[i] = int64(c) * 1000
 	}
 	if cfg.DegradedFraction > 0 {
 		for i := 1; i < total; i++ {
-			if sourceNode[i] {
-				continue
-			}
-			if setupRng.Float64() < cfg.DegradedFraction {
-				effective[i] = int64(float64(effective[i]) * cfg.DegradedFactor)
+			if !r.sourceNode[i] && setupRng.Float64() < cfg.DegradedFraction {
+				r.effective[i] = int64(float64(r.effective[i]) * cfg.DegradedFactor)
 			}
 		}
 	}
 	// Freeriders advertise less than they have (keeping full capacity).
-	advertised := make([]uint32, total)
-	copy(advertised, caps)
-	freerider := make([]bool, total)
+	r.advertised = make([]uint32, total)
+	copy(r.advertised, r.caps)
+	r.freerider = make([]bool, total)
 	if cfg.FreeriderFraction > 0 {
 		for i := 1; i < total; i++ {
-			if sourceNode[i] {
-				continue
-			}
-			if setupRng.Float64() < cfg.FreeriderFraction {
-				freerider[i] = true
-				advertised[i] = uint32(float64(caps[i]) * cfg.FreeriderFactor)
-				if advertised[i] == 0 {
-					advertised[i] = 1
+			if !r.sourceNode[i] && setupRng.Float64() < cfg.FreeriderFraction {
+				r.freerider[i] = true
+				r.advertised[i] = uint32(float64(r.caps[i]) * cfg.FreeriderFactor)
+				if r.advertised[i] == 0 {
+					r.advertised[i] = 1
 				}
 			}
 		}
@@ -588,17 +640,19 @@ func Run(cfg Config) (*Result, error) {
 	// inflated value; delayed liars are rescheduled after the network
 	// exists (scheduleLiars). Where a liar overlaps a legacy freerider
 	// pick, the liar's advertisement wins.
-	adv := newAdversaryState(&cfg, total, sourceNode)
-	if adv != nil && adv.spec.Onset == 0 {
-		for _, id := range adv.liars {
-			advertised[id] = adv.liarAdvertised(caps[id])
+	r.adv = newAdversaryState(cfg, total, r.sourceNode)
+	if r.adv != nil && r.adv.spec.Onset == 0 {
+		for _, id := range r.adv.liars {
+			r.advertised[id] = r.adv.liarAdvertised(r.caps[id])
 		}
 	}
+}
 
-	// Adverse network conditions: a configured netem spec materializes into
-	// a per-run engine that absorbs the base loss rate as its first model
-	// (same rng draw order, so the zero-config path is untouched).
-	var netemEngine *netem.Engine
+// buildNetwork creates the simulated network and everything nodes are built
+// against: the netem engine, the topology, the bootstrap directory, and the
+// static tree when that is the protocol.
+func (r *run) buildNetwork() error {
+	cfg := &r.cfg
 	netCfg := simnet.Config{
 		Seed:     cfg.Seed,
 		Latency:  simnet.NewPairwiseLatency(cfg.Seed, cfg.LatencyMin, cfg.LatencyMax, cfg.LatencyJitter),
@@ -608,175 +662,168 @@ func Run(cfg Config) (*Result, error) {
 	// A configured topology replaces the uniform latency draw with the
 	// clustered model (hash-pure, so sharded runs stay exact) and labels
 	// every node with its cluster for WAN-byte accounting.
-	var topol *topo.Topology
+	var err error
 	if cfg.Topology != nil {
-		var err error
-		if topol, err = cfg.Topology.Build(cfg.Seed); err != nil {
-			return nil, err
+		if r.topol, err = cfg.Topology.Build(cfg.Seed); err != nil {
+			return err
 		}
-		netCfg.Latency = topol
-		netCfg.RegionOf = topol.ClusterOf
+		netCfg.Latency = r.topol
+		netCfg.RegionOf = r.topol.ClusterOf
 	}
+	// Adverse network conditions: a configured netem spec materializes into
+	// a per-run engine that absorbs the base loss rate as its first model
+	// (same rng draw order, so the zero-config path is untouched).
 	if cfg.Netem != nil {
-		var err error
-		if topol != nil {
-			netemEngine, err = cfg.Netem.BuildWithRegions(total, cfg.Seed, cfg.LossRate, topol.ClusterOf)
+		if r.topol != nil {
+			r.netem, err = cfg.Netem.BuildWithRegions(r.total, cfg.Seed, cfg.LossRate, r.topol.ClusterOf)
 		} else {
-			netemEngine, err = cfg.Netem.Build(total, cfg.Seed, cfg.LossRate)
+			r.netem, err = cfg.Netem.Build(r.total, cfg.Seed, cfg.LossRate)
 		}
 		if err != nil {
-			return nil, err
+			return err
 		}
-		netCfg.Netem = netemEngine
+		netCfg.Netem = r.netem
 	}
-	net := simnet.New(netCfg)
-	dir := membership.NewDirectory(total)
-	allIDs := dir.IDs()
-
-	views := make([]*membership.View, total)
-	engines := make([]*core.Engine, total)
-	receivers := make([][]*stream.Receiver, total) // [node][spec index]
-	estimators := make([]*aggregation.Estimator, total)
-	averagers := make([]*aggregation.Averager, total)
-	controllers := make([]*adapt.Controller, total)
-	tracers := make([]*telemetry.Tracer, total)
-
-	// specIdx maps wire-level stream ids to spec indices for the per-node
-	// delivery dispatch; singleStream keeps the legacy direct upcall (and
-	// its zero indirection) when there is nothing to dispatch between.
-	specIdx := make(map[wire.StreamID]int, len(specs))
-	for k, sp := range specs {
-		specIdx[sp.ID] = k
+	r.net = simnet.New(netCfg)
+	r.nodes = make([]*stack.Node, r.total)
+	r.pssRng = rand.New(rand.NewSource(cfg.Seed ^ 0x9551))
+	r.specIdx = make(map[wire.StreamID]int, len(r.specs))
+	for k, sp := range r.specs {
+		r.specIdx[sp.ID] = k
 	}
-	singleStream := len(specs) == 1 && specs[0].ID == 0
 
 	// The static-tree baseline has a fixed topology instead of sampling.
-	var treeTopo *tree.Topology
 	if cfg.Protocol == StaticTree {
 		order := tree.ByID
 		if cfg.TreeCapacityOrder {
 			order = tree.ByCapacityDesc
 		}
-		var err error
-		treeTopo, err = tree.BuildKAry(dir.IDs(), 0, cfg.TreeDegree, order, caps)
+		ids := membership.NewDirectory(r.total).IDs()
+		r.treeTopo, err = tree.BuildKAry(ids, 0, cfg.TreeDegree, order, r.caps)
+	}
+	return err
+}
+
+// buildNodes boots the time-zero system and schedules the flash-crowd join
+// waves: each wave's nodes are built inside one scheduled callback, in id
+// order (waves are sorted by time and ids are assigned by arrival, so the id
+// ranges are deterministic). Newcomers boot with a view over everyone
+// present; existing full-membership views learn the newcomers instantly (the
+// bootstrap directory model); PSS views learn them organically through
+// shuffles.
+func (r *run) buildNodes() error {
+	for i := 0; i < r.cfg.Nodes; i++ {
+		if err := r.buildNode(i, r.cfg.Nodes); err != nil {
+			return err
+		}
+	}
+	nextID := r.cfg.Nodes
+	for _, wave := range r.cfg.JoinWaves {
+		first, count := nextID, wave.Count
+		nextID += wave.Count
+		r.net.Schedule(wave.At, func() {
+			if r.buildErr != nil {
+				return
+			}
+			present := first + count
+			for i := first; i < first+count; i++ {
+				if err := r.buildNode(i, present); err != nil {
+					r.buildErr = err
+					return
+				}
+			}
+			for _, n := range r.nodes[:first] {
+				if n.View == nil {
+					continue
+				}
+				for i := first; i < first+count; i++ {
+					n.View.Add(wire.NodeID(i))
+				}
+			}
+		})
+	}
+	return nil
+}
+
+// buildNode constructs and registers node i. present is the system size the
+// node boots into: initial nodes see the whole time-zero membership,
+// flash-crowd joiners see everyone present when their wave lands (their own
+// wave included).
+func (r *run) buildNode(i, present int) error {
+	cfg, id := &r.cfg, wire.NodeID(i)
+	rcvs := make([]*stream.Receiver, len(r.specs))
+	for k, sp := range r.specs {
+		rcv, err := stream.NewReceiver(sp.Geometry, sp.Windows, cfg.VerifyPayloads)
 		if err != nil {
-			return nil, err
+			return err
+		}
+		rcvs[k] = rcv
+	}
+	// A lone stream 0 keeps the direct upcall (and its zero indirection):
+	// there is nothing to dispatch between.
+	onDeliver := rcvs[0].OnDeliver
+	if len(r.specs) > 1 || r.specs[0].ID != 0 {
+		onDeliver = func(ev wire.Event, at time.Duration) {
+			if k, ok := r.specIdx[ev.Stream]; ok {
+				rcvs[k].OnDeliver(ev, at)
+			}
 		}
 	}
 
-	pssRng := rand.New(rand.NewSource(cfg.Seed ^ 0x9551))
+	var node *stack.Node
+	var err error
+	if cfg.Protocol == StaticTree {
+		node, err = r.treeNode(id, onDeliver)
+	} else {
+		node, err = stack.Build(r.stackSpec(i, present, onDeliver))
+	}
+	if err != nil {
+		return err
+	}
+	node.Receivers = rcvs
+	r.nodes[i] = node
 
-	// Hierarchical dissemination: cluster-partitioned views feed the split
-	// fanout. Topology alone (both split fanouts zero) keeps plain views —
-	// the topology-blind baseline samples exactly as before.
-	hierarchical := topol != nil && (cfg.FanoutIntra > 0 || cfg.FanoutInter > 0)
+	nodeCfg := simnet.NodeConfig{}
+	if !cfg.Unconstrained {
+		nodeCfg.UploadBps = r.effective[i]
+	}
+	if got := r.net.AddNode(node.Handler, nodeCfg); got != id {
+		return fmt.Errorf("scenario: node id mismatch: %d != %d", got, id)
+	}
+	return nil
+}
 
-	// buildNode constructs and registers node i. present is the system size
-	// the node boots into: initial nodes see the whole time-zero membership,
-	// flash-crowd joiners see everyone present when their wave lands (their
-	// own wave included).
-	buildNode := func(i, present int) error {
-		id := wire.NodeID(i)
-
-		rcvs := make([]*stream.Receiver, len(specs))
-		for k, sp := range specs {
-			rcv, err := stream.NewReceiver(sp.Geometry, sp.Windows, cfg.VerifyPayloads)
-			if err != nil {
-				return err
-			}
-			rcvs[k] = rcv
+// treeNode assembles a static-tree node: a push engine over the fixed
+// topology, plus the stream source at the root. It shares none of the gossip
+// stack's wiring.
+func (r *run) treeNode(id wire.NodeID, onDeliver core.DeliverFunc) (*stack.Node, error) {
+	eng := tree.NewEngine(r.treeTopo, tree.DeliverFunc(onDeliver))
+	mux := env.NewMux()
+	mux.Register(eng, wire.KindServe)
+	if id == 0 {
+		src, err := stream.NewSource(stream.SourceConfig{
+			Geometry:  r.cfg.Geometry,
+			Windows:   r.cfg.Windows,
+			StartAt:   r.cfg.StreamStart,
+			Publisher: eng,
+		})
+		if err != nil {
+			return nil, err
 		}
-		receivers[i] = rcvs
-		onDeliver := rcvs[0].OnDeliver
-		if !singleStream {
-			onDeliver = func(ev wire.Event, at time.Duration) {
-				if k, ok := specIdx[ev.Stream]; ok {
-					rcvs[k].OnDeliver(ev, at)
-				}
-			}
-		}
+		mux.Register(src)
+	}
+	return &stack.Node{Handler: mux}, nil
+}
 
-		if cfg.Protocol == StaticTree {
-			eng := tree.NewEngine(treeTopo, tree.DeliverFunc(onDeliver))
-			mux := env.NewMux()
-			mux.Register(eng, wire.KindServe)
-			if i == 0 {
-				src, err := stream.NewSource(stream.SourceConfig{
-					Geometry:  cfg.Geometry,
-					Windows:   cfg.Windows,
-					StartAt:   cfg.StreamStart,
-					Publisher: eng,
-				})
-				if err != nil {
-					return err
-				}
-				mux.Register(src)
-			}
-			nodeCfg := simnet.NodeConfig{}
-			if !cfg.Unconstrained {
-				nodeCfg.UploadBps = effective[i]
-			}
-			if got := net.AddNode(mux, nodeCfg); got != id {
-				return fmt.Errorf("scenario: node id mismatch: %d != %d", got, id)
-			}
-			return nil
-		}
-
-		// Peer sampling: full view by default, Cyclon PSS as an extension.
-		var sampler membership.Sampler
-		mux := env.NewMux()
-		if cfg.UsePSS {
-			bootstrap := make([]wire.NodeID, 0, 5)
-			for len(bootstrap) < 5 {
-				p := wire.NodeID(pssRng.Intn(present))
-				if p != id {
-					bootstrap = append(bootstrap, p)
-				}
-			}
-			pss := membership.NewCyclon(membership.CyclonConfig{
-				ViewSize: cfg.PSSViewSize,
-			}, bootstrap)
-			mux.Register(pss, wire.KindShuffleReq, wire.KindShuffleReply)
-			sampler = pss
-			// views[i] stays nil: churn notification is organic (shuffle
-			// timeouts evict dead peers).
-		} else {
-			// The bootstrap directory hands out current membership: nodes
-			// already crashed (earlier churn) are excluded, so flash-crowd
-			// joiners do not waste fanout on peers that died before they
-			// arrived. Ids at or past NumNodes are fellow wave members
-			// being built in this same callback — alive by construction.
-			peers := make([]wire.NodeID, 0, present)
-			for _, p := range allIDs[:present] {
-				if int(p) >= net.NumNodes() || net.Alive(p) {
-					peers = append(peers, p)
-				}
-			}
-			if hierarchical {
-				views[i] = membership.NewClusterView(id, peers, topol.ClusterOf)
-			} else {
-				views[i] = membership.NewView(id, peers)
-			}
-			sampler = views[i]
-		}
-
-		// Adversarial wiring, honest side: every honest non-source node runs
-		// a misbehavior detector (armed or observe-only per the spec), and
-		// its verdicts filter this node's gossip target draws through the
-		// sampler wrapper. Adversaries and sources run no detector.
-		var det *misbehave.Detector
-		if adv != nil && adv.class[i] == misbehave.ClassHonest && !sourceNode[i] {
-			det = misbehave.MustNew(adv.detectorConfig(net))
-			adv.detectors[i] = det
-			sampler = &misbehave.QuarantineSampler{Inner: sampler, Detector: det}
-			if hierarchical {
-				// The split path draws from the view directly, bypassing the
-				// wrapper; the view's own exclusion filter closes the gap.
-				views[i].SetExclude(det.Quarantined)
-			}
-		}
-
-		engCfg := core.Config{
+// stackSpec describes gossip node i to the stack builder: what the scenario
+// config asks of every node, narrowed to this node's role (source,
+// adversary, honest detector) and bound to the simulator's probes.
+func (r *run) stackSpec(i, present int, onDeliver core.DeliverFunc) stack.Spec {
+	cfg, id, isSource := &r.cfg, wire.NodeID(i), r.sourceNode[i]
+	heapNode := cfg.Protocol == HEAP && !isSource
+	spec := stack.Spec{
+		ID: id,
+		Engine: core.Config{
 			Fanout:          cfg.Fanout,
 			MaxFanout:       cfg.MaxFanout,
 			GossipPeriod:    cfg.GossipPeriod,
@@ -784,384 +831,259 @@ func Run(cfg Config) (*Result, error) {
 			RetMaxAttempts:  cfg.RetMaxAttempts,
 			RetSameProposer: cfg.RetSameProposer,
 			ExpectedPackets: cfg.Geometry.TotalPackets(cfg.Windows),
-			Sampler:         sampler,
+			AdaptPeriod:     cfg.AdaptPeriod && heapNode,
+			FanoutIntra:     cfg.FanoutIntra,
+			FanoutInter:     cfg.FanoutInter,
 			OnDeliver:       onDeliver,
-			Monitor:         monitorOrNil(det),
-		}
-		if hierarchical {
-			engCfg.FanoutIntra = cfg.FanoutIntra
-			engCfg.FanoutInter = cfg.FanoutInter
-			engCfg.Split = views[i]
-		}
-		if cfg.Trace != nil {
-			tr := telemetry.NewTracer(id, *cfg.Trace)
-			tracers[i] = tr
-			engCfg.Trace = tr
-		}
-		if !cfg.Unconstrained {
-			// The fanout-budget allocator's upload budget; inert with a
-			// single stream (see core.Config.UploadKbps). Degraded nodes
-			// budget what they actually deliver, not what they advertise.
-			engCfg.UploadKbps = uint32(effective[i] / 1000)
-		}
-		isSource := sourceNode[i]
-		if cfg.AutoFanout {
-			// Continuous size estimation: the first stream's source seeds
-			// the average at 1, everyone else at 0; the mean converges
-			// to 1/n.
-			initial := 0.0
-			if id == specs[0].Source {
-				initial = 1.0
-			}
-			avg := aggregation.NewAverager(aggregation.AveragerConfig{
-				InitialValue: initial,
-				Sampler:      sampler,
-			})
-			averagers[i] = avg
-			mux.Register(avg, wire.KindAvgPush, wire.KindAvgReply)
-			fallback := cfg.Fanout
-			fanoutC := cfg.FanoutC
-			engCfg.FanoutFn = func() float64 {
-				nHat := avg.SizeEstimate()
-				if nHat < 2 {
-					return fallback
-				}
-				return math.Log(nHat) + fanoutC
-			}
-		}
-		if cfg.Protocol == HEAP && !isSource {
-			aggCfg := aggregation.Config{
-				SelfCapKbps: advertised[i],
-				Period:      cfg.AggPeriod,
-				Fanout:      cfg.AggFanout,
-				FreshestK:   cfg.AggFreshestK,
-				Sampler:     sampler,
-				TrackLimit:  cfg.AggTrackLimit,
-			}
-			if det != nil {
-				// The fanout penalty: a quarantined peer's capability claim
-				// leaves this node's bbar, so a liar's inflated claim stops
-				// taxing honest fanouts once convicted.
-				aggCfg.Exclude = det.Quarantined
-			}
-			est := aggregation.NewEstimator(aggCfg)
-			estimators[i] = est
-			engCfg.Adaptive = true
-			engCfg.AdaptPeriod = cfg.AdaptPeriod
-			engCfg.Capabilities = est
-			mux.Register(est, wire.KindAggregate)
-		}
-		if isSource && cfg.SourceBias && views[i] != nil {
-			// §5 extension: bias the source's first hop toward rich nodes.
-			engCfg.Sampler = newBiasedSampler(views[i], caps)
-		}
-		if cfg.Adapt != nil && !isSource {
-			// Congestion feedback: the controller's ceiling is the node's
-			// *advertised* capability (its claim), and its signal is the real
-			// uplink queue the simulator maintains — backlog, enqueue-side
-			// bytes, queued bytes. Sources never adapt: they are the paper's
-			// well-provisioned broadcasters, like every other knob here.
-			ctrl, err := adapt.NewController(*cfg.Adapt, advertised[i])
-			if err != nil {
-				return err
-			}
-			controllers[i] = ctrl
-			engCfg.Adapt = ctrl
-			engCfg.AdaptSignal = func() adapt.Sample {
-				return adapt.Sample{
-					Backlog:     net.QueueBacklog(id),
-					SentBytes:   net.NodeStats(id).SentBytes,
-					QueuedBytes: net.QueueBacklogBytes(id),
-				}
-			}
-		}
-		eng, err := core.New(engCfg)
-		if err != nil {
-			return err
-		}
-		// Every node opens every configured stream up front: tables are
-		// presized and the budget allocator sees the full competing rate
-		// from the first round.
-		for _, sp := range specs {
-			if err := eng.OpenStream(sp.ID, core.StreamConfig{
-				ExpectedPackets: sp.Geometry.TotalPackets(sp.Windows),
-				RateKbps:        float64(sp.Geometry.EffectiveRateBps()) / 1000,
-			}); err != nil {
-				return err
-			}
-		}
-		engines[i] = eng
-		// Adversarial wiring, adversary side: freeriders and droppers
-		// receive the protocol through their class's message-drop
-		// interceptor; everyone else registers the engine directly.
-		var handler env.Handler = eng
-		if adv != nil {
-			handler = adv.interceptorFor(i, eng)
-		}
-		mux.Register(handler, wire.KindPropose, wire.KindRequest, wire.KindServe)
-
-		for _, sp := range specs {
-			if sp.Source != id {
-				continue
-			}
-			src, err := stream.NewSource(stream.SourceConfig{
-				Stream:    sp.ID,
-				Geometry:  sp.Geometry,
-				Windows:   sp.Windows,
-				StartAt:   sp.Start,
-				Publisher: eng,
-			})
-			if err != nil {
-				return err
-			}
-			mux.Register(src) // lifecycle only
-		}
-
-		nodeCfg := simnet.NodeConfig{}
-		if !cfg.Unconstrained {
-			nodeCfg.UploadBps = effective[i]
-		}
-		if got := net.AddNode(mux, nodeCfg); got != id {
-			return fmt.Errorf("scenario: node id mismatch: %d != %d", got, id)
-		}
-		return nil
+		},
+		AdvertisedKbps: r.advertised[i],
+		Trace:          cfg.Trace,
 	}
-
-	for i := 0; i < cfg.Nodes; i++ {
-		if err := buildNode(i, cfg.Nodes); err != nil {
-			return nil, err
+	r.membershipFor(&spec, present)
+	if !cfg.Unconstrained {
+		// The fanout-budget allocator's upload budget; inert with a
+		// single stream (see core.Config.UploadKbps). Degraded nodes
+		// budget what they actually deliver, not what they advertise.
+		spec.Engine.UploadKbps = uint32(r.effective[i] / 1000)
+	}
+	if cfg.AutoFanout {
+		// Continuous size estimation: the first stream's source seeds
+		// the average at 1, everyone else at 0; the mean converges
+		// to 1/n.
+		spec.SizeEstimator = &aggregation.AveragerConfig{}
+		if id == r.specs[0].Source {
+			spec.SizeEstimator.InitialValue = 1
+		}
+		spec.FanoutMargin = cfg.FanoutC
+	}
+	if heapNode {
+		spec.Aggregation = &aggregation.Config{
+			Period:     cfg.AggPeriod,
+			Fanout:     cfg.AggFanout,
+			FreshestK:  cfg.AggFreshestK,
+			TrackLimit: cfg.AggTrackLimit,
 		}
 	}
-
-	// Flash-crowd join waves: each wave's nodes are built inside one
-	// scheduled callback, in id order (waves are sorted by time and ids are
-	// assigned by arrival, so the id ranges are deterministic). Newcomers
-	// boot with a view over everyone present; existing full-membership
-	// views learn the newcomers instantly (the bootstrap directory model);
-	// PSS views learn them organically through shuffles.
-	var buildErr error
-	nextID := cfg.Nodes
-	for _, wave := range cfg.JoinWaves {
-		wave := wave
-		first, count := nextID, wave.Count
-		nextID += wave.Count
-		net.Schedule(wave.At, func() {
-			if buildErr != nil {
-				return
-			}
-			present := first + count
-			for i := first; i < first+count; i++ {
-				if err := buildNode(i, present); err != nil {
-					buildErr = err
-					return
-				}
-			}
-			for j := 0; j < first; j++ {
-				if views[j] == nil {
-					continue
-				}
-				for i := first; i < first+count; i++ {
-					views[j].Add(wire.NodeID(i))
-				}
-			}
-		})
+	if isSource && cfg.SourceBias && spec.View != nil {
+		// §5 extension: bias the source's first hop toward rich nodes.
+		spec.Bias = newBiasedSampler(spec.View, r.caps)
 	}
+	if cfg.Adapt != nil && !isSource {
+		// Congestion feedback: the controller's ceiling is the node's
+		// *advertised* capability (its claim), and its signal is the real
+		// uplink queue the simulator maintains — backlog, enqueue-side
+		// bytes, queued bytes. Sources never adapt: they are the paper's
+		// well-provisioned broadcasters, like every other knob here.
+		spec.Adapt = cfg.Adapt
+		spec.Engine.AdaptSignal = func() adapt.Sample {
+			return adapt.Sample{
+				Backlog:     r.net.QueueBacklog(id),
+				SentBytes:   r.net.NodeStats(id).SentBytes,
+				QueuedBytes: r.net.QueueBacklogBytes(id),
+			}
+		}
+	}
+	if r.adv != nil {
+		// Every honest non-source node runs a misbehavior detector (armed or
+		// observe-only per the spec); adversaries and sources run none.
+		// Freeriders and droppers receive the protocol through their
+		// class's message-drop interceptor.
+		if r.adv.class[i] == misbehave.ClassHonest && !isSource {
+			spec.Detect = r.adv.detectorConfig(r.net)
+		}
+		spec.Intercept = func(h env.Handler) env.Handler { return r.adv.interceptorFor(i, h) }
+	}
+	// Every node opens every configured stream up front: tables are
+	// presized and the budget allocator sees the full competing rate
+	// from the first round.
+	spec.Streams = make([]stack.Stream, len(r.specs))
+	for k, sp := range r.specs {
+		spec.Streams[k] = stack.Stream{
+			SourceConfig: stream.SourceConfig{
+				Stream: sp.ID, Geometry: sp.Geometry, Windows: sp.Windows, StartAt: sp.Start,
+			},
+			Source: sp.Source == id,
+		}
+	}
+	return spec
+}
 
-	// Churn injection.
-	var victims []wire.NodeID
+// membershipFor gives the node its peer sampling: a full view by default,
+// Cyclon PSS as an extension.
+func (r *run) membershipFor(spec *stack.Spec, present int) {
+	if r.cfg.UsePSS {
+		// No view: churn notification is organic (shuffle timeouts evict
+		// dead peers).
+		bootstrap := make([]wire.NodeID, 0, 5)
+		for len(bootstrap) < 5 {
+			if p := wire.NodeID(r.pssRng.Intn(present)); p != spec.ID {
+				bootstrap = append(bootstrap, p)
+			}
+		}
+		spec.Cyclon = membership.NewCyclon(membership.CyclonConfig{ViewSize: r.cfg.PSSViewSize}, bootstrap)
+		return
+	}
+	// The bootstrap directory hands out current membership: nodes
+	// already crashed (earlier churn) are excluded, so flash-crowd
+	// joiners do not waste fanout on peers that died before they
+	// arrived. Ids at or past NumNodes are fellow wave members
+	// being built in this same callback — alive by construction.
+	peers := make([]wire.NodeID, 0, present)
+	for p := wire.NodeID(0); int(p) < present; p++ {
+		if int(p) >= r.net.NumNodes() || r.net.Alive(p) {
+			peers = append(peers, p)
+		}
+	}
+	// Hierarchical dissemination: cluster-partitioned views feed the split
+	// fanout. Topology alone (both split fanouts zero) keeps plain views.
+	if r.topol != nil && (r.cfg.FanoutIntra > 0 || r.cfg.FanoutInter > 0) {
+		spec.View = membership.NewClusterView(spec.ID, peers, r.topol.ClusterOf)
+	} else {
+		spec.View = membership.NewView(spec.ID, peers)
+	}
+}
+
+// scheduleDynamics arms everything that happens to the system while it runs:
+// churn, capability traces, delayed liars, the usage snapshots, freezes and
+// the backlog probe. The order of Schedule calls is part of the determinism
+// contract (same-instant events run in scheduling order).
+func (r *run) scheduleDynamics() error {
+	cfg, net := &r.cfg, r.net
 	if cfg.Churn != nil {
 		ch := *cfg.Churn
 		// Never kill a broadcaster.
 		ch.Protect = append([]wire.NodeID{}, ch.Protect...)
-		for _, sp := range specs {
+		for _, sp := range r.specs {
 			ch.Protect = append(ch.Protect, sp.Source)
 		}
+		views := make([]*membership.View, net.NumNodes())
+		for i := range views {
+			views[i] = r.nodes[i].View
+		}
 		var err error
-		victims, err = ch.Apply(net, views, rand.New(rand.NewSource(cfg.Seed^0x0ddba11)))
+		r.victims, err = ch.Apply(net, views, rand.New(rand.NewSource(cfg.Seed^0x0ddba11)))
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	applyChurnBursts(net, &cfg, views, &victims)
-	if netemEngine != nil {
-		applyCapTraces(net, netemEngine, cfg.Unconstrained, effective, advertised, estimators)
+	applyChurnBursts(net, cfg, r.nodes, &r.victims)
+	if r.netem != nil {
+		applyCapTraces(net, r.netem, cfg.Unconstrained, r.effective, r.advertised, r.nodes)
 	}
-	if adv != nil {
-		adv.scheduleLiars(net, caps, estimators)
+	if r.adv != nil {
+		r.adv.scheduleLiars(net, r.caps, r.nodes)
 	}
 
-	// Bandwidth-usage sampling during the streaming phase (Fig 4).
-	// SentBytes counts at enqueue time, so bytes still sitting in a
-	// congested uplink queue would inflate utilization past 1; subtract the
-	// backlog (backlog duration × capacity) at each snapshot to obtain
-	// bytes actually transmitted. The sampling window spans all streams
-	// (earliest start to latest last packet).
+	// Bandwidth-usage sampling during the streaming phase (Fig 4). The
+	// sampling window spans all streams (earliest start to latest last
+	// packet).
 	streamsStart, streamEnd := cfg.streamsSpan()
-	startBytes := make([]int64, total)
-	endBytes := make([]int64, total)
-	snapshot := func(dst []int64) func() {
-		return func() {
-			// Wave nodes that have not joined yet stay at zero.
-			for i := 0; i < net.NumNodes(); i++ {
-				id := wire.NodeID(i)
-				sent := net.NodeStats(id).SentBytes
-				if eff := effective[i]; eff > 0 {
-					backlogBytes := int64(net.QueueBacklog(id).Seconds() * float64(eff) / 8)
-					sent -= backlogBytes
-				}
-				dst[i] = sent
-			}
-		}
-	}
-	net.Schedule(streamsStart, snapshot(startBytes))
-	net.Schedule(streamEnd, snapshot(endBytes))
+	r.startBytes = make([]int64, r.total)
+	r.endBytes = make([]int64, r.total)
+	net.Schedule(streamsStart, func() { r.snapshotSent(r.startBytes) })
+	net.Schedule(streamEnd, func() { r.snapshotSent(r.endBytes) })
 
-	// Sporadic freezes (§3.5 PlanetLab noise).
-	if cfg.FreezesPerNode > 0 {
-		freezeRng := rand.New(rand.NewSource(cfg.Seed ^ 0xf0f0))
-		runSpan := int64(streamEnd + cfg.Drain/2)
-		for i := 1; i < cfg.Nodes; i++ {
-			id := wire.NodeID(i)
-			count := int(cfg.FreezesPerNode)
-			if freezeRng.Float64() < cfg.FreezesPerNode-float64(count) {
-				count++
-			}
-			for k := 0; k < count; k++ {
-				at := time.Duration(freezeRng.Int63n(runSpan))
-				mean := float64(cfg.FreezeMeanDuration)
-				dur := time.Duration(mean * (0.5 + freezeRng.Float64()))
-				net.Schedule(at, func() { net.Freeze(id, dur) })
-			}
-		}
-	}
-
-	// Optional uplink-backlog probing (the §3.6 congestion symptom).
-	var backlogSamples []BacklogSample
+	r.scheduleFreezes(streamEnd)
 	if cfg.BacklogProbePeriod > 0 {
-		var probe func()
-		probe = func() {
-			sample := BacklogSample{At: net.Now(), MeanByClass: make(map[string]float64)}
-			counts := make(map[string]int)
-			for i := 1; i < net.NumNodes(); i++ {
-				backlog := net.QueueBacklog(wire.NodeID(i)).Seconds()
-				class := "all"
-				if cfg.Dist != nil {
-					class = cfg.Dist.ClassOf(caps[i])
-				}
-				sample.MeanByClass[class] += backlog
-				counts[class]++
-				if effective[i] < int64(caps[i])*1000 {
-					// Degraded nodes additionally pool under the "degraded"
-					// pseudo-class: the knife-edge studies (sens-degraded,
-					// the adaptation artifact) track exactly this cohort's
-					// queues, which the capability classes average away.
-					sample.MeanByClass["degraded"] += backlog
-					counts["degraded"]++
-				}
-				if backlog > sample.Max {
-					sample.Max = backlog
-				}
-			}
-			for class, sum := range sample.MeanByClass {
-				sample.MeanByClass[class] = sum / float64(counts[class])
-			}
-			backlogSamples = append(backlogSamples, sample)
-			if net.Now() < streamEnd+cfg.Drain {
-				net.Schedule(net.Now()+cfg.BacklogProbePeriod, probe)
-			}
+		net.Schedule(streamsStart, func() { r.probeBacklog(streamEnd + cfg.Drain) })
+	}
+	return nil
+}
+
+// snapshotSent records the bytes every joined node has actually transmitted.
+// SentBytes counts at enqueue time, so bytes still sitting in a congested
+// uplink queue would inflate utilization past 1; subtract the backlog
+// (backlog duration × capacity) to obtain bytes on the wire. Wave nodes that
+// have not joined yet stay at zero.
+func (r *run) snapshotSent(dst []int64) {
+	for i := 0; i < r.net.NumNodes(); i++ {
+		id := wire.NodeID(i)
+		sent := r.net.NodeStats(id).SentBytes
+		if eff := r.effective[i]; eff > 0 {
+			sent -= int64(r.net.QueueBacklog(id).Seconds() * float64(eff) / 8)
 		}
-		net.Schedule(streamsStart, probe)
+		dst[i] = sent
 	}
+}
 
-	net.Run(streamEnd + cfg.Drain)
-	if buildErr != nil {
-		return nil, buildErr
+// scheduleFreezes injects the sporadic freezes of §3.5 (PlanetLab noise).
+func (r *run) scheduleFreezes(streamEnd time.Duration) {
+	cfg, net := &r.cfg, r.net
+	if cfg.FreezesPerNode <= 0 {
+		return
 	}
-	if net.NumNodes() != total {
-		return nil, fmt.Errorf("scenario: %d of %d nodes joined (a wave fell outside the run)",
-			net.NumNodes(), total)
-	}
-
-	res, err := collect(collectArgs{
-		cfg: cfg, net: net, caps: caps, advertised: advertised,
-		freerider: freerider, victims: victims, engines: engines,
-		receivers: receivers, estimators: estimators, averagers: averagers,
-		startBytes: startBytes, endBytes: endBytes,
-	})
-	if err != nil {
-		return nil, err
-	}
-	res.BacklogSamples = backlogSamples
-	if netemEngine != nil {
-		res.NetemStats = netemEngine.Stats()
-	}
-	if cfg.Adapt != nil {
-		res.AdaptStats = collectAdaptStats(controllers)
-	}
-	if adv != nil {
-		res.AdversaryStats = adv.collectStats(&cfg, res)
-	}
-	if cfg.Trace != nil {
-		res.TraceStats = collectTraceStats(tracers)
-	}
-	if topol != nil {
-		ts := &TopoStats{Clusters: topol.Clusters(), Sizes: make([]int, topol.Clusters())}
-		for i := 0; i < total; i++ {
-			ts.Sizes[topol.ClusterOf(wire.NodeID(i))]++
-			ns := &res.NodeNetStats[i]
-			ts.TotalBytes += ns.SentBytes
-			ts.InterBytes += ns.InterRegionBytes
-			ts.InterMsgs += ns.InterRegionMsgs
+	freezeRng := rand.New(rand.NewSource(cfg.Seed ^ 0xf0f0))
+	runSpan := int64(streamEnd + cfg.Drain/2)
+	for i := 1; i < cfg.Nodes; i++ {
+		id := wire.NodeID(i)
+		count := int(cfg.FreezesPerNode)
+		if freezeRng.Float64() < cfg.FreezesPerNode-float64(count) {
+			count++
 		}
-		res.TopoStats = ts
+		for k := 0; k < count; k++ {
+			at := time.Duration(freezeRng.Int63n(runSpan))
+			mean := float64(cfg.FreezeMeanDuration)
+			dur := time.Duration(mean * (0.5 + freezeRng.Float64()))
+			net.Schedule(at, func() { net.Freeze(id, dur) })
+		}
 	}
-	return res, nil
 }
 
-// monitorOrNil converts a possibly-nil detector into core's Monitor hook
-// without tripping the typed-nil-in-interface trap.
-func monitorOrNil(det *misbehave.Detector) core.Monitor {
-	if det == nil {
-		return nil
+// probeBacklog samples every uplink queue (the §3.6 congestion symptom) and
+// re-arms itself every BacklogProbePeriod until the run's end.
+func (r *run) probeBacklog(until time.Duration) {
+	cfg, net := &r.cfg, r.net
+	sample := BacklogSample{At: net.Now(), MeanByClass: make(map[string]float64)}
+	counts := make(map[string]int)
+	for i := 1; i < net.NumNodes(); i++ {
+		backlog := net.QueueBacklog(wire.NodeID(i)).Seconds()
+		class := "all"
+		if cfg.Dist != nil {
+			class = cfg.Dist.ClassOf(r.caps[i])
+		}
+		sample.MeanByClass[class] += backlog
+		counts[class]++
+		if r.effective[i] < int64(r.caps[i])*1000 {
+			// Degraded nodes additionally pool under the "degraded"
+			// pseudo-class: the knife-edge studies (sens-degraded,
+			// the adaptation artifact) track exactly this cohort's
+			// queues, which the capability classes average away.
+			sample.MeanByClass["degraded"] += backlog
+			counts["degraded"]++
+		}
+		if backlog > sample.Max {
+			sample.Max = backlog
+		}
 	}
-	return det
+	for class, sum := range sample.MeanByClass {
+		sample.MeanByClass[class] = sum / float64(counts[class])
+	}
+	r.backlogSamples = append(r.backlogSamples, sample)
+	if net.Now() < until {
+		net.Schedule(net.Now()+cfg.BacklogProbePeriod, func() { r.probeBacklog(until) })
+	}
 }
 
-type collectArgs struct {
-	cfg                  Config
-	net                  *simnet.Network
-	caps, advertised     []uint32
-	freerider            []bool
-	victims              []wire.NodeID
-	engines              []*core.Engine
-	receivers            [][]*stream.Receiver // [node][spec index]
-	estimators           []*aggregation.Estimator
-	averagers            []*aggregation.Averager
-	startBytes, endBytes []int64
-}
+// collect turns the finished run into its Result.
+func (r *run) collect() (*Result, error) {
+	cfg, net, caps, nodes := r.cfg, r.net, r.caps, r.total
 
-func collect(a collectArgs) (*Result, error) {
-	cfg, net, caps, victims := a.cfg, a.net, a.caps, a.victims
-	engines, receivers, estimators := a.engines, a.receivers, a.estimators
-	startBytes, endBytes := a.startBytes, a.endBytes
-	nodes := cfg.totalNodes()
-	specs := cfg.effectiveStreams()
-
-	victimSet := make(map[wire.NodeID]bool, len(victims))
-	for _, v := range victims {
+	victimSet := make(map[wire.NodeID]bool, len(r.victims))
+	for _, v := range r.victims {
 		victimSet[v] = true
 	}
 
 	res := &Result{
 		Config:         cfg,
 		CapsKbps:       caps,
-		AdvertisedKbps: a.advertised,
-		Freeriders:     a.freerider,
+		AdvertisedKbps: r.advertised,
+		Freeriders:     r.freerider,
 		Usage:          make([]float64, nodes),
-		Victims:        victims,
+		Victims:        r.victims,
 		NodeNetStats:   make([]simnet.NodeStats, nodes),
 		CoreStats:      make([]core.Stats, nodes),
 		NetStats:       net.Stats(),
+		BacklogSamples: r.backlogSamples,
 	}
 	if cfg.Protocol == HEAP {
 		res.EstimatesKbps = make([]float64, nodes)
@@ -1172,23 +1094,22 @@ func collect(a collectArgs) (*Result, error) {
 
 	streamsStart, streamsEnd := cfg.streamsSpan()
 	streamSecs := (streamsEnd - streamsStart).Seconds()
-	for i := 0; i < nodes; i++ {
-		id := wire.NodeID(i)
-		res.NodeNetStats[i] = net.NodeStats(id)
-		if engines[i] != nil {
-			res.CoreStats[i] = engines[i].Stats()
+	for i, n := range r.nodes {
+		res.NodeNetStats[i] = net.NodeStats(wire.NodeID(i))
+		if n.Engine != nil {
+			res.CoreStats[i] = n.Engine.Stats()
 		}
-		if estimators[i] != nil {
-			res.EstimatesKbps[i] = estimators[i].EstimateKbps()
+		if n.Estimator != nil {
+			res.EstimatesKbps[i] = n.Estimator.EstimateKbps()
 		}
-		if a.averagers[i] != nil {
-			res.SizeEstimates[i] = a.averagers[i].SizeEstimate()
+		if n.Averager != nil {
+			res.SizeEstimates[i] = n.Averager.SizeEstimate()
 		}
 		if !cfg.Unconstrained && streamSecs > 0 && caps[i] > 0 {
-			sentBits := float64(endBytes[i]-startBytes[i]) * 8
+			sentBits := float64(r.endBytes[i]-r.startBytes[i]) * 8
 			res.Usage[i] = sentBits / (float64(caps[i]) * 1000 * streamSecs)
 		}
-		for _, rcv := range receivers[i] {
+		for _, rcv := range n.Receivers {
 			res.VerifyFailures += rcv.VerifyFailures
 			res.DecodedWindows += rcv.DecodedWindows
 		}
@@ -1197,7 +1118,7 @@ func collect(a collectArgs) (*Result, error) {
 	// One measurement record per stream; each stream excludes its own
 	// broadcaster (which trivially has the whole stream) and includes every
 	// other node, other streams' sources included.
-	for k, sp := range specs {
+	for k, sp := range r.specs {
 		totalPkts := sp.Geometry.TotalPackets(sp.Windows)
 		publishAt := make([]time.Duration, totalPkts)
 		for id := 0; id < totalPkts; id++ {
@@ -1208,7 +1129,7 @@ func collect(a collectArgs) (*Result, error) {
 			Windows:   sp.Windows,
 			PublishAt: publishAt,
 		}
-		for i := 0; i < nodes; i++ {
+		for i, n := range r.nodes {
 			id := wire.NodeID(i)
 			className := "all"
 			if cfg.Dist != nil {
@@ -1218,7 +1139,7 @@ func collect(a collectArgs) (*Result, error) {
 				Node:     id,
 				Class:    className,
 				CapKbps:  caps[i],
-				Recv:     receivers[i][k].Records(),
+				Recv:     n.Receivers[k].Records(),
 				Excluded: id == sp.Source,
 				Crashed:  victimSet[id] || res.NodeNetStats[i].Crashed,
 			})
@@ -1229,14 +1150,44 @@ func collect(a collectArgs) (*Result, error) {
 		res.StreamRuns = append(res.StreamRuns, run)
 	}
 	res.Run = res.StreamRuns[0]
+	r.collectOptional(res)
 	return res, nil
+}
+
+// collectOptional fills the Result blocks that exist only when their feature
+// ran.
+func (r *run) collectOptional(res *Result) {
+	if r.netem != nil {
+		res.NetemStats = r.netem.Stats()
+	}
+	if r.cfg.Adapt != nil {
+		res.AdaptStats = collectAdaptStats(r.nodes)
+	}
+	if r.adv != nil {
+		res.AdversaryStats = r.adv.collectStats(&r.cfg, res, r.nodes)
+	}
+	if r.cfg.Trace != nil {
+		res.TraceStats = collectTraceStats(r.nodes)
+	}
+	if r.topol != nil {
+		ts := &TopoStats{Clusters: r.topol.Clusters(), Sizes: make([]int, r.topol.Clusters())}
+		for i := range r.nodes {
+			ts.Sizes[r.topol.ClusterOf(wire.NodeID(i))]++
+			ns := &res.NodeNetStats[i]
+			ts.TotalBytes += ns.SentBytes
+			ts.InterBytes += ns.InterRegionBytes
+			ts.InterMsgs += ns.InterRegionMsgs
+		}
+		res.TopoStats = ts
+	}
 }
 
 // biasedSampler draws peers with probability proportional to advertised
 // capability (oracle weights), for the SourceBias extension.
 type biasedSampler struct {
-	view *membership.View
-	caps []uint32
+	view    *membership.View
+	caps    []uint32
+	scratch []wire.NodeID // the view's peers, chosen ones blanked
 }
 
 var _ membership.Sampler = (*biasedSampler)(nil)
@@ -1248,34 +1199,35 @@ func newBiasedSampler(view *membership.View, caps []uint32) *biasedSampler {
 // PeerCount implements membership.Sampler.
 func (b *biasedSampler) PeerCount() int { return b.view.PeerCount() }
 
-// SelectPeers implements membership.Sampler with weighted sampling without
-// replacement (repeated weighted draws, skipping duplicates).
-func (b *biasedSampler) SelectPeers(rng *rand.Rand, k int) []wire.NodeID {
-	peers := b.view.Peers()
+// AppendPeers implements membership.Sampler with weighted sampling without
+// replacement: one weighted draw per pick over the peers not yet chosen, in
+// view order.
+func (b *biasedSampler) AppendPeers(dst []wire.NodeID, rng *rand.Rand, k int) []wire.NodeID {
+	// Asking a view for all of its peers copies them without an rng draw.
+	b.scratch = b.view.AppendPeers(b.scratch[:0], rng, b.view.PeerCount())
+	peers := b.scratch
 	if k >= len(peers) {
-		return peers
+		return append(dst, peers...)
 	}
 	var totalWeight int64
 	for _, p := range peers {
 		totalWeight += int64(b.caps[p])
 	}
-	chosen := make(map[wire.NodeID]bool, k)
-	out := make([]wire.NodeID, 0, k)
-	for len(out) < k && totalWeight > 0 {
+	for picked := 0; picked < k && totalWeight > 0; picked++ {
 		target := rng.Int63n(totalWeight)
 		var acc int64
-		for _, p := range peers {
-			if chosen[p] {
+		for i, p := range peers {
+			if p == wire.NodeNone {
 				continue
 			}
 			acc += int64(b.caps[p])
 			if acc > target {
-				chosen[p] = true
-				out = append(out, p)
+				peers[i] = wire.NodeNone
+				dst = append(dst, p)
 				totalWeight -= int64(b.caps[p])
 				break
 			}
 		}
 	}
-	return out
+	return dst
 }

@@ -323,7 +323,7 @@ func TestSourceBiasSampler(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	counts := map[int]int{}
 	for trial := 0; trial < 3000; trial++ {
-		for _, p := range s.SelectPeers(rng, 2) {
+		for _, p := range s.AppendPeers(nil, rng, 2) {
 			counts[int(p)]++
 		}
 	}
@@ -334,7 +334,7 @@ func TestSourceBiasSampler(t *testing.T) {
 		t.Fatalf("bias too weak: rich %.0f vs poor %.0f", richMean, poorMean)
 	}
 	// Oversized k returns the whole view.
-	if got := s.SelectPeers(rng, 100); len(got) != 9 {
+	if got := s.AppendPeers(nil, rng, 100); len(got) != 9 {
 		t.Fatalf("oversized k returned %d peers", len(got))
 	}
 }

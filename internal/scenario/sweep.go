@@ -352,6 +352,9 @@ func (sw *Sweep) expand() ([]CellResult, []runSpec, error) {
 							cell := CellResult{Key: key, Seeds: make([]int64, replicas)}
 							for rep := 0; rep < replicas; rep++ {
 								runCfg := cfg
+								// Run fills stream defaults in place, and runs
+								// are concurrent: none may share an array.
+								runCfg.Streams = append([]StreamSpec(nil), cfg.Streams...)
 								runCfg.Seed = deriveSeed(baseSeed, seedCell, rep)
 								runCfg.Name = fmt.Sprintf("%s#%d", key, rep)
 								cell.Seeds[rep] = runCfg.Seed

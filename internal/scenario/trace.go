@@ -14,6 +14,7 @@ import (
 	"sort"
 
 	"repro/internal/metrics"
+	"repro/internal/stack"
 	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
@@ -78,14 +79,13 @@ type hopKey struct {
 // counts. Records are processed in (At, Node) order; under the virtual
 // clock a server's own delivery always precedes the deliveries it serves,
 // so a single forward pass resolves every complete path.
-func collectTraceStats(tracers []*telemetry.Tracer) *TraceStats {
+func collectTraceStats(nodes []*stack.Node) *TraceStats {
 	ts := &TraceStats{}
-	for _, tr := range tracers {
-		if tr == nil {
-			continue
+	for _, n := range nodes {
+		if tr := n.Tracer; tr != nil {
+			ts.Hops = append(ts.Hops, tr.Records()...)
+			ts.Truncated += tr.Truncated()
 		}
-		ts.Hops = append(ts.Hops, tr.Records()...)
-		ts.Truncated += tr.Truncated()
 	}
 	sort.Slice(ts.Hops, func(i, j int) bool {
 		a, b := ts.Hops[i], ts.Hops[j]

@@ -1,0 +1,276 @@
+// Package stack assembles the protocol stack every gossip node runs — the
+// paper's three-phase dissemination engine over capability aggregation
+// (Algorithms 1-2) plus this repo's optional parts — for any substrate.
+// scenario.Run builds simulated nodes through it and StartNode builds UDP
+// nodes through it, so there is one wiring and one wiring order.
+//
+// The order is part of the determinism contract: handlers start in mux
+// registration order and each Start draws its phase from the node's rng, so
+// Build always registers peer sampling, size averager, capability estimator,
+// engine, then stream sources.
+package stack
+
+import (
+	"fmt"
+	"math"
+
+	"repro/internal/adapt"
+	"repro/internal/aggregation"
+	"repro/internal/core"
+	"repro/internal/env"
+	"repro/internal/membership"
+	"repro/internal/misbehave"
+	"repro/internal/stream"
+	"repro/internal/telemetry"
+	"repro/internal/wire"
+)
+
+// Stream is one stream the node carries from boot: opened on the engine with
+// its table size and rate, and broadcast by this node when Source is set.
+type Stream struct {
+	// SourceConfig gives the stream's id, geometry and length; StartAt and
+	// OnDone matter only to the broadcaster. Build fills Publisher.
+	stream.SourceConfig
+	// Source makes this node the stream's broadcaster.
+	Source bool
+}
+
+// Spec describes one node's stack. Everything substrate-specific arrives as a
+// value or a func: the callers own sockets, simulators and measurement.
+type Spec struct {
+	// ID is the node's identity.
+	ID wire.NodeID
+	// View or Cyclon is the node's already-built membership: exactly one is
+	// set. A Cyclon is registered as the stack's first handler.
+	View   *membership.View
+	Cyclon *membership.Cyclon
+	// Bias, when non-nil, replaces the membership sampler for the engine's
+	// flat target draws only (the SourceBias ablation); aggregation and size
+	// estimation keep drawing uniformly. Detect does not filter it.
+	Bias membership.Sampler
+
+	// Engine carries the dissemination knobs and the substrate's hooks
+	// (OnDeliver, OnAdapt, AdaptSignal). Build fills the wiring fields:
+	// Sampler, Split (when FanoutIntra+FanoutInter > 0), FanoutFn, Adaptive,
+	// Capabilities, Adapt, Monitor and Trace.
+	Engine core.Config
+
+	// AdvertisedKbps is the upload capability the node claims: its own entry
+	// in the capability aggregation and the adaptation controller's ceiling.
+	AdvertisedKbps uint32
+	// Aggregation, when non-nil, makes this a HEAP node: a capability
+	// estimator scales the engine's fanout by b_i/bbar. Build fills
+	// SelfCapKbps, Sampler and Exclude.
+	Aggregation *aggregation.Config
+	// SizeEstimator, when non-nil, runs push-pull system-size averaging and
+	// derives fbar as ln(n̂)+FanoutMargin, falling back to Engine.Fanout until
+	// the estimate is usable. Build fills Sampler.
+	SizeEstimator *aggregation.AveragerConfig
+	FanoutMargin  float64
+	// Adapt, when non-nil, closes the congestion feedback loop with a
+	// controller fed by Engine.AdaptSignal.
+	Adapt *adapt.Config
+	// Detect, when non-nil, runs a misbehavior detector whose verdicts reach
+	// every place a peer is chosen or trusted: flat draws, split draws, the
+	// capability average, and the engine's request targets.
+	Detect *misbehave.Config
+	// Trace, when non-nil, records sampled dissemination-path events.
+	Trace *telemetry.TraceConfig
+
+	// Intercept, when non-nil, wraps the engine before it is registered for
+	// Propose/Request/Serve (adversarial message dropping).
+	Intercept func(env.Handler) env.Handler
+	// Streams are opened in order, which is the engine's gossip-round order.
+	Streams []Stream
+}
+
+// Node is one assembled stack. Optional parts are nil when the Spec left
+// them out.
+type Node struct {
+	Engine     *core.Engine
+	Estimator  *aggregation.Estimator
+	Averager   *aggregation.Averager
+	Controller *adapt.Controller
+	Detector   *misbehave.Detector
+	Tracer     *telemetry.Tracer
+	View       *membership.View
+	// Sources are the broadcasters Build created, in Spec.Streams order.
+	Sources []*stream.Source
+	// Handler is what the runtime drives: the mux over every part above.
+	Handler env.Handler
+	// Receivers are a measured node's per-stream delivery records. They
+	// belong to whoever owns Engine.OnDeliver; Build leaves them nil.
+	Receivers []*stream.Receiver
+}
+
+// Build wires one node's stack in the package's pinned order.
+func Build(spec Spec) (*Node, error) {
+	mux := env.NewMux()
+	n := &Node{View: spec.View, Handler: mux}
+	ec := spec.Engine
+	sampler, err := n.wireMembership(&spec, &ec, mux)
+	if err != nil {
+		return nil, err
+	}
+	if err := n.wireCapability(&spec, &ec, mux, sampler); err != nil {
+		return nil, err
+	}
+	if spec.Trace != nil {
+		n.Tracer = telemetry.NewTracer(spec.ID, *spec.Trace)
+		ec.Trace = n.Tracer
+	}
+
+	if n.Engine, err = core.New(ec); err != nil {
+		return nil, err
+	}
+	for _, st := range spec.Streams {
+		if !st.Source {
+			if err := n.Engine.OpenStream(st.Stream, streamConfig(st.SourceConfig)); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		src, err := n.NewSource(st.SourceConfig)
+		if err != nil {
+			return nil, err
+		}
+		n.Sources = append(n.Sources, src)
+	}
+	var handler env.Handler = n.Engine
+	if spec.Intercept != nil {
+		handler = spec.Intercept(handler)
+	}
+	mux.Register(handler, wire.KindPropose, wire.KindRequest, wire.KindServe)
+	for _, src := range n.Sources {
+		mux.Register(src) // lifecycle only
+	}
+	return n, nil
+}
+
+// wireMembership settles who the node gossips with: the membership sampler,
+// filtered by the detector's verdicts when there is one. It returns the
+// sampler the aggregation layers share and fills the engine's Sampler, Split
+// and Monitor.
+func (n *Node) wireMembership(spec *Spec, ec *core.Config, mux *env.Mux) (membership.Sampler, error) {
+	if (spec.View == nil) == (spec.Cyclon == nil) {
+		return nil, fmt.Errorf("stack: node %d needs exactly one of View and Cyclon", spec.ID)
+	}
+	var sampler membership.Sampler = spec.View
+	if spec.Cyclon != nil {
+		sampler = spec.Cyclon
+		mux.Register(spec.Cyclon, wire.KindShuffleReq, wire.KindShuffleReply)
+	}
+	if spec.Detect != nil {
+		det, err := misbehave.New(*spec.Detect)
+		if err != nil {
+			return nil, err
+		}
+		n.Detector = det
+		// Assigned only here: a nil *Detector stored in the interface would
+		// read as a non-nil Monitor.
+		ec.Monitor = det
+		sampler = &misbehave.QuarantineSampler{Inner: sampler, Detector: det}
+		if spec.View != nil {
+			// Split draws bypass the sampler wrapper.
+			spec.View.SetExclude(det.Quarantined)
+		}
+	}
+	ec.Sampler = sampler
+	if spec.Bias != nil {
+		ec.Sampler = spec.Bias
+	}
+	if ec.FanoutIntra+ec.FanoutInter > 0 {
+		if spec.View == nil {
+			return nil, fmt.Errorf("stack: node %d: hierarchical fanout requires a full-membership view", spec.ID)
+		}
+		ec.Split = spec.View
+	}
+	return sampler, nil
+}
+
+// wireCapability builds what sets the node's fanout: the size averager
+// (fbar), the capability estimator (b_i/bbar) and the adaptation controller
+// (b_i under congestion), in that order.
+func (n *Node) wireCapability(spec *Spec, ec *core.Config, mux *env.Mux, sampler membership.Sampler) error {
+	if spec.SizeEstimator != nil {
+		ac := *spec.SizeEstimator
+		ac.Sampler = sampler
+		avg := aggregation.NewAverager(ac)
+		n.Averager = avg
+		mux.Register(avg, wire.KindAvgPush, wire.KindAvgReply)
+		fallback, margin := ec.Fanout, spec.FanoutMargin
+		ec.FanoutFn = func() float64 {
+			nHat := avg.SizeEstimate()
+			if nHat < 2 {
+				return fallback
+			}
+			return math.Log(nHat) + margin
+		}
+	}
+	if spec.Aggregation != nil {
+		ac := *spec.Aggregation
+		ac.SelfCapKbps = spec.AdvertisedKbps
+		ac.Sampler = sampler
+		if n.Detector != nil {
+			// The fanout penalty: a quarantined peer's capability claim
+			// leaves bbar, so a liar's inflated claim stops taxing honest
+			// fanouts once convicted.
+			ac.Exclude = n.Detector.Quarantined
+		}
+		n.Estimator = aggregation.NewEstimator(ac)
+		ec.Adaptive = true
+		ec.Capabilities = n.Estimator
+		mux.Register(n.Estimator, wire.KindAggregate)
+	}
+	if spec.Adapt != nil {
+		ctrl, err := adapt.NewController(*spec.Adapt, spec.AdvertisedKbps)
+		if err != nil {
+			return err
+		}
+		n.Controller = ctrl
+		ec.Adapt = ctrl
+	}
+	return nil
+}
+
+// streamConfig sizes a stream's engine tables from its geometry and weighs it
+// by its rate in the fanout-budget allocator.
+func streamConfig(sc stream.SourceConfig) core.StreamConfig {
+	return core.StreamConfig{
+		ExpectedPackets: sc.Geometry.TotalPackets(sc.Windows),
+		RateKbps:        float64(sc.Geometry.EffectiveRateBps()) / 1000,
+	}
+}
+
+// NewSource opens a stream on the engine and returns a source broadcasting it
+// through the engine. The source joins no runtime: Build registers the ones
+// it creates, and a caller adding a stream to a running node attaches the
+// returned source itself.
+func (n *Node) NewSource(sc stream.SourceConfig) (*stream.Source, error) {
+	sc.Publisher = n.Engine
+	src, err := stream.NewSource(sc)
+	if err != nil {
+		return nil, err
+	}
+	if err := n.Engine.OpenStream(sc.Stream, streamConfig(sc)); err != nil {
+		return nil, err
+	}
+	return src, nil
+}
+
+// Collect emits the stack's samples: engine counters, the capability
+// estimate, the adaptation controller and the misbehavior detector. Like the
+// parts it reads, it must run on the node's execution context (or after
+// shutdown).
+func (n *Node) Collect(emit func(name string, value float64)) {
+	n.Engine.Collect(emit)
+	if n.Estimator != nil {
+		emit("heap_bbar_kbps", n.Estimator.EstimateKbps())
+	}
+	if n.Controller != nil {
+		n.Controller.Collect(emit)
+	}
+	if n.Detector != nil {
+		n.Detector.Collect(emit)
+	}
+}

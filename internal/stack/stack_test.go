@@ -1,0 +1,287 @@
+package stack
+
+import (
+	"math/rand"
+	"testing"
+	"time"
+
+	"repro/internal/adapt"
+	"repro/internal/aggregation"
+	"repro/internal/core"
+	"repro/internal/env"
+	"repro/internal/membership"
+	"repro/internal/misbehave"
+	"repro/internal/stream"
+	"repro/internal/telemetry"
+	"repro/internal/wire"
+)
+
+// stubRuntime records what a stack asks of its substrate: timers in the
+// order they were armed, messages in the order they were sent.
+type stubRuntime struct {
+	id     wire.NodeID
+	now    time.Duration
+	rng    *rand.Rand
+	timers []func()
+	sent   []sentMsg
+}
+
+type sentMsg struct {
+	to  wire.NodeID
+	msg wire.Message
+}
+
+func newStub(id wire.NodeID) *stubRuntime {
+	return &stubRuntime{id: id, rng: rand.New(rand.NewSource(1))}
+}
+
+func (s *stubRuntime) ID() wire.NodeID                     { return s.id }
+func (s *stubRuntime) Now() time.Duration                  { return s.now }
+func (s *stubRuntime) Rand() *rand.Rand                    { return s.rng }
+func (s *stubRuntime) Send(to wire.NodeID, m wire.Message) { s.sent = append(s.sent, sentMsg{to, m}) }
+func (s *stubRuntime) AfterFunc(_ time.Duration, fn func()) {
+	s.timers = append(s.timers, fn)
+}
+func (s *stubRuntime) After(d time.Duration, fn func()) env.Timer {
+	s.AfterFunc(d, fn)
+	return stubTimer{}
+}
+
+type stubTimer struct{}
+
+func (stubTimer) Stop() bool { return false }
+
+func peerIDs(n int) []wire.NodeID { return membership.NewDirectory(n).IDs() }
+
+func smallStream(id wire.StreamID, source bool) Stream {
+	return Stream{
+		SourceConfig: stream.SourceConfig{Stream: id, Geometry: stream.PaperGeometry(), Windows: 1},
+		Source:       source,
+	}
+}
+
+// startProbe reports how many timers were armed before the engine started:
+// every handler ahead of it arms exactly one in Start.
+type startProbe struct {
+	env.Handler
+	rt      *stubRuntime
+	armedAt int
+}
+
+func (p *startProbe) Start(rt env.Runtime) {
+	p.armedAt = len(p.rt.timers)
+	p.Handler.Start(rt)
+}
+
+// TestBuildStartOrder pins the Start order — peer sampling, size averager,
+// capability estimator, engine, sources — by firing each handler's first
+// timer in arming order and reading the message kind it sends.
+func TestBuildStartOrder(t *testing.T) {
+	rt := newStub(0)
+	probe := &startProbe{rt: rt}
+	n, err := Build(Spec{
+		ID:             0,
+		Cyclon:         membership.NewCyclon(membership.CyclonConfig{}, []wire.NodeID{1, 2, 3}),
+		Engine:         core.Config{Fanout: 3},
+		AdvertisedKbps: 700,
+		Aggregation:    &aggregation.Config{},
+		SizeEstimator:  &aggregation.AveragerConfig{InitialValue: 1},
+		Intercept: func(h env.Handler) env.Handler {
+			probe.Handler = h
+			return probe
+		},
+		Streams: []Stream{smallStream(0, true)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Handler.Start(rt)
+	if probe.armedAt != 3 {
+		t.Fatalf("engine started after %d armed timers, want 3 (pss, averager, estimator)", probe.armedAt)
+	}
+	var kinds []wire.Kind
+	for _, fire := range append([]func(){}, rt.timers...) {
+		before := len(rt.sent)
+		fire()
+		if len(rt.sent) > before {
+			kinds = append(kinds, rt.sent[before].msg.Kind())
+		}
+	}
+	// The engine's round and prune timers send nothing on an empty node; the
+	// source's first tick publishes, which proposes at once.
+	want := []wire.Kind{wire.KindShuffleReq, wire.KindAvgPush, wire.KindAggregate, wire.KindPropose}
+	if len(kinds) != len(want) {
+		t.Fatalf("first-timer sends = %v, want %v", kinds, want)
+	}
+	for i := range want {
+		if kinds[i] != want[i] {
+			t.Fatalf("first-timer sends = %v, want %v", kinds, want)
+		}
+	}
+}
+
+// TestBuildPlainStack checks that a Spec with every optional part nil builds
+// the paper's plain stack: an engine over the view and nothing else.
+func TestBuildPlainStack(t *testing.T) {
+	view := membership.NewView(0, peerIDs(8))
+	n, err := Build(Spec{View: view, Engine: core.Config{Fanout: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n.Engine == nil || n.View != view || n.Handler == nil {
+		t.Fatalf("plain stack is missing its engine, view or handler: %+v", n)
+	}
+	if n.Estimator != nil || n.Averager != nil || n.Controller != nil ||
+		n.Detector != nil || n.Tracer != nil || len(n.Sources) != 0 {
+		t.Fatalf("plain stack grew optional parts: %+v", n)
+	}
+	rt := newStub(0)
+	n.Handler.Start(rt)
+	if len(rt.timers) != 2 {
+		t.Fatalf("plain stack armed %d timers, want the engine's round and prune", len(rt.timers))
+	}
+	if _, err := Build(Spec{Engine: core.Config{Fanout: 3}}); err == nil {
+		t.Fatal("Build accepted a Spec without membership")
+	}
+	if _, err := Build(Spec{
+		Cyclon: membership.NewCyclon(membership.CyclonConfig{}, nil),
+		Engine: core.Config{Fanout: 3, FanoutIntra: 2, FanoutInter: 1},
+	}); err == nil {
+		t.Fatal("Build accepted hierarchical fanout over Cyclon")
+	}
+}
+
+// TestBuildEveryPart checks each optional Spec field yields its part.
+func TestBuildEveryPart(t *testing.T) {
+	n, err := Build(Spec{
+		ID:   4,
+		View: membership.NewView(4, peerIDs(8)),
+		Engine: core.Config{
+			Fanout:      3,
+			AdaptSignal: func() adapt.Sample { return adapt.Sample{} },
+		},
+		AdvertisedKbps: 700,
+		Aggregation:    &aggregation.Config{},
+		SizeEstimator:  &aggregation.AveragerConfig{},
+		Adapt:          &adapt.Config{},
+		Detect:         &misbehave.Config{},
+		Trace:          &telemetry.TraceConfig{},
+		Streams:        []Stream{smallStream(0, false), smallStream(1, true)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n.Estimator == nil || n.Averager == nil || n.Controller == nil ||
+		n.Detector == nil || n.Tracer == nil || len(n.Sources) != 1 {
+		t.Fatalf("a requested part is missing: %+v", n)
+	}
+	if got := n.Controller.ConfiguredKbps(); got != 700 {
+		t.Fatalf("controller ceiling = %d kbps, want the advertised 700", got)
+	}
+	names := map[string]bool{}
+	n.Collect(func(name string, _ float64) { names[name] = true })
+	for _, want := range []string{"engine_events_delivered_total", "heap_bbar_kbps"} {
+		if !names[want] {
+			t.Fatalf("Collect did not emit %s (got %d names)", want, len(names))
+		}
+	}
+}
+
+// TestDetectorReachesEveryDraw checks the four places one detector must
+// reach: with a peer quarantined it never appears in flat draws, in split
+// draws, in the capability average, nor as a request target.
+func TestDetectorReachesEveryDraw(t *testing.T) {
+	const self, bad = wire.NodeID(0), wire.NodeID(5)
+	clusterOf := func(id wire.NodeID) int { return int(id) % 2 }
+	for _, tc := range []struct {
+		name   string
+		view   *membership.View
+		engine core.Config
+	}{
+		{"flat", membership.NewView(self, peerIDs(12)), core.Config{Fanout: 4}},
+		{"split", membership.NewClusterView(self, peerIDs(12), clusterOf),
+			core.Config{Fanout: 4, FanoutIntra: 2, FanoutInter: 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n, err := Build(Spec{
+				ID:             self,
+				View:           tc.view,
+				Engine:         tc.engine,
+				AdvertisedKbps: 700,
+				Aggregation:    &aggregation.Config{},
+				Detect:         &misbehave.Config{},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rt := newStub(self)
+			n.Handler.Start(rt)
+			n.Detector.Quarantine(bad, 0)
+
+			// Target draws: each publish proposes to a fresh fanout draw.
+			for id := 0; id < 300; id++ {
+				n.Engine.Publish(wire.Event{ID: wire.PacketID(id)})
+			}
+			proposes := 0
+			for _, s := range rt.sent {
+				if s.msg.Kind() != wire.KindPropose {
+					continue
+				}
+				proposes++
+				if s.to == bad {
+					t.Fatalf("proposed to quarantined peer %d", bad)
+				}
+			}
+			if proposes < 300 {
+				t.Fatalf("only %d proposes over 300 publishes: the draw is not being exercised", proposes)
+			}
+
+			// Capability average: the quarantined peer's claim is expelled.
+			n.Handler.Receive(1, &wire.Aggregate{Entries: []wire.CapEntry{
+				{Node: bad, CapKbps: 1_000_000},
+				{Node: 1, CapKbps: 700},
+			}})
+			if got := n.Estimator.EstimateKbps(); got != 700 {
+				t.Fatalf("bbar = %v kbps with the quarantined claim excluded, want 700", got)
+			}
+
+			// Request targets: a quarantined proposer is never asked.
+			rt.sent = nil
+			n.Handler.Receive(bad, &wire.Propose{IDs: []wire.PacketID{9000}})
+			n.Handler.Receive(2, &wire.Propose{IDs: []wire.PacketID{9001}})
+			for _, s := range rt.sent {
+				if s.msg.Kind() == wire.KindRequest && s.to == bad {
+					t.Fatalf("requested from quarantined peer %d", bad)
+				}
+			}
+			if len(rt.sent) != 1 || rt.sent[0].to != 2 {
+				t.Fatalf("sends after two proposals = %+v, want one request to the honest proposer", rt.sent)
+			}
+			if got := n.Engine.Stats().ProposesIgnored; got != 1 {
+				t.Fatalf("ProposesIgnored = %d, want 1", got)
+			}
+		})
+	}
+}
+
+// TestNilDetectorIsNilMonitor guards the typed-nil trap: without Detect the
+// engine must see a nil Monitor interface, not a nil *Detector inside one —
+// a non-nil interface would dereference nil on the first proposal.
+func TestNilDetectorIsNilMonitor(t *testing.T) {
+	spec := Spec{View: membership.NewView(0, peerIDs(4))}
+	var ec core.Config
+	if _, err := new(Node).wireMembership(&spec, &ec, env.NewMux()); err != nil {
+		t.Fatal(err)
+	}
+	if ec.Monitor != nil {
+		t.Fatalf("Monitor = %#v without Detect, want a nil interface", ec.Monitor)
+	}
+	spec.Detect = &misbehave.Config{}
+	n := new(Node)
+	if _, err := n.wireMembership(&spec, &ec, env.NewMux()); err != nil {
+		t.Fatal(err)
+	}
+	if ec.Monitor != core.Monitor(n.Detector) || n.Detector == nil {
+		t.Fatalf("Monitor = %#v with Detect, want the node's detector", ec.Monitor)
+	}
+}

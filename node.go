@@ -9,10 +9,9 @@ import (
 	"repro/internal/adapt"
 	"repro/internal/aggregation"
 	"repro/internal/core"
-	"repro/internal/env"
 	"repro/internal/membership"
-	"repro/internal/misbehave"
 	"repro/internal/netem"
+	"repro/internal/stack"
 	"repro/internal/stream"
 	"repro/internal/telemetry"
 	"repro/internal/udpnet"
@@ -46,7 +45,8 @@ type NodeConfig struct {
 	Adaptive bool
 	// Fanout is fbar, the target average fanout (ln(n)+c). Default 7.
 	Fanout float64
-	// GossipPeriod is the propose batching period. Default 200 ms.
+	// GossipPeriod is the propose batching period. Default 200 ms (the
+	// engine's).
 	GossipPeriod time.Duration
 	// Peers maps every node id (including self) to its UDP address,
 	// "host:port". More peers can join later via Node.AddPeer.
@@ -121,15 +121,19 @@ type SourceConfig struct {
 type Node struct {
 	id        NodeID
 	udp       *udpnet.Node
-	engine    *core.Engine
-	estimator *aggregation.Estimator
-	adapt     *adapt.Controller
-	detector  *misbehave.Detector
-	view      *membership.View
-	source    *stream.Source
+	stack     *stack.Node
 	telemetry *telemetry.Registry
 	capKbps   atomic.Uint32
 	capTimers []*time.Timer
+}
+
+// read runs fn serialized with protocol callbacks — or directly once the node
+// is closed: nothing mutates the subsystems anymore, so an unserialized read
+// is safe and every statistics accessor stays truthful after Close.
+func (n *Node) read(fn func()) {
+	if !n.udp.Execute(fn) {
+		fn()
+	}
 }
 
 // StreamHandle controls one locally sourced stream on a running Node,
@@ -146,7 +150,7 @@ func (h *StreamHandle) ID() StreamID { return h.id }
 // Done reports whether the stream's last packet has been published.
 func (h *StreamHandle) Done() bool {
 	done := false
-	h.node.udp.Execute(func() { done = h.src.Done })
+	h.node.read(func() { done = h.src.Done })
 	return done
 }
 
@@ -154,7 +158,7 @@ func (h *StreamHandle) Done() bool {
 // handed to the dissemination engine so far.
 func (h *StreamHandle) Published() int {
 	n := 0
-	h.node.udp.Execute(func() { n = h.src.Published })
+	h.node.read(func() { n = h.src.Published })
 	return n
 }
 
@@ -165,11 +169,11 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	if cfg.UploadKbps == 0 {
 		return nil, fmt.Errorf("heapgossip: UploadKbps is required")
 	}
+	if cfg.Adapt != nil && !cfg.Adaptive {
+		return nil, fmt.Errorf("heapgossip: Adapt requires Adaptive (standard gossip has no advertisement to adapt)")
+	}
 	if cfg.Fanout == 0 {
 		cfg.Fanout = 7
-	}
-	if cfg.GossipPeriod == 0 {
-		cfg.GossipPeriod = 200 * time.Millisecond
 	}
 	// Netem node-set materialization (partition groups, asym/captrace node
 	// selections) must come out identical on every node of the deployment,
@@ -180,128 +184,19 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = int64(cfg.ID) + 1
 	}
-
 	peerIDs := make([]wire.NodeID, 0, len(cfg.Peers))
 	for id := range cfg.Peers {
 		peerIDs = append(peerIDs, id)
 	}
-	view := membership.NewView(cfg.ID, peerIDs)
 
-	n := &Node{id: cfg.ID, view: view, telemetry: cfg.Telemetry}
+	n := &Node{id: cfg.ID, telemetry: cfg.Telemetry}
 	if n.telemetry == nil {
 		n.telemetry = telemetry.NewRegistry()
 	}
 	n.capKbps.Store(cfg.UploadKbps)
-	mux := env.NewMux()
-
-	var sampler membership.Sampler = view
-	if cfg.Misbehave != nil {
-		det, err := misbehave.New(*cfg.Misbehave)
-		if err != nil {
-			return nil, err
-		}
-		n.detector = det
-		sampler = &misbehave.QuarantineSampler{Inner: view, Detector: det}
-	}
-
-	engCfg := core.Config{
-		Fanout:       cfg.Fanout,
-		GossipPeriod: cfg.GossipPeriod,
-		// The fanout-budget allocator divides this across concurrent
-		// streams; with a single stream it is inert.
-		UploadKbps: cfg.UploadKbps,
-		Sampler:    sampler,
-	}
-	if n.detector != nil {
-		engCfg.Monitor = n.detector
-	}
-	if cfg.OnDeliver != nil {
-		deliver := cfg.OnDeliver
-		engCfg.OnDeliver = func(ev wire.Event, at time.Duration) {
-			lag := at - time.Duration(ev.Stamp)
-			if lag < 0 {
-				lag = 0
-			}
-			deliver(ev.Stream, ev.ID, ev.Payload, lag)
-		}
-	}
-	if cfg.Adaptive {
-		aggCfg := aggregation.Config{
-			SelfCapKbps: cfg.UploadKbps,
-			Sampler:     sampler,
-		}
-		if n.detector != nil {
-			// The fanout penalty: a quarantined peer's capability claim
-			// leaves the average, returning its fanout share to honest nodes.
-			aggCfg.Exclude = n.detector.Quarantined
-		}
-		est := aggregation.NewEstimator(aggCfg)
-		n.estimator = est
-		engCfg.Adaptive = true
-		engCfg.Capabilities = est
-		mux.Register(est, wire.KindAggregate)
-	}
-	if cfg.Adapt != nil {
-		if !cfg.Adaptive {
-			return nil, fmt.Errorf("heapgossip: Adapt requires Adaptive (standard gossip has no advertisement to adapt)")
-		}
-		ctrl, err := adapt.NewController(*cfg.Adapt, cfg.UploadKbps)
-		if err != nil {
-			return nil, err
-		}
-		n.adapt = ctrl
-		engCfg.Adapt = ctrl
-		// The signal reads the paced sender's lock-free counters; the engine
-		// samples it from the node's execution context on its gossip rounds.
-		// SentBytes must be the enqueue-counted accumulator (AcceptedBytes):
-		// the controller derives drained bytes as ΔSentBytes − ΔQueuedBytes,
-		// which only holds when both counters sit on the enqueue side — the
-		// same convention as the simulator's NodeStats.SentBytes.
-		engCfg.AdaptSignal = func() adapt.Sample {
-			return adapt.Sample{
-				Backlog:     n.udp.SendBacklog(),
-				SentBytes:   n.udp.AcceptedBytes(),
-				QueuedBytes: n.udp.QueuedBytes(),
-				Dropped:     n.udp.SendDropped(),
-			}
-		}
-		// Keep the public AdvertisedKbps mirror current (the engine
-		// advertises through the estimator internally).
-		engCfg.OnAdapt = func(effKbps uint32) { n.capKbps.Store(effKbps) }
-	}
-	eng, err := core.New(engCfg)
-	if err != nil {
+	var err error
+	if n.stack, err = stack.Build(n.stackSpec(&cfg, peerIDs)); err != nil {
 		return nil, err
-	}
-	n.engine = eng
-	mux.Register(eng, wire.KindPropose, wire.KindRequest, wire.KindServe)
-
-	if cfg.Source != nil {
-		sc := *cfg.Source
-		applySourceDefaults(&sc)
-		src, err := stream.NewSource(stream.SourceConfig{
-			Stream:    sc.Stream,
-			Geometry:  sc.Geometry,
-			Windows:   sc.Windows,
-			StartAt:   sc.StartDelay,
-			Publisher: eng,
-			// Release the budget weight when production ends, so a
-			// long-lived node's past broadcasts stop throttling future ones.
-			OnDone: func() { eng.RetireStream(sc.Stream) },
-		})
-		if err != nil {
-			return nil, err
-		}
-		// Register the stream with its rate so the fanout-budget allocator
-		// weighs it when further streams open alongside.
-		if err := eng.OpenStream(sc.Stream, core.StreamConfig{
-			ExpectedPackets: sc.Geometry.TotalPackets(sc.Windows),
-			RateKbps:        float64(sc.Geometry.EffectiveRateBps()) / 1000,
-		}); err != nil {
-			return nil, err
-		}
-		n.source = src
-		mux.Register(src)
 	}
 
 	if cfg.Epoch.IsZero() {
@@ -314,10 +209,6 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		Seed:              cfg.Seed,
 		Epoch:             cfg.Epoch,
 	}
-	type capStep struct {
-		netem.CapStep
-		silent bool
-	}
 	var capSteps []capStep
 	if cfg.Netem != nil {
 		// Materialize over the actual deployment ids (peers files need not
@@ -328,85 +219,167 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 			return nil, err
 		}
 		udpCfg.Netem = engine
-		// Capability traces apply node-locally: collect the steps covering
-		// this id; they are scheduled on the wall clock once the node runs.
-		for _, tr := range engine.CapTraces() {
-			for _, id := range tr.Nodes {
-				if id == cfg.ID {
-					for _, st := range tr.Steps {
-						capSteps = append(capSteps, capStep{CapStep: st, silent: tr.Silent})
-					}
-				}
-			}
+		capSteps = capStepsFor(engine, cfg.ID)
+	}
+	peers := make(map[wire.NodeID]*net.UDPAddr, len(cfg.Peers))
+	for id, addrStr := range cfg.Peers {
+		if peers[id], err = net.ResolveUDPAddr("udp", addrStr); err != nil {
+			return nil, fmt.Errorf("heapgossip: peer %d address %q: %w", id, addrStr, err)
 		}
 	}
-	udpNode, err := udpnet.NewNode(cfg.ID, mux, udpCfg)
-	if err != nil {
+	if n.udp, err = udpnet.NewNode(cfg.ID, n.stack.Handler, udpCfg); err != nil {
 		return nil, err
 	}
-	n.udp = udpNode
 	// Two collectors back the scrape surface: the transport one reads only
 	// lock-free sender counters and the node's own mutex (safe from any
 	// goroutine, truthful after Close), while the protocol one serializes
-	// with the execution context — falling back to an unserialized read once
-	// the node is closed, like the statistics accessors.
+	// with the execution context like the statistics accessors.
 	n.telemetry.RegisterCollector(func(emit telemetry.EmitFunc) { n.udp.Collect(emit) })
 	n.telemetry.RegisterCollector(n.collectProtocol)
 
-	peers := make(map[wire.NodeID]*net.UDPAddr, len(cfg.Peers))
-	for id, addrStr := range cfg.Peers {
-		addr, err := net.ResolveUDPAddr("udp", addrStr)
-		if err != nil {
-			udpNode.Close()
-			return nil, fmt.Errorf("heapgossip: peer %d address %q: %w", id, addrStr, err)
-		}
-		peers[id] = addr
-	}
-	udpNode.SetPeers(peers)
-	if err := udpNode.Start(); err != nil {
-		udpNode.Close()
+	n.udp.SetPeers(peers)
+	if err := n.udp.Start(); err != nil {
+		n.udp.Close()
 		return nil, err
 	}
-	// Trace steps are scheduled relative to the (possibly shared) epoch. Of
-	// the steps already in the past — a node starting or restarting late
-	// into the schedule — only the latest applies, synchronously, so racing
-	// zero-delay timers cannot leave a stale factor advertised. Each step
-	// rewrites both the advertised capability and the real pacer rate, the
-	// same pair the simulator's cap-trace application touches, so a traced
-	// deployment actually loses (and regains) throughput. Silent steps
-	// rewrite only the pacer: the node keeps claiming full capability and
-	// only the adaptation loop (Adapt) can discover the gap — exactly the
-	// simulator's silent-trace semantics.
-	applyStep := func(factor float64, silent bool) {
-		adv := uint32(float64(cfg.UploadKbps) * factor)
+	n.scheduleCapSteps(cfg.UploadKbps, time.Since(cfg.Epoch), capSteps)
+	return n, nil
+}
+
+// stackSpec describes this node to the stack builder: the NodeConfig's
+// protocol choices, bound to the socket's paced sender for the adaptation
+// signal (n.udp exists by the time the engine first samples it).
+func (n *Node) stackSpec(cfg *NodeConfig, peerIDs []wire.NodeID) stack.Spec {
+	spec := stack.Spec{
+		ID:   cfg.ID,
+		View: membership.NewView(cfg.ID, peerIDs),
+		Engine: core.Config{
+			Fanout:       cfg.Fanout,
+			GossipPeriod: cfg.GossipPeriod,
+			// The fanout-budget allocator divides this across concurrent
+			// streams; with a single stream it is inert.
+			UploadKbps: cfg.UploadKbps,
+		},
+		AdvertisedKbps: cfg.UploadKbps,
+		Adapt:          cfg.Adapt,
+		Detect:         cfg.Misbehave,
+	}
+	if cfg.OnDeliver != nil {
+		deliver := cfg.OnDeliver
+		spec.Engine.OnDeliver = func(ev wire.Event, at time.Duration) {
+			lag := at - time.Duration(ev.Stamp)
+			if lag < 0 {
+				lag = 0
+			}
+			deliver(ev.Stream, ev.ID, ev.Payload, lag)
+		}
+	}
+	if cfg.Adaptive {
+		spec.Aggregation = &aggregation.Config{}
+	}
+	if cfg.Adapt != nil {
+		// The signal reads the paced sender's lock-free counters; the engine
+		// samples it from the node's execution context on its gossip rounds.
+		// SentBytes must be the enqueue-counted accumulator (AcceptedBytes):
+		// the controller derives drained bytes as ΔSentBytes − ΔQueuedBytes,
+		// which only holds when both counters sit on the enqueue side — the
+		// same convention as the simulator's NodeStats.SentBytes.
+		spec.Engine.AdaptSignal = func() adapt.Sample {
+			return adapt.Sample{
+				Backlog:     n.udp.SendBacklog(),
+				SentBytes:   n.udp.AcceptedBytes(),
+				QueuedBytes: n.udp.QueuedBytes(),
+				Dropped:     n.udp.SendDropped(),
+			}
+		}
+		// Keep the public AdvertisedKbps mirror current (the engine
+		// advertises through the estimator internally).
+		spec.Engine.OnAdapt = func(effKbps uint32) { n.capKbps.Store(effKbps) }
+	}
+	if cfg.Source != nil {
+		spec.Streams = []stack.Stream{{SourceConfig: n.sourceConfig(*cfg.Source), Source: true}}
+	}
+	return spec
+}
+
+// sourceConfig resolves a public SourceConfig's defaults into the stream
+// layer's. The stream retires from the fanout-budget competition when its
+// production ends, so a long-lived node's past broadcasts stop throttling
+// future ones.
+func (n *Node) sourceConfig(sc SourceConfig) stream.SourceConfig {
+	if sc.Geometry == (Geometry{}) {
+		sc.Geometry = PaperGeometry()
+	}
+	if sc.StartDelay == 0 {
+		sc.StartDelay = 2 * time.Second
+	}
+	return stream.SourceConfig{
+		Stream:   sc.Stream,
+		Geometry: sc.Geometry,
+		Windows:  sc.Windows,
+		StartAt:  sc.StartDelay,
+		OnDone:   func() { n.stack.Engine.RetireStream(sc.Stream) },
+	}
+}
+
+// capStep is one netem capability-trace step covering this node.
+type capStep struct {
+	netem.CapStep
+	silent bool
+}
+
+// capStepsFor collects the trace steps covering id. Capability traces apply
+// node-locally; they are scheduled on the wall clock once the node runs.
+func capStepsFor(engine *netem.Engine, id NodeID) []capStep {
+	var steps []capStep
+	for _, tr := range engine.CapTraces() {
+		for _, traced := range tr.Nodes {
+			if traced != id {
+				continue
+			}
+			for _, st := range tr.Steps {
+				steps = append(steps, capStep{CapStep: st, silent: tr.Silent})
+			}
+		}
+	}
+	return steps
+}
+
+// scheduleCapSteps arms the trace steps relative to the (possibly shared)
+// epoch, elapsed ago. Of the steps already in the past — a node starting or
+// restarting late into the schedule — only the latest applies,
+// synchronously, so racing zero-delay timers cannot leave a stale factor
+// advertised. Each step rewrites both the advertised capability and the real
+// pacer rate, the same pair the simulator's cap-trace application touches,
+// so a traced deployment actually loses (and regains) throughput. Silent
+// steps rewrite only the pacer: the node keeps claiming full capability and
+// only the adaptation loop (Adapt) can discover the gap — exactly the
+// simulator's silent-trace semantics.
+func (n *Node) scheduleCapSteps(uploadKbps uint32, elapsed time.Duration, steps []capStep) {
+	apply := func(st capStep) {
+		adv := uint32(float64(uploadKbps) * st.Factor)
 		if adv == 0 {
 			adv = 1
 		}
-		if !silent {
+		if !st.silent {
 			n.SetAdvertisedKbps(adv)
 		}
 		n.udp.SetUploadBps(int64(adv) * 1000)
 	}
-	elapsed := time.Since(cfg.Epoch)
 	latestPast := -1
-	for i, step := range capSteps {
-		if step.At <= elapsed && (latestPast < 0 || step.At >= capSteps[latestPast].At) {
+	for i, st := range steps {
+		if st.At <= elapsed && (latestPast < 0 || st.At >= steps[latestPast].At) {
 			latestPast = i
 		}
 	}
 	if latestPast >= 0 {
-		applyStep(capSteps[latestPast].Factor, capSteps[latestPast].silent)
+		apply(steps[latestPast])
 	}
-	for _, step := range capSteps {
-		if step.At <= elapsed {
-			continue
+	for _, st := range steps {
+		if st.At > elapsed {
+			n.capTimers = append(n.capTimers, time.AfterFunc(st.At-elapsed, func() { apply(st) }))
 		}
-		factor, silent := step.Factor, step.silent
-		n.capTimers = append(n.capTimers, time.AfterFunc(step.At-elapsed, func() {
-			applyStep(factor, silent)
-		}))
 	}
-	return n, nil
 }
 
 // Addr returns the node's bound UDP address.
@@ -416,12 +389,12 @@ func (n *Node) Addr() *net.UDPAddr { return n.udp.Addr() }
 // the node runs: the view mutation is serialized with protocol callbacks.
 func (n *Node) AddPeer(id NodeID, addr *net.UDPAddr) {
 	n.udp.AddPeer(id, addr)
-	n.udp.Execute(func() { n.view.Add(id) })
+	n.udp.Execute(func() { n.stack.View.Add(id) })
 }
 
 // RemovePeer drops a peer (e.g., on failure notification).
 func (n *Node) RemovePeer(id NodeID) {
-	n.udp.Execute(func() { n.view.Remove(id) })
+	n.udp.Execute(func() { n.stack.View.Remove(id) })
 }
 
 // Close shuts the node down.
@@ -439,8 +412,8 @@ func (n *Node) Close() {
 func (n *Node) SetAdvertisedKbps(kbps uint32) {
 	n.capKbps.Store(kbps)
 	n.udp.Execute(func() {
-		if n.estimator != nil {
-			n.estimator.SetSelfCapKbps(kbps)
+		if est := n.stack.Estimator; est != nil {
+			est.SetSelfCapKbps(kbps)
 		}
 	})
 }
@@ -457,16 +430,11 @@ func (n *Node) AdvertisedKbps() uint32 { return n.capKbps.Load() }
 // the node's Epoch.
 func (n *Node) AdaptTrace() []AdaptReadvertisement {
 	var out []AdaptReadvertisement
-	read := func() {
-		if n.adapt != nil {
-			out = append(out, n.adapt.Trace()...)
+	n.read(func() {
+		if ctrl := n.stack.Controller; ctrl != nil {
+			out = append(out, ctrl.Trace()...)
 		}
-	}
-	if !n.udp.Execute(read) {
-		// Node closed: no callback can mutate the controller anymore, so an
-		// unserialized read is safe — the trace survives Close.
-		read()
-	}
+	})
 	return out
 }
 
@@ -475,14 +443,11 @@ func (n *Node) AdaptTrace() []AdaptReadvertisement {
 // after Close.
 func (n *Node) AdaptReadvertisements() int {
 	count := 0
-	read := func() {
-		if n.adapt != nil {
-			count = n.adapt.Readvertisements()
+	n.read(func() {
+		if ctrl := n.stack.Controller; ctrl != nil {
+			count = ctrl.Readvertisements()
 		}
-	}
-	if !n.udp.Execute(read) {
-		read()
-	}
+	})
 	return count
 }
 
@@ -502,14 +467,11 @@ func (n *Node) SendQueueBacklog() time.Duration { return n.udp.SendBacklog() }
 // accessors.
 func (n *Node) QuarantinedPeers() []NodeID {
 	var out []NodeID
-	read := func() {
-		if n.detector != nil {
-			out = n.detector.QuarantinedPeers()
+	n.read(func() {
+		if det := n.stack.Detector; det != nil {
+			out = det.QuarantinedPeers()
 		}
-	}
-	if !n.udp.Execute(read) {
-		read()
-	}
+	})
 	return out
 }
 
@@ -521,14 +483,11 @@ func (n *Node) MisbehaveEvidence(peer NodeID) (MisbehaveEvidence, bool) {
 		ev MisbehaveEvidence
 		ok bool
 	)
-	read := func() {
-		if n.detector != nil {
-			ev, ok = n.detector.EvidenceOf(peer)
+	n.read(func() {
+		if det := n.stack.Detector; det != nil {
+			ev, ok = det.EvidenceOf(peer)
 		}
-	}
-	if !n.udp.Execute(read) {
-		read()
-	}
+	})
 	return ev, ok
 }
 
@@ -539,45 +498,31 @@ func (n *Node) NetemCounters() (dropped, delayed int) {
 }
 
 // Stats returns the node's dissemination counters, serialized with protocol
-// activity.
+// activity. Truthful after Close.
 func (n *Node) Stats() EngineStats {
 	var st EngineStats
-	n.udp.Execute(func() { st = n.engine.Stats() })
+	n.read(func() { st = n.stack.Engine.Stats() })
 	return st
 }
 
 // EstimateKbps returns the node's current estimate of the system-wide mean
-// upload capability (HEAP only; 0 for standard gossip nodes).
+// upload capability (HEAP only; 0 for standard gossip nodes). Truthful after
+// Close.
 func (n *Node) EstimateKbps() float64 {
-	var est float64
-	n.udp.Execute(func() {
-		if n.estimator != nil {
-			est = n.estimator.EstimateKbps()
+	var kbps float64
+	n.read(func() {
+		if est := n.stack.Estimator; est != nil {
+			kbps = est.EstimateKbps()
 		}
 	})
-	return est
+	return kbps
 }
 
-// collectProtocol emits the serialized subsystems' samples (engine counters,
-// capability estimate, adaptation controller, misbehavior detector) plus the
-// advertised capability.
+// collectProtocol emits the advertised capability plus the stack's
+// serialized samples.
 func (n *Node) collectProtocol(emit telemetry.EmitFunc) {
 	emit("node_advertised_kbps", float64(n.capKbps.Load()))
-	read := func() {
-		n.engine.Collect(emit)
-		if n.estimator != nil {
-			emit("heap_bbar_kbps", n.estimator.EstimateKbps())
-		}
-		if n.adapt != nil {
-			n.adapt.Collect(emit)
-		}
-		if n.detector != nil {
-			n.detector.Collect(emit)
-		}
-	}
-	if !n.udp.Execute(read) {
-		read() // node closed: nothing mutates the subsystems anymore
-	}
+	n.read(func() { n.stack.Collect(emit) })
 }
 
 // Telemetry returns the node's metric registry — every subsystem's counters
@@ -606,20 +551,14 @@ func (n *Node) StartTelemetry(addr string) (*TelemetryServer, error) {
 	})
 }
 
-// SourceDone reports whether this node's stream (if any) finished.
+// SourceDone reports whether this node's stream (if any) finished. Truthful
+// after Close.
 func (n *Node) SourceDone() bool {
 	done := false
-	n.udp.Execute(func() { done = n.source != nil && n.source.Done })
+	// Sources holds the NodeConfig.Source stream only: OpenStream's sources
+	// belong to their handles.
+	n.read(func() { done = len(n.stack.Sources) > 0 && n.stack.Sources[0].Done })
 	return done
-}
-
-func applySourceDefaults(sc *SourceConfig) {
-	if sc.Geometry == (Geometry{}) {
-		sc.Geometry = PaperGeometry()
-	}
-	if sc.StartDelay == 0 {
-		sc.StartDelay = 2 * time.Second
-	}
 }
 
 // OpenStream starts broadcasting an additional stream from this running
@@ -631,30 +570,11 @@ func applySourceDefaults(sc *SourceConfig) {
 // on first contact.
 func (n *Node) OpenStream(id StreamID, cfg SourceConfig) (*StreamHandle, error) {
 	cfg.Stream = id
-	applySourceDefaults(&cfg)
 	var (
 		src    *stream.Source
 		srcErr error
 	)
-	ok := n.udp.Execute(func() {
-		src, srcErr = stream.NewSource(stream.SourceConfig{
-			Stream:    cfg.Stream,
-			Geometry:  cfg.Geometry,
-			Windows:   cfg.Windows,
-			StartAt:   cfg.StartDelay,
-			Publisher: n.engine,
-			// Sequential broadcasts on one node must not accumulate budget
-			// weight: retire the stream when its production finishes.
-			OnDone: func() { n.engine.RetireStream(id) },
-		})
-		if srcErr != nil {
-			return
-		}
-		srcErr = n.engine.OpenStream(id, core.StreamConfig{
-			ExpectedPackets: cfg.Geometry.TotalPackets(cfg.Windows),
-			RateKbps:        float64(cfg.Geometry.EffectiveRateBps()) / 1000,
-		})
-	})
+	ok := n.udp.Execute(func() { src, srcErr = n.stack.NewSource(n.sourceConfig(cfg)) })
 	if !ok {
 		return nil, fmt.Errorf("heapgossip: node is closed")
 	}
