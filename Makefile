@@ -1,4 +1,4 @@
-# Development entry points. `make check` is the CI gate: vet, the docs
+# Development entry points. `make check` is the CI gate: gofmt, vet, the docs
 # link- and flag-checkers, the race detector over the short suite, the plain
 # short suite, and the benchmark module's smoke test. `make test` adds the
 # full-scale experiments (the ~1 min TestFullScaleHeadline); `make full`
@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: check fmtcheck vet build linkcheck race race-detect test-short testshort test bench bench-smoke bench-json bench-udp bench-telemetry sweep largescale fuzz full fmt
+.PHONY: check fmtcheck vet build linkcheck race race-detect test-short testshort test bench bench-smoke bench-udp sweep largescale fuzz full fmt
 
 check: fmtcheck vet build linkcheck race race-detect testshort bench-smoke
 
@@ -56,28 +56,16 @@ test:
 bench-smoke:
 	cd benchmark && $(GO) vet . && $(GO) test -short -race .
 
-# One iteration of every paper-figure benchmark (reduced scale).
+# One iteration of every benchmark bench_test.go still owns (the §5
+# ablations, the sweep pair, the 1k dynamics cells); -short skips the
+# 100k/1M cells, which run only when named (see EXPERIMENTS.md).
 bench:
-	$(GO) test -bench=. -benchtime=1x -run='^$$' .
-
-# Simulator-scale benchmarks as a machine-readable artifact: the headline
-# hot path and the LargeScale family (including the sharded 100k/1M runs;
-# -short keeps the 1M cell at CI scale) parsed into BENCH_simnet.json.
-bench-json:
-	$(GO) test -short -bench 'Headline$$|LargeScale' -benchtime 1x -timeout 60m -run '^$$' . \
-		| $(GO) run ./cmd/benchjson -o BENCH_simnet.json
-	@echo wrote BENCH_simnet.json
+	$(GO) test -short -bench=. -benchtime=1x -run='^$$' .
 
 # The UDP fast-path saturation benchmark: loopback pps and allocs/datagram,
 # batched syscalls (sendmmsg/recvmmsg) vs the portable single-syscall path.
 bench-udp:
 	$(GO) test -bench 'UDPLoopbackSaturation' -benchtime 2s -run '^$$' ./internal/udpnet
-
-# The telemetry overhead benchmark: the disabled variant must stay within
-# noise of BenchmarkHeadline (the Trace hook is a nil-interface check), the
-# traced variant prices every-4th-packet hop recording.
-bench-telemetry:
-	$(GO) test -bench 'TelemetryOverhead' -benchtime 3x -run '^$$' .
 
 # The paper's headline grid on all cores, CSV into out/.
 sweep:

@@ -1,15 +1,16 @@
 package heapgossip
 
-// Benchmarks regenerating the paper's figures and tables at a reduced scale
-// (120 nodes, ~19 s of stream vs. the paper's 270 nodes and 180 s), so that
-// `go test -bench=.` exercises every experiment pipeline in minutes.
-// cmd/heapbench runs the same code at full scale; EXPERIMENTS.md records the
-// full-scale numbers next to the paper's.
+// The benchmarks that have no other home: the §5 ablations (EXPERIMENTS.md
+// cites them as the only way to regenerate those numbers), the sweep
+// engine's parallel-vs-serial pair, the LargeScale dynamics and multi-stream
+// cells, and the XL (100k / 1M node) runs. Everything else the paper
+// evaluates is rendered by cmd/heapbench (internal/report) and measured by
+// benchmark/ (see BENCHMARK.json); neither shares code with this file.
 //
-// Each benchmark runs the complete simulated experiment once per iteration
-// and reports the figure's headline quantity via b.ReportMetric, so regress-
-// ions in either performance (ns/op) or protocol behaviour (domain metrics)
-// are visible.
+// The small cells run at a reduced scale (120 nodes, ~19 s of stream vs. the
+// paper's 270 nodes and 180 s). Each benchmark runs the complete simulated
+// experiment once per iteration and reports its domain quantity via
+// b.ReportMetric. Pass -short to skip the XL cells.
 
 import (
 	"fmt"
@@ -60,246 +61,6 @@ func lagP(res *ScenarioResult, p float64) float64 {
 		return Seconds(res.Run.LagForDeliveryRatio(n, 0.99))
 	}))
 	return cdf.ValueAtPercentile(p)
-}
-
-// BenchmarkFig01UnconstrainedGossip reproduces Figure 1: standard gossip
-// with fanout 7 and no upload caps delivers 99% of the stream with low lag.
-func BenchmarkFig01UnconstrainedGossip(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg := benchConfig(StandardGossip, nil)
-		cfg.Unconstrained = true
-		res := mustRun(b, cfg)
-		b.ReportMetric(lagP(res, 50), "p50-lag-s")
-		b.ReportMetric(lagP(res, 90), "p90-lag-s")
-	}
-}
-
-// BenchmarkFig02FanoutSweep reproduces Figure 2: fixed-fanout standard
-// gossip on the skewed (dist1) and uniform (dist2) distributions.
-func BenchmarkFig02FanoutSweep(b *testing.B) {
-	cases := []struct {
-		name   string
-		dist   Distribution
-		fanout float64
-	}{
-		{"ms691-f7", MS691, 7},
-		{"ms691-f15", MS691, 15},
-		{"ms691-f20", MS691, 20},
-		{"ms691-f25", MS691, 25},
-		{"ms691-f30", MS691, 30},
-		{"uniform-f7", Uniform691, 7},
-		{"uniform-f15", Uniform691, 15},
-		{"uniform-f20", Uniform691, 20},
-	}
-	for _, tc := range cases {
-		b.Run(tc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := benchConfig(StandardGossip, tc.dist)
-				cfg.Fanout = tc.fanout
-				res := mustRun(b, cfg)
-				b.ReportMetric(lagP(res, 50), "p50-lag-s")
-				b.ReportMetric(meanJitterFree(res, 10*time.Second), "jitterfree@10s")
-			}
-		})
-	}
-}
-
-// BenchmarkFig03HEAP reproduces Figure 3: HEAP on ms-691 with average
-// fanout 7.
-func BenchmarkFig03HEAP(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := mustRun(b, benchConfig(HEAP, MS691))
-		b.ReportMetric(lagP(res, 50), "p50-lag-s")
-		b.ReportMetric(lagP(res, 90), "p90-lag-s")
-	}
-}
-
-// BenchmarkFig04BandwidthUsage reproduces Figure 4: per-class upload
-// utilization under both protocols.
-func BenchmarkFig04BandwidthUsage(b *testing.B) {
-	for _, proto := range []Protocol{StandardGossip, HEAP} {
-		for _, dist := range []Distribution{Ref691, MS691} {
-			b.Run(string(proto)+"-"+dist.Name(), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					res := mustRun(b, benchConfig(proto, dist))
-					richClass := res.Run.Classes()[len(res.Run.Classes())-1]
-					var sum float64
-					var n int
-					for j := 1; j < len(res.CapsKbps); j++ {
-						if dist.ClassOf(res.CapsKbps[j]) == richClass {
-							sum += res.Usage[j]
-							n++
-						}
-					}
-					b.ReportMetric(100*sum/float64(n), "rich-usage-%")
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkFig05StreamQuality reproduces Figure 5: jitter-free share by
-// class on ref-691 at a 10 s playback lag.
-func BenchmarkFig05StreamQuality(b *testing.B) {
-	for _, proto := range []Protocol{StandardGossip, HEAP} {
-		b.Run(string(proto), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res := mustRun(b, benchConfig(proto, Ref691))
-				b.ReportMetric(100*meanJitterFree(res, 10*time.Second), "jitterfree@10s-%")
-			}
-		})
-	}
-}
-
-// BenchmarkFig06StreamQuality reproduces Figure 6: ms-691 at 20 s lag and
-// ref-724 at 10 s lag.
-func BenchmarkFig06StreamQuality(b *testing.B) {
-	cases := []struct {
-		dist Distribution
-		lag  time.Duration
-	}{
-		{MS691, 20 * time.Second},
-		{Ref724, 10 * time.Second},
-	}
-	for _, tc := range cases {
-		for _, proto := range []Protocol{StandardGossip, HEAP} {
-			b.Run(tc.dist.Name()+"-"+string(proto), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					res := mustRun(b, benchConfig(proto, tc.dist))
-					b.ReportMetric(100*meanJitterFree(res, tc.lag), "jitterfree-%")
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkFig07JitterCDF reproduces Figure 7: the share of nodes with at
-// most 10% jitter at a 10 s lag on ref-691.
-func BenchmarkFig07JitterCDF(b *testing.B) {
-	for _, proto := range []Protocol{StandardGossip, HEAP} {
-		b.Run(string(proto), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res := mustRun(b, benchConfig(proto, Ref691))
-				cdf := metrics.NewCDF(res.Run.PerNode(func(n *NodeRecord) float64 {
-					return 100 * (1 - res.Run.JitterFreeShare(n, 10*time.Second))
-				}))
-				b.ReportMetric(100*cdf.FractionAtOrBelow(10), "nodes<=10%jitter-%")
-			}
-		})
-	}
-}
-
-// BenchmarkFig08StreamLag reproduces Figure 8: mean lag to a jitter-free
-// stream.
-func BenchmarkFig08StreamLag(b *testing.B) {
-	for _, dist := range []Distribution{Ref691, MS691} {
-		for _, proto := range []Protocol{StandardGossip, HEAP} {
-			b.Run(dist.Name()+"-"+string(proto), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					res := mustRun(b, benchConfig(proto, dist))
-					lags := res.Run.PerNode(func(n *NodeRecord) float64 {
-						return Seconds(res.Run.MinLagForJitterFree(n, 0))
-					})
-					b.ReportMetric(metrics.Mean(lags), "mean-lag-s")
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkFig09StreamLagCDF reproduces Figure 9: the lag by which 80% of
-// nodes view a jitter-free stream.
-func BenchmarkFig09StreamLagCDF(b *testing.B) {
-	for _, proto := range []Protocol{StandardGossip, HEAP} {
-		b.Run(string(proto), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res := mustRun(b, benchConfig(proto, Ref691))
-				cdf := metrics.NewCDF(res.Run.PerNode(func(n *NodeRecord) float64 {
-					return Seconds(res.Run.MinLagForJitterFree(n, 0))
-				}))
-				b.ReportMetric(cdf.ValueAtPercentile(80), "p80-lag-s")
-			}
-		})
-	}
-}
-
-// BenchmarkFig10Churn reproduces Figure 10: catastrophic failures of 20%
-// and 50% of the nodes; the metric is the post-failure coverage at the
-// paper's lags (HEAP@12s vs standard@20s).
-func BenchmarkFig10Churn(b *testing.B) {
-	for _, fraction := range []float64{0.2, 0.5} {
-		for _, tc := range []struct {
-			proto Protocol
-			lag   time.Duration
-		}{{HEAP, 12 * time.Second}, {StandardGossip, 20 * time.Second}} {
-			name := fmt.Sprintf("%s-crash%d", tc.proto, int(fraction*100))
-			b.Run(name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					cfg := benchConfig(tc.proto, Ref691)
-					cfg.Windows = 20 // failure mid-stream needs a longer run
-					cfg.Churn = &Catastrophic{
-						At:         cfg.StreamStart + 15*time.Second,
-						Fraction:   fraction,
-						NotifyMean: 10 * time.Second,
-					}
-					res := mustRun(b, cfg)
-					cov := res.Run.PerWindowCoverage(tc.lag)
-					b.ReportMetric(100*cov[len(cov)-1], "lastwindow-coverage-%")
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkTable2JitteredWindows reproduces Table 2: mean delivery ratio
-// inside jittered windows.
-func BenchmarkTable2JitteredWindows(b *testing.B) {
-	for _, proto := range []Protocol{StandardGossip, HEAP} {
-		b.Run(string(proto), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res := mustRun(b, benchConfig(proto, Ref691))
-				var sum float64
-				var n int
-				for j := range res.Run.Nodes {
-					node := &res.Run.Nodes[j]
-					if node.Excluded {
-						continue
-					}
-					if ratio, any := res.Run.DeliveryRatioInJitteredWindows(node, 10*time.Second); any {
-						sum += ratio
-						n++
-					}
-				}
-				if n > 0 {
-					b.ReportMetric(100*sum/float64(n), "jittered-delivery-%")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkTable3JitterFree reproduces Table 3: the share of nodes with a
-// fully jitter-free stream.
-func BenchmarkTable3JitterFree(b *testing.B) {
-	for _, proto := range []Protocol{StandardGossip, HEAP} {
-		b.Run(string(proto), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res := mustRun(b, benchConfig(proto, MS691))
-				var ok, n int
-				for j := range res.Run.Nodes {
-					node := &res.Run.Nodes[j]
-					if node.Excluded {
-						continue
-					}
-					n++
-					if res.Run.JitterFreeShare(node, 20*time.Second) >= 1 {
-						ok++
-					}
-				}
-				b.ReportMetric(100*float64(ok)/float64(n), "jitterfree-nodes-%")
-			}
-		})
-	}
 }
 
 // --- Ablations (design choices called out in DESIGN.md §6) ---
@@ -487,15 +248,6 @@ func BenchmarkSweepParallel(b *testing.B) { benchSweep(b, 0) }
 // does not leak into results.
 func BenchmarkSweepSerial(b *testing.B) { benchSweep(b, 1) }
 
-// BenchmarkScenarioThroughput measures raw simulator speed on a constrained
-// HEAP run — the performance-critical path of the repository.
-func BenchmarkScenarioThroughput(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := mustRun(b, benchConfig(HEAP, Ref691))
-		b.ReportMetric(float64(res.NetStats.MsgsSent), "msgs/run")
-	}
-}
-
 // --- Hot-path allocation guard ---
 
 // headlineAllocCeiling bounds the headline scenario's allocation count.
@@ -505,23 +257,6 @@ func BenchmarkScenarioThroughput(b *testing.B) {
 // headroom for benign drift while still failing loudly if pooling ever
 // silently regresses toward the old figure.
 const headlineAllocCeiling = 600_000
-
-// BenchmarkHeadline is the canonical headline scenario (HEAP on ref-691 at
-// the reduced benchmark scale) instrumented for the performance work this
-// repository cares about: allocs/op via ReportAllocs, plus the simulator's
-// events-per-run and ns-per-event.
-func BenchmarkHeadline(b *testing.B) {
-	b.ReportAllocs()
-	var events int64
-	for i := 0; i < b.N; i++ {
-		res := mustRun(b, benchConfig(HEAP, Ref691))
-		events = res.NetStats.EventsProcessed
-	}
-	b.ReportMetric(float64(events), "events/run")
-	if events > 0 {
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(events), "ns/event")
-	}
-}
 
 // TestHeadlineAllocBudget fails when the headline scenario allocates more
 // than the checked-in ceiling — the regression guard for the zero-allocation
@@ -550,41 +285,42 @@ func TestHeadlineAllocBudget(t *testing.T) {
 
 // --- LargeScale family (1k+ nodes) ---
 
-// benchLargeScale runs one LargeScale variant per iteration and reports
-// simulator throughput at scale.
-func benchLargeScale(b *testing.B, n int, mutate func(*Scenario)) {
-	b.ReportAllocs()
-	var events int64
-	for i := 0; i < b.N; i++ {
-		cfg := LargeScale(n, benchSeed)
-		cfg.Windows = 3
-		cfg.Drain = 20 * time.Second
-		if mutate != nil {
-			mutate(&cfg)
-		}
-		res := mustRun(b, cfg)
-		events = res.NetStats.EventsProcessed
-		b.ReportMetric(float64(res.NetStats.MsgsSent), "msgs/run")
-	}
+// reportEvents reports simulator throughput for the last run of the loop.
+func reportEvents(b *testing.B, events int64) {
 	b.ReportMetric(float64(events), "events/run")
 	if events > 0 {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(events), "ns/event")
 	}
 }
 
-// BenchmarkLargeScale1k is the steady-state 1000-node HEAP run.
-func BenchmarkLargeScale1k(b *testing.B) { benchLargeScale(b, 1000, nil) }
+// benchLargeScale1k runs one 1000-node LargeScale variant per iteration and
+// reports simulator throughput at scale. The steady-state cell is the
+// benchmark's sim-large workload; only the dynamics variants live here.
+func benchLargeScale1k(b *testing.B, mutate func(*Scenario)) {
+	b.ReportAllocs()
+	var events int64
+	for i := 0; i < b.N; i++ {
+		cfg := LargeScale(1000, benchSeed)
+		cfg.Windows = 3
+		cfg.Drain = 20 * time.Second
+		mutate(&cfg)
+		res := mustRun(b, cfg)
+		events = res.NetStats.EventsProcessed
+		b.ReportMetric(float64(res.NetStats.MsgsSent), "msgs/run")
+	}
+	reportEvents(b, events)
+}
 
 // BenchmarkLargeScale1kFlashCrowd adds a flash crowd joining mid-stream.
 func BenchmarkLargeScale1kFlashCrowd(b *testing.B) {
-	benchLargeScale(b, 1000, func(c *Scenario) {
+	benchLargeScale1k(b, func(c *Scenario) {
 		c.JoinWaves = []JoinWave{{At: 7 * time.Second, Count: 250}}
 	})
 }
 
 // BenchmarkLargeScale1kChurnBursts adds two correlated failure bursts.
 func BenchmarkLargeScale1kChurnBursts(b *testing.B) {
-	benchLargeScale(b, 1000, func(c *Scenario) {
+	benchLargeScale1k(b, func(c *Scenario) {
 		c.ChurnBursts = []ChurnBurst{
 			{At: 7 * time.Second, Fraction: 0.05},
 			{At: 9 * time.Second, Fraction: 0.10},
@@ -619,92 +355,33 @@ func BenchmarkMultiStream1k(b *testing.B) {
 		}
 		b.ReportMetric(100*delivered/4, "delivered-%")
 	}
-	b.ReportMetric(float64(events), "events/run")
-	if events > 0 {
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(events), "ns/event")
-	}
+	reportEvents(b, events)
 }
 
 // --- XL scale (sharded simulator) ---
 
-// benchLargeScaleXL runs one LargeScaleXL configuration per iteration:
-// single-window stream, capped capability tables, the sharded event loop.
-// Reports ns/event — the number the sharding work is judged by.
-func benchLargeScaleXL(b *testing.B, n, shards int) {
+// benchLargeScaleXL runs one LargeScaleXL configuration per iteration at
+// GOMAXPROCS shards: single-window stream, capped capability tables, the
+// sharded event loop. Reports ns/event — the number the sharding work is
+// judged by. Skipped under -short: the cells take minutes to hours and up to
+// tens of GB, which `go test -short -bench .` must never start by accident.
+func benchLargeScaleXL(b *testing.B, n int) {
+	if testing.Short() {
+		b.Skip("XL cell; run it by name without -short")
+	}
 	b.ReportAllocs()
 	var events int64
 	for i := 0; i < b.N; i++ {
-		res := mustRun(b, LargeScaleXL(n, benchSeed, shards))
+		res := mustRun(b, LargeScaleXL(n, benchSeed, 0))
 		events = res.NetStats.EventsProcessed
 		b.ReportMetric(float64(res.NetStats.MsgsSent), "msgs/run")
 	}
-	b.ReportMetric(float64(events), "events/run")
-	if events > 0 {
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(events), "ns/event")
-	}
+	reportEvents(b, events)
 }
 
-// BenchmarkLargeScale100k is the 100,000-node single-window run at
-// GOMAXPROCS shards.
-func BenchmarkLargeScale100k(b *testing.B) { benchLargeScaleXL(b, 100_000, 0) }
+// BenchmarkLargeScale100k is the 100,000-node single-window run.
+func BenchmarkLargeScale100k(b *testing.B) { benchLargeScaleXL(b, 100_000) }
 
 // BenchmarkLargeScale1M is the million-node run — the scale this simulator
-// is built to reach. Under -short (the CI smoke) it drops to 100k nodes:
-// the full run needs several GB and minutes of wall clock, which belongs on
-// a workstation, not in the PR gate.
-func BenchmarkLargeScale1M(b *testing.B) {
-	n := 1_000_000
-	if testing.Short() {
-		n = 100_000
-	}
-	benchLargeScaleXL(b, n, 0)
-}
-
-// --- Telemetry overhead ---
-
-// BenchmarkTelemetryOverhead measures what dissemination tracing costs the
-// simulator. The disabled variant is the exact pre-telemetry hot path (the
-// Trace hook is a nil-interface check, the same zero-cost pattern as
-// core.Monitor) and must stay within noise of BenchmarkHeadline; the traced
-// variant runs every-4th-packet sampling and reports the observed record
-// volume so the enabled cost in EXPERIMENTS.md is tied to a known workload.
-func BenchmarkTelemetryOverhead(b *testing.B) {
-	b.Run("disabled", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			mustRun(b, benchConfig(HEAP, MS691))
-		}
-	})
-	b.Run("traced", func(b *testing.B) {
-		b.ReportAllocs()
-		var records int
-		for i := 0; i < b.N; i++ {
-			cfg := benchConfig(HEAP, MS691)
-			cfg.Trace = &TraceConfig{SampleEvery: 4, RingCap: 4096}
-			res := mustRun(b, cfg)
-			records = len(res.TraceStats.Hops)
-		}
-		b.ReportMetric(float64(records), "hop-records/run")
-	})
-}
-
-// BenchmarkIntroStaticTree reproduces the introduction's observation: the
-// static-tree baseline trails gossip badly even among 30 nodes.
-func BenchmarkIntroStaticTree(b *testing.B) {
-	for _, proto := range []Protocol{StaticTree, StandardGossip} {
-		b.Run(string(proto), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := Scenario{
-					Nodes:    30,
-					Protocol: proto,
-					Dist:     MS691,
-					Windows:  benchWindows,
-					Seed:     benchSeed,
-					LossRate: 0.01,
-				}
-				res := mustRun(b, cfg)
-				b.ReportMetric(100*meanJitterFree(res, 10*time.Second), "jitterfree@10s-%")
-			}
-		})
-	}
-}
+// is built to reach (EXPERIMENTS.md: hours of wall clock, ~44 GB RSS).
+func BenchmarkLargeScale1M(b *testing.B) { benchLargeScaleXL(b, 1_000_000) }

@@ -71,10 +71,6 @@ type Config struct {
 	// probe; once armed, the estimate climbs every further drained window.
 	// Default 10.
 	DrainedWindows int
-	// CooldownWindows is how many windows after a decrease congestion
-	// evidence is ignored, giving the queue time to drain at the lower
-	// fanout before the next verdict. Default 4.
-	CooldownWindows int
 	// Beta is the multiplicative decrease factor in (0, 1). Default 0.7.
 	Beta float64
 	// ProbeFraction is the additive probe step as a fraction of the
@@ -84,6 +80,11 @@ type Config struct {
 	// FloorFraction·configured, in (0, 1). Default 0.1.
 	FloorFraction float64
 }
+
+// cooldownWindows is how many windows after a decrease congestion evidence
+// is ignored, giving the queue time to drain at the lower fanout before the
+// next verdict.
+const cooldownWindows = 4
 
 // withDefaults returns a copy with every zero field filled in.
 func (c Config) withDefaults() Config {
@@ -101,9 +102,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DrainedWindows == 0 {
 		c.DrainedWindows = 10
-	}
-	if c.CooldownWindows == 0 {
-		c.CooldownWindows = 4
 	}
 	if c.Beta == 0 {
 		c.Beta = 0.7
@@ -128,9 +126,9 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("adapt: watermarks low %v / high %v must satisfy 0 < low < high",
 			d.LowWater, d.HighWater)
 	}
-	if d.SustainWindows < 1 || d.DrainedWindows < 1 || d.CooldownWindows < 0 {
-		return fmt.Errorf("adapt: window counts (sustain %d, drained %d, cooldown %d) out of range",
-			d.SustainWindows, d.DrainedWindows, d.CooldownWindows)
+	if d.SustainWindows < 1 || d.DrainedWindows < 1 {
+		return fmt.Errorf("adapt: window counts (sustain %d, drained %d) out of range",
+			d.SustainWindows, d.DrainedWindows)
 	}
 	if d.Beta <= 0 || d.Beta >= 1 {
 		return fmt.Errorf("adapt: beta %v outside (0, 1)", d.Beta)
@@ -311,7 +309,7 @@ func (c *Controller) Observe(s Sample) (uint32, bool) {
 			}
 		}
 		c.highRun, c.lowRun = 0, 0
-		c.cooldown = c.cfg.CooldownWindows
+		c.cooldown = cooldownWindows
 		return c.set(s.At, uint32(target))
 	case c.lowRun >= c.cfg.DrainedWindows && c.eff < c.configured:
 		// Probe upward every drained window once the streak is established;

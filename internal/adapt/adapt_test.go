@@ -151,7 +151,7 @@ func TestCooldownBlocksBackToBackDecreases(t *testing.T) {
 	}
 	first := c.EffectiveKbps()
 	// During the cooldown, continued congestion must not cut again.
-	for i := 0; i < c.cfg.CooldownWindows; i++ {
+	for i := 0; i < cooldownWindows; i++ {
 		if _, changed := s.step(time.Second); changed {
 			t.Fatalf("decrease during cooldown window %d", i+1)
 		}

@@ -968,70 +968,58 @@ func (s *Suite) Adaptation() error {
 	return nil
 }
 
-// Artifacts lists the generatable artifact names in paper order.
-func Artifacts() []string {
-	return []string{"intro-tree", "fig1", "fig2", "fig3", "fig4", "fig5",
-		"fig6", "fig7", "fig8", "fig9", "fig10", "table2", "table3",
-		"sens-degraded", "diag-backlog", "robustness", "multisource",
-		"adapt", "adversary", "trace", "topology"}
+// artifacts maps each artifact name to its generator, in paper order.
+var artifacts = []struct {
+	name string
+	gen  func(*Suite) error
+}{
+	{"intro-tree", (*Suite).IntroTree},
+	{"fig1", (*Suite).Figure1},
+	{"fig2", (*Suite).Figure2},
+	{"fig3", (*Suite).Figure3},
+	{"fig4", (*Suite).Figure4},
+	{"fig5", (*Suite).Figure5},
+	{"fig6", (*Suite).Figure6},
+	{"fig7", (*Suite).Figure7},
+	{"fig8", (*Suite).Figure8},
+	{"fig9", (*Suite).Figure9},
+	{"fig10", (*Suite).Figure10},
+	{"table2", (*Suite).Table2},
+	{"table3", (*Suite).Table3},
+	{"sens-degraded", (*Suite).SensitivityDegraded},
+	{"diag-backlog", (*Suite).DiagBacklog},
+	{"robustness", (*Suite).Robustness},
+	{"multisource", (*Suite).MultiSource},
+	{"adapt", (*Suite).Adaptation},
+	{"adversary", (*Suite).Adversary},
+	{"trace", (*Suite).Trace},
+	{"topology", (*Suite).Topology},
 }
 
-// Generate renders one artifact by name ("fig1".."fig10", "table2",
-// "table3").
-func (s *Suite) Generate(name string) error {
-	switch strings.ToLower(name) {
-	case "fig1":
-		return s.Figure1()
-	case "fig2":
-		return s.Figure2()
-	case "fig3":
-		return s.Figure3()
-	case "fig4":
-		return s.Figure4()
-	case "fig5":
-		return s.Figure5()
-	case "fig6":
-		return s.Figure6()
-	case "fig7":
-		return s.Figure7()
-	case "fig8":
-		return s.Figure8()
-	case "fig9":
-		return s.Figure9()
-	case "fig10":
-		return s.Figure10()
-	case "table2":
-		return s.Table2()
-	case "table3":
-		return s.Table3()
-	case "sens-degraded":
-		return s.SensitivityDegraded()
-	case "diag-backlog":
-		return s.DiagBacklog()
-	case "robustness":
-		return s.Robustness()
-	case "intro-tree":
-		return s.IntroTree()
-	case "multisource":
-		return s.MultiSource()
-	case "adapt":
-		return s.Adaptation()
-	case "adversary":
-		return s.Adversary()
-	case "trace":
-		return s.Trace()
-	case "topology":
-		return s.Topology()
-	default:
-		return fmt.Errorf("report: unknown artifact %q (known: %s)",
-			name, strings.Join(Artifacts(), ", "))
+// Artifacts lists the generatable artifact names in paper order.
+func Artifacts() []string {
+	names := make([]string, len(artifacts))
+	for i, a := range artifacts {
+		names[i] = a.name
 	}
+	return names
+}
+
+// Generate renders one artifact by name (any of Artifacts, in any case).
+func (s *Suite) Generate(name string) error {
+	for _, a := range artifacts {
+		if strings.EqualFold(a.name, name) {
+			return a.gen(s)
+		}
+	}
+	return fmt.Errorf("report: unknown artifact %q (known: %s)",
+		name, strings.Join(Artifacts(), ", "))
 }
 
 // GenerateAll renders every artifact in paper order.
 func (s *Suite) GenerateAll() error {
-	for _, a := range Artifacts() {
-		if err := s.Generate(a); err != nil {
+	for _, a := range artifacts {
+		if err := a.gen(s); err != nil {
 			return err
 		}
 	}

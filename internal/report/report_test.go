@@ -13,7 +13,7 @@ func smallSuite(out *strings.Builder) *Suite {
 	return s
 }
 
-func TestArtifactsListMatchesGenerate(t *testing.T) {
+func TestGenerateEveryArtifact(t *testing.T) {
 	var out strings.Builder
 	s := smallSuite(&out)
 	for _, a := range Artifacts() {

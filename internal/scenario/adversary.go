@@ -54,11 +54,6 @@ type AdversarySpec struct {
 	// probe and evidence dumps work — but no verdicts are issued and the
 	// protocol runs untouched. This is the detector-off arm of A/B studies.
 	Detect *misbehave.Config
-	// DetectQuorum is the fraction of honest detectors that must quarantine
-	// a node before it counts as detected in AdversaryStats (a single
-	// detector's verdict is per-pair noise; system-level detection is a
-	// quorum property). Default 0.1.
-	DetectQuorum float64
 	// CoalitionSizes are the observer-coalition sizes probed by the
 	// source-anonymity estimator. Default 1, 2, 4, 8, 16, 32 (clipped to
 	// the honest population).
@@ -68,6 +63,11 @@ type AdversarySpec struct {
 	CoalitionTrials int
 }
 
+// detectQuorum is the fraction of honest detectors that must quarantine a
+// node before it counts as detected in AdversaryStats (a single detector's
+// verdict is per-pair noise; system-level detection is a quorum property).
+const detectQuorum = 0.1
+
 // withDefaults returns a copy with every zero knob filled in.
 func (a AdversarySpec) withDefaults() AdversarySpec {
 	if a.Intensity == 0 {
@@ -75,9 +75,6 @@ func (a AdversarySpec) withDefaults() AdversarySpec {
 	}
 	if a.LiarFactor == 0 {
 		a.LiarFactor = 4
-	}
-	if a.DetectQuorum == 0 {
-		a.DetectQuorum = 0.1
 	}
 	if len(a.CoalitionSizes) == 0 {
 		a.CoalitionSizes = []int{1, 2, 4, 8, 16, 32}
@@ -123,9 +120,6 @@ func (c *Config) validateAdversary() error {
 	}
 	if a.Onset < 0 {
 		return fmt.Errorf("scenario: adversary onset %v must not be negative", a.Onset)
-	}
-	if a.DetectQuorum < 0 || a.DetectQuorum > 1 {
-		return fmt.Errorf("scenario: detect quorum %v outside [0,1]", a.DetectQuorum)
 	}
 	if a.CoalitionTrials < 0 {
 		return fmt.Errorf("scenario: negative coalition trials")
@@ -346,7 +340,7 @@ type AdversaryStats struct {
 	// HonestDetectors is how many nodes ran detectors (honest non-sources).
 	HonestDetectors int
 	// Quorum is the detector count a node must be quarantined by to count
-	// as detected (ceil(DetectQuorum · HonestDetectors), at least 1).
+	// as detected (ceil(detectQuorum · HonestDetectors), at least 1).
 	Quorum int
 
 	// Classes holds per-class detection summaries in freerider, liar,
@@ -407,7 +401,7 @@ func (a *adversaryState) collectStats(cfg *Config, res *Result, nodes []*stack.N
 			stats.HonestDetectors++
 		}
 	}
-	quorum := int(math.Ceil(a.spec.DetectQuorum * float64(stats.HonestDetectors)))
+	quorum := int(math.Ceil(detectQuorum * float64(stats.HonestDetectors)))
 	if quorum < 1 {
 		quorum = 1
 	}

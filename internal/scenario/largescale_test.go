@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -10,6 +11,17 @@ import (
 // Small-scale functional tests for the LargeScale dynamics: the physics the
 // family exists to measure must actually occur (joins join, bursts crash),
 // independent of system size.
+
+// received counts the packets of one node's arrival record that arrived.
+func received(recv []time.Duration) int {
+	n := 0
+	for _, at := range recv {
+		if at != stream.NotReceived {
+			n++
+		}
+	}
+	return n
+}
 
 func TestJoinWaveNodesJoinAndCatchUp(t *testing.T) {
 	cfg := Config{
@@ -34,13 +46,7 @@ func TestJoinWaveNodesJoinAndCatchUp(t *testing.T) {
 	total := cfg.Geometry.TotalPackets(cfg.Windows)
 	caught := 0
 	for i := 100; i < 125; i++ {
-		recv := 0
-		for _, at := range res.Run.Nodes[i].Recv {
-			if at != stream.NotReceived {
-				recv++
-			}
-		}
-		if recv > total/4 {
+		if received(res.Run.Nodes[i].Recv) > total/4 {
 			caught++
 		}
 	}
@@ -114,5 +120,43 @@ func TestLargeScaleSweepGridShape(t *testing.T) {
 		if c.Summary.MeasuredNodes == 0 {
 			t.Fatalf("cell %s measured no nodes", c.Key)
 		}
+	}
+}
+
+// TestLargeScaleXLShardsAndTrackLimit runs the XL configuration end to end at
+// a size the short suite can afford: the sharded event loop must leave the
+// result byte-identical, the single window must actually disseminate, and
+// AggTrackLimit must bound every node's capability table.
+func TestLargeScaleXLShardsAndTrackLimit(t *testing.T) {
+	const n = 2000
+	var prints [][]byte
+	for _, shards := range []int{1, 2} {
+		r, err := simulate(LargeScaleXL(n, 7, shards))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := r.cfg // defaults applied
+		// The source (node 0) runs no estimator.
+		for i, node := range r.nodes[1:] {
+			if known := node.Estimator.KnownNodes(); known == 0 || known > cfg.AggTrackLimit {
+				t.Fatalf("shards=%d: node %d tracks %d capabilities, limit %d", shards, i+1, known, cfg.AggTrackLimit)
+			}
+		}
+		res, err := r.collect()
+		if err != nil {
+			t.Fatal(err)
+		}
+		prints = append(prints, fingerprint(t, res))
+
+		delivered, expected := 0, (n-1)*cfg.Geometry.TotalPackets(cfg.Windows)
+		for i := 1; i < n; i++ {
+			delivered += received(res.Run.Nodes[i].Recv)
+		}
+		if share := float64(delivered) / float64(expected); share < 0.9 {
+			t.Fatalf("shards=%d: only %.1f%% of the window was delivered", shards, 100*share)
+		}
+	}
+	if !bytes.Equal(prints[0], prints[1]) {
+		t.Fatal("LargeScaleXL result differs between 1 and 2 shards")
 	}
 }

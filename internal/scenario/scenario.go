@@ -60,7 +60,7 @@ type Config struct {
 	// each node's upload budget. Empty (the default) runs the paper's
 	// single stream (stream 0 from node 0). See StreamSpec for per-stream
 	// defaults; Windows/Geometry/StreamStart act as the specs' fallbacks.
-	// Source nodes get SourceCapKbps and do not adapt their fanout (they
+	// Source nodes get sourceCapKbps and do not adapt their fanout (they
 	// are the paper's well-provisioned broadcasters). Incompatible with
 	// StaticTree.
 	Streams []StreamSpec
@@ -107,9 +107,10 @@ type Config struct {
 	// without netem at all. Stock profiles come from netem.Profile and
 	// the Adverse* sweep variants.
 	Netem *netem.Config
-	// LatencyMin/LatencyMax/LatencyJitter parameterize per-pair one-way
-	// delays. Defaults 10 ms / 100 ms / 5 ms. Ignored when Topology is set.
-	LatencyMin, LatencyMax, LatencyJitter time.Duration
+	// LatencyMin/LatencyMax bound the per-pair one-way base delay (each
+	// message adds up to latencyJitter on top). Defaults 10 ms / 100 ms.
+	// Ignored when Topology is set.
+	LatencyMin, LatencyMax time.Duration
 
 	// Topology embeds the run in a clustered WAN/LAN geometry
 	// (internal/topo): a hash-pure cluster assignment drawn from Seed, with
@@ -131,11 +132,6 @@ type Config struct {
 	FanoutIntra float64
 	FanoutInter float64
 
-	// SourceCapKbps is the source's upload capacity; the source must
-	// sustain roughly Fanout times the stream rate (every first-hop
-	// proposal is pulled). Default 10000 (10 Mbps), mimicking the paper's
-	// well-provisioned PlanetLab source.
-	SourceCapKbps uint32
 	// SourceBias enables the §5 extension: the source's first-hop targets
 	// are drawn with probability proportional to advertised capability
 	// (oracle knowledge; this is an ablation, not part of HEAP).
@@ -147,12 +143,11 @@ type Config struct {
 	DegradedFraction float64
 	DegradedFactor   float64
 
-	// FreeriderFraction of nodes advertise only FreeriderFactor of their
+	// FreeriderFraction of nodes advertise only freeriderFactor of their
 	// true capability to the aggregation protocol while keeping their full
 	// capacity — the §5 freeriding threat: HEAP assigns them a small fanout
-	// and they contribute less than their share. Defaults 0 / 0.25.
+	// and they contribute less than their share. Default 0.
 	FreeriderFraction float64
-	FreeriderFactor   float64
 
 	// AdaptPeriod switches HEAP's knob from fanout to gossip period
 	// (§5 alternative; ablation). Requires Protocol == HEAP.
@@ -194,11 +189,8 @@ type Config struct {
 	// AutoFanout removes the paper's "n known in advance" simplification:
 	// every node runs the push-pull averaging protocol ([13], §2.2) to
 	// continuously estimate the system size n̂ and derives its fanout base
-	// as ln(n̂) + FanoutC instead of the static Fanout.
+	// as ln(n̂) + fanoutC instead of the static Fanout.
 	AutoFanout bool
-	// FanoutC is the additive reliability margin c. Default 1.4 (which
-	// gives ln(270)+1.4 ~= 7, the paper's fanout at its scale).
-	FanoutC float64
 
 	// TreeDegree is the static tree's arity (StaticTree only). Default 4.
 	TreeDegree int
@@ -208,10 +200,9 @@ type Config struct {
 
 	// UsePSS replaces the full-membership view with a Cyclon-style
 	// peer-sampling service (extension): nodes bootstrap from a few random
-	// contacts and sample gossip targets from shuffled partial views.
+	// contacts and sample gossip targets from shuffled partial views of
+	// cyclonPSSViewSize entries.
 	UsePSS bool
-	// PSSViewSize is the partial view size (default 24).
-	PSSViewSize int
 
 	// Churn optionally injects a catastrophic failure (§3.6).
 	Churn *churn.Catastrophic
@@ -251,11 +242,31 @@ type Config struct {
 	// FreezesPerNode injects that many random freezes per node across the
 	// run (the paper's §3.5 "sporadically, some PlanetLab nodes seem
 	// temporarily frozen"); during a freeze, deliveries and timers are
-	// deferred. Each freeze lasts uniformly 0.5-1.5x FreezeMeanDuration
-	// (default 2 s). 0 disables.
-	FreezesPerNode     float64
-	FreezeMeanDuration time.Duration
+	// deferred. Each freeze lasts uniformly 0.5-1.5x freezeMeanDuration.
+	// 0 disables.
+	FreezesPerNode float64
 }
+
+// Model parameters with one value in every experiment: fixed here, not
+// Config knobs.
+const (
+	// latencyJitter is the per-message jitter on top of a pair's base delay.
+	latencyJitter = 5 * time.Millisecond
+	// sourceCapKbps is a source's upload capacity; the source must sustain
+	// roughly Fanout times the stream rate (every first-hop proposal is
+	// pulled). 10 Mbps mimics the paper's well-provisioned PlanetLab source.
+	sourceCapKbps = 10_000
+	// freeriderFactor is the share of its true capability a freerider
+	// advertises.
+	freeriderFactor = 0.25
+	// fanoutC is AutoFanout's additive reliability margin c: ln(270)+1.4 ~= 7,
+	// the paper's fanout at its scale.
+	fanoutC = 1.4
+	// cyclonPSSViewSize is the partial view size under UsePSS.
+	cyclonPSSViewSize = 24
+	// freezeMeanDuration is the mean length of a FreezesPerNode freeze.
+	freezeMeanDuration = 2 * time.Second
+)
 
 // applyDefaults resolves every zero knob to its documented default, then
 // validates the result.
@@ -313,29 +324,11 @@ func (c *Config) applyDefaults() error {
 		// always had, now made explicit so it passes simnet's validation).
 		c.LatencyMax = c.LatencyMin
 	}
-	if c.LatencyJitter == 0 {
-		c.LatencyJitter = 5 * time.Millisecond
-	}
-	if c.SourceCapKbps == 0 {
-		c.SourceCapKbps = 10_000
-	}
 	if c.DegradedFactor == 0 {
 		c.DegradedFactor = 0.5
 	}
-	if c.FreeriderFactor == 0 {
-		c.FreeriderFactor = 0.25
-	}
-	if c.PSSViewSize == 0 {
-		c.PSSViewSize = 24
-	}
 	if c.TreeDegree == 0 {
 		c.TreeDegree = 4
-	}
-	if c.FanoutC == 0 {
-		c.FanoutC = 1.4
-	}
-	if c.FreezeMeanDuration == 0 {
-		c.FreezeMeanDuration = 2 * time.Second
 	}
 	return c.validate()
 }
@@ -356,9 +349,8 @@ func (c *Config) validate() error {
 	if err := c.Geometry.Validate(); err != nil {
 		return err
 	}
-	if c.LatencyMin < 0 || c.LatencyMax < c.LatencyMin || c.LatencyJitter < 0 {
-		return fmt.Errorf("scenario: invalid latency range [%v, %v] jitter %v",
-			c.LatencyMin, c.LatencyMax, c.LatencyJitter)
+	if c.LatencyMin < 0 || c.LatencyMax < c.LatencyMin {
+		return fmt.Errorf("scenario: invalid latency range [%v, %v]", c.LatencyMin, c.LatencyMax)
 	}
 	if c.FreeriderFraction < 0 || c.FreeriderFraction >= 1 {
 		return fmt.Errorf("scenario: freerider fraction %v outside [0,1)", c.FreeriderFraction)
@@ -549,6 +541,16 @@ type run struct {
 
 // Run executes the scenario and returns its measurements.
 func Run(cfg Config) (*Result, error) {
+	r, err := simulate(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return r.collect()
+}
+
+// simulate builds the system and runs it to the end of the drain; the
+// returned run still holds every node's stack.
+func simulate(cfg Config) (*run, error) {
 	if err := cfg.applyDefaults(); err != nil {
 		return nil, err
 	}
@@ -572,12 +574,12 @@ func Run(cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("scenario: %d of %d nodes joined (a wave fell outside the run)",
 			r.net.NumNodes(), r.total)
 	}
-	return r.collect()
+	return r, nil
 }
 
 // assignCapabilities decides what every node has, delivers and claims. Source
 // nodes are the paper's well-provisioned broadcasters: they get
-// SourceCapKbps, never degrade, freeride, or adapt their fanout.
+// sourceCapKbps, never degrade, freeride, or adapt their fanout.
 func (r *run) assignCapabilities() {
 	cfg, total := &r.cfg, r.total
 	setupRng := rand.New(rand.NewSource(cfg.Seed ^ 0x5ca1ab1e))
@@ -603,7 +605,7 @@ func (r *run) assignCapabilities() {
 	}
 	for i := range r.caps {
 		if r.sourceNode[i] {
-			r.caps[i] = cfg.SourceCapKbps
+			r.caps[i] = sourceCapKbps
 		}
 	}
 	// Degraded nodes deliver less than they advertise.
@@ -626,7 +628,7 @@ func (r *run) assignCapabilities() {
 		for i := 1; i < total; i++ {
 			if !r.sourceNode[i] && setupRng.Float64() < cfg.FreeriderFraction {
 				r.freerider[i] = true
-				r.advertised[i] = uint32(float64(r.caps[i]) * cfg.FreeriderFactor)
+				r.advertised[i] = uint32(float64(r.caps[i]) * freeriderFactor)
 				if r.advertised[i] == 0 {
 					r.advertised[i] = 1
 				}
@@ -655,7 +657,7 @@ func (r *run) buildNetwork() error {
 	cfg := &r.cfg
 	netCfg := simnet.Config{
 		Seed:     cfg.Seed,
-		Latency:  simnet.NewPairwiseLatency(cfg.Seed, cfg.LatencyMin, cfg.LatencyMax, cfg.LatencyJitter),
+		Latency:  simnet.NewPairwiseLatency(cfg.Seed, cfg.LatencyMin, cfg.LatencyMax, latencyJitter),
 		LossRate: cfg.LossRate,
 		Shards:   cfg.Shards,
 	}
@@ -854,7 +856,7 @@ func (r *run) stackSpec(i, present int, onDeliver core.DeliverFunc) stack.Spec {
 		if id == r.specs[0].Source {
 			spec.SizeEstimator.InitialValue = 1
 		}
-		spec.FanoutMargin = cfg.FanoutC
+		spec.FanoutMargin = fanoutC
 	}
 	if heapNode {
 		spec.Aggregation = &aggregation.Config{
@@ -920,7 +922,7 @@ func (r *run) membershipFor(spec *stack.Spec, present int) {
 				bootstrap = append(bootstrap, p)
 			}
 		}
-		spec.Cyclon = membership.NewCyclon(membership.CyclonConfig{ViewSize: r.cfg.PSSViewSize}, bootstrap)
+		spec.Cyclon = membership.NewCyclon(membership.CyclonConfig{ViewSize: cyclonPSSViewSize}, bootstrap)
 		return
 	}
 	// The bootstrap directory hands out current membership: nodes
@@ -1022,8 +1024,7 @@ func (r *run) scheduleFreezes(streamEnd time.Duration) {
 		}
 		for k := 0; k < count; k++ {
 			at := time.Duration(freezeRng.Int63n(runSpan))
-			mean := float64(cfg.FreezeMeanDuration)
-			dur := time.Duration(mean * (0.5 + freezeRng.Float64()))
+			dur := time.Duration(float64(freezeMeanDuration) * (0.5 + freezeRng.Float64()))
 			net.Schedule(at, func() { net.Freeze(id, dur) })
 		}
 	}

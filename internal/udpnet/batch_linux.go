@@ -6,12 +6,13 @@
 // syscall.Syscall6 with a hand-rolled mmsghdr layout (struct msghdr plus
 // the kernel-written msg_len) so the module stays free of dependencies
 // outside the standard library; the portable one-syscall-per-datagram path
-// remains behind the inverse build tag (batch_fallback.go) and behind
+// (singleIO) serves the inverse build tag (batch_fallback.go) and
 // Config.DisableBatch.
 
 package udpnet
 
 import (
+	"errors"
 	"net"
 	"runtime"
 	"syscall"
@@ -66,10 +67,10 @@ type mmsgIO struct {
 }
 
 // newBatchIO wires the batched-syscall path over conn. An error (no raw
-// descriptor view) makes the caller fall back to the portable path.
+// descriptor view, no syscall number) makes the caller keep singleIO.
 func newBatchIO(conn *net.UDPConn) (batchIO, error) {
 	if sysSendmmsg == 0 {
-		return nil, nil
+		return nil, errors.New("udpnet: no sendmmsg number for this GOARCH")
 	}
 	rc, err := conn.SyscallConn()
 	if err != nil {

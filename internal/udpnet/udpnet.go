@@ -17,9 +17,10 @@
 // arena allocation per batch — handlers may retain payloads, so the staging
 // buffers themselves are never handed off). Encode-path buffers are pooled
 // and returned after the kernel copy completes. Everywhere else — and on
-// Linux under Config.DisableBatch — the portable fallback issues one
-// syscall per datagram, with identical delivery and accounting semantics;
-// see batch_linux.go / batch_fallback.go for the build-tag split.
+// Linux under Config.DisableBatch — the same loops run over a batch of one:
+// singleIO issues one portable syscall per datagram, with identical
+// delivery and accounting semantics; see batch_linux.go / batch_fallback.go
+// for the build-tag split.
 package udpnet
 
 import (
@@ -114,13 +115,13 @@ var sendBufPool = sync.Pool{New: func() any {
 func getSendBuf() *[]byte  { return sendBufPool.Get().(*[]byte) }
 func putSendBuf(b *[]byte) { sendBufPool.Put(b) }
 
-// batchIO is the platform batched-syscall interface; newBatchIO (see the
-// build-tagged batch files) returns nil where only the portable
-// one-datagram-per-syscall path exists.
+// batchIO is the socket as the node's read loop and paced sender see it.
+// newBatchIO (see the build-tagged batch files) is the batched-syscall
+// implementation; singleIO is the portable batch of one.
 type batchIO interface {
 	// WriteBatch transmits the frames in order, blocking on socket
-	// writability as needed. Per-datagram errors are UDP-normal and
-	// swallowed, like WriteToUDP's on the fallback path.
+	// writability as needed. Losing a datagram is normal UDP behaviour
+	// (protocols handle it), so per-datagram errors are swallowed.
 	WriteBatch(items []outDatagram)
 	// ReadBatch blocks until at least one datagram arrives and returns how
 	// many were received. The frames are valid until the next ReadBatch.
@@ -131,13 +132,55 @@ type batchIO interface {
 	SrcMatches(i int, addr *net.UDPAddr) bool
 }
 
+// singleIO implements batchIO with the portable one-datagram-per-syscall
+// calls: every ReadBatch is one ReadFromUDP into a reused buffer.
+type singleIO struct {
+	conn *net.UDPConn
+	buf  []byte
+	size int
+	from *net.UDPAddr
+}
+
+func (s *singleIO) WriteBatch(items []outDatagram) {
+	for _, d := range items {
+		_, _ = s.conn.WriteToUDP(d.frame(), d.addr)
+	}
+}
+
+func (s *singleIO) ReadBatch() (int, error) {
+	var err error
+	s.size, s.from, err = s.conn.ReadFromUDP(s.buf)
+	if err != nil {
+		return 0, err
+	}
+	return 1, nil
+}
+
+func (s *singleIO) Frame(int) []byte { return s.buf[:s.size] }
+
+func (s *singleIO) SrcMatches(_ int, addr *net.UDPAddr) bool {
+	return addr.Port == s.from.Port && addr.IP.Equal(s.from.IP)
+}
+
+// openIO picks the socket I/O and its batch size: batched syscalls where
+// they exist, else (non-Linux platforms, an exotic socket without a
+// raw-syscall view, or by request) the portable batch of one.
+func openIO(conn *net.UDPConn, disableBatch bool) (batchIO, int) {
+	if !disableBatch {
+		if bio, err := newBatchIO(conn); err == nil {
+			return bio, ioBatchMax
+		}
+	}
+	return &singleIO{conn: conn, buf: make([]byte, maxDatagram)}, 1
+}
+
 // Node hosts one protocol stack (an env.Handler, typically an env.Mux) on a
 // real UDP socket and implements env.Runtime for it.
 type Node struct {
 	id      wire.NodeID
 	handler env.Handler
 	conn    *net.UDPConn
-	bio     batchIO // nil: portable single-syscall path
+	bio     batchIO
 	sender  *ratelimit.Sender[outDatagram]
 	epoch   time.Time
 
@@ -209,17 +252,8 @@ func NewNode(id wire.NodeID, handler env.Handler, cfg Config) (*Node, error) {
 		byAddr:  make(map[string]wire.NodeID),
 		netem:   cfg.Netem,
 	}
-	if !cfg.DisableBatch {
-		// A nil batchIO (non-Linux platforms, or an exotic socket without a
-		// raw-syscall view) selects the portable path.
-		if bio, err := newBatchIO(conn); err == nil {
-			n.bio = bio
-		}
-	}
-	batchMax := 1
-	if n.bio != nil {
-		batchMax = ioBatchMax
-	}
+	var batchMax int
+	n.bio, batchMax = openIO(conn, cfg.DisableBatch)
 	sender, err := ratelimit.NewBatchSender(cfg.UploadBps, cfg.QueueCap, batchMax,
 		func(d outDatagram) int { return len(d.frame()) + wire.UDPOverheadBytes },
 		n.flushBatch)
@@ -234,14 +268,7 @@ func NewNode(id wire.NodeID, handler env.Handler, cfg Config) (*Node, error) {
 // flushBatch transmits one paced batch and returns the frame buffers to the
 // pool — the kernel has copied the data out by the time the syscall returns.
 func (n *Node) flushBatch(items []outDatagram) {
-	if n.bio != nil {
-		n.bio.WriteBatch(items)
-	} else {
-		for _, d := range items {
-			// Losing a datagram is normal UDP behaviour; protocols handle it.
-			_, _ = n.conn.WriteToUDP(d.frame(), d.addr)
-		}
-	}
+	n.bio.WriteBatch(items)
 	for i := range items {
 		putSendBuf(items[i].buf)
 		items[i].buf = nil
@@ -408,52 +435,14 @@ func (n *Node) Execute(fn func()) bool {
 	return true
 }
 
+// readLoop reads up to ioBatchMax datagrams per ReadBatch out of the
+// batchIO's reusable staging buffers; their bodies are copied into one arena
+// allocation per batch (decoded messages alias their input and handlers may
+// retain payloads, so the staging buffers can never be handed off — but one
+// arena replaces one allocation per datagram), then every decoded message is
+// dispatched under one node-mutex hold.
 func (n *Node) readLoop() {
 	defer n.wg.Done()
-	if n.bio != nil {
-		n.readLoopBatch()
-		return
-	}
-	buf := make([]byte, maxDatagram)
-	for {
-		size, from, err := n.conn.ReadFromUDP(buf)
-		if err != nil {
-			return // closed
-		}
-		if size < frameHeader {
-			n.noteDecodeError()
-			continue
-		}
-		senderID := wire.NodeID(int32(binary.BigEndian.Uint32(buf[:4])))
-		// Decoded messages alias their input (payloads are sub-slices), so
-		// each datagram needs its own copy — the read buffer is reused.
-		body := make([]byte, size-frameHeader)
-		copy(body, buf[frameHeader:size])
-		msg, err := wire.Unmarshal(body)
-		if err != nil {
-			n.noteDecodeError()
-			continue
-		}
-		n.mu.Lock()
-		if !n.closed {
-			// Verify the claimed sender against the source address when we
-			// know it; unknown peers are accepted (late directory updates).
-			if known, ok := n.peers[senderID]; !ok || sameAddr(known, from) {
-				n.handler.Receive(senderID, msg)
-			}
-		}
-		n.mu.Unlock()
-	}
-}
-
-// readLoopBatch is the recvmmsg read loop: up to ioBatchMax datagrams per
-// syscall land in the batchIO's reusable staging buffers; their bodies are
-// copied into one arena allocation per batch (decoded messages alias their
-// input and handlers may retain payloads, so the staging buffers can never
-// be handed off — but one arena replaces one allocation per datagram), then
-// every decoded message is dispatched under one node-mutex hold, each
-// Receive as serialized as on the portable path.
-func (n *Node) readLoopBatch() {
 	type inMsg struct {
 		sender wire.NodeID
 		msg    wire.Message
@@ -498,8 +487,8 @@ func (n *Node) readLoopBatch() {
 		n.DecodeErrors += badFrames
 		if !n.closed {
 			for _, im := range msgs {
-				// Same acceptance rule as the portable path: verify claimed
-				// senders we know, accept unknown ones (late directory
+				// Verify the claimed sender against the source address when
+				// we know it; unknown peers are accepted (late directory
 				// updates).
 				if known, ok := n.peers[im.sender]; !ok || n.bio.SrcMatches(im.src, known) {
 					n.handler.Receive(im.sender, im.msg)
@@ -508,16 +497,6 @@ func (n *Node) readLoopBatch() {
 		}
 		n.mu.Unlock()
 	}
-}
-
-func sameAddr(a, b *net.UDPAddr) bool {
-	return a.Port == b.Port && a.IP.Equal(b.IP)
-}
-
-func (n *Node) noteDecodeError() {
-	n.mu.Lock()
-	n.DecodeErrors++
-	n.mu.Unlock()
 }
 
 // nodeRuntime implements env.Runtime over the node.
