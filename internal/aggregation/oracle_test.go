@@ -1,0 +1,381 @@
+package aggregation
+
+import (
+	"math"
+	"math/rand"
+	"sort"
+	"testing"
+	"time"
+
+	"repro/internal/env"
+	"repro/internal/wire"
+)
+
+// stubRuntime is an env.Runtime with a hand-cranked clock: sends are
+// recorded, and the one pending timer (the estimator's ticker) fires only
+// when the test says so — late if the clock was advanced past it, which is
+// what a simnet freeze does to a node.
+type stubRuntime struct {
+	id      wire.NodeID
+	now     time.Duration
+	rng     *rand.Rand
+	timerAt time.Duration
+	timerFn func()
+	sent    []*wire.Aggregate
+}
+
+func (s *stubRuntime) ID() wire.NodeID    { return s.id }
+func (s *stubRuntime) Now() time.Duration { return s.now }
+func (s *stubRuntime) Rand() *rand.Rand   { return s.rng }
+func (s *stubRuntime) Send(_ wire.NodeID, m wire.Message) {
+	s.sent = append(s.sent, m.(*wire.Aggregate))
+}
+func (s *stubRuntime) After(time.Duration, func()) env.Timer { panic("estimator uses AfterFunc") }
+func (s *stubRuntime) AfterFunc(d time.Duration, fn func()) {
+	s.timerAt, s.timerFn = s.now+d, fn
+}
+
+// fire runs the pending timer, moving the clock up to its due time first if
+// it is not there yet.
+func (s *stubRuntime) fire() {
+	if s.now < s.timerAt {
+		s.now = s.timerAt
+	}
+	s.sent = s.sent[:0]
+	s.timerFn()
+}
+
+// fixedSampler always returns the first k of a fixed peer list.
+type fixedSampler struct{}
+
+func (fixedSampler) PeerCount() int { return 1 << 10 }
+func (fixedSampler) AppendPeers(dst []wire.NodeID, _ *rand.Rand, k int) []wire.NodeID {
+	for i := 0; i < k; i++ {
+		dst = append(dst, wire.NodeID(1000+i))
+	}
+	return dst
+}
+
+// oracleShapes are the estimator settings the oracle runs under; the first
+// header byte picks one. Zero fields take the package defaults.
+var oracleShapes = []Config{
+	{},                      // paper defaults: 200 ms, k 10, fanout 1, TTL 15 s
+	{Period: time.Second},   // the slow-1s ablation cell
+	{FreshestK: 3},          // the k3 ablation cell
+	{Fanout: 3},             // the fanout3 ablation cell
+	{FreshestK: 200},        // k larger than any table the ops can build
+	{EntryTTL: time.Second}, // 5 periods of TTL: entries expire within a seed
+	{Period: time.Second, EntryTTL: 300 * time.Millisecond}, // TTL shorter than a period
+}
+
+var (
+	oracleTrackLimits = []int{0, 0, 8, 16}
+	oracleSelfIDs     = []wire.NodeID{0, 3, 20} // 20 is beyond both track limits
+	// Ids outside [0, 28): hostile (negative, at and past the dense-table
+	// ceiling) and one valid but far from the rest.
+	oracleOddIDs    = []wire.NodeID{-1, -7, maxTrackedNodeID, maxTrackedNodeID + 5, math.MaxInt32, 3000}
+	oracleAgeScales = []uint32{1, 10, 200, 1000, 15000, 1 << 24}
+	oracleClockStep = []time.Duration{time.Millisecond, 10 * time.Millisecond, 200 * time.Millisecond,
+		time.Second, 20 * time.Second, time.Hour}
+)
+
+// Oracle op codes (op byte modulo opCount).
+const (
+	opReceive = iota // n, then n × (id, cap, ageScale, age)
+	opTick
+	opAdvance // scale, steps
+	opSetSelf // hi, lo
+	opExclude // id
+	opCount
+)
+
+type refEntry struct {
+	capKbps uint32
+	asOf    time.Duration
+}
+
+// oracle is the reference the estimator's index is checked against: a map
+// and full scans, written from the protocol's rules and nothing else.
+type oracle struct {
+	cfg      Config // defaults applied
+	self     wire.NodeID
+	selfCap  uint32
+	entries  map[wire.NodeID]refEntry
+	excluded map[wire.NodeID]bool // nil when the run has no Exclude
+}
+
+func (o *oracle) tracked(id wire.NodeID) bool {
+	return o.cfg.TrackLimit <= 0 || int(id) < o.cfg.TrackLimit
+}
+
+func (o *oracle) setSelf(now time.Duration) {
+	if o.tracked(o.self) {
+		o.entries[o.self] = refEntry{o.selfCap, now}
+	}
+}
+
+func (o *oracle) receive(now time.Duration, entries []wire.CapEntry) {
+	for _, in := range entries {
+		if in.Node == o.self || in.Node < 0 || in.Node >= maxTrackedNodeID ||
+			!o.tracked(in.Node) || o.excluded[in.Node] {
+			continue
+		}
+		asOf := now - time.Duration(in.AgeMs)*time.Millisecond
+		if cur, ok := o.entries[in.Node]; ok && cur.asOf >= asOf {
+			continue
+		}
+		o.entries[in.Node] = refEntry{in.CapKbps, asOf}
+	}
+}
+
+// tick returns the message a tick at now must send (nil for none).
+func (o *oracle) tick(now time.Duration) []wire.CapEntry {
+	o.setSelf(now)
+	for id, en := range o.entries {
+		if id != o.self && (now-en.asOf > o.cfg.EntryTTL || o.excluded[id]) {
+			delete(o.entries, id)
+		}
+	}
+	ids := make([]wire.NodeID, 0, len(o.entries))
+	for id := range o.entries {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool {
+		a, b := o.entries[ids[i]], o.entries[ids[j]]
+		if a.asOf != b.asOf {
+			return a.asOf > b.asOf
+		}
+		return ids[i] < ids[j]
+	})
+	if len(ids) > o.cfg.FreshestK {
+		ids = ids[:o.cfg.FreshestK]
+	}
+	var out []wire.CapEntry
+	for _, id := range ids {
+		en := o.entries[id]
+		age := now - en.asOf
+		if age < 0 {
+			age = 0
+		}
+		out = append(out, wire.CapEntry{Node: id, CapKbps: en.capKbps, AgeMs: uint32(age / time.Millisecond)})
+	}
+	return out
+}
+
+func (o *oracle) estimate() float64 {
+	if len(o.entries) == 0 {
+		return float64(o.selfCap)
+	}
+	var sum uint64
+	for _, en := range o.entries {
+		sum += uint64(en.capKbps)
+	}
+	return float64(sum) / float64(len(o.entries))
+}
+
+// check compares everything the estimator exposes with the oracle.
+func (o *oracle) check(t *testing.T, e *Estimator, step int, what string) {
+	t.Helper()
+	if got, want := e.KnownNodes(), len(o.entries); got != want {
+		t.Fatalf("op %d (%s): KnownNodes %d, oracle %d", step, what, got, want)
+	}
+	want := o.estimate()
+	if got := e.EstimateKbps(); got != want {
+		t.Fatalf("op %d (%s): EstimateKbps %v, oracle %v", step, what, got, want)
+	}
+	wantRel := 1.0
+	if want > 0 {
+		wantRel = float64(o.selfCap) / want
+	}
+	if got := e.RelativeCapability(); got != wantRel {
+		t.Fatalf("op %d (%s): RelativeCapability %v, oracle %v", step, what, got, wantRel)
+	}
+}
+
+// runOracle decodes data into a configuration and an op sequence and runs
+// it against an Estimator and the oracle side by side.
+func runOracle(t *testing.T, data []byte) {
+	next := func() byte {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return b
+	}
+	cfg := oracleShapes[int(next())%len(oracleShapes)]
+	cfg.TrackLimit = oracleTrackLimits[int(next())%len(oracleTrackLimits)]
+	self := oracleSelfIDs[int(next())%len(oracleSelfIDs)]
+	cfg.SelfCapKbps = 700
+	cfg.Sampler = fixedSampler{}
+	o := &oracle{self: self, selfCap: cfg.SelfCapKbps, entries: map[wire.NodeID]refEntry{}}
+	if next()&1 == 1 {
+		o.excluded = map[wire.NodeID]bool{}
+		cfg.Exclude = func(id wire.NodeID) bool { return o.excluded[id] }
+	}
+	o.cfg = cfg
+	o.cfg.applyDefaults()
+
+	rt := &stubRuntime{id: self, rng: rand.New(rand.NewSource(1))}
+	e := NewEstimator(cfg)
+	e.Start(rt)
+	o.setSelf(rt.now)
+	o.check(t, e, -1, "start")
+
+	for step := 0; len(data) > 0; step++ {
+		var what string
+		switch next() % opCount {
+		case opReceive:
+			what = "receive"
+			entries := make([]wire.CapEntry, 1+int(next())%10)
+			for i := range entries {
+				id := wire.NodeID(next())
+				if id >= 224 {
+					id = oracleOddIDs[int(id-224)%len(oracleOddIDs)]
+				} else {
+					id %= 28
+				}
+				capKbps := uint32(next()) * 37
+				scale := oracleAgeScales[int(next())%len(oracleAgeScales)]
+				entries[i] = wire.CapEntry{Node: id, CapKbps: capKbps, AgeMs: uint32(next()) * scale}
+			}
+			e.Receive(1000, &wire.Aggregate{Entries: entries})
+			o.receive(rt.now, entries)
+		case opTick:
+			what = "tick"
+			rt.fire()
+			want := o.tick(rt.now)
+			wantMsgs := o.cfg.Fanout
+			if len(want) == 0 {
+				wantMsgs = 0
+			}
+			if len(rt.sent) != wantMsgs {
+				t.Fatalf("op %d (tick at %v): %d messages sent, oracle %d", step, rt.now, len(rt.sent), wantMsgs)
+			}
+			for _, m := range rt.sent {
+				if len(m.Entries) != len(want) {
+					t.Fatalf("op %d (tick at %v): sent %v, oracle %v", step, rt.now, m.Entries, want)
+				}
+				for i := range want {
+					if m.Entries[i] != want[i] {
+						t.Fatalf("op %d (tick at %v): entry %d sent %+v, oracle %+v\nsent   %v\noracle %v",
+							step, rt.now, i, m.Entries[i], want[i], m.Entries, want)
+					}
+				}
+			}
+		case opAdvance:
+			what = "advance"
+			unit := oracleClockStep[int(next())%len(oracleClockStep)]
+			rt.now += time.Duration(next()) * unit
+		case opSetSelf:
+			what = "set-self"
+			kbps := 1 + uint32(next())<<8 + uint32(next())
+			e.SetSelfCapKbps(kbps)
+			o.selfCap = kbps
+			o.setSelf(rt.now)
+		case opExclude:
+			what = "exclude"
+			if id := wire.NodeID(next() % 28); o.excluded != nil {
+				o.excluded[id] = !o.excluded[id]
+			}
+		}
+		o.check(t, e, step, what)
+	}
+	e.Stop()
+}
+
+// oracleSeeds are hand-written op sequences, one per condition the index
+// must survive; plain `go test` runs them all.
+func oracleSeeds() [][]byte {
+	header := func(shape, limit, self, exclude byte) []byte { return []byte{shape, limit, self, exclude} }
+	// recv builds one opReceive from (id, cap, ageScale, age) quadruples.
+	recv := func(quads ...byte) []byte {
+		return append([]byte{opReceive, byte(len(quads)/4 - 1)}, quads...)
+	}
+	advance := func(scale, steps byte) []byte { return []byte{opAdvance, scale, steps} }
+	tick := []byte{opTick}
+	cat := func(parts ...[]byte) []byte {
+		var out []byte
+		for _, p := range parts {
+			out = append(out, p...)
+		}
+		return out
+	}
+	// spread fills ids 1..n with ages i×200 ms, so they land in n buckets.
+	spread := func(n byte) []byte {
+		var out []byte
+		for i := byte(1); i <= n; i += 10 {
+			var quads []byte
+			for j := i; j < i+10 && j <= n; j++ {
+				quads = append(quads, j, j, 2, j)
+			}
+			out = append(out, recv(quads...)...)
+		}
+		return out
+	}
+	return [][]byte{
+		// Ages beyond the TTL and beyond the clock (negative asOf) on
+		// arrival: counted until the next tick, gone after it.
+		cat(header(0, 0, 0, 0), advance(3, 2),
+			recv(1, 10, 3, 16, 2, 20, 4, 1, 3, 30, 5, 255, 4, 40, 3, 3), tick,
+			recv(5, 50, 3, 200), advance(2, 1), recv(6, 60, 4, 2), tick, tick),
+		// The same id rewritten at the same instant, self included (a tick
+		// and SetSelfCapKbps in one instant), then selected.
+		cat(header(0, 0, 0, 0), advance(3, 1),
+			recv(1, 10, 1, 5, 1, 11, 1, 5, 1, 12, 1, 4), recv(1, 13, 1, 4, 2, 20, 1, 4),
+			[]byte{opSetSelf, 1, 0, opSetSelf, 2, 0}, tick, []byte{opSetSelf, 3, 0}, tick),
+		// A clock jump longer than the whole ring, with a full table, then
+		// fresh arrivals next to the stale ones before the tick that ages
+		// the stale ones out.
+		cat(header(0, 0, 0, 0), advance(3, 30), spread(27), tick,
+			advance(4, 1), recv(1, 99, 0, 5), tick, spread(27), advance(5, 3), recv(2, 98, 2, 1), tick, tick),
+		// The ring turning one period at a time under a full table: every
+		// entry crosses the TTL and is carried or dropped on the way.
+		cat(header(0, 0, 0, 0), spread(27),
+			func() []byte {
+				var out []byte
+				for i := 0; i < 100; i++ {
+					out = append(out, tick...)
+					if i%7 == 0 {
+						out = append(out, recv(byte(i%27+1), 7, 2, byte(i%60))...)
+					}
+				}
+				return out
+			}()),
+		// Ids at and beyond TrackLimit, negative, and at or past the
+		// dense-table ceiling; self inside the limit, then outside it.
+		cat(header(0, 2, 1, 0),
+			recv(7, 10, 0, 1, 8, 20, 0, 1, 9, 30, 0, 1, 224, 40, 0, 1, 225, 50, 0, 1,
+				226, 60, 0, 1, 227, 70, 0, 1, 228, 80, 0, 1, 229, 90, 0, 1), tick, tick),
+		// Self outside the limit: no own entry, the estimate is all sampled prefix.
+		cat(header(0, 2, 2, 0), tick,
+			recv(20, 10, 0, 1, 7, 20, 0, 1, 8, 30, 0, 1), tick, []byte{opSetSelf, 0, 9}, advance(4, 1), tick, tick),
+		// A valid id far from the rest (the dense table grows to reach it).
+		cat(header(0, 0, 0, 0), recv(229, 90, 0, 1, 1, 10, 0, 2), tick, advance(4, 1), tick),
+		// FreshestK larger than the table; k 3 and fanout 3.
+		cat(header(4, 0, 0, 0), spread(27), tick, advance(3, 10), tick),
+		cat(header(2, 0, 0, 0), spread(27), tick, recv(9, 1, 0, 0), tick),
+		cat(header(3, 0, 0, 0), spread(12), tick, tick),
+		// Period 1 s (17-bucket ring) across several TTLs.
+		cat(header(1, 0, 0, 0), spread(27), tick, advance(3, 9), recv(3, 33, 3, 14), tick,
+			advance(3, 7), tick, advance(4, 1), recv(4, 44, 3, 15, 5, 55, 3, 16), tick, tick),
+		// Short TTLs: five periods, and shorter than one period.
+		cat(header(5, 0, 0, 0), spread(12), tick, tick, tick, recv(1, 10, 2, 4, 2, 20, 2, 6), tick, tick, tick),
+		cat(header(6, 0, 0, 0), recv(1, 10, 2, 1, 2, 20, 2, 2), tick, recv(3, 30, 1, 1), tick, tick),
+		// Exclude convicting an id already merged, relays of it refused
+		// while convicted, then release.
+		cat(header(0, 0, 0, 1), spread(12), tick, []byte{opExclude, 3, opExclude, 5},
+			recv(3, 99, 0, 0, 4, 88, 0, 0), tick, []byte{opExclude, 3}, recv(3, 77, 0, 0), tick,
+			[]byte{opExclude, 0}, advance(4, 1), tick),
+	}
+}
+
+// FuzzEstimatorOracle checks the estimator's freshness index against the
+// full scans it stands in for: after every op the count and the estimate,
+// at every tick the exact message sent.
+func FuzzEstimatorOracle(f *testing.F) {
+	for _, seed := range oracleSeeds() {
+		f.Add(seed)
+	}
+	f.Fuzz(runOracle)
+}
