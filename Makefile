@@ -2,11 +2,12 @@
 # link- and flag-checkers, the race detector over the short suite, the plain
 # short suite, and the benchmark module's smoke test. `make test` adds the
 # full-scale experiments (the ~1 min TestFullScaleHeadline); `make full`
-# chains everything and briefly runs the wire-codec fuzzers.
+# chains everything and briefly runs the fuzzers. `make lines` prints the
+# size every simplicity change is judged by.
 
 GO ?= go
 
-.PHONY: check fmtcheck vet build linkcheck race race-detect test-short testshort test bench bench-smoke bench-udp sweep largescale fuzz full fmt
+.PHONY: check fmtcheck vet build linkcheck race race-detect test-short testshort test bench bench-smoke bench-udp sweep largescale fuzz lines full fmt
 
 check: fmtcheck vet build linkcheck race race-detect testshort bench-smoke
 
@@ -75,15 +76,22 @@ sweep:
 largescale:
 	$(GO) run ./cmd/heapsweep -largescale -csv out/largescale/
 
-# Brief fuzzing of the wire codec and the topology-config decoder (one
-# target per invocation is a Go toolchain constraint). The wire corpora cover
-# both the legacy single-stream encodings and the stream-id-tagged
-# multi-stream forms; the topo target drives Validate/Build agreement and
-# rebuild stability over arbitrary config bytes.
+# Brief fuzzing of the wire codec, the topology-config decoder and the
+# capability estimator (one target per invocation is a Go toolchain
+# constraint). The wire corpora cover both the legacy single-stream encodings
+# and the stream-id-tagged multi-stream forms; the topo target drives
+# Validate/Build agreement and rebuild stability over arbitrary config bytes;
+# the estimator target replays op sequences against a full-scan oracle (its
+# inputs are long, so minimizing each new one is capped or it eats the run).
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzRoundTrip$$' -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzTopologyConfig$$' -fuzztime 10s ./internal/topo
+	$(GO) test -run '^$$' -fuzz '^FuzzEstimatorOracle$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/aggregation
+
+# Non-test, non-comment, non-blank Go lines outside benchmark/.
+lines:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | grep -v '^\s*//' | grep -v '^\s*$$' | wc -l
 
 full: check test fuzz
 

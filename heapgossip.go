@@ -67,14 +67,8 @@ type Variant = scenario.Variant
 // SweepResult aggregates a sweep's runs into per-cell summary statistics.
 type SweepResult = scenario.SweepResult
 
-// CellResult is one sweep grid cell's outcome.
-type CellResult = scenario.CellResult
-
 // CellKey identifies one cell of a sweep grid.
 type CellKey = scenario.CellKey
-
-// CellSummary holds one cell's pooled summary statistics.
-type CellSummary = scenario.CellSummary
 
 // RunSweep executes a sweep grid in parallel (Workers goroutines, default
 // GOMAXPROCS) and aggregates per-cell statistics. Results are byte-for-byte
@@ -90,10 +84,6 @@ func RunSweep(sw Sweep) (*SweepResult, error) {
 // capability across the streams, weighted by stream rate, so aggregate
 // sends never exceed the node's capacity.
 type StreamSpec = scenario.StreamSpec
-
-// StreamSummary is one stream's headline statistics in a multi-source run
-// (per-stream lag CDF percentiles); see ScenarioResult.StreamSummaries.
-type StreamSummary = scenario.StreamSummary
 
 // Distribution assigns upload capabilities to nodes.
 type Distribution = scenario.Distribution
@@ -120,10 +110,6 @@ type ChurnBurst = scenario.ChurnBurst
 // peer sampling on the bimodal distribution with fanout ln(n)+1.4. Add
 // JoinWaves / ChurnBursts for the dynamic variants.
 func LargeScale(n int, seed int64) Scenario { return scenario.LargeScaleBase(n, seed) }
-
-// LargeScaleVariants returns the family's standard sweep axis: steady,
-// flashcrowd, churnbursts, mixed.
-func LargeScaleVariants() []Variant { return scenario.LargeScaleVariants() }
 
 // LargeScaleXL builds the 100k-1M scenario: LargeScale plus the two knobs
 // that matter at that size — a sharded simulator (Scenario.Shards; results
@@ -153,10 +139,6 @@ type Catastrophic = churn.Catastrophic
 // unset both substrates keep their near-ideal default network.
 type Netem = netem.Config
 
-// NetemModelStats counts one netem model's per-run drop/delay verdicts
-// (ScenarioResult.NetemStats).
-type NetemModelStats = netem.ModelStats
-
 // NetemProfile returns a named stock adverse profile ("bursty",
 // "partition", "spike", "asym", "captrace", "mixed").
 func NetemProfile(name string) (Netem, error) { return netem.Profile(name) }
@@ -176,17 +158,6 @@ func AdverseVariants(names ...string) ([]Variant, error) {
 // and jitter. Set Scenario.Topology to embed a run in it; the cluster
 // assignment and every pair latency are pure hashes of the run seed.
 type Topology = topo.Config
-
-// TopoStats carries a topology-embedded run's cluster layout and WAN traffic
-// accounting (ScenarioResult.TopoStats).
-type TopoStats = scenario.TopoStats
-
-// TopologyProfile returns a named stock topology ("wan3", "wan5",
-// "hubspoke").
-func TopologyProfile(name string) (Topology, error) { return topo.Profile(name) }
-
-// TopologyProfileNames lists the stock topologies.
-func TopologyProfileNames() []string { return topo.ProfileNames() }
 
 // TopologyVariants returns the topology A/B sweep axis: the clustered
 // network under the flat protocol ("topo-blind") and under the split
@@ -209,11 +180,6 @@ type AdaptConfig = adapt.Config
 // trace (ScenarioResult.AdaptStats, Node.AdaptTrace).
 type AdaptReadvertisement = adapt.Readvertisement
 
-// AdaptStats carries a simulated run's adaptation outcomes: per-node
-// re-advertisement traces, final effective capabilities, and the
-// effective-to-configured ratio CDF (CapRatioCDF).
-type AdaptStats = scenario.AdaptStats
-
 // MisbehaveConfig parameterizes the deterministic misbehavior detector
 // (internal/misbehave): per-peer contribution evidence collected on the
 // engine's hot paths feeds two verdict rules — serve deficit (freeriders and
@@ -232,12 +198,6 @@ type MisbehaveEvidence = misbehave.Evidence
 // liars, message droppers) and the detector for a simulated run
 // (Scenario.Adversary).
 type AdversarySpec = scenario.AdversarySpec
-
-// AdversaryStats carries an adversarial run's measurements: detection rates
-// and latency per class, the false-positive record on the honest cohort, and
-// the observer-coalition source-anonymity probe
-// (ScenarioResult.AdversaryStats).
-type AdversaryStats = scenario.AdversaryStats
 
 // AdversaryVariants returns the three-way sweep axis of adversary studies:
 // honest baseline, the adversary mix with detectors observe-only, and the
@@ -263,10 +223,6 @@ type NodeRecord = metrics.NodeRecord
 // Never marks "not received" / "never decodable" in metric results.
 const Never = metrics.Never
 
-// PlaybackReport describes the viewer experience (stalls, skips, final lag)
-// of one node for a chosen startup delay; see Run.Playback.
-type PlaybackReport = metrics.PlaybackReport
-
 // EngineStats counts one node's protocol activity.
 type EngineStats = core.Stats
 
@@ -276,9 +232,6 @@ type EngineStats = core.Stats
 // carries one (Node.Telemetry); pass NodeConfig.Telemetry to add your own
 // instruments to the same scrape surface.
 type TelemetryRegistry = telemetry.Registry
-
-// TelemetrySample is one named value of a registry snapshot.
-type TelemetrySample = telemetry.Sample
 
 // TelemetryServer is a running introspection HTTP listener (Prometheus-text
 // /metrics, /debug/pprof/*, /healthz, /statusz); see Node.StartTelemetry.
@@ -293,14 +246,6 @@ func NewTelemetryRegistry() *TelemetryRegistry { return telemetry.NewRegistry() 
 // simulator's virtual clock. Set Scenario.Trace to collect hop-count and
 // per-hop-latency distributions (ScenarioResult.TraceStats).
 type TraceConfig = telemetry.TraceConfig
-
-// HopRecord is one traced dissemination step observed at one node.
-type HopRecord = telemetry.HopRecord
-
-// TraceStats carries a traced run's dissemination-path analysis: the merged
-// time-ordered hop records (exportable as JSONL), the offline-joined
-// hop-count distribution, and the per-hop request→delivery latency CDF.
-type TraceStats = scenario.TraceStats
 
 // Seconds converts a metric lag to float seconds (Never maps to +Inf).
 func Seconds(d time.Duration) float64 { return metrics.Seconds(d) }

@@ -19,6 +19,9 @@
 package aggregation
 
 import (
+	"cmp"
+	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/env"
@@ -52,13 +55,13 @@ type Config struct {
 	Exclude func(wire.NodeID) bool
 	// TrackLimit, when > 0, tracks capability entries only for node ids
 	// below the limit. At million-node scale the per-node dense entry table
-	// and its O(entries) tick-path scans make the whole system O(n²); a
-	// track limit caps both at O(limit) per node. Because node ids carry no
-	// capability bias (caps are assigned by seeded rng, not by id), the
-	// tracked prefix is an unbiased sample and bbar converges to the same
-	// system average. A node whose own id is outside the limit still knows
-	// its own capability exactly — the estimate simply comes entirely from
-	// the sampled prefix. Zero means track everything.
+	// makes the whole system O(n²); a track limit caps it at O(limit) per
+	// node. Because node ids carry no capability bias (caps are assigned by
+	// seeded rng, not by id), the tracked prefix is an unbiased sample and
+	// bbar converges to the same system average. A node whose own id is
+	// outside the limit still knows its own capability exactly — the
+	// estimate simply comes entirely from the sampled prefix. Zero means
+	// track everything.
 	TrackLimit int
 }
 
@@ -77,10 +80,15 @@ func (c *Config) applyDefaults() {
 	}
 }
 
+// capEntry is one slot of the dense table. A present entry is also a node of
+// its bucket's doubly linked list: next is the following entry's id or -1;
+// prev is the preceding entry's id, or -(slot+1) on the bucket's first entry,
+// so unlinking never has to work out which bucket the entry is in.
 type capEntry struct {
-	capKbps uint32
-	asOf    time.Duration // local-clock time the value was measured at its owner
-	present bool
+	asOf       time.Duration // local-clock time the value was measured at its owner
+	capKbps    uint32
+	next, prev int32
+	present    bool
 }
 
 // Estimator is the per-node capability aggregation service. It implements
@@ -90,8 +98,7 @@ type capEntry struct {
 // Node ids are dense, so entries live in a flat slice indexed by id, and the
 // running sum/count are maintained incrementally: merging a received message
 // is O(entries in the message) and reading the estimate is O(1), regardless
-// of system size. (The previous map-backed version re-summed every known
-// entry on every receive — O(n) per message, ruinous at 10k+ nodes.)
+// of system size.
 type Estimator struct {
 	cfg Config
 	rt  env.Runtime
@@ -100,108 +107,47 @@ type Estimator struct {
 	count   int        // present entries
 	sum     uint64     // sum of present capKbps
 
-	// freshHeap (max by asOf) and expHeap (min by asOf) index the entries
-	// by freshness with lazy invalidation: every set pushes the new
-	// (id, asOf) pair onto both; a pair is live only while it still matches
-	// its entry. They turn the tick path's top-k selection and TTL aging
-	// from O(entries) scans into O(k log m) pops — the difference between
-	// feasible and not at million-node scale, where every node ticks five
-	// times a simulated second. Selection results are identical to the
-	// scans': same (asOf desc, id asc) order, same expiry instants.
-	freshHeap []freshPair
-	expHeap   []freshPair
+	// buckets is a ring of per-period lists (first entry id, or -1) that
+	// files every present entry by asOf: bucket i, counted from the oldest
+	// at slot tail, holds [oldest+i·Period, oldest+(i+1)·Period), and the
+	// oldest also holds everything before it. The ring turns so that its
+	// newest bucket holds the newest asOf seen. Two facts follow, and the
+	// tick path rests on them: an entry in an older bucket is strictly
+	// older than any entry in a newer one, and — the ring being more than
+	// an EntryTTL long and no asOf being ahead of the clock — whatever is
+	// behind the ring has already expired.
+	buckets []int32
+	tail    int
+	oldest  time.Duration
 
 	ticker *env.Ticker
 
 	// cached estimate, refreshed on every mutation
 	estimateKbps float64
 
-	// selScratch is freshest's top-k selection scratch, reused across
-	// ticks; peerScratch the per-tick sampling buffer.
-	selScratch  []selEntry
+	// selScratch is freshest's candidate scratch, reused across ticks;
+	// peerScratch the per-tick sampling buffer.
+	selScratch  []wire.NodeID
 	peerScratch []wire.NodeID
 
 	// MessagesSent counts aggregation messages (for overhead accounting).
 	MessagesSent int
 }
 
-type selEntry struct {
-	id wire.NodeID
-	ce capEntry
-}
-
-// freshPair is one lazily-invalidated heap record: the entry for id as of
-// the moment it was set. It is live iff the entry is still present with
-// exactly this asOf.
-type freshPair struct {
-	id   wire.NodeID
-	asOf time.Duration
-}
-
-// fresherPair is the freshness order shared by the heap and the legacy scan:
-// newer first, smaller id on ties — a strict total order, so top-k is unique.
-func fresherPair(a, b freshPair) bool {
-	if a.asOf != b.asOf {
-		return a.asOf > b.asOf
-	}
-	return a.id < b.id
-}
-
-func (e *Estimator) live(p freshPair) bool {
-	return int(p.id) < len(e.entries) && e.entries[p.id].present && e.entries[p.id].asOf == p.asOf
-}
-
-// pushHeap/popHeap are one sift implementation parameterized by order;
-// less(a, b) means a belongs nearer the top.
-func pushHeap(h []freshPair, p freshPair, less func(a, b freshPair) bool) []freshPair {
-	h = append(h, p)
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !less(h[i], h[parent]) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-	return h
-}
-
-func popHeap(h []freshPair, less func(a, b freshPair) bool) ([]freshPair, freshPair) {
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h = h[:last]
-	i := 0
-	for {
-		child := 2*i + 1
-		if child >= last {
-			break
-		}
-		if r := child + 1; r < last && less(h[r], h[child]) {
-			child = r
-		}
-		if !less(h[child], h[i]) {
-			break
-		}
-		h[i], h[child] = h[child], h[i]
-		i = child
-	}
-	return h, top
-}
-
-// olderPair orders the expiry heap: oldest asOf first. EntryTTL is constant,
-// so asOf order is expiry order.
-func olderPair(a, b freshPair) bool { return a.asOf < b.asOf }
-
 // maxTrackedNodeID bounds the dense entry slice against hostile wire input:
 // node ids are dense, so a million-node ceiling is far beyond any deployment
 // this codebase targets while capping what one datagram can make us allocate.
 const maxTrackedNodeID = 1 << 20
 
+// maxBuckets bounds the ring, which is EntryTTL/Period long; the defaults
+// need 77 buckets.
+const maxBuckets = 1 << 16
+
 var _ env.Handler = (*Estimator)(nil)
 
-// NewEstimator builds an Estimator. The sampler must not be nil.
+// NewEstimator builds an Estimator. It panics on a nil sampler, a zero self
+// capability, a non-positive Period or EntryTTL, or an EntryTTL more than
+// maxBuckets periods long.
 func NewEstimator(cfg Config) *Estimator {
 	cfg.applyDefaults()
 	if cfg.Sampler == nil {
@@ -210,10 +156,25 @@ func NewEstimator(cfg Config) *Estimator {
 	if cfg.SelfCapKbps == 0 {
 		panic("aggregation: zero self capability")
 	}
-	return &Estimator{
+	if cfg.Period <= 0 || cfg.EntryTTL <= 0 {
+		panic(fmt.Sprintf("aggregation: Period %v and EntryTTL %v must be positive", cfg.Period, cfg.EntryTTL))
+	}
+	// One bucket per period of TTL (rounded up), one for the period in
+	// progress, and one so the oldest bucket lies wholly beyond the TTL.
+	n := (cfg.EntryTTL+cfg.Period-1)/cfg.Period + 2
+	if n > maxBuckets {
+		panic(fmt.Sprintf("aggregation: EntryTTL %v is more than %d Periods of %v", cfg.EntryTTL, maxBuckets-2, cfg.Period))
+	}
+	e := &Estimator{
 		cfg:          cfg,
 		estimateKbps: float64(cfg.SelfCapKbps),
+		buckets:      make([]int32, n),
+		oldest:       -time.Duration(n-1) * cfg.Period, // newest bucket opens at the epoch
 	}
+	for i := range e.buckets {
+		e.buckets[i] = -1
+	}
+	return e
 }
 
 // tracked reports whether id falls inside the dense entry table. With no
@@ -222,58 +183,95 @@ func (e *Estimator) tracked(id wire.NodeID) bool {
 	return e.cfg.TrackLimit <= 0 || int(id) < e.cfg.TrackLimit
 }
 
-// set inserts or replaces the entry for id, keeping sum/count current.
-// Callers gate on tracked(id).
+// set inserts or replaces the entry for id, keeping sum/count and the ring
+// current. Callers gate on tracked(id).
 func (e *Estimator) set(id wire.NodeID, capKbps uint32, asOf time.Duration) {
 	for int(id) >= len(e.entries) {
 		e.entries = append(e.entries, capEntry{})
 	}
-	slot := &e.entries[id]
-	if slot.present {
-		e.sum -= uint64(slot.capKbps)
+	c := &e.entries[id]
+	if c.present {
+		e.sum -= uint64(c.capKbps)
+		e.unlink(c)
 	} else {
-		slot.present = true
+		c.present = true
 		e.count++
 	}
-	slot.capKbps = capKbps
-	slot.asOf = asOf
+	c.capKbps = capKbps
+	c.asOf = asOf
 	e.sum += uint64(capKbps)
-	e.freshHeap = pushHeap(e.freshHeap, freshPair{id, asOf}, fresherPair)
-	e.expHeap = pushHeap(e.expHeap, freshPair{id, asOf}, olderPair)
-	// Superseded pairs are discarded when they surface at a heap top, but
-	// below the surface they pile up (a refreshed entry's old pair sinks in
-	// freshHeap and lingers in expHeap until its would-be expiry). Rebuild a
-	// heap from the live entries once dead pairs outnumber live ones —
-	// amortized O(log) per set, and it bounds both heaps at 2x the entry
-	// table, which is what keeps per-node memory flat at million-node scale.
-	if len(e.freshHeap) > 64 && len(e.freshHeap) > 2*e.count {
-		e.freshHeap = rebuildHeap(e.freshHeap[:0], e.entries, fresherPair)
+
+	slot := e.slotOf(asOf)
+	first := e.buckets[slot]
+	c.next, c.prev = first, int32(-slot-1)
+	if first >= 0 {
+		e.entries[first].prev = int32(id)
 	}
-	if len(e.expHeap) > 64 && len(e.expHeap) > 2*e.count {
-		e.expHeap = rebuildHeap(e.expHeap[:0], e.entries, olderPair)
+	e.buckets[slot] = int32(id)
+}
+
+// slotOf returns the ring slot asOf files under, first turning the ring if
+// asOf is newer than its newest bucket.
+func (e *Estimator) slotOf(asOf time.Duration) int {
+	if asOf < e.oldest {
+		return e.tail
+	}
+	newest := int64(len(e.buckets) - 1)
+	i := int64((asOf - e.oldest) / e.cfg.Period)
+	if i > newest {
+		e.turn(i - newest)
+		i = newest
+	}
+	return (e.tail + int(i)) % len(e.buckets)
+}
+
+func (e *Estimator) unlink(c *capEntry) {
+	if c.prev < 0 {
+		e.buckets[-c.prev-1] = c.next
+	} else {
+		e.entries[c.prev].next = c.next
+	}
+	if c.next >= 0 {
+		e.entries[c.next].prev = c.prev
 	}
 }
 
-// rebuildHeap repopulates h (cleared, capacity retained) with one pair per
-// present entry.
-func rebuildHeap(h []freshPair, entries []capEntry, less func(a, b freshPair) bool) []freshPair {
-	for id := range entries {
-		if entries[id].present {
-			h = pushHeap(h, freshPair{wire.NodeID(id), entries[id].asOf}, less)
+// turn advances the ring by steps periods. Each step empties the oldest
+// bucket into the one after it and reuses its slot as the newest: what falls
+// behind the ring has expired, but it stays counted until the next tick
+// prunes it, so it stays filed.
+func (e *Estimator) turn(steps int64) {
+	n := len(e.buckets)
+	e.oldest += time.Duration(steps) * e.cfg.Period
+	if steps > int64(n) {
+		steps = int64(n) // by then every bucket has been emptied into one
+	}
+	for ; steps > 0; steps-- {
+		next := (e.tail + 1) % n
+		if carried := e.buckets[e.tail]; carried >= 0 {
+			e.buckets[e.tail] = -1
+			if last := e.buckets[next]; last < 0 {
+				e.buckets[next] = carried
+				e.entries[carried].prev = int32(-next - 1)
+			} else {
+				for e.entries[last].next >= 0 {
+					last = e.entries[last].next
+				}
+				e.entries[last].next = carried
+				e.entries[carried].prev = last
+			}
 		}
+		e.tail = next
 	}
-	return h
 }
 
-// drop removes the entry for id, keeping sum/count current.
+// drop removes the present entry for id, keeping sum/count current.
 func (e *Estimator) drop(id wire.NodeID) {
-	slot := &e.entries[id]
-	if !slot.present {
-		return
-	}
-	e.sum -= uint64(slot.capKbps)
+	c := &e.entries[id]
+	e.sum -= uint64(c.capKbps)
 	e.count--
-	*slot = capEntry{}
+	e.unlink(c)
+	*c = capEntry{}
 }
 
 // Start implements env.Handler.
@@ -316,8 +314,10 @@ func (e *Estimator) tick() {
 	}
 }
 
-// Receive implements env.Handler, merging entries by freshness. Merging is
-// O(len(msg)); aging out stale entries stays on the tick path.
+// Receive implements env.Handler, merging entries by freshness in
+// O(len(msg)). An entry that arrives already older than EntryTTL is merged
+// like any other and counts toward the estimate until the next tick prunes
+// it: expiry happens on the tick path only.
 func (e *Estimator) Receive(_ wire.NodeID, m wire.Message) {
 	agg, ok := m.(*wire.Aggregate)
 	if !ok {
@@ -382,34 +382,31 @@ func (e *Estimator) RelativeCapability() float64 {
 // KnownNodes returns how many nodes currently contribute to the estimate.
 func (e *Estimator) KnownNodes() int { return e.count }
 
+// prune drops every entry older than EntryTTL, then every entry Exclude
+// rejects. Only a bucket that opens before the cutoff can hold an expired
+// entry; the oldest bucket, which holds whatever fell behind the ring,
+// always does.
 func (e *Estimator) prune(now time.Duration) {
-	self := e.rt.ID()
-	if e.cfg.Exclude != nil {
-		// Quarantine purging has no expiry instant to index by, so detector
-		// runs keep the full scan (they are small-n by construction).
-		for id := range e.entries {
-			entry := &e.entries[id]
-			if !entry.present || wire.NodeID(id) == self {
-				continue
-			}
-			if now-entry.asOf > e.cfg.EntryTTL {
+	cutoff := now - e.cfg.EntryTTL
+	n := len(e.buckets)
+	for i := 0; i < n && e.oldest+time.Duration(i)*e.cfg.Period < cutoff; i++ {
+		for id := e.buckets[(e.tail+i)%n]; id >= 0; {
+			c := &e.entries[id]
+			next := c.next
+			if c.asOf < cutoff {
 				e.drop(wire.NodeID(id))
-				continue
 			}
-			if e.cfg.Exclude(wire.NodeID(id)) {
-				e.drop(wire.NodeID(id)) // quarantined since merged, see Config.Exclude
-			}
+			id = next
 		}
+	}
+	if e.cfg.Exclude == nil {
 		return
 	}
-	// Lazy expiry: pop oldest-first until the top is inside the TTL. Dead
-	// pairs (superseded by a fresher set) are discarded on the way — this is
-	// where expHeap self-cleans.
-	for len(e.expHeap) > 0 && now-e.expHeap[0].asOf > e.cfg.EntryTTL {
-		var p freshPair
-		e.expHeap, p = popHeap(e.expHeap, olderPair)
-		if e.live(p) && p.id != self {
-			e.drop(p.id)
+	// Quarantine has no instant to index by; detector runs are small-n.
+	self := e.rt.ID()
+	for id := range e.entries {
+		if e.entries[id].present && wire.NodeID(id) != self && e.cfg.Exclude(wire.NodeID(id)) {
+			e.drop(wire.NodeID(id)) // quarantined since merged, see Config.Exclude
 		}
 	}
 }
@@ -424,10 +421,9 @@ func (e *Estimator) recompute() {
 	e.estimateKbps = float64(e.sum) / float64(e.count)
 }
 
-// freshest returns up to k entries with the most recent asOf, encoded with
-// their current age. O(k log m) heap selection with reusable scratch; only
-// the returned slice is freshly allocated (it escapes into the outgoing
-// message).
+// freshest returns up to k entries with the most recent asOf, newest first
+// and smaller id first on ties, encoded with their current age. Only the
+// returned slice is freshly allocated (it escapes into the outgoing message).
 func (e *Estimator) freshest(k int, now time.Duration) []wire.CapEntry {
 	if k > e.count {
 		k = e.count
@@ -435,46 +431,30 @@ func (e *Estimator) freshest(k int, now time.Duration) []wire.CapEntry {
 	if k <= 0 {
 		return nil
 	}
-	// Pop the freshness heap newest-first, discarding dead pairs, until k
-	// live distinct entries are in hand; then push the winners back. Pop
-	// order is exactly the scan's (asOf desc, id asc) total order, so the
-	// selected set — and the message bytes — are unchanged.
-	best := e.selScratch[:0]
-	for len(e.freshHeap) > 0 && len(best) < k {
-		var p freshPair
-		e.freshHeap, p = popHeap(e.freshHeap, fresherPair)
-		if !e.live(p) {
-			continue
+	// Whole buckets, newest first, until k candidates are in hand: anything
+	// in an older bucket is strictly older, so the top k are among them.
+	cand := e.selScratch[:0]
+	n := len(e.buckets)
+	for i := n - 1; len(cand) < k; i-- {
+		for id := e.buckets[(e.tail+i)%n]; id >= 0; id = e.entries[id].next {
+			cand = append(cand, wire.NodeID(id))
 		}
-		// Two live pairs for one id exist only when an entry was rewritten
-		// with an identical asOf (same-instant self refresh); keep the first.
-		dup := false
-		for i := range best {
-			if best[i].id == p.id {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			continue
-		}
-		best = append(best, selEntry{p.id, e.entries[p.id]})
 	}
-	for _, b := range best {
-		e.freshHeap = pushHeap(e.freshHeap, freshPair{b.id, b.ce.asOf}, fresherPair)
-	}
-	out := make([]wire.CapEntry, len(best))
-	for i, b := range best {
-		age := now - b.ce.asOf
-		if age < 0 {
-			age = 0
+	e.selScratch = cand
+	slices.SortFunc(cand, func(a, b wire.NodeID) int {
+		if c := cmp.Compare(e.entries[b].asOf, e.entries[a].asOf); c != 0 {
+			return c
 		}
+		return cmp.Compare(a, b)
+	})
+	out := make([]wire.CapEntry, k)
+	for i, id := range cand[:k] {
+		c := &e.entries[id]
 		out[i] = wire.CapEntry{
-			Node:    b.id,
-			CapKbps: b.ce.capKbps,
-			AgeMs:   uint32(age / time.Millisecond),
+			Node:    id,
+			CapKbps: c.capKbps,
+			AgeMs:   uint32(max(now-c.asOf, 0) / time.Millisecond),
 		}
 	}
-	e.selScratch = best[:0]
 	return out
 }

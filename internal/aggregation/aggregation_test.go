@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/membership"
 	"repro/internal/simnet"
@@ -276,4 +277,48 @@ func TestNewEstimatorValidation(t *testing.T) {
 	mustPanic("nil sampler", func() { NewEstimator(Config{SelfCapKbps: 1}) })
 	mustPanic("zero capability", func() { NewEstimator(Config{Sampler: dir.ViewFor(0)}) })
 	mustPanic("nil averager sampler", func() { NewAverager(AveragerConfig{}) })
+	ok := Config{SelfCapKbps: 1, Sampler: dir.ViewFor(0)}
+	for name, mutate := range map[string]func(*Config){
+		"negative period":         func(c *Config) { c.Period = -time.Second },
+		"negative entry TTL":      func(c *Config) { c.EntryTTL = -time.Second },
+		"TTL too long in periods": func(c *Config) { c.Period, c.EntryTTL = time.Microsecond, time.Hour },
+	} {
+		cfg := ok
+		mutate(&cfg)
+		mustPanic(name, func() { NewEstimator(cfg) })
+	}
+}
+
+// TestEstimatorFootprint pins what the index costs per entry and per call:
+// a million-node run holds hundreds of millions of entries and merges
+// billions of messages.
+func TestEstimatorFootprint(t *testing.T) {
+	if size := unsafe.Sizeof(capEntry{}); size > 24 {
+		t.Errorf("capEntry is %d bytes, want <= 24", size)
+	}
+	const fanout = 2
+	rt := &stubRuntime{rng: rand.New(rand.NewSource(1))}
+	e := NewEstimator(Config{SelfCapKbps: 700, Sampler: fixedSampler{}, Fanout: fanout})
+	e.Start(rt)
+	msg := &wire.Aggregate{Entries: make([]wire.CapEntry, 10)}
+	round := 0
+	receive := func() {
+		round++
+		for i := range msg.Entries {
+			id := 1 + (round*7+i*13)%200
+			msg.Entries[i] = wire.CapEntry{Node: wire.NodeID(id), CapKbps: uint32(id), AgeMs: uint32(i * 50)}
+		}
+		e.Receive(1, msg)
+	}
+	for i := 0; i < 300; i++ { // warm-up: table, scratch and ring all at size
+		receive()
+		rt.fire()
+	}
+	if n := testing.AllocsPerRun(100, func() { rt.now += 20 * time.Millisecond; receive() }); n != 0 {
+		t.Errorf("Receive of a 10-entry message allocates %v times, want 0", n)
+	}
+	// One entry slice shared by the recipients, one message value each.
+	if n := testing.AllocsPerRun(100, func() { receive(); rt.fire() }); n > 1+fanout {
+		t.Errorf("a tick allocates %v times, want <= %d", n, 1+fanout)
+	}
 }

@@ -1,6 +1,7 @@
 package aggregation
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -190,6 +191,43 @@ func (o *oracle) check(t *testing.T, e *Estimator, step int, what string) {
 	if got := e.RelativeCapability(); got != wantRel {
 		t.Fatalf("op %d (%s): RelativeCapability %v, oracle %v", step, what, got, wantRel)
 	}
+	if err := ringError(e); err != nil {
+		t.Fatalf("op %d (%s): %v", step, what, err)
+	}
+}
+
+// ringError walks the ring oldest bucket first and reports the first breach
+// of its structure: every present entry linked exactly once with consistent
+// back links, in the bucket whose period holds its asOf (the oldest bucket
+// also holding everything before it), and no bucket ahead of the clock.
+func ringError(e *Estimator) error {
+	linked := make(map[int32]bool)
+	n := len(e.buckets)
+	if newest := e.oldest + time.Duration(n-1)*e.cfg.Period; newest > e.rt.Now() {
+		return fmt.Errorf("newest bucket opens at %v, ahead of the clock (%v)", newest, e.rt.Now())
+	}
+	for i := 0; i < n; i++ {
+		slot := (e.tail + i) % n
+		opens := e.oldest + time.Duration(i)*e.cfg.Period
+		for id, prev := e.buckets[slot], int32(-slot-1); id >= 0; id, prev = e.entries[id].next, id {
+			c := e.entries[id]
+			switch {
+			case !c.present:
+				return fmt.Errorf("bucket %d links absent entry %d", i, id)
+			case linked[id]:
+				return fmt.Errorf("entry %d linked twice", id)
+			case c.prev != prev:
+				return fmt.Errorf("entry %d in bucket %d has prev %d, want %d", id, i, c.prev, prev)
+			case c.asOf >= opens+e.cfg.Period || i > 0 && c.asOf < opens:
+				return fmt.Errorf("entry %d (asOf %v) is in bucket %d, which opens at %v", id, c.asOf, i, opens)
+			}
+			linked[id] = true
+		}
+	}
+	if len(linked) != e.count {
+		return fmt.Errorf("%d entries linked, %d present", len(linked), e.count)
+	}
+	return nil
 }
 
 // runOracle decodes data into a configuration and an op sequence and runs

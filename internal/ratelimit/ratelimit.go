@@ -178,10 +178,7 @@ func (s *Sender[T]) Sent() int64 { return s.sent.Load() }
 // Dropped returns the number of items tail-dropped by the bounded queue.
 func (s *Sender[T]) Dropped() int64 { return s.dropped.Load() }
 
-// Bytes returns the total bytes transmitted.
-func (s *Sender[T]) Bytes() int64 { return s.bytes.Load() }
-
-// BytesSent is Bytes under an explicit name: a monotonic count of bytes
+// BytesSent returns the total bytes transmitted: a monotonic count of bytes
 // that actually left the sender (counted at transmit, not enqueue), so
 // ΔBytesSent over a window is achieved throughput directly, without racing
 // QueueLen polls. NOT the adapt.Sample.SentBytes signal — that field wants

@@ -40,8 +40,8 @@ func TestUnlimitedSendsImmediately(t *testing.T) {
 	if got.Load() != 50 {
 		t.Fatalf("sent %d of 50", got.Load())
 	}
-	if s.Bytes() != 50*1000 {
-		t.Fatalf("bytes = %d, want 50000", s.Bytes())
+	if s.BytesSent() != 50*1000 {
+		t.Fatalf("bytes = %d, want 50000", s.BytesSent())
 	}
 }
 
@@ -192,7 +192,7 @@ func TestConcurrentSetRateRace(t *testing.T) {
 			}
 			if i%16 == 0 {
 				_ = s.Sent()
-				_ = s.Bytes()
+				_ = s.BytesSent()
 				_ = s.QueueLen()
 			}
 		}

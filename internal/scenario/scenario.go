@@ -355,6 +355,10 @@ func (c *Config) validate() error {
 	if c.FreeriderFraction < 0 || c.FreeriderFraction >= 1 {
 		return fmt.Errorf("scenario: freerider fraction %v outside [0,1)", c.FreeriderFraction)
 	}
+	if c.AggPeriod < 0 || c.AggFanout < 0 || c.AggFreshestK < 0 || c.AggTrackLimit < 0 {
+		return fmt.Errorf("scenario: negative aggregation setting (AggPeriod %v, AggFanout %d, AggFreshestK %d, AggTrackLimit %d)",
+			c.AggPeriod, c.AggFanout, c.AggFreshestK, c.AggTrackLimit)
+	}
 	if c.AdaptPeriod && c.Protocol != HEAP {
 		return fmt.Errorf("scenario: AdaptPeriod requires the HEAP protocol")
 	}

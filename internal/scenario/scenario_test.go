@@ -105,6 +105,21 @@ func TestConfigValidation(t *testing.T) {
 		LatencyMin: 100 * time.Millisecond, LatencyMax: 10 * time.Millisecond}); err == nil {
 		t.Error("inverted latency range accepted")
 	}
+	// Negative aggregation settings are errors, not an Int63n panic inside
+	// the event loop (period) or a HEAP run with aggregation silently off
+	// (fanout, k); zero still means the default.
+	for name, mutate := range map[string]func(*Config){
+		"AggPeriod":     func(c *Config) { c.AggPeriod = -time.Second },
+		"AggFanout":     func(c *Config) { c.AggFanout = -1 },
+		"AggFreshestK":  func(c *Config) { c.AggFreshestK = -1 },
+		"AggTrackLimit": func(c *Config) { c.AggTrackLimit = -1 },
+	} {
+		cfg := Config{Nodes: 10, Dist: Ref691, Protocol: HEAP}
+		mutate(&cfg)
+		if _, err := Run(cfg); err == nil {
+			t.Errorf("negative %s accepted", name)
+		}
+	}
 	// Min alone is the historical "constant base latency" config and must
 	// keep working (Max defaults to Min).
 	cfg := Config{Nodes: 10, Dist: Ref691, LatencyMin: 50 * time.Millisecond}
