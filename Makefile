@@ -35,7 +35,8 @@ race:
 # the paced sender they poll: the misbehavior oracle/property suite, the
 # adapt controller, and the ratelimit concurrency regressions run with their
 # complete iteration counts under the race detector. The simnet cross-shard
-# exchange storm and the shard-count determinism oracles run here too — the
+# exchange storm, the event-queue cancel/reschedule storm and the shard-count
+# determinism oracles run here too — the
 # sharded event loop is the one place simulation results depend on goroutine
 # discipline — plus the cluster-sampler storm (concurrent split draws against
 # the brute-force oracle).
@@ -76,18 +77,20 @@ sweep:
 largescale:
 	$(GO) run ./cmd/heapsweep -largescale -csv out/largescale/
 
-# Brief fuzzing of the wire codec, the topology-config decoder and the
-# capability estimator (one target per invocation is a Go toolchain
-# constraint). The wire corpora cover both the legacy single-stream encodings
+# Brief fuzzing of the wire codec, the topology-config decoder, the
+# capability estimator and the simnet event queue (one target per invocation
+# is a Go toolchain constraint). The wire corpora cover both the legacy single-stream encodings
 # and the stream-id-tagged multi-stream forms; the topo target drives
 # Validate/Build agreement and rebuild stability over arbitrary config bytes;
-# the estimator target replays op sequences against a full-scan oracle (its
-# inputs are long, so minimizing each new one is capped or it eats the run).
+# the estimator and queue targets replay op sequences against brute-force
+# oracles (their inputs are long, so minimizing each new one is capped or it
+# eats the run).
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzRoundTrip$$' -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzTopologyConfig$$' -fuzztime 10s ./internal/topo
 	$(GO) test -run '^$$' -fuzz '^FuzzEstimatorOracle$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/aggregation
+	$(GO) test -run '^$$' -fuzz '^FuzzQueueOracle$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/simnet
 
 # Non-test, non-comment, non-blank Go lines outside benchmark/.
 lines:

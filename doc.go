@@ -237,8 +237,8 @@
 //
 // The simulator's hot path is allocation-free in steady state: events are
 // pooled through a free list, timers are recycled slots behind
-// generation-checked handles, canceled timers are removed from the indexed
-// event heap rather than tombstoned, and the dissemination engine keeps its
+// generation-checked handles, canceled timers are unlinked from the calendar
+// event queue rather than tombstoned, and the dissemination engine keeps its
 // per-packet state in dense slice/bitset tables sized from the stream
 // geometry. A 10,000-node HEAP run is routine on one core (minutes of wall
 // clock, a few GB peak); the practical ceiling is memory for per-node
@@ -252,6 +252,6 @@
 // scheduling, so results (including every CDF and exported CSV byte) are
 // identical for any worker count and across repeated runs. The
 // `go test -run Determinism ./...` layer enforces both properties, and
-// property tests cross-check the pooled heap and dense tables against
-// map-based oracles.
+// property tests cross-check the pooled event queue and dense tables against
+// brute-force oracles.
 package heapgossip

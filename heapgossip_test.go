@@ -1,6 +1,8 @@
 package heapgossip
 
 import (
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -40,6 +42,20 @@ func TestStartNodeValidation(t *testing.T) {
 	if _, err := StartNode(NodeConfig{ID: 1, UploadKbps: 1000,
 		Peers: map[NodeID]string{2: "not-an-address"}}); err == nil {
 		t.Fatal("bad peer address accepted")
+	}
+}
+
+func TestStartNodeRejectsOutOfRangePeerID(t *testing.T) {
+	for _, id := range []NodeID{-1, 1 << 20} {
+		n, err := StartNode(NodeConfig{ID: 1, UploadKbps: 1000,
+			Peers: map[NodeID]string{1: "127.0.0.1:0", id: "127.0.0.1:9"}})
+		if err == nil {
+			n.Close()
+			t.Fatalf("peer id %d accepted", id)
+		}
+		if !strings.Contains(err.Error(), fmt.Sprint(int(id))) {
+			t.Fatalf("error %q does not name peer id %d", err, id)
+		}
 	}
 }
 

@@ -138,23 +138,28 @@ func (t *Ticker) Stop() {
 // node can stack independent protocols (dissemination, aggregation, peer
 // sampling) behind one Runtime.
 type Mux struct {
-	routes   map[wire.Kind]Handler
+	// routes is indexed by kind: Receive runs once per delivered message on
+	// both substrates, and wire defines kinds 1-8. Sixteen slots, like
+	// simnet's NodeStats.SentByKind — a full 256 would be 4 KB per node.
+	routes   [16]Handler
 	handlers []Handler // registration order, for Start/Stop
 	fallback Handler
 }
 
 // NewMux returns an empty Mux.
-func NewMux() *Mux {
-	return &Mux{routes: make(map[wire.Kind]Handler)}
-}
+func NewMux() *Mux { return &Mux{} }
 
 // Register attaches h to the given message kinds. Registering the same kind
-// twice panics: that is a wiring bug, not a runtime condition. Each Register
-// call adds one entry to the Start/Stop order, so a handler serving several
-// kinds must be registered with a single call listing all of them.
+// twice, or a kind the route table has no slot for, panics: that is a wiring
+// bug, not a runtime condition. Each Register call adds one entry to the
+// Start/Stop order, so a handler serving several kinds must be registered
+// with a single call listing all of them.
 func (m *Mux) Register(h Handler, kinds ...wire.Kind) {
 	for _, k := range kinds {
-		if _, dup := m.routes[k]; dup {
+		if int(k) >= len(m.routes) {
+			panic("env: mux registration for kind " + k.String() + " beyond the 16-slot route table")
+		}
+		if m.routes[k] != nil {
 			panic("env: duplicate mux registration for kind " + k.String())
 		}
 		m.routes[k] = h
@@ -178,8 +183,8 @@ func (m *Mux) Start(rt Runtime) {
 
 // Receive implements Handler.
 func (m *Mux) Receive(from wire.NodeID, msg wire.Message) {
-	if h, ok := m.routes[msg.Kind()]; ok {
-		h.Receive(from, msg)
+	if k := int(msg.Kind()); k < len(m.routes) && m.routes[k] != nil {
+		m.routes[k].Receive(from, msg)
 		return
 	}
 	if m.fallback != nil {

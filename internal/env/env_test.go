@@ -195,6 +195,33 @@ func TestMuxDuplicateRegistrationPanics(t *testing.T) {
 	mux.Register(&lifecycleHandler{}, wire.KindPropose)
 }
 
+// alienMsg is a message of a kind the mux has no route slot for.
+type alienMsg struct{ *wire.Propose }
+
+func (alienMsg) Kind() wire.Kind { return 16 }
+
+func TestMuxOutOfRangeKind(t *testing.T) {
+	mux := NewMux()
+	a := &lifecycleHandler{}
+	mux.Register(a, wire.KindPropose, 15)
+	mux.Receive(1, alienMsg{}) // no slot, no fallback: dropped
+	if a.receives != 0 {
+		t.Fatal("out-of-range kind reached a handler")
+	}
+	fb := &lifecycleHandler{}
+	mux.SetFallback(fb)
+	mux.Receive(1, alienMsg{})
+	if a.receives != 0 || fb.receives != 1 {
+		t.Fatalf("out-of-range kind: a=%d fb=%d, want the fallback only", a.receives, fb.receives)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("registration beyond the route table accepted")
+		}
+	}()
+	mux.Register(&lifecycleHandler{}, 16)
+}
+
 func TestMuxLifecycleOnlyRegistration(t *testing.T) {
 	// Registering with no kinds attaches lifecycle (Start/Stop) without
 	// routing — used for the stream source.

@@ -50,7 +50,7 @@ type SplitSampler interface {
 type View struct {
 	self  wire.NodeID
 	peers []wire.NodeID
-	index map[wire.NodeID]int // peer -> position in peers
+	index posTable // peer -> position in peers
 
 	// Cluster partition (NewClusterView only; nil clusterOf disables it).
 	// intra/inter mirror peers, split by whether a peer shares the owner's
@@ -60,9 +60,37 @@ type View struct {
 	selfCluster int
 	intra       []wire.NodeID
 	inter       []wire.NodeID
-	intraIdx    map[wire.NodeID]int
-	interIdx    map[wire.NodeID]int
+	intraIdx    posTable
+	interIdx    posTable
 	exclude     func(wire.NodeID) bool // split-path filter (quarantine hook)
+}
+
+// MaxPeerID bounds the ids a View indexes. Node ids are dense and the
+// position tables are slices indexed by id, so — like aggregation's,
+// misbehave's and netem's dense tables, which share the ceiling — one
+// stray id must not be able to size a table: Add ignores ids outside
+// [0, MaxPeerID), and StartNode rejects a peers file that lists one.
+const MaxPeerID = 1 << 20
+
+// posTable maps a peer id to its position in one peer list: a dense slice
+// indexed by id holding position+1 (0 = absent), grown by put. Sampling
+// rewrites two positions per Fisher-Yates swap, which is why this is not a
+// map.
+type posTable []int32
+
+// pos returns id's position, or -1 if absent. Any id is safe to ask about.
+func (t posTable) pos(id wire.NodeID) int {
+	if uint(id) >= uint(len(t)) {
+		return -1
+	}
+	return int(t[id]) - 1
+}
+
+func (t *posTable) put(id wire.NodeID, pos int) {
+	if grow := int(id) + 1 - len(*t); grow > 0 {
+		*t = append(*t, make(posTable, grow)...)
+	}
+	(*t)[id] = int32(pos + 1)
 }
 
 var (
@@ -73,30 +101,23 @@ var (
 // NewView builds a view for self containing every node in peers except self
 // itself. Duplicate entries are ignored.
 func NewView(self wire.NodeID, peers []wire.NodeID) *View {
-	v := &View{
-		self:  self,
-		peers: make([]wire.NodeID, 0, len(peers)),
-		index: make(map[wire.NodeID]int, len(peers)),
-	}
-	for _, p := range peers {
-		v.Add(p)
-	}
-	return v
+	return NewClusterView(self, peers, nil)
 }
 
 // NewClusterView builds a full view whose peers are additionally
 // partitioned by clusterOf (a pure node -> cluster-index function, e.g.
 // topo.Topology.ClusterOf), enabling AppendSplit. Add and Remove keep the
-// partition in sync, so churn and join waves work unchanged.
+// partition in sync, so churn and join waves work unchanged. A nil
+// clusterOf builds the plain view.
 func NewClusterView(self wire.NodeID, peers []wire.NodeID, clusterOf func(wire.NodeID) int) *View {
 	v := &View{
-		self:        self,
-		peers:       make([]wire.NodeID, 0, len(peers)),
-		index:       make(map[wire.NodeID]int, len(peers)),
-		clusterOf:   clusterOf,
-		selfCluster: clusterOf(self),
-		intraIdx:    make(map[wire.NodeID]int),
-		interIdx:    make(map[wire.NodeID]int),
+		self:      self,
+		peers:     make([]wire.NodeID, 0, len(peers)),
+		index:     make(posTable, 0, len(peers)), // exact when ids are dense
+		clusterOf: clusterOf,
+	}
+	if clusterOf != nil {
+		v.selfCluster = clusterOf(self)
 	}
 	for _, p := range peers {
 		v.Add(p)
@@ -114,27 +135,22 @@ func (v *View) SetExclude(fn func(wire.NodeID) bool) { v.exclude = fn }
 func (v *View) PeerCount() int { return len(v.peers) }
 
 // Contains reports whether id is currently in the view.
-func (v *View) Contains(id wire.NodeID) bool {
-	_, ok := v.index[id]
-	return ok
-}
+func (v *View) Contains(id wire.NodeID) bool { return v.index.pos(id) >= 0 }
 
-// Add inserts a peer. Adding self or an existing peer is a no-op.
+// Add inserts a peer. Adding self, an existing peer, or an id outside
+// [0, MaxPeerID) is a no-op.
 func (v *View) Add(id wire.NodeID) {
-	if id == v.self {
+	if id == v.self || id < 0 || id >= MaxPeerID || v.Contains(id) {
 		return
 	}
-	if _, ok := v.index[id]; ok {
-		return
-	}
-	v.index[id] = len(v.peers)
+	v.index.put(id, len(v.peers))
 	v.peers = append(v.peers, id)
 	if v.clusterOf != nil {
 		if v.clusterOf(id) == v.selfCluster {
-			v.intraIdx[id] = len(v.intra)
+			v.intraIdx.put(id, len(v.intra))
 			v.intra = append(v.intra, id)
 		} else {
-			v.interIdx[id] = len(v.inter)
+			v.interIdx.put(id, len(v.inter))
 			v.inter = append(v.inter, id)
 		}
 	}
@@ -143,35 +159,29 @@ func (v *View) Add(id wire.NodeID) {
 // Remove deletes a peer (e.g., on failure notification). Removing an absent
 // peer is a no-op.
 func (v *View) Remove(id wire.NodeID) {
-	pos, ok := v.index[id]
-	if !ok {
+	pos := v.index.pos(id)
+	if pos < 0 {
 		return
 	}
-	last := len(v.peers) - 1
-	moved := v.peers[last]
-	v.peers[pos] = moved
-	v.index[moved] = pos
-	v.peers = v.peers[:last]
-	delete(v.index, id)
+	dropAt(&v.peers, v.index, pos)
 	if v.clusterOf != nil {
-		if p, ok := v.intraIdx[id]; ok {
+		if p := v.intraIdx.pos(id); p >= 0 {
 			dropAt(&v.intra, v.intraIdx, p)
-			delete(v.intraIdx, id)
-		} else if p, ok := v.interIdx[id]; ok {
+		} else if p := v.interIdx.pos(id); p >= 0 {
 			dropAt(&v.inter, v.interIdx, p)
-			delete(v.interIdx, id)
 		}
 	}
 }
 
-// dropAt removes position p from a sub-list by swapping in the last
-// element, mirroring the master-list removal.
-func dropAt(list *[]wire.NodeID, idx map[wire.NodeID]int, p int) {
+// dropAt removes position p from a peer list by swapping in the last
+// element.
+func dropAt(list *[]wire.NodeID, idx posTable, p int) {
 	l := *list
 	last := len(l) - 1
-	moved := l[last]
+	gone, moved := l[p], l[last]
 	l[p] = moved
-	idx[moved] = p
+	idx[moved] = int32(p + 1)
+	idx[gone] = 0
 	*list = l[:last]
 }
 
@@ -189,8 +199,8 @@ func (v *View) AppendPeers(dst []wire.NodeID, rng *rand.Rand, k int) []wire.Node
 		j := i + rng.Intn(n-i)
 		if i != j {
 			v.peers[i], v.peers[j] = v.peers[j], v.peers[i]
-			v.index[v.peers[i]] = i
-			v.index[v.peers[j]] = j
+			v.index[v.peers[i]] = int32(i + 1)
+			v.index[v.peers[j]] = int32(j + 1)
 		}
 	}
 	return append(dst, v.peers[:k]...)
@@ -233,14 +243,14 @@ func (v *View) AppendSplit(dst []wire.NodeID, rng *rand.Rand, kIntra, kInter int
 // a partial Fisher-Yates, continuing from window offset used (positions
 // below it were already drawn or skipped this round). Returns the extended
 // dst and the new offset.
-func (v *View) drawFrom(list []wire.NodeID, idx map[wire.NodeID]int, dst []wire.NodeID, rng *rand.Rand, k, used int) ([]wire.NodeID, int) {
+func (v *View) drawFrom(list []wire.NodeID, idx posTable, dst []wire.NodeID, rng *rand.Rand, k, used int) ([]wire.NodeID, int) {
 	n := len(list)
 	for ; used < n && k > 0; used++ {
 		j := used + rng.Intn(n-used)
 		if j != used {
 			list[used], list[j] = list[j], list[used]
-			idx[list[used]] = used
-			idx[list[j]] = j
+			idx[list[used]] = int32(used + 1)
+			idx[list[j]] = int32(j + 1)
 		}
 		if v.exclude != nil && v.exclude(list[used]) {
 			continue

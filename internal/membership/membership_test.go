@@ -36,6 +36,19 @@ func TestViewAddRemoveContains(t *testing.T) {
 	if !v.Contains(10) || v.PeerCount() != 3 {
 		t.Fatal("Add after Remove failed")
 	}
+	// Ids outside [0, MaxPeerID) are ignored everywhere: they must neither
+	// size a position table nor panic a lookup.
+	for _, id := range []wire.NodeID{-1, MaxPeerID, 1<<31 - 1} {
+		v.Add(id)
+		v.Remove(id)
+		if v.Contains(id) || v.PeerCount() != 3 || len(v.index) != 11 {
+			t.Fatalf("out-of-range id %d changed the view (index len %d)", id, len(v.index))
+		}
+	}
+	v.Add(MaxPeerID - 1)
+	if !v.Contains(MaxPeerID-1) || v.PeerCount() != 4 {
+		t.Fatal("the largest in-range id was refused")
+	}
 }
 
 func TestViewAppendPeersNoDuplicatesNoSelf(t *testing.T) {

@@ -20,7 +20,7 @@ import (
 //	               shards parked, clocks synced to tG
 //	   tG >  T ──► window [T, W1): every shard processes its own events
 //	               with at < W1 in parallel, W1 = min(T+L, tG, until+1)
-//	               └─► barrier: merge outboxes into destination heaps
+//	               └─► barrier: merge outboxes into destination queues
 //
 // L is the latency model's MinLatency. A datagram sent at s ∈ [T, W1)
 // arrives no earlier than s + L >= T + L >= W1, so deliveries created inside
@@ -110,8 +110,8 @@ func (n *Network) Run(until time.Duration) {
 	for {
 		tS := maxTime
 		for _, sh := range n.shards {
-			if len(sh.events) > 0 && sh.events[0].at < tS {
-				tS = sh.events[0].at
+			if at := sh.peek(); at < tS {
+				tS = at
 			}
 		}
 		tG := maxTime
@@ -201,7 +201,7 @@ func (n *Network) runWindow(w1 time.Duration, sequential bool) {
 	}
 	active := n.active[:0]
 	for _, sh := range n.shards {
-		if len(sh.events) > 0 && sh.events[0].at < w1 {
+		if sh.peek() < w1 {
 			active = append(active, sh)
 		}
 	}
@@ -223,7 +223,7 @@ func (n *Network) runWindow(w1 time.Duration, sequential bool) {
 }
 
 // exchange is the barrier merge: every cross-shard delivery buffered during
-// the window moves into its destination shard's heap. Heap order is the
+// the window moves into its destination shard's queue. Queue order is the
 // canonical (at, src, srcSeq) total order, so merge order cannot influence
 // dispatch order — it only has to be complete.
 func (n *Network) exchange() {

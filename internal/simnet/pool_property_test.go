@@ -10,11 +10,11 @@ import (
 	"repro/internal/wire"
 )
 
-// Property tests for the pooled-event indexed heaps: random operation
-// sequences cross-checked against naive oracles. These guard the hand-rolled
-// sift/remove code and the free-list recycling that the whole simulator's
-// determinism rests on — including the canonical (at, src, srcSeq) order
-// that makes results shard-count invariant.
+// Property tests for the pooled-event calendar queue: random operation
+// sequences cross-checked against a sorted-slice oracle. These guard the
+// hand-rolled tier/sift/unlink code and the free-list recycling that the
+// whole simulator's determinism rests on — including the canonical
+// (at, src, srcSeq) order that makes results shard-count invariant.
 
 // evKey mirrors an event's canonical ordering key.
 type evKey struct {
@@ -22,6 +22,8 @@ type evKey struct {
 	src    wire.NodeID
 	srcSeq uint64
 }
+
+func keyOf(ev *event) evKey { return evKey{ev.at, ev.src, ev.srcSeq} }
 
 func keyLess(a, b evKey) bool {
 	if a.at != b.at {
@@ -33,89 +35,178 @@ func keyLess(a, b evKey) bool {
 	return a.srcSeq < b.srcSeq
 }
 
-// TestHeapMatchesSortOracle drives push/pop/remove directly against a shard
-// heap and checks every pop yields exactly the canonical minimum of a
-// mirrored slice oracle — i.e. the heap never yields events out of order.
-func TestHeapMatchesSortOracle(t *testing.T) {
-	for seed := int64(0); seed < 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		n := New(Config{Seed: seed})
-		sh := n.shards[0]
-		var seq uint64
-		var oracle []evKey
-		oracleMin := func() evKey {
-			best := 0
-			for i := 1; i < len(oracle); i++ {
-				if keyLess(oracle[i], oracle[best]) {
-					best = i
-				}
-			}
-			return oracle[best]
+// queueOracle drives one shard's queue through push/pop/peek/remove and
+// mirrors it in a slice kept sorted in canonical order. After every
+// operation check asserts that the queue holds exactly the oracle's events,
+// each reachable in exactly one tier and in the tier its bucket names.
+type queueOracle struct {
+	t    testing.TB
+	sh   *shard
+	now  time.Duration // at of the last pop: pushes are scheduled from here
+	seq  uint64
+	live []*event // queued events, sorted by keyLess
+	seen map[*event]bool
+}
+
+func newQueueOracle(t testing.TB, sh *shard) *queueOracle {
+	return &queueOracle{t: t, sh: sh, seen: map[*event]bool{}}
+}
+
+func (q *queueOracle) insert(ev *event) {
+	k := keyOf(ev)
+	i := sort.Search(len(q.live), func(i int) bool { return keyLess(k, keyOf(q.live[i])) })
+	q.live = append(q.live, nil)
+	copy(q.live[i+1:], q.live[i:])
+	q.live[i] = ev
+	q.check()
+}
+
+// push queues a fresh timer event at the absolute time at.
+func (q *queueOracle) push(at time.Duration, src wire.NodeID) *event {
+	ev := q.sh.alloc()
+	ev.at, ev.src, ev.srcSeq, ev.kind = at, src, q.seq, evTimer
+	q.seq++
+	q.sh.push(ev)
+	q.insert(ev)
+	return ev
+}
+
+// pop takes the earliest event, which must be the oracle's first.
+func (q *queueOracle) pop() *event {
+	q.t.Helper()
+	ev := q.sh.pop()
+	if ev != q.live[0] {
+		q.t.Fatalf("pop %+v, oracle min %+v", keyOf(ev), keyOf(q.live[0]))
+	}
+	if ev.queued || ev.next != nil {
+		q.t.Fatalf("popped event still linked: queued=%v next=%p", ev.queued, ev.next)
+	}
+	q.live = q.live[1:]
+	q.now = ev.at
+	q.check()
+	return ev
+}
+
+// peek must report the oracle's earliest due time, maxTime when empty.
+func (q *queueOracle) peek() {
+	q.t.Helper()
+	want := maxTime
+	if len(q.live) > 0 {
+		want = q.live[0].at
+	}
+	if got := q.sh.peek(); got != want {
+		q.t.Fatalf("peek %v, oracle %v", got, want)
+	}
+	q.check()
+}
+
+// cancel removes the oracle's i-th earliest event: the Timer.Stop path.
+func (q *queueOracle) cancel(i int) {
+	ev := q.live[i]
+	q.sh.remove(ev)
+	q.live = append(q.live[:i], q.live[i+1:]...)
+	q.check()
+	q.sh.recycle(ev)
+}
+
+// deferBy is the freeze-deferral move: the earliest event is popped, retimed
+// (keeping its canonical identity) and pushed again.
+func (q *queueOracle) deferBy(d time.Duration) {
+	ev := q.pop()
+	ev.at += d
+	q.sh.push(ev)
+	q.insert(ev)
+}
+
+// drain pops everything left, in exact sorted order.
+func (q *queueOracle) drain() {
+	q.t.Helper()
+	for len(q.live) > 0 {
+		q.sh.recycle(q.pop())
+	}
+	q.peek()
+}
+
+func (q *queueOracle) check() {
+	q.t.Helper()
+	sh := q.sh
+	clear(q.seen)
+	visit := func(tier string, ev *event, ok bool) {
+		d := bucketOf(ev.at) - sh.cursor
+		if !ok || !ev.queued || ev.sh != sh || q.seen[ev] {
+			q.t.Fatalf("%s holds %+v %d buckets from the cursor (queued=%v, seen=%v)", tier, keyOf(ev), d, ev.queued, q.seen[ev])
 		}
-		oracleDrop := func(k evKey) {
-			for i := range oracle {
-				if oracle[i] == k {
-					oracle[i] = oracle[len(oracle)-1]
-					oracle = oracle[:len(oracle)-1]
-					return
-				}
-			}
-			t.Fatalf("seed %d: oracle missing %+v", seed, k)
+		q.seen[ev] = true
+	}
+	for _, ent := range sh.cur {
+		visit("cur", ent.ev, bucketOf(ent.at) <= sh.cursor && ent.at == ent.ev.at && ent.key == entKey(ent.ev))
+	}
+	for _, ent := range sh.far {
+		visit("far", ent.ev, bucketOf(ent.at)-sh.cursor >= ringLen && ent.at == ent.ev.at && ent.key == entKey(ent.ev))
+	}
+	linked := 0
+	for slot, ev := range sh.ring {
+		for ; ev != nil; ev = ev.next {
+			b := bucketOf(ev.at)
+			visit("ring", ev, b > sh.cursor && b-sh.cursor < ringLen && int(b&(ringLen-1)) == slot)
+			linked++
 		}
-		for op := 0; op < 3000; op++ {
-			switch r := rng.Intn(10); {
-			case r < 6 || len(sh.events) == 0:
-				ev := sh.alloc()
-				ev.at = time.Duration(rng.Intn(50)) * time.Millisecond
-				ev.src = wire.NodeID(rng.Intn(5))
-				ev.srcSeq = seq
-				seq++
-				ev.kind = evTimer
-				sh.push(ev)
-				oracle = append(oracle, evKey{ev.at, ev.src, ev.srcSeq})
-			case r < 8:
-				ev := sh.pop()
-				want := oracleMin()
-				got := evKey{ev.at, ev.src, ev.srcSeq}
-				if got != want {
-					t.Fatalf("seed %d op %d: pop %+v, oracle min %+v", seed, op, got, want)
-				}
-				oracleDrop(want)
-				sh.recycle(ev)
-			default:
-				// Remove an arbitrary queued event (timer cancellation path).
-				victim := sh.events[rng.Intn(len(sh.events))].ev
-				k := evKey{victim.at, victim.src, victim.srcSeq}
-				sh.remove(victim)
-				oracleDrop(k)
-				sh.recycle(victim)
-			}
-			// Structural invariant: every queued event knows its index.
-			for i, ent := range sh.events {
-				if int(ent.ev.heapIdx) != i {
-					t.Fatalf("seed %d op %d: events[%d].heapIdx = %d", seed, op, i, ent.ev.heapIdx)
-				}
-			}
-		}
-		// Drain: the remaining events must come out in exact sorted order.
-		sort.Slice(oracle, func(i, j int) bool { return keyLess(oracle[i], oracle[j]) })
-		for _, want := range oracle {
-			ev := sh.pop()
-			got := evKey{ev.at, ev.src, ev.srcSeq}
-			if got != want {
-				t.Fatalf("seed %d drain: got %+v, want %+v", seed, got, want)
-			}
-			sh.recycle(ev)
+	}
+	if linked != sh.inRing || len(q.seen) != len(q.live) {
+		q.t.Fatalf("queue holds %d events (%d cur, %d linked / inRing %d, %d far), oracle %d",
+			len(q.seen), len(sh.cur), linked, sh.inRing, len(sh.far), len(q.live))
+	}
+	for _, ev := range q.live {
+		if !q.seen[ev] {
+			q.t.Fatalf("oracle event %+v is in no tier", keyOf(ev))
 		}
 	}
 }
 
-// TestHeapCancelRescheduleStorm hammers every shard heap of a multi-shard
+// stormDelay draws delays that land in every tier: mostly a few buckets
+// ahead, some around the ring horizon, a few hours out, a few zero.
+func stormDelay(rng *rand.Rand) time.Duration {
+	switch r := rng.Intn(20); {
+	case r < 13:
+		return time.Duration(rng.Intn(64)) * time.Millisecond
+	case r < 16:
+		return time.Duration(rng.Int63n(int64(6 * time.Second)))
+	case r < 18:
+		return time.Duration(rng.Intn(3*3600)) * time.Second
+	default:
+		return 0
+	}
+}
+
+// TestHeapMatchesSortOracle drives push/pop/peek/remove directly against a
+// shard queue and checks every pop yields exactly the canonical minimum of
+// the sorted oracle — i.e. the queue never yields events out of order.
+func TestHeapMatchesSortOracle(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		q := newQueueOracle(t, New(Config{Seed: seed}).shards[0])
+		for op := 0; op < 3000; op++ {
+			switch r := rng.Intn(10); {
+			case r < 5 || len(q.live) == 0:
+				q.push(q.now+stormDelay(rng), wire.NodeID(rng.Intn(5)))
+			case r < 7:
+				q.sh.recycle(q.pop())
+			case r < 8:
+				q.peek()
+			default:
+				q.cancel(rng.Intn(len(q.live)))
+			}
+		}
+		q.drain()
+	}
+}
+
+// TestHeapCancelRescheduleStorm hammers every shard queue of a multi-shard
 // network with a randomized cancel/reschedule storm — push, pop, remove, and
-// remove-retime-repush (the freeze-deferral move) — against a map oracle
-// keyed by slot identity. It checks the two properties dispatch relies on:
-// the queued population is exactly the oracle's at every step, and draining
-// pops in exact canonical order.
+// pop-retime-repush (the freeze-deferral move) — against the oracle. It
+// checks the two properties dispatch relies on: the queued population is
+// exactly the oracle's at every step, and draining pops in exact canonical
+// order.
 func TestHeapCancelRescheduleStorm(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		n := New(Config{Seed: seed, Latency: ConstantLatency(time.Millisecond), Shards: 4})
@@ -124,76 +215,20 @@ func TestHeapCancelRescheduleStorm(t *testing.T) {
 		}
 		for si, sh := range n.shards {
 			rng := rand.New(rand.NewSource(seed<<3 | int64(si)))
-			var seq uint64
-			oracle := map[*event]evKey{}
+			q := newQueueOracle(t, sh)
 			for op := 0; op < 4000; op++ {
 				switch r := rng.Intn(12); {
-				case r < 5 || len(sh.events) == 0:
-					ev := sh.alloc()
-					ev.at = time.Duration(rng.Intn(64)) * time.Millisecond
-					ev.src = wire.NodeID(rng.Intn(7))
-					ev.srcSeq = seq
-					seq++
-					ev.kind = evTimer
-					sh.push(ev)
-					oracle[ev] = evKey{ev.at, ev.src, ev.srcSeq}
+				case r < 5 || len(q.live) == 0:
+					q.push(q.now+stormDelay(rng), wire.NodeID(rng.Intn(7)))
 				case r < 8:
-					ev := sh.pop()
-					want, ok := oracle[ev]
-					if !ok {
-						t.Fatalf("seed %d shard %d op %d: popped unknown event", seed, si, op)
-					}
-					got := evKey{ev.at, ev.src, ev.srcSeq}
-					if got != want {
-						t.Fatalf("seed %d shard %d op %d: pop key %+v, oracle %+v", seed, si, op, got, want)
-					}
-					// Must be the canonical minimum over the whole oracle.
-					for _, k := range oracle {
-						if keyLess(k, want) {
-							t.Fatalf("seed %d shard %d op %d: popped %+v before %+v", seed, si, op, want, k)
-						}
-					}
-					delete(oracle, ev)
-					sh.recycle(ev)
+					sh.recycle(q.pop())
 				case r < 10:
-					// Cancel: remove an arbitrary queued event.
-					victim := sh.events[rng.Intn(len(sh.events))].ev
-					sh.remove(victim)
-					delete(oracle, victim)
-					sh.recycle(victim)
+					q.cancel(rng.Intn(len(q.live)))
 				default:
-					// Reschedule: the freeze-deferral move — remove, retime
-					// (keeping the canonical identity), repush.
-					victim := sh.events[rng.Intn(len(sh.events))].ev
-					sh.remove(victim)
-					victim.at += time.Duration(rng.Intn(32)) * time.Millisecond
-					sh.push(victim)
-					oracle[victim] = evKey{victim.at, victim.src, victim.srcSeq}
-				}
-				if len(sh.events) != len(oracle) {
-					t.Fatalf("seed %d shard %d op %d: heap holds %d events, oracle %d",
-						seed, si, op, len(sh.events), len(oracle))
-				}
-				for i, ent := range sh.events {
-					if int(ent.ev.heapIdx) != i {
-						t.Fatalf("seed %d shard %d op %d: events[%d].heapIdx = %d", seed, si, op, i, ent.ev.heapIdx)
-					}
+					q.deferBy(stormDelay(rng))
 				}
 			}
-			// Drain in canonical order.
-			keys := make([]evKey, 0, len(oracle))
-			for _, k := range oracle {
-				keys = append(keys, k)
-			}
-			sort.Slice(keys, func(i, j int) bool { return keyLess(keys[i], keys[j]) })
-			for _, want := range keys {
-				ev := sh.pop()
-				got := evKey{ev.at, ev.src, ev.srcSeq}
-				if got != want {
-					t.Fatalf("seed %d shard %d drain: got %+v, want %+v", seed, si, got, want)
-				}
-				sh.recycle(ev)
-			}
+			q.drain()
 		}
 	}
 }

@@ -22,7 +22,7 @@
 // # Sharded execution
 //
 // The simulator partitions nodes across Config.Shards shards (node id mod
-// S), each with its own indexed event heap, pooled free list, and dense node
+// S), each with its own calendar event queue, pooled free list, and dense node
 // rows. Shards run lock-free between time-bucketed exchange barriers: a
 // window [T, T+L) is safe to process in parallel because every cross-shard
 // datagram incurs at least L of propagation latency (the latency model's
@@ -34,7 +34,7 @@
 // Determinism is shard-count invariant: every event carries a canonical key
 // (at, src, srcSeq) — virtual time, the id of the node that created the
 // event, and that node's private monotonic sequence number — and each
-// shard's heap pops in exactly that total order. Because the key is derived
+// shard's queue pops in exactly that total order. Because the key is derived
 // only from the creating node's own deterministic history (never from a
 // global counter or arrival interleaving), the same seed produces
 // byte-identical results at any shard count; the gob-fingerprint determinism
@@ -49,13 +49,26 @@
 // independent of how shards interleave.
 //
 // The event loop is built for scale: events live in per-shard free-list
-// pools and indexed binary heaps, so the steady-state hot path (send,
-// deliver, timer) allocates nothing, and canceled timers are removed from
-// the heap outright instead of being tombstoned. Timer handles are
-// generation-checked, which makes a stale handle's Stop inert after its slot
-// has been recycled. Node state lives in one dense table (a flat slice
-// indexed by id), so million-node runs are bounded by per-node protocol
-// state, not by the simulator core.
+// pools and three-tier calendar queues, so the steady-state hot path (send,
+// deliver, timer) allocates nothing. The uplink backlog the model above
+// creates is thousands of pending events per shard; the queue keeps them in
+// a ring of 4096 buckets of 2^20 ns (≈ 1.05 ms), each an intrusive list
+// through the pooled event itself, so a push is two stores, and only the
+// bucket under the cursor — a few dozen events — is ever heap-ordered (cur).
+// Events beyond the ring's ≈ 4.3 s horizon wait in a second small heap (far)
+// and move into the ring as the cursor advances; when the ring is empty the
+// cursor jumps straight to far's earliest, so idle time is free. The one
+// invariant is cur ≤ every ring bucket ≤ far, with ties broken by the full
+// key inside cur only. Both constants are fixed, not configurable: 99.8 % or
+// more of pushes on both benchmark workloads land inside the horizon (see
+// shard.go). Canceled timers are unlinked outright instead of being
+// tombstoned: Stop finds the event's tier from its due time and walks one
+// bucket list or scans one small heap. Timer handles are generation-checked,
+// which makes a stale handle's Stop inert after its slot has been recycled.
+// Node state lives in one dense table (a flat slice indexed by id), so runs
+// up to the 1<<20-node ceiling (the event key's tie-break field; AddNode
+// enforces it) are bounded by per-node protocol state, not by the simulator
+// core.
 package simnet
 
 import (
@@ -350,12 +363,14 @@ func (n *Network) NumShards() int { return len(n.shards) }
 // AddNode registers a node with the given handler and configuration and
 // returns its id. The handler's Start runs at the current simulation time
 // (time zero if the network has not run yet). AddNode may be called from
-// scheduled callbacks to model joins.
+// scheduled callbacks to model joins. A network holds at most 1<<20 nodes;
+// adding one more panics.
 func (n *Network) AddNode(h env.Handler, cfg NodeConfig) wire.NodeID {
 	n.assertGlobal("AddNode")
 	if cfg.UploadBps < 0 {
 		panic("simnet: negative upload capacity")
 	}
+	admitNode(len(n.nodes))
 	id := wire.NodeID(len(n.nodes))
 	seed := uint64(n.cfg.Seed)
 	var region int32
@@ -379,6 +394,14 @@ func (n *Network) AddNode(h env.Handler, cfg NodeConfig) wire.NodeID {
 	}
 	n.pushGlobal(gevent{at: n.now, kind: gkindStart, node: id})
 	return id
+}
+
+// admitNode panics when a network already holding count nodes is full: the
+// next id would not fit the event key's tie-break field (see entKey).
+func admitNode(count int) {
+	if count >= maxNodes {
+		panic(fmt.Sprintf("simnet: AddNode beyond the %d-node ceiling (event keys order node ids in %d bits)", maxNodes, nodeBits))
+	}
 }
 
 // NumNodes returns the number of nodes ever added.
@@ -569,7 +592,7 @@ func (n *Network) newTimer(id wire.NodeID, d time.Duration, fn func()) *event {
 }
 
 // simTimer is a generation-checked handle to a pooled timer event. Stop
-// removes the event from the schedule outright (no tombstones) and recycles
+// unlinks the event from its queue tier outright (no tombstones) and recycles
 // its slot; a handle whose generation no longer matches — the timer fired,
 // was stopped, and the slot was reused — is inert. Timer events live on
 // their owning node's shard, so Stop from that node's context touches only
@@ -581,7 +604,7 @@ type simTimer struct {
 
 func (t simTimer) Stop() bool {
 	ev := t.ev
-	if ev == nil || ev.gen != t.gen || ev.heapIdx < 0 {
+	if ev == nil || ev.gen != t.gen || !ev.queued {
 		return false
 	}
 	ev.sh.remove(ev)

@@ -186,6 +186,9 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	}
 	peerIDs := make([]wire.NodeID, 0, len(cfg.Peers))
 	for id := range cfg.Peers {
+		if id < 0 || id >= membership.MaxPeerID {
+			return nil, fmt.Errorf("heapgossip: peer id %d outside [0, %d)", id, membership.MaxPeerID)
+		}
 		peerIDs = append(peerIDs, id)
 	}
 
@@ -387,6 +390,8 @@ func (n *Node) Addr() *net.UDPAddr { return n.udp.Addr() }
 
 // AddPeer registers a peer that joined after startup. Safe to call while
 // the node runs: the view mutation is serialized with protocol callbacks.
+// An id outside [0, 1<<20) — the ceiling StartNode enforces on Peers — only
+// gains an address: the view ignores it, so the node never gossips to it.
 func (n *Node) AddPeer(id NodeID, addr *net.UDPAddr) {
 	n.udp.AddPeer(id, addr)
 	n.udp.Execute(func() { n.stack.View.Add(id) })
