@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: check fmtcheck vet build linkcheck race race-detect test-short testshort test bench bench-smoke bench-udp sweep largescale fuzz lines full fmt
+.PHONY: check fmtcheck vet build linkcheck race race-detect test-short testshort test bench bench-smoke bench-udp pairs sweep largescale fuzz lines full fmt
 
 check: fmtcheck vet build linkcheck race race-detect testshort bench-smoke
 
@@ -68,6 +68,16 @@ bench:
 # batched syscalls (sendmmsg/recvmmsg) vs the portable single-syscall path.
 bench-udp:
 	$(GO) test -bench 'UDPLoopbackSaturation' -benchtime 2s -run '^$$' ./internal/udpnet
+
+# Alternating parent/change runs of one benchmark workload, the evidence a
+# claimed gain needs: one line per run, then medians, the parent's IQR and
+# pairs won per end-to-end metric (scripts/pairs.sh; ~1 min per pair).
+#   make pairs W=sim-large PARENT=HEAD~1 SEEDS="17 18 19 20 21 22 23 24 25 26"
+W ?= sim-large
+PARENT ?= HEAD~1
+SEEDS ?= 17 18 19 20 21 22 23 24 25 26
+pairs:
+	bash scripts/pairs.sh $(W) $(PARENT) $(SEEDS)
 
 # The paper's headline grid on all cores, CSV into out/.
 sweep:

@@ -19,9 +19,7 @@
 package aggregation
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"time"
 
 	"repro/internal/env"
@@ -91,6 +89,14 @@ type capEntry struct {
 	present    bool
 }
 
+// freshRec is one record of the freshest-k set: a copy of everything a message
+// entry needs, so building a message never reads the table.
+type freshRec struct {
+	asOf    time.Duration
+	id      wire.NodeID
+	capKbps uint32
+}
+
 // Estimator is the per-node capability aggregation service. It implements
 // env.Handler for wire.Aggregate messages. Not safe for concurrent use; all
 // access happens on the node's execution context.
@@ -98,7 +104,8 @@ type capEntry struct {
 // Node ids are dense, so entries live in a flat slice indexed by id, and the
 // running sum/count are maintained incrementally: merging a received message
 // is O(entries in the message) and reading the estimate is O(1), regardless
-// of system size.
+// of system size. The FreshestK entries a tick gossips are kept, not found:
+// set files every write into the freshest-k set as it happens.
 type Estimator struct {
 	cfg Config
 	rt  env.Runtime
@@ -120,15 +127,19 @@ type Estimator struct {
 	tail    int
 	oldest  time.Duration
 
+	// top is the freshest-k set: the min(FreshestK, count) newest present
+	// entries in message order (asOf descending, id ascending on ties). set
+	// keeps it so; drop of a member clears topValid, and the next freshest
+	// refills it from the ring.
+	top      []freshRec
+	topValid bool
+
 	ticker *env.Ticker
 
 	// cached estimate, refreshed on every mutation
 	estimateKbps float64
 
-	// selScratch is freshest's candidate scratch, reused across ticks;
-	// peerScratch the per-tick sampling buffer.
-	selScratch  []wire.NodeID
-	peerScratch []wire.NodeID
+	peerScratch []wire.NodeID // the per-tick sampling buffer
 
 	// MessagesSent counts aggregation messages (for overhead accounting).
 	MessagesSent int
@@ -143,11 +154,15 @@ const maxTrackedNodeID = 1 << 20
 // need 77 buckets.
 const maxBuckets = 1 << 16
 
+// MaxFreshestK is the most entries a message can carry: wire.Aggregate
+// encodes the count in one byte.
+const MaxFreshestK = 255
+
 var _ env.Handler = (*Estimator)(nil)
 
 // NewEstimator builds an Estimator. It panics on a nil sampler, a zero self
-// capability, a non-positive Period or EntryTTL, or an EntryTTL more than
-// maxBuckets periods long.
+// capability, a non-positive Period or EntryTTL, an EntryTTL more than
+// maxBuckets periods long, or a FreshestK outside [1, MaxFreshestK].
 func NewEstimator(cfg Config) *Estimator {
 	cfg.applyDefaults()
 	if cfg.Sampler == nil {
@@ -158,6 +173,9 @@ func NewEstimator(cfg Config) *Estimator {
 	}
 	if cfg.Period <= 0 || cfg.EntryTTL <= 0 {
 		panic(fmt.Sprintf("aggregation: Period %v and EntryTTL %v must be positive", cfg.Period, cfg.EntryTTL))
+	}
+	if cfg.FreshestK < 1 || cfg.FreshestK > MaxFreshestK {
+		panic(fmt.Sprintf("aggregation: FreshestK %d outside [1, %d]", cfg.FreshestK, MaxFreshestK))
 	}
 	// One bucket per period of TTL (rounded up), one for the period in
 	// progress, and one so the oldest bucket lies wholly beyond the TTL.
@@ -170,6 +188,8 @@ func NewEstimator(cfg Config) *Estimator {
 		estimateKbps: float64(cfg.SelfCapKbps),
 		buckets:      make([]int32, n),
 		oldest:       -time.Duration(n-1) * cfg.Period, // newest bucket opens at the epoch
+		top:          make([]freshRec, 0, cfg.FreshestK),
+		topValid:     true,
 	}
 	for i := range e.buckets {
 		e.buckets[i] = -1
@@ -183,11 +203,13 @@ func (e *Estimator) tracked(id wire.NodeID) bool {
 	return e.cfg.TrackLimit <= 0 || int(id) < e.cfg.TrackLimit
 }
 
-// set inserts or replaces the entry for id, keeping sum/count and the ring
-// current. Callers gate on tracked(id).
+// set inserts or replaces the entry for id, keeping sum/count, the ring and
+// the freshest-k set current. Callers gate on tracked(id), and never pass an
+// asOf older than the one the entry already holds: Receive merges strictly
+// fresher claims only, and the node's own entry is rewritten at the clock.
 func (e *Estimator) set(id wire.NodeID, capKbps uint32, asOf time.Duration) {
-	for int(id) >= len(e.entries) {
-		e.entries = append(e.entries, capEntry{})
+	if need := int(id) + 1 - len(e.entries); need > 0 {
+		e.entries = append(e.entries, make([]capEntry, need)...)
 	}
 	c := &e.entries[id]
 	if c.present {
@@ -208,6 +230,56 @@ func (e *Estimator) set(id wire.NodeID, capKbps uint32, asOf time.Duration) {
 		e.entries[first].prev = int32(id)
 	}
 	e.buckets[slot] = int32(id)
+	if e.topValid {
+		e.promote(freshRec{asOf, id, capKbps})
+	}
+}
+
+// promote files r into the freshest-k set: an earlier record of r.id leaves,
+// and r enters at its rank if that is within FreshestK. A full set turns away
+// anything older than its last record on one compare — by set's invariant a
+// member's rewrite is never older than the record it replaces, so what is
+// turned away is no member.
+func (e *Estimator) promote(r freshRec) {
+	top := e.top
+	n := len(top)
+	if n == cap(top) && r.asOf < top[n-1].asOf {
+		return
+	}
+	for i := range top {
+		if top[i].id == r.id {
+			n--
+			copy(top[i:], top[i+1:])
+			break
+		}
+	}
+	i := n
+	for i > 0 && (top[i-1].asOf < r.asOf || top[i-1].asOf == r.asOf && top[i-1].id > r.id) {
+		i--
+	}
+	if i == cap(top) {
+		return // ties the last record's asOf with a larger id
+	}
+	n = min(n+1, cap(top))
+	top = top[:n]
+	copy(top[i+1:], top[i:])
+	top[i] = r
+	e.top = top
+}
+
+// refill rebuilds the freshest-k set from the ring: whole buckets, newest
+// first, through the same promote, until the set is full at a bucket boundary
+// — anything in an older bucket is strictly older — or holds every entry.
+func (e *Estimator) refill() {
+	e.top = e.top[:0]
+	n := len(e.buckets)
+	for i := n - 1; len(e.top) < min(cap(e.top), e.count); i-- {
+		for id := e.buckets[(e.tail+i)%n]; id >= 0; id = e.entries[id].next {
+			c := &e.entries[id]
+			e.promote(freshRec{c.asOf, wire.NodeID(id), c.capKbps})
+		}
+	}
+	e.topValid = true
 }
 
 // slotOf returns the ring slot asOf files under, first turning the ring if
@@ -265,9 +337,15 @@ func (e *Estimator) turn(steps int64) {
 	}
 }
 
-// drop removes the present entry for id, keeping sum/count current.
+// drop removes the present entry for id, keeping sum/count current. If the
+// entry is no older than the freshest-k set's last record it is a member (or
+// ties with one), and the set is invalidated: its replacement is somewhere in
+// the ring.
 func (e *Estimator) drop(id wire.NodeID) {
 	c := &e.entries[id]
+	if n := len(e.top); n > 0 && c.asOf >= e.top[n-1].asOf {
+		e.topValid = false
+	}
 	e.sum -= uint64(c.capKbps)
 	e.count--
 	e.unlink(c)
@@ -301,7 +379,7 @@ func (e *Estimator) tick() {
 	e.prune(now)
 	e.recompute()
 
-	fresh := e.freshest(e.cfg.FreshestK, now)
+	fresh := e.freshest(now)
 	if len(fresh) == 0 {
 		return
 	}
@@ -421,39 +499,20 @@ func (e *Estimator) recompute() {
 	e.estimateKbps = float64(e.sum) / float64(e.count)
 }
 
-// freshest returns up to k entries with the most recent asOf, newest first
-// and smaller id first on ties, encoded with their current age. Only the
-// returned slice is freshly allocated (it escapes into the outgoing message).
-func (e *Estimator) freshest(k int, now time.Duration) []wire.CapEntry {
-	if k > e.count {
-		k = e.count
+// freshest returns the freshest-k set — up to FreshestK entries with the
+// most recent asOf, newest first and smaller id first on ties — encoded with
+// their current age. Only the returned slice is freshly allocated (it escapes
+// into the outgoing message).
+func (e *Estimator) freshest(now time.Duration) []wire.CapEntry {
+	if !e.topValid {
+		e.refill()
 	}
-	if k <= 0 {
-		return nil
-	}
-	// Whole buckets, newest first, until k candidates are in hand: anything
-	// in an older bucket is strictly older, so the top k are among them.
-	cand := e.selScratch[:0]
-	n := len(e.buckets)
-	for i := n - 1; len(cand) < k; i-- {
-		for id := e.buckets[(e.tail+i)%n]; id >= 0; id = e.entries[id].next {
-			cand = append(cand, wire.NodeID(id))
-		}
-	}
-	e.selScratch = cand
-	slices.SortFunc(cand, func(a, b wire.NodeID) int {
-		if c := cmp.Compare(e.entries[b].asOf, e.entries[a].asOf); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
-	})
-	out := make([]wire.CapEntry, k)
-	for i, id := range cand[:k] {
-		c := &e.entries[id]
+	out := make([]wire.CapEntry, len(e.top))
+	for i, r := range e.top {
 		out[i] = wire.CapEntry{
-			Node:    id,
-			CapKbps: c.capKbps,
-			AgeMs:   uint32(max(now-c.asOf, 0) / time.Millisecond),
+			Node:    r.id,
+			CapKbps: r.capKbps,
+			AgeMs:   uint32(max(now-r.asOf, 0) / time.Millisecond),
 		}
 	}
 	return out

@@ -282,6 +282,8 @@ func TestNewEstimatorValidation(t *testing.T) {
 		"negative period":         func(c *Config) { c.Period = -time.Second },
 		"negative entry TTL":      func(c *Config) { c.EntryTTL = -time.Second },
 		"TTL too long in periods": func(c *Config) { c.Period, c.EntryTTL = time.Microsecond, time.Hour },
+		"negative FreshestK":      func(c *Config) { c.FreshestK = -1 },
+		"FreshestK past the wire": func(c *Config) { c.FreshestK = MaxFreshestK + 1 },
 	} {
 		cfg := ok
 		mutate(&cfg)
@@ -295,6 +297,11 @@ func TestNewEstimatorValidation(t *testing.T) {
 func TestEstimatorFootprint(t *testing.T) {
 	if size := unsafe.Sizeof(capEntry{}); size > 24 {
 		t.Errorf("capEntry is %d bytes, want <= 24", size)
+	}
+	// The freshest-k set costs a node 16·FreshestK bytes, a slice header and
+	// a flag.
+	if size := unsafe.Sizeof(freshRec{}); size > 16 {
+		t.Errorf("freshRec is %d bytes, want <= 16", size)
 	}
 	const fanout = 2
 	rt := &stubRuntime{rng: rand.New(rand.NewSource(1))}
@@ -318,7 +325,10 @@ func TestEstimatorFootprint(t *testing.T) {
 		t.Errorf("Receive of a 10-entry message allocates %v times, want 0", n)
 	}
 	// One entry slice shared by the recipients, one message value each.
-	if n := testing.AllocsPerRun(100, func() { receive(); rt.fire() }); n > 1+fanout {
-		t.Errorf("a tick allocates %v times, want <= %d", n, 1+fanout)
+	if n := testing.AllocsPerRun(100, func() { receive(); rt.fire() }); n != 1+fanout {
+		t.Errorf("a tick allocates %v times, want %d", n, 1+fanout)
+	}
+	if got := cap(e.top); got != e.cfg.FreshestK {
+		t.Errorf("the freshest-k set has room for %d records, want FreshestK (%d)", got, e.cfg.FreshestK)
 	}
 }

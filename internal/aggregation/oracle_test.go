@@ -67,6 +67,7 @@ var oracleShapes = []Config{
 	{FreshestK: 200},        // k larger than any table the ops can build
 	{EntryTTL: time.Second}, // 5 periods of TTL: entries expire within a seed
 	{Period: time.Second, EntryTTL: 300 * time.Millisecond}, // TTL shorter than a period
+	{FreshestK: 1}, // a one-record set: every insert is at the boundary
 }
 
 var (
@@ -137,6 +138,21 @@ func (o *oracle) tick(now time.Duration) []wire.CapEntry {
 			delete(o.entries, id)
 		}
 	}
+	var out []wire.CapEntry
+	for _, id := range o.ranked() {
+		en := o.entries[id]
+		age := now - en.asOf
+		if age < 0 {
+			age = 0
+		}
+		out = append(out, wire.CapEntry{Node: id, CapKbps: en.capKbps, AgeMs: uint32(age / time.Millisecond)})
+	}
+	return out
+}
+
+// ranked returns the ids of the FreshestK newest entries in message order:
+// asOf descending, id ascending on ties.
+func (o *oracle) ranked() []wire.NodeID {
 	ids := make([]wire.NodeID, 0, len(o.entries))
 	for id := range o.entries {
 		ids = append(ids, id)
@@ -151,16 +167,7 @@ func (o *oracle) tick(now time.Duration) []wire.CapEntry {
 	if len(ids) > o.cfg.FreshestK {
 		ids = ids[:o.cfg.FreshestK]
 	}
-	var out []wire.CapEntry
-	for _, id := range ids {
-		en := o.entries[id]
-		age := now - en.asOf
-		if age < 0 {
-			age = 0
-		}
-		out = append(out, wire.CapEntry{Node: id, CapKbps: en.capKbps, AgeMs: uint32(age / time.Millisecond)})
-	}
-	return out
+	return ids
 }
 
 func (o *oracle) estimate() float64 {
@@ -193,6 +200,19 @@ func (o *oracle) check(t *testing.T, e *Estimator, step int, what string) {
 	}
 	if err := ringError(e); err != nil {
 		t.Fatalf("op %d (%s): %v", step, what, err)
+	}
+	if !e.topValid {
+		return // a member was dropped; the next tick refills before it reads
+	}
+	ranked := o.ranked()
+	if len(e.top) != len(ranked) {
+		t.Fatalf("op %d (%s): freshest-k set %+v, oracle ids %v", step, what, e.top, ranked)
+	}
+	for i, id := range ranked {
+		if want := (freshRec{o.entries[id].asOf, id, o.entries[id].capKbps}); e.top[i] != want {
+			t.Fatalf("op %d (%s): freshest-k set rank %d is %+v, oracle %+v\nset    %+v\noracle %v",
+				step, what, i, e.top[i], want, e.top, ranked)
+		}
 	}
 }
 
@@ -332,6 +352,14 @@ func oracleSeeds() [][]byte {
 	}
 	advance := func(scale, steps byte) []byte { return []byte{opAdvance, scale, steps} }
 	tick := []byte{opTick}
+	setSelf := func(hi, lo byte) []byte { return []byte{opSetSelf, hi, lo} }
+	exclude := func(ids ...byte) []byte { // toggles each id
+		var out []byte
+		for _, id := range ids {
+			out = append(out, opExclude, id)
+		}
+		return out
+	}
 	cat := func(parts ...[]byte) []byte {
 		var out []byte
 		for _, p := range parts {
@@ -351,7 +379,17 @@ func oracleSeeds() [][]byte {
 		}
 		return out
 	}
-	return [][]byte{
+	// expiry leaves self and ids 1..alive-1 inside a 1 s TTL while ids 20-22
+	// cross it between the first tick and the second (k 10).
+	expiry := func(alive byte) []byte {
+		var fresh []byte
+		for id := byte(1); id < alive; id++ {
+			fresh = append(fresh, id, id, 1, id)
+		}
+		return cat(header(5, 0, 0, 0), advance(3, 2), recv(20, 20, 1, 90, 21, 21, 1, 91, 22, 22, 1, 92),
+			recv(fresh...), tick, tick, recv(23, 23, 0, 0), tick)
+	}
+	seeds := [][]byte{
 		// Ages beyond the TTL and beyond the clock (negative asOf) on
 		// arrival: counted until the next tick, gone after it.
 		cat(header(0, 0, 0, 0), advance(3, 2),
@@ -361,7 +399,7 @@ func oracleSeeds() [][]byte {
 		// and SetSelfCapKbps in one instant), then selected.
 		cat(header(0, 0, 0, 0), advance(3, 1),
 			recv(1, 10, 1, 5, 1, 11, 1, 5, 1, 12, 1, 4), recv(1, 13, 1, 4, 2, 20, 1, 4),
-			[]byte{opSetSelf, 1, 0, opSetSelf, 2, 0}, tick, []byte{opSetSelf, 3, 0}, tick),
+			setSelf(1, 0), setSelf(2, 0), tick, setSelf(3, 0), tick),
 		// A clock jump longer than the whole ring, with a full table, then
 		// fresh arrivals next to the stale ones before the tick that ages
 		// the stale ones out.
@@ -387,7 +425,7 @@ func oracleSeeds() [][]byte {
 				226, 60, 0, 1, 227, 70, 0, 1, 228, 80, 0, 1, 229, 90, 0, 1), tick, tick),
 		// Self outside the limit: no own entry, the estimate is all sampled prefix.
 		cat(header(0, 2, 2, 0), tick,
-			recv(20, 10, 0, 1, 7, 20, 0, 1, 8, 30, 0, 1), tick, []byte{opSetSelf, 0, 9}, advance(4, 1), tick, tick),
+			recv(20, 10, 0, 1, 7, 20, 0, 1, 8, 30, 0, 1), tick, setSelf(0, 9), advance(4, 1), tick, tick),
 		// A valid id far from the rest (the dense table grows to reach it).
 		cat(header(0, 0, 0, 0), recv(229, 90, 0, 1, 1, 10, 0, 2), tick, advance(4, 1), tick),
 		// FreshestK larger than the table; k 3 and fanout 3.
@@ -402,10 +440,49 @@ func oracleSeeds() [][]byte {
 		cat(header(6, 0, 0, 0), recv(1, 10, 2, 1, 2, 20, 2, 2), tick, recv(3, 30, 1, 1), tick, tick),
 		// Exclude convicting an id already merged, relays of it refused
 		// while convicted, then release.
-		cat(header(0, 0, 0, 1), spread(12), tick, []byte{opExclude, 3, opExclude, 5},
-			recv(3, 99, 0, 0, 4, 88, 0, 0), tick, []byte{opExclude, 3}, recv(3, 77, 0, 0), tick,
-			[]byte{opExclude, 0}, advance(4, 1), tick),
+		cat(header(0, 0, 0, 1), spread(12), tick, exclude(3, 5),
+			recv(3, 99, 0, 0, 4, 88, 0, 0), tick, exclude(3), recv(3, 77, 0, 0), tick,
+			exclude(0), advance(4, 1), tick),
 	}
+	// The freshest-k set (compared with the oracle after every op).
+	return append(seeds,
+		// Exclude purging the rank-1, a middle and the rank-k member, each
+		// replaced from the ring; then all three released and re-merged.
+		cat(header(0, 0, 0, 1), spread(12), tick, advance(1, 3), recv(13, 13, 0, 0),
+			exclude(13), tick, exclude(4), tick, exclude(10), tick,
+			exclude(13, 4, 10), recv(13, 13, 0, 0, 4, 4, 0, 0, 10, 10, 0, 0), tick, tick),
+		// A refill whose last bucket holds more than the set has room for,
+		// linked oldest first (k 3): the whole bucket has to be ranked.
+		cat(header(2, 0, 0, 1), advance(3, 1), tick, advance(1, 1), recv(9, 90, 0, 0),
+			recv(1, 10, 0, 110, 2, 20, 0, 140, 4, 40, 0, 150, 5, 50, 0, 155), exclude(9), tick),
+		// TTL expiry with exactly k, k-1 and k+1 entries left alive: only
+		// with k-1 does a member expire and the set refill short.
+		expiry(10), expiry(9), expiry(11),
+		// Ties on asOf at the k-th boundary (k 3, self is id 3): a smaller id
+		// displaces the last record, a larger one is turned away, self falls
+		// out of its own set and returns at the tick; then ties with self.
+		cat(header(2, 0, 1, 0), recv(5, 50, 0, 0, 6, 60, 0, 0), recv(1, 10, 0, 0), recv(9, 90, 0, 0),
+			recv(4, 40, 0, 0), recv(0, 1, 0, 0), recv(2, 20, 0, 0), tick,
+			recv(7, 70, 0, 0), recv(2, 21, 0, 0), recv(8, 80, 0, 0), tick),
+		// The same id refreshed twice inside one period (k 3): first from
+		// outside the set, then as a member moving up; its old record leaves.
+		cat(header(2, 0, 0, 0), advance(3, 1), recv(1, 10, 1, 50, 2, 20, 1, 40, 4, 40, 1, 30, 5, 50, 1, 20),
+			recv(1, 11, 1, 25), recv(1, 12, 1, 10), recv(4, 41, 1, 5), recv(4, 42, 1, 5), tick),
+		// SetSelfCapKbps mid-period: self returns to rank 1 with the new value.
+		cat(header(0, 0, 0, 0), spread(12), tick, advance(1, 5), recv(13, 13, 0, 0), setSelf(1, 0),
+			advance(1, 5), recv(14, 14, 0, 0), setSelf(2, 0), setSelf(3, 0), tick),
+		// FreshestK 1: ties and displacement with one record.
+		cat(header(7, 0, 0, 1), recv(5, 50, 0, 0), advance(1, 1), recv(6, 60, 0, 0), recv(2, 20, 0, 0),
+			recv(8, 80, 0, 0), exclude(2), tick, advance(1, 1), recv(6, 61, 0, 0), exclude(6), tick),
+		// FreshestK larger than the table: every entry is a member, a purge
+		// refills across the whole ring, and expiry leaves self alone.
+		cat(header(4, 0, 0, 1), spread(27), tick, exclude(5, 27), tick, recv(5, 5, 0, 0),
+			exclude(5), recv(5, 6, 0, 0), tick, advance(4, 1), tick),
+		// TrackLimit excluding self (k 3, limit 8, self 20): the set never
+		// holds self, and empties when everything expires.
+		cat(header(2, 2, 2, 1), recv(1, 10, 0, 1, 2, 20, 0, 2, 5, 50, 0, 3, 7, 70, 0, 4, 9, 90, 0, 0, 20, 1, 0, 0),
+			tick, exclude(1), tick, recv(6, 60, 0, 0), tick, advance(4, 1), tick, recv(3, 30, 0, 0), tick),
+	)
 }
 
 // FuzzEstimatorOracle checks the estimator's freshness index against the

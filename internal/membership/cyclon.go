@@ -212,54 +212,56 @@ func (c *Cyclon) sampleDescriptors(k int) []wire.PeerDescriptor {
 	return out
 }
 
-// merge folds received descriptors into the view: skip self and duplicates
-// (keeping the fresher copy), fill free slots, then replace entries that
-// were shipped to the peer (Cyclon's swap semantics), and finally replace
-// the oldest entries.
+// merge folds received descriptors into the view, then the peer itself: the
+// exchange is evidence it is alive, so it is (re)admitted fresh. received is
+// the peer's message and is only read (env contract).
 func (c *Cyclon) merge(received, shipped []wire.PeerDescriptor, from wire.NodeID) {
-	// The exchange itself is evidence the peer is alive: (re)admit it fresh.
-	received = append(received, wire.PeerDescriptor{Node: from, Age: 0})
-	shippedSet := make(map[wire.NodeID]bool, len(shipped))
-	for _, d := range shipped {
-		shippedSet[d.Node] = true
-	}
 	for _, d := range received {
-		if d.Node == c.rt.ID() {
-			continue
-		}
-		if i := c.find(d.Node); i >= 0 {
-			if d.Age < c.view[i].Age {
-				c.view[i].Age = d.Age
-			}
-			continue
-		}
-		if len(c.view) < c.cfg.ViewSize {
-			c.view = append(c.view, d)
-			continue
-		}
-		// Prefer evicting a descriptor we just shipped; else the oldest.
-		victim := -1
-		for i := range c.view {
-			if shippedSet[c.view[i].Node] {
-				victim = i
-				break
-			}
-		}
-		if victim < 0 {
-			victim = 0
-			for i := range c.view {
-				if c.view[i].Age > c.view[victim].Age {
-					victim = i
-				}
-			}
-		}
-		c.view[victim] = d
+		c.admit(d, shipped)
 	}
+	c.admit(wire.PeerDescriptor{Node: from, Age: 0}, shipped)
 }
 
-func (c *Cyclon) find(id wire.NodeID) int {
+// admit folds one descriptor into the view: skip self and duplicates (keeping
+// the fresher copy), fill a free slot, else replace an entry that was shipped
+// to the peer (Cyclon's swap semantics), else the oldest entry.
+func (c *Cyclon) admit(d wire.PeerDescriptor, shipped []wire.PeerDescriptor) {
+	if d.Node == c.rt.ID() {
+		return
+	}
+	if i := indexOf(c.view, d.Node); i >= 0 {
+		if d.Age < c.view[i].Age {
+			c.view[i].Age = d.Age
+		}
+		return
+	}
+	if len(c.view) < c.cfg.ViewSize {
+		c.view = append(c.view, d)
+		return
+	}
+	// Prefer evicting a descriptor we just shipped; else the oldest.
+	victim := -1
 	for i := range c.view {
-		if c.view[i].Node == id {
+		if indexOf(shipped, c.view[i].Node) >= 0 {
+			victim = i
+			break
+		}
+	}
+	if victim < 0 {
+		victim = 0
+		for i := range c.view {
+			if c.view[i].Age > c.view[victim].Age {
+				victim = i
+			}
+		}
+	}
+	c.view[victim] = d
+}
+
+// indexOf returns the position of id's descriptor in ds, or -1.
+func indexOf(ds []wire.PeerDescriptor, id wire.NodeID) int {
+	for i := range ds {
+		if ds[i].Node == id {
 			return i
 		}
 	}
@@ -267,7 +269,7 @@ func (c *Cyclon) find(id wire.NodeID) int {
 }
 
 func (c *Cyclon) addDescriptor(d wire.PeerDescriptor) {
-	if c.find(d.Node) >= 0 {
+	if indexOf(c.view, d.Node) >= 0 {
 		return
 	}
 	c.view = append(c.view, d)

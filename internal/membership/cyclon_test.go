@@ -2,6 +2,7 @@ package membership
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -183,5 +184,30 @@ func TestCyclonBootstrapRespectsViewSize(t *testing.T) {
 	c := NewCyclon(cfg, boot)
 	if c.PeerCount() != 3 {
 		t.Fatalf("bootstrap overfilled view: %d", c.PeerCount())
+	}
+}
+
+// TestCyclonReceiveLeavesMessageAlone: a ShuffleReq built by shuffle has
+// spare capacity behind its descriptors, and the sender still holds that
+// array as its replacement candidates; the simulator hands the receiver the
+// very same object. Merging must read it, never append to it.
+func TestCyclonReceiveLeavesMessageAlone(t *testing.T) {
+	net := simnet.New(simnet.Config{Seed: 1})
+	c := NewCyclon(CyclonConfig{}, []wire.NodeID{1, 2, 3})
+	net.AddNode(c, simnet.NodeConfig{})
+	net.Run(time.Millisecond)
+
+	sentinel := wire.PeerDescriptor{Node: 77, Age: 7}
+	backing := []wire.PeerDescriptor{{Node: 4, Age: 1}, {Node: 5, Age: 2}, sentinel}
+	c.Receive(9, &wire.ShuffleReq{Descriptors: backing[:2]})
+
+	if backing[2] != sentinel {
+		t.Fatalf("Receive wrote %+v into the message's spare capacity", backing[2])
+	}
+	// The sender is still admitted fresh, after the descriptors it sent.
+	view := c.ViewDescriptors()
+	want := []wire.PeerDescriptor{{Node: 4, Age: 1}, {Node: 5, Age: 2}, {Node: 9}}
+	if len(view) != 6 || !slices.Equal(view[3:], want) {
+		t.Fatalf("view %+v, want the three bootstrap peers then %+v", view, want)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/aggregation"
 	"repro/internal/churn"
 	"repro/internal/metrics"
 	"repro/internal/stream"
@@ -107,18 +108,24 @@ func TestConfigValidation(t *testing.T) {
 	}
 	// Negative aggregation settings are errors, not an Int63n panic inside
 	// the event loop (period) or a HEAP run with aggregation silently off
-	// (fanout, k); zero still means the default.
+	// (fanout, k); zero still means the default. Nor may k exceed what the
+	// wire format's one-byte entry count can carry.
 	for name, mutate := range map[string]func(*Config){
-		"AggPeriod":     func(c *Config) { c.AggPeriod = -time.Second },
-		"AggFanout":     func(c *Config) { c.AggFanout = -1 },
-		"AggFreshestK":  func(c *Config) { c.AggFreshestK = -1 },
-		"AggTrackLimit": func(c *Config) { c.AggTrackLimit = -1 },
+		"negative AggPeriod":     func(c *Config) { c.AggPeriod = -time.Second },
+		"negative AggFanout":     func(c *Config) { c.AggFanout = -1 },
+		"negative AggFreshestK":  func(c *Config) { c.AggFreshestK = -1 },
+		"negative AggTrackLimit": func(c *Config) { c.AggTrackLimit = -1 },
+		"AggFreshestK 300":       func(c *Config) { c.AggFreshestK = 300 },
 	} {
 		cfg := Config{Nodes: 10, Dist: Ref691, Protocol: HEAP}
 		mutate(&cfg)
 		if _, err := Run(cfg); err == nil {
-			t.Errorf("negative %s accepted", name)
+			t.Errorf("%s accepted", name)
 		}
+	}
+	atLimit := Config{Nodes: 10, Dist: Ref691, Protocol: HEAP, AggFreshestK: aggregation.MaxFreshestK}
+	if err := atLimit.applyDefaults(); err != nil {
+		t.Errorf("AggFreshestK at the wire limit rejected: %v", err)
 	}
 	// Min alone is the historical "constant base latency" config and must
 	// keep working (Max defaults to Min).
