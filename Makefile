@@ -39,9 +39,11 @@ race:
 # determinism oracles run here too — the
 # sharded event loop is the one place simulation results depend on goroutine
 # discipline — plus the cluster-sampler storm (concurrent split draws against
-# the brute-force oracle).
+# the brute-force oracle). udpnet runs whole: its timer free list and the
+# Close/fire handshake are state shared between timer goroutines, the read
+# loop and callers.
 race-detect:
-	$(GO) test -race ./internal/misbehave ./internal/adapt ./internal/ratelimit
+	$(GO) test -race ./internal/misbehave ./internal/adapt ./internal/ratelimit ./internal/udpnet
 	$(GO) test -race -run 'TestCrossShardExchangeRace|TestHeapCancelRescheduleStorm' ./internal/simnet
 	$(GO) test -race -run 'TestClusterSamplerStorm' ./internal/membership
 	$(GO) test -race -run 'TestDeterminismShardCounts|TestDeterminismTopologyShardCounts' ./internal/scenario
@@ -94,10 +96,12 @@ largescale:
 # Validate/Build agreement and rebuild stability over arbitrary config bytes;
 # the estimator and queue targets replay op sequences against brute-force
 # oracles (their inputs are long, so minimizing each new one is capped or it
-# eats the run).
+# eats the run). The decoder-reuse target decodes a pair of byte strings on
+# one wire.Decoder and requires the second to come out as it does fresh.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzRoundTrip$$' -fuzztime 10s ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzDecoderReuse$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzTopologyConfig$$' -fuzztime 10s ./internal/topo
 	$(GO) test -run '^$$' -fuzz '^FuzzEstimatorOracle$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/aggregation
 	$(GO) test -run '^$$' -fuzz '^FuzzQueueOracle$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/simnet

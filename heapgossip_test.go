@@ -132,14 +132,17 @@ func TestUDPNodesStreamThroughPublicAPI(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
+	// Release mu before touching a node again: a node delivering holds its
+	// own mutex while OnDeliver waits for mu, so Close or an accessor called
+	// under mu would deadlock with it.
 	mu.Lock()
-	defer mu.Unlock()
 	sum := 0
 	for id, c := range received {
 		if id != 0 {
 			sum += c
 		}
 	}
+	mu.Unlock()
 	if sum < (nodes-1)*total*90/100 {
 		t.Fatalf("system delivered %d of %d", sum, (nodes-1)*total)
 	}
@@ -263,18 +266,19 @@ func TestUDPMultiSourceStreams(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	mu.Lock()
-	defer mu.Unlock()
 	for _, tc := range []struct {
 		stream StreamID
 		src    NodeID
 	}{{0, 0}, {1, 1}} {
+		// mu is not held past the sum: see TestUDPNodesStreamThroughPublicAPI.
+		mu.Lock()
 		sum := 0
 		for nid, c := range perStream[tc.stream] {
 			if nid != tc.src {
 				sum += c
 			}
 		}
+		mu.Unlock()
 		if sum < want(tc.stream, tc.src) {
 			t.Fatalf("stream %d delivered %d of %d across receivers", tc.stream, sum, (nodes-1)*total)
 		}

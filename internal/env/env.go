@@ -17,6 +17,8 @@
 //     expressed through Runtime.After.
 //   - Messages received through Receive are immutable; handlers must not
 //     modify them (the simulator shares one object among all recipients).
+//   - A received message is valid only until Receive returns (see
+//     Handler.Receive): the UDP runtime decodes the next datagram over it.
 package env
 
 import (
@@ -71,6 +73,14 @@ type Handler interface {
 	Start(rt Runtime)
 
 	// Receive is invoked for every message delivered to this node.
+	//
+	// m belongs to the runtime and is valid only until Receive returns: the
+	// UDP runtime decodes every datagram into the same few reusable messages
+	// (wire.Decoder), and the simulator hands every recipient the sender's
+	// own object. A handler may keep a Serve's payload bytes (Event.Payload,
+	// or a copy of the Event value) for as long as it likes, and nothing
+	// else: not m, and not a slice header from inside it (IDs, Events,
+	// Entries, Descriptors) — copy the elements it needs.
 	Receive(from wire.NodeID, m wire.Message)
 
 	// Stop is invoked when the node shuts down (cleanly or by simulated

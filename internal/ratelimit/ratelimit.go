@@ -255,7 +255,8 @@ func (s *Sender[T]) drain() {
 	var (
 		pending    T
 		hasPending bool
-		txClock    time.Time // when the uplink becomes free
+		txClock    time.Time   // when the uplink becomes free
+		timer      *time.Timer // the loop's one timer, re-armed per paced wait
 	)
 	for {
 		var item T
@@ -288,7 +289,13 @@ func (s *Sender[T]) drain() {
 				txClock = deadline
 				break
 			}
-			timer := time.NewTimer(wait)
+			// go 1.23+ timers: Reset on a stopped or fired timer needs no
+			// drain, and a Stop-ped timer leaves nothing in its channel.
+			if timer == nil {
+				timer = time.NewTimer(wait)
+			} else {
+				timer.Reset(wait)
+			}
 			select {
 			case <-timer.C:
 				txClock = deadline

@@ -665,3 +665,37 @@ func TestBatchDrainConcurrentSetRateRace(t *testing.T) {
 		t.Fatalf("flush saw %d bytes, BytesSent reports %d", sb, s.BytesSent())
 	}
 }
+
+// TestPacedWaitsAllocateNothing is the pacer's share of the live path's
+// allocation budget: the drain loop owns one timer for its lifetime, so 1,000
+// paced waits on one Sender allocate nothing (a timer per wait was three
+// objects each). 125-byte items at 20 Mbps are 50 µs of serialization apiece,
+// each one a real timer wait.
+func TestPacedWaitsAllocateNothing(t *testing.T) {
+	const items = 1000
+	var got atomic.Int64
+	s, err := NewSender(20_000_000, items, func(int) int { return 125 }, func(int) { got.Add(1) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	start := time.Now()
+	rounds := int64(0)
+	allocs := testing.AllocsPerRun(1, func() { // a warm-up round, then the measured one
+		rounds++
+		for i := 0; i < items; i++ {
+			if !s.Enqueue(i) {
+				t.Fatal("enqueue failed")
+			}
+		}
+		for got.Load() < rounds*items {
+			time.Sleep(200 * time.Microsecond)
+		}
+	})
+	if elapsed, floor := time.Since(start), 2*items*50*time.Microsecond; elapsed < floor {
+		t.Fatalf("2 x %d items took %v, under the %v their serialization needs: the waits were not paced", items, elapsed, floor)
+	}
+	if allocs != 0 {
+		t.Fatalf("%d paced waits allocated %v objects, want 0", items, allocs)
+	}
+}

@@ -47,23 +47,33 @@ type mmsghdr struct {
 
 // mmsgIO implements batchIO over one UDP socket's raw descriptor. The
 // receive staging buffers are the free list the read loop recycles: they
-// are filled by every recvmmsg call and never escape (bodies are copied to
-// a per-batch arena before decoding), so one ioBatchMax×maxDatagram
-// allocation serves the node's whole lifetime.
+// are filled by every recvmmsg call and never escape (messages are decoded
+// in place and dispatched before the next call; only Serve bodies, whose
+// payloads handlers keep, are copied out first), so one
+// ioBatchMax×maxDatagram allocation serves the node's whole lifetime. So do
+// the two RawConn callbacks: they are method values bound once, and talk to
+// their callers through the fields beside them, so a wakeup captures nothing.
 type mmsgIO struct {
 	rc   syscall.RawConn
 	ipv6 bool // socket family: encode destinations to match
 
-	// Receive side, allocated once.
+	// Receive side, allocated once. recvFn reports through rcount/rerrno;
+	// only the read loop calls ReadBatch.
 	rhdrs  []mmsghdr
 	riov   []syscall.Iovec
 	rbufs  [][]byte
 	rnames []syscall.RawSockaddrAny
+	recvFn func(fd uintptr) bool
+	rcount int
+	rerrno syscall.Errno
 
-	// Send side, allocated once; headers are rebuilt per WriteBatch.
-	shdrs  []mmsghdr
-	siov   []syscall.Iovec
-	snames []syscall.RawSockaddrAny
+	// Send side, allocated once; headers are rebuilt per WriteBatch. sendFn
+	// transmits shdrs[wsent:wk]; only the paced sender calls WriteBatch.
+	shdrs     []mmsghdr
+	siov      []syscall.Iovec
+	snames    []syscall.RawSockaddrAny
+	sendFn    func(fd uintptr) bool
+	wsent, wk int
 }
 
 // newBatchIO wires the batched-syscall path over conn. An error (no raw
@@ -88,6 +98,7 @@ func newBatchIO(conn *net.UDPConn) (batchIO, error) {
 		siov:   make([]syscall.Iovec, ioBatchMax),
 		snames: make([]syscall.RawSockaddrAny, ioBatchMax),
 	}
+	m.recvFn, m.sendFn = m.recv, m.send
 	backing := make([]byte, ioBatchMax*maxDatagram)
 	for i := range m.rhdrs {
 		buf := backing[i*maxDatagram : (i+1)*maxDatagram]
@@ -105,41 +116,40 @@ func newBatchIO(conn *net.UDPConn) (batchIO, error) {
 // ReadBatch implements batchIO: one recvmmsg call per wakeup, blocking (via
 // the runtime poller) until at least one datagram is available.
 func (m *mmsgIO) ReadBatch() (int, error) {
-	var (
-		count int
-		errno syscall.Errno
-	)
-	err := m.rc.Read(func(fd uintptr) bool {
-		for {
-			// The kernel overwrites Namelen with the actual source-address
-			// size on each receive; reset it before reusing the headers.
-			for i := range m.rhdrs {
-				m.rhdrs[i].hdr.Namelen = syscall.SizeofSockaddrAny
-			}
-			r1, _, e := syscall.Syscall6(syscall.SYS_RECVMMSG, fd,
-				uintptr(unsafe.Pointer(&m.rhdrs[0])), uintptr(len(m.rhdrs)),
-				0, 0, 0)
-			switch e {
-			case 0:
-				count = int(r1)
-				return true
-			case syscall.EINTR:
-				continue
-			case syscall.EAGAIN:
-				return false // runtime poller waits for readability
-			default:
-				errno = e
-				return true
-			}
-		}
-	})
-	if err != nil {
+	m.rcount, m.rerrno = 0, 0
+	if err := m.rc.Read(m.recvFn); err != nil {
 		return 0, err // socket closed
 	}
-	if errno != 0 {
-		return 0, errno
+	if m.rerrno != 0 {
+		return 0, m.rerrno
 	}
-	return count, nil
+	return m.rcount, nil
+}
+
+// recv is ReadBatch's RawConn callback.
+func (m *mmsgIO) recv(fd uintptr) bool {
+	for {
+		// The kernel overwrites Namelen with the actual source-address
+		// size on each receive; reset it before reusing the headers.
+		for i := range m.rhdrs {
+			m.rhdrs[i].hdr.Namelen = syscall.SizeofSockaddrAny
+		}
+		r1, _, e := syscall.Syscall6(syscall.SYS_RECVMMSG, fd,
+			uintptr(unsafe.Pointer(&m.rhdrs[0])), uintptr(len(m.rhdrs)),
+			0, 0, 0)
+		switch e {
+		case 0:
+			m.rcount = int(r1)
+			return true
+		case syscall.EINTR:
+			continue
+		case syscall.EAGAIN:
+			return false // runtime poller waits for readability
+		default:
+			m.rerrno = e
+			return true
+		}
+	}
 }
 
 // Frame implements batchIO: received datagram i, header included, aliasing
@@ -149,8 +159,8 @@ func (m *mmsgIO) Frame(i int) []byte { return m.rbufs[i][:m.rhdrs[i].len] }
 // SrcMatches implements batchIO without materializing a net.UDPAddr per
 // datagram: the raw source sockaddr is compared in place (net.IP.Equal
 // handles the IPv4-in-IPv6 mapped forms both ways).
-func (m *mmsgIO) SrcMatches(i int, addr *net.UDPAddr) bool {
-	sa := &m.rnames[i]
+func (m *mmsgIO) SrcMatches(i int, peer *peerAddr) bool {
+	sa, addr := &m.rnames[i], peer.udp
 	switch sa.Addr.Family {
 	case syscall.AF_INET:
 		sa4 := (*syscall.RawSockaddrInet4)(unsafe.Pointer(sa))
@@ -182,7 +192,7 @@ func (m *mmsgIO) WriteBatch(items []outDatagram) {
 			if len(frame) == 0 {
 				continue
 			}
-			namelen := m.putSockaddr(&m.snames[k], chunk[i].addr)
+			namelen := m.putSockaddr(&m.snames[k], chunk[i].to.udp)
 			if namelen == 0 {
 				continue // destination unrepresentable on this socket family
 			}
@@ -194,26 +204,29 @@ func (m *mmsgIO) WriteBatch(items []outDatagram) {
 			m.shdrs[k].hdr.Iovlen = 1
 			k++
 		}
-		sent := 0
-		m.rc.Write(func(fd uintptr) bool {
-			for sent < k {
-				r1, _, e := syscall.Syscall6(sysSendmmsg, fd,
-					uintptr(unsafe.Pointer(&m.shdrs[sent])), uintptr(k-sent),
-					0, 0, 0)
-				switch e {
-				case 0:
-					sent += int(r1)
-				case syscall.EINTR:
-					continue
-				case syscall.EAGAIN:
-					return false // wait for writability, then resume
-				default:
-					sent++ // skip the failing head datagram
-				}
-			}
-			return true
-		})
+		m.wsent, m.wk = 0, k
+		m.rc.Write(m.sendFn)
 	}
+}
+
+// send is WriteBatch's RawConn callback.
+func (m *mmsgIO) send(fd uintptr) bool {
+	for m.wsent < m.wk {
+		r1, _, e := syscall.Syscall6(sysSendmmsg, fd,
+			uintptr(unsafe.Pointer(&m.shdrs[m.wsent])), uintptr(m.wk-m.wsent),
+			0, 0, 0)
+		switch e {
+		case 0:
+			m.wsent += int(r1)
+		case syscall.EINTR:
+			continue
+		case syscall.EAGAIN:
+			return false // wait for writability, then resume
+		default:
+			m.wsent++ // skip the failing head datagram
+		}
+	}
+	return true
 }
 
 // putSockaddr encodes addr into sa in the socket's address family,

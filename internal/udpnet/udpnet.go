@@ -13,14 +13,27 @@
 // On Linux the node amortizes syscalls across datagrams: the paced sender
 // drains every item the pacing clock has released into one sendmmsg(2), and
 // the read loop pulls up to a batch of datagrams per recvmmsg(2) into a
-// free list of reusable staging buffers (decoded bodies are copied into one
-// arena allocation per batch — handlers may retain payloads, so the staging
-// buffers themselves are never handed off). Encode-path buffers are pooled
+// free list of reusable staging buffers. Encode-path buffers are pooled
 // and returned after the kernel copy completes. Everywhere else — and on
 // Linux under Config.DisableBatch — the same loops run over a batch of one:
 // singleIO issues one portable syscall per datagram, with identical
 // delivery and accounting semantics; see batch_linux.go / batch_fallback.go
 // for the build-tag split.
+//
+// # A steady state that allocates nothing of its own
+//
+// The transport adds no heap objects to what the protocol allocates. The read
+// loop keeps one wire.Decoder per staging slot and decodes each datagram in
+// place, so a whole batch of messages stays valid until its single
+// mutex-held dispatch; by env.Handler's lifetime rule a handler keeps no
+// message past Receive, only a Serve's payload bytes — so Serve bodies, and
+// nothing else, are first copied into one arena allocation per batch. The
+// syscall callbacks are bound once (batch_linux.go), the pacer re-arms one
+// timer (ratelimit), and AfterFunc — every ticker period and retransmission
+// timeout — re-arms a fireTimer from a per-node free list instead of minting
+// a closure and a runtime timer per call. Close stops every fireTimer, so a
+// closed node's stack is garbage at once rather than when its last ticker
+// would have fired.
 package udpnet
 
 import (
@@ -29,6 +42,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"net/netip"
 	"sync"
 	"time"
 
@@ -99,8 +113,22 @@ type Config struct {
 // pooled storage: whoever removes the datagram from flight — the flush
 // after the kernel copy, or any drop path — returns it via putSendBuf.
 type outDatagram struct {
-	buf  *[]byte
-	addr *net.UDPAddr
+	buf *[]byte
+	to  *peerAddr
+}
+
+// peerAddr is one directory entry in the form each I/O path wants: the
+// batched path encodes udp into a raw sockaddr per socket family; the
+// portable path reads and writes netip.AddrPorts, which — unlike a
+// *net.UDPAddr per ReadFromUDP — cost no allocation per datagram.
+type peerAddr struct {
+	udp *net.UDPAddr
+	ap  netip.AddrPort // udp, unmapped: valid on an IPv4 and a dual-stack socket alike
+}
+
+func newPeerAddr(udp *net.UDPAddr) *peerAddr {
+	ap := udp.AddrPort()
+	return &peerAddr{udp: udp, ap: netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())}
 }
 
 func (d outDatagram) frame() []byte { return *d.buf }
@@ -128,28 +156,28 @@ type batchIO interface {
 	ReadBatch() (int, error)
 	// Frame returns received datagram i (header included).
 	Frame(i int) []byte
-	// SrcMatches reports whether datagram i's source address equals addr.
-	SrcMatches(i int, addr *net.UDPAddr) bool
+	// SrcMatches reports whether datagram i's source address is peer's.
+	SrcMatches(i int, peer *peerAddr) bool
 }
 
 // singleIO implements batchIO with the portable one-datagram-per-syscall
-// calls: every ReadBatch is one ReadFromUDP into a reused buffer.
+// calls: every ReadBatch is one ReadFromUDPAddrPort into a reused buffer.
 type singleIO struct {
 	conn *net.UDPConn
 	buf  []byte
 	size int
-	from *net.UDPAddr
+	from netip.AddrPort
 }
 
 func (s *singleIO) WriteBatch(items []outDatagram) {
 	for _, d := range items {
-		_, _ = s.conn.WriteToUDP(d.frame(), d.addr)
+		_, _ = s.conn.WriteToUDPAddrPort(d.frame(), d.to.ap)
 	}
 }
 
 func (s *singleIO) ReadBatch() (int, error) {
 	var err error
-	s.size, s.from, err = s.conn.ReadFromUDP(s.buf)
+	s.size, s.from, err = s.conn.ReadFromUDPAddrPort(s.buf)
 	if err != nil {
 		return 0, err
 	}
@@ -158,8 +186,11 @@ func (s *singleIO) ReadBatch() (int, error) {
 
 func (s *singleIO) Frame(int) []byte { return s.buf[:s.size] }
 
-func (s *singleIO) SrcMatches(_ int, addr *net.UDPAddr) bool {
-	return addr.Port == s.from.Port && addr.IP.Equal(s.from.IP)
+// SrcMatches compares unmapped addresses (a dual-stack socket reports IPv4
+// sources in the mapped form) and, like net.IP.Equal, ignores zones.
+func (s *singleIO) SrcMatches(_ int, peer *peerAddr) bool {
+	return s.from.Port() == peer.ap.Port() &&
+		s.from.Addr().Unmap().WithZone("") == peer.ap.Addr().WithZone("")
 }
 
 // openIO picks the socket I/O and its batch size: batched syscalls where
@@ -186,11 +217,15 @@ type Node struct {
 
 	mu      sync.Mutex // serializes handler callbacks and guards the fields below
 	rng     *rand.Rand
-	peers   map[wire.NodeID]*net.UDPAddr
-	byAddr  map[string]wire.NodeID
+	peers   map[wire.NodeID]*peerAddr
 	netem   netem.Model
 	started bool
 	closed  bool
+	// timers is every fireTimer AfterFunc ever made, armed or free, so Close
+	// can stop them all; freeTimers threads the idle ones through their next
+	// fields. Both stay as short as the most timers ever armed at once.
+	timers     []*fireTimer
+	freeTimers *fireTimer
 
 	wg sync.WaitGroup
 
@@ -248,8 +283,7 @@ func NewNode(id wire.NodeID, handler env.Handler, cfg Config) (*Node, error) {
 		conn:    conn,
 		epoch:   cfg.Epoch,
 		rng:     rand.New(rand.NewSource(cfg.Seed ^ int64(id)<<32 ^ 0x7ee1)),
-		peers:   make(map[wire.NodeID]*net.UDPAddr),
-		byAddr:  make(map[string]wire.NodeID),
+		peers:   make(map[wire.NodeID]*peerAddr),
 		netem:   cfg.Netem,
 	}
 	var batchMax int
@@ -285,11 +319,9 @@ func (n *Node) Addr() *net.UDPAddr { return n.conn.LocalAddr().(*net.UDPAddr) }
 func (n *Node) SetPeers(peers map[wire.NodeID]*net.UDPAddr) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.peers = make(map[wire.NodeID]*net.UDPAddr, len(peers))
-	n.byAddr = make(map[string]wire.NodeID, len(peers))
+	n.peers = make(map[wire.NodeID]*peerAddr, len(peers))
 	for id, addr := range peers {
-		n.peers[id] = addr
-		n.byAddr[addr.String()] = id
+		n.peers[id] = newPeerAddr(addr)
 	}
 }
 
@@ -297,8 +329,7 @@ func (n *Node) SetPeers(peers map[wire.NodeID]*net.UDPAddr) {
 func (n *Node) AddPeer(id wire.NodeID, addr *net.UDPAddr) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.peers[id] = addr
-	n.byAddr[addr.String()] = id
+	n.peers[id] = newPeerAddr(addr)
 }
 
 // Start launches the read loop and starts the handler. It must be called at
@@ -319,7 +350,10 @@ func (n *Node) Start() error {
 }
 
 // Close stops the node: the socket is closed, the read loop exits, the
-// handler is stopped, and the paced sender is shut down. Idempotent.
+// handler is stopped, the paced sender is shut down, and every timer
+// AfterFunc armed is stopped — a pending one would otherwise keep the whole
+// stack (tables, buffered payloads) reachable until it fired, two minutes
+// for the engine's prune ticker. Idempotent.
 func (n *Node) Close() {
 	n.mu.Lock()
 	if n.closed {
@@ -337,6 +371,11 @@ func (n *Node) Close() {
 	if n.started {
 		n.handler.Stop()
 	}
+	for _, ft := range n.timers {
+		ft.t.Stop()
+		ft.fn = nil
+	}
+	n.timers, n.freeTimers = nil, nil
 	n.mu.Unlock()
 }
 
@@ -435,12 +474,15 @@ func (n *Node) Execute(fn func()) bool {
 	return true
 }
 
-// readLoop reads up to ioBatchMax datagrams per ReadBatch out of the
-// batchIO's reusable staging buffers; their bodies are copied into one arena
-// allocation per batch (decoded messages alias their input and handlers may
-// retain payloads, so the staging buffers can never be handed off — but one
-// arena replaces one allocation per datagram), then every decoded message is
-// dispatched under one node-mutex hold.
+// readLoop reads up to ioBatchMax datagrams per ReadBatch and decodes each
+// where it lies in the batchIO's staging buffer, with the decoder of its
+// staging slot — one wire.Decoder per slot, so every message of the batch
+// stays valid until all of them have been dispatched under one node-mutex
+// hold, and a warm loop allocates nothing to decode. Messages die with the
+// next ReadBatch, which env.Handler's lifetime rule allows; what a handler may
+// keep is a Serve's payload bytes (the engine buffers them to serve later), so
+// Serve bodies — only those — are copied into one arena allocation per batch
+// before they are decoded.
 func (n *Node) readLoop() {
 	defer n.wg.Done()
 	type inMsg struct {
@@ -449,6 +491,8 @@ func (n *Node) readLoop() {
 		src    int // staging index, for the source-address check
 	}
 	msgs := make([]inMsg, 0, ioBatchMax)
+	decoders := make([]wire.Decoder, ioBatchMax)
+	isServe := func(f []byte) bool { return len(f) > frameHeader && wire.Kind(f[frameHeader]) == wire.KindServe }
 	for {
 		count, err := n.bio.ReadBatch()
 		if err != nil {
@@ -456,11 +500,11 @@ func (n *Node) readLoop() {
 		}
 		total := 0
 		for i := 0; i < count; i++ {
-			if f := n.bio.Frame(i); len(f) >= frameHeader {
+			if f := n.bio.Frame(i); isServe(f) {
 				total += len(f) - frameHeader
 			}
 		}
-		arena := make([]byte, 0, total)
+		arena := make([]byte, 0, total) // no allocation when the batch has no Serve
 		msgs = msgs[:0]
 		badFrames := 0
 		for i := 0; i < count; i++ {
@@ -469,10 +513,13 @@ func (n *Node) readLoop() {
 				badFrames++
 				continue
 			}
-			start := len(arena)
-			arena = append(arena, f[frameHeader:]...)
-			body := arena[start:len(arena):len(arena)]
-			msg, err := wire.Unmarshal(body)
+			body := f[frameHeader:]
+			if isServe(f) {
+				start := len(arena)
+				arena = append(arena, body...)
+				body = arena[start:len(arena):len(arena)]
+			}
+			msg, err := decoders[i].Unmarshal(body)
 			if err != nil {
 				badFrames++
 				continue
@@ -518,7 +565,7 @@ func (rt *nodeRuntime) Rand() *rand.Rand { return rt.n.rng }
 // once the kernel copy completes.
 func (rt *nodeRuntime) Send(to wire.NodeID, m wire.Message) {
 	n := rt.n
-	addr, ok := n.peers[to]
+	peer, ok := n.peers[to]
 	if !ok {
 		return
 	}
@@ -527,7 +574,7 @@ func (rt *nodeRuntime) Send(to wire.NodeID, m wire.Message) {
 	binary.BigEndian.PutUint32(buf, uint32(n.id))
 	buf = m.MarshalBinary(buf)
 	*bp = buf // keep any growth for reuse
-	d := outDatagram{buf: bp, addr: addr}
+	d := outDatagram{buf: bp, to: peer}
 	if n.netem != nil {
 		// Send runs in the node's execution context (under mu), so the
 		// model and rng need no extra locking — the same single-threaded
@@ -564,7 +611,10 @@ func (rt *nodeRuntime) Send(to wire.NodeID, m wire.Message) {
 }
 
 // After implements env.Runtime with a wall-clock timer whose callback runs
-// under the node mutex.
+// under the node mutex. The handle costs a closure and a runtime timer per
+// call, and Close does not stop it: it is for the rare cancelable timeout
+// (peer sampling's one pending reply); everything periodic goes through
+// AfterFunc.
 func (rt *nodeRuntime) After(d time.Duration, fn func()) env.Timer {
 	n := rt.n
 	t := time.AfterFunc(d, func() {
@@ -584,7 +634,47 @@ type wallTimer struct {
 
 func (w wallTimer) Stop() bool { return w.t.Stop() }
 
-// AfterFunc implements env.Runtime: After without the cancel handle.
+// fireTimer is one reusable AfterFunc timer: armed while fn is set, else idle
+// on the node's free list. All fields are guarded by the node mutex.
+type fireTimer struct {
+	n    *Node
+	t    *time.Timer
+	fn   func()
+	next *fireTimer // free list link
+}
+
+// AfterFunc implements env.Runtime: the timer call of every ticker period and
+// retransmission timeout. Like every Runtime method it runs in the node's
+// execution context (under mu). It re-arms a timer from the node's free list,
+// so in steady state it allocates nothing; a closed node arms nothing.
 func (rt *nodeRuntime) AfterFunc(d time.Duration, fn func()) {
-	rt.After(d, fn)
+	n := rt.n
+	if n.closed {
+		return
+	}
+	ft := n.freeTimers
+	if ft == nil {
+		ft = &fireTimer{n: n, fn: fn}
+		n.timers = append(n.timers, ft)
+		// Should it fire at once, fire still waits for mu, held here.
+		ft.t = time.AfterFunc(d, ft.fire)
+		return
+	}
+	n.freeTimers, ft.next, ft.fn = ft.next, nil, fn
+	ft.t.Reset(d)
+}
+
+// fire runs on the timer's goroutine. The timer goes back on the free list
+// before its callback runs, so a callback that re-arms itself (a ticker)
+// gets this very timer back.
+func (ft *fireTimer) fire() {
+	n := ft.n
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.closed {
+		return
+	}
+	fn := ft.fn
+	ft.fn, ft.next, n.freeTimers = nil, n.freeTimers, ft
+	fn()
 }

@@ -15,6 +15,7 @@ import (
 
 // collector records received messages thread-safely via the node mutex
 // (callbacks are serialized; the test reads after synchronization points).
+// A message is only valid during Receive (env.Handler), so it keeps a copy.
 type collector struct {
 	mu  sync.Mutex
 	got []wire.Message
@@ -25,7 +26,11 @@ func (c *collector) Stop()             {}
 func (c *collector) Receive(_ wire.NodeID, m wire.Message) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.got = append(c.got, m)
+	kept, err := wire.Unmarshal(wire.Marshal(m))
+	if err != nil {
+		panic(err)
+	}
+	c.got = append(c.got, kept)
 }
 
 func (c *collector) count() int {

@@ -62,42 +62,7 @@ func FuzzRoundTrip(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, kindSel uint8, count uint16, base uint64, v uint32, streamSel uint32, payload []byte) {
-		if len(payload) > 256 {
-			payload = payload[:256]
-		}
-		stream := StreamID(streamSel)
-		var m Message
-		switch Kind(kindSel%8 + 1) {
-		case KindPropose:
-			m = &Propose{Stream: stream, IDs: fuzzIDs(count%64, base)}
-		case KindRequest:
-			m = &Request{Stream: stream, IDs: fuzzIDs(count%64, base)}
-		case KindServe:
-			events := make([]Event, count%8)
-			for i := range events {
-				events[i] = Event{
-					ID:      PacketID(base + uint64(i)),
-					Stream:  stream,
-					Stamp:   int64(base ^ uint64(v)),
-					Payload: payload,
-				}
-			}
-			m = &Serve{Stream: stream, Events: events}
-		case KindAggregate:
-			entries := make([]CapEntry, count%32)
-			for i := range entries {
-				entries[i] = CapEntry{Node: NodeID(int32(v) + int32(i)), CapKbps: v, AgeMs: uint32(base)}
-			}
-			m = &Aggregate{Entries: entries}
-		case KindShuffleReq:
-			m = &ShuffleReq{Descriptors: fuzzDescriptors(count%32, v)}
-		case KindShuffleReply:
-			m = &ShuffleReply{Descriptors: fuzzDescriptors(count%32, v)}
-		case KindAvgPush:
-			m = &AvgPush{Value: math.Float64frombits(base), Weight: float64(v)}
-		case KindAvgReply:
-			m = &AvgReply{Value: math.Float64frombits(base), Weight: float64(v)}
-		}
+		m := fuzzMessage(kindSel, count, base, v, streamSel, payload)
 
 		enc1 := Marshal(m)
 		if len(enc1) != m.WireSize() {
@@ -112,6 +77,46 @@ func FuzzRoundTrip(f *testing.F) {
 			t.Fatalf("%s: encode→decode→encode not byte-identical:\n 1: %x\n 2: %x", m.Kind(), enc1, enc2)
 		}
 	})
+}
+
+// fuzzMessage builds a message of the selected kind from fuzzed fields — the
+// structured half of the corpus, shared by FuzzRoundTrip and FuzzDecoderReuse.
+func fuzzMessage(kindSel uint8, count uint16, base uint64, v uint32, streamSel uint32, payload []byte) Message {
+	if len(payload) > 256 {
+		payload = payload[:256]
+	}
+	stream := StreamID(streamSel)
+	switch Kind(kindSel%8 + 1) {
+	case KindPropose:
+		return &Propose{Stream: stream, IDs: fuzzIDs(count%64, base)}
+	case KindRequest:
+		return &Request{Stream: stream, IDs: fuzzIDs(count%64, base)}
+	case KindServe:
+		events := make([]Event, count%8)
+		for i := range events {
+			events[i] = Event{
+				ID:      PacketID(base + uint64(i)),
+				Stream:  stream,
+				Stamp:   int64(base ^ uint64(v)),
+				Payload: payload,
+			}
+		}
+		return &Serve{Stream: stream, Events: events}
+	case KindAggregate:
+		entries := make([]CapEntry, count%32)
+		for i := range entries {
+			entries[i] = CapEntry{Node: NodeID(int32(v) + int32(i)), CapKbps: v, AgeMs: uint32(base)}
+		}
+		return &Aggregate{Entries: entries}
+	case KindShuffleReq:
+		return &ShuffleReq{Descriptors: fuzzDescriptors(count%32, v)}
+	case KindShuffleReply:
+		return &ShuffleReply{Descriptors: fuzzDescriptors(count%32, v)}
+	case KindAvgPush:
+		return &AvgPush{Value: math.Float64frombits(base), Weight: float64(v)}
+	default:
+		return &AvgReply{Value: math.Float64frombits(base), Weight: float64(v)}
+	}
 }
 
 func fuzzIDs(n uint16, base uint64) []PacketID {

@@ -402,10 +402,31 @@ func Marshal(m Message) []byte {
 	return m.MarshalBinary(make([]byte, 0, m.WireSize()))
 }
 
-// Unmarshal decodes one message from buf. The whole buffer must be consumed;
-// trailing bytes are an error (datagram transports deliver exactly one
-// message per datagram).
-func Unmarshal(buf []byte) (Message, error) {
+// Unmarshal decodes one message from buf into freshly allocated storage. The
+// whole buffer must be consumed; trailing bytes are an error (datagram
+// transports deliver exactly one message per datagram).
+func Unmarshal(buf []byte) (Message, error) { return new(Decoder).Unmarshal(buf) }
+
+// Decoder decodes messages into storage it owns: one reusable message of each
+// kind, whose slices keep their capacity from one decode to the next, so a
+// warm decoder allocates nothing. The message Unmarshal returns, and every
+// slice header in it, is valid until the decoder's next Unmarshal. Serve
+// payloads alias the input buffer, never the decoder, and live as long as
+// that buffer does. The zero value is ready to use.
+type Decoder struct {
+	propose      Propose
+	request      Request
+	serve        Serve
+	aggregate    Aggregate
+	shuffleReq   ShuffleReq
+	shuffleReply ShuffleReply
+	avgPush      AvgPush
+	avgReply     AvgReply
+}
+
+// Unmarshal decodes one message from buf, like the package's Unmarshal, into
+// the decoder's message of that kind.
+func (d *Decoder) Unmarshal(buf []byte) (Message, error) {
 	if len(buf) < 1 {
 		return nil, ErrShortBuffer
 	}
@@ -415,29 +436,21 @@ func Unmarshal(buf []byte) (Message, error) {
 	var err error
 	switch kind {
 	case KindPropose:
-		stream, ids, e := r.streamIDs()
-		m, err = &Propose{Stream: stream, IDs: ids}, e
+		m, err = &d.propose, r.streamIDs(&d.propose.Stream, &d.propose.IDs)
 	case KindRequest:
-		stream, ids, e := r.streamIDs()
-		m, err = &Request{Stream: stream, IDs: ids}, e
+		m, err = &d.request, r.streamIDs(&d.request.Stream, &d.request.IDs)
 	case KindServe:
-		stream, evs, e := r.streamEvents()
-		m, err = &Serve{Stream: stream, Events: evs}, e
+		m, err = &d.serve, r.streamEvents(&d.serve.Stream, &d.serve.Events)
 	case KindAggregate:
-		entries, e := r.capEntries()
-		m, err = &Aggregate{Entries: entries}, e
+		m, err = &d.aggregate, r.capEntries(&d.aggregate.Entries)
 	case KindShuffleReq:
-		ds, e := r.descriptors()
-		m, err = &ShuffleReq{Descriptors: ds}, e
+		m, err = &d.shuffleReq, r.descriptors(&d.shuffleReq.Descriptors)
 	case KindShuffleReply:
-		ds, e := r.descriptors()
-		m, err = &ShuffleReply{Descriptors: ds}, e
+		m, err = &d.shuffleReply, r.descriptors(&d.shuffleReply.Descriptors)
 	case KindAvgPush:
-		v, w, e := r.twoFloats()
-		m, err = &AvgPush{Value: v, Weight: w}, e
+		m, err = &d.avgPush, r.twoFloats(&d.avgPush.Value, &d.avgPush.Weight)
 	case KindAvgReply:
-		v, w, e := r.twoFloats()
-		m, err = &AvgReply{Value: v, Weight: w}, e
+		m, err = &d.avgReply, r.twoFloats(&d.avgReply.Value, &d.avgReply.Weight)
 	default:
 		return nil, fmt.Errorf("%w: %d", ErrUnknownKind, kind)
 	}
@@ -448,6 +461,14 @@ func Unmarshal(buf []byte) (Message, error) {
 		return nil, fmt.Errorf("%w: %d bytes after %s", ErrTrailingBytes, len(r.buf), kind)
 	}
 	return m, nil
+}
+
+// resize returns s with length n, reusing its backing array when n fits.
+func resize[T any](s []T, n int) []T {
+	if n <= cap(s) {
+		return s[:n]
+	}
+	return make([]T, n)
 }
 
 // reader is a consuming cursor over an encoded message body.
@@ -522,114 +543,105 @@ func (r *reader) countStream() (int, StreamID, error) {
 	return n, StreamID(s), nil
 }
 
-func (r *reader) streamIDs() (StreamID, []PacketID, error) {
-	n, stream, err := r.countStream()
+// The list decoders below decode into *dst's backing array when the list
+// fits it, and set *dst (and *stream) only on success. Fixed-size records are
+// read in place once the count has been checked against the bytes left.
+
+func (r *reader) streamIDs(stream *StreamID, dst *[]PacketID) error {
+	n, s, err := r.countStream()
 	if err != nil {
-		return 0, nil, err
+		return err
 	}
 	if n*8 > len(r.buf) {
-		return 0, nil, ErrShortBuffer
+		return ErrShortBuffer
 	}
-	ids := make([]PacketID, n)
+	ids := resize(*dst, n)
 	for i := range ids {
-		v, err := r.u64()
-		if err != nil {
-			return 0, nil, err
-		}
-		ids[i] = PacketID(v)
+		ids[i] = PacketID(binary.BigEndian.Uint64(r.buf[8*i:]))
 	}
-	return stream, ids, nil
+	r.buf = r.buf[8*n:]
+	*stream, *dst = s, ids
+	return nil
 }
 
-func (r *reader) streamEvents() (StreamID, []Event, error) {
-	n, stream, err := r.countStream()
+func (r *reader) streamEvents(stream *StreamID, dst *[]Event) error {
+	n, s, err := r.countStream()
 	if err != nil {
-		return 0, nil, err
+		return err
 	}
 	if n*eventWireSize > len(r.buf) {
-		return 0, nil, ErrShortBuffer
+		return ErrShortBuffer
 	}
-	evs := make([]Event, n)
+	evs := resize(*dst, n)
 	for i := range evs {
 		id, err := r.u64()
 		if err != nil {
-			return 0, nil, err
+			return err
 		}
 		stamp, err := r.u64()
 		if err != nil {
-			return 0, nil, err
+			return err
 		}
 		plen, err := r.u16()
 		if err != nil {
-			return 0, nil, err
+			return err
 		}
 		payload, err := r.take(int(plen))
 		if err != nil {
-			return 0, nil, err
+			return err
 		}
-		evs[i] = Event{ID: PacketID(id), Stream: stream, Stamp: int64(stamp), Payload: payload}
+		evs[i] = Event{ID: PacketID(id), Stream: s, Stamp: int64(stamp), Payload: payload}
 	}
-	return stream, evs, nil
+	*stream, *dst = s, evs
+	return nil
 }
 
-func (r *reader) capEntries() ([]CapEntry, error) {
+func (r *reader) capEntries(dst *[]CapEntry) error {
 	n, err := r.u8()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if int(n)*capEntryWireSize > len(r.buf) {
-		return nil, ErrShortBuffer
+		return ErrShortBuffer
 	}
-	entries := make([]CapEntry, n)
+	entries := resize(*dst, int(n))
 	for i := range entries {
-		node, err := r.u32()
-		if err != nil {
-			return nil, err
+		b := r.buf[capEntryWireSize*i:]
+		entries[i] = CapEntry{
+			Node:    NodeID(int32(binary.BigEndian.Uint32(b))),
+			CapKbps: binary.BigEndian.Uint32(b[4:]),
+			AgeMs:   binary.BigEndian.Uint32(b[8:]),
 		}
-		capKbps, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		age, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		entries[i] = CapEntry{Node: NodeID(int32(node)), CapKbps: capKbps, AgeMs: age}
 	}
-	return entries, nil
+	r.buf = r.buf[capEntryWireSize*len(entries):]
+	*dst = entries
+	return nil
 }
 
-func (r *reader) descriptors() ([]PeerDescriptor, error) {
+func (r *reader) descriptors(dst *[]PeerDescriptor) error {
 	n, err := r.u8()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if int(n)*peerDescriptorWireSize > len(r.buf) {
-		return nil, ErrShortBuffer
+		return ErrShortBuffer
 	}
-	ds := make([]PeerDescriptor, n)
+	ds := resize(*dst, int(n))
 	for i := range ds {
-		node, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		age, err := r.u16()
-		if err != nil {
-			return nil, err
-		}
-		ds[i] = PeerDescriptor{Node: NodeID(int32(node)), Age: age}
+		b := r.buf[peerDescriptorWireSize*i:]
+		ds[i] = PeerDescriptor{Node: NodeID(int32(binary.BigEndian.Uint32(b))), Age: binary.BigEndian.Uint16(b[4:])}
 	}
-	return ds, nil
+	r.buf = r.buf[peerDescriptorWireSize*len(ds):]
+	*dst = ds
+	return nil
 }
 
-func (r *reader) twoFloats() (float64, float64, error) {
-	v, err := r.u64()
-	if err != nil {
-		return 0, 0, err
+func (r *reader) twoFloats(value, weight *float64) error {
+	if len(r.buf) < 16 {
+		return ErrShortBuffer
 	}
-	w, err := r.u64()
-	if err != nil {
-		return 0, 0, err
-	}
-	return math.Float64frombits(v), math.Float64frombits(w), nil
+	*value = math.Float64frombits(binary.BigEndian.Uint64(r.buf))
+	*weight = math.Float64frombits(binary.BigEndian.Uint64(r.buf[8:]))
+	r.buf = r.buf[16:]
+	return nil
 }
