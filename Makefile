@@ -35,7 +35,7 @@ race:
 # the paced sender they poll: the misbehavior oracle/property suite, the
 # adapt controller, and the ratelimit concurrency regressions run with their
 # complete iteration counts under the race detector. The simnet cross-shard
-# exchange storm, the event-queue cancel/reschedule storm and the shard-count
+# exchange storm, the event-queue push/pop/defer storm and the shard-count
 # determinism oracles run here too — the
 # sharded event loop is the one place simulation results depend on goroutine
 # discipline — plus the cluster-sampler storm (concurrent split draws against
@@ -44,7 +44,7 @@ race:
 # loop and callers.
 race-detect:
 	$(GO) test -race ./internal/misbehave ./internal/adapt ./internal/ratelimit ./internal/udpnet
-	$(GO) test -race -run 'TestCrossShardExchangeRace|TestHeapCancelRescheduleStorm' ./internal/simnet
+	$(GO) test -race -run 'TestCrossShardExchangeRace|TestQueuePushPopDeferStorm' ./internal/simnet
 	$(GO) test -race -run 'TestClusterSamplerStorm' ./internal/membership
 	$(GO) test -race -run 'TestDeterminismShardCounts|TestDeterminismTopologyShardCounts' ./internal/scenario
 

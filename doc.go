@@ -236,12 +236,12 @@
 // # Capacity and determinism guarantees
 //
 // The simulator's hot path is allocation-free in steady state: events are
-// pooled through a free list, timers are recycled slots behind
-// generation-checked handles, canceled timers are unlinked from the calendar
-// event queue rather than tombstoned, and the dissemination engine keeps its
-// per-packet state in dense slice/bitset tables sized from the stream
-// geometry. A 10,000-node HEAP run is routine on one core (minutes of wall
-// clock, a few GB peak); the practical ceiling is memory for per-node
+// pooled through a free list, a timer is a recycled event slot with no
+// handle (timers cannot be canceled, so an event leaves the calendar queue
+// only by being popped), and the dissemination engine keeps its per-packet
+// state in dense slice/bitset tables sized from the stream geometry. A
+// 10,000-node HEAP run is routine on one core (minutes of wall clock, a few
+// GB peak); the practical ceiling is memory for per-node
 // receive records, roughly O(nodes × packets). Full-membership views cost
 // O(n²) memory across the system, so past ~1k nodes use the Cyclon peer
 // sampler (UsePSS, the LargeScale default).

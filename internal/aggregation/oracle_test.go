@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/env"
 	"repro/internal/wire"
 )
 
@@ -31,7 +30,6 @@ func (s *stubRuntime) Rand() *rand.Rand   { return s.rng }
 func (s *stubRuntime) Send(_ wire.NodeID, m wire.Message) {
 	s.sent = append(s.sent, m.(*wire.Aggregate))
 }
-func (s *stubRuntime) After(time.Duration, func()) env.Timer { panic("estimator uses AfterFunc") }
 func (s *stubRuntime) AfterFunc(d time.Duration, fn func()) {
 	s.timerAt, s.timerFn = s.now+d, fn
 }

@@ -1,7 +1,6 @@
 // Package churn injects failures into simulated runs: the catastrophic
 // failure scenarios of §3.6 (20% / 50% of the nodes crash simultaneously,
-// survivors learn of each failure with a configurable average delay) and a
-// continuous join/leave process for robustness testing beyond the paper.
+// survivors learn of each failure with a configurable average delay).
 package churn
 
 import (
@@ -93,58 +92,4 @@ func (c Catastrophic) Apply(net *simnet.Network, views []*membership.View, rng *
 		}
 	}
 	return victims, nil
-}
-
-// Continuous describes an ongoing churn process: every Interval, one random
-// non-protected alive node crashes. (The paper evaluates catastrophic
-// failures only; this supports robustness testing beyond it.)
-type Continuous struct {
-	Start, End time.Duration
-	Interval   time.Duration
-	NotifyMean time.Duration
-	Protect    []wire.NodeID
-}
-
-// Apply schedules the churn process. Victims are chosen lazily at each tick
-// among nodes still alive.
-func (c Continuous) Apply(net *simnet.Network, views []*membership.View, rng *rand.Rand) error {
-	if c.Interval <= 0 {
-		return fmt.Errorf("churn: non-positive interval")
-	}
-	if c.End < c.Start {
-		return fmt.Errorf("churn: end before start")
-	}
-	protected := make(map[wire.NodeID]bool, len(c.Protect))
-	for _, id := range c.Protect {
-		protected[id] = true
-	}
-	for at := c.Start; at <= c.End; at += c.Interval {
-		at := at
-		net.Schedule(at, func() {
-			alive := make([]wire.NodeID, 0, net.NumNodes())
-			for i := 0; i < net.NumNodes(); i++ {
-				id := wire.NodeID(i)
-				if !protected[id] && net.Alive(id) {
-					alive = append(alive, id)
-				}
-			}
-			if len(alive) <= 1 {
-				return
-			}
-			victim := alive[rng.Intn(len(alive))]
-			net.Crash(victim)
-			for i := 0; i < net.NumNodes(); i++ {
-				if wire.NodeID(i) == victim || views[i] == nil || !net.Alive(wire.NodeID(i)) {
-					continue
-				}
-				view := views[i]
-				delay := time.Duration(0)
-				if c.NotifyMean > 0 {
-					delay = time.Duration(rng.Int63n(int64(2 * c.NotifyMean)))
-				}
-				net.Schedule(net.Now()+delay, func() { view.Remove(victim) })
-			}
-		})
-	}
-	return nil
 }

@@ -131,41 +131,3 @@ func TestCatastrophicZeroFraction(t *testing.T) {
 		t.Fatalf("victims = %d, want 0", len(victims))
 	}
 }
-
-func TestContinuousChurnKillsOverTime(t *testing.T) {
-	const n = 30
-	net, views := buildNet(n)
-	c := Continuous{
-		Start:      time.Second,
-		End:        10 * time.Second,
-		Interval:   time.Second,
-		NotifyMean: 100 * time.Millisecond,
-		Protect:    []wire.NodeID{0},
-	}
-	if err := c.Apply(net, views, rand.New(rand.NewSource(5))); err != nil {
-		t.Fatal(err)
-	}
-	net.Run(time.Minute)
-	dead := 0
-	for i := 0; i < n; i++ {
-		if !net.Alive(wire.NodeID(i)) {
-			dead++
-		}
-	}
-	if dead != 10 {
-		t.Fatalf("%d dead after 10 churn ticks, want 10", dead)
-	}
-	if !net.Alive(0) {
-		t.Fatal("protected node died")
-	}
-}
-
-func TestContinuousValidation(t *testing.T) {
-	net, views := buildNet(5)
-	if err := (Continuous{Interval: 0}).Apply(net, views, rand.New(rand.NewSource(6))); err == nil {
-		t.Error("zero interval accepted")
-	}
-	if err := (Continuous{Interval: time.Second, Start: 2 * time.Second, End: time.Second}).Apply(net, views, rand.New(rand.NewSource(7))); err == nil {
-		t.Error("end before start accepted")
-	}
-}

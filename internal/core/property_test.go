@@ -93,19 +93,11 @@ type propRuntime struct {
 
 var _ env.Runtime = (*propRuntime)(nil)
 
-func (p *propRuntime) ID() wire.NodeID                { return 0 }
-func (p *propRuntime) Rand() *rand.Rand               { return p.rng }
-func (p *propRuntime) Now() time.Duration             { return 0 }
-func (p *propRuntime) Send(wire.NodeID, wire.Message) {}
-func (p *propRuntime) After(time.Duration, func()) env.Timer {
-	return noopTimer{}
-}
-
+func (p *propRuntime) ID() wire.NodeID                 { return 0 }
+func (p *propRuntime) Rand() *rand.Rand                { return p.rng }
+func (p *propRuntime) Now() time.Duration              { return 0 }
+func (p *propRuntime) Send(wire.NodeID, wire.Message)  {}
 func (p *propRuntime) AfterFunc(time.Duration, func()) {}
-
-type noopTimer struct{}
-
-func (noopTimer) Stop() bool { return false }
 
 type noopSampler struct{}
 

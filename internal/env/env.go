@@ -13,8 +13,10 @@
 //   - A Handler is never invoked concurrently with itself.
 //   - All handler callbacks (Start, Receive, timer functions) run in the
 //     node's execution context; they may freely mutate node state.
-//   - Handlers must not block, sleep, or spawn goroutines; all asynchrony is
-//     expressed through Runtime.After.
+//   - Handlers must not block, sleep, or spawn goroutines. The one
+//     asynchrony primitive is Runtime.AfterFunc, and it cannot be canceled:
+//     a callback that may have become moot checks the handler's own state
+//     when it fires (Ticker.done, a pending-request record) and returns.
 //   - Messages received through Receive are immutable; handlers must not
 //     modify them (the simulator shares one object among all recipients).
 //   - A received message is valid only until Receive returns (see
@@ -28,13 +30,10 @@ import (
 	"repro/internal/wire"
 )
 
-// Timer is a cancelable pending callback created by Runtime.After.
-type Timer interface {
-	// Stop cancels the timer. It reports whether the call prevented the
-	// callback from firing. Stopping an already-fired or already-stopped
-	// timer is a harmless no-op returning false.
-	Stop() bool
-}
+// Timer is not part of Runtime, whose one timer call cannot be canceled. It
+// remains only because the benchmark module's stub runtime returns it from an
+// After method of its own; it goes when that method does.
+type Timer interface{ Stop() bool }
 
 // Runtime is the node-side interface to the substrate.
 type Runtime interface {
@@ -51,14 +50,11 @@ type Runtime interface {
 	// unknown or dead node silently drops the message, like UDP.
 	Send(to wire.NodeID, m wire.Message)
 
-	// After schedules fn to run in this node's execution context after
-	// delay d. It returns a Timer that can cancel the callback.
-	After(d time.Duration, fn func()) Timer
-
-	// AfterFunc is After without a cancel handle: fire-and-forget timers
-	// that guard themselves with a state check instead of being stopped.
-	// Hot paths prefer it — the simulator can then recycle the timer slot
-	// without minting a handle, so the call allocates nothing.
+	// AfterFunc schedules fn to run once in this node's execution context
+	// after delay d. There is no handle and no cancel: a timer whose reason
+	// went away still fires, and fn guards itself with a state check. That
+	// lets both runtimes recycle the timer slot, so the call allocates
+	// nothing in steady state.
 	AfterFunc(d time.Duration, fn func())
 
 	// Rand returns this node's private deterministic random stream. The
@@ -84,8 +80,8 @@ type Handler interface {
 	Receive(from wire.NodeID, m wire.Message)
 
 	// Stop is invoked when the node shuts down (cleanly or by simulated
-	// crash). After Stop, no further callbacks occur. Pending timers are
-	// discarded by the runtime; Stop does not need to cancel them.
+	// crash). After Stop, no further callbacks occur: the runtime discards
+	// the pending timers, which a handler has no way to cancel itself.
 	Stop()
 }
 
@@ -153,7 +149,6 @@ type Mux struct {
 	// simnet's NodeStats.SentByKind — a full 256 would be 4 KB per node.
 	routes   [16]Handler
 	handlers []Handler // registration order, for Start/Stop
-	fallback Handler
 }
 
 // NewMux returns an empty Mux.
@@ -177,37 +172,24 @@ func (m *Mux) Register(h Handler, kinds ...wire.Kind) {
 	m.handlers = append(m.handlers, h)
 }
 
-// SetFallback installs a handler for kinds with no registration. Without a
-// fallback, unroutable messages are silently dropped (datagram semantics).
-func (m *Mux) SetFallback(h Handler) { m.fallback = h }
-
 // Start implements Handler, starting sub-handlers in registration order.
 func (m *Mux) Start(rt Runtime) {
 	for _, h := range m.handlers {
 		h.Start(rt)
 	}
-	if m.fallback != nil {
-		m.fallback.Start(rt)
-	}
 }
 
-// Receive implements Handler.
+// Receive implements Handler. A kind nothing registered for is dropped
+// (datagram semantics).
 func (m *Mux) Receive(from wire.NodeID, msg wire.Message) {
 	if k := int(msg.Kind()); k < len(m.routes) && m.routes[k] != nil {
 		m.routes[k].Receive(from, msg)
-		return
-	}
-	if m.fallback != nil {
-		m.fallback.Receive(from, msg)
 	}
 }
 
 // Stop implements Handler, stopping sub-handlers in reverse registration
 // order.
 func (m *Mux) Stop() {
-	if m.fallback != nil {
-		m.fallback.Stop()
-	}
 	for i := len(m.handlers) - 1; i >= 0; i-- {
 		m.handlers[i].Stop()
 	}

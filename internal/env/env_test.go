@@ -16,18 +16,9 @@ type fakeRuntime struct {
 }
 
 type fakeTimer struct {
-	at      time.Duration
-	fn      func()
-	stopped bool
-	fired   bool
-}
-
-func (t *fakeTimer) Stop() bool {
-	if t.stopped || t.fired {
-		return false
-	}
-	t.stopped = true
-	return true
+	at    time.Duration
+	fn    func()
+	fired bool
 }
 
 var _ Runtime = (*fakeRuntime)(nil)
@@ -38,20 +29,14 @@ func (f *fakeRuntime) Rand() *rand.Rand   { return rand.New(rand.NewSource(1)) }
 func (f *fakeRuntime) Send(to wire.NodeID, _ wire.Message) {
 	f.sent = append(f.sent, to)
 }
-func (f *fakeRuntime) After(d time.Duration, fn func()) Timer {
-	t := &fakeTimer{at: f.now + d, fn: fn}
-	f.timers = append(f.timers, t)
-	return t
-}
-
 func (f *fakeRuntime) AfterFunc(d time.Duration, fn func()) {
-	f.After(d, fn)
+	f.timers = append(f.timers, &fakeTimer{at: f.now + d, fn: fn})
 }
 
 func (f *fakeRuntime) fire() bool {
 	var best *fakeTimer
 	for _, t := range f.timers {
-		if t.stopped || t.fired {
+		if t.fired {
 			continue
 		}
 		if best == nil || t.at < best.at {
@@ -151,24 +136,21 @@ func TestMuxLifecycleAndRouting(t *testing.T) {
 	mux := NewMux()
 	a := &lifecycleHandler{}
 	b := &lifecycleHandler{}
-	fb := &lifecycleHandler{}
 	mux.Register(a, wire.KindPropose, wire.KindRequest)
 	mux.Register(b, wire.KindServe)
-	mux.SetFallback(fb)
 
 	mux.Start(&fakeRuntime{})
-	if a.starts != 1 || b.starts != 1 || fb.starts != 1 {
+	if a.starts != 1 || b.starts != 1 {
 		t.Fatal("not all handlers started")
 	}
 	mux.Receive(1, &wire.Propose{})
 	mux.Receive(1, &wire.Request{})
 	mux.Receive(1, &wire.Serve{})
-	mux.Receive(1, &wire.Aggregate{}) // unrouted -> fallback
-	if a.receives != 2 || b.receives != 1 || fb.receives != 1 {
-		t.Fatalf("routing wrong: a=%d b=%d fb=%d", a.receives, b.receives, fb.receives)
+	if a.receives != 2 || b.receives != 1 {
+		t.Fatalf("routing wrong: a=%d b=%d", a.receives, b.receives)
 	}
 	mux.Stop()
-	if a.stops != 1 || b.stops != 1 || fb.stops != 1 {
+	if a.stops != 1 || b.stops != 1 {
 		t.Fatal("not all handlers stopped")
 	}
 }
@@ -204,15 +186,9 @@ func TestMuxOutOfRangeKind(t *testing.T) {
 	mux := NewMux()
 	a := &lifecycleHandler{}
 	mux.Register(a, wire.KindPropose, 15)
-	mux.Receive(1, alienMsg{}) // no slot, no fallback: dropped
+	mux.Receive(1, alienMsg{}) // no slot: dropped
 	if a.receives != 0 {
 		t.Fatal("out-of-range kind reached a handler")
-	}
-	fb := &lifecycleHandler{}
-	mux.SetFallback(fb)
-	mux.Receive(1, alienMsg{})
-	if a.receives != 0 || fb.receives != 1 {
-		t.Fatalf("out-of-range kind: a=%d fb=%d, want the fallback only", a.receives, fb.receives)
 	}
 	defer func() {
 		if recover() == nil {

@@ -51,12 +51,14 @@ type Cyclon struct {
 	rt   env.Runtime
 	view []wire.PeerDescriptor
 
-	ticker *env.Ticker
-	// pending is the in-flight shuffle target awaiting a reply, plus the
-	// descriptors we sent it (to use as replacement candidates).
+	ticker    *env.Ticker
+	timeoutFn func() // c.timeout as a func value, bound once in Start
+	// pending is the in-flight shuffle target awaiting a reply, when the
+	// shuffle went out, and the descriptors we sent it (to use as replacement
+	// candidates).
 	pendingTarget wire.NodeID
+	pendingSince  time.Duration
 	pendingSent   []wire.PeerDescriptor
-	pendingTimer  env.Timer
 
 	// Shuffles counts initiated shuffles (for tests/metrics).
 	Shuffles int
@@ -86,6 +88,7 @@ func NewCyclon(cfg CyclonConfig, bootstrap []wire.NodeID) *Cyclon {
 // Start implements env.Handler.
 func (c *Cyclon) Start(rt env.Runtime) {
 	c.rt = rt
+	c.timeoutFn = c.timeout
 	phase := time.Duration(rt.Rand().Int63n(int64(c.cfg.Period)))
 	c.ticker = env.NewTicker(rt, phase, c.cfg.Period, c.shuffle)
 }
@@ -94,9 +97,6 @@ func (c *Cyclon) Start(rt env.Runtime) {
 func (c *Cyclon) Stop() {
 	if c.ticker != nil {
 		c.ticker.Stop()
-	}
-	if c.pendingTimer != nil {
-		c.pendingTimer.Stop()
 	}
 }
 
@@ -157,17 +157,23 @@ func (c *Cyclon) shuffle() {
 	sent = append(sent, wire.PeerDescriptor{Node: c.rt.ID(), Age: 0})
 
 	c.pendingTarget = target
+	c.pendingSince = c.rt.Now()
 	c.pendingSent = sent
-	c.pendingTimer = c.rt.After(c.cfg.ReplyTimeout, func() {
-		// No reply: consider the target failed (standard Cyclon eviction).
-		if c.pendingTarget == target {
-			c.pendingTarget = wire.NodeNone
-			c.pendingSent = nil
-			c.Evictions++
-		}
-	})
+	c.rt.AfterFunc(c.cfg.ReplyTimeout, c.timeoutFn)
 	c.Shuffles++
 	c.rt.Send(target, &wire.ShuffleReq{Descriptors: sent})
+}
+
+// timeout is a shuffle's reply deadline: no reply means the target failed
+// (standard Cyclon eviction). Timers cannot be canceled, so the deadline of
+// an answered shuffle fires too; it finds no shuffle pending, or a younger
+// one whose own deadline is still ahead, and leaves it alone.
+func (c *Cyclon) timeout() {
+	if c.pendingTarget != wire.NodeNone && c.rt.Now()-c.pendingSince >= c.cfg.ReplyTimeout {
+		c.pendingTarget = wire.NodeNone
+		c.pendingSent = nil
+		c.Evictions++
+	}
 }
 
 // Receive implements env.Handler.
@@ -184,10 +190,6 @@ func (c *Cyclon) Receive(from wire.NodeID, m wire.Message) {
 		sent := c.pendingSent
 		c.pendingTarget = wire.NodeNone
 		c.pendingSent = nil
-		if c.pendingTimer != nil {
-			c.pendingTimer.Stop()
-			c.pendingTimer = nil
-		}
 		c.merge(msg.Descriptors, sent, from)
 	}
 }

@@ -211,3 +211,123 @@ func TestCyclonReceiveLeavesMessageAlone(t *testing.T) {
 		t.Fatalf("view %+v, want the three bootstrap peers then %+v", view, want)
 	}
 }
+
+// clockRuntime is a one-node env.Runtime with a hand-cranked clock: sends are
+// recorded, and timers fire in due order (arming order among equals) only as
+// advance moves the clock over them.
+type clockRuntime struct {
+	now    time.Duration
+	rng    *rand.Rand
+	timers []clockTimer
+	sent   []wire.NodeID
+}
+
+type clockTimer struct {
+	due time.Duration
+	fn  func()
+}
+
+func (r *clockRuntime) ID() wire.NodeID                     { return 0 }
+func (r *clockRuntime) Now() time.Duration                  { return r.now }
+func (r *clockRuntime) Rand() *rand.Rand                    { return r.rng }
+func (r *clockRuntime) Send(to wire.NodeID, _ wire.Message) { r.sent = append(r.sent, to) }
+func (r *clockRuntime) AfterFunc(d time.Duration, fn func()) {
+	r.timers = append(r.timers, clockTimer{r.now + d, fn})
+}
+
+func (r *clockRuntime) advance(to time.Duration) {
+	for {
+		next := -1
+		for i, tm := range r.timers {
+			if tm.due <= to && (next < 0 || tm.due < r.timers[next].due) {
+				next = i
+			}
+		}
+		if next < 0 {
+			break
+		}
+		tm := r.timers[next]
+		r.timers = slices.Delete(r.timers, next, next+1)
+		r.now = tm.due
+		tm.fn()
+	}
+	r.now = to
+}
+
+// TestCyclonReplyTimeout: the reply deadline cannot be canceled, so an
+// answered shuffle's deadline still fires; it must evict only a shuffle that
+// is pending and at least ReplyTimeout old. Node 0's view holds one peer, so
+// every shuffle goes to peer 1; the ticker is dropped and shuffles are run by
+// hand.
+func TestCyclonReplyTimeout(t *testing.T) {
+	const timeout = 2 * time.Second
+	start := func() (*Cyclon, *clockRuntime) {
+		c := NewCyclon(CyclonConfig{ReplyTimeout: timeout}, []wire.NodeID{1})
+		rt := &clockRuntime{rng: rand.New(rand.NewSource(1))}
+		c.Start(rt)
+		rt.timers = nil
+		return c, rt
+	}
+	expect := func(t *testing.T, c *Cyclon, at time.Duration, evictions int, pending wire.NodeID) {
+		t.Helper()
+		if c.Evictions != evictions || c.pendingTarget != pending {
+			t.Fatalf("at %v: %d evictions, pending %d; want %d, pending %d", at, c.Evictions, c.pendingTarget, evictions, pending)
+		}
+	}
+	t.Run("unanswered", func(t *testing.T) {
+		c, rt := start()
+		c.shuffle()
+		rt.advance(timeout - 1)
+		expect(t, c, rt.now, 0, 1)
+		rt.advance(timeout)
+		expect(t, c, rt.now, 1, wire.NodeNone)
+	})
+	t.Run("stale-deadline-spares-younger-shuffle", func(t *testing.T) {
+		c, rt := start()
+		c.shuffle() // A
+		rt.advance(500 * time.Millisecond)
+		c.Receive(1, &wire.ShuffleReply{})
+		rt.advance(time.Second)
+		c.shuffle() // B, inside A's window, to the same peer
+		if !slices.Equal(rt.sent, []wire.NodeID{1, 1}) {
+			t.Fatalf("shuffles went to %v, want peer 1 twice", rt.sent)
+		}
+		rt.advance(timeout) // A's deadline
+		expect(t, c, rt.now, 0, 1)
+		rt.advance(time.Second + timeout - 1)
+		expect(t, c, rt.now, 0, 1)
+		rt.advance(time.Second + timeout) // B's deadline
+		expect(t, c, rt.now, 1, wire.NodeNone)
+	})
+	t.Run("answered", func(t *testing.T) {
+		c, rt := start()
+		c.shuffle()
+		rt.advance(timeout - 1)
+		c.Receive(1, &wire.ShuffleReply{})
+		rt.advance(time.Minute)
+		expect(t, c, rt.now, 0, wire.NodeNone)
+	})
+}
+
+// TestCyclonShuffleRoundAllocations pins what a steady shuffle/reply round
+// allocates on the simulator: the shipped descriptors, the request, the
+// reply's descriptors and the reply. The reply deadline adds nothing: it is a
+// bound-once callback on a pooled timer slot, with no closure and no handle.
+func TestCyclonShuffleRoundAllocations(t *testing.T) {
+	cfg := CyclonConfig{Period: time.Second}
+	net := simnet.New(simnet.Config{Seed: 5, Latency: simnet.ConstantLatency(10 * time.Millisecond)})
+	a, b := NewCyclon(cfg, []wire.NodeID{1}), NewCyclon(cfg, []wire.NodeID{0})
+	net.AddNode(a, simnet.NodeConfig{})
+	net.AddNode(b, simnet.NodeConfig{})
+	net.Run(10 * time.Second) // warm the event pool
+	const periods = 100
+	before := a.Shuffles + b.Shuffles
+	allocs := testing.AllocsPerRun(periods, func() { net.Run(net.Now() + cfg.Period) })
+	rounds := float64(a.Shuffles+b.Shuffles-before) / (periods + 1) // AllocsPerRun runs once more to warm up
+	if rounds != 2 {
+		t.Fatalf("%v shuffles per period, want one per node", rounds)
+	}
+	if perRound := allocs / rounds; perRound > 4 {
+		t.Fatalf("a shuffle/reply round allocates %v objects, want at most 4", perRound)
+	}
+}

@@ -333,23 +333,18 @@ func TestDetectorEventLogBound(t *testing.T) {
 
 // --- Interceptor ---
 
-// fakeTimer and fakeRuntime satisfy env's interfaces for handler-level tests
-// without a simulator.
-type fakeTimer struct{}
-
-func (fakeTimer) Stop() bool { return false }
-
+// fakeRuntime satisfies env.Runtime for handler-level tests without a
+// simulator.
 type fakeRuntime struct {
 	id  wire.NodeID
 	now time.Duration
 	rng *rand.Rand
 }
 
-func (r *fakeRuntime) ID() wire.NodeID                       { return r.id }
-func (r *fakeRuntime) Now() time.Duration                    { return r.now }
-func (r *fakeRuntime) Send(wire.NodeID, wire.Message)        {}
-func (r *fakeRuntime) After(time.Duration, func()) env.Timer { return fakeTimer{} }
-func (r *fakeRuntime) AfterFunc(time.Duration, func())       {}
+func (r *fakeRuntime) ID() wire.NodeID                 { return r.id }
+func (r *fakeRuntime) Now() time.Duration              { return r.now }
+func (r *fakeRuntime) Send(wire.NodeID, wire.Message)  {}
+func (r *fakeRuntime) AfterFunc(time.Duration, func()) {}
 func (r *fakeRuntime) Rand() *rand.Rand {
 	if r.rng == nil {
 		r.rng = rand.New(rand.NewSource(1))

@@ -29,15 +29,20 @@ type Sender[T any] struct {
 	flush    func([]T)
 	batchMax int
 
+	// queue is closed by Close, which is how an idle drain loop learns of
+	// the shutdown: it parks on the queue alone rather than in a select over
+	// queue and stop. Every channel a goroutine parks on takes a runtime
+	// wait record from a cache that each collection partly empties, so one
+	// channel instead of two halves the stray allocations of a busy sender.
 	queue chan T
 	wg    sync.WaitGroup
 	stop  chan struct{}
 	once  sync.Once
 	// stopMu orders Enqueue against Close: Enqueue holds the read side
-	// across its stop check and channel send, and Close takes the write
-	// side after the drain loop has exited, so no item can slip into the
-	// queue between Close's final sweep and the stop flag — every accepted
-	// item is either transmitted or accounted as discarded, never stranded.
+	// across its stop check and channel send, and Close closes stop and the
+	// queue under the write side, so no send can hit the closed queue and no
+	// item can slip in after Close's final sweep — every accepted item is
+	// either transmitted or accounted as discarded, never stranded.
 	stopMu sync.RWMutex
 	// rateChanged wakes a drain loop sleeping on the old rate so SetRate
 	// takes effect immediately, not after the current item finishes pacing.
@@ -148,20 +153,16 @@ func (s *Sender[T]) Enqueue(item T) bool {
 // only once the shutdown (including the discard sweep) has completed.
 func (s *Sender[T]) Close() {
 	s.once.Do(func() {
-		close(s.stop)
-		s.wg.Wait()
-		// Sweep the queue: the write lock waits out Enqueues already past
-		// their stop check, and any later Enqueue observes stop closed, so
-		// after the sweep nothing can re-charge the queued gauge.
+		// The write lock waits out Enqueues already past their stop check,
+		// and any later Enqueue observes stop closed, so nothing sends on the
+		// closed queue and after the sweep nothing can re-charge the gauge.
 		s.stopMu.Lock()
-		defer s.stopMu.Unlock()
-		for {
-			select {
-			case item := <-s.queue:
-				s.discardItem(item)
-			default:
-				return
-			}
+		close(s.stop)
+		close(s.queue)
+		s.stopMu.Unlock()
+		s.wg.Wait()
+		for item := range s.queue {
+			s.discardItem(item)
 		}
 	})
 }
@@ -265,11 +266,16 @@ func (s *Sender[T]) drain() {
 			var zero T
 			pending = zero
 		} else {
-			select {
-			case <-s.stop:
+			var open bool
+			if item, open = <-s.queue; !open {
 				return
-			case item = <-s.queue:
 			}
+		}
+		select {
+		case <-s.stop:
+			s.discardItem(item) // Close sweeps whatever is still queued
+			return
+		default:
 		}
 		size := s.sizeOf(item)
 		now := time.Now()
@@ -317,7 +323,10 @@ func (s *Sender[T]) drain() {
 	fill:
 		for len(batch) < s.batchMax {
 			select {
-			case next := <-s.queue:
+			case next, open := <-s.queue:
+				if !open {
+					break fill
+				}
 				nsize := s.sizeOf(next)
 				if rate := s.rateBps.Load(); rate > 0 {
 					ser := time.Duration(int64(nsize) * 8 * int64(time.Second) / rate)

@@ -47,7 +47,7 @@ func TestGoldenFingerprints(t *testing.T) {
 			cfg.JoinWaves = []JoinWave{{At: 6 * time.Second, Count: 30}}
 			cfg.ChurnBursts = []ChurnBurst{{At: 8 * time.Second, Fraction: 0.1}}
 			return cfg
-		}, "604bc60ec45c7573063bb48d86cf4601e5d5e106aac708789f39a0ac4f3db271"},
+		}, "f406b724044bb9dd7527386bd1a6c7cec173cec9d5db1f71db4bdea2c401b411"},
 		{"netem", func() Config {
 			cfg := deterministicBase(19)
 			p, err := netem.Profile("captrace")

@@ -45,8 +45,6 @@ type Config struct {
 	Protocol Protocol
 	// Fanout is fbar. Default 7 (§3.1).
 	Fanout float64
-	// MaxFanout clamps HEAP's adapted fanout. Default 64.
-	MaxFanout int
 	// Dist assigns upload capabilities. Required unless Unconstrained.
 	Dist Distribution
 	// Unconstrained disables upload caps entirely (Figure 1).
@@ -73,12 +71,13 @@ type Config struct {
 	// and offline metrics settle. Default 60 s.
 	Drain time.Duration
 
-	// GossipPeriod is Algorithm 1's round period. Default 200 ms.
-	GossipPeriod time.Duration
-	// RetPeriod is the retransmission timeout. Default 5 s (see
-	// core.Config.RetPeriod for why it must exceed congestion transients).
-	RetPeriod time.Duration
-	// RetMaxAttempts bounds request attempts per id. Default 2.
+	// GossipPeriod is Algorithm 1's round period, RetPeriod the
+	// retransmission timeout, RetMaxAttempts the bound on request attempts
+	// per id. Zero leaves each to core.Config's default: 200 ms, 5 s (see
+	// core.Config.RetPeriod for why it must exceed congestion transients)
+	// and 2.
+	GossipPeriod   time.Duration
+	RetPeriod      time.Duration
 	RetMaxAttempts int
 	// RetSameProposer switches retransmission to the paper-literal
 	// same-proposer policy (ablation; see core.Config.RetSameProposer).
@@ -280,9 +279,6 @@ func (c *Config) applyDefaults() error {
 	if c.Fanout == 0 {
 		c.Fanout = 7
 	}
-	if c.MaxFanout == 0 {
-		c.MaxFanout = 64
-	}
 	if c.Windows == 0 {
 		c.Windows = 31
 	}
@@ -294,15 +290,6 @@ func (c *Config) applyDefaults() error {
 	}
 	if c.Drain == 0 {
 		c.Drain = 60 * time.Second
-	}
-	if c.GossipPeriod == 0 {
-		c.GossipPeriod = 200 * time.Millisecond
-	}
-	if c.RetPeriod == 0 {
-		c.RetPeriod = 5 * time.Second
-	}
-	if c.RetMaxAttempts == 0 {
-		c.RetMaxAttempts = 2
 	}
 	if c.AggPeriod == 0 {
 		c.AggPeriod = 200 * time.Millisecond
@@ -835,7 +822,6 @@ func (r *run) stackSpec(i, present int, onDeliver core.DeliverFunc) stack.Spec {
 		ID: id,
 		Engine: core.Config{
 			Fanout:          cfg.Fanout,
-			MaxFanout:       cfg.MaxFanout,
 			GossipPeriod:    cfg.GossipPeriod,
 			RetPeriod:       cfg.RetPeriod,
 			RetMaxAttempts:  cfg.RetMaxAttempts,

@@ -35,10 +35,10 @@ func keyLess(a, b evKey) bool {
 	return a.srcSeq < b.srcSeq
 }
 
-// queueOracle drives one shard's queue through push/pop/peek/remove and
-// mirrors it in a slice kept sorted in canonical order. After every
-// operation check asserts that the queue holds exactly the oracle's events,
-// each reachable in exactly one tier and in the tier its bucket names.
+// queueOracle drives one shard's queue through push/pop/peek and mirrors it
+// in a slice kept sorted in canonical order. After every operation check
+// asserts that the queue holds exactly the oracle's events, each reachable
+// in exactly one tier and in the tier its bucket names.
 type queueOracle struct {
 	t    testing.TB
 	sh   *shard
@@ -78,8 +78,8 @@ func (q *queueOracle) pop() *event {
 	if ev != q.live[0] {
 		q.t.Fatalf("pop %+v, oracle min %+v", keyOf(ev), keyOf(q.live[0]))
 	}
-	if ev.queued || ev.next != nil {
-		q.t.Fatalf("popped event still linked: queued=%v next=%p", ev.queued, ev.next)
+	if ev.next != nil {
+		q.t.Fatalf("popped event still linked: next=%p", ev.next)
 	}
 	q.live = q.live[1:]
 	q.now = ev.at
@@ -100,15 +100,6 @@ func (q *queueOracle) peek() {
 	q.check()
 }
 
-// cancel removes the oracle's i-th earliest event: the Timer.Stop path.
-func (q *queueOracle) cancel(i int) {
-	ev := q.live[i]
-	q.sh.remove(ev)
-	q.live = append(q.live[:i], q.live[i+1:]...)
-	q.check()
-	q.sh.recycle(ev)
-}
-
 // deferBy is the freeze-deferral move: the earliest event is popped, retimed
 // (keeping its canonical identity) and pushed again.
 func (q *queueOracle) deferBy(d time.Duration) {
@@ -127,14 +118,16 @@ func (q *queueOracle) drain() {
 	q.peek()
 }
 
+// check walks every tier. seen is the set of events found there, which must
+// equal the oracle's live set: no event twice, none missing, none foreign.
 func (q *queueOracle) check() {
 	q.t.Helper()
 	sh := q.sh
 	clear(q.seen)
 	visit := func(tier string, ev *event, ok bool) {
 		d := bucketOf(ev.at) - sh.cursor
-		if !ok || !ev.queued || ev.sh != sh || q.seen[ev] {
-			q.t.Fatalf("%s holds %+v %d buckets from the cursor (queued=%v, seen=%v)", tier, keyOf(ev), d, ev.queued, q.seen[ev])
+		if !ok || q.seen[ev] {
+			q.t.Fatalf("%s holds %+v %d buckets from the cursor (seen=%v)", tier, keyOf(ev), d, q.seen[ev])
 		}
 		q.seen[ev] = true
 	}
@@ -178,9 +171,9 @@ func stormDelay(rng *rand.Rand) time.Duration {
 	}
 }
 
-// TestHeapMatchesSortOracle drives push/pop/peek/remove directly against a
-// shard queue and checks every pop yields exactly the canonical minimum of
-// the sorted oracle — i.e. the queue never yields events out of order.
+// TestHeapMatchesSortOracle drives push/pop/peek directly against a shard
+// queue and checks every pop yields exactly the canonical minimum of the
+// sorted oracle — i.e. the queue never yields events out of order.
 func TestHeapMatchesSortOracle(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -189,25 +182,22 @@ func TestHeapMatchesSortOracle(t *testing.T) {
 			switch r := rng.Intn(10); {
 			case r < 5 || len(q.live) == 0:
 				q.push(q.now+stormDelay(rng), wire.NodeID(rng.Intn(5)))
-			case r < 7:
+			case r < 9:
 				q.sh.recycle(q.pop())
-			case r < 8:
-				q.peek()
 			default:
-				q.cancel(rng.Intn(len(q.live)))
+				q.peek()
 			}
 		}
 		q.drain()
 	}
 }
 
-// TestHeapCancelRescheduleStorm hammers every shard queue of a multi-shard
-// network with a randomized cancel/reschedule storm — push, pop, remove, and
-// pop-retime-repush (the freeze-deferral move) — against the oracle. It
-// checks the two properties dispatch relies on: the queued population is
-// exactly the oracle's at every step, and draining pops in exact canonical
-// order.
-func TestHeapCancelRescheduleStorm(t *testing.T) {
+// TestQueuePushPopDeferStorm hammers every shard queue of a multi-shard
+// network with a randomized storm — push, pop, and pop-retime-repush (the
+// freeze-deferral move) — against the oracle. It checks the two properties
+// dispatch relies on: the queued population is exactly the oracle's at every
+// step, and draining pops in exact canonical order.
+func TestQueuePushPopDeferStorm(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		n := New(Config{Seed: seed, Latency: ConstantLatency(time.Millisecond), Shards: 4})
 		if len(n.shards) != 4 {
@@ -220,10 +210,8 @@ func TestHeapCancelRescheduleStorm(t *testing.T) {
 				switch r := rng.Intn(12); {
 				case r < 5 || len(q.live) == 0:
 					q.push(q.now+stormDelay(rng), wire.NodeID(rng.Intn(7)))
-				case r < 8:
+				case r < 9:
 					sh.recycle(q.pop())
-				case r < 10:
-					q.cancel(rng.Intn(len(q.live)))
 				default:
 					q.deferBy(stormDelay(rng))
 				}
@@ -233,16 +221,14 @@ func TestHeapCancelRescheduleStorm(t *testing.T) {
 	}
 }
 
-// TestTimerPoolMatchesOracle schedules many timers with random delays and
-// random Stop calls, then checks — against a plain map oracle — that every
-// timer fired exactly once at its scheduled instant unless it was stopped
-// first, across enough churn that event slots are recycled many times over.
+// TestTimerPoolMatchesOracle arms batches of timers with random delays and
+// checks — against a plain oracle of due times — that every timer fires
+// exactly once, at its due instant, across enough churn that event slots are
+// recycled many times over.
 func TestTimerPoolMatchesOracle(t *testing.T) {
 	type timerState struct {
-		due     time.Duration
-		stopped bool
-		fired   int
-		firedAt time.Duration
+		due, firedAt time.Duration
+		fired        int
 	}
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(seed ^ 0x7e57))
@@ -252,71 +238,34 @@ func TestTimerPoolMatchesOracle(t *testing.T) {
 		// because every schedule mutation lands while the shards are parked.
 		rt := &nodeRuntime{net: n, id: 0}
 
-		states := make([]*timerState, 0, 400)
-		handles := make([]env.Timer, 0, 400)
+		var states []*timerState
 		now := time.Duration(0)
 		for round := 0; round < 40; round++ {
-			// Schedule a batch of timers from the current virtual time.
 			for j := 0; j < 10; j++ {
 				st := &timerState{due: now + time.Duration(rng.Intn(30))*time.Millisecond}
 				states = append(states, st)
-				idx := len(states) - 1
-				handles = append(handles, rt.After(st.due-now, func() {
-					states[idx].fired++
-					states[idx].firedAt = n.Now()
-				}))
-			}
-			// Randomly stop some timers (past or future).
-			for j := 0; j < 4; j++ {
-				pick := rng.Intn(len(states))
-				if handles[pick].Stop() {
-					if states[pick].fired > 0 {
-						t.Fatalf("seed %d: Stop claimed success on a fired timer", seed)
-					}
-					states[pick].stopped = true
-				}
+				rt.AfterFunc(st.due-now, func() {
+					st.fired++
+					st.firedAt = n.Now()
+				})
 			}
 			now += time.Duration(rng.Intn(20)) * time.Millisecond
 			n.Run(now)
 		}
 		n.RunUntilIdle()
 		for i, st := range states {
-			switch {
-			case st.stopped && st.fired != 0:
-				t.Fatalf("seed %d timer %d: stopped but fired %d times", seed, i, st.fired)
-			case !st.stopped && st.fired != 1:
-				t.Fatalf("seed %d timer %d: fired %d times, want 1", seed, i, st.fired)
-			case !st.stopped && st.firedAt != st.due:
-				t.Fatalf("seed %d timer %d: fired at %v, due %v", seed, i, st.firedAt, st.due)
+			if st.fired != 1 || st.firedAt != st.due {
+				t.Fatalf("seed %d timer %d: fired %d times, last at %v, due %v", seed, i, st.fired, st.firedAt, st.due)
 			}
 		}
-	}
-}
-
-// TestStaleTimerHandleIsInert checks the generation guard: once a timer has
-// fired and its slot has been recycled into a new timer, the old handle's
-// Stop must be a no-op that does not disturb the slot's new occupant.
-func TestStaleTimerHandleIsInert(t *testing.T) {
-	n := New(Config{})
-	n.AddNode(env.HandlerFunc(func(wire.NodeID, wire.Message) {}), NodeConfig{})
-	rt := &nodeRuntime{net: n, id: 0}
-
-	var firstFired, secondFired bool
-	first := rt.After(time.Millisecond, func() { firstFired = true })
-	n.Run(10 * time.Millisecond)
-	if !firstFired {
-		t.Fatal("first timer did not fire")
-	}
-	// The fired event slot is back on the free list; the next timer reuses it.
-	second := rt.After(time.Millisecond, func() { secondFired = true })
-	if first.(simTimer).ev != second.(simTimer).ev {
-		t.Skip("allocator did not reuse the slot; generation guard not exercised")
-	}
-	if first.Stop() {
-		t.Fatal("stale handle claimed to stop a timer")
-	}
-	n.RunUntilIdle()
-	if !secondFired {
-		t.Fatal("stale handle's Stop canceled the slot's new occupant")
+		// Every slot the pool ever made is back on the free list; fewer slots
+		// than timers means slots were reused.
+		slots := 0
+		for ev := n.shards[0].free; ev != nil; ev = ev.next {
+			slots++
+		}
+		if slots >= len(states) {
+			t.Fatalf("seed %d: %d slots for %d timers, none reused", seed, slots, len(states))
+		}
 	}
 }

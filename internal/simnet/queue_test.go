@@ -16,11 +16,10 @@ import (
 // pool_property_test.go, which checks order, population and tier placement
 // after every step.
 const (
-	opPush   = iota // [op | src<<3, class, hi, lo]: push at now + delay
-	opPop           // pop the earliest
-	opPeek          // peek: advances the cursor without consuming
-	opCancel        // [op, k]: cancel the (k mod live)-th earliest
-	opDefer         // [op, class, hi, lo]: pop, retime by delay, push again
+	opPush  = iota // [op | src<<2, class, hi, lo]: push at now + delay
+	opPop          // pop the earliest
+	opPeek         // peek: advances the cursor without consuming
+	opDefer        // [op, class, hi, lo]: pop, retime by delay, push again
 )
 
 // delay is a script delay: a class and a 16-bit magnitude, chosen so the
@@ -51,9 +50,8 @@ func (d delay) duration() time.Duration {
 }
 
 func push(d delay) []byte             { return d.op(opPush) }
-func pushAs(src byte, d delay) []byte { return d.op(opPush | src<<3) }
+func pushAs(src byte, d delay) []byte { return d.op(opPush | src<<2) }
 func deferBy(d delay) []byte          { return d.op(opDefer) }
-func cancel(k byte) []byte            { return []byte{opCancel, k} }
 
 var pop, peek = []byte{opPop}, []byte{opPeek}
 
@@ -67,17 +65,13 @@ func runQueueScript(t testing.TB, s []byte) *queueOracle {
 	q := newQueueOracle(t, New(Config{}).shards[0])
 	for len(s) > 0 {
 		op, n := s[0], 1
-		switch code := op & 7; {
+		switch code := op & 3; {
 		case (code == opPush || code == opDefer) && len(s) >= 4:
 			d := delay{s[1], uint16(s[2])<<8 | uint16(s[3])}.duration()
 			if n = 4; code == opPush {
-				q.push(q.now+d, wire.NodeID(op>>3))
+				q.push(q.now+d, wire.NodeID(op>>2))
 			} else if len(q.live) > 0 {
 				q.deferBy(d)
-			}
-		case code == opCancel && len(s) >= 2:
-			if n = 2; len(q.live) > 0 {
-				q.cancel(int(s[1]) % len(q.live))
 			}
 		case code == opPop && len(q.live) > 0:
 			q.sh.recycle(q.pop())
@@ -110,14 +104,17 @@ var queueCases = []struct {
 	// new events are due long before the bucket the cursor stands on.
 	{name: "behind-jumped-cursor", script: script(
 		push(minutes(60)), peek, push(buckets(1, 0)), push(ns(0)), push(horizon(3)), pop, pop, pop, pop)},
-	{name: "cancel-each-tier", script: script(
-		push(ns(5)), push(buckets(7, 0)), push(minutes(90)), cancel(2), cancel(1), cancel(0),
+	// One event per tier, each pop emptying one: cur, then a step to the
+	// ring bucket, then a jump across the empty ring to far's head.
+	{name: "drain-each-tier", script: script(
+		push(ns(5)), push(buckets(7, 0)), push(minutes(90)), pop, pop, pop,
 		push(buckets(3, 1)), push(buckets(3, 2)), push(buckets(3, 3)), push(minutes(5)), push(minutes(6)),
-		peek, cancel(1), cancel(3), pop)},
-	// Bucket lists are LIFO: after three pushes the last is the head.
-	{name: "cancel-list-middle-head-tail", script: script(
-		push(buckets(9, 1)), push(buckets(9, 2)), push(buckets(9, 3)), cancel(1),
-		push(buckets(9, 4)), cancel(2), cancel(0))},
+		peek, pop, deferBy(minutes(1)), pop)},
+	// Bucket lists are LIFO: after three pushes the last is the head, yet
+	// they pop in time order; a push into the bucket being drained joins cur.
+	{name: "bucket-list-lifo", script: script(
+		push(buckets(9, 3)), push(buckets(9, 1)), push(buckets(9, 2)), pop,
+		push(buckets(0, 4)), pop, pop)},
 	// Freeze deferrals re-push a popped event: far ahead, into the bucket
 	// being drained, and beyond the horizon.
 	{name: "freeze-deferral", script: script(
@@ -186,11 +183,12 @@ func TestQueueSteadyStateAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestEventSizePinned: threading the buckets through event.next and
-// shrinking the heap index to a flag must not grow the pooled slot.
+// TestEventSizePinned: nothing outside the queue refers to a queued event, so
+// the pooled slot holds only its key, its payload and a list link — 80 bytes,
+// which must not grow.
 func TestEventSizePinned(t *testing.T) {
-	if got := unsafe.Sizeof(event{}); got > 96 {
-		t.Fatalf("event is %d bytes, was 96", got)
+	if got := unsafe.Sizeof(event{}); got > 80 {
+		t.Fatalf("event is %d bytes, was 80", got)
 	}
 }
 

@@ -38,7 +38,7 @@ func TestCrossShardExchangeRace(t *testing.T) {
 			// A short per-hop timer keeps the timer pool churning alongside
 			// the delivery path.
 			m := &wire.Propose{IDs: []wire.PacketID{hops}}
-			rt.After(time.Duration(rt.Rand().Intn(3))*time.Millisecond, func() {
+			rt.AfterFunc(time.Duration(rt.Rand().Intn(3))*time.Millisecond, func() {
 				rt.Send(to, m)
 			})
 		}

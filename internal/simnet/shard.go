@@ -58,13 +58,13 @@ const (
 	evTimer
 )
 
-// event is one scheduled occurrence. Events are pooled: dispatched (or
-// canceled) events return to a shard free list and are reused by later sends
-// and timers, so the steady-state hot path allocates nothing. The gen
-// counter is bumped on every recycle, which lets outstanding timer handles
-// detect that their event slot has moved on (see simTimer). Slots follow
-// their events across shards: a cross-shard delivery is allocated from the
-// sender's pool and recycled into the receiver's.
+// event is one scheduled occurrence. Events are pooled: dispatched events
+// return to a shard free list and are reused by later sends and timers, so
+// the steady-state hot path allocates nothing. Nothing outside the queue
+// refers to a queued event (timers have no handles), so a slot leaves the
+// queue only by being popped. Slots follow their events across shards: a
+// cross-shard delivery is allocated from the sender's pool and recycled into
+// the receiver's.
 //
 // (at, src, srcSeq) is the canonical total order: src is the node that
 // created the event (the sender for deliveries, the owner for timers) and
@@ -72,13 +72,10 @@ const (
 // own deterministic history, so it is identical at every shard count — the
 // invariant the whole sharded design rests on.
 type event struct {
-	sh     *shard
 	at     time.Duration
 	src    wire.NodeID // creating node: delivery sender / timer owner
-	srcSeq uint64
 	kind   eventKind
-	queued bool   // in its shard's queue (any tier)
-	gen    uint32 // recycle generation, validates timer handles
+	srcSeq uint64
 
 	// evDeliver
 	to       wire.NodeID
@@ -113,11 +110,9 @@ func (s *shard) alloc() *event {
 	return ev
 }
 
-// recycle returns a dispatched or canceled event to the free list, dropping
-// references so the pool does not pin messages or closures, and bumping the
-// generation so stale timer handles turn inert.
+// recycle returns a dispatched event to the free list, dropping references
+// so the pool does not pin messages or closures.
 func (s *shard) recycle(ev *event) {
-	ev.gen++
 	ev.kind = 0
 	ev.msg = nil
 	ev.fn = nil
@@ -137,55 +132,57 @@ func (s *shard) runUntil(w1 time.Duration, syncGlobalNow bool) {
 			s.net.now = ev.at
 		}
 		s.stats.EventsProcessed++
-		s.dispatch(ev)
-		// dispatch may have re-queued the event (freeze deferral); only
-		// events that truly left the schedule go back to the pool.
-		if !ev.queued {
+		// Only events that left the schedule go back to the pool.
+		if !s.dispatch(ev) {
 			s.recycle(ev)
 		}
 	}
 }
 
-func (s *shard) dispatch(ev *event) {
+// dispatch runs one event and reports whether it re-queued it instead: a
+// frozen node's timers and deliveries are deferred to its unfreeze instant.
+func (s *shard) dispatch(ev *event) (deferred bool) {
 	switch ev.kind {
 	case evTimer:
 		node := &s.net.nodes[ev.src]
 		if !node.alive {
-			return
+			return false
 		}
 		if node.frozenUntil > s.now {
 			ev.at = node.frozenUntil
 			s.push(ev)
-			return
+			return true
 		}
 		ev.fn()
 	case evDeliver:
-		s.deliver(ev)
+		return s.deliver(ev)
 	}
+	return false
 }
 
-func (s *shard) deliver(ev *event) {
+func (s *shard) deliver(ev *event) (deferred bool) {
 	sender := &s.net.nodes[ev.src]
 	// A datagram that had not finished leaving the sender's uplink when the
 	// sender crashed is lost with it.
 	if !sender.alive && sender.crashedAt < ev.txFinish {
 		s.stats.MsgsDeadDrop++
-		return
+		return false
 	}
 	dst := &s.net.nodes[ev.to]
 	if !dst.alive {
 		s.stats.MsgsDeadDrop++
-		return
+		return false
 	}
 	if dst.frozenUntil > s.now {
 		ev.at = dst.frozenUntil
 		s.push(ev)
-		return
+		return true
 	}
 	s.stats.MsgsDelivered++
 	dst.stats.RecvBytes += int64(ev.size)
 	dst.stats.RecvMsgs++
 	dst.handler.Receive(ev.src, ev.msg)
+	return false
 }
 
 // send implements Runtime.Send for a node. It runs on the sender's shard
@@ -327,8 +324,8 @@ func entLess(a, b heapEnt) bool {
 	return a.at < b.at || a.at == b.at && a.key < b.key
 }
 
-// entHeap is a binary min-heap in entLess order. It keeps no back-pointers:
-// cancellation (rare) finds its entry by scanning.
+// entHeap is a binary min-heap in entLess order. Events leave it only from
+// the top, so it keeps no back-pointers into the events.
 type entHeap []heapEnt
 
 func (h *entHeap) push(ev *event) {
@@ -336,15 +333,14 @@ func (h *entHeap) push(ev *event) {
 	h.up(len(*h) - 1)
 }
 
-// removeAt deletes and returns the event at heap position i (0 = earliest).
-func (h *entHeap) removeAt(i int) *event {
+// pop deletes and returns the earliest event.
+func (h *entHeap) pop() *event {
 	old := *h
-	ev, last := old[i].ev, len(old)-1
-	old[i], old[last] = old[last], heapEnt{}
+	ev, last := old[0].ev, len(old)-1
+	old[0], old[last] = old[last], heapEnt{}
 	*h = old[:last]
-	if i < last {
-		h.down(i)
-		h.up(i)
+	if last > 0 {
+		h.down(0)
 	}
 	return ev
 }
@@ -376,7 +372,6 @@ func (h entHeap) down(i int) {
 // straight into cur: zero-delay timers, freeze deferrals, and global-context
 // sends that land behind a cursor peek already moved ahead.
 func (s *shard) push(ev *event) {
-	ev.sh, ev.queued = s, true
 	switch d := bucketOf(ev.at) - s.cursor; {
 	case d <= 0:
 		s.cur.push(ev)
@@ -401,7 +396,7 @@ func (s *shard) advance() bool {
 			s.cursor = bucketOf(s.far[0].at)
 		}
 		for len(s.far) > 0 && bucketOf(s.far[0].at)-s.cursor < ringLen {
-			s.push(s.far.removeAt(0))
+			s.push(s.far.pop())
 		}
 		for slot := &s.ring[s.cursor&(ringLen-1)]; *slot != nil; s.inRing-- {
 			ev := *slot
@@ -423,32 +418,5 @@ func (s *shard) peek() time.Duration {
 // pop removes and returns the earliest event.
 func (s *shard) pop() *event {
 	s.advance()
-	ev := s.cur.removeAt(0)
-	ev.queued = false
-	return ev
-}
-
-// remove deletes an arbitrary queued event (timer cancellation). By the
-// invariant, ev.at names the tier the event sits in now.
-func (s *shard) remove(ev *event) {
-	ev.queued = false
-	d := bucketOf(ev.at) - s.cursor
-	if d > 0 && d < ringLen {
-		slot := &s.ring[(s.cursor+d)&(ringLen-1)]
-		for *slot != ev {
-			slot = &(*slot).next
-		}
-		*slot, ev.next = ev.next, nil
-		s.inRing--
-		return
-	}
-	h := &s.cur
-	if d > 0 {
-		h = &s.far
-	}
-	i := 0
-	for (*h)[i].ev != ev {
-		i++
-	}
-	h.removeAt(i)
+	return s.cur.pop()
 }

@@ -61,14 +61,12 @@
 // invariant is cur ≤ every ring bucket ≤ far, with ties broken by the full
 // key inside cur only. Both constants are fixed, not configurable: 99.8 % or
 // more of pushes on both benchmark workloads land inside the horizon (see
-// shard.go). Canceled timers are unlinked outright instead of being
-// tombstoned: Stop finds the event's tier from its due time and walks one
-// bucket list or scans one small heap. Timer handles are generation-checked,
-// which makes a stale handle's Stop inert after its slot has been recycled.
-// Node state lives in one dense table (a flat slice indexed by id), so runs
-// up to the 1<<20-node ceiling (the event key's tie-break field; AddNode
-// enforces it) are bounded by per-node protocol state, not by the simulator
-// core.
+// shard.go). Timers have no handles and are never canceled, so an event
+// leaves the queue only by being popped: no tombstones, no unlinking, no
+// back-pointers from event to tier. Node state lives in one dense table (a
+// flat slice indexed by id), so runs up to the 1<<20-node ceiling (the event
+// key's tie-break field; AddNode enforces it) are bounded by per-node
+// protocol state, not by the simulator core.
 package simnet
 
 import (
@@ -562,52 +560,20 @@ func (rt *nodeRuntime) Send(to wire.NodeID, m wire.Message) {
 	rt.net.send(nd, to, m)
 }
 
-func (rt *nodeRuntime) After(d time.Duration, fn func()) env.Timer {
-	ev := rt.net.newTimer(rt.id, d, fn)
-	return simTimer{ev: ev, gen: ev.gen}
-}
-
-// AfterFunc implements env.Runtime. With no handle to mint, the timer is
-// just a pooled event: the call allocates nothing in steady state.
+// AfterFunc implements env.Runtime. The timer is just a pooled event on the
+// owning node's shard: the call allocates nothing in steady state.
 func (rt *nodeRuntime) AfterFunc(d time.Duration, fn func()) {
-	rt.net.newTimer(rt.id, d, fn)
-}
-
-// newTimer schedules a timer event on the owning node's shard.
-func (n *Network) newTimer(id wire.NodeID, d time.Duration, fn func()) *event {
 	if d < 0 {
 		d = 0
 	}
-	nd := &n.nodes[id]
-	sh := n.shards[nd.shard]
+	nd := &rt.net.nodes[rt.id]
+	sh := rt.net.shards[nd.shard]
 	ev := sh.alloc()
 	ev.at = sh.now + d
 	ev.kind = evTimer
-	ev.src = id
+	ev.src = rt.id
 	ev.srcSeq = nd.seq
 	nd.seq++
 	ev.fn = fn
 	sh.push(ev)
-	return ev
-}
-
-// simTimer is a generation-checked handle to a pooled timer event. Stop
-// unlinks the event from its queue tier outright (no tombstones) and recycles
-// its slot; a handle whose generation no longer matches — the timer fired,
-// was stopped, and the slot was reused — is inert. Timer events live on
-// their owning node's shard, so Stop from that node's context touches only
-// shard-local state.
-type simTimer struct {
-	ev  *event
-	gen uint32
-}
-
-func (t simTimer) Stop() bool {
-	ev := t.ev
-	if ev == nil || ev.gen != t.gen || !ev.queued {
-		return false
-	}
-	ev.sh.remove(ev)
-	ev.sh.recycle(ev)
-	return true
 }

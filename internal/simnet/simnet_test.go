@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -191,29 +192,23 @@ func TestDeterminism(t *testing.T) {
 	_ = run // the jittered variant is exercised elsewhere
 }
 
+// TestTimerFiresAndStops: timers fire once each, in due order, a negative
+// delay counting as zero; there is no cancel, so what stops a node's pending
+// timers is the node stopping (a crash discards them).
 func TestTimerFiresAndStops(t *testing.T) {
 	net := New(Config{Seed: 1})
 	var fired []time.Duration
-	var stoppedFired bool
 	a := &recorder{onStart: func(rt env.Runtime) {
-		rt.After(10*time.Millisecond, func() { fired = append(fired, rt.Now()) })
-		tm := rt.After(20*time.Millisecond, func() { stoppedFired = true })
-		rt.After(5*time.Millisecond, func() {
-			if !tm.Stop() {
-				t.Error("Stop on pending timer returned false")
-			}
-			if tm.Stop() {
-				t.Error("second Stop returned true")
-			}
-		})
+		note := func() { fired = append(fired, rt.Now()) }
+		rt.AfterFunc(10*time.Millisecond, note)
+		rt.AfterFunc(-time.Millisecond, note)
+		rt.AfterFunc(20*time.Millisecond, note)
 	}}
-	net.AddNode(a, NodeConfig{})
+	id := net.AddNode(a, NodeConfig{})
+	net.Schedule(15*time.Millisecond, func() { net.Crash(id) })
 	net.Run(time.Second)
-	if len(fired) != 1 || fired[0] != 10*time.Millisecond {
-		t.Fatalf("timer fired %v, want [10ms]", fired)
-	}
-	if stoppedFired {
-		t.Fatal("stopped timer fired")
+	if want := []time.Duration{0, 10 * time.Millisecond}; !slices.Equal(fired, want) {
+		t.Fatalf("timers fired at %v, want %v", fired, want)
 	}
 }
 
@@ -273,7 +268,7 @@ func TestCrashedNodeReceivesNothingAndTimersDie(t *testing.T) {
 	net := New(Config{Seed: 1, Latency: ConstantLatency(5 * time.Millisecond)})
 	var lateTimer bool
 	b := &recorder{onStart: func(rt env.Runtime) {
-		rt.After(50*time.Millisecond, func() { lateTimer = true })
+		rt.AfterFunc(50*time.Millisecond, func() { lateTimer = true })
 	}}
 	a := &recorder{}
 	ida := net.AddNode(a, NodeConfig{})
@@ -298,7 +293,7 @@ func TestFreezeDefersDeliveriesAndTimers(t *testing.T) {
 	net := New(Config{Seed: 1, Latency: ConstantLatency(time.Millisecond)})
 	var timerAt time.Duration
 	b := &recorder{onStart: func(rt env.Runtime) {
-		rt.After(10*time.Millisecond, func() { timerAt = rt.Now() })
+		rt.AfterFunc(10*time.Millisecond, func() { timerAt = rt.Now() })
 	}}
 	a := &recorder{}
 	ida := net.AddNode(a, NodeConfig{})

@@ -11,14 +11,13 @@ import (
 
 	"repro/internal/aggregation"
 	"repro/internal/core"
-	"repro/internal/env"
 	"repro/internal/membership"
 	"repro/internal/misbehave"
 	"repro/internal/wire"
 )
 
-// clockRuntime is stubRuntime with a clock: timers carry due times, fire in
-// due order as the clock advances, and After's handle really cancels.
+// clockRuntime is stubRuntime with a clock: timers carry due times and fire
+// in due order as the clock advances.
 type clockRuntime struct {
 	*stubRuntime
 	queue []*clockTimer // armed, in arming order
@@ -30,18 +29,8 @@ type clockTimer struct {
 	done bool
 }
 
-func (t *clockTimer) Stop() bool {
-	was := !t.done
-	t.done = true
-	return was
-}
-
-func (c *clockRuntime) AfterFunc(d time.Duration, fn func()) { c.After(d, fn) }
-
-func (c *clockRuntime) After(d time.Duration, fn func()) env.Timer {
-	t := &clockTimer{due: c.now + d, fn: fn}
-	c.queue = append(c.queue, t)
-	return t
+func (c *clockRuntime) AfterFunc(d time.Duration, fn func()) {
+	c.queue = append(c.queue, &clockTimer{due: c.now + d, fn: fn})
 }
 
 // advance moves the clock d forward, firing what falls due on the way,

@@ -42,15 +42,6 @@ func (s *stubRuntime) Send(to wire.NodeID, m wire.Message) { s.sent = append(s.s
 func (s *stubRuntime) AfterFunc(_ time.Duration, fn func()) {
 	s.timers = append(s.timers, fn)
 }
-func (s *stubRuntime) After(d time.Duration, fn func()) env.Timer {
-	s.AfterFunc(d, fn)
-	return stubTimer{}
-}
-
-type stubTimer struct{}
-
-func (stubTimer) Stop() bool { return false }
-
 func peerIDs(n int) []wire.NodeID { return membership.NewDirectory(n).IDs() }
 
 func smallStream(id wire.StreamID, source bool) Stream {

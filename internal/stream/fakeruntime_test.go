@@ -22,18 +22,9 @@ type sentMsg struct {
 }
 
 type fakeTimer struct {
-	at      time.Duration
-	fn      func()
-	stopped bool
-	fired   bool
-}
-
-func (f *fakeTimer) Stop() bool {
-	if f.stopped || f.fired {
-		return false
-	}
-	f.stopped = true
-	return true
+	at    time.Duration
+	fn    func()
+	fired bool
 }
 
 var _ env.Runtime = (*fakeRuntime)(nil)
@@ -46,14 +37,8 @@ func (f *fakeRuntime) Send(to wire.NodeID, m wire.Message) {
 	f.sent = append(f.sent, sentMsg{to: to, m: m})
 }
 
-func (f *fakeRuntime) After(d time.Duration, fn func()) env.Timer {
-	t := &fakeTimer{at: f.now + d, fn: fn}
-	f.timers = append(f.timers, t)
-	return t
-}
-
 func (f *fakeRuntime) AfterFunc(d time.Duration, fn func()) {
-	f.After(d, fn)
+	f.timers = append(f.timers, &fakeTimer{at: f.now + d, fn: fn})
 }
 
 // fire runs the earliest pending timer, advancing the clock to it. It
@@ -61,7 +46,7 @@ func (f *fakeRuntime) AfterFunc(d time.Duration, fn func()) {
 func (f *fakeRuntime) fire() bool {
 	var best *fakeTimer
 	for _, t := range f.timers {
-		if t.stopped || t.fired {
+		if t.fired {
 			continue
 		}
 		if best == nil || t.at < best.at {

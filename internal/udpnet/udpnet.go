@@ -610,30 +610,6 @@ func (rt *nodeRuntime) Send(to wire.NodeID, m wire.Message) {
 	}
 }
 
-// After implements env.Runtime with a wall-clock timer whose callback runs
-// under the node mutex. The handle costs a closure and a runtime timer per
-// call, and Close does not stop it: it is for the rare cancelable timeout
-// (peer sampling's one pending reply); everything periodic goes through
-// AfterFunc.
-func (rt *nodeRuntime) After(d time.Duration, fn func()) env.Timer {
-	n := rt.n
-	t := time.AfterFunc(d, func() {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		if n.closed {
-			return
-		}
-		fn()
-	})
-	return wallTimer{t}
-}
-
-type wallTimer struct {
-	t *time.Timer
-}
-
-func (w wallTimer) Stop() bool { return w.t.Stop() }
-
 // fireTimer is one reusable AfterFunc timer: armed while fn is set, else idle
 // on the node's free list. All fields are guarded by the node mutex.
 type fireTimer struct {
@@ -643,10 +619,11 @@ type fireTimer struct {
 	next *fireTimer // free list link
 }
 
-// AfterFunc implements env.Runtime: the timer call of every ticker period and
-// retransmission timeout. Like every Runtime method it runs in the node's
-// execution context (under mu). It re-arms a timer from the node's free list,
-// so in steady state it allocates nothing; a closed node arms nothing.
+// AfterFunc implements env.Runtime: the timer call of every ticker period,
+// retransmission timeout and shuffle reply deadline. Like every Runtime
+// method it runs in the node's execution context (under mu). It re-arms a
+// timer from the node's free list, so in steady state it allocates nothing;
+// a closed node arms nothing.
 func (rt *nodeRuntime) AfterFunc(d time.Duration, fn func()) {
 	n := rt.n
 	if n.closed {

@@ -194,15 +194,12 @@ type timerHandler struct {
 }
 
 func (h timerHandler) Start(rt env.Runtime) {
-	rt.After(20*time.Millisecond, func() {
+	rt.AfterFunc(20*time.Millisecond, func() {
 		select {
 		case h.fired <- rt.Now():
 		default:
 		}
 	})
-	// A stopped timer must not fire.
-	tm := rt.After(30*time.Millisecond, func() { h.fired <- -1 })
-	tm.Stop()
 }
 func (h timerHandler) Receive(wire.NodeID, wire.Message) {}
 func (h timerHandler) Stop()                             {}
