@@ -90,14 +90,18 @@ largescale:
 	$(GO) run ./cmd/heapsweep -largescale -csv out/largescale/
 
 # Brief fuzzing of the wire codec, the topology-config decoder, the
-# capability estimator and the simnet event queue (one target per invocation
-# is a Go toolchain constraint). The wire corpora cover both the legacy single-stream encodings
+# capability estimator, the simnet event queue, the dissemination engine and
+# the misbehavior detector (one target per invocation is a Go toolchain
+# constraint). The wire corpora cover both the legacy single-stream encodings
 # and the stream-id-tagged multi-stream forms; the topo target drives
 # Validate/Build agreement and rebuild stability over arbitrary config bytes;
 # the estimator and queue targets replay op sequences against brute-force
-# oracles (their inputs are long, so minimizing each new one is capped or it
-# eats the run). The decoder-reuse target decodes a pair of byte strings on
-# one wire.Decoder and requires the second to come out as it does fresh.
+# oracles, the engine target feeds core decoded Propose/Request/Serve
+# sequences and checks its packet table and exactly-once delivery, and the
+# detector target feeds it arbitrary evidence (these inputs are long, so
+# minimizing each new one is capped or it eats the run). The decoder-reuse
+# target decodes a pair of byte strings on one wire.Decoder and requires the
+# second to come out as it does fresh.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzRoundTrip$$' -fuzztime 10s ./internal/wire
@@ -105,6 +109,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzTopologyConfig$$' -fuzztime 10s ./internal/topo
 	$(GO) test -run '^$$' -fuzz '^FuzzEstimatorOracle$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/aggregation
 	$(GO) test -run '^$$' -fuzz '^FuzzQueueOracle$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/simnet
+	$(GO) test -run '^$$' -fuzz '^FuzzEngineReceive$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzDetectorEvidence$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/misbehave
 
 # Non-test, non-comment, non-blank Go lines outside benchmark/.
 lines:

@@ -239,10 +239,11 @@
 // pooled through a free list, a timer is a recycled event slot with no
 // handle (timers cannot be canceled, so an event leaves the calendar queue
 // only by being popped), and the dissemination engine keeps its per-packet
-// state in dense slice/bitset tables sized from the stream geometry. A
-// 10,000-node HEAP run is routine on one core (minutes of wall clock, a few
-// GB peak); the practical ceiling is memory for per-node
-// receive records, roughly O(nodes × packets). Full-membership views cost
+// state in one dense table per stream — a state byte and a 64-byte record
+// per packet id — sized from the stream geometry. A 10,000-node HEAP run is
+// routine on one core (minutes of wall clock, a few GB peak); the practical
+// ceiling is memory for per-node receive records, roughly
+// O(nodes × packets). Full-membership views cost
 // O(n²) memory across the system, so past ~1k nodes use the Cyclon peer
 // sampler (UsePSS, the LargeScale default).
 //
@@ -252,6 +253,6 @@
 // scheduling, so results (including every CDF and exported CSV byte) are
 // identical for any worker count and across repeated runs. The
 // `go test -run Determinism ./...` layer enforces both properties, and
-// property tests cross-check the pooled event queue and dense tables against
-// brute-force oracles.
+// property tests cross-check the pooled event queue and the per-packet table
+// against brute-force oracles.
 package heapgossip

@@ -84,7 +84,7 @@ func TestAdaptTickReadvertisesAndShrinksBudget(t *testing.T) {
 		}
 		return s
 	})
-	baseline := e.BudgetScale()
+	baseline := e.budgetScale()
 	// predicted 1200 > budget 0.8*1000: the allocator is already active.
 	if baseline >= 1 {
 		t.Fatalf("setup: budget scale %v, want < 1", baseline)
@@ -101,7 +101,7 @@ func TestAdaptTickReadvertisesAndShrinksBudget(t *testing.T) {
 			t.Fatalf("re-advertised %d below the floor %d", v, e.cfg.Adapt.FloorKbps())
 		}
 	}
-	if got := e.BudgetScale(); got >= baseline {
+	if got := e.budgetScale(); got >= baseline {
 		t.Fatalf("budget scale %v did not shrink below the configured-capability scale %v", got, baseline)
 	}
 	if e.effUploadKbps != e.cfg.Adapt.EffectiveKbps() {

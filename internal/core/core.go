@@ -33,13 +33,13 @@
 // # Multi-source streams
 //
 // One engine disseminates any number of concurrent streams over a single
-// membership view and capability aggregation layer. Per-stream state
-// (delivered flags, pending/buffer tables, the retransmit queue) lives in a
-// streamState per stream id (streams.go); the estimator, sampler, tickers
-// and period adaptation are engine-global. When several streams compete for
-// the node's uplink, the fanout-budget allocator (budgetScale) divides the
-// node's upload capability across them, weighted by stream rate, so
-// aggregate sends never exceed Config.UploadKbps.
+// membership view and capability aggregation layer. Per-stream state (the
+// per-packet table, the retransmit queue) lives in a streamState per stream
+// id (streams.go); the estimator, sampler, tickers and period adaptation are
+// engine-global. When several streams compete for the node's uplink, the
+// fanout-budget allocator (budgetScale) divides the node's upload capability
+// across them, weighted by stream rate, so aggregate sends never exceed
+// Config.UploadKbps.
 package core
 
 import (
@@ -175,10 +175,9 @@ type Config struct {
 	// ServeBuffer is how long delivered events stay available for serving
 	// late requests. Default 120 s.
 	ServeBuffer time.Duration
-	// ExpectedPackets presizes the per-packet tables (delivered flags,
-	// outstanding requests, serve buffer) of the default stream 0 — callers
-	// that know the stream geometry pass TotalPackets so the hot path never
-	// reallocates. 0 means grow on demand. Ids are dense per stream, so
+	// ExpectedPackets presizes the per-packet table (delivered, outstanding
+	// and buffered ids) of the default stream 0 — callers that know the
+	// stream geometry pass TotalPackets so the hot path never reallocates. 0 means grow on demand. Ids are dense per stream, so
 	// this is a slice length, not a hash-table hint. Additional streams are
 	// presized through OpenStream.
 	ExpectedPackets int
@@ -314,19 +313,12 @@ type Stats struct {
 // maxProposersTracked bounds the alternate-proposer list per outstanding id.
 const maxProposersTracked = 4
 
-// maxTrackedPacketID bounds the dense per-packet tables against hostile or
+// maxTrackedPacketID bounds the dense per-packet table against hostile or
 // corrupt wire input: ids are assigned densely in publish order, so a
 // legitimate id beyond this (~90 days of continuous stream) cannot occur,
-// while an attacker-supplied huge id would otherwise force the dense slot
-// arrays to allocate unboundedly. Ids past the bound are simply ignored.
+// while an attacker-supplied huge id would otherwise force the dense arrays
+// to allocate unboundedly. Ids past the bound are simply ignored.
 const maxTrackedPacketID = 1 << 22
-
-// bufferedEvent is a delivered event kept for serving, with its receive time
-// for age-based pruning.
-type bufferedEvent struct {
-	ev     wire.Event
-	recvAt time.Duration
-}
 
 // retEntry is one armed retransmission batch: the ids requested together and
 // when their timeout expires. RetPeriod is constant, so entries are enqueued
@@ -477,7 +469,7 @@ func (e *Engine) adaptiveRound() {
 // stream; sources of additional streams open them first via OpenStream.
 func (e *Engine) Publish(ev wire.Event) {
 	st := e.streamFor(ev.Stream, true)
-	if st == nil || st.delivered.contains(uint64(ev.ID)) {
+	if st == nil || st.packets.delivered(ev.ID) {
 		return
 	}
 	e.deliverLocal(st, ev, false)
@@ -686,12 +678,12 @@ func (e *Engine) onPropose(from wire.NodeID, msg *wire.Propose) {
 		if id >= maxTrackedPacketID {
 			continue // wire-robustness bound, see maxTrackedPacketID
 		}
-		if st.delivered.contains(uint64(id)) {
+		switch st.packets.stateOf(id) {
+		case pktBuffered, pktDelivered:
 			continue
-		}
-		if p := st.pending.get(id); p != nil {
+		case pktPending:
 			// Already outstanding: remember the alternate proposer.
-			if int(p.numProposers) < maxProposersTracked {
+			if p := &st.packets.slots[id]; int(p.numProposers) < maxProposersTracked {
 				seen := false
 				for _, q := range p.proposers[:p.numProposers] {
 					if q == from {
@@ -707,7 +699,7 @@ func (e *Engine) onPropose(from wire.NodeID, msg *wire.Propose) {
 			continue
 		}
 		wanted = append(wanted, id)
-		slot := st.pending.insert(id)
+		slot := st.packets.set(id, pktPending)
 		slot.proposers[0] = from
 		slot.numProposers = 1
 		slot.attempts = 1
@@ -794,10 +786,10 @@ func (e *Engine) retransmit(st *streamState, ids []wire.PacketID) {
 	targets, groups := e.retTargets[:0], e.retGroups[:0]
 	now := e.rt.Now()
 	for _, id := range ids {
-		p := st.pending.get(id)
-		if p == nil {
+		if st.packets.stateOf(id) != pktPending {
 			continue // delivered (or already abandoned) meanwhile
 		}
+		p := &st.packets.slots[id]
 		if e.cfg.Monitor != nil {
 			// The id is still missing, so the peer last asked for it — the
 			// original proposer for attempt 1, otherwise the rotation target
@@ -812,7 +804,7 @@ func (e *Engine) retransmit(st *streamState, ids []wire.PacketID) {
 		if int(p.attempts) >= e.cfg.RetMaxAttempts {
 			// Abandon: clear the outstanding flag so a future propose can
 			// trigger a fresh request (FEC may also mask the loss).
-			st.pending.remove(id)
+			st.packets.set(id, pktUnknown)
 			e.stats.GiveUps++
 			continue
 		}
@@ -871,8 +863,9 @@ func (e *Engine) onRequest(from wire.NodeID, msg *wire.Request) {
 	}
 	events := make([]wire.Event, 0, len(msg.IDs))
 	for _, id := range msg.IDs {
-		if be := st.buffer.get(id); be != nil {
-			events = append(events, be.ev)
+		if st.packets.stateOf(id) == pktBuffered {
+			s := &st.packets.slots[id]
+			events = append(events, wire.Event{ID: id, Stream: st.id, Stamp: s.stamp, Payload: s.payload})
 		} else {
 			e.stats.UnservableIDs++
 		}
@@ -902,7 +895,7 @@ func (e *Engine) onServe(from wire.NodeID, msg *wire.Serve) {
 		if ev.ID >= maxTrackedPacketID {
 			continue // wire-robustness bound, see maxTrackedPacketID
 		}
-		if st.delivered.contains(uint64(ev.ID)) {
+		if st.packets.delivered(ev.ID) {
 			e.stats.DuplicateEvents++
 			continue
 		}
@@ -918,11 +911,9 @@ func (e *Engine) onServe(from wire.NodeID, msg *wire.Serve) {
 // batch (Publish gossips immediately instead).
 func (e *Engine) deliverLocal(st *streamState, ev wire.Event, propose bool) {
 	ev.Stream = st.id // normalize: the stream state is authoritative
-	id := uint64(ev.ID)
-	st.delivered.add(id)
-	st.pending.remove(ev.ID)
 	now := e.rt.Now()
-	*st.buffer.insert(ev.ID) = bufferedEvent{ev: ev, recvAt: now}
+	slot := st.packets.set(ev.ID, pktBuffered)
+	slot.recvAt, slot.stamp, slot.payload = now, ev.Stamp, ev.Payload
 	if propose {
 		st.toPropose = append(st.toPropose, ev.ID)
 	}
@@ -937,21 +928,8 @@ func (e *Engine) deliverLocal(st *streamState, ev wire.Event, propose bool) {
 func (e *Engine) pruneBuffer() {
 	cutoff := e.rt.Now() - e.cfg.ServeBuffer
 	for _, st := range e.streams {
-		st.buffer.prune(func(be *bufferedEvent) bool { return be.recvAt < cutoff })
+		st.packets.prune(cutoff)
 	}
-}
-
-// Delivered reports whether the engine has delivered the given id on the
-// default stream 0.
-func (e *Engine) Delivered(id wire.PacketID) bool {
-	return e.StreamDelivered(0, id)
-}
-
-// StreamDelivered reports whether the engine has delivered the given id on
-// the given stream.
-func (e *Engine) StreamDelivered(stream wire.StreamID, id wire.PacketID) bool {
-	st := e.lookupStream(stream)
-	return st != nil && st.delivered.contains(uint64(id))
 }
 
 // PendingRequests returns the number of outstanding requested ids across all
@@ -959,7 +937,7 @@ func (e *Engine) StreamDelivered(stream wire.StreamID, id wire.PacketID) bool {
 func (e *Engine) PendingRequests() int {
 	n := 0
 	for _, st := range e.streams {
-		n += st.pending.len()
+		n += st.packets.pending
 	}
 	return n
 }
@@ -969,7 +947,7 @@ func (e *Engine) PendingRequests() int {
 func (e *Engine) BufferedEvents() int {
 	n := 0
 	for _, st := range e.streams {
-		n += st.buffer.len()
+		n += st.packets.buffered
 	}
 	return n
 }

@@ -40,34 +40,6 @@ type fixedRel float64
 
 func (f fixedRel) RelativeCapability() float64 { return float64(f) }
 
-func TestBitset(t *testing.T) {
-	var b bitset
-	if b.contains(0) || b.contains(1000) {
-		t.Fatal("empty bitset contains elements")
-	}
-	b.add(0)
-	b.add(63)
-	b.add(64)
-	b.add(1000)
-	for _, i := range []uint64{0, 63, 64, 1000} {
-		if !b.contains(i) {
-			t.Fatalf("missing %d", i)
-		}
-	}
-	if b.contains(1) || b.contains(999) {
-		t.Fatal("false positive")
-	}
-	b.remove(64)
-	if b.contains(64) {
-		t.Fatal("remove failed")
-	}
-	b.remove(100000) // out of range: no-op
-	b.add(64)
-	if !b.contains(64) {
-		t.Fatal("re-add failed")
-	}
-}
-
 // testCluster wires n engines over a simulated network. Node 0 is the
 // source. Returns per-node delivery logs.
 type testCluster struct {
@@ -382,8 +354,8 @@ func TestServeBufferPruning(t *testing.T) {
 		if e.BufferedEvents() != 0 {
 			t.Fatalf("node %d still buffers %d events after prune horizon", i, e.BufferedEvents())
 		}
-		if !e.Delivered(1) {
-			t.Fatalf("node %d lost delivery record", i)
+		if got := e.lookupStream(0).packets.stateOf(1); got != pktDelivered {
+			t.Fatalf("node %d: id 1 in state %d after prune, want pktDelivered", i, got)
 		}
 	}
 }

@@ -100,14 +100,14 @@ func TestMultiStreamIsolation(t *testing.T) {
 	if want := 40 * events * 2; total < want*99/100 {
 		t.Fatalf("system-wide delivery %d of %d below 99%%", total, want)
 	}
-	// Cross-check the query API: id 0 is delivered on both streams but the
+	// Cross-check the tables: id 0 is delivered on both streams but the
 	// engines never opened (or saw) stream 0.
 	e := c.engines[5]
-	if !e.StreamDelivered(3, 0) || !e.StreamDelivered(7, 0) {
-		t.Fatal("StreamDelivered misses delivered ids")
+	if !e.lookupStream(3).packets.delivered(0) || !e.lookupStream(7).packets.delivered(0) {
+		t.Fatal("stream tables miss delivered ids")
 	}
-	if e.Delivered(0) {
-		t.Fatal("Delivered(0) true although stream 0 never existed")
+	if e.lookupStream(0) != nil {
+		t.Fatal("stream 0 opened although it never existed")
 	}
 }
 
@@ -139,7 +139,7 @@ func TestStreamLimitBoundsState(t *testing.T) {
 		}
 	})
 	net.Run(time.Second)
-	if got := len(e.Streams()); got != maxTrackedStreams {
+	if got := len(e.streams); got != maxTrackedStreams {
 		t.Fatalf("engine tracks %d streams, want the %d bound", got, maxTrackedStreams)
 	}
 }
@@ -178,7 +178,7 @@ func TestBudgetScale(t *testing.T) {
 	if err := e.OpenStream(0, StreamConfig{RateKbps: 600}); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.BudgetScale(); got != 1 {
+	if got := e.budgetScale(); got != 1 {
 		t.Fatalf("single-stream scale = %v, want 1 (allocator arbitrates competition only)", got)
 	}
 
@@ -190,7 +190,7 @@ func TestBudgetScale(t *testing.T) {
 		}
 	}
 	want := 0.8 * 512 / (0.75 * 1200)
-	if got := e.BudgetScale(); got < want-1e-9 || got > want+1e-9 {
+	if got := e.budgetScale(); got < want-1e-9 || got > want+1e-9 {
 		t.Fatalf("scale = %v, want %v", got, want)
 	}
 
@@ -201,7 +201,7 @@ func TestBudgetScale(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := e.BudgetScale(); got != 1 {
+	if got := e.budgetScale(); got != 1 {
 		t.Fatalf("under-budget scale = %v, want 1", got)
 	}
 
@@ -212,7 +212,7 @@ func TestBudgetScale(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := e.BudgetScale(); got != 1 {
+	if got := e.budgetScale(); got != 1 {
 		t.Fatalf("unbudgeted scale = %v, want 1", got)
 	}
 }
@@ -228,7 +228,7 @@ func TestRetireStreamReleasesBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := e.BudgetScale(); got != 0.5 {
+	if got := e.budgetScale(); got != 0.5 {
 		t.Fatalf("contended scale = %v, want 0.5", got)
 	}
 	net := simnet.New(simnet.Config{Seed: 6})
@@ -238,15 +238,15 @@ func TestRetireStreamReleasesBudget(t *testing.T) {
 	})
 	net.Run(time.Second)
 	e.RetireStream(0)
-	if got := e.BudgetScale(); got != 1 {
+	if got := e.budgetScale(); got != 1 {
 		t.Fatalf("scale after retire = %v, want 1 (stream 1 alone is within budget)", got)
 	}
-	if !e.StreamDelivered(0, 1) || e.BufferedEvents() != 1 {
+	if !e.lookupStream(0).packets.delivered(1) || e.BufferedEvents() != 1 {
 		t.Fatal("retiring dropped the stream's dissemination state")
 	}
 	e.RetireStream(0)  // idempotent
 	e.RetireStream(42) // unknown: no-op
-	if got := e.BudgetScale(); got != 1 {
+	if got := e.budgetScale(); got != 1 {
 		t.Fatalf("scale after redundant retires = %v, want 1", got)
 	}
 }

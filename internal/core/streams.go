@@ -7,8 +7,8 @@ import (
 )
 
 // This file holds the per-stream half of the engine split: everything keyed
-// by packet id — delivered flags, the outstanding-request table, the serve
-// buffer, the infect-and-die batch, the retransmission queue — lives in one
+// by packet id — the per-packet table (delivered, outstanding and buffered
+// ids), the infect-and-die batch, the retransmission queue — lives in one
 // streamState per dissemination stream, while the capability estimator, the
 // peer sampler, the gossip/period tickers, and the fanout budget stay
 // engine-global (one membership and aggregation layer shared by N streams).
@@ -22,7 +22,7 @@ const maxTrackedStreams = 64
 
 // StreamConfig parameterizes one dissemination stream on an engine.
 type StreamConfig struct {
-	// ExpectedPackets presizes the stream's per-packet tables (see
+	// ExpectedPackets presizes the stream's per-packet table (see
 	// Config.ExpectedPackets). 0 means grow on demand.
 	ExpectedPackets int
 	// RateKbps is the stream's effective data rate (parity included) in
@@ -39,9 +39,7 @@ type streamState struct {
 	id       wire.StreamID
 	rateKbps float64
 
-	delivered bitset          // ids delivered (exactly-once upcall)
-	pending   pendingTable    // outstanding request state (dense by id)
-	buffer    bufferTable     // deliverable payloads (dense by id)
+	packets   packetTable     // per-id life cycle, dense by id (tables.go)
 	toPropose []wire.PacketID // infect-and-die batch
 
 	// Retransmission runs off one fire-and-forget timer per stream and a
@@ -78,11 +76,7 @@ func (e *Engine) OpenStream(id wire.StreamID, sc StreamConfig) error {
 func (e *Engine) addStream(id wire.StreamID, sc StreamConfig) *streamState {
 	st := &streamState{id: id, rateKbps: sc.RateKbps}
 	st.retFireFn = func() { e.retFire(st) }
-	if n := sc.ExpectedPackets; n > 0 {
-		st.delivered.presize(n)
-		st.pending.presize(n)
-		st.buffer.presize(n)
-	}
+	st.packets.presize(sc.ExpectedPackets)
 	e.streams = append(e.streams, st)
 	e.totalRateKbps += sc.RateKbps
 	return st
@@ -136,15 +130,6 @@ func (e *Engine) RetireStream(id wire.StreamID) {
 	st.rateKbps = 0
 }
 
-// Streams returns the ids of the engine's open streams, in open order.
-func (e *Engine) Streams() []wire.StreamID {
-	out := make([]wire.StreamID, len(e.streams))
-	for i, st := range e.streams {
-		out[i] = st.id
-	}
-	return out
-}
-
 // budgetScale is the fanout-budget allocator: it returns the factor by which
 // every stream's fanout is scaled so that the node's expected aggregate
 // serve load stays within its upload capability.
@@ -183,7 +168,3 @@ func (e *Engine) budgetScale() float64 {
 	}
 	return budget / predicted
 }
-
-// BudgetScale exposes the current fanout-budget scale (1 when the allocator
-// is inactive), for tests and diagnostics.
-func (e *Engine) BudgetScale() float64 { return e.budgetScale() }

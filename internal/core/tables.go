@@ -1,142 +1,108 @@
 package core
 
 import (
-	"math/bits"
+	"time"
 
 	"repro/internal/wire"
 )
 
 // Packet ids are assigned densely in publish order (internal/stream), so the
-// engine's per-packet bookkeeping — delivered flags, outstanding requests,
-// the serve buffer — lives in flat slices indexed by id instead of maps.
-// This file holds those structures. They are sized once from the stream
-// geometry (Config.ExpectedPackets) and grow transparently past it, so the
+// engine's per-packet bookkeeping lives in flat slices indexed by id instead
+// of maps. Each id moves through one life cycle — unknown, requested,
+// delivered and buffered for serving, pruned — so one state byte and one
+// record per id hold all of it. The table is sized once from the stream
+// geometry (Config.ExpectedPackets) and grows transparently past it, so the
 // steady-state hot path neither hashes nor allocates.
 
-// bitset is a growable bitmap over dense uint64 keys.
-type bitset struct {
-	words []uint64
-}
+// Packet states. The order matters: an id is delivered iff its state is at
+// least pktBuffered.
+const (
+	pktUnknown   uint8 = iota // never requested, or abandoned after a give-up
+	pktPending                // requested; the slot holds proposers and attempts
+	pktBuffered               // delivered; the slot holds the payload for serving
+	pktDelivered              // delivered and pruned from the serve buffer
+)
 
-// presize reserves capacity for keys [0, n) without setting any bit.
-func (b *bitset) presize(n int) {
-	if want := (n + 63) / 64; want > len(b.words) {
-		words := make([]uint64, want)
-		copy(words, b.words)
-		b.words = words
-	}
-}
-
-func (b *bitset) add(i uint64) {
-	w := i >> 6
-	for uint64(len(b.words)) <= w {
-		b.words = append(b.words, 0)
-	}
-	b.words[w] |= 1 << (i & 63)
-}
-
-func (b *bitset) remove(i uint64) {
-	w := i >> 6
-	if w < uint64(len(b.words)) {
-		b.words[w] &^= 1 << (i & 63)
-	}
-}
-
-func (b *bitset) contains(i uint64) bool {
-	w := i >> 6
-	return w < uint64(len(b.words)) && b.words[w]&(1<<(i&63)) != 0
-}
-
-// denseTable is a presence bitset plus a dense slot array indexed by packet
-// id: the map replacement shared by the outstanding-request table and the
-// serve buffer.
-type denseTable[T any] struct {
-	present bitset
-	slots   []T
-	count   int
-}
-
-func (t *denseTable[T]) presize(n int) {
-	t.present.presize(n)
-	if n > len(t.slots) {
-		slots := make([]T, n)
-		copy(slots, t.slots)
-		t.slots = slots
-	}
-}
-
-func (t *denseTable[T]) len() int { return t.count }
-
-func (t *denseTable[T]) contains(id wire.PacketID) bool {
-	return t.present.contains(uint64(id))
-}
-
-// get returns the slot for a present id, or nil.
-func (t *denseTable[T]) get(id wire.PacketID) *T {
-	if !t.present.contains(uint64(id)) {
-		return nil
-	}
-	return &t.slots[id]
-}
-
-// insert marks id present and returns its zeroed slot. Inserting an
-// already-present id resets its slot.
-func (t *denseTable[T]) insert(id wire.PacketID) *T {
-	if !t.present.contains(uint64(id)) {
-		t.count++
-		t.present.add(uint64(id))
-	}
-	var zero T
-	for uint64(len(t.slots)) <= uint64(id) {
-		t.slots = append(t.slots, zero)
-	}
-	slot := &t.slots[id]
-	*slot = zero
-	return slot
-}
-
-// remove clears a present id. Removing an absent id is a no-op.
-func (t *denseTable[T]) remove(id wire.PacketID) {
-	if !t.present.contains(uint64(id)) {
-		return
-	}
-	var zero T
-	t.present.remove(uint64(id))
-	t.slots[id] = zero
-	t.count--
-}
-
-// prune drops every slot for which drop returns true, walking the presence
-// bitset word by word (deterministic ascending-id order, unlike the map
-// iteration it replaced).
-func (t *denseTable[T]) prune(drop func(*T) bool) {
-	var zero T
-	for w, word := range t.present.words {
-		for word != 0 {
-			bit := uint(bits.TrailingZeros64(word))
-			word &^= 1 << bit
-			id := uint64(w)*64 + uint64(bit)
-			if drop(&t.slots[id]) {
-				t.present.words[w] &^= 1 << bit
-				t.slots[id] = zero
-				t.count--
-			}
-		}
-	}
-}
-
-// pendingSlot tracks one outstanding id: who proposed it and how often we
-// asked. Proposers live in a fixed-size array (maxProposersTracked) so slots
-// are plain values with no per-id allocation.
-type pendingSlot struct {
+// packetSlot is one id's record: proposers, numProposers and attempts while
+// the id is pending, recvAt, stamp and payload while it is buffered. The id
+// and the stream are the slot's position and its table, so they are not
+// stored. Proposers live in a fixed-size array (maxProposersTracked) so slots
+// are plain values with no per-id allocation; the layout is 64 bytes.
+type packetSlot struct {
 	proposers    [maxProposersTracked]wire.NodeID
 	numProposers uint8
 	attempts     uint16
+	recvAt       time.Duration
+	stamp        int64
+	payload      []byte
 }
 
-// pendingTable is the outstanding-request table.
-type pendingTable = denseTable[pendingSlot]
+// packetTable is one stream's per-packet state: a state byte per id in its
+// own array, so the "already delivered?" check on every proposed id reads 64
+// ids per cache line, and a parallel slot array reached only for pending and
+// buffered ids.
+type packetTable struct {
+	state    []uint8
+	slots    []packetSlot
+	pending  int // ids in pktPending
+	buffered int // ids in pktBuffered
+}
 
-// bufferTable is the serve buffer: delivered events kept for serving late
-// requests.
-type bufferTable = denseTable[bufferedEvent]
+// presize reserves ids [0, n) in the unknown state.
+func (t *packetTable) presize(n int) {
+	if n > len(t.state) {
+		t.grow(n)
+	}
+}
+
+func (t *packetTable) grow(n int) {
+	t.state = append(t.state, make([]uint8, n-len(t.state))...)
+	t.slots = append(t.slots, make([]packetSlot, n-len(t.slots))...)
+}
+
+// stateOf returns id's state; ids past the table are unknown.
+func (t *packetTable) stateOf(id wire.PacketID) uint8 {
+	if id < wire.PacketID(len(t.state)) {
+		return t.state[id]
+	}
+	return pktUnknown
+}
+
+// delivered reports whether id has been delivered (buffered or pruned since).
+func (t *packetTable) delivered(id wire.PacketID) bool {
+	return t.stateOf(id) >= pktBuffered
+}
+
+// set moves id to state s, keeping the pending and buffered counts, and
+// returns its record zeroed for the new state to fill.
+func (t *packetTable) set(id wire.PacketID, s uint8) *packetSlot {
+	if id >= wire.PacketID(len(t.state)) {
+		t.grow(int(id) + 1)
+	}
+	t.count(t.state[id], -1)
+	t.count(s, 1)
+	t.state[id] = s
+	slot := &t.slots[id]
+	*slot = packetSlot{}
+	return slot
+}
+
+func (t *packetTable) count(s uint8, d int) {
+	switch s {
+	case pktPending:
+		t.pending += d
+	case pktBuffered:
+		t.buffered += d
+	}
+}
+
+// prune moves every buffered id received before cutoff to pktDelivered,
+// releasing its payload, walking ids in ascending order. A pruned id stays
+// delivered: a late Serve for it is a duplicate, not a second delivery.
+func (t *packetTable) prune(cutoff time.Duration) {
+	for id, s := range t.state {
+		if s == pktBuffered && t.slots[id].recvAt < cutoff {
+			t.set(wire.PacketID(id), pktDelivered)
+		}
+	}
+}

@@ -4,136 +4,144 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/wire"
 )
 
-// Property tests for the dense slice/bitset tables that replaced the
-// engine's maps: random operation sequences cross-checked against map-based
-// oracles over the same id space.
+// propIDSpace spans several 64-id state lines and lies past the presize the
+// even seeds start from, so growth is exercised.
+const propIDSpace = 300
 
-const propIDSpace = 700 // > one bitset word, forces growth past any presize
+// oracleEntry is the reference model of one id: its state plus the record
+// fields that state gives meaning to.
+type oracleEntry struct {
+	state        uint8
+	proposers    [maxProposersTracked]wire.NodeID
+	numProposers uint8
+	attempts     uint16
+	recvAt       time.Duration
+	stamp        int64
+	payload      []byte
+}
 
-func TestPendingTableMatchesMapOracle(t *testing.T) {
-	type oracleSlot struct {
-		proposers    [maxProposersTracked]wire.NodeID
-		numProposers uint8
-		attempts     uint16
-	}
+// TestPacketTableMatchesOracle runs seeded random life-cycle sequences — the
+// transitions the engine makes — against a map oracle and compares every id's
+// state, its pending or buffered record, and both counts after every step.
+func TestPacketTableMatchesOracle(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		var tab pendingTable
+		var tab packetTable
 		if seed%2 == 0 {
 			tab.presize(64) // half the runs start presized, half grow from zero
 		}
-		oracle := map[wire.PacketID]*oracleSlot{}
-		for op := 0; op < 2000; op++ {
+		oracle := map[wire.PacketID]*oracleEntry{}
+		get := func(id wire.PacketID) *oracleEntry {
+			if oracle[id] == nil {
+				oracle[id] = &oracleEntry{}
+			}
+			return oracle[id]
+		}
+		deliver := func(id wire.PacketID) {
+			o := get(id)
+			*o = oracleEntry{
+				state:   pktBuffered,
+				recvAt:  time.Duration(rng.Intn(1000)) * time.Millisecond,
+				stamp:   rng.Int63(),
+				payload: []byte{byte(id)},
+			}
+			s := tab.set(id, pktBuffered)
+			s.recvAt, s.stamp, s.payload = o.recvAt, o.stamp, o.payload
+		}
+		for op := 0; op < 1500; op++ {
 			id := wire.PacketID(rng.Intn(propIDSpace))
-			switch rng.Intn(5) {
-			case 0: // insert
-				slot := tab.insert(id)
-				slot.proposers[0] = wire.NodeID(rng.Intn(100))
-				slot.numProposers = 1
-				slot.attempts = 1
-				oracle[id] = &oracleSlot{
-					proposers:    slot.proposers,
-					numProposers: 1,
-					attempts:     1,
+			o := get(id)
+			switch rng.Intn(6) {
+			case 0: // fresh request, as onPropose makes for an unknown id
+				if o.state == pktUnknown {
+					from := wire.NodeID(rng.Intn(100))
+					*o = oracleEntry{state: pktPending, numProposers: 1, attempts: 1}
+					o.proposers[0] = from
+					s := tab.set(id, pktPending)
+					s.proposers[0], s.numProposers, s.attempts = from, 1, 1
 				}
-			case 1: // remove
-				tab.remove(id)
-				delete(oracle, id)
-			case 2: // mutate through get, as onPropose/retransmit do
-				slot := tab.get(id)
-				o := oracle[id]
-				if (slot == nil) != (o == nil) {
-					t.Fatalf("seed %d op %d: get(%d) presence %v, oracle %v",
-						seed, op, id, slot != nil, o != nil)
-				}
-				if slot != nil {
-					if int(slot.numProposers) < maxProposersTracked {
+			case 1: // alternate proposer plus a retry, through the record
+				if o.state == pktPending {
+					s := &tab.slots[id]
+					if int(s.numProposers) < maxProposersTracked {
 						p := wire.NodeID(rng.Intn(100))
-						slot.proposers[slot.numProposers] = p
-						slot.numProposers++
+						s.proposers[s.numProposers] = p
+						s.numProposers++
 						o.proposers[o.numProposers] = p
 						o.numProposers++
 					}
-					slot.attempts++
+					s.attempts++
 					o.attempts++
 				}
-			case 3: // contains
-				if tab.contains(id) != (oracle[id] != nil) {
-					t.Fatalf("seed %d op %d: contains(%d) mismatch", seed, op, id)
+			case 2: // give-up after the last attempt
+				if o.state == pktPending {
+					*o = oracleEntry{}
+					tab.set(id, pktUnknown)
 				}
-			case 4: // full-state audit
-				if tab.len() != len(oracle) {
-					t.Fatalf("seed %d op %d: len %d, oracle %d", seed, op, tab.len(), len(oracle))
+			case 3: // delivery from pending
+				if o.state == pktPending {
+					deliver(id)
+				}
+			case 4: // delivery from unknown (a Serve nobody requested, or Publish)
+				if o.state == pktUnknown {
+					deliver(id)
+				}
+			case 5: // age-based prune, as pruneBuffer applies it
+				cutoff := time.Duration(rng.Intn(1000)) * time.Millisecond
+				tab.prune(cutoff)
+				for _, e := range oracle {
+					if e.state == pktBuffered && e.recvAt < cutoff {
+						*e = oracleEntry{state: pktDelivered}
+					}
 				}
 			}
-		}
-		for id := wire.PacketID(0); id < propIDSpace; id++ {
-			slot, o := tab.get(id), oracle[id]
-			if (slot == nil) != (o == nil) {
-				t.Fatalf("seed %d final: presence mismatch at %d", seed, id)
-			}
-			if slot != nil && (slot.proposers != o.proposers ||
-				slot.numProposers != o.numProposers || slot.attempts != o.attempts) {
-				t.Fatalf("seed %d final: slot %d differs: %+v vs %+v", seed, id, *slot, *o)
-			}
+			checkPacketTable(t, seed, op, &tab, oracle)
 		}
 	}
 }
 
-func TestBufferTableMatchesMapOracle(t *testing.T) {
-	for seed := int64(0); seed < 20; seed++ {
-		rng := rand.New(rand.NewSource(seed ^ 0xbeef))
-		var tab bufferTable
-		if seed%2 == 0 {
-			tab.presize(64)
+func checkPacketTable(t *testing.T, seed int64, op int, tab *packetTable, oracle map[wire.PacketID]*oracleEntry) {
+	t.Helper()
+	var pending, buffered int
+	for id := wire.PacketID(0); id < propIDSpace+64; id++ {
+		o := oracle[id]
+		if o == nil {
+			o = &oracleEntry{}
 		}
-		oracle := map[wire.PacketID]bufferedEvent{}
-		for op := 0; op < 2000; op++ {
-			id := wire.PacketID(rng.Intn(propIDSpace))
-			switch rng.Intn(5) {
-			case 0: // insert
-				be := bufferedEvent{
-					ev:     wire.Event{ID: id, Stamp: rng.Int63()},
-					recvAt: time.Duration(rng.Intn(1000)) * time.Millisecond,
-				}
-				*tab.insert(id) = be
-				oracle[id] = be
-			case 1: // remove
-				tab.remove(id)
-				delete(oracle, id)
-			case 2: // get
-				be := tab.get(id)
-				obe, ook := oracle[id]
-				if (be != nil) != ook {
-					t.Fatalf("seed %d op %d: get(%d) presence %v, oracle %v", seed, op, id, be != nil, ook)
-				}
-				if be != nil && (be.ev.ID != obe.ev.ID || be.ev.Stamp != obe.ev.Stamp || be.recvAt != obe.recvAt) {
-					t.Fatalf("seed %d op %d: get(%d) value mismatch", seed, op, id)
-				}
-			case 3: // age-based prune, exactly as pruneBuffer applies it
-				cutoff := time.Duration(rng.Intn(1000)) * time.Millisecond
-				tab.prune(func(be *bufferedEvent) bool { return be.recvAt < cutoff })
-				for k, v := range oracle {
-					if v.recvAt < cutoff {
-						delete(oracle, k)
-					}
-				}
-			case 4:
-				if tab.len() != len(oracle) {
-					t.Fatalf("seed %d op %d: len %d, oracle %d", seed, op, tab.len(), len(oracle))
-				}
+		if got := tab.stateOf(id); got != o.state {
+			t.Fatalf("seed %d op %d: stateOf(%d) = %d, oracle %d", seed, op, id, got, o.state)
+		}
+		switch o.state {
+		case pktPending:
+			pending++
+			s := &tab.slots[id]
+			if s.proposers != o.proposers || s.numProposers != o.numProposers || s.attempts != o.attempts {
+				t.Fatalf("seed %d op %d: pending record %d = %+v, oracle %+v", seed, op, id, *s, *o)
+			}
+		case pktBuffered:
+			buffered++
+			s := &tab.slots[id]
+			if s.recvAt != o.recvAt || s.stamp != o.stamp || len(s.payload) != 1 || s.payload[0] != o.payload[0] {
+				t.Fatalf("seed %d op %d: buffered record %d = %+v, oracle %+v", seed, op, id, *s, *o)
 			}
 		}
-		for id := wire.PacketID(0); id < propIDSpace; id++ {
-			be := tab.get(id)
-			obe, ook := oracle[id]
-			if (be != nil) != ook || (be != nil && be.recvAt != obe.recvAt) {
-				t.Fatalf("seed %d final: mismatch at %d", seed, id)
-			}
-		}
+	}
+	if tab.pending != pending || tab.buffered != buffered {
+		t.Fatalf("seed %d op %d: counts pending %d buffered %d, oracle %d and %d",
+			seed, op, tab.pending, tab.buffered, pending, buffered)
+	}
+}
+
+// TestPacketSlotSizePinned: a slot holds a pending id's proposers and attempts
+// beside a buffered id's receive time, stamp and payload — 64 bytes, one cache
+// line, which must not grow.
+func TestPacketSlotSizePinned(t *testing.T) {
+	if got := unsafe.Sizeof(packetSlot{}); got != 64 {
+		t.Fatalf("packetSlot is %d bytes, want 64", got)
 	}
 }
