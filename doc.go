@@ -239,8 +239,9 @@
 // pooled through a free list, a timer is a recycled event slot with no
 // handle (timers cannot be canceled, so an event leaves the calendar queue
 // only by being popped), and the dissemination engine keeps its per-packet
-// state in one dense table per stream — a state byte and a 64-byte record
-// per packet id — sized from the stream geometry. A 10,000-node HEAP run is
+// state in one dense table per stream — a state byte and a 40-byte slot per
+// packet id, sized from the stream geometry, plus a pooled record for each
+// id requested and not yet served, reused once it is. A 10,000-node HEAP run is
 // routine on one core (minutes of wall clock, a few GB peak); the practical
 // ceiling is memory for per-node receive records, roughly
 // O(nodes × packets). Full-membership views cost

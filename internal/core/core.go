@@ -175,11 +175,11 @@ type Config struct {
 	// ServeBuffer is how long delivered events stay available for serving
 	// late requests. Default 120 s.
 	ServeBuffer time.Duration
-	// ExpectedPackets presizes the per-packet table (delivered, outstanding
-	// and buffered ids) of the default stream 0 — callers that know the
-	// stream geometry pass TotalPackets so the hot path never reallocates. 0 means grow on demand. Ids are dense per stream, so
-	// this is a slice length, not a hash-table hint. Additional streams are
-	// presized through OpenStream.
+	// ExpectedPackets presizes the per-packet table of stream 0 when that
+	// stream is opened lazily, on first contact; it has no effect on a
+	// stream 0 opened through OpenStream, whose StreamConfig sizes it.
+	// Ids are dense per stream, so this is a slice length, not a hash-table
+	// hint. 0 means grow on demand.
 	ExpectedPackets int
 	// UploadKbps is the node's upload capability in kilobits per second,
 	// the budget the fanout allocator divides across concurrent streams
@@ -683,7 +683,7 @@ func (e *Engine) onPropose(from wire.NodeID, msg *wire.Propose) {
 			continue
 		case pktPending:
 			// Already outstanding: remember the alternate proposer.
-			if p := &st.packets.slots[id]; int(p.numProposers) < maxProposersTracked {
+			if p := st.packets.rec(id); int(p.numProposers) < maxProposersTracked {
 				seen := false
 				for _, q := range p.proposers[:p.numProposers] {
 					if q == from {
@@ -699,10 +699,11 @@ func (e *Engine) onPropose(from wire.NodeID, msg *wire.Propose) {
 			continue
 		}
 		wanted = append(wanted, id)
-		slot := st.packets.set(id, pktPending)
-		slot.proposers[0] = from
-		slot.numProposers = 1
-		slot.attempts = 1
+		st.packets.set(id, pktPending)
+		p := st.packets.rec(id)
+		p.proposers[0] = from
+		p.numProposers = 1
+		p.attempts = 1
 	}
 	if len(wanted) == 0 {
 		return
@@ -789,7 +790,7 @@ func (e *Engine) retransmit(st *streamState, ids []wire.PacketID) {
 		if st.packets.stateOf(id) != pktPending {
 			continue // delivered (or already abandoned) meanwhile
 		}
-		p := &st.packets.slots[id]
+		p := st.packets.rec(id)
 		if e.cfg.Monitor != nil {
 			// The id is still missing, so the peer last asked for it — the
 			// original proposer for attempt 1, otherwise the rotation target

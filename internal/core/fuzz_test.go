@@ -14,7 +14,8 @@ import (
 // messages from arbitrary senders on arbitrary streams and ids, with clock
 // advances between them that fire its gossip rounds, retransmission timers
 // and serve-buffer prunes. Whatever the sequence, the engine must not panic;
-// its pending and buffered counts must equal a recount over the state bytes;
+// its pending and buffered counts must equal a recount over the state bytes,
+// and its pending-record pool must hold exactly one record per pending id;
 // no table may grow past maxTrackedPacketID nor the engine past
 // maxTrackedStreams; every Serve it sends must carry only buffered ids, as
 // they were delivered; and OnDeliver must fire at most once per (stream, id).
@@ -121,6 +122,9 @@ func runEngineScript(t *testing.T, data []byte) {
 			}
 			if p != tab.pending || b != tab.buffered {
 				t.Fatalf("stream %d counts pending %d buffered %d, recount %d and %d", st.id, tab.pending, tab.buffered, p, b)
+			}
+			if err := checkRecPool(tab); err != nil {
+				t.Fatalf("stream %d: %v", st.id, err)
 			}
 			pending += p
 			buffered += b

@@ -9,43 +9,59 @@ import (
 // Packet ids are assigned densely in publish order (internal/stream), so the
 // engine's per-packet bookkeeping lives in flat slices indexed by id instead
 // of maps. Each id moves through one life cycle — unknown, requested,
-// delivered and buffered for serving, pruned — so one state byte and one
-// record per id hold all of it. The table is sized once from the stream
-// geometry (Config.ExpectedPackets) and grows transparently past it, so the
-// steady-state hot path neither hashes nor allocates.
+// delivered and buffered for serving, pruned — so one state byte and one slot
+// per id hold it, plus a pooled record for the few ids pending at once. The
+// table is sized once from the stream geometry (StreamConfig.ExpectedPackets)
+// and grows transparently past it, so the steady-state hot path neither
+// hashes nor allocates.
 
 // Packet states. The order matters: an id is delivered iff its state is at
 // least pktBuffered.
 const (
 	pktUnknown   uint8 = iota // never requested, or abandoned after a give-up
-	pktPending                // requested; the slot holds proposers and attempts
+	pktPending                // requested; the slot points at a pendingRec
 	pktBuffered               // delivered; the slot holds the payload for serving
 	pktDelivered              // delivered and pruned from the serve buffer
 )
 
-// packetSlot is one id's record: proposers, numProposers and attempts while
-// the id is pending, recvAt, stamp and payload while it is buffered. The id
-// and the stream are the slot's position and its table, so they are not
-// stored. Proposers live in a fixed-size array (maxProposersTracked) so slots
-// are plain values with no per-id allocation; the layout is 64 bytes.
+// packetSlot is one id's slot, 40 bytes: recvAt, stamp and payload while the
+// id is buffered. A pending id needs none of them, so its recvAt word holds
+// the index of its pendingRec in the table's pool instead; read that only
+// through recIndex. The id and the stream are the slot's position and its
+// table, so they are not stored.
 type packetSlot struct {
+	recvAt  time.Duration // buffered: receive time; pending: pool index
+	stamp   int64
+	payload []byte
+}
+
+// recIndex reads a pending slot's recvAt word as its pool index.
+func (s *packetSlot) recIndex() int32 { return int32(s.recvAt) }
+
+// pendingRec is what retransmission needs of a requested, undelivered id: its
+// proposers (a fixed-size array, maxProposersTracked) and the attempt count.
+// Records live in a per-table pool with a free list, grown on demand and never
+// presized: the pool only ever holds as many records as the node had ids
+// pending at once. Measured per node at seed 17: the benchmark's sim-paper
+// cell peaks at 119 records (median 86) of 3,410 ids, sim-large at 166
+// (median 53) of 330.
+type pendingRec struct {
 	proposers    [maxProposersTracked]wire.NodeID
 	numProposers uint8
 	attempts     uint16
-	recvAt       time.Duration
-	stamp        int64
-	payload      []byte
 }
 
 // packetTable is one stream's per-packet state: a state byte per id in its
 // own array, so the "already delivered?" check on every proposed id reads 64
-// ids per cache line, and a parallel slot array reached only for pending and
-// buffered ids.
+// ids per cache line, a parallel slot array reached only for pending and
+// buffered ids, and the pool of pending records.
 type packetTable struct {
 	state    []uint8
 	slots    []packetSlot
-	pending  int // ids in pktPending
-	buffered int // ids in pktBuffered
+	recs     []pendingRec
+	free     []int32 // indices of unused recs
+	pending  int     // ids in pktPending, each holding one rec
+	buffered int     // ids in pktBuffered
 }
 
 // presize reserves ids [0, n) in the unknown state.
@@ -73,18 +89,44 @@ func (t *packetTable) delivered(id wire.PacketID) bool {
 	return t.stateOf(id) >= pktBuffered
 }
 
+// rec returns the pending record of id, which must be in pktPending. The
+// pointer is valid until the next set.
+func (t *packetTable) rec(id wire.PacketID) *pendingRec {
+	return &t.recs[t.slots[id].recIndex()]
+}
+
 // set moves id to state s, keeping the pending and buffered counts, and
-// returns its record zeroed for the new state to fill.
+// returns its slot zeroed for the new state to fill. Leaving pktPending
+// returns the id's record to the pool; entering it takes a zeroed record from
+// the pool, which rec then reaches.
 func (t *packetTable) set(id wire.PacketID, s uint8) *packetSlot {
 	if id >= wire.PacketID(len(t.state)) {
 		t.grow(int(id) + 1)
 	}
+	slot := &t.slots[id]
+	if t.state[id] == pktPending {
+		t.free = append(t.free, slot.recIndex())
+	}
 	t.count(t.state[id], -1)
 	t.count(s, 1)
 	t.state[id] = s
-	slot := &t.slots[id]
 	*slot = packetSlot{}
+	if s == pktPending {
+		slot.recvAt = time.Duration(t.takeRec())
+	}
 	return slot
+}
+
+// takeRec returns the index of a zeroed record, reusing a freed one if any.
+func (t *packetTable) takeRec() int32 {
+	if n := len(t.free); n > 0 {
+		i := t.free[n-1]
+		t.free = t.free[:n-1]
+		t.recs[i] = pendingRec{}
+		return i
+	}
+	t.recs = append(t.recs, pendingRec{})
+	return int32(len(t.recs) - 1)
 }
 
 func (t *packetTable) count(s uint8, d int) {

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 	"unsafe"
@@ -62,20 +64,21 @@ func TestPacketTableMatchesOracle(t *testing.T) {
 					from := wire.NodeID(rng.Intn(100))
 					*o = oracleEntry{state: pktPending, numProposers: 1, attempts: 1}
 					o.proposers[0] = from
-					s := tab.set(id, pktPending)
-					s.proposers[0], s.numProposers, s.attempts = from, 1, 1
+					tab.set(id, pktPending)
+					r := tab.rec(id)
+					r.proposers[0], r.numProposers, r.attempts = from, 1, 1
 				}
 			case 1: // alternate proposer plus a retry, through the record
 				if o.state == pktPending {
-					s := &tab.slots[id]
-					if int(s.numProposers) < maxProposersTracked {
+					r := tab.rec(id)
+					if int(r.numProposers) < maxProposersTracked {
 						p := wire.NodeID(rng.Intn(100))
-						s.proposers[s.numProposers] = p
-						s.numProposers++
+						r.proposers[r.numProposers] = p
+						r.numProposers++
 						o.proposers[o.numProposers] = p
 						o.numProposers++
 					}
-					s.attempts++
+					r.attempts++
 					o.attempts++
 				}
 			case 2: // give-up after the last attempt
@@ -119,9 +122,9 @@ func checkPacketTable(t *testing.T, seed int64, op int, tab *packetTable, oracle
 		switch o.state {
 		case pktPending:
 			pending++
-			s := &tab.slots[id]
-			if s.proposers != o.proposers || s.numProposers != o.numProposers || s.attempts != o.attempts {
-				t.Fatalf("seed %d op %d: pending record %d = %+v, oracle %+v", seed, op, id, *s, *o)
+			r := tab.rec(id)
+			if r.proposers != o.proposers || r.numProposers != o.numProposers || r.attempts != o.attempts {
+				t.Fatalf("seed %d op %d: pending record %d = %+v, oracle %+v", seed, op, id, *r, *o)
 			}
 		case pktBuffered:
 			buffered++
@@ -135,13 +138,85 @@ func checkPacketTable(t *testing.T, seed int64, op int, tab *packetTable, oracle
 		t.Fatalf("seed %d op %d: counts pending %d buffered %d, oracle %d and %d",
 			seed, op, tab.pending, tab.buffered, pending, buffered)
 	}
+	if err := checkRecPool(tab); err != nil {
+		t.Fatalf("seed %d op %d: %v", seed, op, err)
+	}
 }
 
-// TestPacketSlotSizePinned: a slot holds a pending id's proposers and attempts
-// beside a buffered id's receive time, stamp and payload — 64 bytes, one cache
-// line, which must not grow.
-func TestPacketSlotSizePinned(t *testing.T) {
-	if got := unsafe.Sizeof(packetSlot{}); got != 64 {
-		t.Fatalf("packetSlot is %d bytes, want 64", got)
+// checkRecPool checks the pending-record pool against the state bytes: every
+// record is either free or held by exactly one pending id, so the live count
+// equals pending, and every pending id's index is in range and unique.
+func checkRecPool(tab *packetTable) error {
+	if live := len(tab.recs) - len(tab.free); live != tab.pending {
+		return fmt.Errorf("%d live pool records (%d, %d free), %d pending", live, len(tab.recs), len(tab.free), tab.pending)
 	}
+	used := make(map[int32]bool, len(tab.recs))
+	for _, i := range tab.free {
+		if i < 0 || int(i) >= len(tab.recs) || used[i] {
+			return fmt.Errorf("free list holds index %d out of range or twice", i)
+		}
+		used[i] = true
+	}
+	for id, s := range tab.state {
+		if s != pktPending {
+			continue
+		}
+		i := tab.slots[id].recIndex()
+		if i < 0 || int(i) >= len(tab.recs) || used[i] {
+			return fmt.Errorf("pending id %d holds index %d: out of range, free, or another id's", id, i)
+		}
+		used[i] = true
+	}
+	return nil
+}
+
+// TestPacketSlotSizePinned: a slot holds a buffered id's receive time, stamp
+// and payload — 40 bytes, which must not grow; a pending id's proposers and
+// attempts live in the pool.
+func TestPacketSlotSizePinned(t *testing.T) {
+	if got := unsafe.Sizeof(packetSlot{}); got != 40 {
+		t.Fatalf("packetSlot is %d bytes, want 40", got)
+	}
+}
+
+// TestPacketTableBytesPerID: a presized id costs its state byte and its slot,
+// 41 bytes, and requesting then delivering ids at a steady in-flight count
+// allocates nothing once the pool has grown to that count.
+func TestPacketTableBytesPerID(t *testing.T) {
+	const n = 10_000
+	var tab packetTable
+	if got := allocBytes(func() { tab.presize(n) }); got > 41*n+8192 && !raceBuild {
+		t.Fatalf("presize(%d) allocated %d bytes, %.1f per id; want <= 41 plus a page", n, got, float64(got)/n)
+	}
+	const inFlight = 32
+	cycle := func(id wire.PacketID) {
+		if id >= inFlight {
+			tab.set(id-inFlight, pktBuffered).recvAt = time.Duration(id)
+		}
+		tab.set(id, pktPending)
+		tab.rec(id).attempts = 1
+	}
+	next := wire.PacketID(0)
+	for ; next < 2*inFlight; next++ { // warm-up grows the pool to inFlight
+		cycle(next)
+	}
+	if got := allocBytes(func() {
+		for end := next + 1000; next < end; next++ {
+			cycle(next)
+		}
+	}); got != 0 {
+		t.Fatalf("1,000 pending-to-buffered cycles allocated %d bytes, want 0", got)
+	}
+	if tab.pending != inFlight || len(tab.recs) != inFlight {
+		t.Fatalf("%d pending, %d pool records; want %d each", tab.pending, len(tab.recs), inFlight)
+	}
+}
+
+// allocBytes returns the heap bytes fn allocates.
+func allocBytes(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }

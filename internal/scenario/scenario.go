@@ -826,7 +826,6 @@ func (r *run) stackSpec(i, present int, onDeliver core.DeliverFunc) stack.Spec {
 			RetPeriod:       cfg.RetPeriod,
 			RetMaxAttempts:  cfg.RetMaxAttempts,
 			RetSameProposer: cfg.RetSameProposer,
-			ExpectedPackets: cfg.Geometry.TotalPackets(cfg.Windows),
 			AdaptPeriod:     cfg.AdaptPeriod && heapNode,
 			FanoutIntra:     cfg.FanoutIntra,
 			FanoutInter:     cfg.FanoutInter,

@@ -31,16 +31,16 @@ func TestPublishTimesMatchSourceStamps(t *testing.T) {
 	checked := 0
 	for i := 1; i < len(res.Run.Nodes); i++ {
 		node := &res.Run.Nodes[i]
-		// Receiver i recorded each packet's stamp on delivery; compare with
-		// the PublishAt array built from the geometry formula.
+		// Compare receiver i's arrival times with the PublishAt array built
+		// from the geometry formula.
 		for id := 0; id < total; id++ {
 			at := node.Recv[id]
 			if at == stream.NotReceived {
 				continue
 			}
-			// Find the receiver that owns this record via the Run; stamps
-			// live in the receivers, which the scenario exposes indirectly —
-			// use lag non-negativity as the cross-check here.
+			// Receivers keep arrival times only, not the events' stamps,
+			// so a relay's record is checked by lag non-negativity; the
+			// source's record below pins the formula exactly.
 			if at < res.Run.PublishAt[id] {
 				t.Fatalf("node %d received packet %d at %v before its derived publish time %v",
 					i, id, at, res.Run.PublishAt[id])

@@ -17,14 +17,14 @@ const NotReceived = time.Duration(-1)
 // verifying their content against the deterministic payload generator.
 //
 // The receiver's records feed the metrics package: every evaluation metric
-// of the paper (stream lag, jitter, delivery ratios) derives from
-// (publish time, receive time) pairs plus the window geometry.
+// of the paper (stream lag, jitter, delivery ratios) derives from receive
+// times plus the window geometry, which fixes every publish time, so the
+// events' stamps are not kept.
 type Receiver struct {
 	geom    Geometry
 	windows int
 
 	recvAt []time.Duration // indexed by packet id; NotReceived if missing
-	stamps []int64         // publish stamp as carried by the event
 	count  int             // distinct packets received
 
 	// verify mode
@@ -55,7 +55,6 @@ func NewReceiver(geom Geometry, windows int, verify bool) (*Receiver, error) {
 		geom:    geom,
 		windows: windows,
 		recvAt:  make([]time.Duration, total),
-		stamps:  make([]int64, total),
 		verify:  verify,
 	}
 	for i := range r.recvAt {
@@ -84,7 +83,6 @@ func (r *Receiver) OnDeliver(ev wire.Event, at time.Duration) {
 		return // duplicate (the engine prevents these, but be safe)
 	}
 	r.recvAt[id] = at
-	r.stamps[id] = ev.Stamp
 	r.count++
 	if r.verify {
 		r.recordForDecode(ev)
@@ -144,10 +142,6 @@ func (r *Receiver) ReceivedAt(id wire.PacketID) (time.Duration, bool) {
 // marks gaps). The returned slice is the receiver's own storage; callers
 // must not modify it.
 func (r *Receiver) Records() []time.Duration { return r.recvAt }
-
-// Stamps exposes the publish stamps of received packets, indexed by id
-// (zero for packets that never arrived). Callers must not modify it.
-func (r *Receiver) Stamps() []int64 { return r.stamps }
 
 // Geometry returns the stream geometry.
 func (r *Receiver) Geometry() Geometry { return r.geom }

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 	"time"
 
@@ -177,9 +178,27 @@ func TestReceiverRecordsAndDuplicates(t *testing.T) {
 	if _, ok := r.ReceivedAt(6); ok {
 		t.Fatal("ReceivedAt(6) should be false")
 	}
-	if r.Stamps()[5] != 1000 {
-		t.Fatalf("stamp not recorded")
+}
+
+// TestReceiverBytesPerPacket: a receiver outside verify mode keeps one
+// arrival time per packet, 8 bytes; the constant beside it is allocation
+// rounding, up to a page.
+func TestReceiverBytesPerPacket(t *testing.T) {
+	g := PaperGeometry()
+	const windows = 100
+	n := g.TotalPackets(windows)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r, err := NewReceiver(g, windows, false)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > uint64(8*n+8192) {
+		t.Fatalf("NewReceiver for %d packets allocated %d bytes, %.1f per packet; want <= 8 plus a page",
+			n, got, float64(got)/float64(n))
+	}
+	runtime.KeepAlive(r)
 }
 
 func TestReceiverVerifyModeReconstructs(t *testing.T) {
