@@ -89,12 +89,13 @@ sweep:
 largescale:
 	$(GO) run ./cmd/heapsweep -largescale -csv out/largescale/
 
-# Brief fuzzing of the wire codec, the topology-config decoder, the
-# capability estimator, the simnet event queue, the dissemination engine and
-# the misbehavior detector (one target per invocation is a Go toolchain
+# Brief fuzzing of the wire codec, the topology- and netem-config decoders,
+# the capability estimator, the simnet event queue, the dissemination engine
+# and the misbehavior detector (one target per invocation is a Go toolchain
 # constraint). The wire corpora cover both the legacy single-stream encodings
-# and the stream-id-tagged multi-stream forms; the topo target drives
-# Validate/Build agreement and rebuild stability over arbitrary config bytes;
+# and the stream-id-tagged multi-stream forms; the topo and netem targets
+# drive Validate/Build agreement and rebuild stability over arbitrary config
+# bytes;
 # the estimator and queue targets replay op sequences against brute-force
 # oracles, the engine target feeds core decoded Propose/Request/Serve
 # sequences and checks its packet table and exactly-once delivery, and the
@@ -107,6 +108,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzRoundTrip$$' -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzDecoderReuse$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzTopologyConfig$$' -fuzztime 10s ./internal/topo
+	$(GO) test -run '^$$' -fuzz '^FuzzNetemConfig$$' -fuzztime 10s ./internal/netem
 	$(GO) test -run '^$$' -fuzz '^FuzzEstimatorOracle$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/aggregation
 	$(GO) test -run '^$$' -fuzz '^FuzzQueueOracle$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/simnet
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineReceive$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/core

@@ -136,9 +136,8 @@
 // per-node re-advertisement traces), NodeConfig.Adapt (real sockets,
 // `heapnode -adapt`), or `heapsweep -adapt`. The zero AdaptConfig selects
 // the stock policy. The controller runs on the engine's existing gossip
-// ticker, draws no randomness, and with Adapt unset the whole path is a
-// single nil check, so the determinism guarantees below hold byte-for-byte
-// either way. The netem profile "captrace-silent" is its natural sparring
+// ticker, draws no randomness, and with Adapt unset nothing of it runs at
+// all, so the determinism guarantees below hold byte-for-byte either way. The netem profile "captrace-silent" is its natural sparring
 // partner: traced nodes lose real capacity while their advertisement goes
 // stale, and only the controller can discover the gap (`heapbench -artifact
 // adapt` renders the on/off comparison).
@@ -225,9 +224,10 @@
 // events — publish, first request, serve-path delivery — for the id-modulo
 // sampled packet ids into a bounded ring; an offline join then reconstructs
 // per-packet hop counts and per-hop latencies (ScenarioResult.TraceStats,
-// exportable as JSONL). The engine hook is a nil-interface check (the
-// core.Monitor pattern), so untraced runs are byte-identical to pre-trace
-// builds, and the tracer itself draws no randomness: traced runs fingerprint
+// exportable as JSONL). The tracer is one of the engine's observers
+// (core.Observer, like the misbehavior detector): untraced runs have no
+// tracer on the list and are byte-identical to pre-trace builds, and the
+// tracer itself draws no randomness: traced runs fingerprint
 // deterministically and tracing provably never perturbs protocol results
 // (TestDeterminismTrace*). `heapbench -artifact trace` renders hop-count and
 // per-hop-latency distributions; see the "Observability" section of

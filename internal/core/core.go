@@ -47,7 +47,6 @@ import (
 	"math"
 	"time"
 
-	"repro/internal/adapt"
 	"repro/internal/env"
 	"repro/internal/membership"
 	"repro/internal/wire"
@@ -59,31 +58,27 @@ type CapabilityEstimator interface {
 	RelativeCapability() float64
 }
 
-// CapabilityAdvertiser rewrites the capability a node advertises to the
-// aggregation protocol. The aggregation package's Estimator implements it;
-// the engine discovers it by type assertion on Config.Capabilities, so the
-// adaptation loop needs no extra wiring on HEAP nodes.
-type CapabilityAdvertiser interface {
-	SetSelfCapKbps(kbps uint32)
-}
-
 // DeliverFunc is the application upcall for newly delivered events. Events
 // are delivered exactly once per stream, in arrival (not publish) order; the
 // event's Stream field identifies which stream it belongs to.
 type DeliverFunc func(ev wire.Event, at time.Duration)
 
-// Monitor observes per-peer protocol evidence and answers quarantine
-// queries — the hook through which a misbehavior detector
-// (internal/misbehave) plugs into the engine. The engine feeds it from the
-// protocol hot paths: proposals seen and sent, requests seen and sent, serve
-// payloads received, and request timeouts attributed to the peer that failed
-// to serve. Quarantined peers have their proposals ignored and are skipped
-// by the retransmission rotation; target-draw filtering is the sampler's job
+// Observer watches the engine at fixed points of its protocol paths — the
+// one place a misbehavior detector (internal/misbehave), a hop tracer
+// (internal/telemetry) or the congestion-adaptation loop (internal/stack)
+// attaches. The engine calls every observer in Config.Observers order at each
+// point: proposals seen and sent, requests seen and sent, serve payloads
+// received, request timeouts attributed to the peer that failed to serve,
+// once per gossip round (Tick), and along each packet's dissemination path
+// (publish, first request, delivery). A peer is quarantined when any
+// observer says so: its proposals are ignored and the retransmission
+// rotation skips it; target-draw filtering is the sampler's job
 // (misbehave.QuarantineSampler). All methods run on the node's execution
-// context; implementations must be deterministic and rng-free so monitored
-// runs keep every reproducibility guarantee. A nil Monitor leaves the engine
-// byte-identical to a build without the hook.
-type Monitor interface {
+// context; implementations must be deterministic and rng-free so observed
+// runs keep every reproducibility guarantee, and an empty list leaves the
+// engine byte-identical to one without observers. Embed NopObserver to
+// implement only the methods an observer needs.
+type Observer interface {
 	// ObserveProposeSeen records a Propose carrying ids, received from a peer.
 	ObserveProposeSeen(from wire.NodeID, ids int, at time.Duration)
 	// ObserveProposeSent records ids proposed to a peer.
@@ -98,29 +93,48 @@ type Monitor interface {
 	ObserveTimeout(to wire.NodeID, ids int, at time.Duration)
 	// Quarantined reports whether the peer is currently quarantined.
 	Quarantined(id wire.NodeID) bool
-	// Tick drives evaluation; called once per gossip round.
+	// Tick is called once per gossip round, before the round's fanout draws.
 	Tick(now time.Duration)
-}
-
-// TraceSink observes the dissemination path of each packet at this node —
-// the hook through which a telemetry tracer (internal/telemetry) plugs into
-// the engine, following the Monitor pattern exactly: all methods run on the
-// node's execution context, implementations must be deterministic and
-// rng-free, and a nil sink leaves the engine byte-identical to a build
-// without the hook. Hop counts are not carried on the wire (that would
-// perturb the fingerprinted encodings); they are joined offline from the
-// per-node records, since From names the peer whose own delivery precedes
-// this one.
-type TraceSink interface {
 	// TracePublish records a locally published packet — hop zero of its
 	// dissemination path.
 	TracePublish(stream wire.StreamID, id wire.PacketID, at time.Duration)
 	// TraceRequest records the first request this node issued for a packet,
 	// to the proposer it chose.
 	TraceRequest(stream wire.StreamID, id wire.PacketID, from wire.NodeID, at time.Duration)
-	// TraceDeliver records a packet delivered via a peer's Serve.
+	// TraceDeliver records a packet delivered via a peer's Serve. Hop counts
+	// are not carried on the wire (that would perturb the fingerprinted
+	// encodings); they are joined offline from the per-node records, since
+	// from names the peer whose own delivery precedes this one.
 	TraceDeliver(stream wire.StreamID, id wire.PacketID, from wire.NodeID, at time.Duration)
 }
+
+// NopObserver implements every Observer method as a no-op that quarantines
+// nobody. Embed it to observe only some points.
+type NopObserver struct{}
+
+func (NopObserver) ObserveProposeSeen(wire.NodeID, int, time.Duration)                    {}
+func (NopObserver) ObserveProposeSent(wire.NodeID, int, time.Duration)                    {}
+func (NopObserver) ObserveRequestSeen(wire.NodeID, int, time.Duration)                    {}
+func (NopObserver) ObserveRequestSent(wire.NodeID, int, time.Duration)                    {}
+func (NopObserver) ObserveServeSeen(wire.NodeID, int, int64, time.Duration)               {}
+func (NopObserver) ObserveTimeout(wire.NodeID, int, time.Duration)                        {}
+func (NopObserver) Quarantined(wire.NodeID) bool                                          { return false }
+func (NopObserver) Tick(time.Duration)                                                    {}
+func (NopObserver) TracePublish(wire.StreamID, wire.PacketID, time.Duration)              {}
+func (NopObserver) TraceRequest(wire.StreamID, wire.PacketID, wire.NodeID, time.Duration) {}
+func (NopObserver) TraceDeliver(wire.StreamID, wire.PacketID, wire.NodeID, time.Duration) {}
+
+// maxFanout clamps the adapted fanout.
+const maxFanout = 64
+
+// serveBuffer is how long delivered events stay available for serving late
+// requests.
+const serveBuffer = 120 * time.Second
+
+// budgetHeadroom is the fraction of Config.UploadKbps handed to serve
+// traffic by the fanout-budget allocator; the remainder absorbs control
+// traffic (proposes, requests, aggregation) and retransmission duplicates.
+const budgetHeadroom = 0.8
 
 // Config parameterizes a gossip engine.
 type Config struct {
@@ -143,8 +157,6 @@ type Config struct {
 	AdaptPeriod bool
 	// Capabilities provides b_i/bbar for adaptive mode. Ignored otherwise.
 	Capabilities CapabilityEstimator
-	// MaxFanout clamps the adapted fanout. Default 64.
-	MaxFanout int
 	// GossipPeriod is the propose batching period. Default 200 ms (§3.1).
 	GossipPeriod time.Duration
 	// RetPeriod is the retransmission timeout: how long to wait for a
@@ -172,9 +184,6 @@ type Config struct {
 	// capability-weighted, since proposers appear in proportion to their
 	// fanout. The same-proposer mode is kept as an ablation.
 	RetSameProposer bool
-	// ServeBuffer is how long delivered events stay available for serving
-	// late requests. Default 120 s.
-	ServeBuffer time.Duration
 	// ExpectedPackets presizes the per-packet table of stream 0 when that
 	// stream is opened lazily, on first contact; it has no effect on a
 	// stream 0 opened through OpenStream, whose StreamConfig sizes it.
@@ -187,11 +196,6 @@ type Config struct {
 	// stream the budget is inert: the allocator only arbitrates competition
 	// between streams, never the paper's single-stream protocol.
 	UploadKbps uint32
-	// BudgetHeadroom is the fraction of UploadKbps handed to serve traffic
-	// by the fanout-budget allocator; the remainder absorbs control traffic
-	// (proposes, requests, aggregation) and retransmission duplicates.
-	// Default 0.8.
-	BudgetHeadroom float64
 	// Sampler provides uniform random peers (Algorithm 1, selectNodes).
 	Sampler membership.Sampler
 	// FanoutIntra/FanoutInter split the gossip fanout budget by topology
@@ -209,37 +213,10 @@ type Config struct {
 	Split membership.SplitSampler
 	// OnDeliver, if non-nil, receives every newly delivered event.
 	OnDeliver DeliverFunc
-
-	// Adapt, when non-nil, closes the congestion feedback loop: the engine
-	// samples AdaptSignal on its gossip rounds (quantized to the
-	// controller's interval) and, when the controller re-estimates the
-	// node's effective capability, re-advertises it through Capabilities
-	// (when that implements CapabilityAdvertiser — HEAP's estimator does)
-	// and rebalances the fanout-budget allocator off the adapted value.
-	// Nil keeps the engine byte-identical to a build without adaptation.
-	// Requires AdaptSignal.
-	Adapt *adapt.Controller
-	// AdaptSignal supplies the transmit-pressure sample for Adapt: uplink
-	// backlog, monotonic sent bytes, queued bytes, tail drops. The substrate
-	// provides it (simnet queue probes, ratelimit.Sender accessors); the
-	// engine fills in the sample time. Required with Adapt, ignored without.
-	AdaptSignal func() adapt.Sample
-	// OnAdapt, if non-nil, observes every effective-capability change the
-	// controller makes (after it is advertised) — deployment surfaces keep
-	// their own advertised-value mirrors current through it.
-	OnAdapt func(effKbps uint32)
-
-	// Monitor, when non-nil, receives per-peer contribution evidence and
-	// supplies quarantine verdicts (misbehavior detection). Nil keeps every
-	// code path byte-identical to a build without the hook.
-	Monitor Monitor
-
-	// Trace, when non-nil, receives dissemination-path events (publish,
-	// first request, delivery) for offline hop analysis. Like Monitor, nil
-	// keeps every code path byte-identical to a build without the hook;
-	// implementations must be deterministic (no randomness, no wall clock)
-	// to preserve the simulator's fingerprint guarantees.
-	Trace TraceSink
+	// Observers watch the engine's protocol paths, in this order (see
+	// Observer). Empty leaves every code path byte-identical to an engine
+	// without observers.
+	Observers []Observer
 }
 
 func (c *Config) applyDefaults() error {
@@ -264,9 +241,6 @@ func (c *Config) applyDefaults() error {
 	if c.AdaptPeriod && !c.Adaptive {
 		return fmt.Errorf("core: AdaptPeriod requires Adaptive")
 	}
-	if c.MaxFanout == 0 {
-		c.MaxFanout = 64
-	}
 	if c.GossipPeriod == 0 {
 		c.GossipPeriod = 200 * time.Millisecond
 	}
@@ -278,18 +252,6 @@ func (c *Config) applyDefaults() error {
 	}
 	if c.RetMaxAttempts > math.MaxUint16 {
 		return fmt.Errorf("core: RetMaxAttempts %d exceeds %d", c.RetMaxAttempts, math.MaxUint16)
-	}
-	if c.ServeBuffer == 0 {
-		c.ServeBuffer = 120 * time.Second
-	}
-	if c.BudgetHeadroom < 0 || c.BudgetHeadroom > 1 {
-		return fmt.Errorf("core: budget headroom %v outside [0, 1]", c.BudgetHeadroom)
-	}
-	if c.BudgetHeadroom == 0 {
-		c.BudgetHeadroom = 0.8
-	}
-	if (c.Adapt == nil) != (c.AdaptSignal == nil) {
-		return fmt.Errorf("core: Adapt and AdaptSignal must be set together")
 	}
 	return nil
 }
@@ -354,15 +316,13 @@ type Engine struct {
 	gossipTicker *env.Ticker
 	adaptiveFn   func() // cached adaptiveRound closure (period-adaptation mode)
 	pruneTicker  *env.Ticker
+	serveBuffer  time.Duration // the serveBuffer constant; tests shorten it
 	stopped      bool
 
-	// Congestion-driven capability re-estimation (Config.Adapt): the budget
-	// allocator divides effUploadKbps — the configured budget, lowered to
-	// the controller's estimate while congestion persists — and advertiser
-	// is Capabilities' optional re-advertisement hook.
+	// effUploadKbps is the upload budget the allocator divides: the
+	// configured UploadKbps, lowered through SetUploadBudget while
+	// congestion persists.
 	effUploadKbps uint32
-	advertiser    CapabilityAdvertiser
-	lastAdaptAt   time.Duration
 
 	stats Stats
 }
@@ -376,7 +336,7 @@ func New(cfg Config) (*Engine, error) {
 	if err := cfg.applyDefaults(); err != nil {
 		return nil, err
 	}
-	return &Engine{cfg: cfg, effUploadKbps: cfg.UploadKbps}, nil
+	return &Engine{cfg: cfg, serveBuffer: serveBuffer, effUploadKbps: cfg.UploadKbps}, nil
 }
 
 // MustNew is New for static configurations known to be valid.
@@ -417,9 +377,6 @@ func (e *Engine) Collect(emit func(name string, value float64)) {
 // Start implements env.Handler.
 func (e *Engine) Start(rt env.Runtime) {
 	e.rt = rt
-	if e.cfg.Adapt != nil {
-		e.advertiser, _ = e.cfg.Capabilities.(CapabilityAdvertiser)
-	}
 	phase := time.Duration(rt.Rand().Int63n(int64(e.cfg.GossipPeriod)))
 	if e.cfg.AdaptPeriod {
 		e.adaptiveFn = e.adaptiveRound
@@ -427,7 +384,7 @@ func (e *Engine) Start(rt env.Runtime) {
 	} else {
 		e.gossipTicker = env.NewTicker(rt, phase, e.cfg.GossipPeriod, e.gossipRound)
 	}
-	e.pruneTicker = env.NewTicker(rt, e.cfg.ServeBuffer, e.cfg.ServeBuffer/4+1, e.pruneBuffer)
+	e.pruneTicker = env.NewTicker(rt, e.serveBuffer, e.serveBuffer/4+1, e.pruneBuffer)
 }
 
 // Stop implements env.Handler.
@@ -473,8 +430,8 @@ func (e *Engine) Publish(ev wire.Event) {
 		return
 	}
 	e.deliverLocal(st, ev, false)
-	if e.cfg.Trace != nil {
-		e.cfg.Trace.TracePublish(st.id, ev.ID, e.rt.Now())
+	for _, o := range e.cfg.Observers {
+		o.TracePublish(st.id, ev.ID, e.rt.Now())
 	}
 	e.gossip(st, []wire.PacketID{ev.ID})
 }
@@ -493,13 +450,11 @@ func (e *Engine) Receive(from wire.NodeID, m wire.Message) {
 
 // gossipRound flushes every stream's infect-and-die batch (Algorithm 1,
 // lines 6-7). Streams flush in open order — deterministic, and each with its
-// own budget-scaled fanout draw. The adaptation controller piggybacks on
-// this ticker: it observes transmit pressure before the round's fanout
-// draws, so a re-estimate takes effect in the very round that detected it.
+// own budget-scaled fanout draw. Observers tick first, so an adaptation
+// observer's re-estimate takes effect in the very round that detected it.
 func (e *Engine) gossipRound() {
-	e.adaptTick()
-	if e.cfg.Monitor != nil {
-		e.cfg.Monitor.Tick(e.rt.Now())
+	for _, o := range e.cfg.Observers {
+		o.Tick(e.rt.Now())
 	}
 	for _, st := range e.streams {
 		if len(st.toPropose) == 0 {
@@ -532,58 +487,32 @@ func (e *Engine) gossip(st *streamState, ids []wire.PacketID) {
 	for _, p := range e.peerScratch {
 		e.rt.Send(p, msg)
 		e.stats.ProposesSent++
-		if e.cfg.Monitor != nil {
-			e.cfg.Monitor.ObserveProposeSent(p, len(ids), e.rt.Now())
+		for _, o := range e.cfg.Observers {
+			o.ObserveProposeSent(p, len(ids), e.rt.Now())
 		}
 	}
 }
 
-// adaptTick runs the congestion-feedback loop on the engine's existing round
-// schedule: every Adapt.Interval (quantized to gossip rounds) it feeds one
-// pressure sample to the controller; on a re-estimate it shrinks or restores
-// the budget allocator's upload budget and re-advertises through the
-// capability estimator, which propagates the new value by the normal
-// freshness gossip — fanout sheds load before the queue sheds packets. The
-// controller is deterministic and rng-free, so adapt-enabled runs keep every
-// reproducibility guarantee; with Adapt nil this is a single branch.
-func (e *Engine) adaptTick() {
-	ctrl := e.cfg.Adapt
-	if ctrl == nil {
-		return
-	}
-	now := e.rt.Now()
-	if now-e.lastAdaptAt < ctrl.Interval() {
-		return
-	}
-	e.lastAdaptAt = now
-	s := e.cfg.AdaptSignal()
-	s.At = now
-	eff, changed := ctrl.Observe(s)
-	if !changed {
-		return
-	}
+// SetUploadBudget sets the upload budget the fanout-budget allocator divides
+// (see budgetScale), clamped to Config.UploadKbps: the budget never exceeds
+// the configured physical capability, since an adaptation controller's
+// ceiling is the *advertised* value, which freeriders and degraded nodes set
+// apart from the real uplink. A no-op when UploadKbps is 0 (budgeting
+// disabled).
+func (e *Engine) SetUploadBudget(kbps uint32) {
 	if e.cfg.UploadKbps > 0 {
-		// The budget never exceeds the configured physical capability: the
-		// controller's ceiling is the *advertised* value, which freeriders
-		// and degraded nodes set apart from the real uplink.
-		if eff < e.cfg.UploadKbps {
-			e.effUploadKbps = eff
-		} else {
-			e.effUploadKbps = e.cfg.UploadKbps
-		}
-	}
-	if e.advertiser != nil {
-		e.advertiser.SetSelfCapKbps(eff)
-	}
-	if e.cfg.OnAdapt != nil {
-		e.cfg.OnAdapt(eff)
+		e.effUploadKbps = min(kbps, e.cfg.UploadKbps)
 	}
 }
+
+// UploadBudget returns the upload budget the fanout-budget allocator
+// divides: UploadKbps unless SetUploadBudget lowered it.
+func (e *Engine) UploadBudget() uint32 { return e.effUploadKbps }
 
 // fanout implements getFanout() of Algorithms 1 and 2: the configured fbar,
 // scaled by relative capability in adaptive mode and by the multi-stream
 // budget allocator, stochastically rounded so the expected value is
-// preserved, clamped to [0 or 1, MaxFanout].
+// preserved, clamped to [0 or 1, maxFanout].
 func (e *Engine) fanout() int {
 	f := e.cfg.Fanout
 	if e.cfg.FanoutFn != nil {
@@ -595,8 +524,8 @@ func (e *Engine) fanout() int {
 		f *= e.cfg.Capabilities.RelativeCapability()
 	}
 	f *= e.budgetScale()
-	if f > float64(e.cfg.MaxFanout) {
-		f = float64(e.cfg.MaxFanout)
+	if f > maxFanout {
+		f = maxFanout
 	}
 	floor := math.Floor(f)
 	n := int(floor)
@@ -618,7 +547,7 @@ func (e *Engine) fanout() int {
 // capability in adaptive mode, the multi-stream budget allocator) and
 // stochastically rounded on its own, so the expected intra/inter mix is
 // preserved at every capability level. The pair is clamped so the total
-// never exceeds MaxFanout, and a node whose combined budget rounds to zero
+// never exceeds maxFanout, and a node whose combined budget rounds to zero
 // keeps one draw on its larger configured side — the same stay-in-the-graph
 // floor fanout() applies.
 func (e *Engine) splitFanout() (intra, inter int) {
@@ -629,11 +558,11 @@ func (e *Engine) splitFanout() (intra, inter int) {
 	m *= e.budgetScale()
 	intra = e.stochRound(e.cfg.FanoutIntra * m)
 	inter = e.stochRound(e.cfg.FanoutInter * m)
-	if intra > e.cfg.MaxFanout {
-		intra = e.cfg.MaxFanout
+	if intra > maxFanout {
+		intra = maxFanout
 	}
-	if intra+inter > e.cfg.MaxFanout {
-		inter = e.cfg.MaxFanout - intra
+	if intra+inter > maxFanout {
+		inter = maxFanout - intra
 	}
 	if intra+inter < 1 && (e.cfg.FanoutIntra+e.cfg.FanoutInter)*m > 0 {
 		if e.cfg.FanoutIntra >= e.cfg.FanoutInter {
@@ -659,15 +588,15 @@ func (e *Engine) stochRound(f float64) int {
 // bookkeeping: ids already outstanding gain an alternate proposer.
 func (e *Engine) onPropose(from wire.NodeID, msg *wire.Propose) {
 	e.stats.ProposesReceived++
-	if e.cfg.Monitor != nil {
-		e.cfg.Monitor.ObserveProposeSeen(from, len(msg.IDs), e.rt.Now())
-		if e.cfg.Monitor.Quarantined(from) {
-			// A quarantined peer's proposals are not acted on: requesting
-			// from it would hand it serve credit, and under HEAP a liar's
-			// inflated fanout makes its proposals reach everywhere first.
-			e.stats.ProposesIgnored++
-			return
-		}
+	for _, o := range e.cfg.Observers {
+		o.ObserveProposeSeen(from, len(msg.IDs), e.rt.Now())
+	}
+	if e.quarantined(from) {
+		// A quarantined peer's proposals are not acted on: requesting from
+		// it would hand it serve credit, and under HEAP a liar's inflated
+		// fanout makes its proposals reach everywhere first.
+		e.stats.ProposesIgnored++
+		return
 	}
 	st := e.streamFor(msg.Stream, true)
 	if st == nil {
@@ -708,21 +637,30 @@ func (e *Engine) onPropose(from wire.NodeID, msg *wire.Propose) {
 	if len(wanted) == 0 {
 		return
 	}
-	if e.cfg.Trace != nil {
-		now := e.rt.Now()
+	for _, o := range e.cfg.Observers {
 		for _, id := range wanted {
-			e.cfg.Trace.TraceRequest(st.id, id, from, now)
+			o.TraceRequest(st.id, id, from, e.rt.Now())
 		}
 	}
 	e.sendRequest(st, from, wanted)
 	e.armRetransmit(st, wanted)
 }
 
+// quarantined reports whether any observer quarantines the peer.
+func (e *Engine) quarantined(id wire.NodeID) bool {
+	for _, o := range e.cfg.Observers {
+		if o.Quarantined(id) {
+			return true
+		}
+	}
+	return false
+}
+
 func (e *Engine) sendRequest(st *streamState, to wire.NodeID, ids []wire.PacketID) {
 	e.rt.Send(to, &wire.Request{Stream: st.id, IDs: ids})
 	e.stats.RequestsSent++
-	if e.cfg.Monitor != nil {
-		e.cfg.Monitor.ObserveRequestSent(to, len(ids), e.rt.Now())
+	for _, o := range e.cfg.Observers {
+		o.ObserveRequestSent(to, len(ids), e.rt.Now())
 	}
 }
 
@@ -791,7 +729,7 @@ func (e *Engine) retransmit(st *streamState, ids []wire.PacketID) {
 			continue // delivered (or already abandoned) meanwhile
 		}
 		p := st.packets.rec(id)
-		if e.cfg.Monitor != nil {
+		if len(e.cfg.Observers) > 0 {
 			// The id is still missing, so the peer last asked for it — the
 			// original proposer for attempt 1, otherwise the rotation target
 			// of the previous attempt — failed to serve within RetPeriod.
@@ -800,7 +738,9 @@ func (e *Engine) retransmit(st *streamState, ids []wire.PacketID) {
 			if !e.cfg.RetSameProposer && p.attempts > 1 {
 				prev = p.proposers[int(p.attempts-1)%int(p.numProposers)]
 			}
-			e.cfg.Monitor.ObserveTimeout(prev, 1, now)
+			for _, o := range e.cfg.Observers {
+				o.ObserveTimeout(prev, 1, now)
+			}
 		}
 		if int(p.attempts) >= e.cfg.RetMaxAttempts {
 			// Abandon: clear the outstanding flag so a future propose can
@@ -812,13 +752,13 @@ func (e *Engine) retransmit(st *streamState, ids []wire.PacketID) {
 		target := p.proposers[0]
 		if !e.cfg.RetSameProposer {
 			target = p.proposers[int(p.attempts)%int(p.numProposers)]
-			if e.cfg.Monitor != nil && e.cfg.Monitor.Quarantined(target) {
+			if e.quarantined(target) {
 				// Skip quarantined alternates in the rotation; if every
 				// proposer of the id is quarantined, keep the rotation
 				// target — a doomed retry beats silently dropping the id.
 				for off := int32(1); off < int32(p.numProposers); off++ {
 					cand := p.proposers[(int(p.attempts)+int(off))%int(p.numProposers)]
-					if !e.cfg.Monitor.Quarantined(cand) {
+					if !e.quarantined(cand) {
 						target = cand
 						break
 					}
@@ -853,8 +793,8 @@ func (e *Engine) retransmit(st *streamState, ids []wire.PacketID) {
 // onRequest handles phase 3, server side (Algorithm 1, lines 14-17).
 func (e *Engine) onRequest(from wire.NodeID, msg *wire.Request) {
 	e.stats.RequestsReceived++
-	if e.cfg.Monitor != nil {
-		e.cfg.Monitor.ObserveRequestSeen(from, len(msg.IDs), e.rt.Now())
+	for _, o := range e.cfg.Observers {
+		o.ObserveRequestSeen(from, len(msg.IDs), e.rt.Now())
 	}
 	st := e.lookupStream(msg.Stream)
 	if st == nil {
@@ -881,12 +821,14 @@ func (e *Engine) onRequest(from wire.NodeID, msg *wire.Request) {
 
 // onServe handles phase 3, client side (Algorithm 1, lines 18-22).
 func (e *Engine) onServe(from wire.NodeID, msg *wire.Serve) {
-	if e.cfg.Monitor != nil && len(msg.Events) > 0 {
+	if len(e.cfg.Observers) > 0 && len(msg.Events) > 0 {
 		var bytes int64
 		for i := range msg.Events {
 			bytes += int64(len(msg.Events[i].Payload))
 		}
-		e.cfg.Monitor.ObserveServeSeen(from, len(msg.Events), bytes, e.rt.Now())
+		for _, o := range e.cfg.Observers {
+			o.ObserveServeSeen(from, len(msg.Events), bytes, e.rt.Now())
+		}
 	}
 	st := e.streamFor(msg.Stream, true)
 	if st == nil {
@@ -900,8 +842,8 @@ func (e *Engine) onServe(from wire.NodeID, msg *wire.Serve) {
 			e.stats.DuplicateEvents++
 			continue
 		}
-		if e.cfg.Trace != nil {
-			e.cfg.Trace.TraceDeliver(st.id, ev.ID, from, e.rt.Now())
+		for _, o := range e.cfg.Observers {
+			o.TraceDeliver(st.id, ev.ID, from, e.rt.Now())
 		}
 		e.deliverLocal(st, ev, true)
 	}
@@ -924,10 +866,10 @@ func (e *Engine) deliverLocal(st *streamState, ev wire.Event, propose bool) {
 	}
 }
 
-// pruneBuffer drops served payloads older than ServeBuffer (bounds memory;
+// pruneBuffer drops served payloads older than serveBuffer (bounds memory;
 // late requests for pruned ids count as UnservableIDs).
 func (e *Engine) pruneBuffer() {
-	cutoff := e.rt.Now() - e.cfg.ServeBuffer
+	cutoff := e.rt.Now() - e.serveBuffer
 	for _, st := range e.streams {
 		st.packets.prune(cutoff)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -317,13 +318,13 @@ func TestFanoutStochasticRoundingPreservesMean(t *testing.T) {
 func TestFanoutClampedToMax(t *testing.T) {
 	dir := membership.NewDirectory(100)
 	e := MustNew(Config{Fanout: 7, Adaptive: true, Capabilities: fixedRel(1000),
-		MaxFanout: 16, Sampler: dir.ViewFor(0)})
+		Sampler: dir.ViewFor(0)})
 	net := simnet.New(simnet.Config{Seed: 9})
 	net.AddNode(e, simnet.NodeConfig{})
 	net.Run(time.Millisecond)
 	for i := 0; i < 100; i++ {
-		if f := e.fanout(); f > 16 {
-			t.Fatalf("fanout %d exceeds MaxFanout 16", f)
+		if f := e.fanout(); f > maxFanout {
+			t.Fatalf("fanout %d exceeds maxFanout %d", f, maxFanout)
 		}
 	}
 }
@@ -346,7 +347,7 @@ func TestServeBufferPruning(t *testing.T) {
 	c := newTestCluster(t, clusterOpts{n: 10, seed: 11})
 	// Short buffer for the test.
 	for _, e := range c.engines {
-		e.cfg.ServeBuffer = 2 * time.Second
+		e.serveBuffer = 2 * time.Second
 	}
 	c.publish(0, wire.Event{ID: 1, Payload: payload(100)})
 	c.net.Run(30 * time.Second)
@@ -449,5 +450,49 @@ func TestUnservableRequestsCounted(t *testing.T) {
 	net.Run(time.Second)
 	if e.Stats().UnservableIDs != 1 {
 		t.Fatalf("unservable = %d, want 1", e.Stats().UnservableIDs)
+	}
+}
+
+// quarantiner is an Observer that records the proposals it sees and
+// quarantines one peer.
+type quarantiner struct {
+	NopObserver
+	bad  wire.NodeID
+	seen []wire.NodeID
+}
+
+func (q *quarantiner) ObserveProposeSeen(from wire.NodeID, _ int, _ time.Duration) {
+	q.seen = append(q.seen, from)
+}
+func (q *quarantiner) Quarantined(id wire.NodeID) bool { return id == q.bad }
+
+// TestObserversQuarantineIfAny checks the observer list's two contracts:
+// every observer sees every hook call, and a peer is quarantined when any one
+// observer quarantines it.
+func TestObserversQuarantineIfAny(t *testing.T) {
+	a, b := &quarantiner{bad: 1}, &quarantiner{bad: 2}
+	var requested []wire.NodeID
+	rt := &stubRuntime{rng: rand.New(rand.NewSource(1))}
+	e := MustNew(Config{Fanout: 2, Sampler: membership.NewDirectory(4).ViewFor(0),
+		Observers: []Observer{a, b}})
+	e.Start(rt)
+	for from := wire.NodeID(1); from <= 3; from++ {
+		rt.onSend = func(m wire.Message) {
+			if _, ok := m.(*wire.Request); ok {
+				requested = append(requested, from)
+			}
+		}
+		e.Receive(from, &wire.Propose{IDs: []wire.PacketID{wire.PacketID(from)}})
+	}
+	for _, q := range []*quarantiner{a, b} {
+		if len(q.seen) != 3 {
+			t.Fatalf("observer saw proposals from %v, want all three peers", q.seen)
+		}
+	}
+	if len(requested) != 1 || requested[0] != 3 {
+		t.Fatalf("requested from %v, want only the peer neither observer quarantines (3)", requested)
+	}
+	if got := e.Stats().ProposesIgnored; got != 2 {
+		t.Fatalf("ProposesIgnored = %d, want 2", got)
 	}
 }

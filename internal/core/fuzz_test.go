@@ -43,7 +43,6 @@ func runEngineScript(t *testing.T, data []byte) {
 		Sampler:         membership.NewDirectory(8).ViewFor(0),
 		RetPeriod:       300 * time.Millisecond,
 		RetMaxAttempts:  3,
-		ServeBuffer:     2 * time.Second,
 		ExpectedPackets: 64,
 		OnDeliver: func(ev wire.Event, _ time.Duration) {
 			k := key{ev.Stream, ev.ID}
@@ -53,6 +52,7 @@ func runEngineScript(t *testing.T, data []byte) {
 			delivered[k] = ev
 		},
 	})
+	e.serveBuffer = 2 * time.Second
 	rt.onSend = func(m wire.Message) {
 		serve, ok := m.(*wire.Serve)
 		if !ok {

@@ -165,7 +165,7 @@ func TestOpenStreamValidation(t *testing.T) {
 func TestBudgetScale(t *testing.T) {
 	dir := membership.NewDirectory(2)
 	mk := func(uploadKbps uint32, rel float64) *Engine {
-		cfg := Config{Fanout: 7, UploadKbps: uploadKbps, BudgetHeadroom: 0.8, Sampler: dir.ViewFor(0)}
+		cfg := Config{Fanout: 7, UploadKbps: uploadKbps, Sampler: dir.ViewFor(0)}
 		if rel > 0 {
 			cfg.Adaptive = true
 			cfg.Capabilities = fixedRel(rel)
@@ -222,7 +222,8 @@ func TestBudgetScale(t *testing.T) {
 // serve buffer for stragglers) stays intact.
 func TestRetireStreamReleasesBudget(t *testing.T) {
 	dir := membership.NewDirectory(2)
-	e := MustNew(Config{Fanout: 7, UploadKbps: 600, BudgetHeadroom: 1, Sampler: dir.ViewFor(0)})
+	// Budget 0.8 × 750 = 600 kbps: room for exactly one 600 kbps stream.
+	e := MustNew(Config{Fanout: 7, UploadKbps: 750, Sampler: dir.ViewFor(0)})
 	for _, sid := range []wire.StreamID{0, 1} {
 		if err := e.OpenStream(sid, StreamConfig{RateKbps: 600}); err != nil {
 			t.Fatal(err)
@@ -256,7 +257,7 @@ func TestRetireStreamReleasesBudget(t *testing.T) {
 // scale factor (stochastic rounding preserving the mean).
 func TestBudgetScaleShrinksFanout(t *testing.T) {
 	dir := membership.NewDirectory(100)
-	e := MustNew(Config{Fanout: 7, UploadKbps: 600, BudgetHeadroom: 1, Sampler: dir.ViewFor(0)})
+	e := MustNew(Config{Fanout: 7, UploadKbps: 750, Sampler: dir.ViewFor(0)})
 	for sid, rate := range map[wire.StreamID]float64{0: 600, 1: 600} {
 		if err := e.OpenStream(sid, StreamConfig{RateKbps: rate}); err != nil {
 			t.Fatal(err)
@@ -271,8 +272,45 @@ func TestBudgetScaleShrinksFanout(t *testing.T) {
 		sum += e.fanout()
 	}
 	mean := float64(sum) / rounds
-	want := 7 * 0.5 // scale = 600/(600+600)
+	want := 7 * 0.5 // scale = 0.8×750/(600+600)
 	if mean < want-0.15 || mean > want+0.15 {
 		t.Fatalf("mean budgeted fanout %.3f, want ~%.2f", mean, want)
+	}
+}
+
+// TestSetUploadBudget pins the adaptation seam: the allocator starts from the
+// configured UploadKbps and stays there untouched, a lowered budget is taken
+// as given and rebalances the streams, a raised one is clamped to the
+// configured capability, and an engine without a budget ignores the call.
+func TestSetUploadBudget(t *testing.T) {
+	dir := membership.NewDirectory(2)
+	e := MustNew(Config{Fanout: 7, UploadKbps: 1000, Sampler: dir.ViewFor(0)})
+	for _, sid := range []wire.StreamID{0, 1} {
+		if err := e.OpenStream(sid, StreamConfig{RateKbps: 600}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	net := simnet.New(simnet.Config{Seed: 78})
+	net.AddNode(e, simnet.NodeConfig{})
+	net.AddNode(silentHandler{}, simnet.NodeConfig{})
+	net.Run(5 * time.Second)
+	if e.UploadBudget() != 1000 {
+		t.Fatalf("budget %d drifted from the configured 1000 with nothing adapting it", e.UploadBudget())
+	}
+	e.SetUploadBudget(400)
+	if e.UploadBudget() != 400 {
+		t.Fatalf("budget %d after SetUploadBudget(400)", e.UploadBudget())
+	}
+	if got, want := e.budgetScale(), 0.8*400/1200; got < want-1e-9 || got > want+1e-9 {
+		t.Fatalf("scale = %v off the lowered budget, want %v", got, want)
+	}
+	e.SetUploadBudget(5000)
+	if e.UploadBudget() != 1000 {
+		t.Fatalf("budget %d after SetUploadBudget(5000), want the configured 1000", e.UploadBudget())
+	}
+	e = MustNew(Config{Fanout: 7, Sampler: dir.ViewFor(0)})
+	e.SetUploadBudget(400)
+	if e.UploadBudget() != 0 {
+		t.Fatalf("unbudgeted engine took budget %d", e.UploadBudget())
 	}
 }

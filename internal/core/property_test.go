@@ -9,7 +9,7 @@ import (
 )
 
 // TestFanoutExpectationProperty checks the stochastic-rounding invariant for
-// arbitrary relative capabilities: E[fanout] ~= min(fbar*rel, MaxFanout),
+// arbitrary relative capabilities: E[fanout] ~= min(fbar*rel, maxFanout),
 // floored at 1.
 func TestFanoutExpectationProperty(t *testing.T) {
 	rt := &stubRuntime{rng: rand.New(rand.NewSource(2))}
@@ -20,7 +20,6 @@ func TestFanoutExpectationProperty(t *testing.T) {
 			Fanout:       7,
 			Adaptive:     true,
 			Capabilities: fixedRel(rel),
-			MaxFanout:    64,
 			Sampler:      noopSampler{},
 		})
 		e.rt = rt

@@ -149,9 +149,9 @@ func (e *Engine) RetireStream(id wire.StreamID) {
 // describes, it is several broadcasters that must share the uplink fairly.
 func (e *Engine) budgetScale() float64 {
 	// effUploadKbps is the configured budget, lowered to the adaptation
-	// controller's estimate while congestion persists (adaptTick): a node
-	// whose real capacity fell below its configured value rebalances its
-	// streams off what it can actually push.
+	// controller's estimate while congestion persists (SetUploadBudget): a
+	// node whose real capacity fell below its configured value rebalances
+	// its streams off what it can actually push.
 	if e.effUploadKbps == 0 || len(e.streams) < 2 || e.totalRateKbps <= 0 {
 		return 1
 	}
@@ -162,7 +162,7 @@ func (e *Engine) budgetScale() float64 {
 		}
 	}
 	predicted := rel * e.totalRateKbps
-	budget := float64(e.effUploadKbps) * e.cfg.BudgetHeadroom
+	budget := float64(e.effUploadKbps) * budgetHeadroom
 	if predicted <= budget {
 		return 1
 	}

@@ -21,14 +21,15 @@
 //
 // # The detector
 //
-// [Detector] is a per-node, deterministic, rng-free state machine fed by the
-// per-peer contribution evidence the engine already sees on its hot paths
-// (internal/core's Monitor hook): proposals seen and sent, requests seen and
-// sent, serve payloads received, and request timeouts attributed to the peer
-// that failed to serve. Achieved serve throughput per peer is tracked with
-// the same sample-and-delta plumbing as internal/adapt ([adapt.Sample]
-// snapshots of cumulative served bytes). Two rules produce verdicts, each
-// with a release path so transient congestion cannot latch a false verdict:
+// [Detector] is a per-node, deterministic, rng-free state machine. As a
+// [core.Observer] of the engine it is fed the per-peer contribution evidence
+// the engine already sees on its hot paths: proposals seen and sent, requests
+// seen and sent, serve payloads received, and request timeouts attributed to
+// the peer that failed to serve. Achieved serve throughput per peer is
+// tracked with the same sample-and-delta plumbing as internal/adapt
+// ([adapt.Sample] snapshots of cumulative served bytes). Two rules produce
+// verdicts, each with a release path so transient congestion cannot latch a
+// false verdict:
 //
 //   - Serve deficit: once served+timeouts evidence reaches MinServeEvidence,
 //     a peer whose served/(served+timeouts) ratio sits below ServeRatioFloor
@@ -60,6 +61,7 @@ import (
 	"time"
 
 	"repro/internal/adapt"
+	"repro/internal/core"
 	"repro/internal/wire"
 )
 
@@ -256,8 +258,11 @@ type peerState struct {
 
 // Detector is one node's misbehavior detector. Not safe for concurrent use;
 // all access happens on the node's execution context, like every protocol
-// handler. It implements internal/core's Monitor hook.
+// handler. It is a core.Observer of the engine's evidence hooks, Quarantined
+// and Tick.
 type Detector struct {
+	core.NopObserver // the trace hooks
+
 	cfg   Config
 	peers []peerState // dense by node id
 

@@ -37,8 +37,8 @@ type Config struct {
 
 	// RegionSpikes schedules extra-latency windows that hit only datagrams
 	// crossing a topology-region boundary — a degrading WAN link, while
-	// intra-cluster traffic stays clean. Requires a region-resolving build
-	// (BuildWithRegions; scenario supplies it when Config.Topology is set).
+	// intra-cluster traffic stays clean. Requires a region resolver at Build
+	// (scenario supplies it when Config.Topology is set).
 	RegionSpikes []RegionSpike
 
 	// Asym degrades a set of nodes asymmetrically, per traffic direction.
@@ -97,7 +97,8 @@ type CapTraceSpec struct {
 	Silent   bool
 }
 
-// Validate checks the whole description without materializing it.
+// Validate checks the whole description without materializing it. Range
+// checks are written so that a NaN fails them.
 func (c *Config) Validate() error {
 	// Explicit node ids must be sane before Build turns them into dense
 	// membership slices: a negative id would panic mid-Build, and an absurd
@@ -110,7 +111,7 @@ func (c *Config) Validate() error {
 		}
 		return nil
 	}
-	if c.Bernoulli < 0 || c.Bernoulli >= 1 {
+	if !(c.Bernoulli >= 0 && c.Bernoulli < 1) {
 		return fmt.Errorf("netem: bernoulli loss %v outside [0,1)", c.Bernoulli)
 	}
 	if c.GE != nil {
@@ -148,7 +149,7 @@ func (c *Config) Validate() error {
 		}
 		var sum float64
 		for _, f := range p.SplitFractions {
-			if f <= 0 || f >= 1 {
+			if !(f > 0 && f < 1) {
 				return fmt.Errorf("netem: partition %d split fraction %v outside (0,1)", i, f)
 			}
 			sum += f
@@ -177,10 +178,10 @@ func (c *Config) Validate() error {
 		}
 	}
 	if a := c.Asym; a != nil {
-		if a.Fraction < 0 || a.Fraction >= 1 {
+		if !(a.Fraction >= 0 && a.Fraction < 1) {
 			return fmt.Errorf("netem: asym fraction %v outside [0,1)", a.Fraction)
 		}
-		if a.RxLoss < 0 || a.RxLoss >= 1 || a.TxLoss < 0 || a.TxLoss >= 1 {
+		if !(a.RxLoss >= 0 && a.RxLoss < 1 && a.TxLoss >= 0 && a.TxLoss < 1) {
 			return fmt.Errorf("netem: asym loss outside [0,1)")
 		}
 		if a.RxDelay < 0 || a.TxDelay < 0 {
@@ -197,7 +198,7 @@ func (c *Config) Validate() error {
 		}
 	}
 	for i, tr := range c.CapTraces {
-		if tr.Fraction < 0 || tr.Fraction >= 1 {
+		if !(tr.Fraction >= 0 && tr.Fraction < 1) {
 			return fmt.Errorf("netem: cap trace %d fraction %v outside [0,1)", i, tr.Fraction)
 		}
 		if len(tr.Nodes) == 0 && tr.Fraction == 0 {
@@ -214,8 +215,8 @@ func (c *Config) Validate() error {
 			if st.At < prev {
 				return fmt.Errorf("netem: cap trace %d steps not sorted by time", i)
 			}
-			if st.Factor <= 0 {
-				return fmt.Errorf("netem: cap trace %d step %d factor %v must be positive", i, j, st.Factor)
+			if !(st.Factor > 0) || math.IsInf(st.Factor, 1) {
+				return fmt.Errorf("netem: cap trace %d step %d factor %v must be positive and finite", i, j, st.Factor)
 			}
 			prev = st.At
 		}
@@ -230,24 +231,14 @@ func (c *Config) Validate() error {
 // from an rng derived from seed, so identical (Config, n, seed) build
 // identical engines — the property that keeps sweeps worker-count
 // independent and same-seed runs byte-identical.
-func (c *Config) Build(n int, seed int64, baseLoss float64) (*Engine, error) {
-	pool := make([]wire.NodeID, 0, n)
-	for id := 1; id < n; id++ {
-		pool = append(pool, wire.NodeID(id))
-	}
-	return c.buildPool(pool, seed, baseLoss, nil)
-}
-
-// BuildWithRegions is Build for runs embedded in a clustered topology:
-// regionOf maps each node to its cluster index (topo.Topology.ClusterOf),
-// letting region-targeted specs (PartitionSpec.Regions, RegionSpikes)
-// resolve to concrete node sets along the topology's real cuts. Unlike
-// fraction-based picks, region resolution includes node 0 — a cut isolates
-// whatever region the source lives in too.
-func (c *Config) BuildWithRegions(n int, seed int64, baseLoss float64, regionOf func(wire.NodeID) int) (*Engine, error) {
-	if regionOf == nil {
-		return nil, fmt.Errorf("netem: BuildWithRegions needs a region resolver")
-	}
+//
+// regionOf, for runs embedded in a clustered topology, maps each node to its
+// cluster index (topo.Topology.ClusterOf), letting region-targeted specs
+// (PartitionSpec.Regions, RegionSpikes) resolve to concrete node sets along
+// the topology's real cuts. Unlike fraction-based picks, region resolution
+// includes node 0 — a cut isolates whatever region the source lives in too.
+// Nil means no topology, which region-targeted specs refuse.
+func (c *Config) Build(n int, seed int64, baseLoss float64, regionOf func(wire.NodeID) int) (*Engine, error) {
 	pool := make([]wire.NodeID, 0, n)
 	for id := 1; id < n; id++ {
 		pool = append(pool, wire.NodeID(id))
@@ -306,8 +297,8 @@ func (c *Config) BuildForNodes(ids []wire.NodeID, seed int64, baseLoss float64) 
 }
 
 // buildPool does the materialization over the candidate pool for
-// fraction-based node selections; regionOf (nil outside BuildWithRegions)
-// resolves region-targeted specs.
+// fraction-based node selections; regionOf (nil without a topology) resolves
+// region-targeted specs.
 func (c *Config) buildPool(pool []wire.NodeID, seed int64, baseLoss float64, regionOf func(wire.NodeID) int) (*Engine, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
@@ -372,15 +363,6 @@ func (c *Config) buildPool(pool []wire.NodeID, seed int64, baseLoss float64, reg
 		})
 	}
 	return e, nil
-}
-
-// MustBuild is Build for static configs known to be valid (profiles, tests).
-func (c *Config) MustBuild(n int, seed int64, baseLoss float64) *Engine {
-	e, err := c.Build(n, seed, baseLoss)
-	if err != nil {
-		panic(err.Error())
-	}
-	return e
 }
 
 // lossDelay composes a one-direction degradation from its active parts.

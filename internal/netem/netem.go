@@ -115,7 +115,7 @@ func (p GEParams) Validate() error {
 		{"PGoodBad", p.PGoodBad}, {"PBadGood", p.PBadGood},
 		{"LossGood", p.LossGood}, {"LossBad", p.LossBad},
 	} {
-		if v.v < 0 || v.v > 1 {
+		if !(v.v >= 0 && v.v <= 1) {
 			return fmt.Errorf("netem: gilbert-elliott %s %v outside [0,1]", v.name, v.v)
 		}
 	}

@@ -250,14 +250,24 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// mustBuild builds cfg over the dense pool of n ids without a topology.
+func mustBuild(t testing.TB, cfg Config, n int, seed int64, baseLoss float64) *Engine {
+	t.Helper()
+	e, err := cfg.Build(n, seed, baseLoss, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
 func TestBuildDeterministicMaterialization(t *testing.T) {
 	cfg := Config{
 		Partitions: []PartitionSpec{{From: time.Second, Until: 2 * time.Second, SplitFractions: []float64{0.3}}},
 		Asym:       &AsymSpec{Fraction: 0.25, RxLoss: 0.1},
 		CapTraces:  []CapTraceSpec{{Fraction: 0.4, Steps: []CapStep{{At: time.Second, Factor: 0.5}}}},
 	}
-	a := cfg.MustBuild(100, 42, 0.001)
-	b := cfg.MustBuild(100, 42, 0.001)
+	a := mustBuild(t, cfg, 100, 42, 0.001)
+	b := mustBuild(t, cfg, 100, 42, 0.001)
 	// Same (config, n, seed): identical node selections...
 	ta, tb := a.CapTraces(), b.CapTraces()
 	if len(ta) != 1 || len(tb) != 1 {
@@ -290,7 +300,7 @@ func TestBuildDeterministicMaterialization(t *testing.T) {
 		Partitions: []PartitionSpec{{From: time.Second, Until: 2 * time.Second, SplitFractions: []float64{0.25}}},
 		CapTraces:  []CapTraceSpec{{Fraction: 0.3, Steps: []CapStep{{At: time.Second, Factor: 0.5}}}},
 	}
-	te := tiny.MustBuild(2, 1, 0)
+	te := mustBuild(t, tiny, 2, 1, 0)
 	if got := len(te.CapTraces()[0].Nodes); got != 1 {
 		t.Fatalf("fraction 0.3 of a 1-node pool picked %d nodes, want 1", got)
 	}
@@ -300,7 +310,7 @@ func TestBuildDeterministicMaterialization(t *testing.T) {
 	}
 
 	// A different seed picks different nodes (or the rng is not wired in).
-	c := cfg.MustBuild(100, 43, 0.001)
+	c := mustBuild(t, cfg, 100, 43, 0.001)
 	same := true
 	for i, id := range c.CapTraces()[0].Nodes {
 		if ta[0].Nodes[i] != id {

@@ -42,7 +42,7 @@ func TestRegionPartitionBuild(t *testing.T) {
 		From: time.Second, Until: 2 * time.Second,
 		Regions: [][]int{{0}}, // cluster 0 = ids {0, 3, 6, 9} under mod 3
 	}}}
-	eng, err := cfg.BuildWithRegions(10, 7, 0, regionMod(3))
+	eng, err := cfg.Build(10, 7, 0, regionMod(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestRegionSpikeBuild(t *testing.T) {
 		Spike:   Spike{At: time.Second, Duration: time.Second, Extra: 40 * time.Millisecond},
 		Regions: []int{1}, // cluster 1 = ids {1, 3} under mod 2
 	}}}
-	eng, err := cfg.BuildWithRegions(4, 7, 0, regionMod(2))
+	eng, err := cfg.Build(4, 7, 0, regionMod(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,20 +96,18 @@ func TestRegionSpikeBuild(t *testing.T) {
 }
 
 // TestRegionSpecsNeedResolver pins the error path: region-targeted configs
-// must refuse a plain Build instead of silently ignoring the specs.
+// must refuse a Build without a region resolver instead of silently ignoring
+// the specs.
 func TestRegionSpecsNeedResolver(t *testing.T) {
 	cfgs := []Config{
 		{Partitions: []PartitionSpec{{From: 0, Until: time.Second, Regions: [][]int{{0}}}}},
 		{RegionSpikes: []RegionSpike{{Spike: Spike{Duration: time.Second, Extra: time.Millisecond}, Regions: []int{0}}}},
 	}
 	for i, cfg := range cfgs {
-		if _, err := cfg.Build(10, 1, 0); err == nil || !strings.Contains(err.Error(), "topology") {
-			t.Fatalf("config %d: plain Build of region spec did not fail usefully: %v", i, err)
+		if _, err := cfg.Build(10, 1, 0, nil); err == nil || !strings.Contains(err.Error(), "topology") {
+			t.Fatalf("config %d: Build of region spec without a resolver did not fail usefully: %v", i, err)
 		}
-		if _, err := cfg.BuildWithRegions(10, 1, 0, nil); err == nil {
-			t.Fatalf("config %d: nil resolver accepted", i)
-		}
-		if _, err := cfg.BuildWithRegions(10, 1, 0, regionMod(2)); err != nil {
+		if _, err := cfg.Build(10, 1, 0, regionMod(2)); err != nil {
 			t.Fatalf("config %d: resolver build failed: %v", i, err)
 		}
 	}

@@ -671,12 +671,7 @@ func (r *run) buildNetwork() error {
 	// a per-run engine that absorbs the base loss rate as its first model
 	// (same rng draw order, so the zero-config path is untouched).
 	if cfg.Netem != nil {
-		if r.topol != nil {
-			r.netem, err = cfg.Netem.BuildWithRegions(r.total, cfg.Seed, cfg.LossRate, r.topol.ClusterOf)
-		} else {
-			r.netem, err = cfg.Netem.Build(r.total, cfg.Seed, cfg.LossRate)
-		}
-		if err != nil {
+		if r.netem, err = cfg.Netem.Build(r.total, cfg.Seed, cfg.LossRate, netCfg.RegionOf); err != nil {
 			return err
 		}
 		netCfg.Netem = r.netem
@@ -870,7 +865,7 @@ func (r *run) stackSpec(i, present int, onDeliver core.DeliverFunc) stack.Spec {
 		// bytes, queued bytes. Sources never adapt: they are the paper's
 		// well-provisioned broadcasters, like every other knob here.
 		spec.Adapt = cfg.Adapt
-		spec.Engine.AdaptSignal = func() adapt.Sample {
+		spec.AdaptSignal = func() adapt.Sample {
 			return adapt.Sample{
 				Backlog:     r.net.QueueBacklog(id),
 				SentBytes:   r.net.NodeStats(id).SentBytes,

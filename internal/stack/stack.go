@@ -13,6 +13,7 @@ package stack
 import (
 	"fmt"
 	"math"
+	"time"
 
 	"repro/internal/adapt"
 	"repro/internal/aggregation"
@@ -49,10 +50,10 @@ type Spec struct {
 	// estimation keep drawing uniformly. Detect does not filter it.
 	Bias membership.Sampler
 
-	// Engine carries the dissemination knobs and the substrate's hooks
-	// (OnDeliver, OnAdapt, AdaptSignal). Build fills the wiring fields:
-	// Sampler, Split (when FanoutIntra+FanoutInter > 0), FanoutFn, Adaptive,
-	// Capabilities, Adapt, Monitor and Trace.
+	// Engine carries the dissemination knobs and the application's
+	// OnDeliver. Build fills the wiring fields: Sampler, Split (when
+	// FanoutIntra+FanoutInter > 0), FanoutFn, Adaptive, Capabilities and
+	// Observers.
 	Engine core.Config
 
 	// AdvertisedKbps is the upload capability the node claims: its own entry
@@ -68,8 +69,17 @@ type Spec struct {
 	SizeEstimator *aggregation.AveragerConfig
 	FanoutMargin  float64
 	// Adapt, when non-nil, closes the congestion feedback loop with a
-	// controller fed by Engine.AdaptSignal.
+	// controller fed by AdaptSignal.
 	Adapt *adapt.Config
+	// AdaptSignal supplies the transmit-pressure sample for Adapt: uplink
+	// backlog, monotonic sent bytes, queued bytes, tail drops. The substrate
+	// provides it (simnet queue probes, ratelimit.Sender accessors); the
+	// sample time is filled in for it. Required with Adapt, refused without.
+	AdaptSignal func() adapt.Sample
+	// OnAdapt, if non-nil, observes every effective-capability change the
+	// controller makes (after it is advertised) — deployment surfaces keep
+	// their own advertised-value mirrors current through it.
+	OnAdapt func(effKbps uint32)
 	// Detect, when non-nil, runs a misbehavior detector whose verdicts reach
 	// every place a peer is chosen or trusted: flat draws, split draws, the
 	// capability average, and the engine's request targets.
@@ -117,8 +127,8 @@ func Build(spec Spec) (*Node, error) {
 	}
 	if spec.Trace != nil {
 		n.Tracer = telemetry.NewTracer(spec.ID, *spec.Trace)
-		ec.Trace = n.Tracer
 	}
+	ec.Observers = n.observers(&spec)
 
 	if n.Engine, err = core.New(ec); err != nil {
 		return nil, err
@@ -149,8 +159,8 @@ func Build(spec Spec) (*Node, error) {
 
 // wireMembership settles who the node gossips with: the membership sampler,
 // filtered by the detector's verdicts when there is one. It returns the
-// sampler the aggregation layers share and fills the engine's Sampler, Split
-// and Monitor.
+// sampler the aggregation layers share and fills the engine's Sampler and
+// Split.
 func (n *Node) wireMembership(spec *Spec, ec *core.Config, mux *env.Mux) (membership.Sampler, error) {
 	if (spec.View == nil) == (spec.Cyclon == nil) {
 		return nil, fmt.Errorf("stack: node %d needs exactly one of View and Cyclon", spec.ID)
@@ -166,9 +176,6 @@ func (n *Node) wireMembership(spec *Spec, ec *core.Config, mux *env.Mux) (member
 			return nil, err
 		}
 		n.Detector = det
-		// Assigned only here: a nil *Detector stored in the interface would
-		// read as a non-nil Monitor.
-		ec.Monitor = det
 		sampler = &misbehave.QuarantineSampler{Inner: sampler, Detector: det}
 		if spec.View != nil {
 			// Split draws bypass the sampler wrapper.
@@ -222,15 +229,72 @@ func (n *Node) wireCapability(spec *Spec, ec *core.Config, mux *env.Mux, sampler
 		ec.Capabilities = n.Estimator
 		mux.Register(n.Estimator, wire.KindAggregate)
 	}
+	if (spec.Adapt == nil) != (spec.AdaptSignal == nil) {
+		return fmt.Errorf("stack: node %d: Adapt and AdaptSignal must be set together", spec.ID)
+	}
 	if spec.Adapt != nil {
 		ctrl, err := adapt.NewController(*spec.Adapt, spec.AdvertisedKbps)
 		if err != nil {
 			return err
 		}
 		n.Controller = ctrl
-		ec.Adapt = ctrl
 	}
 	return nil
+}
+
+// observers lists the parts that watch the engine, in the order it calls
+// them: adaptation first, so a re-estimate lands before the round's fanout
+// draws and before the detector evaluates; then the detector; then the
+// tracer.
+func (n *Node) observers(spec *Spec) []core.Observer {
+	var obs []core.Observer
+	if n.Controller != nil {
+		obs = append(obs, &adaptObserver{node: n, signal: spec.AdaptSignal, onAdapt: spec.OnAdapt})
+	}
+	if n.Detector != nil {
+		obs = append(obs, n.Detector)
+	}
+	if n.Tracer != nil {
+		obs = append(obs, n.Tracer)
+	}
+	return obs
+}
+
+// adaptObserver runs the congestion-feedback loop on the engine's round
+// schedule: every controller interval (quantized to gossip rounds) it feeds
+// one pressure sample to the controller; on a re-estimate it shrinks or
+// restores the engine's upload budget and re-advertises through the
+// capability estimator, which propagates the new value by the normal
+// freshness gossip — fanout sheds load before the queue sheds packets. The
+// controller is deterministic and rng-free, so adapt-enabled runs keep every
+// reproducibility guarantee.
+type adaptObserver struct {
+	core.NopObserver
+	node    *Node
+	signal  func() adapt.Sample
+	onAdapt func(effKbps uint32)
+	lastAt  time.Duration
+}
+
+func (a *adaptObserver) Tick(now time.Duration) {
+	ctrl := a.node.Controller
+	if now-a.lastAt < ctrl.Interval() {
+		return
+	}
+	a.lastAt = now
+	s := a.signal()
+	s.At = now
+	eff, changed := ctrl.Observe(s)
+	if !changed {
+		return
+	}
+	a.node.Engine.SetUploadBudget(eff)
+	if a.node.Estimator != nil {
+		a.node.Estimator.SetSelfCapKbps(eff)
+	}
+	if a.onAdapt != nil {
+		a.onAdapt(eff)
+	}
 }
 
 // streamConfig sizes a stream's engine tables from its geometry and weighs it

@@ -145,16 +145,14 @@ func TestBuildPlainStack(t *testing.T) {
 // TestBuildEveryPart checks each optional Spec field yields its part.
 func TestBuildEveryPart(t *testing.T) {
 	n, err := Build(Spec{
-		ID:   4,
-		View: membership.NewView(4, peerIDs(8)),
-		Engine: core.Config{
-			Fanout:      3,
-			AdaptSignal: func() adapt.Sample { return adapt.Sample{} },
-		},
+		ID:             4,
+		View:           membership.NewView(4, peerIDs(8)),
+		Engine:         core.Config{Fanout: 3},
 		AdvertisedKbps: 700,
 		Aggregation:    &aggregation.Config{},
 		SizeEstimator:  &aggregation.AveragerConfig{},
 		Adapt:          &adapt.Config{},
+		AdaptSignal:    func() adapt.Sample { return adapt.Sample{} },
 		Detect:         &misbehave.Config{},
 		Trace:          &telemetry.TraceConfig{},
 		Streams:        []Stream{smallStream(0, false), smallStream(1, true)},
@@ -255,24 +253,117 @@ func TestDetectorReachesEveryDraw(t *testing.T) {
 	}
 }
 
-// TestNilDetectorIsNilMonitor guards the typed-nil trap: without Detect the
-// engine must see a nil Monitor interface, not a nil *Detector inside one —
-// a non-nil interface would dereference nil on the first proposal.
-func TestNilDetectorIsNilMonitor(t *testing.T) {
-	spec := Spec{View: membership.NewView(0, peerIDs(4))}
-	var ec core.Config
-	if _, err := new(Node).wireMembership(&spec, &ec, env.NewMux()); err != nil {
+// TestBuildObserverOrder pins the observers Build hands the engine: with
+// adaptation, detection and tracing, exactly those three in that order (the
+// adaptation's Tick must run before the detector's); with none of them, an
+// empty list.
+func TestBuildObserverOrder(t *testing.T) {
+	spec := Spec{
+		View:           membership.NewView(0, peerIDs(4)),
+		Engine:         core.Config{Fanout: 3},
+		AdvertisedKbps: 700,
+		Adapt:          &adapt.Config{},
+		AdaptSignal:    func() adapt.Sample { return adapt.Sample{} },
+		Detect:         &misbehave.Config{},
+		Trace:          &telemetry.TraceConfig{},
+	}
+	n, err := Build(spec)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if ec.Monitor != nil {
-		t.Fatalf("Monitor = %#v without Detect, want a nil interface", ec.Monitor)
+	obs := n.observers(&spec)
+	if len(obs) != 3 {
+		t.Fatalf("observers = %#v, want adaptation, detector, tracer", obs)
 	}
-	spec.Detect = &misbehave.Config{}
-	n := new(Node)
-	if _, err := n.wireMembership(&spec, &ec, env.NewMux()); err != nil {
+	if a, ok := obs[0].(*adaptObserver); !ok || a.node != n {
+		t.Fatalf("observer 0 = %#v, want the node's adaptation observer", obs[0])
+	}
+	if obs[1] != core.Observer(n.Detector) || obs[2] != core.Observer(n.Tracer) {
+		t.Fatalf("observers 1, 2 = %#v, %#v, want the node's detector and tracer", obs[1], obs[2])
+	}
+
+	spec = Spec{View: membership.NewView(0, peerIDs(4)), Engine: core.Config{Fanout: 3}}
+	if n, err = Build(spec); err != nil {
 		t.Fatal(err)
 	}
-	if ec.Monitor != core.Monitor(n.Detector) || n.Detector == nil {
-		t.Fatalf("Monitor = %#v with Detect, want the node's detector", ec.Monitor)
+	if obs := n.observers(&spec); len(obs) != 0 {
+		t.Fatalf("observers = %#v without Adapt, Detect or Trace, want none", obs)
+	}
+}
+
+// TestAdaptValidation checks that Build refuses a controller without a
+// pressure signal and a signal without a controller.
+func TestAdaptValidation(t *testing.T) {
+	view := membership.NewView(0, peerIDs(2))
+	if _, err := Build(Spec{View: view, Engine: core.Config{Fanout: 7}, AdvertisedKbps: 100,
+		Adapt: &adapt.Config{}}); err == nil {
+		t.Error("Adapt without AdaptSignal accepted")
+	}
+	if _, err := Build(Spec{View: view, Engine: core.Config{Fanout: 7}, AdvertisedKbps: 100,
+		AdaptSignal: func() adapt.Sample { return adapt.Sample{} }}); err == nil {
+		t.Error("AdaptSignal without Adapt accepted")
+	}
+}
+
+// TestAdaptTickReadvertisesAndShrinksBudget drives a HEAP node under a
+// scripted saturation signal: the controller must cut the advertisement
+// through the capability estimator, never below its floor, and the engine's
+// fanout-budget allocator must divide the adapted (not the configured)
+// capability; a drained signal must then probe the advertisement back up.
+func TestAdaptTickReadvertisesAndShrinksBudget(t *testing.T) {
+	var sent int64
+	var readvertised []uint32
+	congested := true
+	n, err := Build(Spec{
+		View:           membership.NewView(0, peerIDs(4)),
+		Engine:         core.Config{Fanout: 7, UploadKbps: 1000},
+		AdvertisedKbps: 1000,
+		Aggregation:    &aggregation.Config{},
+		Adapt:          &adapt.Config{},
+		AdaptSignal: func() adapt.Sample {
+			// Enqueue-side bytes grow at ~1000 kbps while only ~400 kbps
+			// drain: a saturated uplink with a standing queue.
+			sent += 62_500 // 1000 kbps * 500 ms / 8
+			s := adapt.Sample{SentBytes: sent, QueuedBytes: sent * 6 / 10}
+			if congested {
+				s.Backlog = 2 * time.Second
+			}
+			return s
+		},
+		OnAdapt: func(effKbps uint32) { readvertised = append(readvertised, effKbps) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := &clockRuntime{stubRuntime: newStub(0)}
+	n.Handler.Start(rt)
+	rt.advance(10 * time.Second)
+	if len(readvertised) == 0 {
+		t.Fatal("sustained congestion never re-advertised")
+	}
+	for _, v := range readvertised {
+		if v >= 1000 {
+			t.Fatalf("re-advertised %d, want below the configured 1000", v)
+		}
+		if v < n.Controller.FloorKbps() {
+			t.Fatalf("re-advertised %d below the floor %d", v, n.Controller.FloorKbps())
+		}
+	}
+	eff := n.Controller.EffectiveKbps()
+	if got := n.Estimator.EstimateKbps(); got != float64(eff) {
+		t.Fatalf("estimator advertises %v kbps, want the controller's %d", got, eff)
+	}
+	if got := n.Engine.UploadBudget(); got != eff {
+		t.Fatalf("budget capability %d does not track the controller's %d", got, eff)
+	}
+
+	// Recovery: a drained signal must probe the advertisement back up.
+	congested = false
+	rt.advance(60 * time.Second)
+	if got := n.Controller.EffectiveKbps(); got <= eff {
+		t.Fatalf("drained uplink never probed upward (stuck at %d)", got)
+	}
+	if got := n.Engine.UploadBudget(); got != n.Controller.EffectiveKbps() {
+		t.Fatalf("budget capability %d does not track the restored %d", got, n.Controller.EffectiveKbps())
 	}
 }

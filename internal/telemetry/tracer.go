@@ -5,6 +5,7 @@ import (
 	"io"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/wire"
 )
 
@@ -51,12 +52,13 @@ type HopRecord struct {
 	Publish bool
 }
 
-// Tracer records sampled dissemination steps for one node. It implements
-// the engine's trace hook (core.TraceSink); like every engine callback it
-// runs on the node's execution context and needs no locking. All state is
-// bounded: a ring of records plus a pending-request map capped relative to
-// the ring.
+// Tracer records sampled dissemination steps for one node. It is a
+// core.Observer of the engine's trace hooks; like every observer it runs on
+// the node's execution context and needs no locking. All state is bounded: a
+// ring of records plus a pending-request map capped relative to the ring.
 type Tracer struct {
+	core.NopObserver // the evidence hooks, Quarantined and Tick
+
 	cfg   TraceConfig
 	self  wire.NodeID
 	reqAt map[reqKey]time.Duration

@@ -188,7 +188,9 @@ func TestStreamingUnderAdverseNetem(t *testing.T) {
 		// seed — the shared lab conditions, with identical partition groups
 		// — but owns its instance (models are stateful, and each node only
 		// steps its own outbound chains).
-		engines[i] = adverse.MustBuild(nodes, 77, 0)
+		if engines[i], err = adverse.Build(nodes, 77, 0, nil); err != nil {
+			t.Fatal(err)
+		}
 		n, err := NewNode(id, mux, Config{Seed: int64(100 + i), Netem: engines[i]})
 		if err != nil {
 			t.Fatal(err)

@@ -287,7 +287,7 @@ func (n *Node) stackSpec(cfg *NodeConfig, peerIDs []wire.NodeID) stack.Spec {
 		// the controller derives drained bytes as ΔSentBytes − ΔQueuedBytes,
 		// which only holds when both counters sit on the enqueue side — the
 		// same convention as the simulator's NodeStats.SentBytes.
-		spec.Engine.AdaptSignal = func() adapt.Sample {
+		spec.AdaptSignal = func() adapt.Sample {
 			return adapt.Sample{
 				Backlog:     n.udp.SendBacklog(),
 				SentBytes:   n.udp.AcceptedBytes(),
@@ -295,9 +295,9 @@ func (n *Node) stackSpec(cfg *NodeConfig, peerIDs []wire.NodeID) stack.Spec {
 				Dropped:     n.udp.SendDropped(),
 			}
 		}
-		// Keep the public AdvertisedKbps mirror current (the engine
+		// Keep the public AdvertisedKbps mirror current (the stack
 		// advertises through the estimator internally).
-		spec.Engine.OnAdapt = func(effKbps uint32) { n.capKbps.Store(effKbps) }
+		spec.OnAdapt = func(effKbps uint32) { n.capKbps.Store(effKbps) }
 	}
 	if cfg.Source != nil {
 		spec.Streams = []stack.Stream{{SourceConfig: n.sourceConfig(*cfg.Source), Source: true}}
