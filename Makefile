@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: check fmtcheck vet build linkcheck race race-detect test-short testshort test bench bench-smoke bench-udp pairs sweep largescale fuzz lines full fmt
+.PHONY: check fmtcheck vet build linkcheck race race-detect test-short testshort test bench bench-smoke bench-udp pairs sweep largescale fuzz cross lines full fmt
 
 check: fmtcheck vet build linkcheck race race-detect testshort bench-smoke
 
@@ -67,7 +67,9 @@ bench:
 	$(GO) test -short -bench=. -benchtime=1x -run='^$$' .
 
 # The UDP fast-path saturation benchmark: loopback pps and allocs/datagram,
-# batched syscalls (sendmmsg/recvmmsg) vs the portable single-syscall path.
+# batched syscalls (sendmmsg/recvmmsg, with UDP_SEGMENT trains sent and
+# UDP_GRO trains received where the kernel has them) vs the portable
+# single-syscall path.
 bench-udp:
 	$(GO) test -bench 'UDPLoopbackSaturation' -benchtime 2s -run '^$$' ./internal/udpnet
 
@@ -113,6 +115,17 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzQueueOracle$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/simnet
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineReceive$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzDetectorEvidence$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/misbehave
+
+# Cross-compile the tree for the other platforms the I/O split serves: the
+# portable fallback (darwin) and the batched path on 32- and 64-bit Linux,
+# whose msghdr length fields differ in width (uint32 on 386/arm, uint64 on
+# amd64/arm64). udpnet is vetted for each, since its unsafe layouts differ.
+cross:
+	@set -e; for p in darwin/arm64 linux/386 linux/arm64; do \
+		echo "GOOS=$${p%/*} GOARCH=$${p#*/}"; \
+		GOOS=$${p%/*} GOARCH=$${p#*/} $(GO) build ./...; \
+		GOOS=$${p%/*} GOARCH=$${p#*/} $(GO) vet ./internal/udpnet; \
+	done
 
 # Non-test, non-comment, non-blank Go lines outside benchmark/.
 lines:

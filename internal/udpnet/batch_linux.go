@@ -2,9 +2,13 @@
 
 // Batched-syscall I/O for Linux: sendmmsg(2)/recvmmsg(2) over the socket's
 // raw file descriptor, amortizing one syscall across up to ioBatchMax
-// datagrams in each direction. The syscalls are issued directly via
-// syscall.Syscall6 with a hand-rolled mmsghdr layout (struct msghdr plus
-// the kernel-written msg_len) so the module stays free of dependencies
+// messages in each direction, with UDP segmentation offload on top: a run
+// of released frames for one peer leaves as one UDP_SEGMENT message (one
+// kernel pass for the whole train), and a UDP_GRO socket reads such a train
+// back as one message and splits it by the segment size the kernel reports.
+// The syscalls are issued directly via syscall.Syscall6 with a hand-rolled
+// mmsghdr layout (struct msghdr plus the kernel-written msg_len) and
+// hand-built control messages, so the module stays free of dependencies
 // outside the standard library; the portable one-syscall-per-datagram path
 // (singleIO) serves the inverse build tag (batch_fallback.go) and
 // Config.DisableBatch.
@@ -15,6 +19,7 @@ import (
 	"errors"
 	"net"
 	"runtime"
+	"sync/atomic"
 	"syscall"
 	"unsafe"
 )
@@ -36,6 +41,24 @@ var sysSendmmsg = map[string]uintptr{
 	"s390x":   358,
 }[runtime.GOARCH]
 
+// The UDP offload socket options, which the std syscall package predates
+// (linux/udp.h): carried by hand like sysSendmmsg.
+const (
+	solUDP     = 17  // SOL_UDP
+	udpSegment = 103 // UDP_SEGMENT: a send's segment size (u16 control message)
+	udpGRO     = 104 // UDP_GRO: deliver coalesced trains with their segment size (int control message)
+)
+
+// gsoMaxSegment is the largest frame a segmented send carries: the UDP
+// payload of one IPv6 packet on a 1500-byte MTU (1500 - 40 - 8), so any such
+// path accepts every segment. ioBatchMax of them stay under 64 KiB.
+const gsoMaxSegment = 1452
+
+var (
+	sendCtrlSpace = syscall.CmsgSpace(2) // one UDP_SEGMENT message per send header
+	recvCtrlSpace = syscall.CmsgSpace(4) // one UDP_GRO message per receive slot
+)
+
 // mmsghdr mirrors the kernel's struct mmsghdr: the embedded msghdr plus the
 // per-message byte count the kernel writes back. Go's trailing struct
 // padding matches C's on every GOARCH because syscall.Msghdr carries the
@@ -44,6 +67,10 @@ type mmsghdr struct {
 	hdr syscall.Msghdr
 	len uint32
 }
+
+// setLen stores n into a msghdr length field whose width depends on GOARCH
+// (msg_iovlen is uint32 on 386 and arm, uint64 on amd64 and arm64).
+func setLen[T ~uint32 | ~uint64](field *T, n int) { *field = T(n) }
 
 // mmsgIO implements batchIO over one UDP socket's raw descriptor. The
 // receive staging buffers are the free list the read loop recycles: they
@@ -56,28 +83,48 @@ type mmsghdr struct {
 type mmsgIO struct {
 	rc   syscall.RawConn
 	ipv6 bool // socket family: encode destinations to match
+	gso  bool // group same-peer runs into UDP_SEGMENT sends; off for good once the kernel refuses one
 
 	// Receive side, allocated once. recvFn reports through rcount/rerrno;
-	// only the read loop calls ReadBatch.
+	// only the read loop calls ReadBatch. segs is the batch's frames, one
+	// per segment of every received slot: it grows to the largest batch
+	// seen, then stays.
 	rhdrs  []mmsghdr
 	riov   []syscall.Iovec
 	rbufs  [][]byte
 	rnames []syscall.RawSockaddrAny
+	rctrl  []byte // recvCtrlSpace per slot
+	segs   []rxSegment
 	recvFn func(fd uintptr) bool
 	rcount int
 	rerrno syscall.Errno
 
-	// Send side, allocated once; headers are rebuilt per WriteBatch. sendFn
-	// transmits shdrs[wsent:wk]; only the paced sender calls WriteBatch.
+	// Send side, allocated once; headers are rebuilt per WriteBatch: one
+	// iovec per frame, one header per frame or segmented run. sfirst[h] is
+	// the chunk index of header h's first frame. sendFn transmits
+	// shdrs[wsent:wk] and sets refused when the kernel rejects a segmented
+	// header; only the paced sender calls WriteBatch.
 	shdrs     []mmsghdr
 	siov      []syscall.Iovec
 	snames    []syscall.RawSockaddrAny
+	sctrl     []byte // sendCtrlSpace per header
+	sfirst    []int
 	sendFn    func(fd uintptr) bool
 	wsent, wk int
+	refused   bool
+
+	sendCalls, recvCalls atomic.Int64
 }
 
-// newBatchIO wires the batched-syscall path over conn. An error (no raw
-// descriptor view, no syscall number) makes the caller keep singleIO.
+// rxSegment is one received frame: a segment of staging slot slot.
+type rxSegment struct {
+	frame []byte
+	slot  int
+}
+
+// newBatchIO wires the batched-syscall path over conn and turns on the
+// segmentation offloads the kernel has. An error (no raw descriptor view, no
+// syscall number) makes the caller keep singleIO.
 func newBatchIO(conn *net.UDPConn) (batchIO, error) {
 	if sysSendmmsg == 0 {
 		return nil, errors.New("udpnet: no sendmmsg number for this GOARCH")
@@ -94,10 +141,24 @@ func newBatchIO(conn *net.UDPConn) (batchIO, error) {
 		riov:   make([]syscall.Iovec, ioBatchMax),
 		rbufs:  make([][]byte, ioBatchMax),
 		rnames: make([]syscall.RawSockaddrAny, ioBatchMax),
+		rctrl:  make([]byte, ioBatchMax*recvCtrlSpace),
+		segs:   make([]rxSegment, 0, ioBatchMax),
 		shdrs:  make([]mmsghdr, ioBatchMax),
 		siov:   make([]syscall.Iovec, ioBatchMax),
 		snames: make([]syscall.RawSockaddrAny, ioBatchMax),
+		sctrl:  make([]byte, ioBatchMax*sendCtrlSpace),
+		sfirst: make([]int, ioBatchMax),
 	}
+	// A kernel without the offloads (before 4.18 for GSO, 5.0 for GRO)
+	// refuses the options; the socket then keeps one datagram per message.
+	// Without GRO no message carries a segment size, so the receive side
+	// needs no flag of its own. Control itself fails only on a closed
+	// socket, which the first read or write reports.
+	_ = rc.Control(func(fd uintptr) {
+		_, gsoErr := syscall.GetsockoptInt(int(fd), solUDP, udpSegment)
+		m.gso = gsoErr == nil
+		_ = syscall.SetsockoptInt(int(fd), solUDP, udpGRO, 1)
+	})
 	m.recvFn, m.sendFn = m.recv, m.send
 	backing := make([]byte, ioBatchMax*maxDatagram)
 	for i := range m.rhdrs {
@@ -109,12 +170,14 @@ func newBatchIO(conn *net.UDPConn) (batchIO, error) {
 		m.rhdrs[i].hdr.Namelen = syscall.SizeofSockaddrAny
 		m.rhdrs[i].hdr.Iov = &m.riov[i]
 		m.rhdrs[i].hdr.Iovlen = 1
+		m.rhdrs[i].hdr.Control = &m.rctrl[i*recvCtrlSpace]
 	}
 	return m, nil
 }
 
 // ReadBatch implements batchIO: one recvmmsg call per wakeup, blocking (via
-// the runtime poller) until at least one datagram is available.
+// the runtime poller) until at least one message is available, then split
+// into frames — one per datagram, or per segment of a coalesced train.
 func (m *mmsgIO) ReadBatch() (int, error) {
 	m.rcount, m.rerrno = 0, 0
 	if err := m.rc.Read(m.recvFn); err != nil {
@@ -123,17 +186,46 @@ func (m *mmsgIO) ReadBatch() (int, error) {
 	if m.rerrno != 0 {
 		return 0, m.rerrno
 	}
-	return m.rcount, nil
+	m.segs = m.segs[:0]
+	for i := 0; i < m.rcount; i++ {
+		data := m.rbufs[i][:m.rhdrs[i].len]
+		size := m.segmentSize(i)
+		if size <= 0 || size >= len(data) {
+			m.segs = append(m.segs, rxSegment{frame: data, slot: i})
+			continue
+		}
+		for off := 0; off < len(data); off += size {
+			m.segs = append(m.segs, rxSegment{frame: data[off:min(off+size, len(data))], slot: i})
+		}
+	}
+	return len(m.segs), nil
+}
+
+// segmentSize returns the segment size the kernel reported for slot i's
+// train, or 0 for a plain datagram. UDP_GRO's is the only control message
+// this socket asks for, so it is the only one to look at.
+func (m *mmsgIO) segmentSize(i int) int {
+	if int(m.rhdrs[i].hdr.Controllen) < syscall.CmsgLen(4) {
+		return 0
+	}
+	ctrl := m.rctrl[i*recvCtrlSpace:]
+	c := (*syscall.Cmsghdr)(unsafe.Pointer(&ctrl[0]))
+	if c.Level != solUDP || c.Type != udpGRO {
+		return 0
+	}
+	return int(*(*int32)(unsafe.Pointer(&ctrl[syscall.CmsgLen(0)])))
 }
 
 // recv is ReadBatch's RawConn callback.
 func (m *mmsgIO) recv(fd uintptr) bool {
 	for {
-		// The kernel overwrites Namelen with the actual source-address
-		// size on each receive; reset it before reusing the headers.
+		// The kernel overwrites Namelen and Controllen with what it wrote
+		// on each receive; reset them before reusing the headers.
 		for i := range m.rhdrs {
 			m.rhdrs[i].hdr.Namelen = syscall.SizeofSockaddrAny
+			m.rhdrs[i].hdr.SetControllen(recvCtrlSpace)
 		}
+		m.recvCalls.Add(1)
 		r1, _, e := syscall.Syscall6(syscall.SYS_RECVMMSG, fd,
 			uintptr(unsafe.Pointer(&m.rhdrs[0])), uintptr(len(m.rhdrs)),
 			0, 0, 0)
@@ -152,15 +244,16 @@ func (m *mmsgIO) recv(fd uintptr) bool {
 	}
 }
 
-// Frame implements batchIO: received datagram i, header included, aliasing
+// Frame implements batchIO: received frame i, header included, aliasing
 // the staging buffer until the next ReadBatch.
-func (m *mmsgIO) Frame(i int) []byte { return m.rbufs[i][:m.rhdrs[i].len] }
+func (m *mmsgIO) Frame(i int) []byte { return m.segs[i].frame }
 
 // SrcMatches implements batchIO without materializing a net.UDPAddr per
-// datagram: the raw source sockaddr is compared in place (net.IP.Equal
-// handles the IPv4-in-IPv6 mapped forms both ways).
+// frame: the raw source sockaddr of frame i's slot — shared by every segment
+// of a train — is compared in place (net.IP.Equal handles the IPv4-in-IPv6
+// mapped forms both ways).
 func (m *mmsgIO) SrcMatches(i int, peer *peerAddr) bool {
-	sa, addr := &m.rnames[i], peer.udp
+	sa, addr := &m.rnames[m.segs[i].slot], peer.udp
 	switch sa.Addr.Family {
 	case syscall.AF_INET:
 		sa4 := (*syscall.RawSockaddrInet4)(unsafe.Pointer(sa))
@@ -174,44 +267,95 @@ func (m *mmsgIO) SrcMatches(i int, peer *peerAddr) bool {
 	return false
 }
 
+// Syscalls implements batchIO: every sendmmsg and recvmmsg issued,
+// including those that found the socket not ready.
+func (m *mmsgIO) Syscalls() (send, recv int64) { return m.sendCalls.Load(), m.recvCalls.Load() }
+
 // WriteBatch implements batchIO: the frames leave in order through as few
-// sendmmsg calls as the socket's write buffer allows. Per-datagram errors
+// sendmmsg calls as the socket's write buffer allows, each same-peer run a
+// single segmented message where the kernel offers GSO. Per-datagram errors
 // (unreachable destinations and the like) skip that datagram and press on —
 // losing a datagram is normal UDP behaviour, exactly as the portable path
-// ignores WriteToUDP errors.
+// ignores WriteToUDP errors; a segmented message that fails that way is
+// skipped whole, its frames all bound for the failing peer. A segmented
+// message the kernel refuses as such is not lost: GSO goes off for the
+// socket and the run is sent again, one datagram per header.
 func (m *mmsgIO) WriteBatch(items []outDatagram) {
 	for len(items) > 0 {
-		chunk := items
-		if len(chunk) > len(m.shdrs) {
-			chunk = chunk[:len(m.shdrs)]
-		}
+		chunk := items[:min(len(items), len(m.shdrs))]
 		items = items[len(chunk):]
-		k := 0
-		for i := range chunk {
-			frame := chunk[i].frame()
-			if len(frame) == 0 {
-				continue
+		for len(chunk) > 0 {
+			m.wsent, m.wk, m.refused = 0, m.pack(chunk), false
+			if m.rc.Write(m.sendFn) != nil || !m.refused {
+				break
 			}
-			namelen := m.putSockaddr(&m.snames[k], chunk[i].to.udp)
-			if namelen == 0 {
-				continue // destination unrepresentable on this socket family
-			}
-			m.siov[k].Base = &frame[0]
-			m.siov[k].SetLen(len(frame))
-			m.shdrs[k].hdr.Name = (*byte)(unsafe.Pointer(&m.snames[k]))
-			m.shdrs[k].hdr.Namelen = namelen
-			m.shdrs[k].hdr.Iov = &m.siov[k]
-			m.shdrs[k].hdr.Iovlen = 1
-			k++
+			m.gso = false
+			chunk = chunk[m.sfirst[m.wsent]:]
 		}
-		m.wsent, m.wk = 0, k
-		m.rc.Write(m.sendFn)
 	}
+}
+
+// pack lays chunk out as send headers and returns how many it filled. With
+// GSO on, consecutive frames of at most gsoMaxSegment bytes to one peer
+// share a header while they have the first one's size; a shorter frame ends
+// the run as its last segment.
+func (m *mmsgIO) pack(chunk []outDatagram) int {
+	k := 0
+	for i := 0; i < len(chunk); {
+		first, to := chunk[i].frame(), chunk[i].to
+		j := i + 1
+		if m.gso && len(first) <= gsoMaxSegment {
+			for j < len(chunk) && chunk[j].to.ap == to.ap {
+				size := len(chunk[j].frame())
+				if size == 0 || size > len(first) {
+					break
+				}
+				j++
+				if size < len(first) {
+					break
+				}
+			}
+		}
+		start := i
+		i = j
+		if len(first) == 0 {
+			continue
+		}
+		namelen := m.putSockaddr(&m.snames[k], to.udp)
+		if namelen == 0 {
+			continue // destination unrepresentable on this socket family
+		}
+		for f := start; f < j; f++ {
+			frame := chunk[f].frame()
+			m.siov[f].Base = &frame[0]
+			m.siov[f].SetLen(len(frame))
+		}
+		h := &m.shdrs[k].hdr
+		h.Name = (*byte)(unsafe.Pointer(&m.snames[k]))
+		h.Namelen = namelen
+		h.Iov = &m.siov[start]
+		setLen(&h.Iovlen, j-start)
+		h.Control = nil
+		h.SetControllen(0)
+		if j-start > 1 {
+			ctrl := m.sctrl[k*sendCtrlSpace:]
+			c := (*syscall.Cmsghdr)(unsafe.Pointer(&ctrl[0]))
+			c.Level, c.Type = solUDP, udpSegment
+			c.SetLen(syscall.CmsgLen(2))
+			*(*uint16)(unsafe.Pointer(&ctrl[syscall.CmsgLen(0)])) = uint16(len(first))
+			h.Control = &ctrl[0]
+			h.SetControllen(sendCtrlSpace)
+		}
+		m.sfirst[k] = start
+		k++
+	}
+	return k
 }
 
 // send is WriteBatch's RawConn callback.
 func (m *mmsgIO) send(fd uintptr) bool {
 	for m.wsent < m.wk {
+		m.sendCalls.Add(1)
 		r1, _, e := syscall.Syscall6(sysSendmmsg, fd,
 			uintptr(unsafe.Pointer(&m.shdrs[m.wsent])), uintptr(m.wk-m.wsent),
 			0, 0, 0)
@@ -223,7 +367,15 @@ func (m *mmsgIO) send(fd uintptr) bool {
 		case syscall.EAGAIN:
 			return false // wait for writability, then resume
 		default:
-			m.wsent++ // skip the failing head datagram
+			// EINVAL and EIO are how the kernel refuses a segmented send
+			// (udp_send_skb). Any other error is the destination's — no
+			// route, a policy drop — and would fail each of the header's
+			// frames alike, since they all go to the one peer.
+			if m.shdrs[m.wsent].hdr.Control != nil && (e == syscall.EINVAL || e == syscall.EIO) {
+				m.refused = true // WriteBatch re-sends the run unsegmented
+				return true
+			}
+			m.wsent++ // skip the failing head message
 		}
 	}
 	return true

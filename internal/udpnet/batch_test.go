@@ -197,3 +197,43 @@ func TestSpoofedSenderRejectedOnBatchPath(t *testing.T) {
 		})
 	}
 }
+
+// TestSyscallCounters reads udp_send_syscalls_total and
+// udp_recv_syscalls_total from Collect on both I/O paths. The portable path
+// makes exactly one send call per datagram sent and one receive call per
+// datagram received, plus the read now waiting for the next; the batched
+// path makes at least one of each and never more sends than datagrams here.
+func TestSyscallCounters(t *testing.T) {
+	collect := func(n *Node) map[string]float64 {
+		m := map[string]float64{}
+		n.Collect(func(name string, v float64) { m[name] = v })
+		return m
+	}
+	for _, disable := range []bool{false, true} {
+		t.Run(fmt.Sprintf("disable=%v", disable), func(t *testing.T) {
+			src, dst, recv := loopbackPair(t, disable)
+			const datagrams = 2000
+			received, _ := pump(src, recv, datagrams)
+			tx, rx := collect(src), collect(dst)
+			sent, sendCalls := tx["udp_send_datagrams_total"], tx["udp_send_syscalls_total"]
+			recvCalls := rx["udp_recv_syscalls_total"]
+			t.Logf("%v datagrams in %v send syscalls; %d received in %v receive syscalls",
+				sent, sendCalls, received, recvCalls)
+			if sent != datagrams || received != datagrams {
+				t.Fatalf("sent %v, received %d, want %d each", sent, received, datagrams)
+			}
+			if disable {
+				if sendCalls != sent {
+					t.Fatalf("%v send syscalls for %v datagrams, want equal", sendCalls, sent)
+				}
+				if recvCalls < float64(received) || recvCalls > float64(received)+1 {
+					t.Fatalf("%v receive syscalls for %d datagrams", recvCalls, received)
+				}
+				return
+			}
+			if sendCalls < 1 || sendCalls > sent || recvCalls < 1 {
+				t.Fatalf("%v send and %v receive syscalls for %v datagrams", sendCalls, recvCalls, sent)
+			}
+		})
+	}
+}

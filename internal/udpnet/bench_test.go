@@ -24,7 +24,7 @@ func (c *countingHandler) Receive(wire.NodeID, wire.Message) { c.n.Add(1) }
 
 // loopbackPair starts a sender node and a counting receiver node on loopback,
 // unthrottled, on the batched or the portable path.
-func loopbackPair(tb testing.TB, disableBatch bool) (src *Node, recv *countingHandler) {
+func loopbackPair(tb testing.TB, disableBatch bool) (src, dst *Node, recv *countingHandler) {
 	tb.Helper()
 	recv = &countingHandler{}
 	dst, err := NewNode(1, recv, Config{Seed: 41, DisableBatch: disableBatch})
@@ -46,8 +46,16 @@ func loopbackPair(tb testing.TB, disableBatch bool) (src *Node, recv *countingHa
 	if err := src.Start(); err != nil {
 		tb.Fatal(err)
 	}
-	return src, recv
+	return src, dst, recv
 }
+
+// pump bounds the in-flight window so a run measures sustainable pipeline
+// throughput: an unchecked sender overruns the receiver's socket buffer
+// (especially on the single-syscall path, which pays one wakeup per
+// datagram) and kernel drops would turn the result into a loss measurement
+// instead. Every pumpStep sends it waits until at most pumpWindow are in
+// flight, so no more than pumpWindow+pumpStep encode buffers are ever out.
+const pumpWindow, pumpStep = 2048, 512
 
 // pump sends count small proposes from src through the same pooled encode
 // path the runtime uses (nodeRuntime.Send under the node mutex), waits for
@@ -59,20 +67,14 @@ func pump(src *Node, recv *countingHandler, count int) (received int64, elapsed 
 	rt := &nodeRuntime{n: src}
 	base := recv.n.Load()
 	start := time.Now()
-	// Bound the in-flight window so the run measures sustainable pipeline
-	// throughput: an unchecked sender overruns the receiver's socket buffer
-	// (especially on the single-syscall path, which pays one wakeup per
-	// datagram) and kernel drops would turn the result into a loss
-	// measurement instead.
-	const window = 2048
 	for i := 0; i < count; i++ {
 		// Send under the node mutex, as handler callbacks do.
 		src.mu.Lock()
 		rt.Send(1, msg)
 		src.mu.Unlock()
-		if (i+1)%512 == 0 {
+		if (i+1)%pumpStep == 0 {
 			limit := time.Now().Add(time.Second)
-			for recv.n.Load()-base < int64(i+1-window) && time.Now().Before(limit) {
+			for recv.n.Load()-base < int64(i+1-pumpWindow) && time.Now().Before(limit) {
 				time.Sleep(50 * time.Microsecond)
 			}
 		}
@@ -95,8 +97,9 @@ func pump(src *Node, recv *countingHandler, count int) (received int64, elapsed 
 
 // BenchmarkUDPLoopbackSaturation drives b.N small gossip datagrams through
 // a sender node to a receiver node over loopback, unthrottled, and reports
-// throughput (pps) and allocations per datagram for the batched-syscall
-// path versus the portable single-syscall path:
+// throughput (pps), allocations per datagram and datagrams per send and per
+// receive syscall for the batched-syscall path versus the portable
+// single-syscall path:
 //
 //	go test -bench UDPLoopbackSaturation -benchtime 2s -run '^$' ./internal/udpnet
 func BenchmarkUDPLoopbackSaturation(b *testing.B) {
@@ -108,13 +111,17 @@ func BenchmarkUDPLoopbackSaturation(b *testing.B) {
 		{"single", true},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			src, recv := loopbackPair(b, bc.disable)
+			src, dst, recv := loopbackPair(b, bc.disable)
 			b.ReportAllocs()
 			b.ResetTimer()
 			received, elapsed := pump(src, recv, b.N)
 			b.StopTimer()
+			sendCalls, _ := src.bio.Syscalls()
+			_, recvCalls := dst.bio.Syscalls()
 			b.ReportMetric(float64(received)/elapsed.Seconds(), "pps")
 			b.ReportMetric(float64(received)/float64(b.N)*100, "delivered%")
+			b.ReportMetric(float64(b.N)/float64(sendCalls), "dgrams/send")
+			b.ReportMetric(float64(received)/float64(recvCalls), "dgrams/recv")
 			if received < int64(b.N)*9/10 {
 				b.Fatalf("only %d of %d datagrams delivered", received, b.N)
 			}
@@ -136,8 +143,20 @@ func TestLoopbackAllocationBudget(t *testing.T) {
 	const datagrams = 10000
 	for _, disable := range []bool{false, true} {
 		t.Run(fmt.Sprintf("disable=%v", disable), func(t *testing.T) {
-			src, recv := loopbackPair(t, disable)
-			pump(src, recv, datagrams) // warm up: the pool reaches its in-flight high-water mark
+			src, _, recv := loopbackPair(t, disable)
+			// Warm up: the encode-buffer pool holds as many buffers as pump
+			// can have out at once. A warm-up pass alone does not always get
+			// there — the batched path drains its queue fast enough that how
+			// deep it gets depends on scheduling — and the measured pass
+			// would then count the pool's growth.
+			bufs := make([]*[]byte, pumpWindow+pumpStep)
+			for i := range bufs {
+				bufs[i] = getSendBuf()
+			}
+			for _, b := range bufs {
+				putSendBuf(b)
+			}
+			pump(src, recv, datagrams)
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			received, _ := pump(src, recv, datagrams)

@@ -12,9 +12,14 @@
 //
 // On Linux the node amortizes syscalls across datagrams: the paced sender
 // drains every item the pacing clock has released into one sendmmsg(2), and
-// the read loop pulls up to a batch of datagrams per recvmmsg(2) into a
-// free list of reusable staging buffers. Encode-path buffers are pooled
-// and returned after the kernel copy completes. Everywhere else — and on
+// the read loop pulls up to a batch of messages per recvmmsg(2) into a free
+// list of reusable staging buffers. Where the kernel offers UDP
+// segmentation offload, each run of released datagrams to one peer leaves
+// as one UDP_SEGMENT message — one kernel pass for the train — and the
+// receiving socket, with UDP_GRO on, reads the train back as one message
+// that the read loop splits at the reported segment size. Encode-path
+// buffers are pooled and returned after the kernel copy completes.
+// Node.Collect counts the send and receive syscalls. Everywhere else — and on
 // Linux under Config.DisableBatch — the same loops run over a batch of one:
 // singleIO issues one portable syscall per datagram, with identical
 // delivery and accounting semantics; see batch_linux.go / batch_fallback.go
@@ -23,11 +28,12 @@
 // # A steady state that allocates nothing of its own
 //
 // The transport adds no heap objects to what the protocol allocates. The read
-// loop keeps one wire.Decoder per staging slot and decodes each datagram in
-// place, so a whole batch of messages stays valid until its single
-// mutex-held dispatch; by env.Handler's lifetime rule a handler keeps no
-// message past Receive, only a Serve's payload bytes — so Serve bodies, and
-// nothing else, are first copied into one arena allocation per batch. The
+// loop takes a batch in windows of at most ioBatchMax frames, keeps one
+// wire.Decoder per window position and decodes each frame in place, so a
+// whole window of messages stays valid until its single mutex-held
+// dispatch; by env.Handler's lifetime rule a handler keeps no message past
+// Receive, only a Serve's payload bytes — so Serve bodies, and nothing
+// else, are first copied into one arena allocation per window. The
 // syscall callbacks are bound once (batch_linux.go), the pacer re-arms one
 // timer (ratelimit), and AfterFunc — every ticker period and retransmission
 // timeout — re-arms a fireTimer from a per-node free list instead of minting
@@ -44,6 +50,7 @@ import (
 	"net"
 	"net/netip"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/env"
@@ -60,9 +67,10 @@ const maxDatagram = 64 * 1024
 // frameHeader is the per-datagram overhead: the 4-byte sender id.
 const frameHeader = 4
 
-// ioBatchMax is K, the batched-syscall fan-in: at most this many datagrams
-// ride one sendmmsg/recvmmsg call, and the paced sender coalesces at most
-// this many released items per flush.
+// ioBatchMax is K, the batched-syscall fan-in: at most this many messages
+// ride one sendmmsg/recvmmsg call (a message may be a segmented train), the
+// paced sender coalesces at most this many released items per flush, and
+// the read loop dispatches at most this many frames per mutex hold.
 const ioBatchMax = 32
 
 // defaultSocketBuffer is the SO_RCVBUF/SO_SNDBUF request applied at bind
@@ -152,12 +160,16 @@ type batchIO interface {
 	// (protocols handle it), so per-datagram errors are swallowed.
 	WriteBatch(items []outDatagram)
 	// ReadBatch blocks until at least one datagram arrives and returns how
-	// many were received. The frames are valid until the next ReadBatch.
+	// many frames were received — one per datagram, or per segment of a
+	// coalesced train. The frames are valid until the next ReadBatch.
 	ReadBatch() (int, error)
-	// Frame returns received datagram i (header included).
+	// Frame returns received frame i (header included).
 	Frame(i int) []byte
-	// SrcMatches reports whether datagram i's source address is peer's.
+	// SrcMatches reports whether frame i's source address is peer's.
 	SrcMatches(i int, peer *peerAddr) bool
+	// Syscalls returns how many send and receive calls the socket has
+	// made. Safe from any goroutine.
+	Syscalls() (send, recv int64)
 }
 
 // singleIO implements batchIO with the portable one-datagram-per-syscall
@@ -167,16 +179,20 @@ type singleIO struct {
 	buf  []byte
 	size int
 	from netip.AddrPort
+
+	sendCalls, recvCalls atomic.Int64
 }
 
 func (s *singleIO) WriteBatch(items []outDatagram) {
 	for _, d := range items {
+		s.sendCalls.Add(1)
 		_, _ = s.conn.WriteToUDPAddrPort(d.frame(), d.to.ap)
 	}
 }
 
 func (s *singleIO) ReadBatch() (int, error) {
 	var err error
+	s.recvCalls.Add(1)
 	s.size, s.from, err = s.conn.ReadFromUDPAddrPort(s.buf)
 	if err != nil {
 		return 0, err
@@ -192,6 +208,10 @@ func (s *singleIO) SrcMatches(_ int, peer *peerAddr) bool {
 	return s.from.Port() == peer.ap.Port() &&
 		s.from.Addr().Unmap().WithZone("") == peer.ap.Addr().WithZone("")
 }
+
+// Syscalls counts one call per datagram; the net package's retries after
+// the socket was not ready are not visible here.
+func (s *singleIO) Syscalls() (send, recv int64) { return s.sendCalls.Load(), s.recvCalls.Load() }
 
 // openIO picks the socket I/O and its batch size: batched syscalls where
 // they exist, else (non-Linux platforms, an exotic socket without a
@@ -429,8 +449,10 @@ func (n *Node) DecodeErrorCount() int {
 // Collect emits the node's transport counters as named samples — the
 // registration surface for a telemetry registry: the paced sender's books
 // (udp_ prefix, conservation-checkable; see ratelimit.Sender.Collect) plus
-// decode errors and, when a netem model runs, its outbound drop/delay
-// counters. Safe from any goroutine and truthful after Close.
+// decode errors, the socket's send and receive syscalls (datagrams per
+// syscall is udp_send_datagrams_total over udp_send_syscalls_total) and,
+// when a netem model runs, its outbound drop/delay counters. Safe from any
+// goroutine and truthful after Close.
 func (n *Node) Collect(emit func(name string, value float64)) {
 	n.sender.Collect(func(name string, v float64) { emit("udp_"+name, v) })
 	n.mu.Lock()
@@ -438,6 +460,9 @@ func (n *Node) Collect(emit func(name string, value float64)) {
 	hasNetem := n.netem != nil
 	n.mu.Unlock()
 	emit("udp_decode_errors_total", float64(decode))
+	sendCalls, recvCalls := n.bio.Syscalls()
+	emit("udp_send_syscalls_total", float64(sendCalls))
+	emit("udp_recv_syscalls_total", float64(recvCalls))
 	if hasNetem {
 		emit("netem_out_dropped_total", float64(dropped))
 		emit("netem_out_delayed_total", float64(delayed))
@@ -474,21 +499,23 @@ func (n *Node) Execute(fn func()) bool {
 	return true
 }
 
-// readLoop reads up to ioBatchMax datagrams per ReadBatch and decodes each
-// where it lies in the batchIO's staging buffer, with the decoder of its
-// staging slot — one wire.Decoder per slot, so every message of the batch
-// stays valid until all of them have been dispatched under one node-mutex
-// hold, and a warm loop allocates nothing to decode. Messages die with the
-// next ReadBatch, which env.Handler's lifetime rule allows; what a handler may
-// keep is a Serve's payload bytes (the engine buffers them to serve later), so
-// Serve bodies — only those — are copied into one arena allocation per batch
-// before they are decoded.
+// readLoop reads a batch of frames per ReadBatch — up to ioBatchMax
+// datagrams, more when they arrive as coalesced trains — and takes it in
+// windows of at most ioBatchMax frames. Each frame of a window is decoded
+// where it lies in the batchIO's staging buffer, with the window's decoder
+// for its position — one wire.Decoder per position, so every message of the
+// window stays valid until all of them have been dispatched under one
+// node-mutex hold, and a warm loop allocates nothing to decode however long
+// the trains grow. Messages die with the next window, which env.Handler's
+// lifetime rule allows; what a handler may keep is a Serve's payload bytes
+// (the engine buffers them to serve later), so Serve bodies — only those —
+// are copied into one arena allocation per window before they are decoded.
 func (n *Node) readLoop() {
 	defer n.wg.Done()
 	type inMsg struct {
 		sender wire.NodeID
 		msg    wire.Message
-		src    int // staging index, for the source-address check
+		src    int // frame index, for the source-address check
 	}
 	msgs := make([]inMsg, 0, ioBatchMax)
 	decoders := make([]wire.Decoder, ioBatchMax)
@@ -498,51 +525,54 @@ func (n *Node) readLoop() {
 		if err != nil {
 			return // closed
 		}
-		total := 0
-		for i := 0; i < count; i++ {
-			if f := n.bio.Frame(i); isServe(f) {
-				total += len(f) - frameHeader
-			}
-		}
-		arena := make([]byte, 0, total) // no allocation when the batch has no Serve
-		msgs = msgs[:0]
-		badFrames := 0
-		for i := 0; i < count; i++ {
-			f := n.bio.Frame(i)
-			if len(f) < frameHeader {
-				badFrames++
-				continue
-			}
-			body := f[frameHeader:]
-			if isServe(f) {
-				start := len(arena)
-				arena = append(arena, body...)
-				body = arena[start:len(arena):len(arena)]
-			}
-			msg, err := decoders[i].Unmarshal(body)
-			if err != nil {
-				badFrames++
-				continue
-			}
-			msgs = append(msgs, inMsg{
-				sender: wire.NodeID(int32(binary.BigEndian.Uint32(f))),
-				msg:    msg,
-				src:    i,
-			})
-		}
-		n.mu.Lock()
-		n.DecodeErrors += badFrames
-		if !n.closed {
-			for _, im := range msgs {
-				// Verify the claimed sender against the source address when
-				// we know it; unknown peers are accepted (late directory
-				// updates).
-				if known, ok := n.peers[im.sender]; !ok || n.bio.SrcMatches(im.src, known) {
-					n.handler.Receive(im.sender, im.msg)
+		for lo := 0; lo < count; lo += ioBatchMax {
+			hi := min(count, lo+ioBatchMax)
+			total := 0
+			for i := lo; i < hi; i++ {
+				if f := n.bio.Frame(i); isServe(f) {
+					total += len(f) - frameHeader
 				}
 			}
+			arena := make([]byte, 0, total) // no allocation when the window has no Serve
+			msgs = msgs[:0]
+			badFrames := 0
+			for i := lo; i < hi; i++ {
+				f := n.bio.Frame(i)
+				if len(f) < frameHeader {
+					badFrames++
+					continue
+				}
+				body := f[frameHeader:]
+				if isServe(f) {
+					start := len(arena)
+					arena = append(arena, body...)
+					body = arena[start:len(arena):len(arena)]
+				}
+				msg, err := decoders[i-lo].Unmarshal(body)
+				if err != nil {
+					badFrames++
+					continue
+				}
+				msgs = append(msgs, inMsg{
+					sender: wire.NodeID(int32(binary.BigEndian.Uint32(f))),
+					msg:    msg,
+					src:    i,
+				})
+			}
+			n.mu.Lock()
+			n.DecodeErrors += badFrames
+			if !n.closed {
+				for _, im := range msgs {
+					// Verify the claimed sender against the source address
+					// when we know it; unknown peers are accepted (late
+					// directory updates).
+					if known, ok := n.peers[im.sender]; !ok || n.bio.SrcMatches(im.src, known) {
+						n.handler.Receive(im.sender, im.msg)
+					}
+				}
+			}
+			n.mu.Unlock()
 		}
-		n.mu.Unlock()
 	}
 }
 
