@@ -104,11 +104,14 @@ largescale:
 # detector target feeds it arbitrary evidence (these inputs are long, so
 # minimizing each new one is capped or it eats the run). The decoder-reuse
 # target decodes a pair of byte strings on one wire.Decoder and requires the
-# second to come out as it does fresh.
+# second to come out as it does fresh; the pool target requires a
+# wire.Pool copy to keep its bytes when the original, or a recycled copy, is
+# overwritten.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzRoundTrip$$' -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzDecoderReuse$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzPoolCopy$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzTopologyConfig$$' -fuzztime 10s ./internal/topo
 	$(GO) test -run '^$$' -fuzz '^FuzzNetemConfig$$' -fuzztime 10s ./internal/netem
 	$(GO) test -run '^$$' -fuzz '^FuzzEstimatorOracle$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/aggregation

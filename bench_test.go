@@ -253,10 +253,12 @@ func BenchmarkSweepSerial(b *testing.B) { benchSweep(b, 1) }
 // headlineAllocCeiling bounds the headline scenario's allocation count.
 // History: the map-backed engine + unpooled simulator allocated 1,424,074
 // objects per run; the pooled event heap, dense protocol tables, and
-// fire-and-forget timers brought it to ~446k. The ceiling leaves ~35%
-// headroom for benign drift while still failing loudly if pooling ever
-// silently regresses toward the old figure.
-const headlineAllocCeiling = 600_000
+// fire-and-forget timers brought it to ~446k (443,030 when measured last);
+// senders reusing one message per kind, with the simulator copying in-flight
+// messages into its per-shard pools, brought it to 25,856 — setup, not the
+// event loop. The ceiling leaves ~35% headroom for benign drift while still
+// failing loudly if a per-message allocation ever creeps back in.
+const headlineAllocCeiling = 35_000
 
 // TestHeadlineAllocBudget fails when the headline scenario allocates more
 // than the checked-in ceiling — the regression guard for the zero-allocation

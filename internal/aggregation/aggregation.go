@@ -141,6 +141,10 @@ type Estimator struct {
 
 	peerScratch []wire.NodeID // the per-tick sampling buffer
 
+	// msg is the one Aggregate every tick sends, its entries the freshest
+	// output: Send keeps nothing (env.Runtime.Send).
+	msg wire.Aggregate
+
 	// MessagesSent counts aggregation messages (for overhead accounting).
 	MessagesSent int
 }
@@ -379,15 +383,13 @@ func (e *Estimator) tick() {
 	e.prune(now)
 	e.recompute()
 
-	fresh := e.freshest(now)
-	if len(fresh) == 0 {
+	e.msg.Entries = e.freshest(e.msg.Entries[:0], now)
+	if len(e.msg.Entries) == 0 {
 		return
 	}
 	e.peerScratch = e.cfg.Sampler.AppendPeers(e.peerScratch[:0], e.rt.Rand(), e.cfg.Fanout)
 	for _, p := range e.peerScratch {
-		// Each recipient gets its own message value, but entry slices are
-		// shared; receivers must not mutate (env contract).
-		e.rt.Send(p, &wire.Aggregate{Entries: fresh})
+		e.rt.Send(p, &e.msg)
 		e.MessagesSent++
 	}
 }
@@ -499,21 +501,19 @@ func (e *Estimator) recompute() {
 	e.estimateKbps = float64(e.sum) / float64(e.count)
 }
 
-// freshest returns the freshest-k set — up to FreshestK entries with the
-// most recent asOf, newest first and smaller id first on ties — encoded with
-// their current age. Only the returned slice is freshly allocated (it escapes
-// into the outgoing message).
-func (e *Estimator) freshest(now time.Duration) []wire.CapEntry {
+// freshest appends the freshest-k set — up to FreshestK entries with the
+// most recent asOf, newest first and smaller id first on ties — to dst,
+// encoded with their current age.
+func (e *Estimator) freshest(dst []wire.CapEntry, now time.Duration) []wire.CapEntry {
 	if !e.topValid {
 		e.refill()
 	}
-	out := make([]wire.CapEntry, len(e.top))
-	for i, r := range e.top {
-		out[i] = wire.CapEntry{
+	for _, r := range e.top {
+		dst = append(dst, wire.CapEntry{
 			Node:    r.id,
 			CapKbps: r.capKbps,
 			AgeMs:   uint32(max(now-r.asOf, 0) / time.Millisecond),
-		}
+		})
 	}
-	return out
+	return dst
 }

@@ -324,9 +324,9 @@ func TestEstimatorFootprint(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { rt.now += 20 * time.Millisecond; receive() }); n != 0 {
 		t.Errorf("Receive of a 10-entry message allocates %v times, want 0", n)
 	}
-	// One entry slice shared by the recipients, one message value each.
-	if n := testing.AllocsPerRun(100, func() { receive(); rt.fire() }); n != 1+fanout {
-		t.Errorf("a tick allocates %v times, want %d", n, 1+fanout)
+	// Every tick sends its one Aggregate, entries refilled in place.
+	if n := testing.AllocsPerRun(100, func() { receive(); rt.fire() }); n != 0 {
+		t.Errorf("a tick allocates %v times, want 0", n)
 	}
 	if got := cap(e.top); got != e.cfg.FreshestK {
 		t.Errorf("the freshest-k set has room for %d records, want FreshestK (%d)", got, e.cfg.FreshestK)

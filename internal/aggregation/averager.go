@@ -37,6 +37,11 @@ type Averager struct {
 	// peerScratch is the per-tick sampling buffer.
 	peerScratch []wire.NodeID
 
+	// push and reply are the one message of each kind this node sends: Send
+	// keeps nothing (env.Runtime.Send).
+	push  wire.AvgPush
+	reply wire.AvgReply
+
 	// Exchanges counts completed (replied) exchanges at this node.
 	Exchanges int
 }
@@ -73,7 +78,8 @@ func (a *Averager) tick() {
 	if len(a.peerScratch) == 0 {
 		return
 	}
-	a.rt.Send(a.peerScratch[0], &wire.AvgPush{Value: a.value, Weight: 1})
+	a.push = wire.AvgPush{Value: a.value, Weight: 1}
+	a.rt.Send(a.peerScratch[0], &a.push)
 }
 
 // Receive implements env.Handler.
@@ -81,7 +87,8 @@ func (a *Averager) Receive(from wire.NodeID, m wire.Message) {
 	switch msg := m.(type) {
 	case *wire.AvgPush:
 		// Reply with our current value, then both converge to the mean.
-		a.rt.Send(from, &wire.AvgReply{Value: a.value, Weight: 1})
+		a.reply = wire.AvgReply{Value: a.value, Weight: 1}
+		a.rt.Send(from, &a.reply)
 		a.value = (a.value + msg.Value) / 2
 		a.Exchanges++
 	case *wire.AvgReply:

@@ -45,6 +45,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/env"
@@ -277,17 +278,19 @@ const maxProposersTracked = 4
 
 // maxTrackedPacketID bounds the dense per-packet table against hostile or
 // corrupt wire input: ids are assigned densely in publish order, so a
-// legitimate id beyond this (~90 days of continuous stream) cannot occur,
-// while an attacker-supplied huge id would otherwise force the dense arrays
-// to allocate unboundedly. Ids past the bound are simply ignored.
+// legitimate id beyond this (~20 h of continuous stream at the paper's
+// geometry, 57 ids/s) does not occur in the runs this codebase makes, while
+// an attacker-supplied huge id would otherwise force the dense arrays to
+// allocate unboundedly. Ids past the bound are simply ignored.
 const maxTrackedPacketID = 1 << 22
 
-// retEntry is one armed retransmission batch: the ids requested together and
-// when their timeout expires. RetPeriod is constant, so entries are enqueued
-// in deadline order and the queue drains FIFO off a single timer per stream.
+// retEntry is one armed retransmission batch: the ids requested together,
+// streamState.retIDs[lo:hi], and when their timeout expires. RetPeriod is
+// constant, so entries are enqueued in deadline order and the queue drains
+// FIFO off a single timer per stream.
 type retEntry struct {
-	due time.Duration
-	ids []wire.PacketID
+	due    time.Duration
+	lo, hi int32
 }
 
 // Engine is one node's dissemination protocol instance: engine-global
@@ -305,10 +308,18 @@ type Engine struct {
 	streams       []*streamState
 	totalRateKbps float64
 
-	// retTargets/retGroups are retransmit's grouping scratch (the group id
-	// slices themselves escape into Request messages and stay fresh).
+	// retTargets/retGroups are retransmit's grouping scratch.
 	retTargets []wire.NodeID
 	retGroups  [][]wire.PacketID
+
+	// One message and one slice per kind serve every send: Send keeps
+	// nothing (env.Runtime.Send).
+	propose   wire.Propose
+	request   wire.Request
+	serve     wire.Serve
+	wanted    []wire.PacketID
+	events    []wire.Event
+	published [1]wire.PacketID // Publish's one-id batch
 
 	// peerScratch is the per-round target buffer the samplers fill.
 	peerScratch []wire.NodeID
@@ -433,7 +444,8 @@ func (e *Engine) Publish(ev wire.Event) {
 	for _, o := range e.cfg.Observers {
 		o.TracePublish(st.id, ev.ID, e.rt.Now())
 	}
-	e.gossip(st, []wire.PacketID{ev.ID})
+	e.published[0] = ev.ID
+	e.gossip(st, e.published[:])
 }
 
 // Receive implements env.Handler.
@@ -460,9 +472,8 @@ func (e *Engine) gossipRound() {
 		if len(st.toPropose) == 0 {
 			continue
 		}
-		ids := st.toPropose
-		st.toPropose = nil
-		e.gossip(st, ids)
+		e.gossip(st, st.toPropose)
+		st.toPropose = st.toPropose[:0]
 	}
 }
 
@@ -483,9 +494,9 @@ func (e *Engine) gossip(st *streamState, ids []wire.PacketID) {
 	if len(e.peerScratch) == 0 {
 		return
 	}
-	msg := &wire.Propose{Stream: st.id, IDs: ids}
+	e.propose.Stream, e.propose.IDs = st.id, ids
 	for _, p := range e.peerScratch {
-		e.rt.Send(p, msg)
+		e.rt.Send(p, &e.propose)
 		e.stats.ProposesSent++
 		for _, o := range e.cfg.Observers {
 			o.ObserveProposeSent(p, len(ids), e.rt.Now())
@@ -602,7 +613,7 @@ func (e *Engine) onPropose(from wire.NodeID, msg *wire.Propose) {
 	if st == nil {
 		return // stream bound reached, see maxTrackedStreams
 	}
-	var wanted []wire.PacketID
+	e.wanted = e.wanted[:0]
 	for _, id := range msg.IDs {
 		if id >= maxTrackedPacketID {
 			continue // wire-robustness bound, see maxTrackedPacketID
@@ -627,23 +638,23 @@ func (e *Engine) onPropose(from wire.NodeID, msg *wire.Propose) {
 			}
 			continue
 		}
-		wanted = append(wanted, id)
+		e.wanted = append(e.wanted, id)
 		st.packets.set(id, pktPending)
 		p := st.packets.rec(id)
 		p.proposers[0] = from
 		p.numProposers = 1
 		p.attempts = 1
 	}
-	if len(wanted) == 0 {
+	if len(e.wanted) == 0 {
 		return
 	}
 	for _, o := range e.cfg.Observers {
-		for _, id := range wanted {
+		for _, id := range e.wanted {
 			o.TraceRequest(st.id, id, from, e.rt.Now())
 		}
 	}
-	e.sendRequest(st, from, wanted)
-	e.armRetransmit(st, wanted)
+	e.sendRequest(st, from, e.wanted)
+	e.armRetransmit(st, e.wanted)
 }
 
 // quarantined reports whether any observer quarantines the peer.
@@ -657,7 +668,8 @@ func (e *Engine) quarantined(id wire.NodeID) bool {
 }
 
 func (e *Engine) sendRequest(st *streamState, to wire.NodeID, ids []wire.PacketID) {
-	e.rt.Send(to, &wire.Request{Stream: st.id, IDs: ids})
+	e.request.Stream, e.request.IDs = st.id, ids
+	e.rt.Send(to, &e.request)
 	e.stats.RequestsSent++
 	for _, o := range e.cfg.Observers {
 		o.ObserveRequestSent(to, len(ids), e.rt.Now())
@@ -673,9 +685,9 @@ func (e *Engine) armRetransmit(st *streamState, ids []wire.PacketID) {
 	if e.cfg.RetMaxAttempts <= 1 || len(ids) == 0 {
 		return
 	}
-	// The batch slice is owned by the wire.Request we just sent; receivers
-	// must not mutate it, and neither may we — iterate read-only.
-	st.retQueue = append(st.retQueue, retEntry{due: e.rt.Now() + e.cfg.RetPeriod, ids: ids})
+	lo := len(st.retIDs)
+	st.retIDs = append(st.retIDs, ids...)
+	st.retQueue = append(st.retQueue, retEntry{due: e.rt.Now() + e.cfg.RetPeriod, lo: int32(lo), hi: int32(len(st.retIDs))})
 	if !st.retArmed && !st.retFiring {
 		st.retArmed = true
 		e.rt.AfterFunc(e.cfg.RetPeriod, st.retFireFn)
@@ -692,25 +704,29 @@ func (e *Engine) retFire(st *streamState) {
 	st.retFiring = true
 	now := e.rt.Now()
 	for st.retHead < len(st.retQueue) && st.retQueue[st.retHead].due <= now {
-		ids := st.retQueue[st.retHead].ids
-		st.retQueue[st.retHead] = retEntry{} // release the batch reference
+		r := st.retQueue[st.retHead]
 		st.retHead++
-		e.retransmit(st, ids)
+		// retransmit reads the batch before it re-arms anything, and
+		// re-arming only appends past it.
+		e.retransmit(st, st.retIDs[r.lo:r.hi])
 	}
 	st.retFiring = false
 	if st.retHead == len(st.retQueue) {
-		st.retQueue = st.retQueue[:0]
+		st.retQueue, st.retIDs = st.retQueue[:0], st.retIDs[:0]
 		st.retHead = 0
 	} else {
 		// Under a steady request stream the queue never fully drains, so
-		// compact the consumed prefix once it dominates — otherwise the
-		// backing array grows for the lifetime of the node.
+		// compact the consumed prefix, entries and ids alike, once it
+		// dominates — otherwise the backing arrays grow for the lifetime of
+		// the node.
 		if st.retHead > 64 && st.retHead*2 >= len(st.retQueue) {
-			n := copy(st.retQueue, st.retQueue[st.retHead:])
-			for i := n; i < len(st.retQueue); i++ {
-				st.retQueue[i] = retEntry{}
+			base := st.retQueue[st.retHead].lo
+			st.retQueue = st.retQueue[:copy(st.retQueue, st.retQueue[st.retHead:])]
+			for i := range st.retQueue {
+				st.retQueue[i].lo -= base
+				st.retQueue[i].hi -= base
 			}
-			st.retQueue = st.retQueue[:n]
+			st.retIDs = st.retIDs[:copy(st.retIDs, st.retIDs[base:])]
 			st.retHead = 0
 		}
 		st.retArmed = true
@@ -774,18 +790,17 @@ func (e *Engine) retransmit(st *streamState, ids []wire.PacketID) {
 			}
 		}
 		if slot < 0 {
+			slot = len(targets)
 			targets = append(targets, target)
-			groups = append(groups, nil)
-			slot = len(targets) - 1
+			groups = slices.Grow(groups, 1)[:slot+1] // keeps past calls' slices
+			groups[slot] = groups[slot][:0]
 		}
 		groups[slot] = append(groups[slot], id)
 	}
 	for i, target := range targets {
-		batch := groups[i]
-		e.sendRequest(st, target, batch)
+		e.sendRequest(st, target, groups[i])
 		e.stats.Retransmissions++
-		e.armRetransmit(st, batch)
-		groups[i] = nil // the batch escaped into a Request; drop our ref
+		e.armRetransmit(st, groups[i])
 	}
 	e.retTargets, e.retGroups = targets[:0], groups[:0]
 }
@@ -802,21 +817,22 @@ func (e *Engine) onRequest(from wire.NodeID, msg *wire.Request) {
 		e.stats.UnservableIDs += int64(len(msg.IDs))
 		return
 	}
-	events := make([]wire.Event, 0, len(msg.IDs))
+	e.events = e.events[:0]
 	for _, id := range msg.IDs {
 		if st.packets.stateOf(id) == pktBuffered {
 			s := &st.packets.slots[id]
-			events = append(events, wire.Event{ID: id, Stream: st.id, Stamp: s.stamp, Payload: s.payload})
+			e.events = append(e.events, wire.Event{ID: id, Stream: st.id, Stamp: s.stamp, Payload: s.payload})
 		} else {
 			e.stats.UnservableIDs++
 		}
 	}
-	if len(events) == 0 {
+	if len(e.events) == 0 {
 		return
 	}
-	e.rt.Send(from, &wire.Serve{Stream: st.id, Events: events})
+	e.serve.Stream, e.serve.Events = st.id, e.events
+	e.rt.Send(from, &e.serve)
 	e.stats.ServesSent++
-	e.stats.EventsServed += int64(len(events))
+	e.stats.EventsServed += int64(len(e.events))
 }
 
 // onServe handles phase 3, client side (Algorithm 1, lines 18-22).

@@ -496,3 +496,44 @@ func TestObserversQuarantineIfAny(t *testing.T) {
 		t.Fatalf("ProposesIgnored = %d, want 2", got)
 	}
 }
+
+// TestDisseminationRoundAllocatesNothing pins the steady-state message path
+// over the simulator: once warm, rounds in which the source publishes a
+// packet and a peer fetches it — propose, request, serve, deliver, and the
+// peer's own propose back — allocate nothing. Every sender reuses one
+// message and one slice per kind, and the simulator's copies come from its
+// message pool.
+func TestDisseminationRoundAllocatesNothing(t *testing.T) {
+	const rounds = 100
+	net := simnet.New(simnet.Config{Seed: 3, Latency: simnet.ConstantLatency(10 * time.Millisecond)})
+	dir := membership.NewDirectory(2)
+	engines := make([]*Engine, 2)
+	for i := range engines {
+		engines[i] = MustNew(Config{Fanout: 1, ExpectedPackets: 5 * rounds, Sampler: dir.ViewFor(wire.NodeID(i))})
+		net.AddNode(engines[i], simnet.NodeConfig{})
+	}
+	net.Run(time.Second) // start both nodes
+	data := payload(1316)
+	next := wire.PacketID(0)
+	round := func() {
+		engines[0].Publish(wire.Event{ID: next, Payload: data})
+		next++
+		net.Run(net.Now() + 200*time.Millisecond)
+	}
+	// Warm-up: pools, scratch and the retransmit queue at size — the queue
+	// compacts its consumed prefix only once more than 64 batches timed out.
+	for range 3 * rounds {
+		round()
+	}
+	allocs := testing.AllocsPerRun(1, func() {
+		for range rounds {
+			round()
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("%d warm dissemination rounds allocated %v objects, want 0", rounds, allocs)
+	}
+	if st := engines[1].Stats(); st.EventsDelivered != int64(next) || st.RequestsSent != int64(next) {
+		t.Fatalf("peer delivered %d and requested %d of %d packets: the rounds did not run", st.EventsDelivered, st.RequestsSent, next)
+	}
+}

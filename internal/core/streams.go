@@ -44,8 +44,10 @@ type streamState struct {
 
 	// Retransmission runs off one fire-and-forget timer per stream and a
 	// FIFO deadline queue: armRetransmit appends, retFire drains everything
-	// due and re-arms for the next head.
+	// due and re-arms for the next head. retIDs holds the queued batches' ids
+	// back to back, each entry's at [lo:hi].
 	retQueue  []retEntry
+	retIDs    []wire.PacketID
 	retHead   int
 	retArmed  bool   // a wakeup is pending
 	retFireFn func() // cached retFire closure, allocated once per stream

@@ -18,9 +18,14 @@
 //     a callback that may have become moot checks the handler's own state
 //     when it fires (Ticker.done, a pending-request record) and returns.
 //   - Messages received through Receive are immutable; handlers must not
-//     modify them (the simulator shares one object among all recipients).
+//     modify them.
 //   - A received message is valid only until Receive returns (see
-//     Handler.Receive): the UDP runtime decodes the next datagram over it.
+//     Handler.Receive): the UDP runtime decodes the next datagram over it,
+//     and the simulator recycles its copy for a later send.
+//   - A sent message is lent to the runtime only for the Send call (see
+//     Runtime.Send): the UDP runtime encodes it and the simulator copies
+//     it, so a sender owns its message again once Send returns and may
+//     reuse one message, and one slice, for every send.
 package env
 
 import (
@@ -48,6 +53,13 @@ type Runtime interface {
 	// unreliably (datagram semantics: messages may be lost, delayed, or
 	// reordered, but are never corrupted or duplicated). Sending to an
 	// unknown or dead node silently drops the message, like UDP.
+	//
+	// Send reads m and keeps nothing of it, neither m nor a slice from
+	// inside it, after it returns: the UDP runtime encodes the datagram
+	// before returning, and the simulator carries its own copy. The one
+	// exception is a Serve's payload bytes, which the copy shares and which
+	// nobody modifies. Send does not modify m, so a sender may pass the same
+	// message to several Sends and overwrite it afterwards.
 	Send(to wire.NodeID, m wire.Message)
 
 	// AfterFunc schedules fn to run once in this node's execution context
@@ -72,11 +84,11 @@ type Handler interface {
 	//
 	// m belongs to the runtime and is valid only until Receive returns: the
 	// UDP runtime decodes every datagram into the same few reusable messages
-	// (wire.Decoder), and the simulator hands every recipient the sender's
-	// own object. A handler may keep a Serve's payload bytes (Event.Payload,
-	// or a copy of the Event value) for as long as it likes, and nothing
-	// else: not m, and not a slice header from inside it (IDs, Events,
-	// Entries, Descriptors) — copy the elements it needs.
+	// (wire.Decoder), and the simulator recycles its copy (wire.Pool) as
+	// soon as Receive returns. A handler may keep a Serve's payload bytes
+	// (Event.Payload, or a copy of the Event value) for as long as it likes,
+	// and nothing else: not m, and not a slice header from inside it (IDs,
+	// Events, Entries, Descriptors) — copy the elements it needs.
 	Receive(from wire.NodeID, m wire.Message)
 
 	// Stop is invoked when the node shuts down (cleanly or by simulated

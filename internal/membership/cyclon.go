@@ -55,10 +55,16 @@ type Cyclon struct {
 	timeoutFn func() // c.timeout as a func value, bound once in Start
 	// pending is the in-flight shuffle target awaiting a reply, when the
 	// shuffle went out, and the descriptors we sent it (to use as replacement
-	// candidates).
+	// candidates). pendingSent is a buffer of its own, not the request's
+	// slice: it outlives the Send, which keeps nothing.
 	pendingTarget wire.NodeID
 	pendingSince  time.Duration
 	pendingSent   []wire.PeerDescriptor
+
+	// req and reply are the one message of each kind this node sends, and
+	// reply's descriptors the buffer every answer is sampled into.
+	req   wire.ShuffleReq
+	reply wire.ShuffleReply
 
 	// Shuffles counts initiated shuffles (for tests/metrics).
 	Shuffles int
@@ -152,7 +158,7 @@ func (c *Cyclon) shuffle() {
 	c.view[oldest] = c.view[len(c.view)-1]
 	c.view = c.view[:len(c.view)-1]
 
-	sent := c.sampleDescriptors(c.cfg.ShuffleLen - 1)
+	sent := c.sampleDescriptors(c.pendingSent[:0], c.cfg.ShuffleLen-1)
 	// Self descriptor with age 0 lets the target learn about us.
 	sent = append(sent, wire.PeerDescriptor{Node: c.rt.ID(), Age: 0})
 
@@ -161,7 +167,8 @@ func (c *Cyclon) shuffle() {
 	c.pendingSent = sent
 	c.rt.AfterFunc(c.cfg.ReplyTimeout, c.timeoutFn)
 	c.Shuffles++
-	c.rt.Send(target, &wire.ShuffleReq{Descriptors: sent})
+	c.req.Descriptors = append(c.req.Descriptors[:0], sent...)
+	c.rt.Send(target, &c.req)
 }
 
 // timeout is a shuffle's reply deadline: no reply means the target failed
@@ -171,7 +178,7 @@ func (c *Cyclon) shuffle() {
 func (c *Cyclon) timeout() {
 	if c.pendingTarget != wire.NodeNone && c.rt.Now()-c.pendingSince >= c.cfg.ReplyTimeout {
 		c.pendingTarget = wire.NodeNone
-		c.pendingSent = nil
+		c.pendingSent = c.pendingSent[:0]
 		c.Evictions++
 	}
 }
@@ -180,38 +187,35 @@ func (c *Cyclon) timeout() {
 func (c *Cyclon) Receive(from wire.NodeID, m wire.Message) {
 	switch msg := m.(type) {
 	case *wire.ShuffleReq:
-		reply := c.sampleDescriptors(c.cfg.ShuffleLen)
-		c.rt.Send(from, &wire.ShuffleReply{Descriptors: reply})
-		c.merge(msg.Descriptors, reply, from)
+		c.reply.Descriptors = c.sampleDescriptors(c.reply.Descriptors[:0], c.cfg.ShuffleLen)
+		c.rt.Send(from, &c.reply)
+		c.merge(msg.Descriptors, c.reply.Descriptors, from)
 	case *wire.ShuffleReply:
 		if from != c.pendingTarget {
 			return // late or stray reply
 		}
-		sent := c.pendingSent
 		c.pendingTarget = wire.NodeNone
-		c.pendingSent = nil
-		c.merge(msg.Descriptors, sent, from)
+		c.merge(msg.Descriptors, c.pendingSent, from)
+		c.pendingSent = c.pendingSent[:0]
 	}
 }
 
-// sampleDescriptors returns up to k random descriptors from the view
+// sampleDescriptors appends up to k random descriptors from the view to dst
 // (copies, not aliases).
-func (c *Cyclon) sampleDescriptors(k int) []wire.PeerDescriptor {
+func (c *Cyclon) sampleDescriptors(dst []wire.PeerDescriptor, k int) []wire.PeerDescriptor {
 	n := len(c.view)
 	if k > n {
 		k = n
 	}
 	if k <= 0 {
-		return nil
+		return dst
 	}
 	rng := c.rt.Rand()
 	for i := 0; i < k; i++ {
 		j := i + rng.Intn(n-i)
 		c.view[i], c.view[j] = c.view[j], c.view[i]
 	}
-	out := make([]wire.PeerDescriptor, k)
-	copy(out, c.view[:k])
-	return out
+	return append(dst, c.view[:k]...)
 }
 
 // merge folds received descriptors into the view, then the peer itself: the

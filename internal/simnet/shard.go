@@ -41,6 +41,11 @@ type shard struct {
 
 	free *event // free list of recycled event slots
 
+	// msgs holds the copies of the messages in flight: send copies into the
+	// sending shard's pool, and recycle returns each copy to the pool of the
+	// shard that popped it — for a cross-shard delivery, the receiver's.
+	msgs wire.Pool
+
 	stats Stats
 
 	// outbox buffers cross-shard deliveries created inside a window, one
@@ -63,8 +68,8 @@ const (
 // the steady-state hot path allocates nothing. Nothing outside the queue
 // refers to a queued event (timers have no handles), so a slot leaves the
 // queue only by being popped. Slots follow their events across shards: a
-// cross-shard delivery is allocated from the sender's pool and recycled into
-// the receiver's.
+// cross-shard delivery, and its message copy, is allocated from the sender's
+// pools and recycled into the receiver's.
 //
 // (at, src, srcSeq) is the canonical total order: src is the node that
 // created the event (the sender for deliveries, the owner for timers) and
@@ -110,10 +115,12 @@ func (s *shard) alloc() *event {
 	return ev
 }
 
-// recycle returns a dispatched event to the free list, dropping references
-// so the pool does not pin messages or closures.
+// recycle returns a dispatched event to the free list and its message copy
+// to the shard's message pool, dropping references so neither pool pins
+// closures or payloads.
 func (s *shard) recycle(ev *event) {
 	ev.kind = 0
+	s.msgs.Put(ev.msg) // a timer's nil is a no-op
 	ev.msg = nil
 	ev.fn = nil
 	ev.next = s.free
@@ -262,7 +269,9 @@ func (n *Network) send(from *simNode, to wire.NodeID, m wire.Message) {
 	ev.src = from.id
 	ev.srcSeq = stamp
 	ev.to = to
-	ev.msg = m
+	// Send keeps nothing of m (env.Runtime.Send): the event carries a copy,
+	// made only now that the datagram survived the tail-drop and netem.
+	ev.msg = sh.msgs.Copy(m)
 	ev.txFinish = txFinish
 	ev.size = size
 	dst := n.shards[n.nodes[to].shard]

@@ -48,9 +48,9 @@
 // derived from the run seed and the node id, so draw sequences are
 // independent of how shards interleave.
 //
-// The event loop is built for scale: events live in per-shard free-list
-// pools and three-tier calendar queues, so the steady-state hot path (send,
-// deliver, timer) allocates nothing. The uplink backlog the model above
+// The event loop is built for scale: events and the message copies they
+// carry live in per-shard free-list pools and three-tier calendar queues, so
+// the steady-state hot path (send, deliver, timer) allocates nothing. The uplink backlog the model above
 // creates is thousands of pending events per shard; the queue keeps them in
 // a ring of 4096 buckets of 2^20 ns (≈ 1.05 ms), each an intrusive list
 // through the pooled event itself, so a push is two stores, and only the

@@ -19,9 +19,10 @@ type recorder struct {
 	onRecv  func(from wire.NodeID, m wire.Message)
 }
 
+// recordedMsg keeps the sender and arrival time only: a received message
+// is valid only until Receive returns.
 type recordedMsg struct {
 	from wire.NodeID
-	m    wire.Message
 	at   time.Duration
 }
 
@@ -34,7 +35,7 @@ func (r *recorder) Start(rt env.Runtime) {
 }
 
 func (r *recorder) Receive(from wire.NodeID, m wire.Message) {
-	r.got = append(r.got, recordedMsg{from: from, m: m, at: r.rt.Now()})
+	r.got = append(r.got, recordedMsg{from: from, at: r.rt.Now()})
 	if r.onRecv != nil {
 		r.onRecv(from, m)
 	}

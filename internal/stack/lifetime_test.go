@@ -21,6 +21,29 @@ import (
 type clockRuntime struct {
 	*stubRuntime
 	queue []*clockTimer // armed, in arming order
+
+	// With scribbleSent set, every message handed to Send is scribbled on
+	// once the callback that sent it returns (settle): what a sender's next
+	// use of its scratch message does. Not at Send itself, because a sender
+	// may pass one message to several Sends in a row.
+	scribbleSent bool
+	lent         []wire.Message
+}
+
+func (c *clockRuntime) Send(to wire.NodeID, m wire.Message) {
+	c.stubRuntime.Send(to, m)
+	if c.scribbleSent {
+		c.lent = append(c.lent, m)
+	}
+}
+
+// settle ends a callback: the messages it sent are scribbled on, if
+// scribbleSent is set.
+func (c *clockRuntime) settle() {
+	for _, m := range c.lent {
+		scribble(m)
+	}
+	c.lent = c.lent[:0]
 }
 
 type clockTimer struct {
@@ -52,6 +75,7 @@ func (c *clockRuntime) advance(d time.Duration) {
 		t.done = true
 		c.now = max(c.now, t.due)
 		t.fn()
+		c.settle()
 	}
 	c.now = end
 }
@@ -121,8 +145,9 @@ func recordedSession() []step {
 	return steps
 }
 
-// scribble overwrites everything in a decoded message except payload bytes —
-// what the UDP read loop's next decode into the same message does.
+// scribble overwrites everything in a message except payload bytes — what
+// the UDP read loop's next decode into the same message does, and what a
+// sender's next use of its scratch message does.
 func scribble(m wire.Message) {
 	const id = wire.PacketID(0xdeadbeefdeadbeef)
 	junk := []byte("scribbled")
@@ -175,11 +200,13 @@ type sessionOutcome struct {
 
 // playSession builds the full stack — peer sampling, size averager,
 // capability estimator, armed detector, engine — over a clock runtime and
-// feeds it the session, decoding each frame with decode.
-func playSession(t *testing.T, steps []step, decode func([]byte) wire.Message, after func(wire.Message)) sessionOutcome {
+// feeds it the session, decoding each frame with decode and handing each
+// received message to after once Receive returns. scribbleSent scribbles on
+// every sent message once the callback that sent it returns.
+func playSession(t *testing.T, steps []step, decode func([]byte) wire.Message, after func(wire.Message), scribbleSent bool) sessionOutcome {
 	t.Helper()
 	var out sessionOutcome
-	rt := &clockRuntime{stubRuntime: newStub(0)}
+	rt := &clockRuntime{stubRuntime: newStub(0), scribbleSent: scribbleSent}
 	bootstrap := make([]wire.NodeID, 20)
 	for i := range bootstrap {
 		bootstrap[i] = wire.NodeID(i + 1)
@@ -204,6 +231,7 @@ func playSession(t *testing.T, steps []step, decode func([]byte) wire.Message, a
 		t.Fatal(err)
 	}
 	n.Handler.Start(rt)
+	rt.settle()
 	for _, st := range steps {
 		if st.frame == nil {
 			rt.advance(st.advance)
@@ -219,6 +247,7 @@ func playSession(t *testing.T, steps []step, decode func([]byte) wire.Message, a
 		}
 		m := decode(st.frame)
 		n.Handler.Receive(from, m)
+		rt.settle()
 		after(m)
 	}
 	// Read everything only now: a slice header kept from a message, in the
@@ -257,41 +286,68 @@ func TestHandlersDoNotRetainMessages(t *testing.T) {
 	}
 	fresh := playSession(t, steps,
 		func(frame []byte) wire.Message { return mustDecode(wire.Unmarshal(frame)) },
-		func(wire.Message) {})
+		func(wire.Message) {}, false)
 	var dec wire.Decoder
 	reused := playSession(t, steps,
 		func(frame []byte) wire.Message { return mustDecode(dec.Unmarshal(frame)) },
-		scribble)
+		scribble, false)
+	sameSession(t, fresh, reused)
+}
 
-	// The session must have exercised the stack, or equality proves nothing.
-	st := fresh.Stats
+// TestSendersDoNotRetainMessages proves the lifetime rule env.Runtime.Send
+// states and the simulator relies on: no sender of the stack keeps a message
+// it sent, or a slice header from inside one, as its own state. The same
+// session is played twice — once as is, once with every sent message
+// scribbled on as soon as the callback that sent it returns — and must leave
+// the node in the same state, having sent the same bytes (recorded at Send)
+// and delivered the same packets.
+func TestSendersDoNotRetainMessages(t *testing.T) {
+	steps := recordedSession()
+	decode := func(frame []byte) wire.Message {
+		m, err := wire.Unmarshal(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	kept := playSession(t, steps, decode, func(wire.Message) {}, false)
+	scribbled := playSession(t, steps, decode, func(wire.Message) {}, true)
+	sameSession(t, kept, scribbled)
+}
+
+// sameSession fails the test unless two plays of the recorded session ended
+// alike — after checking the first play exercised the stack, or equality
+// proves nothing.
+func sameSession(t *testing.T, clean, dirty sessionOutcome) {
+	t.Helper()
+	st := clean.Stats
 	if st.EventsDelivered < 100 || st.RequestsSent < 40 || st.ServesSent < 20 ||
 		st.Retransmissions == 0 || st.DuplicateEvents == 0 || st.UnservableIDs == 0 {
 		t.Fatalf("the recorded session is too quiet to prove anything: %+v", st)
 	}
 	for k := wire.KindPropose; k <= wire.KindAvgReply; k++ {
-		if fresh.SentKinds[k] == 0 {
-			t.Fatalf("the node never sent a %s: %v", k, fresh.SentKinds)
+		if clean.SentKinds[k] == 0 {
+			t.Fatalf("the node never sent a %s: %v", k, clean.SentKinds)
 		}
 	}
 
-	if !reflect.DeepEqual(fresh.Stats, reused.Stats) {
-		t.Errorf("Stats differ:\n fresh:  %+v\n reused: %+v", fresh.Stats, reused.Stats)
+	if !reflect.DeepEqual(clean.Stats, dirty.Stats) {
+		t.Errorf("Stats differ:\n clean: %+v\n dirty: %+v", clean.Stats, dirty.Stats)
 	}
-	if !slices.Equal(fresh.Delivered, reused.Delivered) {
-		t.Errorf("delivered sets differ: %d upcalls fresh, %d reused", len(fresh.Delivered), len(reused.Delivered))
+	if !slices.Equal(clean.Delivered, dirty.Delivered) {
+		t.Errorf("delivered sets differ: %d upcalls clean, %d dirty", len(clean.Delivered), len(dirty.Delivered))
 	}
-	for i := range min(len(fresh.Sent), len(reused.Sent)) {
-		if fresh.Sent[i] != reused.Sent[i] {
-			t.Errorf("sent message %d differs:\n fresh:  %s\n reused: %s", i, fresh.Sent[i], reused.Sent[i])
+	for i := range min(len(clean.Sent), len(dirty.Sent)) {
+		if clean.Sent[i] != dirty.Sent[i] {
+			t.Errorf("sent message %d differs:\n clean: %s\n dirty: %s", i, clean.Sent[i], dirty.Sent[i])
 			break
 		}
 	}
-	if len(fresh.Sent) != len(reused.Sent) {
-		t.Errorf("sent %d messages fresh, %d reused", len(fresh.Sent), len(reused.Sent))
+	if len(clean.Sent) != len(dirty.Sent) {
+		t.Errorf("sent %d messages clean, %d dirty", len(clean.Sent), len(dirty.Sent))
 	}
-	fresh.Sent, reused.Sent, fresh.Delivered, reused.Delivered = nil, nil, nil, nil // reported above
-	if !reflect.DeepEqual(fresh, reused) {
-		t.Errorf("node state differs after the session:\n fresh:  %+v\n reused: %+v", fresh, reused)
+	clean.Sent, dirty.Sent, clean.Delivered, dirty.Delivered = nil, nil, nil, nil // reported above
+	if !reflect.DeepEqual(clean, dirty) {
+		t.Errorf("node state differs after the session:\n clean: %+v\n dirty: %+v", clean, dirty)
 	}
 }

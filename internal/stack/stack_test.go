@@ -17,13 +17,15 @@ import (
 )
 
 // stubRuntime records what a stack asks of its substrate: timers in the
-// order they were armed, messages in the order they were sent.
+// order they were armed, copies of messages in the order they were sent
+// (Send keeps nothing of the sender's message).
 type stubRuntime struct {
 	id     wire.NodeID
 	now    time.Duration
 	rng    *rand.Rand
 	timers []func()
 	sent   []sentMsg
+	copies wire.Pool // never refilled, so every copy is fresh storage
 }
 
 type sentMsg struct {
@@ -35,10 +37,12 @@ func newStub(id wire.NodeID) *stubRuntime {
 	return &stubRuntime{id: id, rng: rand.New(rand.NewSource(1))}
 }
 
-func (s *stubRuntime) ID() wire.NodeID                     { return s.id }
-func (s *stubRuntime) Now() time.Duration                  { return s.now }
-func (s *stubRuntime) Rand() *rand.Rand                    { return s.rng }
-func (s *stubRuntime) Send(to wire.NodeID, m wire.Message) { s.sent = append(s.sent, sentMsg{to, m}) }
+func (s *stubRuntime) ID() wire.NodeID    { return s.id }
+func (s *stubRuntime) Now() time.Duration { return s.now }
+func (s *stubRuntime) Rand() *rand.Rand   { return s.rng }
+func (s *stubRuntime) Send(to wire.NodeID, m wire.Message) {
+	s.sent = append(s.sent, sentMsg{to, s.copies.Copy(m)})
+}
 func (s *stubRuntime) AfterFunc(_ time.Duration, fn func()) {
 	s.timers = append(s.timers, fn)
 }

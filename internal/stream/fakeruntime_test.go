@@ -13,7 +13,8 @@ import (
 type fakeRuntime struct {
 	now    time.Duration
 	timers []*fakeTimer
-	sent   []sentMsg
+	sent   []sentMsg // copies: Send keeps nothing of the sender's message
+	copies wire.Pool // never refilled, so every copy is fresh storage
 }
 
 type sentMsg struct {
@@ -34,7 +35,7 @@ func (f *fakeRuntime) Now() time.Duration { return f.now }
 func (f *fakeRuntime) Rand() *rand.Rand   { return rand.New(rand.NewSource(1)) }
 
 func (f *fakeRuntime) Send(to wire.NodeID, m wire.Message) {
-	f.sent = append(f.sent, sentMsg{to: to, m: m})
+	f.sent = append(f.sent, sentMsg{to: to, m: f.copies.Copy(m)})
 }
 
 func (f *fakeRuntime) AfterFunc(d time.Duration, fn func()) {

@@ -154,6 +154,7 @@ type Engine struct {
 
 	rt        env.Runtime
 	delivered map[wire.PacketID]bool
+	msg       wire.Serve // the one forward every delivery sends
 
 	// Forwarded counts payload forwards to children.
 	Forwarded int64
@@ -203,9 +204,9 @@ func (e *Engine) deliver(ev wire.Event) {
 	if len(children) == 0 {
 		return
 	}
-	msg := &wire.Serve{Events: []wire.Event{ev}}
+	e.msg.Events = append(e.msg.Events[:0], ev)
 	for _, c := range children {
-		e.rt.Send(c, msg)
+		e.rt.Send(c, &e.msg)
 		e.Forwarded++
 	}
 }

@@ -106,8 +106,12 @@ var (
 
 // Message is implemented by every protocol message.
 //
-// Received messages must be treated as immutable: the simulator delivers the
-// sender's object directly (no copy) to keep large fan-outs cheap.
+// A message is owned by whoever built it. Sending lends it to the runtime
+// for the length of the Send call only: the UDP runtime encodes it there and
+// the simulator copies it into a shard's [Pool], so a sender may reuse one
+// message for every send. Only a Serve's payload bytes are shared past the
+// call, and nobody modifies those. A received message is the runtime's and
+// is valid only until Receive returns.
 type Message interface {
 	Kind() Kind
 	// WireSize returns the exact number of bytes Marshal appends,
@@ -461,6 +465,99 @@ func (d *Decoder) Unmarshal(buf []byte) (Message, error) {
 		return nil, fmt.Errorf("%w: %d bytes after %s", ErrTrailingBytes, len(r.buf), kind)
 	}
 	return m, nil
+}
+
+// Pool copies messages into storage it recycles: a free list of each kind,
+// whose slices keep their capacity from one use to the next, so a warm pool
+// allocates nothing. A copy shares nothing with its original except a
+// Serve's payload bytes, which are immutable and may be kept by anyone. The
+// simulator keeps one per shard for the messages it holds in flight. The
+// zero value is ready to use; a Pool is not safe for concurrent use.
+type Pool struct {
+	proposes       []*Propose
+	requests       []*Request
+	serves         []*Serve
+	aggregates     []*Aggregate
+	shuffleReqs    []*ShuffleReq
+	shuffleReplies []*ShuffleReply
+	avgPushes      []*AvgPush
+	avgReplies     []*AvgReply
+}
+
+// Copy returns a deep copy of m, one of this package's messages, in recycled
+// storage. The copy is the caller's until it goes back through Put.
+func (p *Pool) Copy(m Message) Message {
+	switch x := m.(type) {
+	case *Propose:
+		c := take(&p.proposes)
+		c.Stream, c.IDs = x.Stream, append(c.IDs[:0], x.IDs...)
+		return c
+	case *Request:
+		c := take(&p.requests)
+		c.Stream, c.IDs = x.Stream, append(c.IDs[:0], x.IDs...)
+		return c
+	case *Serve:
+		c := take(&p.serves)
+		c.Stream, c.Events = x.Stream, append(c.Events[:0], x.Events...)
+		return c
+	case *Aggregate:
+		c := take(&p.aggregates)
+		c.Entries = append(c.Entries[:0], x.Entries...)
+		return c
+	case *ShuffleReq:
+		c := take(&p.shuffleReqs)
+		c.Descriptors = append(c.Descriptors[:0], x.Descriptors...)
+		return c
+	case *ShuffleReply:
+		c := take(&p.shuffleReplies)
+		c.Descriptors = append(c.Descriptors[:0], x.Descriptors...)
+		return c
+	case *AvgPush:
+		c := take(&p.avgPushes)
+		*c = *x
+		return c
+	case *AvgReply:
+		c := take(&p.avgReplies)
+		*c = *x
+		return c
+	}
+	panic(fmt.Sprintf("wire: Pool cannot copy a %T", m))
+}
+
+// Put takes back a copy Copy returned, possibly from another Pool; neither
+// it nor any slice in it may be used afterwards. A Serve's events are
+// cleared first, so a pooled message pins no payload. Put(nil) does nothing.
+func (p *Pool) Put(m Message) {
+	switch x := m.(type) {
+	case *Propose:
+		p.proposes = append(p.proposes, x)
+	case *Request:
+		p.requests = append(p.requests, x)
+	case *Serve:
+		clear(x.Events)
+		p.serves = append(p.serves, x)
+	case *Aggregate:
+		p.aggregates = append(p.aggregates, x)
+	case *ShuffleReq:
+		p.shuffleReqs = append(p.shuffleReqs, x)
+	case *ShuffleReply:
+		p.shuffleReplies = append(p.shuffleReplies, x)
+	case *AvgPush:
+		p.avgPushes = append(p.avgPushes, x)
+	case *AvgReply:
+		p.avgReplies = append(p.avgReplies, x)
+	}
+}
+
+// take pops a message off a free list, or allocates one when it is empty.
+func take[T any](free *[]*T) *T {
+	n := len(*free)
+	if n == 0 {
+		return new(T)
+	}
+	m := (*free)[n-1]
+	*free = (*free)[:n-1]
+	return m
 }
 
 // resize returns s with length n, reusing its backing array when n fits.
