@@ -41,9 +41,12 @@ race:
 # discipline — plus the cluster-sampler storm (concurrent split draws against
 # the brute-force oracle). udpnet runs whole: its timer free list and the
 # Close/fire handshake are state shared between timer goroutines, the read
-# loop and callers.
+# loop and callers. ratelimit runs on one P as well as two, so its wake
+# protocol (Enqueue wakes a drain parked on an empty ring) is raced with the
+# two sides interleaved by the scheduler, not only in parallel.
 race-detect:
-	$(GO) test -race ./internal/misbehave ./internal/adapt ./internal/ratelimit ./internal/udpnet
+	$(GO) test -race ./internal/misbehave ./internal/adapt ./internal/udpnet
+	$(GO) test -race -cpu 1,2 ./internal/ratelimit
 	$(GO) test -race -run 'TestCrossShardExchangeRace|TestQueuePushPopDeferStorm' ./internal/simnet
 	$(GO) test -race -run 'TestClusterSamplerStorm' ./internal/membership
 	$(GO) test -race -run 'TestDeterminismShardCounts|TestDeterminismTopologyShardCounts' ./internal/scenario

@@ -3,6 +3,11 @@
 // Nodes never push bursts that exceed their upload capacity; excess packets
 // wait in the queue and leave as soon as bandwidth allows.
 //
+// The queue is a fixed ring allocated once, guarded by one mutex that
+// orders Enqueue, the drain loop and Close. The drain parks only when it
+// finds the queue empty, and Enqueue wakes it only then, so a busy sender
+// hands items over under the lock alone, with no channel operation per item.
+//
 // The discrete-event simulator models this behaviour natively
 // (internal/simnet); this package provides it for the real-UDP runtime
 // (internal/udpnet).
@@ -16,8 +21,9 @@ import (
 )
 
 // Sender paces items of type T through a send function at a fixed bit rate.
-// Items queue FIFO; when the queue is full, Enqueue drops (tail drop) —
-// a bounded variant of the paper's unbounded application queue.
+// Items queue FIFO in a ring of queueCap slots; when it is full, Enqueue
+// drops (tail drop) — a bounded variant of the paper's unbounded
+// application queue.
 //
 // A batch-aware Sender (NewBatchSender) coalesces items the pacing clock has
 // already released into one flush callback — the hook for batched-syscall
@@ -29,26 +35,26 @@ type Sender[T any] struct {
 	flush    func([]T)
 	batchMax int
 
-	// queue is closed by Close, which is how an idle drain loop learns of
-	// the shutdown: it parks on the queue alone rather than in a select over
-	// queue and stop. Every channel a goroutine parks on takes a runtime
-	// wait record from a cache that each collection partly empties, so one
-	// channel instead of two halves the stray allocations of a busy sender.
-	queue chan T
-	wg    sync.WaitGroup
-	stop  chan struct{}
-	once  sync.Once
-	// stopMu orders Enqueue against Close: Enqueue holds the read side
-	// across its stop check and channel send, and Close closes stop and the
-	// queue under the write side, so no send can hit the closed queue and no
-	// item can slip in after Close's final sweep — every accepted item is
-	// either transmitted or accounted as discarded, never stranded.
-	stopMu sync.RWMutex
-	// rateChanged wakes a drain loop sleeping on the old rate so SetRate
-	// takes effect immediately, not after the current item finishes pacing.
-	// Buffered with one slot: coalescing rapid rewrites is fine, the loop
-	// always reloads the latest rate.
-	rateChanged chan struct{}
+	// mu guards the ring and the two flags. The drain peeks the head item
+	// under it, paces outside it, and takes the released run out in one
+	// hold; Close sets closed under it, so no item enters the ring once
+	// Close's final sweep can run.
+	mu     sync.Mutex
+	ring   []slot[T]
+	head   int // index of the oldest queued item
+	n      int // queued items, the one being paced included
+	closed bool
+	// parked is set by the drain when it waits on an empty ring; the
+	// Enqueue that clears it owes the drain a wake.
+	parked bool
+	// wake is the drain's one wait channel: an Enqueue onto the ring the
+	// drain parked on, SetRate and Close each leave a token in its single
+	// slot (coalescing is fine: the drain rechecks everything it was
+	// waiting for), so an idle drain parks on one channel and a pacing one
+	// on this and its timer.
+	wake chan struct{}
+	wg   sync.WaitGroup
+	once sync.Once
 
 	sent      atomic.Int64
 	dropped   atomic.Int64
@@ -56,6 +62,13 @@ type Sender[T any] struct {
 	queued    atomic.Int64 // bytes accepted but not yet transmitted
 	accepted  atomic.Int64 // bytes ever accepted (enqueue-counted, monotonic)
 	discarded atomic.Int64 // bytes accepted but discarded undelivered by Close
+}
+
+// slot is a queued item with the size Enqueue charged for it, so the drain
+// and Close never call back into sizeOf while they hold the lock.
+type slot[T any] struct {
+	item T
+	size int64
 }
 
 // NewSender builds and starts a paced sender. rateBps <= 0 means unlimited.
@@ -89,12 +102,11 @@ func NewBatchSender[T any](rateBps int64, queueCap, batchMax int, sizeOf func(T)
 		return nil, fmt.Errorf("ratelimit: sizeOf and send are required")
 	}
 	s := &Sender[T]{
-		sizeOf:      sizeOf,
-		flush:       flush,
-		batchMax:    batchMax,
-		queue:       make(chan T, queueCap),
-		stop:        make(chan struct{}),
-		rateChanged: make(chan struct{}, 1),
+		sizeOf:   sizeOf,
+		flush:    flush,
+		batchMax: batchMax,
+		ring:     make([]slot[T], queueCap),
+		wake:     make(chan struct{}, 1),
 	}
 	s.rateBps.Store(rateBps)
 	s.wg.Add(1)
@@ -110,9 +122,15 @@ func NewBatchSender[T any](rateBps int64, queueCap, batchMax int, sizeOf func(T)
 // a multi-second wait computed from the old rate).
 func (s *Sender[T]) SetRate(rateBps int64) {
 	s.rateBps.Store(rateBps)
+	s.signal()
+}
+
+// signal leaves a wake token for the drain; if one is already pending the
+// drain has yet to recheck, and will see this change too.
+func (s *Sender[T]) signal() {
 	select {
-	case s.rateChanged <- struct{}{}:
-	default: // a wakeup is already pending; the loop reloads the latest rate
+	case s.wake <- struct{}{}:
+	default:
 	}
 }
 
@@ -122,28 +140,35 @@ func (s *Sender[T]) SetRate(rateBps int64) {
 // congestion, and charging its rejections there would pollute the
 // tail-drop signal the adaptation layer reads.
 func (s *Sender[T]) Enqueue(item T) bool {
-	s.stopMu.RLock()
-	defer s.stopMu.RUnlock()
-	select {
-	case <-s.stop:
-		return false
-	default:
-	}
-	// Charge the queue gauge before the channel send: an observer must never
-	// see an accepted item missing from QueuedBytes (the drain loop debits
-	// only after transmission, so the gauge errs toward over-reporting
-	// pressure, never under-reporting it).
 	size := int64(s.sizeOf(item))
-	s.queued.Add(size)
-	select {
-	case s.queue <- item:
-		s.accepted.Add(size)
-		return true
-	default:
-		s.queued.Add(-size)
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return false
+	}
+	if s.n == len(s.ring) {
+		s.mu.Unlock()
 		s.dropped.Add(1)
 		return false
 	}
+	tail := s.head + s.n
+	if tail >= len(s.ring) {
+		tail -= len(s.ring)
+	}
+	s.ring[tail] = slot[T]{item, size}
+	s.n++
+	// The gauges move with the ring under the lock, so an observer never
+	// sees an accepted item missing from QueuedBytes (the drain debits only
+	// after transmission: the gauge errs toward over-reporting pressure).
+	s.queued.Add(size)
+	s.accepted.Add(size)
+	wake := s.parked
+	s.parked = false
+	s.mu.Unlock()
+	if wake {
+		s.signal()
+	}
+	return true
 }
 
 // Close stops the drain loop and waits for it to exit. Queued items are
@@ -153,24 +178,34 @@ func (s *Sender[T]) Enqueue(item T) bool {
 // only once the shutdown (including the discard sweep) has completed.
 func (s *Sender[T]) Close() {
 	s.once.Do(func() {
-		// The write lock waits out Enqueues already past their stop check,
-		// and any later Enqueue observes stop closed, so nothing sends on the
-		// closed queue and after the sweep nothing can re-charge the gauge.
-		s.stopMu.Lock()
-		close(s.stop)
-		close(s.queue)
-		s.stopMu.Unlock()
+		// Every Enqueue that got an item into the ring did so before this
+		// hold; every later one sees closed. So after the drain exits, the
+		// sweep below is the last writer of the ring and the gauge.
+		s.mu.Lock()
+		s.closed = true
+		s.mu.Unlock()
+		s.signal()
 		s.wg.Wait()
-		for item := range s.queue {
-			s.discardItem(item)
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		for s.n > 0 {
+			size := s.pop().size
+			s.queued.Add(-size)
+			s.discarded.Add(size)
 		}
 	})
 }
 
-func (s *Sender[T]) discardItem(item T) {
-	size := int64(s.sizeOf(item))
-	s.queued.Add(-size)
-	s.discarded.Add(size)
+// pop removes and returns the head slot, clearing it so the ring keeps no
+// reference to a transmitted item. The caller holds mu.
+func (s *Sender[T]) pop() slot[T] {
+	sl := s.ring[s.head]
+	s.ring[s.head] = slot[T]{}
+	if s.head++; s.head == len(s.ring) {
+		s.head = 0
+	}
+	s.n--
+	return sl
 }
 
 // Sent returns the number of items transmitted.
@@ -199,8 +234,13 @@ func (s *Sender[T]) AcceptedBytes() int64 { return s.accepted.Load() }
 // AcceptedBytes = BytesSent + DiscardedBytes, and QueuedBytes is zero.
 func (s *Sender[T]) DiscardedBytes() int64 { return s.discarded.Load() }
 
-// QueueLen returns the instantaneous queue length.
-func (s *Sender[T]) QueueLen() int { return len(s.queue) }
+// QueueLen returns the instantaneous queue length, the item being paced
+// included.
+func (s *Sender[T]) QueueLen() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.n
+}
 
 // QueuedBytes returns the bytes accepted for transmission but not yet sent
 // (the item currently pacing included). Together with BytesSent it gives a
@@ -239,115 +279,106 @@ func (s *Sender[T]) Collect(emit func(name string, value float64)) {
 // drain is the pacing loop: a virtual transmission clock advances by each
 // item's serialization time; the loop sleeps whenever the clock runs ahead
 // of real time. This is equivalent to a token bucket with zero burst, which
-// is what "never exceed the upload capability" requires. A SetRate during
-// the sleep re-paces the item: the waited time counts against the new
-// serialization time, so rate increases release the item early and
+// is what "never exceed the upload capability" requires. The clock restarts
+// from now only when the uplink went idle — a release emptied the ring — as
+// simnet's uplink does (start = max(now, uplinkFreeAt)); a backlogged sender
+// keeps its clock, so a late timer or a slow flush is made up by the items
+// behind it instead of lost for good. A
+// SetRate during the sleep re-paces the item: the waited time counts against
+// the new serialization time, so rate increases release the item early and
 // decreases extend the wait.
 //
-// After the clock releases an item, the loop opportunistically pulls every
-// further queued item whose serialization time has also already elapsed —
-// all of them, when the rate is unlimited — and flushes the run as one
-// batch, up to batchMax. An item pulled ahead of its deadline is never sent
-// early: it is carried to the next iteration and paced there, preserving
-// FIFO order (the channel cannot be peeked).
+// The loop paces on the head item, which stays in the ring until it is
+// released; then, in one hold of the lock, it takes that item and every
+// further one whose serialization time has also already elapsed — all of
+// them, when the rate is unlimited — up to batchMax, and flushes the run as
+// one batch outside the lock.
 func (s *Sender[T]) drain() {
 	defer s.wg.Done()
 	batch := make([]T, 0, s.batchMax)
 	var (
-		pending    T
-		hasPending bool
-		txClock    time.Time   // when the uplink becomes free
-		timer      *time.Timer // the loop's one timer, re-armed per paced wait
+		txClock time.Time   // when the uplink becomes free
+		timer   *time.Timer // the loop's one timer, re-armed per paced wait
+		idle    = true      // the ring was seen empty since the last release
 	)
 	for {
-		var item T
-		if hasPending {
-			item, hasPending = pending, false
-			var zero T
-			pending = zero
+		s.mu.Lock()
+		for s.n == 0 && !s.closed {
+			s.parked = true
+			s.mu.Unlock()
+			<-s.wake
+			s.mu.Lock()
+		}
+		if s.closed {
+			s.mu.Unlock()
+			return // Close sweeps the ring
+		}
+		size := s.ring[s.head].size
+		s.mu.Unlock()
+
+		var now time.Time
+		rate := s.rateBps.Load()
+		if rate <= 0 {
+			idle = true // unlimited keeps no clock: pacing restarts from now
 		} else {
-			var open bool
-			if item, open = <-s.queue; !open {
-				return
+			now = time.Now()
+			if idle && txClock.Before(now) {
+				txClock = now
 			}
+			idle = false
+			deadline := txClock.Add(serialization(size, rate))
+			if wait := deadline.Sub(now); wait > 0 {
+				// go 1.23+ timers: Reset on a stopped or fired timer needs
+				// no drain, and a Stop-ped timer leaves nothing in its channel.
+				if timer == nil {
+					timer = time.NewTimer(wait)
+				} else {
+					timer.Reset(wait)
+				}
+				select {
+				case <-timer.C:
+					now = time.Now()
+				case <-s.wake:
+					// SetRate or Close: recheck, and re-pace the head from
+					// the same clock base — time already waited is not
+					// re-charged.
+					timer.Stop()
+					continue
+				}
+			}
+			txClock = deadline
 		}
-		select {
-		case <-s.stop:
-			s.discardItem(item) // Close sweeps whatever is still queued
+
+		s.mu.Lock()
+		if s.closed {
+			s.mu.Unlock()
 			return
-		default:
 		}
-		size := s.sizeOf(item)
-		now := time.Now()
-		if txClock.Before(now) {
-			txClock = now
-		}
-	pace:
-		for {
-			rate := s.rateBps.Load()
-			if rate <= 0 {
-				break // unlimited: send immediately
-			}
-			ser := time.Duration(int64(size) * 8 * int64(time.Second) / rate)
-			deadline := txClock.Add(ser)
-			wait := time.Until(deadline)
-			if wait <= 0 {
-				txClock = deadline
-				break
-			}
-			// go 1.23+ timers: Reset on a stopped or fired timer needs no
-			// drain, and a Stop-ped timer leaves nothing in its channel.
-			if timer == nil {
-				timer = time.NewTimer(wait)
-			} else {
-				timer.Reset(wait)
-			}
-			select {
-			case <-timer.C:
-				txClock = deadline
-				break pace
-			case <-s.rateChanged:
-				timer.Stop()
-				// Recompute the deadline from the same clock base with
-				// the new rate; time already waited is not re-charged.
-			case <-s.stop:
-				timer.Stop()
-				// The item was popped but never sent: account it as
-				// discarded so the queued gauge still balances to zero.
-				s.discardItem(item)
-				return
-			}
-		}
-		batch = append(batch[:0], item)
-		batchBytes := int64(size)
-	fill:
-		for len(batch) < s.batchMax {
-			select {
-			case next, open := <-s.queue:
-				if !open {
-					break fill
+		batch = append(batch[:0], s.pop().item)
+		batchBytes := size
+		for s.n > 0 && len(batch) < s.batchMax {
+			next := s.ring[s.head]
+			if rate > 0 {
+				deadline := txClock.Add(serialization(next.size, rate))
+				if deadline.After(now) {
+					break // still owes serialization time: paced next round
 				}
-				nsize := s.sizeOf(next)
-				if rate := s.rateBps.Load(); rate > 0 {
-					ser := time.Duration(int64(nsize) * 8 * int64(time.Second) / rate)
-					deadline := txClock.Add(ser)
-					if time.Until(deadline) > 0 {
-						// next still owes serialization time: flush what the
-						// clock has released, pace next on the coming round.
-						pending, hasPending = next, true
-						break fill
-					}
-					txClock = deadline
-				}
-				batch = append(batch, next)
-				batchBytes += int64(nsize)
-			default:
-				break fill
+				txClock = deadline
 			}
+			s.pop()
+			batch = append(batch, next.item)
+			batchBytes += next.size
 		}
+		idle = s.n == 0
+		s.mu.Unlock()
 		s.bytes.Add(batchBytes)
 		s.flush(batch)
 		s.sent.Add(int64(len(batch)))
 		s.queued.Add(-batchBytes)
 	}
+}
+
+// serialization is the time size bytes occupy an uplink of rate bits/s.
+func serialization(size, rate int64) time.Duration {
+	return time.Duration(size * 8 * int64(time.Second) / rate)
 }

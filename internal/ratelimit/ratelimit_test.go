@@ -1,6 +1,8 @@
 package ratelimit
 
 import (
+	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -668,9 +670,10 @@ func TestBatchDrainConcurrentSetRateRace(t *testing.T) {
 
 // TestPacedWaitsAllocateNothing is the pacer's share of the live path's
 // allocation budget: the drain loop owns one timer for its lifetime, so 1,000
-// paced waits on one Sender allocate nothing (a timer per wait was three
-// objects each). 125-byte items at 20 Mbps are 50 µs of serialization apiece,
-// each one a real timer wait.
+// paced items on one Sender allocate nothing (a timer per wait was three
+// objects each). 125-byte items at 20 Mbps are 50 µs of serialization apiece:
+// each item the clock is ahead of is a real timer wait, and the items behind
+// a late wake-up leave at once to make up for it.
 func TestPacedWaitsAllocateNothing(t *testing.T) {
 	const items = 1000
 	var got atomic.Int64
@@ -697,5 +700,117 @@ func TestPacedWaitsAllocateNothing(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Fatalf("%d paced waits allocated %v objects, want 0", items, allocs)
+	}
+}
+
+// TestBackloggedClockKeepsOverruns is the regression for the pacer clamp: a
+// backlogged sender must not restart its clock from now after a late
+// release, or every timer overshoot and slow flush is upload time lost for
+// good. 20 items of 10 ms each (1250 B at 1 Mbps) are 200 ms of
+// serialization; two flushes that overrun by 50 ms each are made up by the
+// items queued behind them, so the run still takes ~200 ms, not ~300 ms.
+func TestBackloggedClockKeepsOverruns(t *testing.T) {
+	const items = 20
+	var got atomic.Int64
+	done := make(chan struct{})
+	s, err := NewSender(1_000_000, items, func(int) int { return 1250 }, func(i int) {
+		if i == 5 || i == 12 {
+			time.Sleep(50 * time.Millisecond)
+		}
+		if got.Add(1) == items {
+			close(done)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	start := time.Now()
+	for i := 0; i < items; i++ {
+		if !s.Enqueue(i) {
+			t.Fatal("enqueue failed")
+		}
+	}
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("sent %d of %d", got.Load(), items)
+	}
+	elapsed := time.Since(start)
+	if elapsed < 150*time.Millisecond {
+		t.Fatalf("%d items took %v; pacing absent (want ~200ms)", items, elapsed)
+	}
+	if elapsed > 250*time.Millisecond {
+		t.Fatalf("%d items took %v, want ~200ms: the 100ms of flush overrun was not made up", items, elapsed)
+	}
+}
+
+// TestNoLostWakeup stresses the edge-triggered wake: single items enqueued
+// with random gaps of 0–50 µs, so each lands while the drain is flushing,
+// about to park, or parked. Every item must be flushed before the next is
+// enqueued; a wake lost in any of those windows stalls the drain, which
+// fails the test after 1 s.
+func TestNoLostWakeup(t *testing.T) {
+	const items = 10_000
+	flushed := make(chan int, 1)
+	s, err := NewBatchSender(0, 64, 32, func(int) int { return 100 }, func(batch []int) {
+		for _, i := range batch {
+			flushed <- i
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	rng := rand.New(rand.NewSource(1))
+	stall := time.NewTimer(time.Second)
+	defer stall.Stop()
+	for i := 0; i < items; i++ {
+		if !s.Enqueue(i) {
+			t.Fatalf("enqueue %d failed", i)
+		}
+		stall.Reset(time.Second)
+		select {
+		case got := <-flushed:
+			if got != i {
+				t.Fatalf("flushed %d, want %d", got, i)
+			}
+		case <-stall.C:
+			t.Fatalf("item %d not flushed within 1s: lost wakeup", i)
+		}
+		for gap, t0 := time.Duration(rng.Intn(50_001)), time.Now(); time.Since(t0) < gap; {
+			runtime.Gosched()
+		}
+	}
+}
+
+// TestUnpacedCycleAllocatesNothing is the unpaced path's allocation budget,
+// the one udp-saturate runs: once warm, pushing 10,000 items through an
+// unlimited sender with udpnet's queue and batch sizes allocates nothing —
+// the ring is allocated once and a parked drain waits on its one channel.
+func TestUnpacedCycleAllocatesNothing(t *testing.T) {
+	const items = 10_000
+	var flushed atomic.Int64
+	s, err := NewBatchSender(0, 1024, 32, func(int) int { return 103 }, func(batch []int) {
+		flushed.Add(int64(len(batch)))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	rounds := int64(0)
+	allocs := testing.AllocsPerRun(1, func() { // a warm-up round, then the measured one
+		rounds++
+		for i := 0; i < items; i++ {
+			for !s.Enqueue(i) {
+				runtime.Gosched()
+			}
+		}
+		for flushed.Load() < rounds*items {
+			runtime.Gosched()
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%d unpaced items allocated %v objects, want 0", items, allocs)
 	}
 }

@@ -11,9 +11,10 @@
 // # Batched-syscall fast path
 //
 // On Linux the node amortizes syscalls across datagrams: the paced sender
-// drains every item the pacing clock has released into one sendmmsg(2), and
-// the read loop pulls up to a batch of messages per recvmmsg(2) into a free
-// list of reusable staging buffers. Where the kernel offers UDP
+// (a ring under one mutex, whose drain wakes only from idle) takes every
+// item the pacing clock has released out in one lock hold and hands the
+// run to one sendmmsg(2), and the read loop pulls up to a batch of messages
+// per recvmmsg(2) into a free list of reusable staging buffers. Where the kernel offers UDP
 // segmentation offload, each run of released datagrams to one peer leaves
 // as one UDP_SEGMENT message — one kernel pass for the train — and the
 // receiving socket, with UDP_GRO on, reads the train back as one message
@@ -34,8 +35,8 @@
 // dispatch; by env.Handler's lifetime rule a handler keeps no message past
 // Receive, only a Serve's payload bytes — so Serve bodies, and nothing
 // else, are first copied into one arena allocation per window. The
-// syscall callbacks are bound once (batch_linux.go), the pacer re-arms one
-// timer (ratelimit), and AfterFunc — every ticker period and retransmission
+// syscall callbacks are bound once (batch_linux.go), the pacer queues into
+// a preallocated ring and re-arms one timer (ratelimit), and AfterFunc — every ticker period and retransmission
 // timeout — re-arms a fireTimer from a per-node free list instead of minting
 // a closure and a runtime timer per call. Close stops every fireTimer, so a
 // closed node's stack is garbage at once rather than when its last ticker
