@@ -95,10 +95,11 @@ largescale:
 	$(GO) run ./cmd/heapsweep -largescale -csv out/largescale/
 
 # Brief fuzzing of the wire codec, the topology- and netem-config decoders,
-# the capability estimator, the simnet event queue, the dissemination engine
-# and the misbehavior detector (one target per invocation is a Go toolchain
-# constraint). The wire corpora cover both the legacy single-stream encodings
-# and the stream-id-tagged multi-stream forms; the topo and netem targets
+# the capability estimator, the simnet event queue, the dissemination engine,
+# the misbehavior detector, target selection and the adversary spec (one
+# target per invocation is a Go toolchain constraint). The wire corpora cover
+# both the legacy single-stream encodings and the stream-id-tagged
+# multi-stream forms; the topo and netem targets
 # drive Validate/Build agreement and rebuild stability over arbitrary config
 # bytes;
 # the estimator and queue targets replay op sequences against brute-force
@@ -109,7 +110,10 @@ largescale:
 # target decodes a pair of byte strings on one wire.Decoder and requires the
 # second to come out as it does fresh; the pool target requires a
 # wire.Pool copy to keep its bytes when the original, or a recycled copy, is
-# overwritten.
+# overwritten. The selector target draws through a membership.Selector with
+# decoded exclusion sets and weights and checks every draw against the
+# View's own draw and the split oracle; the adversary target requires every
+# AdversarySpec validation accepts to build its adversary state.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzRoundTrip$$' -fuzztime 10s ./internal/wire
@@ -121,6 +125,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzQueueOracle$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/simnet
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineReceive$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzDetectorEvidence$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/misbehave
+	$(GO) test -run '^$$' -fuzz '^FuzzSelectorOracle$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/membership
+	$(GO) test -run '^$$' -fuzz '^FuzzAdversarySpec$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/scenario
 
 # Cross-compile the tree for the other platforms the I/O split serves: the
 # portable fallback (darwin) and the batched path on 32- and 64-bit Linux,

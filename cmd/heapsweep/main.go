@@ -135,7 +135,7 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "heapsweep: -streams must be >= 1")
 		return 1
 	}
-	if *advFlag < 0 || *advFlag >= 1 {
+	if !(*advFlag >= 0 && *advFlag < 1) { // NaN fails too
 		fmt.Fprintln(os.Stderr, "heapsweep: -adversary must be in [0, 1)")
 		return 1
 	}

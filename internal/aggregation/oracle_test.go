@@ -47,12 +47,15 @@ func (s *stubRuntime) fire() {
 // fixedSampler always returns the first k of a fixed peer list.
 type fixedSampler struct{}
 
-func (fixedSampler) PeerCount() int { return 1 << 10 }
 func (fixedSampler) AppendPeers(dst []wire.NodeID, _ *rand.Rand, k int) []wire.NodeID {
 	for i := 0; i < k; i++ {
 		dst = append(dst, wire.NodeID(1000+i))
 	}
 	return dst
+}
+
+func (s fixedSampler) AppendSplit(dst []wire.NodeID, rng *rand.Rand, kIntra, kInter int) []wire.NodeID {
+	return s.AppendPeers(dst, rng, kIntra+kInter)
 }
 
 // oracleShapes are the estimator settings the oracle runs under; the first

@@ -73,11 +73,12 @@ type DeliverFunc func(ev wire.Event, at time.Duration)
 // once per gossip round (Tick), and along each packet's dissemination path
 // (publish, first request, delivery). A peer is quarantined when any
 // observer says so: its proposals are ignored and the retransmission
-// rotation skips it; target-draw filtering is the sampler's job
-// (misbehave.QuarantineSampler). All methods run on the node's execution
-// context; implementations must be deterministic and rng-free so observed
-// runs keep every reproducibility guarantee, and an empty list leaves the
-// engine byte-identical to one without observers. Embed NopObserver to
+// rotation skips it; keeping it out of target draws is the sampler's job
+// (a stack sets membership.Selector's Exclude to the detector's
+// Quarantined). All methods run on the node's execution context;
+// implementations must be deterministic and rng-free so observed runs keep
+// every reproducibility guarantee, and an empty list leaves the engine
+// byte-identical to one without observers. Embed NopObserver to
 // implement only the methods an observer needs.
 type Observer interface {
 	// ObserveProposeSeen records a Propose carrying ids, received from a peer.
@@ -197,21 +198,20 @@ type Config struct {
 	// stream the budget is inert: the allocator only arbitrates competition
 	// between streams, never the paper's single-stream protocol.
 	UploadKbps uint32
-	// Sampler provides uniform random peers (Algorithm 1, selectNodes).
+	// Sampler provides the gossip targets (Algorithm 1, selectNodes): flat
+	// draws, or split draws under a hierarchical budget. A stack passes a
+	// membership.Selector.
 	Sampler membership.Sampler
 	// FanoutIntra/FanoutInter split the gossip fanout budget by topology
 	// locality: each round proposes to FanoutIntra peers of the node's own
-	// cluster and FanoutInter peers across cluster boundaries, both scaled
-	// by the same multipliers as the flat fanout (relative capability under
-	// HEAP, the multi-stream budget allocator). Requires Split. Both zero
-	// with Split nil (the default) keeps the paper's flat fanout
-	// byte-identical — the hierarchical path is never consulted.
+	// cluster and FanoutInter peers across cluster boundaries
+	// (Sampler.AppendSplit; a cluster View tells the sides apart), both
+	// scaled by the same multipliers as the flat fanout (relative capability
+	// under HEAP, the multi-stream budget allocator). Both zero (the
+	// default) keeps the paper's flat fanout byte-identical — the split
+	// draw is never consulted.
 	FanoutIntra float64
 	FanoutInter float64
-	// Split supplies the locality-aware draws for the hierarchical budgets
-	// (membership.NewClusterView). Uniform paths (request fanout, sampler
-	// aggregation) keep using Sampler.
-	Split membership.SplitSampler
 	// OnDeliver, if non-nil, receives every newly delivered event.
 	OnDeliver DeliverFunc
 	// Observers watch the engine's protocol paths, in this order (see
@@ -221,20 +221,15 @@ type Config struct {
 }
 
 func (c *Config) applyDefaults() error {
-	if c.Fanout <= 0 {
+	// Negated comparisons, so NaN fails them too.
+	if !(c.Fanout > 0) {
 		return fmt.Errorf("core: fanout %v must be positive", c.Fanout)
 	}
 	if c.Sampler == nil {
 		return fmt.Errorf("core: sampler is required")
 	}
-	if c.FanoutIntra < 0 || c.FanoutInter < 0 {
-		return fmt.Errorf("core: negative hierarchical fanout (%v intra, %v inter)", c.FanoutIntra, c.FanoutInter)
-	}
-	if (c.FanoutIntra > 0 || c.FanoutInter > 0) && c.Split == nil {
-		return fmt.Errorf("core: hierarchical fanout requires a Split sampler")
-	}
-	if c.Split != nil && c.FanoutIntra+c.FanoutInter <= 0 {
-		return fmt.Errorf("core: Split sampler requires a positive FanoutIntra+FanoutInter budget")
+	if !(c.FanoutIntra >= 0 && c.FanoutInter >= 0) {
+		return fmt.Errorf("core: hierarchical fanout (%v intra, %v inter) must not be negative", c.FanoutIntra, c.FanoutInter)
 	}
 	if c.Adaptive && c.Capabilities == nil {
 		return fmt.Errorf("core: adaptive mode requires a capability estimator")
@@ -477,15 +472,15 @@ func (e *Engine) gossipRound() {
 	}
 }
 
-// gossip sends a [Propose] for ids to fanout() random peers — or, when a
-// Split sampler is configured, to splitFanout() peers drawn per locality.
+// gossip sends a [Propose] for ids to fanout() random peers — or, under a
+// hierarchical budget, to splitFanout() peers drawn per locality.
 func (e *Engine) gossip(st *streamState, ids []wire.PacketID) {
-	if e.cfg.Split != nil {
+	if e.cfg.FanoutIntra+e.cfg.FanoutInter > 0 {
 		fIntra, fInter := e.splitFanout()
 		if fIntra+fInter <= 0 {
 			return
 		}
-		e.peerScratch = e.cfg.Split.AppendSplit(e.peerScratch[:0], e.rt.Rand(), fIntra, fInter)
+		e.peerScratch = e.cfg.Sampler.AppendSplit(e.peerScratch[:0], e.rt.Rand(), fIntra, fInter)
 	} else if f := e.fanout(); f <= 0 {
 		return
 	} else {

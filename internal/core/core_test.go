@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -21,6 +22,8 @@ func TestNewValidation(t *testing.T) {
 		{"valid standard", Config{Fanout: 7, Sampler: dir.ViewFor(0)}, false},
 		{"zero fanout", Config{Sampler: dir.ViewFor(0)}, true},
 		{"negative fanout", Config{Fanout: -1, Sampler: dir.ViewFor(0)}, true},
+		{"NaN fanout", Config{Fanout: math.NaN(), Sampler: dir.ViewFor(0)}, true},
+		{"NaN intra fanout", Config{Fanout: 7, FanoutIntra: math.NaN(), Sampler: dir.ViewFor(0)}, true},
 		{"nil sampler", Config{Fanout: 7}, true},
 		{"adaptive without estimator", Config{Fanout: 7, Adaptive: true, Sampler: dir.ViewFor(0)}, true},
 		{"adaptive with estimator", Config{Fanout: 7, Adaptive: true,

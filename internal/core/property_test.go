@@ -51,4 +51,6 @@ func TestFanoutExpectationProperty(t *testing.T) {
 type noopSampler struct{}
 
 func (noopSampler) AppendPeers(dst []wire.NodeID, _ *rand.Rand, _ int) []wire.NodeID { return dst }
-func (noopSampler) PeerCount() int                                                   { return 0 }
+func (noopSampler) AppendSplit(dst []wire.NodeID, _ *rand.Rand, _, _ int) []wire.NodeID {
+	return dst
+}

@@ -66,7 +66,7 @@ type Runtime interface {
 	// after delay d. There is no handle and no cancel: a timer whose reason
 	// went away still fires, and fn guards itself with a state check. That
 	// lets both runtimes recycle the timer slot, so the call allocates
-	// nothing in steady state.
+	// nothing in steady state. A d ≤ 0 runs fn as soon as possible.
 	AfterFunc(d time.Duration, fn func())
 
 	// Rand returns this node's private deterministic random stream. The
@@ -115,13 +115,16 @@ var _ Handler = (HandlerFunc)(nil)
 // Ticker repeatedly invokes a callback with a fixed period using
 // Runtime.AfterFunc, the asynchrony primitive available to handlers. The
 // first tick fires after an initial phase offset (commonly randomized so
-// node periods do not synchronize system-wide). Ticks are fire-and-forget:
-// Stop flips a flag rather than canceling the pending timer, so a stopped
-// ticker's last timer fires once more as a no-op — and the steady-state
-// tick path allocates nothing.
+// node periods do not synchronize system-wide). Each tick is armed for its
+// place on the schedule, phase + k·period, not one period after the last
+// firing, so a late wake-up delays one tick instead of every later one.
+// Ticks are fire-and-forget: Stop flips a flag rather than canceling the
+// pending timer, so a stopped ticker's last timer fires once more as a
+// no-op — and the steady-state tick path allocates nothing.
 type Ticker struct {
 	rt     Runtime
 	period time.Duration
+	next   time.Duration // when the pending tick is due
 	fn     func()
 	tickFn func() // t.tick as a func value, bound once so ticks don't allocate
 	done   bool
@@ -133,7 +136,7 @@ func NewTicker(rt Runtime, phase, period time.Duration, fn func()) *Ticker {
 	if period <= 0 {
 		panic("env: ticker period must be positive")
 	}
-	t := &Ticker{rt: rt, period: period, fn: fn}
+	t := &Ticker{rt: rt, period: period, next: rt.Now() + phase, fn: fn}
 	t.tickFn = t.tick
 	rt.AfterFunc(phase, t.tickFn)
 	return t
@@ -143,7 +146,8 @@ func (t *Ticker) tick() {
 	if t.done {
 		return
 	}
-	t.rt.AfterFunc(t.period, t.tickFn)
+	t.next += t.period
+	t.rt.AfterFunc(t.next-t.rt.Now(), t.tickFn)
 	t.fn()
 }
 

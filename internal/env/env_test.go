@@ -11,6 +11,7 @@ import (
 // fakeRuntime drives handlers without a network.
 type fakeRuntime struct {
 	now    time.Duration
+	late   time.Duration // every timer fires this much after its due time
 	timers []*fakeTimer
 	sent   []wire.NodeID
 }
@@ -30,7 +31,7 @@ func (f *fakeRuntime) Send(to wire.NodeID, _ wire.Message) {
 	f.sent = append(f.sent, to)
 }
 func (f *fakeRuntime) AfterFunc(d time.Duration, fn func()) {
-	f.timers = append(f.timers, &fakeTimer{at: f.now + d, fn: fn})
+	f.timers = append(f.timers, &fakeTimer{at: f.now + d + f.late, fn: fn})
 }
 
 func (f *fakeRuntime) fire() bool {
@@ -69,6 +70,24 @@ func TestTickerPhaseAndPeriod(t *testing.T) {
 	for i, w := range want {
 		if fires[i] != w {
 			t.Fatalf("fire %d at %v, want %v", i, fires[i], w)
+		}
+	}
+}
+
+// TestTickerKeepsScheduleWhenLate fires every timer δ late, as a wall-clock
+// runtime does: tick k must land at phase + k·period + δ, each late wake-up
+// delaying only its own tick rather than adding up to k·δ.
+func TestTickerKeepsScheduleWhenLate(t *testing.T) {
+	const phase, period, late = 3 * time.Millisecond, 10 * time.Millisecond, 2 * time.Millisecond
+	rt := &fakeRuntime{late: late}
+	var fires []time.Duration
+	NewTicker(rt, phase, period, func() { fires = append(fires, rt.Now()) })
+	for k := 0; k < 50; k++ {
+		if !rt.fire() {
+			t.Fatal("no timer pending")
+		}
+		if want := phase + time.Duration(k)*period + late; fires[k] != want {
+			t.Fatalf("tick %d at %v, want %v", k, fires[k], want)
 		}
 	}
 }

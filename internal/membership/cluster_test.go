@@ -69,8 +69,9 @@ func TestAppendSplitOracle(t *testing.T) {
 		for _, q := range sh.excluded {
 			quar[q] = true
 		}
+		sel := &Selector{From: v}
 		if len(quar) > 0 {
-			v.SetExclude(func(id wire.NodeID) bool { return quar[id] })
+			sel.Exclude = func(id wire.NodeID) bool { return quar[id] }
 		}
 		// Eligible pool sizes for the oracle.
 		selfC := clusterOf(sh.self)
@@ -97,7 +98,7 @@ func TestAppendSplitOracle(t *testing.T) {
 			}
 			wantIntra, wantInter := splitOracle(cI, cJ, nIntra, nInter)
 			for trial := 0; trial < 200; trial++ {
-				got := v.AppendSplit(nil, rng, kIntra, kInter)
+				got := sel.AppendSplit(nil, rng, kIntra, kInter)
 				seen := make(map[wire.NodeID]bool, len(got))
 				gotIntra, gotInter := 0, 0
 				for _, id := range got {
@@ -149,8 +150,8 @@ func TestAppendSplitCoverage(t *testing.T) {
 }
 
 // TestAppendSplitUniformFallback pins the non-clustered view's AppendSplit
-// to the exact rng draws of AppendPeers, so a plain view passed where a
-// SplitSampler is expected behaves like the uniform protocol.
+// to the exact rng draws of AppendPeers, so a plain view asked for a split
+// draw behaves like the uniform protocol.
 func TestAppendSplitUniformFallback(t *testing.T) {
 	a := NewView(0, idRange(30))
 	b := NewView(0, idRange(30))

@@ -106,7 +106,7 @@ func (c *Cyclon) Stop() {
 	}
 }
 
-// PeerCount implements Sampler.
+// PeerCount returns the number of peers currently in the view.
 func (c *Cyclon) PeerCount() int { return len(c.view) }
 
 // AppendPeers implements Sampler by sampling the partial view without
@@ -127,6 +127,12 @@ func (c *Cyclon) AppendPeers(dst []wire.NodeID, rng *rand.Rand, k int) []wire.No
 		dst = append(dst, c.view[i].Node)
 	}
 	return dst
+}
+
+// AppendSplit implements Sampler: a partial view knows no clusters, so the
+// split draw is a uniform AppendPeers of kIntra+kInter.
+func (c *Cyclon) AppendSplit(dst []wire.NodeID, rng *rand.Rand, kIntra, kInter int) []wire.NodeID {
+	return c.AppendPeers(dst, rng, max(kIntra, 0)+max(kInter, 0))
 }
 
 // ViewDescriptors returns a copy of the current view (for tests).

@@ -11,6 +11,10 @@
 // As an extension beyond the paper's simplification, Cyclon implements a
 // gossip-based peer-sampling service (shuffling partial views) that provides
 // the same Sampler interface without any global membership knowledge.
+//
+// A node draws through one Selector over its View or Cyclon: the single
+// place where the draw is filtered (quarantine) or weighted (the source-bias
+// ablation), for every layer that picks peers.
 package membership
 
 import (
@@ -28,16 +32,12 @@ type Sampler interface {
 	// buffer per round (pass nil for a fresh slice). Fewer than k are
 	// appended when the view is smaller than k.
 	AppendPeers(dst []wire.NodeID, rng *rand.Rand, k int) []wire.NodeID
-	// PeerCount returns the number of peers currently in the view.
-	PeerCount() int
-}
-
-// SplitSampler is the locality-aware draw used by hierarchical
-// dissemination: up to kIntra distinct peers from the node's own cluster
-// and kInter from other clusters, with unfilled budget spilling across the
-// boundary so the total matches a uniform draw of kIntra+kInter whenever
-// enough peers exist. Views built with NewClusterView implement it.
-type SplitSampler interface {
+	// AppendSplit is the locality-aware draw used by hierarchical
+	// dissemination: up to kIntra distinct peers from the node's own
+	// cluster and kInter from other clusters, with unfilled budget spilling
+	// across the boundary so the total matches a uniform draw of
+	// kIntra+kInter whenever enough peers exist. A sampler without clusters
+	// answers with that uniform draw.
 	AppendSplit(dst []wire.NodeID, rng *rand.Rand, kIntra, kInter int) []wire.NodeID
 }
 
@@ -45,8 +45,8 @@ type SplitSampler interface {
 // concurrent use; in the simulator all accesses happen on the event loop.
 //
 // A view built with NewClusterView additionally partitions its peers by
-// topology cluster and offers AppendSplit; the uniform Sampler path is
-// unaffected by the partition.
+// topology cluster, which AppendSplit draws from; AppendPeers is unaffected
+// by the partition.
 type View struct {
 	self  wire.NodeID
 	peers []wire.NodeID
@@ -62,7 +62,6 @@ type View struct {
 	inter       []wire.NodeID
 	intraIdx    posTable
 	interIdx    posTable
-	exclude     func(wire.NodeID) bool // split-path filter (quarantine hook)
 }
 
 // MaxPeerID bounds the ids a View indexes. Node ids are dense and the
@@ -93,10 +92,7 @@ func (t *posTable) put(id wire.NodeID, pos int) {
 	(*t)[id] = int32(pos + 1)
 }
 
-var (
-	_ Sampler      = (*View)(nil)
-	_ SplitSampler = (*View)(nil)
-)
+var _ Sampler = (*View)(nil)
 
 // NewView builds a view for self containing every node in peers except self
 // itself. Duplicate entries are ignored.
@@ -125,13 +121,7 @@ func NewClusterView(self wire.NodeID, peers []wire.NodeID, clusterOf func(wire.N
 	return v
 }
 
-// SetExclude installs a filter on the split path: AppendSplit never returns
-// a peer for which fn is true (the quarantine hook). Nil clears the filter.
-// The uniform AppendPeers path is unaffected; wrap that with a filtering
-// sampler instead.
-func (v *View) SetExclude(fn func(wire.NodeID) bool) { v.exclude = fn }
-
-// PeerCount implements Sampler.
+// PeerCount returns the number of peers currently in the view.
 func (v *View) PeerCount() int { return len(v.peers) }
 
 // Contains reports whether id is currently in the view.
@@ -206,44 +196,45 @@ func (v *View) AppendPeers(dst []wire.NodeID, rng *rand.Rand, k int) []wire.Node
 	return append(dst, v.peers[:k]...)
 }
 
-// AppendSplit implements SplitSampler for cluster views: up to kIntra
+// AppendSplit implements Sampler. On a cluster view it draws up to kIntra
 // distinct peers from the owner's cluster plus kInter from other clusters,
 // uniformly without replacement within each side. Budget a side cannot fill
 // spills to the other, so degenerate shapes fall back to a uniform draw: a
 // single cluster serves everything from intra, a size-1 cluster (no intra
-// peers) serves everything from inter. Peers matching the SetExclude filter
-// are never returned. On a view built without NewClusterView the call is a
-// plain uniform AppendPeers of kIntra+kInter.
+// peers) serves everything from inter. On a view built without
+// NewClusterView the call is a plain uniform AppendPeers of kIntra+kInter.
 func (v *View) AppendSplit(dst []wire.NodeID, rng *rand.Rand, kIntra, kInter int) []wire.NodeID {
-	if kIntra < 0 {
-		kIntra = 0
-	}
-	if kInter < 0 {
-		kInter = 0
-	}
 	if v.clusterOf == nil {
-		return v.AppendPeers(dst, rng, kIntra+kInter)
+		return v.AppendPeers(dst, rng, max(kIntra, 0)+max(kInter, 0))
 	}
+	return v.appendSplit(dst, rng, kIntra, kInter, nil)
+}
+
+// appendSplit is a cluster view's AppendSplit that never returns a peer
+// skip (when non-nil) rejects: skipped peers are passed over inside the
+// shuffle, so they cost the draw no budget.
+func (v *View) appendSplit(dst []wire.NodeID, rng *rand.Rand, kIntra, kInter int, skip func(wire.NodeID) bool) []wire.NodeID {
+	kIntra, kInter = max(kIntra, 0), max(kInter, 0)
 	base := len(dst)
-	dst, usedIntra := v.drawFrom(v.intra, v.intraIdx, dst, rng, kIntra, 0)
+	dst, usedIntra := drawFrom(v.intra, v.intraIdx, dst, rng, kIntra, 0, skip)
 	gotIntra := len(dst) - base
 	mark := len(dst)
 	// Inter budget plus whatever intra could not fill crosses the boundary.
-	dst, _ = v.drawFrom(v.inter, v.interIdx, dst, rng, kInter+(kIntra-gotIntra), 0)
+	dst, _ = drawFrom(v.inter, v.interIdx, dst, rng, kInter+(kIntra-gotIntra), 0, skip)
 	gotInter := len(dst) - mark
 	// Unfilled inter budget spills back into the cluster, continuing the
 	// partial shuffle past the peers already drawn or skipped.
 	if want := kIntra + kInter - gotIntra - gotInter; want > 0 {
-		dst, _ = v.drawFrom(v.intra, v.intraIdx, dst, rng, want, usedIntra)
+		dst, _ = drawFrom(v.intra, v.intraIdx, dst, rng, want, usedIntra, skip)
 	}
 	return dst
 }
 
-// drawFrom draws up to k non-excluded peers from one cluster sub-list with
-// a partial Fisher-Yates, continuing from window offset used (positions
-// below it were already drawn or skipped this round). Returns the extended
-// dst and the new offset.
-func (v *View) drawFrom(list []wire.NodeID, idx posTable, dst []wire.NodeID, rng *rand.Rand, k, used int) ([]wire.NodeID, int) {
+// drawFrom draws up to k peers skip does not reject from one cluster
+// sub-list with a partial Fisher-Yates, continuing from window offset used
+// (positions below it were already drawn or skipped this round). Returns the
+// extended dst and the new offset.
+func drawFrom(list []wire.NodeID, idx posTable, dst []wire.NodeID, rng *rand.Rand, k, used int, skip func(wire.NodeID) bool) ([]wire.NodeID, int) {
 	n := len(list)
 	for ; used < n && k > 0; used++ {
 		j := used + rng.Intn(n-used)
@@ -252,7 +243,7 @@ func (v *View) drawFrom(list []wire.NodeID, idx posTable, dst []wire.NodeID, rng
 			idx[list[used]] = int32(used + 1)
 			idx[list[j]] = int32(j + 1)
 		}
-		if v.exclude != nil && v.exclude(list[used]) {
+		if skip != nil && skip(list[used]) {
 			continue
 		}
 		dst = append(dst, list[used])

@@ -452,104 +452,3 @@ func TestInterceptorOnset(t *testing.T) {
 		t.Fatal("sleeper stayed honest at onset")
 	}
 }
-
-// --- QuarantineSampler ---
-
-// scriptSampler replays a fixed script of draws, recording how often it was
-// consulted.
-type scriptSampler struct {
-	script [][]wire.NodeID
-	calls  int
-	count  int
-}
-
-func (s *scriptSampler) AppendPeers(dst []wire.NodeID, _ *rand.Rand, k int) []wire.NodeID {
-	if s.calls >= len(s.script) {
-		s.calls++
-		return dst
-	}
-	out := s.script[s.calls]
-	s.calls++
-	if len(out) > k {
-		out = out[:k]
-	}
-	return append(dst, out...)
-}
-
-func (s *scriptSampler) PeerCount() int { return s.count }
-
-func TestQuarantineSamplerPassThrough(t *testing.T) {
-	d := armed(t)
-	inner := &scriptSampler{script: [][]wire.NodeID{{1, 2, 3}}, count: 8}
-	qs := &misbehave.QuarantineSampler{Inner: inner, Detector: d}
-	got := qs.AppendPeers(nil, rand.New(rand.NewSource(1)), 3)
-	if len(got) != 3 || inner.calls != 1 {
-		t.Fatalf("clean draw: %v in %d calls, want one untouched draw", got, inner.calls)
-	}
-	if qs.PeerCount() != 8 {
-		t.Fatalf("PeerCount = %d, want inner's 8", qs.PeerCount())
-	}
-}
-
-func TestQuarantineSamplerFiltersAndRedraws(t *testing.T) {
-	d := armed(t)
-	d.Quarantine(2, 0)
-	d.Quarantine(5, 0)
-	inner := &scriptSampler{script: [][]wire.NodeID{
-		{1, 2, 3}, // 2 is quarantined and filtered
-		{4},       // redraw fills the freed slot
-	}, count: 8}
-	qs := &misbehave.QuarantineSampler{Inner: inner, Detector: d}
-	// What dst already holds is the caller's: neither filtered nor counted.
-	got := qs.AppendPeers([]wire.NodeID{2}, rand.New(rand.NewSource(1)), 3)
-	want := []wire.NodeID{2, 1, 3, 4}
-	if len(got) != len(want) {
-		t.Fatalf("draw = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("draw = %v, want %v", got, want)
-		}
-	}
-}
-
-// TestQuarantineSamplerRedrawDedup checks a redraw that only re-offers peers
-// already kept makes no progress and terminates the redraw loop early.
-func TestQuarantineSamplerRedrawDedup(t *testing.T) {
-	d := armed(t)
-	d.Quarantine(2, 0)
-	inner := &scriptSampler{script: [][]wire.NodeID{
-		{1, 2, 3},
-		{1}, // duplicate of a kept peer: no growth, loop breaks
-		{4}, // must never be consulted
-	}, count: 8}
-	qs := &misbehave.QuarantineSampler{Inner: inner, Detector: d}
-	got := qs.AppendPeers(nil, rand.New(rand.NewSource(1)), 3)
-	if len(got) != 2 || got[0] != 1 || got[1] != 3 {
-		t.Fatalf("draw = %v, want [1 3]", got)
-	}
-	if inner.calls != 2 {
-		t.Fatalf("sampler consulted %d times, want 2 (break on no growth)", inner.calls)
-	}
-}
-
-// TestQuarantineSamplerMassQuarantine checks the redraw bound: when most of
-// the view is convicted, the sampler gives up after redrawRounds instead of
-// spinning, and a short draw is returned.
-func TestQuarantineSamplerMassQuarantine(t *testing.T) {
-	d := armed(t)
-	for id := wire.NodeID(1); id <= 6; id++ {
-		d.Quarantine(id, 0)
-	}
-	inner := &scriptSampler{script: [][]wire.NodeID{
-		{1, 2, 3}, {4, 5, 6}, {1, 2, 3}, {4, 5, 6}, {1, 2, 3},
-	}, count: 6}
-	qs := &misbehave.QuarantineSampler{Inner: inner, Detector: d}
-	got := qs.AppendPeers(nil, rand.New(rand.NewSource(1)), 3)
-	if len(got) != 0 {
-		t.Fatalf("mass quarantine drew %v, want empty", got)
-	}
-	if inner.calls > 3 { // initial draw + at most redrawRounds
-		t.Fatalf("sampler consulted %d times, want ≤ 3", inner.calls)
-	}
-}

@@ -43,8 +43,9 @@
 //     broadcaster is naturally exempt (it proposes constantly); any request
 //     or proposal from the peer releases the verdict.
 //
-// Quarantine responses are wired through the sampler ([QuarantineSampler]
-// keeps quarantined peers out of gossip target draws), the engine (proposals
+// Quarantine responses are wired through target selection (a stack sets
+// membership.Selector's Exclude to [Detector.Quarantined], keeping
+// quarantined peers out of every draw), the engine (proposals
 // from quarantined peers are ignored, retry rotation skips them), and the
 // capability-weighted fanout budget (aggregation.Config.Exclude expels a
 // quarantined peer's claim from bbar — the fanout penalty that hands the

@@ -94,6 +94,7 @@ func (c *Config) validateAdversary() error {
 	if c.Protocol == StaticTree {
 		return fmt.Errorf("scenario: adversarial nodes require a gossip protocol (the static tree has no contribution evidence to collect)")
 	}
+	// Range checks are negated comparisons, so NaN fails them too.
 	for _, f := range []struct {
 		name string
 		v    float64
@@ -102,7 +103,7 @@ func (c *Config) validateAdversary() error {
 		{"liar", a.LiarFraction},
 		{"dropper", a.DropperFraction},
 	} {
-		if f.v < 0 || f.v >= 1 {
+		if !(f.v >= 0 && f.v < 1) {
 			return fmt.Errorf("scenario: adversary %s fraction %v outside [0,1)", f.name, f.v)
 		}
 	}
@@ -112,10 +113,10 @@ func (c *Config) validateAdversary() error {
 	if a.LiarFraction > 0 && c.Protocol != HEAP {
 		return fmt.Errorf("scenario: capability liars require the HEAP protocol (standard gossip ignores advertisements)")
 	}
-	if a.Intensity < 0 || a.Intensity > 1 {
+	if !(a.Intensity >= 0 && a.Intensity <= 1) {
 		return fmt.Errorf("scenario: adversary intensity %v outside [0,1]", a.Intensity)
 	}
-	if a.LiarFactor < 0 || (a.LiarFactor > 0 && a.LiarFactor <= 1) {
+	if !(a.LiarFactor == 0 || a.LiarFactor > 1) {
 		return fmt.Errorf("scenario: liar factor %v must exceed 1 (or 0 for the default)", a.LiarFactor)
 	}
 	if a.Onset < 0 {

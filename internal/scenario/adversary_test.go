@@ -1,9 +1,11 @@
 package scenario
 
 import (
+	"math"
 	"testing"
 	"time"
 
+	"repro/internal/env"
 	"repro/internal/misbehave"
 	"repro/internal/netem"
 	"repro/internal/wire"
@@ -52,6 +54,74 @@ func TestAdversaryConfigValidation(t *testing.T) {
 	if _, err := Run(cfg); err == nil {
 		t.Error("release ratio below the quarantine floor accepted")
 	}
+}
+
+// TestNaNKnobsRefused feeds NaN to every float knob whose range check used
+// to be written as `v < 0 || v >= 1`, which NaN passes: each must be an
+// error, not a makeslice panic (freerider fraction), a simnet panic
+// (degraded factor) or a run that silently ignores the knob. The degraded
+// knobs also get the range check they lacked.
+func TestNaNKnobsRefused(t *testing.T) {
+	nan := math.NaN()
+	for name, mutate := range map[string]func(*Config){
+		"adversary FreeriderFraction": func(c *Config) { c.Adversary = &AdversarySpec{FreeriderFraction: nan} },
+		"adversary LiarFraction":      func(c *Config) { c.Adversary = &AdversarySpec{LiarFraction: nan} },
+		"adversary DropperFraction":   func(c *Config) { c.Adversary = &AdversarySpec{DropperFraction: nan} },
+		"adversary Intensity":         func(c *Config) { c.Adversary = &AdversarySpec{DropperFraction: 0.1, Intensity: nan} },
+		"adversary LiarFactor":        func(c *Config) { c.Adversary = &AdversarySpec{LiarFraction: 0.1, LiarFactor: nan} },
+		"DegradedFraction":            func(c *Config) { c.DegradedFraction = nan },
+		"DegradedFactor":              func(c *Config) { c.DegradedFraction, c.DegradedFactor = 0.1, nan },
+		"DegradedFraction 1.5":        func(c *Config) { c.DegradedFraction = 1.5 },
+		"DegradedFactor -0.5":         func(c *Config) { c.DegradedFraction, c.DegradedFactor = 0.1, -0.5 },
+		"DegradedFactor 1.5":          func(c *Config) { c.DegradedFraction, c.DegradedFactor = 0.1, 1.5 },
+		"FreeriderFraction":           func(c *Config) { c.FreeriderFraction = nan },
+		"Fanout":                      func(c *Config) { c.Fanout = nan },
+		"FanoutIntra":                 func(c *Config) { c.FanoutIntra = nan },
+		"churn burst Fraction": func(c *Config) {
+			c.ChurnBursts = []ChurnBurst{{At: time.Second, Fraction: nan}}
+		},
+	} {
+		cfg := Config{Nodes: 10, Dist: Ref691, Protocol: HEAP, Windows: 1}
+		mutate(&cfg)
+		if _, err := Run(cfg); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+}
+
+// FuzzAdversarySpec checks that an AdversarySpec validation accepts builds its
+// adversary state — the class draw, every node's interceptor, the liars'
+// inflated advertisements — without panicking.
+func FuzzAdversarySpec(f *testing.F) {
+	f.Add(0.1, 0.1, 0.1, 1.0, 4.0, int64(0), 64)
+	f.Add(0.3, 0.0, 0.0, 0.5, 0.0, int64(time.Second), 1)
+	f.Add(0.0, 0.9, 0.0, 0.0, 1e300, int64(0), 0)
+	f.Add(1e-9, 1e-9, 0.99, 1.0, 1.0000001, int64(5), 3)
+	f.Add(math.NaN(), 0.0, 0.0, 1.0, 4.0, int64(0), 64)
+	f.Fuzz(func(t *testing.T, free, liar, drop, intensity, factor float64, onset int64, trials int) {
+		cfg := Config{Nodes: 10, Dist: Ref691, Protocol: HEAP, Seed: onset, Adversary: &AdversarySpec{
+			FreeriderFraction: free, LiarFraction: liar, DropperFraction: drop,
+			Intensity: intensity, LiarFactor: factor,
+			Onset: time.Duration(onset), CoalitionTrials: trials,
+		}}
+		if cfg.applyDefaults() != nil {
+			return
+		}
+		sourceNode := make([]bool, cfg.Nodes)
+		sourceNode[0] = true
+		a := newAdversaryState(&cfg, cfg.Nodes, sourceNode)
+		if n := len(a.freeriders) + len(a.liars) + len(a.droppers); n > cfg.Nodes-1 {
+			t.Fatalf("%d adversaries among %d non-source nodes", n, cfg.Nodes-1)
+		}
+		for i := range cfg.Nodes {
+			a.interceptorFor(i, env.HandlerFunc(func(wire.NodeID, wire.Message) {}))
+		}
+		for _, c := range []uint32{1, 691, math.MaxUint32 - 1} {
+			if adv := a.liarAdvertised(c); adv <= c {
+				t.Fatalf("liar with capability %d advertises %d", c, adv)
+			}
+		}
+	})
 }
 
 // adversaryBase is the reduced-scale adversarial configuration: HEAP on the

@@ -73,7 +73,7 @@ func (c *Config) validateDynamics() error {
 		return fmt.Errorf("scenario: join waves are incompatible with the static tree")
 	}
 	for i, b := range c.ChurnBursts {
-		if b.Fraction < 0 || b.Fraction >= 1 {
+		if !(b.Fraction >= 0 && b.Fraction < 1) {
 			return fmt.Errorf("scenario: churn burst %d fraction %v outside [0,1)", i, b.Fraction)
 		}
 		if b.At <= 0 {

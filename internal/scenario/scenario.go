@@ -339,8 +339,15 @@ func (c *Config) validate() error {
 	if c.LatencyMin < 0 || c.LatencyMax < c.LatencyMin {
 		return fmt.Errorf("scenario: invalid latency range [%v, %v]", c.LatencyMin, c.LatencyMax)
 	}
-	if c.FreeriderFraction < 0 || c.FreeriderFraction >= 1 {
+	// Range checks are negated comparisons, so NaN fails them too.
+	if !(c.FreeriderFraction >= 0 && c.FreeriderFraction < 1) {
 		return fmt.Errorf("scenario: freerider fraction %v outside [0,1)", c.FreeriderFraction)
+	}
+	if !(c.DegradedFraction >= 0 && c.DegradedFraction <= 1) {
+		return fmt.Errorf("scenario: degraded fraction %v outside [0,1]", c.DegradedFraction)
+	}
+	if !(c.DegradedFactor > 0 && c.DegradedFactor <= 1) {
+		return fmt.Errorf("scenario: degraded factor %v outside (0,1]", c.DegradedFactor)
 	}
 	if c.AggPeriod < 0 || c.AggFanout < 0 || c.AggFreshestK < 0 || c.AggTrackLimit < 0 {
 		return fmt.Errorf("scenario: negative aggregation setting (AggPeriod %v, AggFanout %d, AggFreshestK %d, AggTrackLimit %d)",
@@ -366,7 +373,7 @@ func (c *Config) validate() error {
 			return err
 		}
 	}
-	if c.FanoutIntra < 0 || c.FanoutInter < 0 {
+	if !(c.FanoutIntra >= 0 && c.FanoutInter >= 0) {
 		return fmt.Errorf("scenario: negative split fanout (%v intra, %v inter)",
 			c.FanoutIntra, c.FanoutInter)
 	}
@@ -856,7 +863,7 @@ func (r *run) stackSpec(i, present int, onDeliver core.DeliverFunc) stack.Spec {
 	}
 	if isSource && cfg.SourceBias && spec.View != nil {
 		// §5 extension: bias the source's first hop toward rich nodes.
-		spec.Bias = newBiasedSampler(spec.View, r.caps)
+		spec.Weights = r.caps
 	}
 	if cfg.Adapt != nil && !isSource {
 		// Congestion feedback: the controller's ceiling is the node's
@@ -1169,54 +1176,4 @@ func (r *run) collectOptional(res *Result) {
 		}
 		res.TopoStats = ts
 	}
-}
-
-// biasedSampler draws peers with probability proportional to advertised
-// capability (oracle weights), for the SourceBias extension.
-type biasedSampler struct {
-	view    *membership.View
-	caps    []uint32
-	scratch []wire.NodeID // the view's peers, chosen ones blanked
-}
-
-var _ membership.Sampler = (*biasedSampler)(nil)
-
-func newBiasedSampler(view *membership.View, caps []uint32) *biasedSampler {
-	return &biasedSampler{view: view, caps: caps}
-}
-
-// PeerCount implements membership.Sampler.
-func (b *biasedSampler) PeerCount() int { return b.view.PeerCount() }
-
-// AppendPeers implements membership.Sampler with weighted sampling without
-// replacement: one weighted draw per pick over the peers not yet chosen, in
-// view order.
-func (b *biasedSampler) AppendPeers(dst []wire.NodeID, rng *rand.Rand, k int) []wire.NodeID {
-	// Asking a view for all of its peers copies them without an rng draw.
-	b.scratch = b.view.AppendPeers(b.scratch[:0], rng, b.view.PeerCount())
-	peers := b.scratch
-	if k >= len(peers) {
-		return append(dst, peers...)
-	}
-	var totalWeight int64
-	for _, p := range peers {
-		totalWeight += int64(b.caps[p])
-	}
-	for picked := 0; picked < k && totalWeight > 0; picked++ {
-		target := rng.Int63n(totalWeight)
-		var acc int64
-		for i, p := range peers {
-			if p == wire.NodeNone {
-				continue
-			}
-			acc += int64(b.caps[p])
-			if acc > target {
-				peers[i] = wire.NodeNone
-				dst = append(dst, p)
-				totalWeight -= int64(b.caps[p])
-				break
-			}
-		}
-	}
-	return dst
 }

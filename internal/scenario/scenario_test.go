@@ -338,29 +338,6 @@ func TestRunDeterminism(t *testing.T) {
 	}
 }
 
-func TestSourceBiasSampler(t *testing.T) {
-	caps := []uint32{0, 3000, 3000, 100, 100, 100, 100, 100, 100, 100}
-	dirView := viewForTest(t, 0, 10)
-	s := newBiasedSampler(dirView, caps)
-	rng := rand.New(rand.NewSource(8))
-	counts := map[int]int{}
-	for trial := 0; trial < 3000; trial++ {
-		for _, p := range s.AppendPeers(nil, rng, 2) {
-			counts[int(p)]++
-		}
-	}
-	// Rich nodes (1,2) must be selected far more often than poor ones.
-	richMean := float64(counts[1]+counts[2]) / 2
-	poorMean := float64(counts[3]+counts[4]+counts[5]) / 3
-	if richMean < 4*poorMean {
-		t.Fatalf("bias too weak: rich %.0f vs poor %.0f", richMean, poorMean)
-	}
-	// Oversized k returns the whole view.
-	if got := s.AppendPeers(nil, rng, 100); len(got) != 9 {
-		t.Fatalf("oversized k returned %d peers", len(got))
-	}
-}
-
 func TestStreamDurationMatchesGeometry(t *testing.T) {
 	cfg := Config{Nodes: 10, Dist: Ref691, Windows: 3, Geometry: smallGeometry()}
 	if err := cfg.applyDefaults(); err != nil {

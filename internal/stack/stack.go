@@ -45,15 +45,14 @@ type Spec struct {
 	// set. A Cyclon is registered as the stack's first handler.
 	View   *membership.View
 	Cyclon *membership.Cyclon
-	// Bias, when non-nil, replaces the membership sampler for the engine's
-	// flat target draws only (the SourceBias ablation); aggregation and size
-	// estimation keep drawing uniformly. Detect does not filter it.
-	Bias membership.Sampler
+	// Weights, when non-nil, weighs the engine's flat target draws by
+	// node id (membership.Selector.Weights, the SourceBias ablation);
+	// aggregation and size estimation keep drawing uniformly.
+	Weights []uint32
 
 	// Engine carries the dissemination knobs and the application's
-	// OnDeliver. Build fills the wiring fields: Sampler, Split (when
-	// FanoutIntra+FanoutInter > 0), FanoutFn, Adaptive, Capabilities and
-	// Observers.
+	// OnDeliver. Build fills the wiring fields: Sampler, FanoutFn, Adaptive,
+	// Capabilities and Observers.
 	Engine core.Config
 
 	// AdvertisedKbps is the upload capability the node claims: its own entry
@@ -157,17 +156,20 @@ func Build(spec Spec) (*Node, error) {
 	return n, nil
 }
 
-// wireMembership settles who the node gossips with: the membership sampler,
-// filtered by the detector's verdicts when there is one. It returns the
-// sampler the aggregation layers share and fills the engine's Sampler and
-// Split.
-func (n *Node) wireMembership(spec *Spec, ec *core.Config, mux *env.Mux) (membership.Sampler, error) {
+// wireMembership settles who the node gossips with: one membership.Selector
+// over its View or Cyclon, excluding the detector's quarantined peers when
+// there is one. It returns the selector the aggregation layers share and
+// fills the engine's Sampler, which adds Spec.Weights.
+func (n *Node) wireMembership(spec *Spec, ec *core.Config, mux *env.Mux) (*membership.Selector, error) {
 	if (spec.View == nil) == (spec.Cyclon == nil) {
 		return nil, fmt.Errorf("stack: node %d needs exactly one of View and Cyclon", spec.ID)
 	}
-	var sampler membership.Sampler = spec.View
+	sel := &membership.Selector{From: spec.View}
 	if spec.Cyclon != nil {
-		sampler = spec.Cyclon
+		if ec.FanoutIntra+ec.FanoutInter > 0 {
+			return nil, fmt.Errorf("stack: node %d: hierarchical fanout requires a full-membership view", spec.ID)
+		}
+		sel.From = spec.Cyclon
 		mux.Register(spec.Cyclon, wire.KindShuffleReq, wire.KindShuffleReply)
 	}
 	if spec.Detect != nil {
@@ -176,29 +178,19 @@ func (n *Node) wireMembership(spec *Spec, ec *core.Config, mux *env.Mux) (member
 			return nil, err
 		}
 		n.Detector = det
-		sampler = &misbehave.QuarantineSampler{Inner: sampler, Detector: det}
-		if spec.View != nil {
-			// Split draws bypass the sampler wrapper.
-			spec.View.SetExclude(det.Quarantined)
-		}
+		sel.Exclude = det.Quarantined
 	}
-	ec.Sampler = sampler
-	if spec.Bias != nil {
-		ec.Sampler = spec.Bias
+	ec.Sampler = sel
+	if spec.Weights != nil {
+		ec.Sampler = &membership.Selector{From: sel.From, Exclude: sel.Exclude, Weights: spec.Weights}
 	}
-	if ec.FanoutIntra+ec.FanoutInter > 0 {
-		if spec.View == nil {
-			return nil, fmt.Errorf("stack: node %d: hierarchical fanout requires a full-membership view", spec.ID)
-		}
-		ec.Split = spec.View
-	}
-	return sampler, nil
+	return sel, nil
 }
 
 // wireCapability builds what sets the node's fanout: the size averager
 // (fbar), the capability estimator (b_i/bbar) and the adaptation controller
 // (b_i under congestion), in that order.
-func (n *Node) wireCapability(spec *Spec, ec *core.Config, mux *env.Mux, sampler membership.Sampler) error {
+func (n *Node) wireCapability(spec *Spec, ec *core.Config, mux *env.Mux, sampler *membership.Selector) error {
 	if spec.SizeEstimator != nil {
 		ac := *spec.SizeEstimator
 		ac.Sampler = sampler
