@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: check fmtcheck vet build linkcheck race race-detect test-short testshort test bench bench-smoke bench-udp pairs sweep largescale fuzz cross lines full fmt
+.PHONY: check fmtcheck vet build linkcheck race race-detect test-short testshort test bench bench-smoke bench-udp pairs xl-rss sweep largescale fuzz cross lines full fmt
 
 check: fmtcheck vet build linkcheck race race-detect testshort bench-smoke
 
@@ -85,6 +85,14 @@ PARENT ?= HEAD~1
 SEEDS ?= 17 18 19 20 21 22 23 24 25 26
 pairs:
 	bash scripts/pairs.sh $(W) $(PARENT) $(SEEDS)
+
+# Wall time and peak RSS (ru_maxrss, whole and per node) of one
+# LargeScaleXL(N, 17, S) cell: an opt-in test the plain suite skips (Linux).
+#   make xl-rss N=10000 S=1
+N ?= 10000
+S ?= 1
+xl-rss:
+	$(GO) test -count=1 -run '^TestLargeScaleXLPeakRSS$$' -v ./internal/scenario -args -xl-nodes $(N) -xl-shards $(S)
 
 # The paper's headline grid on all cores, CSV into out/.
 sweep:

@@ -130,13 +130,13 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("adapt: window counts (sustain %d, drained %d) out of range",
 			d.SustainWindows, d.DrainedWindows)
 	}
-	if d.Beta <= 0 || d.Beta >= 1 {
+	if !(0 < d.Beta && d.Beta < 1) {
 		return fmt.Errorf("adapt: beta %v outside (0, 1)", d.Beta)
 	}
-	if d.ProbeFraction <= 0 || d.ProbeFraction > 1 {
+	if !(0 < d.ProbeFraction && d.ProbeFraction <= 1) {
 		return fmt.Errorf("adapt: probe fraction %v outside (0, 1]", d.ProbeFraction)
 	}
-	if d.FloorFraction <= 0 || d.FloorFraction >= 1 {
+	if !(0 < d.FloorFraction && d.FloorFraction < 1) {
 		return fmt.Errorf("adapt: floor fraction %v outside (0, 1)", d.FloorFraction)
 	}
 	return nil

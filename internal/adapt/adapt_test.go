@@ -1,6 +1,7 @@
 package adapt
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -60,8 +61,11 @@ func TestConfigValidate(t *testing.T) {
 	bad := []Config{
 		{Beta: 1.5},
 		{Beta: -0.1},
+		{Beta: math.NaN()},
 		{FloorFraction: 1},
+		{FloorFraction: math.NaN()},
 		{ProbeFraction: 2},
+		{ProbeFraction: math.NaN()},
 		{LowWater: time.Second, HighWater: time.Millisecond},
 		{SustainWindows: -1},
 		{Interval: -time.Second},

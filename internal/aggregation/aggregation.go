@@ -20,6 +20,7 @@ package aggregation
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/env"
@@ -58,8 +59,10 @@ type Config struct {
 	// seeded rng, not by id), the tracked prefix is an unbiased sample and
 	// bbar converges to the same system average. A node whose own id is
 	// outside the limit still knows its own capability exactly — the
-	// estimate simply comes entirely from the sampled prefix. Zero means
-	// track everything.
+	// estimate simply comes entirely from the sampled prefix. A limit also
+	// presizes the table: NewEstimator allocates it once for every id below
+	// the limit (at most maxTrackedNodeID), so it never grows. Zero means
+	// track everything, with the table grown as ids arrive.
 	TrackLimit int
 }
 
@@ -78,15 +81,18 @@ func (c *Config) applyDefaults() {
 	}
 }
 
-// capEntry is one slot of the dense table. A present entry is also a node of
-// its bucket's doubly linked list: next is the following entry's id or -1;
-// prev is the preceding entry's id, or -(slot+1) on the bucket's first entry,
-// so unlinking never has to work out which bucket the entry is in.
-type capEntry struct {
-	asOf       time.Duration // local-clock time the value was measured at its owner
+// noEntry is asOf's value for an id the table holds no entry for. No wire age
+// reaches back that far: an AgeMs of at most 2³² ms is under 50 days.
+const noEntry time.Duration = math.MinInt64
+
+// capLink is the rest of a table slot: the value and, for a present entry,
+// its place in its bucket's doubly linked list. next is the following entry's
+// id or -1; prev is the preceding entry's id, or -(slot+1) on the bucket's
+// first entry, so unlinking never has to work out which bucket the entry is
+// in. An absent id's link is zero.
+type capLink struct {
 	capKbps    uint32
 	next, prev int32
-	present    bool
 }
 
 // freshRec is one record of the freshest-k set: a copy of everything a message
@@ -101,7 +107,7 @@ type freshRec struct {
 // env.Handler for wire.Aggregate messages. Not safe for concurrent use; all
 // access happens on the node's execution context.
 //
-// Node ids are dense, so entries live in a flat slice indexed by id, and the
+// Node ids are dense, so entries live in flat slices indexed by id, and the
 // running sum/count are maintained incrementally: merging a received message
 // is O(entries in the message) and reading the estimate is O(1), regardless
 // of system size. The FreshestK entries a tick gossips are kept, not found:
@@ -110,9 +116,13 @@ type Estimator struct {
 	cfg Config
 	rt  env.Runtime
 
-	entries []capEntry // dense by node id
-	count   int        // present entries
-	sum     uint64     // sum of present capKbps
+	// The table is two arrays dense by node id: asOf, the local-clock time
+	// each value was measured at its owner (noEntry where absent), and links.
+	// Receive's freshness check reads only asOf.
+	asOf  []time.Duration
+	links []capLink
+	count int    // present entries
+	sum   uint64 // sum of present capKbps
 
 	// buckets is a ring of per-period lists (first entry id, or -1) that
 	// files every present entry by asOf: bucket i, counted from the oldest
@@ -149,7 +159,7 @@ type Estimator struct {
 	MessagesSent int
 }
 
-// maxTrackedNodeID bounds the dense entry slice against hostile wire input:
+// maxTrackedNodeID bounds the dense table against hostile wire input:
 // node ids are dense, so a million-node ceiling is far beyond any deployment
 // this codebase targets while capping what one datagram can make us allocate.
 const maxTrackedNodeID = 1 << 20
@@ -198,10 +208,25 @@ func NewEstimator(cfg Config) *Estimator {
 	for i := range e.buckets {
 		e.buckets[i] = -1
 	}
+	if cfg.TrackLimit > 0 {
+		n := min(cfg.TrackLimit, maxTrackedNodeID)
+		e.asOf, e.links = make([]time.Duration, 0, n), make([]capLink, 0, n)
+		e.grow(n)
+	}
 	return e
 }
 
-// tracked reports whether id falls inside the dense entry table. With no
+// grow extends the table to n ids, none of them present.
+func (e *Estimator) grow(n int) {
+	old := len(e.asOf)
+	e.asOf = append(e.asOf, make([]time.Duration, n-old)...)
+	for i := old; i < n; i++ {
+		e.asOf[i] = noEntry
+	}
+	e.links = append(e.links, make([]capLink, n-old)...)
+}
+
+// tracked reports whether id falls inside the dense table. With no
 // TrackLimit every valid id is tracked.
 func (e *Estimator) tracked(id wire.NodeID) bool {
 	return e.cfg.TrackLimit <= 0 || int(id) < e.cfg.TrackLimit
@@ -212,26 +237,25 @@ func (e *Estimator) tracked(id wire.NodeID) bool {
 // asOf older than the one the entry already holds: Receive merges strictly
 // fresher claims only, and the node's own entry is rewritten at the clock.
 func (e *Estimator) set(id wire.NodeID, capKbps uint32, asOf time.Duration) {
-	if need := int(id) + 1 - len(e.entries); need > 0 {
-		e.entries = append(e.entries, make([]capEntry, need)...)
+	if int(id) >= len(e.asOf) {
+		e.grow(int(id) + 1)
 	}
-	c := &e.entries[id]
-	if c.present {
-		e.sum -= uint64(c.capKbps)
-		e.unlink(c)
+	l := &e.links[id]
+	if e.asOf[id] != noEntry {
+		e.sum -= uint64(l.capKbps)
+		e.unlink(l)
 	} else {
-		c.present = true
 		e.count++
 	}
-	c.capKbps = capKbps
-	c.asOf = asOf
+	l.capKbps = capKbps
+	e.asOf[id] = asOf
 	e.sum += uint64(capKbps)
 
 	slot := e.slotOf(asOf)
 	first := e.buckets[slot]
-	c.next, c.prev = first, int32(-slot-1)
+	l.next, l.prev = first, int32(-slot-1)
 	if first >= 0 {
-		e.entries[first].prev = int32(id)
+		e.links[first].prev = int32(id)
 	}
 	e.buckets[slot] = int32(id)
 	if e.topValid {
@@ -278,9 +302,8 @@ func (e *Estimator) refill() {
 	e.top = e.top[:0]
 	n := len(e.buckets)
 	for i := n - 1; len(e.top) < min(cap(e.top), e.count); i-- {
-		for id := e.buckets[(e.tail+i)%n]; id >= 0; id = e.entries[id].next {
-			c := &e.entries[id]
-			e.promote(freshRec{c.asOf, wire.NodeID(id), c.capKbps})
+		for id := e.buckets[(e.tail+i)%n]; id >= 0; id = e.links[id].next {
+			e.promote(freshRec{e.asOf[id], wire.NodeID(id), e.links[id].capKbps})
 		}
 	}
 	e.topValid = true
@@ -301,14 +324,14 @@ func (e *Estimator) slotOf(asOf time.Duration) int {
 	return (e.tail + int(i)) % len(e.buckets)
 }
 
-func (e *Estimator) unlink(c *capEntry) {
-	if c.prev < 0 {
-		e.buckets[-c.prev-1] = c.next
+func (e *Estimator) unlink(l *capLink) {
+	if l.prev < 0 {
+		e.buckets[-l.prev-1] = l.next
 	} else {
-		e.entries[c.prev].next = c.next
+		e.links[l.prev].next = l.next
 	}
-	if c.next >= 0 {
-		e.entries[c.next].prev = c.prev
+	if l.next >= 0 {
+		e.links[l.next].prev = l.prev
 	}
 }
 
@@ -328,13 +351,13 @@ func (e *Estimator) turn(steps int64) {
 			e.buckets[e.tail] = -1
 			if last := e.buckets[next]; last < 0 {
 				e.buckets[next] = carried
-				e.entries[carried].prev = int32(-next - 1)
+				e.links[carried].prev = int32(-next - 1)
 			} else {
-				for e.entries[last].next >= 0 {
-					last = e.entries[last].next
+				for e.links[last].next >= 0 {
+					last = e.links[last].next
 				}
-				e.entries[last].next = carried
-				e.entries[carried].prev = last
+				e.links[last].next = carried
+				e.links[carried].prev = last
 			}
 		}
 		e.tail = next
@@ -346,14 +369,15 @@ func (e *Estimator) turn(steps int64) {
 // ties with one), and the set is invalidated: its replacement is somewhere in
 // the ring.
 func (e *Estimator) drop(id wire.NodeID) {
-	c := &e.entries[id]
-	if n := len(e.top); n > 0 && c.asOf >= e.top[n-1].asOf {
+	l := &e.links[id]
+	if n := len(e.top); n > 0 && e.asOf[id] >= e.top[n-1].asOf {
 		e.topValid = false
 	}
-	e.sum -= uint64(c.capKbps)
+	e.sum -= uint64(l.capKbps)
 	e.count--
-	e.unlink(c)
-	*c = capEntry{}
+	e.unlink(l)
+	*l = capLink{}
+	e.asOf[id] = noEntry
 }
 
 // Start implements env.Handler.
@@ -408,7 +432,7 @@ func (e *Estimator) Receive(_ wire.NodeID, m wire.Message) {
 		if entry.Node == e.rt.ID() || entry.Node < 0 || entry.Node >= maxTrackedNodeID {
 			// Own value is always freshest; negative or absurdly large ids
 			// are hostile/corrupt wire input (ids are dense, and the dense
-			// entry slice must not grow unboundedly on a peer's say-so).
+			// table must not grow unboundedly on a peer's say-so).
 			continue
 		}
 		if !e.tracked(entry.Node) {
@@ -418,10 +442,8 @@ func (e *Estimator) Receive(_ wire.NodeID, m wire.Message) {
 			continue // quarantined claim owner, see Config.Exclude
 		}
 		asOf := now - time.Duration(entry.AgeMs)*time.Millisecond
-		if int(entry.Node) < len(e.entries) {
-			if cur := &e.entries[entry.Node]; cur.present && cur.asOf >= asOf {
-				continue // ours is fresher
-			}
+		if int(entry.Node) < len(e.asOf) && e.asOf[entry.Node] >= asOf {
+			continue // ours is fresher
 		}
 		e.set(entry.Node, entry.CapKbps, asOf)
 	}
@@ -471,9 +493,8 @@ func (e *Estimator) prune(now time.Duration) {
 	n := len(e.buckets)
 	for i := 0; i < n && e.oldest+time.Duration(i)*e.cfg.Period < cutoff; i++ {
 		for id := e.buckets[(e.tail+i)%n]; id >= 0; {
-			c := &e.entries[id]
-			next := c.next
-			if c.asOf < cutoff {
+			next := e.links[id].next
+			if e.asOf[id] < cutoff {
 				e.drop(wire.NodeID(id))
 			}
 			id = next
@@ -484,8 +505,8 @@ func (e *Estimator) prune(now time.Duration) {
 	}
 	// Quarantine has no instant to index by; detector runs are small-n.
 	self := e.rt.ID()
-	for id := range e.entries {
-		if e.entries[id].present && wire.NodeID(id) != self && e.cfg.Exclude(wire.NodeID(id)) {
+	for id, asOf := range e.asOf {
+		if asOf != noEntry && wire.NodeID(id) != self && e.cfg.Exclude(wire.NodeID(id)) {
 			e.drop(wire.NodeID(id)) // quarantined since merged, see Config.Exclude
 		}
 	}

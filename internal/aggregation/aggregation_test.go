@@ -3,6 +3,7 @@ package aggregation
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 	"unsafe"
@@ -295,8 +296,9 @@ func TestNewEstimatorValidation(t *testing.T) {
 // a million-node run holds hundreds of millions of entries and merges
 // billions of messages.
 func TestEstimatorFootprint(t *testing.T) {
-	if size := unsafe.Sizeof(capEntry{}); size > 24 {
-		t.Errorf("capEntry is %d bytes, want <= 24", size)
+	// A tracked id costs its asOf and its link.
+	if size := unsafe.Sizeof(time.Duration(0)) + unsafe.Sizeof(capLink{}); size > 20 {
+		t.Errorf("a table slot (asOf and capLink) is %d bytes, want <= 20", size)
 	}
 	// The freshest-k set costs a node 16·FreshestK bytes, a slice header and
 	// a flag.
@@ -331,4 +333,47 @@ func TestEstimatorFootprint(t *testing.T) {
 	if got := cap(e.top); got != e.cfg.FreshestK {
 		t.Errorf("the freshest-k set has room for %d records, want FreshestK (%d)", got, e.cfg.FreshestK)
 	}
+}
+
+// TestPresizedTableFirstReceiveAllocatesNothing: with a TrackLimit the table
+// is allocated once, by NewEstimator, at exactly the limit, so even the first
+// Receive of every id below it allocates nothing, with no warm-up.
+func TestPresizedTableFirstReceiveAllocatesNothing(t *testing.T) {
+	const limit = 256
+	rt := &stubRuntime{id: 3, rng: rand.New(rand.NewSource(1))}
+	e := NewEstimator(Config{SelfCapKbps: 700, Sampler: fixedSampler{}, TrackLimit: limit})
+	if len(e.asOf) != limit || cap(e.asOf) != limit || len(e.links) != limit || cap(e.links) != limit {
+		t.Fatalf("table asOf %d/%d, links %d/%d (len/cap); want %d each",
+			len(e.asOf), cap(e.asOf), len(e.links), cap(e.links), limit)
+	}
+	e.Start(rt)
+	msg := &wire.Aggregate{Entries: make([]wire.CapEntry, 8)}
+	// Ids arrive scattered, the last id first: a stride of 31, coprime to
+	// the limit, visits every id once.
+	if n := mallocs(func() {
+		for i := 0; i < limit; i += len(msg.Entries) {
+			for j := range msg.Entries {
+				id := wire.NodeID(limit - 1 - (i+j)*31%limit)
+				msg.Entries[j] = wire.CapEntry{Node: id, CapKbps: 100 + uint32(id), AgeMs: uint32(j)}
+			}
+			e.Receive(1, msg)
+		}
+	}); n != 0 {
+		t.Errorf("the first Receive of every id below TrackLimit allocated %d times, want 0", n)
+	}
+	if got := e.KnownNodes(); got != limit {
+		t.Errorf("KnownNodes %d after every id arrived, want %d", got, limit)
+	}
+}
+
+// mallocs counts the heap allocations fn makes. Like testing.AllocsPerRun it
+// runs on one P, where ReadMemStats' stop-the-world allocates nothing of its
+// own; unlike it, it does not call fn once first to warm up.
+func mallocs(fn func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }

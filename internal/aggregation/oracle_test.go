@@ -220,8 +220,12 @@ func (o *oracle) check(t *testing.T, e *Estimator, step int, what string) {
 // ringError walks the ring oldest bucket first and reports the first breach
 // of its structure: every present entry linked exactly once with consistent
 // back links, in the bucket whose period holds its asOf (the oldest bucket
-// also holding everything before it), and no bucket ahead of the clock.
+// also holding everything before it), no bucket ahead of the clock, and
+// every absent id in the table holding a zero link.
 func ringError(e *Estimator) error {
+	if len(e.asOf) != len(e.links) {
+		return fmt.Errorf("asOf covers %d ids, links %d", len(e.asOf), len(e.links))
+	}
 	linked := make(map[int32]bool)
 	n := len(e.buckets)
 	if newest := e.oldest + time.Duration(n-1)*e.cfg.Period; newest > e.rt.Now() {
@@ -230,23 +234,28 @@ func ringError(e *Estimator) error {
 	for i := 0; i < n; i++ {
 		slot := (e.tail + i) % n
 		opens := e.oldest + time.Duration(i)*e.cfg.Period
-		for id, prev := e.buckets[slot], int32(-slot-1); id >= 0; id, prev = e.entries[id].next, id {
-			c := e.entries[id]
+		for id, prev := e.buckets[slot], int32(-slot-1); id >= 0; id, prev = e.links[id].next, id {
+			l, asOf := e.links[id], e.asOf[id]
 			switch {
-			case !c.present:
+			case asOf == noEntry:
 				return fmt.Errorf("bucket %d links absent entry %d", i, id)
 			case linked[id]:
 				return fmt.Errorf("entry %d linked twice", id)
-			case c.prev != prev:
-				return fmt.Errorf("entry %d in bucket %d has prev %d, want %d", id, i, c.prev, prev)
-			case c.asOf >= opens+e.cfg.Period || i > 0 && c.asOf < opens:
-				return fmt.Errorf("entry %d (asOf %v) is in bucket %d, which opens at %v", id, c.asOf, i, opens)
+			case l.prev != prev:
+				return fmt.Errorf("entry %d in bucket %d has prev %d, want %d", id, i, l.prev, prev)
+			case asOf >= opens+e.cfg.Period || i > 0 && asOf < opens:
+				return fmt.Errorf("entry %d (asOf %v) is in bucket %d, which opens at %v", id, asOf, i, opens)
 			}
 			linked[id] = true
 		}
 	}
 	if len(linked) != e.count {
 		return fmt.Errorf("%d entries linked, %d present", len(linked), e.count)
+	}
+	for id, asOf := range e.asOf {
+		if asOf == noEntry && e.links[id] != (capLink{}) {
+			return fmt.Errorf("absent id %d holds link %+v", id, e.links[id])
+		}
 	}
 	return nil
 }

@@ -31,7 +31,7 @@ type Catastrophic struct {
 
 // Validate checks the parameters.
 func (c Catastrophic) Validate() error {
-	if c.Fraction < 0 || c.Fraction >= 1 {
+	if !(0 <= c.Fraction && c.Fraction < 1) {
 		return fmt.Errorf("churn: fraction %v outside [0,1)", c.Fraction)
 	}
 	if c.NotifyMean < 0 {

@@ -1,6 +1,7 @@
 package churn
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -34,6 +35,9 @@ func TestCatastrophicValidate(t *testing.T) {
 	}
 	if err := (Catastrophic{Fraction: -0.1}).Validate(); err == nil {
 		t.Error("negative fraction accepted")
+	}
+	if err := (Catastrophic{Fraction: math.NaN()}).Validate(); err == nil {
+		t.Error("NaN fraction accepted")
 	}
 	if err := (Catastrophic{Fraction: 0.2, NotifyMean: -time.Second}).Validate(); err == nil {
 		t.Error("negative notify mean accepted")

@@ -212,8 +212,13 @@ func TestPacketTableBytesPerID(t *testing.T) {
 	}
 }
 
-// allocBytes returns the heap bytes fn allocates.
+// allocBytes returns the heap bytes fn allocates. It runs on one P, as
+// testing.AllocsPerRun does: with more, ReadMemStats' own stop-the-world
+// can allocate inside the measurement on a loaded host — a 96-byte sudog
+// when a concurrent GC holds the world semaphore, or a new M for an idle P
+// when the world restarts.
 func allocBytes(fn func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	fn()

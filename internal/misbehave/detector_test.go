@@ -23,7 +23,9 @@ func TestDetectorConfigValidation(t *testing.T) {
 		{MinServeEvidence: -1},
 		{ServeRatioFloor: 1.5},
 		{ServeRatioFloor: -0.1},
+		{ServeRatioFloor: math.NaN()},
 		{ReleaseRatio: 0.2}, // below the default floor of 0.35
+		{ReleaseRatio: math.NaN()},
 		{ServeRatioFloor: 0.6, ReleaseRatio: 0.5},
 		{MinProposedIDs: -3},
 	}

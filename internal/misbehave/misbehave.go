@@ -135,10 +135,10 @@ func (c *Config) Validate() error {
 	if d.MinServeEvidence < 1 {
 		return fmt.Errorf("misbehave: min serve evidence %d must be at least 1", d.MinServeEvidence)
 	}
-	if d.ServeRatioFloor <= 0 || d.ServeRatioFloor >= 1 {
+	if !(0 < d.ServeRatioFloor && d.ServeRatioFloor < 1) {
 		return fmt.Errorf("misbehave: serve ratio floor %v outside (0, 1)", d.ServeRatioFloor)
 	}
-	if d.ReleaseRatio <= d.ServeRatioFloor || d.ReleaseRatio > 1 {
+	if !(d.ServeRatioFloor < d.ReleaseRatio && d.ReleaseRatio <= 1) {
 		return fmt.Errorf("misbehave: release ratio %v must sit in (%v, 1]",
 			d.ReleaseRatio, d.ServeRatioFloor)
 	}

@@ -306,7 +306,7 @@ func (c *Config) buildPool(pool []wire.NodeID, seed int64, baseLoss float64, reg
 	if c.usesRegions() && regionOf == nil {
 		return nil, fmt.Errorf("netem: config %q targets topology regions; build it with a topology (scenario: set Config.Topology)", c.Name)
 	}
-	if baseLoss < 0 || baseLoss >= 1 {
+	if !(0 <= baseLoss && baseLoss < 1) {
 		return nil, fmt.Errorf("netem: base loss %v outside [0,1)", baseLoss)
 	}
 	rng := rand.New(rand.NewSource(seed ^ 0x6e65746d)) // "netm"

@@ -93,6 +93,9 @@ func TestValidateRejectsNaN(t *testing.T) {
 			t.Errorf("config %d with a NaN or an infinity accepted: %+v", i, cfg)
 		}
 	}
+	if _, err := (&Config{}).Build(4, 1, nan, nil); err == nil {
+		t.Error("a NaN base loss accepted")
+	}
 }
 
 // codec walks a Config field by field, either decoding fuzz bytes into it

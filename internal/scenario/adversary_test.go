@@ -77,6 +77,9 @@ func TestNaNKnobsRefused(t *testing.T) {
 		"FreeriderFraction":           func(c *Config) { c.FreeriderFraction = nan },
 		"Fanout":                      func(c *Config) { c.Fanout = nan },
 		"FanoutIntra":                 func(c *Config) { c.FanoutIntra = nan },
+		"LossRate":                    func(c *Config) { c.LossRate = nan },
+		"LossRate 1":                  func(c *Config) { c.LossRate = 1 },
+		"LossRate -0.1":               func(c *Config) { c.LossRate = -0.1 },
 		"churn burst Fraction": func(c *Config) {
 			c.ChurnBursts = []ChurnBurst{{At: time.Second, Fraction: nan}}
 		},

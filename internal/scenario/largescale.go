@@ -223,9 +223,9 @@ func LargeScaleXL(n int, seed int64, shards int) Config {
 	c.Drain = 10 * time.Second
 	c.Shards = shards
 	// 256 tracked entries keep bbar's standard error in the mid single
-	// digits for the bimodal distribution while holding the per-node
-	// aggregation state (entry table + freshness/expiry heaps) near 10 KB —
-	// the table itself is what made 1M nodes run out of memory.
+	// digits for the bimodal distribution while holding each node's
+	// capability table, presized at the limit, to 256 × 20 B = 5 KB — the
+	// untracked table is what made 1M nodes run out of memory.
 	c.AggTrackLimit = 256
 	return c
 }

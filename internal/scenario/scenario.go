@@ -340,6 +340,9 @@ func (c *Config) validate() error {
 		return fmt.Errorf("scenario: invalid latency range [%v, %v]", c.LatencyMin, c.LatencyMax)
 	}
 	// Range checks are negated comparisons, so NaN fails them too.
+	if !(c.LossRate >= 0 && c.LossRate < 1) {
+		return fmt.Errorf("scenario: loss rate %v outside [0,1)", c.LossRate)
+	}
 	if !(c.FreeriderFraction >= 0 && c.FreeriderFraction < 1) {
 		return fmt.Errorf("scenario: freerider fraction %v outside [0,1)", c.FreeriderFraction)
 	}
@@ -854,11 +857,17 @@ func (r *run) stackSpec(i, present int, onDeliver core.DeliverFunc) stack.Spec {
 		spec.FanoutMargin = fanoutC
 	}
 	if heapNode {
+		// Ids are dense below r.total, so a limit of at most r.total tracks
+		// the same ids as no limit, and presizes the table for them.
+		limit := r.total
+		if cfg.AggTrackLimit > 0 {
+			limit = min(cfg.AggTrackLimit, limit)
+		}
 		spec.Aggregation = &aggregation.Config{
 			Period:     cfg.AggPeriod,
 			Fanout:     cfg.AggFanout,
 			FreshestK:  cfg.AggFreshestK,
-			TrackLimit: cfg.AggTrackLimit,
+			TrackLimit: limit,
 		}
 	}
 	if isSource && cfg.SourceBias && spec.View != nil {

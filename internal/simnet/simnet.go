@@ -324,7 +324,7 @@ func New(cfg Config) *Network {
 	if cfg.Latency == nil {
 		cfg.Latency = ConstantLatency(0)
 	}
-	if cfg.LossRate < 0 || cfg.LossRate >= 1 {
+	if !(0 <= cfg.LossRate && cfg.LossRate < 1) {
 		panic(fmt.Sprintf("simnet: loss rate %v outside [0,1)", cfg.LossRate))
 	}
 	if cfg.Netem == nil {

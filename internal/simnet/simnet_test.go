@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"math"
 	"slices"
 	"testing"
 	"time"
@@ -117,6 +118,21 @@ func TestUnconstrainedUplinkHasNoSerializationDelay(t *testing.T) {
 		if g.at != time.Millisecond {
 			t.Fatalf("delivery at %v, want 1ms for all", g.at)
 		}
+	}
+}
+
+// TestNewRefusesLossRateOutsideUnitInterval: New panics on a loss rate
+// outside [0, 1), NaN included.
+func TestNewRefusesLossRateOutsideUnitInterval(t *testing.T) {
+	for _, rate := range []float64{math.NaN(), -0.1, 1, 1.5} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("loss rate %v accepted", rate)
+				}
+			}()
+			New(Config{LossRate: rate})
+		}()
 	}
 }
 
