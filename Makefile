@@ -39,14 +39,16 @@ race:
 # determinism oracles run here too — the
 # sharded event loop is the one place simulation results depend on goroutine
 # discipline — plus the cluster-sampler storm (concurrent split draws against
-# the brute-force oracle). udpnet runs whole: its timer free list and the
-# Close/fire handshake are state shared between timer goroutines, the read
-# loop and callers. ratelimit runs on one P as well as two, so its wake
-# protocol (Enqueue wakes a drain parked on an empty ring) is raced with the
-# two sides interleaved by the scheduler, not only in parallel.
+# the brute-force oracle). udpnet runs whole: its event loop shares the timer
+# heap, the parked flag and each node's pacer with callers on other
+# goroutines (Execute, AfterFunc and Send from outside the loop, joins and
+# Close). udpnet and ratelimit run on one P as well as two, so their wake
+# protocols (a Send or an AfterFunc pokes a parked loop; an Enqueue notifies
+# a consumer whose last step left the ring empty) are raced with the two
+# sides interleaved by the scheduler, not only in parallel.
 race-detect:
-	$(GO) test -race ./internal/misbehave ./internal/adapt ./internal/udpnet
-	$(GO) test -race -cpu 1,2 ./internal/ratelimit
+	$(GO) test -race ./internal/misbehave ./internal/adapt
+	$(GO) test -race -cpu 1,2 ./internal/ratelimit ./internal/udpnet
 	$(GO) test -race -run 'TestCrossShardExchangeRace|TestQueuePushPopDeferStorm' ./internal/simnet
 	$(GO) test -race -run 'TestClusterSamplerStorm' ./internal/membership
 	$(GO) test -race -run 'TestDeterminismShardCounts|TestDeterminismTopologyShardCounts' ./internal/scenario

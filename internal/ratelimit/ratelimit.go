@@ -4,9 +4,14 @@
 // wait in the queue and leave as soon as bandwidth allows.
 //
 // The queue is a fixed ring allocated once, guarded by one mutex that
-// orders Enqueue, the drain loop and Close. The drain parks only when it
-// finds the queue empty, and Enqueue wakes it only then, so a busy sender
-// hands items over under the lock alone, with no channel operation per item.
+// orders Enqueue, the release step and Close. One pacing implementation
+// serves two owners: Release is the step — it flushes every run the clock
+// has released by a given instant and says when the next item is due — and
+// either the Sender's own drain goroutine calls it (NewSender,
+// NewBatchSender) or an event loop that owns the sender does
+// (NewSteppedSender). The consumer parks only when a step found the queue
+// empty, and Enqueue notifies it only then, so a busy sender hands items
+// over under the lock alone, with no channel operation per item.
 //
 // The discrete-event simulator models this behaviour natively
 // (internal/simnet); this package provides it for the real-UDP runtime
@@ -35,23 +40,40 @@ type Sender[T any] struct {
 	flush    func([]T)
 	batchMax int
 
-	// mu guards the ring and the two flags. The drain peeks the head item
-	// under it, paces outside it, and takes the released run out in one
-	// hold; Close sets closed under it, so no item enters the ring once
-	// Close's final sweep can run.
+	// notify tells the consumer that a Release may now do something it
+	// could not before: an Enqueue onto the ring a step found empty,
+	// SetRate and Close call it. For the drain goroutine it leaves a token
+	// on wake; a stepped sender's owner supplies its own.
+	notify func()
+
+	// stepMu is held through a step, flush included, so steps run one at a
+	// time whoever calls them, and Close can wait out the one in flight.
+	stepMu sync.Mutex
+
+	// mu guards the ring, the flags and the pacing clock. A step takes a
+	// released run out in one hold and flushes it outside; Close sets
+	// closed under it, so no item enters the ring once Close's final sweep
+	// can run.
 	mu     sync.Mutex
 	ring   []slot[T]
-	head   int // index of the oldest queued item
-	n      int // queued items, the one being paced included
+	head   int          // index of the oldest queued item
+	n      int          // queued items, the one being paced included
+	items  atomic.Int32 // n, for FlushBacklog's look without the lock
 	closed bool
-	// parked is set by the drain when it waits on an empty ring; the
-	// Enqueue that clears it owes the drain a wake.
+	// parked is set by a step that finds or leaves the ring empty; the
+	// Enqueue that clears it owes the consumer a notify.
 	parked bool
-	// wake is the drain's one wait channel: an Enqueue onto the ring the
-	// drain parked on, SetRate and Close each leave a token in its single
-	// slot (coalescing is fine: the drain rechecks everything it was
-	// waiting for), so an idle drain parks on one channel and a pacing one
-	// on this and its timer.
+	// The pacing clock: txClock is when the uplink becomes free; idle
+	// records that the ring was seen empty since, so the next item restarts
+	// the clock from now.
+	txClock time.Time
+	idle    bool
+	batch   []T // a step's run, reused; only one step runs at a time
+
+	// wake is the drain goroutine's one wait channel (nil on a stepped
+	// sender): notify leaves a token in its single slot (coalescing is
+	// fine: the drain rechecks everything it was waiting for), so an idle
+	// drain parks on one channel and a pacing one on this and its timer.
 	wake chan struct{}
 	wg   sync.WaitGroup
 	once sync.Once
@@ -73,7 +95,8 @@ type slot[T any] struct {
 
 // NewSender builds and starts a paced sender. rateBps <= 0 means unlimited.
 // sizeOf must return the on-wire size (used for pacing); send performs the
-// actual transmission and must not block indefinitely.
+// actual transmission and must not block indefinitely, nor call back into
+// the sender's Release or Close (a step holds the step lock through it).
 func NewSender[T any](rateBps int64, queueCap int, sizeOf func(T) int, send func(T)) (*Sender[T], error) {
 	if send == nil {
 		return nil, fmt.Errorf("ratelimit: sizeOf and send are required")
@@ -92,6 +115,37 @@ func NewSender[T any](rateBps int64, queueCap int, sizeOf func(T) int, send func
 // re-pacing semantics are identical to the per-item sender; batchMax 1
 // degenerates to it exactly.
 func NewBatchSender[T any](rateBps int64, queueCap, batchMax int, sizeOf func(T) int, flush func([]T)) (*Sender[T], error) {
+	s, err := newSender(rateBps, queueCap, batchMax, sizeOf, flush)
+	if err != nil {
+		return nil, err
+	}
+	s.wake = make(chan struct{}, 1)
+	s.notify = s.signal
+	s.wg.Add(1)
+	go s.drain()
+	return s, nil
+}
+
+// NewSteppedSender builds a paced sender without a drain goroutine: its
+// owner — an event loop — calls Release, always from one goroutine at a
+// time, and Release runs the flushes on that goroutine. notify (nil for
+// none) is called, from whatever goroutine Enqueues, sets the rate or
+// closes, when a Release would now do more than the last one said: the
+// ring that a Release left empty got an item, the rate changed, or the
+// sender closed. The queue, the books and the pacing are the other
+// constructors' exactly.
+func NewSteppedSender[T any](rateBps int64, queueCap, batchMax int, sizeOf func(T) int, flush func([]T), notify func()) (*Sender[T], error) {
+	s, err := newSender(rateBps, queueCap, batchMax, sizeOf, flush)
+	if err != nil {
+		return nil, err
+	}
+	if notify != nil {
+		s.notify = notify
+	}
+	return s, nil
+}
+
+func newSender[T any](rateBps int64, queueCap, batchMax int, sizeOf func(T) int, flush func([]T)) (*Sender[T], error) {
 	if queueCap <= 0 {
 		return nil, fmt.Errorf("ratelimit: queue capacity %d must be positive", queueCap)
 	}
@@ -104,25 +158,26 @@ func NewBatchSender[T any](rateBps int64, queueCap, batchMax int, sizeOf func(T)
 	s := &Sender[T]{
 		sizeOf:   sizeOf,
 		flush:    flush,
+		notify:   func() {},
 		batchMax: batchMax,
 		ring:     make([]slot[T], queueCap),
-		wake:     make(chan struct{}, 1),
+		parked:   true, // no step has run: the first Enqueue notifies
+		idle:     true,
+		batch:    make([]T, 0, batchMax),
 	}
 	s.rateBps.Store(rateBps)
-	s.wg.Add(1)
-	go s.drain()
 	return s, nil
 }
 
 // SetRate rewrites the pacing rate (bits per second; <= 0 means unlimited)
 // — capability drift and netem capability traces on the real-socket path.
-// Safe to call concurrently with Enqueue, Close, and the drain loop; the
-// new rate applies immediately, re-pacing even an item the loop is currently
-// sleeping on (a trace that unthrottles the node must not stay stuck behind
+// Safe to call concurrently with Enqueue, Close, and Release; the new rate
+// applies immediately, re-pacing even an item the consumer is currently
+// waiting on (a trace that unthrottles the node must not stay stuck behind
 // a multi-second wait computed from the old rate).
 func (s *Sender[T]) SetRate(rateBps int64) {
 	s.rateBps.Store(rateBps)
-	s.signal()
+	s.notify()
 }
 
 // signal leaves a wake token for the drain; if one is already pending the
@@ -157,6 +212,7 @@ func (s *Sender[T]) Enqueue(item T) bool {
 	}
 	s.ring[tail] = slot[T]{item, size}
 	s.n++
+	s.items.Store(int32(s.n))
 	// The gauges move with the ring under the lock, so an observer never
 	// sees an accepted item missing from QueuedBytes (the drain debits only
 	// after transmission: the gauge errs toward over-reporting pressure).
@@ -166,26 +222,30 @@ func (s *Sender[T]) Enqueue(item T) bool {
 	s.parked = false
 	s.mu.Unlock()
 	if wake {
-		s.signal()
+		s.notify()
 	}
 	return true
 }
 
-// Close stops the drain loop and waits for it to exit. Queued items are
-// discarded — their bytes move from the queued gauge to DiscardedBytes, so
-// QueuedBytes and QueueBacklog read zero on a closed sender instead of
+// Close stops the sender: it waits for a flush in progress to finish and,
+// on a sender with a drain goroutine, for the drain to exit. Queued items
+// are discarded — their bytes move from the queued gauge to DiscardedBytes,
+// so QueuedBytes and QueueBacklog read zero on a closed sender instead of
 // over-reporting forever. Close is idempotent; concurrent callers return
 // only once the shutdown (including the discard sweep) has completed.
 func (s *Sender[T]) Close() {
 	s.once.Do(func() {
 		// Every Enqueue that got an item into the ring did so before this
-		// hold; every later one sees closed. So after the drain exits, the
-		// sweep below is the last writer of the ring and the gauge.
+		// hold; every later one sees closed, and so does every later step.
+		// So once the step in flight has flushed its run, the sweep below
+		// is the last writer of the ring and the gauge.
 		s.mu.Lock()
 		s.closed = true
 		s.mu.Unlock()
-		s.signal()
+		s.notify()
 		s.wg.Wait()
+		s.stepMu.Lock()
+		defer s.stepMu.Unlock()
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		for s.n > 0 {
@@ -205,6 +265,7 @@ func (s *Sender[T]) pop() slot[T] {
 		s.head = 0
 	}
 	s.n--
+	s.items.Store(int32(s.n))
 	return sl
 }
 
@@ -276,105 +337,149 @@ func (s *Sender[T]) Collect(emit func(name string, value float64)) {
 	emit("send_backlog_seconds", s.QueueBacklog().Seconds())
 }
 
-// drain is the pacing loop: a virtual transmission clock advances by each
-// item's serialization time; the loop sleeps whenever the clock runs ahead
-// of real time. This is equivalent to a token bucket with zero burst, which
-// is what "never exceed the upload capability" requires. The clock restarts
-// from now only when the uplink went idle — a release emptied the ring — as
-// simnet's uplink does (start = max(now, uplinkFreeAt)); a backlogged sender
-// keeps its clock, so a late timer or a slow flush is made up by the items
-// behind it instead of lost for good. A
-// SetRate during the sleep re-paces the item: the waited time counts against
-// the new serialization time, so rate increases release the item early and
-// decreases extend the wait.
+// Release is the pacing step. It flushes the run the clock has released by
+// now — at most batchMax items, in one flush call on the caller's goroutine
+// — and returns when the next queued item is due: a time not after now if
+// more have been released already, the zero Time when the ring is empty
+// (the next Enqueue notifies) or the sender is closed. A step in progress
+// elsewhere (FlushBacklog's) is waited for. The drain goroutine of
+// NewSender/NewBatchSender steps its own sender; a stepped sender's owner
+// calls Release from its loop.
+func (s *Sender[T]) Release(now time.Time) time.Time {
+	next, _ := s.step(now)
+	return next
+}
+
+// FlushBacklog is for a producer outside the consumer's goroutine: when two
+// full batches are queued — the consumer, stepping once per turn, has
+// fallen behind — and no step is running, it steps once on the caller's
+// goroutine, so a producer that outruns the consumer spends its own time on
+// the flush instead of waiting for it. It never waits for a step in
+// progress.
+func (s *Sender[T]) FlushBacklog() {
+	if int(s.items.Load()) < 2*s.batchMax || !s.stepMu.TryLock() {
+		return
+	}
+	s.stepLocked(time.Now())
+	s.stepMu.Unlock()
+}
+
+// step is Release, also reporting a closed sender (for the drain to exit).
+func (s *Sender[T]) step(now time.Time) (next time.Time, closed bool) {
+	s.stepMu.Lock()
+	defer s.stepMu.Unlock()
+	return s.stepLocked(now)
+}
+
+// stepLocked is step with stepMu held.
+func (s *Sender[T]) stepLocked(now time.Time) (next time.Time, closed bool) {
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return time.Time{}, true
+	}
+	var bytes int64
+	s.batch, bytes, next = s.release(now, s.batch[:0])
+	s.mu.Unlock()
+	if len(s.batch) > 0 {
+		s.bytes.Add(bytes)
+		s.flush(s.batch)
+		s.sent.Add(int64(len(s.batch)))
+		s.queued.Add(-bytes)
+	}
+	return next, false
+}
+
+// release takes the run the pacing clock has released by now out of the
+// ring, appending it to run, and returns it with its bytes and when the
+// next item is due (the zero Time once the ring is empty, which parks the
+// consumer until an Enqueue notifies it). The caller holds mu.
 //
-// The loop paces on the head item, which stays in the ring until it is
-// released; then, in one hold of the lock, it takes that item and every
-// further one whose serialization time has also already elapsed — all of
-// them, when the rate is unlimited — up to batchMax, and flushes the run as
-// one batch outside the lock.
+// A virtual transmission clock advances by each item's serialization time,
+// and an item leaves only once the clock, so advanced, is not ahead of now.
+// This is equivalent to a token bucket with zero burst, which is what
+// "never exceed the upload capability" requires. The clock restarts from
+// now only when the uplink went idle — the ring was seen empty — as
+// simnet's uplink does (start = max(now, uplinkFreeAt)); a backlogged
+// sender keeps its clock, so a late step or a slow flush is made up by the
+// items behind it instead of lost for good. The head item stays in the ring
+// until it is released, and every step prices it at the current rate from
+// the same clock base: a SetRate while the consumer waits re-paces it, the
+// time already waited counting against the new serialization time, so rate
+// increases release the item early and decreases extend the wait.
+//
+// The run is the head and every further item whose serialization time has
+// also already elapsed — all of them, when the rate is unlimited — up to
+// batchMax; it stops at the first item that still owes time.
+func (s *Sender[T]) release(now time.Time, run []T) ([]T, int64, time.Time) {
+	if s.n == 0 {
+		s.parked, s.idle = true, true
+		return run, 0, time.Time{}
+	}
+	rate := s.rateBps.Load()
+	if rate <= 0 {
+		s.idle = true // unlimited keeps no clock: pacing restarts from now
+	} else if s.idle {
+		if s.txClock.Before(now) {
+			s.txClock = now
+		}
+		s.idle = false
+	}
+	var bytes int64
+	for s.n > 0 && len(run) < s.batchMax {
+		size := s.ring[s.head].size
+		if rate > 0 {
+			deadline := s.txClock.Add(serialization(size, rate))
+			if deadline.After(now) {
+				return run, bytes, deadline // still owes serialization time
+			}
+			s.txClock = deadline
+		}
+		run = append(run, s.pop().item)
+		bytes += size
+	}
+	switch {
+	case s.n == 0:
+		s.parked, s.idle = true, true
+		return run, bytes, time.Time{}
+	case rate <= 0:
+		return run, bytes, now
+	default:
+		return run, bytes, s.txClock.Add(serialization(s.ring[s.head].size, rate))
+	}
+}
+
+// drain is the goroutine consumer of NewSender/NewBatchSender: it steps at
+// the wall clock and sleeps until the next item is due, or on an empty ring
+// until an Enqueue notifies it. SetRate and Close end a sleep early.
 func (s *Sender[T]) drain() {
 	defer s.wg.Done()
-	batch := make([]T, 0, s.batchMax)
-	var (
-		txClock time.Time   // when the uplink becomes free
-		timer   *time.Timer // the loop's one timer, re-armed per paced wait
-		idle    = true      // the ring was seen empty since the last release
-	)
+	var timer *time.Timer // the loop's one timer, re-armed per paced wait
 	for {
-		s.mu.Lock()
-		for s.n == 0 && !s.closed {
-			s.parked = true
-			s.mu.Unlock()
-			<-s.wake
-			s.mu.Lock()
-		}
-		if s.closed {
-			s.mu.Unlock()
+		next, closed := s.step(time.Now())
+		switch {
+		case closed:
 			return // Close sweeps the ring
+		case next.IsZero():
+			<-s.wake
+			continue
 		}
-		size := s.ring[s.head].size
-		s.mu.Unlock()
-
-		var now time.Time
-		rate := s.rateBps.Load()
-		if rate <= 0 {
-			idle = true // unlimited keeps no clock: pacing restarts from now
+		wait := time.Until(next)
+		if wait <= 0 {
+			continue
+		}
+		// go 1.23+ timers: Reset on a stopped or fired timer needs no
+		// drain, and a Stop-ped timer leaves nothing in its channel.
+		if timer == nil {
+			timer = time.NewTimer(wait)
 		} else {
-			now = time.Now()
-			if idle && txClock.Before(now) {
-				txClock = now
-			}
-			idle = false
-			deadline := txClock.Add(serialization(size, rate))
-			if wait := deadline.Sub(now); wait > 0 {
-				// go 1.23+ timers: Reset on a stopped or fired timer needs
-				// no drain, and a Stop-ped timer leaves nothing in its channel.
-				if timer == nil {
-					timer = time.NewTimer(wait)
-				} else {
-					timer.Reset(wait)
-				}
-				select {
-				case <-timer.C:
-					now = time.Now()
-				case <-s.wake:
-					// SetRate or Close: recheck, and re-pace the head from
-					// the same clock base — time already waited is not
-					// re-charged.
-					timer.Stop()
-					continue
-				}
-			}
-			txClock = deadline
+			timer.Reset(wait)
 		}
-
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			return
+		select {
+		case <-timer.C:
+		case <-s.wake:
+			timer.Stop() // SetRate or Close: step again at once
 		}
-		batch = append(batch[:0], s.pop().item)
-		batchBytes := size
-		for s.n > 0 && len(batch) < s.batchMax {
-			next := s.ring[s.head]
-			if rate > 0 {
-				deadline := txClock.Add(serialization(next.size, rate))
-				if deadline.After(now) {
-					break // still owes serialization time: paced next round
-				}
-				txClock = deadline
-			}
-			s.pop()
-			batch = append(batch, next.item)
-			batchBytes += next.size
-		}
-		idle = s.n == 0
-		s.mu.Unlock()
-		s.bytes.Add(batchBytes)
-		s.flush(batch)
-		s.sent.Add(int64(len(batch)))
-		s.queued.Add(-batchBytes)
 	}
 }
 

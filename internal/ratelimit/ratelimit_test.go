@@ -1,6 +1,7 @@
 package ratelimit
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -812,5 +813,201 @@ func TestUnpacedCycleAllocatesNothing(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("%d unpaced items allocated %v objects, want 0", items, allocs)
+	}
+}
+
+// steppedRecorder is a stepped sender whose Release the test drives with a
+// fake clock; flushes records each run, so the clock rule is checked with no
+// sleeps.
+type steppedRecorder struct {
+	s    *Sender[int]
+	runs [][]int
+}
+
+// newStepped builds a stepped sender of 1250-byte items — 10 ms apiece at
+// 1 Mbps — flushing at most batchMax per run.
+func newStepped(t *testing.T, rateBps int64, batchMax int) *steppedRecorder {
+	t.Helper()
+	r := &steppedRecorder{}
+	s, err := NewSteppedSender(rateBps, 64, batchMax, func(int) int { return 1250 },
+		func(run []int) { r.runs = append(r.runs, append([]int(nil), run...)) }, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	r.s = s
+	return r
+}
+
+func (r *steppedRecorder) enqueue(t *testing.T, items ...int) {
+	t.Helper()
+	for _, i := range items {
+		if !r.s.Enqueue(i) {
+			t.Fatalf("enqueue %d failed", i)
+		}
+	}
+}
+
+// release steps at now and checks the run it flushed and the next due time
+// it reported (as an offset from t0; -1 for none).
+func (r *steppedRecorder) release(t *testing.T, t0 time.Time, now time.Duration, run []int, next time.Duration) {
+	t.Helper()
+	before := len(r.runs)
+	at := r.s.Release(t0.Add(now))
+	var got []int
+	if len(r.runs) > before {
+		got = r.runs[before]
+	}
+	if fmt.Sprint(got) != fmt.Sprint(run) {
+		t.Fatalf("Release at %v flushed %v, want %v", now, got, run)
+	}
+	gotNext := time.Duration(-1)
+	if !at.IsZero() {
+		gotNext = at.Sub(t0)
+	}
+	if gotNext != next {
+		t.Fatalf("Release at %v reported next due %v, want %v", now, gotNext, next)
+	}
+}
+
+// TestSteppedClockIdleRestartsBackloggedKeeps pins the clock rule on a fake
+// clock: a backlogged uplink keeps its clock through a late step (the items
+// behind make the lateness up), and only an uplink that went idle restarts
+// from now.
+func TestSteppedClockIdleRestartsBackloggedKeeps(t *testing.T) {
+	const ms = time.Millisecond
+	t0 := time.Unix(1000, 0)
+	r := newStepped(t, 1_000_000, 8)
+	r.enqueue(t, 1, 2, 3)
+	r.release(t, t0, 0, nil, 10*ms)          // the clock starts at the first look
+	r.release(t, t0, 15*ms, []int{1}, 20*ms) // 5 ms late: item 2 is still due at 20, not 25
+	r.release(t, t0, 30*ms, []int{2, 3}, -1) // both owed by 30: the lateness is made up
+	r.enqueue(t, 4)                          // idle since 30
+	r.release(t, t0, 100*ms, nil, 110*ms)    // restarts from now, not from 30
+	r.release(t, t0, 110*ms, []int{4}, -1)
+}
+
+// TestSteppedSetRateRepacesFromSameBase: a rate change while the head item
+// waits prices it again from the same clock base, counting the time already
+// waited.
+func TestSteppedSetRateRepacesFromSameBase(t *testing.T) {
+	const ms = time.Millisecond
+	t0 := time.Unix(1000, 0)
+	r := newStepped(t, 1_000_000, 8)
+	r.enqueue(t, 1, 2)
+	r.release(t, t0, 0, nil, 10*ms)
+	r.s.SetRate(2_000_000)            // 5 ms per item from here
+	r.release(t, t0, 1*ms, nil, 5*ms) // from the base at 0, not from 1
+	r.s.SetRate(500_000)              // 20 ms per item
+	r.release(t, t0, 6*ms, nil, 20*ms)
+	r.release(t, t0, 20*ms, []int{1}, 40*ms)
+}
+
+// TestSteppedRunCuts: a run stops at batchMax and at the first item that
+// still owes serialization time; what was cut at batchMax is due at once.
+func TestSteppedRunCuts(t *testing.T) {
+	const ms = time.Millisecond
+	t0 := time.Unix(1000, 0)
+	r := newStepped(t, 1_000_000, 3)
+	r.enqueue(t, 1, 2, 3, 4, 5, 6)
+	r.release(t, t0, 0, nil, 10*ms)
+	r.release(t, t0, 45*ms, []int{1, 2, 3}, 40*ms) // cut at batchMax: item 4 was due at 40
+	r.release(t, t0, 45*ms, []int{4}, 50*ms)       // cut at item 5, owed until 50
+	r.release(t, t0, 60*ms, []int{5, 6}, -1)
+}
+
+// TestSteppedUnlimitedReleasesEverything: with no rate every queued item is
+// released at once, batchMax at a time, and the clock plays no part.
+func TestSteppedUnlimitedReleasesEverything(t *testing.T) {
+	t0 := time.Unix(1000, 0)
+	r := newStepped(t, 0, 4)
+	r.enqueue(t, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
+	r.release(t, t0, 0, []int{1, 2, 3, 4}, 0)
+	r.release(t, t0, 0, []int{5, 6, 7, 8}, 0)
+	r.release(t, t0, 0, []int{9, 10}, -1)
+	if got, want := r.s.BytesSent(), int64(10*1250); got != want {
+		t.Fatalf("BytesSent() = %d, want %d", got, want)
+	}
+	if q := r.s.QueuedBytes(); q != 0 {
+		t.Fatalf("QueuedBytes() = %d, want 0", q)
+	}
+}
+
+// TestSteppedNotifiesOnlyFromEmpty: a stepped sender's notify fires for the
+// Enqueue onto a ring its last step left empty, and for SetRate — not for
+// items queued behind a head the owner already knows is due.
+func TestSteppedNotifiesOnlyFromEmpty(t *testing.T) {
+	var notified int
+	s, err := NewSteppedSender(1_000_000, 8, 4, func(int) int { return 1250 }, func([]int) {}, func() { notified++ })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	t0 := time.Unix(1000, 0)
+	s.Enqueue(1) // no step yet: the owner is owed a notify
+	s.Enqueue(2)
+	if notified != 1 {
+		t.Fatalf("%d notifies after two enqueues onto a fresh sender, want 1", notified)
+	}
+	s.Release(t0)
+	s.Enqueue(3) // the head is still pacing: the owner knows when to step
+	if notified != 1 {
+		t.Fatalf("enqueue behind a pacing head notified")
+	}
+	s.SetRate(2_000_000)
+	if notified != 2 {
+		t.Fatalf("SetRate did not notify")
+	}
+	s.Release(t0.Add(time.Second)) // releases all three
+	s.Enqueue(4)
+	if notified != 3 {
+		t.Fatalf("enqueue onto a ring a step left empty did not notify")
+	}
+}
+
+// TestFlushBacklogOnlyWhenBehind: a producer's FlushBacklog steps once on
+// its own goroutine when two full batches wait, does nothing below that,
+// and never waits for a step already running.
+func TestFlushBacklogOnlyWhenBehind(t *testing.T) {
+	var runs [][]int
+	entered, unblock := make(chan struct{}), make(chan struct{})
+	var blockNext atomic.Bool
+	s, err := NewSteppedSender(0, 16, 2, func(int) int { return 100 }, func(run []int) {
+		if blockNext.CompareAndSwap(true, false) {
+			close(entered)
+			<-unblock
+		}
+		runs = append(runs, append([]int(nil), run...))
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for i := 1; i <= 3; i++ {
+		s.Enqueue(i)
+	}
+	s.FlushBacklog()
+	if len(runs) != 0 {
+		t.Fatalf("flushed %v with fewer than two batches queued", runs)
+	}
+	s.Enqueue(4)
+	s.FlushBacklog()
+	if fmt.Sprint(runs) != "[[1 2]]" {
+		t.Fatalf("flushed %v, want one run [1 2]", runs)
+	}
+	s.Enqueue(5)
+	s.Enqueue(6)
+	blockNext.Store(true)
+	done := make(chan struct{})
+	go func() {
+		s.Release(time.Now())
+		close(done)
+	}()
+	<-entered
+	s.FlushBacklog() // a step is running: must return at once
+	close(unblock)
+	<-done
+	if fmt.Sprint(runs) != "[[1 2] [3 4]]" {
+		t.Fatalf("flushed %v, want [[1 2] [3 4]]", runs)
 	}
 }

@@ -11,7 +11,10 @@
 // hand-built control messages, so the module stays free of dependencies
 // outside the standard library; the portable one-syscall-per-datagram path
 // (singleIO) serves the inverse build tag (batch_fallback.go) and
-// Config.DisableBatch.
+// Config.DisableBatch. The batched path owns a duplicate of the socket's
+// descriptor and closes the net.UDPConn it came from, so the Go runtime's
+// poller stops watching the socket: the event loop's epoll set is the only
+// one a datagram wakes.
 
 package udpnet
 
@@ -19,8 +22,10 @@ import (
 	"errors"
 	"net"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"syscall"
+	"time"
 	"unsafe"
 )
 
@@ -73,20 +78,23 @@ type mmsghdr struct {
 func setLen[T ~uint32 | ~uint64](field *T, n int) { *field = T(n) }
 
 // mmsgIO implements batchIO over one UDP socket's raw descriptor. The
-// receive staging buffers are the free list the read loop recycles: they
+// receive staging buffers are the free list the event loop recycles: they
 // are filled by every recvmmsg call and never escape (messages are decoded
 // in place and dispatched before the next call; only Serve bodies, whose
 // payloads handlers keep, are copied out first), so one
-// ioBatchMax×maxDatagram allocation serves the node's whole lifetime. So do
-// the two RawConn callbacks: they are method values bound once, and talk to
-// their callers through the fields beside them, so a wakeup captures nothing.
+// ioBatchMax×maxDatagram allocation serves the node's whole lifetime.
 type mmsgIO struct {
-	rc   syscall.RawConn
-	ipv6 bool // socket family: encode destinations to match
-	gso  bool // group same-peer runs into UDP_SEGMENT sends; off for good once the kernel refuses one
+	// mu is held shared by every use of fd and exclusively by Close, so no
+	// call reaches the number once it is closed (and perhaps reused).
+	mu      sync.RWMutex
+	fd      int
+	closed  bool
+	closing atomic.Bool // ends a send's wait for writability
+	ipv6    bool        // socket family: encode destinations to match
+	gso     bool        // group same-peer runs into UDP_SEGMENT sends; off for good once the kernel refuses one
 
-	// Receive side, allocated once. recvFn reports through rcount/rerrno;
-	// only the read loop calls ReadBatch. segs is the batch's frames, one
+	// Receive side, allocated once. recv reports through rcount/rerrno;
+	// only the event loop calls ReadBatch. segs is the batch's frames, one
 	// per segment of every received slot: it grows to the largest batch
 	// seen, then stays.
 	rhdrs  []mmsghdr
@@ -95,26 +103,35 @@ type mmsgIO struct {
 	rnames []syscall.RawSockaddrAny
 	rctrl  []byte // recvCtrlSpace per slot
 	segs   []rxSegment
-	recvFn func(fd uintptr) bool
 	rcount int
 	rerrno syscall.Errno
 
 	// Send side, allocated once; headers are rebuilt per WriteBatch: one
 	// iovec per frame, one header per frame or segmented run. sfirst[h] is
-	// the chunk index of header h's first frame. sendFn transmits
+	// the chunk index of header h's first frame. send transmits
 	// shdrs[wsent:wk] and sets refused when the kernel rejects a segmented
-	// header; only the paced sender calls WriteBatch.
+	// header; only the paced sender's flush, on the event loop, calls
+	// WriteBatch.
 	shdrs     []mmsghdr
 	siov      []syscall.Iovec
 	snames    []syscall.RawSockaddrAny
 	sctrl     []byte // sendCtrlSpace per header
 	sfirst    []int
-	sendFn    func(fd uintptr) bool
 	wsent, wk int
 	refused   bool
+	pfd       pollFd
+	pwait     syscall.Timespec
 
 	sendCalls, recvCalls atomic.Int64
 }
+
+// pollFd is struct pollfd, the same on every architecture.
+type pollFd struct {
+	fd             int32
+	events, revent int16
+}
+
+const pollOut = 0x4 // POLLOUT
 
 // rxSegment is one received frame: a segment of staging slot slot.
 type rxSegment struct {
@@ -123,8 +140,10 @@ type rxSegment struct {
 }
 
 // newBatchIO wires the batched-syscall path over conn and turns on the
-// segmentation offloads the kernel has. An error (no raw descriptor view, no
-// syscall number) makes the caller keep singleIO.
+// segmentation offloads the kernel has. On success it owns the socket: it
+// keeps a duplicate descriptor and closes conn, which takes the socket out
+// of the Go runtime's poller. An error (no raw descriptor view, no syscall
+// number) leaves conn alone and makes the caller keep singleIO.
 func newBatchIO(conn *net.UDPConn) (batchIO, error) {
 	if sysSendmmsg == 0 {
 		return nil, errors.New("udpnet: no sendmmsg number for this GOARCH")
@@ -133,9 +152,22 @@ func newBatchIO(conn *net.UDPConn) (batchIO, error) {
 	if err != nil {
 		return nil, err
 	}
+	fd, dupErr := -1, error(nil)
+	if err := rc.Control(func(orig uintptr) {
+		syscall.ForkLock.RLock()
+		defer syscall.ForkLock.RUnlock()
+		if fd, dupErr = syscall.Dup(int(orig)); dupErr == nil {
+			syscall.CloseOnExec(fd)
+		}
+	}); err != nil {
+		return nil, err
+	}
+	if dupErr != nil {
+		return nil, dupErr
+	}
 	local, _ := conn.LocalAddr().(*net.UDPAddr)
 	m := &mmsgIO{
-		rc:     rc,
+		fd:     fd,
 		ipv6:   local == nil || local.IP.To4() == nil,
 		rhdrs:  make([]mmsghdr, ioBatchMax),
 		riov:   make([]syscall.Iovec, ioBatchMax),
@@ -152,14 +184,13 @@ func newBatchIO(conn *net.UDPConn) (batchIO, error) {
 	// A kernel without the offloads (before 4.18 for GSO, 5.0 for GRO)
 	// refuses the options; the socket then keeps one datagram per message.
 	// Without GRO no message carries a segment size, so the receive side
-	// needs no flag of its own. Control itself fails only on a closed
-	// socket, which the first read or write reports.
-	_ = rc.Control(func(fd uintptr) {
-		_, gsoErr := syscall.GetsockoptInt(int(fd), solUDP, udpSegment)
-		m.gso = gsoErr == nil
-		_ = syscall.SetsockoptInt(int(fd), solUDP, udpGRO, 1)
-	})
-	m.recvFn, m.sendFn = m.recv, m.send
+	// needs no flag of its own.
+	_, gsoErr := syscall.GetsockoptInt(fd, solUDP, udpSegment)
+	m.gso = gsoErr == nil
+	_ = syscall.SetsockoptInt(fd, solUDP, udpGRO, 1)
+	m.pfd = pollFd{fd: int32(fd), events: pollOut}
+	m.pwait = syscall.NsecToTimespec(int64(time.Millisecond))
+	conn.Close()
 	backing := make([]byte, ioBatchMax*maxDatagram)
 	for i := range m.rhdrs {
 		buf := backing[i*maxDatagram : (i+1)*maxDatagram]
@@ -175,14 +206,18 @@ func newBatchIO(conn *net.UDPConn) (batchIO, error) {
 	return m, nil
 }
 
-// ReadBatch implements batchIO: one recvmmsg call per wakeup, blocking (via
-// the runtime poller) until at least one message is available, then split
-// into frames — one per datagram, or per segment of a coalesced train.
+// ReadBatch implements batchIO: one recvmmsg call, split into frames — one
+// per datagram, or per segment of a coalesced train. It never waits: a
+// socket with nothing queued reads as zero frames.
 func (m *mmsgIO) ReadBatch() (int, error) {
-	m.rcount, m.rerrno = 0, 0
-	if err := m.rc.Read(m.recvFn); err != nil {
-		return 0, err // socket closed
+	m.mu.RLock()
+	if m.closed {
+		m.mu.RUnlock()
+		return 0, net.ErrClosed
 	}
+	m.rcount, m.rerrno = 0, 0
+	m.recv()
+	m.mu.RUnlock()
 	if m.rerrno != 0 {
 		return 0, m.rerrno
 	}
@@ -216,8 +251,8 @@ func (m *mmsgIO) segmentSize(i int) int {
 	return int(*(*int32)(unsafe.Pointer(&ctrl[syscall.CmsgLen(0)])))
 }
 
-// recv is ReadBatch's RawConn callback.
-func (m *mmsgIO) recv(fd uintptr) bool {
+// recv is ReadBatch's syscall; the caller holds mu shared.
+func (m *mmsgIO) recv() {
 	for {
 		// The kernel overwrites Namelen and Controllen with what it wrote
 		// on each receive; reset them before reusing the headers.
@@ -226,20 +261,20 @@ func (m *mmsgIO) recv(fd uintptr) bool {
 			m.rhdrs[i].hdr.SetControllen(recvCtrlSpace)
 		}
 		m.recvCalls.Add(1)
-		r1, _, e := syscall.Syscall6(syscall.SYS_RECVMMSG, fd,
+		r1, _, e := syscall.Syscall6(syscall.SYS_RECVMMSG, uintptr(m.fd),
 			uintptr(unsafe.Pointer(&m.rhdrs[0])), uintptr(len(m.rhdrs)),
 			0, 0, 0)
 		switch e {
 		case 0:
 			m.rcount = int(r1)
-			return true
+			return
 		case syscall.EINTR:
 			continue
 		case syscall.EAGAIN:
-			return false // runtime poller waits for readability
+			return // nothing queued: zero frames
 		default:
 			m.rerrno = e
-			return true
+			return
 		}
 	}
 }
@@ -271,6 +306,30 @@ func (m *mmsgIO) SrcMatches(i int, peer *peerAddr) bool {
 // including those that found the socket not ready.
 func (m *mmsgIO) Syscalls() (send, recv int64) { return m.sendCalls.Load(), m.recvCalls.Load() }
 
+// Control implements batchIO.
+func (m *mmsgIO) Control(f func(fd uintptr)) error {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	if m.closed {
+		return net.ErrClosed
+	}
+	f(uintptr(m.fd))
+	return nil
+}
+
+// Close implements batchIO. It waits for a read or write in progress, which
+// gives up a wait for writability once closing is set.
+func (m *mmsgIO) Close() error {
+	m.closing.Store(true)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.closed {
+		return net.ErrClosed
+	}
+	m.closed = true
+	return syscall.Close(m.fd)
+}
+
 // WriteBatch implements batchIO: the frames leave in order through as few
 // sendmmsg calls as the socket's write buffer allows, each same-peer run a
 // single segmented message where the kernel offers GSO. Per-datagram errors
@@ -281,12 +340,17 @@ func (m *mmsgIO) Syscalls() (send, recv int64) { return m.sendCalls.Load(), m.re
 // message the kernel refuses as such is not lost: GSO goes off for the
 // socket and the run is sent again, one datagram per header.
 func (m *mmsgIO) WriteBatch(items []outDatagram) {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	if m.closed {
+		return
+	}
 	for len(items) > 0 {
 		chunk := items[:min(len(items), len(m.shdrs))]
 		items = items[len(chunk):]
 		for len(chunk) > 0 {
 			m.wsent, m.wk, m.refused = 0, m.pack(chunk), false
-			if m.rc.Write(m.sendFn) != nil || !m.refused {
+			if !m.send() || !m.refused {
 				break
 			}
 			m.gso = false
@@ -352,11 +416,12 @@ func (m *mmsgIO) pack(chunk []outDatagram) int {
 	return k
 }
 
-// send is WriteBatch's RawConn callback.
-func (m *mmsgIO) send(fd uintptr) bool {
+// send is WriteBatch's syscall; the caller holds mu shared. It reports
+// false when it gave up because the socket is closing.
+func (m *mmsgIO) send() bool {
 	for m.wsent < m.wk {
 		m.sendCalls.Add(1)
-		r1, _, e := syscall.Syscall6(sysSendmmsg, fd,
+		r1, _, e := syscall.Syscall6(sysSendmmsg, uintptr(m.fd),
 			uintptr(unsafe.Pointer(&m.shdrs[m.wsent])), uintptr(m.wk-m.wsent),
 			0, 0, 0)
 		switch e {
@@ -365,7 +430,13 @@ func (m *mmsgIO) send(fd uintptr) bool {
 		case syscall.EINTR:
 			continue
 		case syscall.EAGAIN:
-			return false // wait for writability, then resume
+			// The send buffer is full: wait for writability, a
+			// millisecond at a time so a Close is not held up, then resume.
+			if m.closing.Load() {
+				return false
+			}
+			_, _, _ = syscall.Syscall6(syscall.SYS_PPOLL, uintptr(unsafe.Pointer(&m.pfd)), 1,
+				uintptr(unsafe.Pointer(&m.pwait)), 0, 0, 0)
 		default:
 			// EINVAL and EIO are how the kernel refuses a segmented send
 			// (udp_send_skb). Any other error is the destination's — no

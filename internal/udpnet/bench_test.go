@@ -58,20 +58,19 @@ func loopbackPair(tb testing.TB, disableBatch bool) (src, dst *Node, recv *count
 const pumpWindow, pumpStep = 2048, 512
 
 // pump sends count small proposes from src through the same pooled encode
-// path the runtime uses (nodeRuntime.Send under the node mutex), waits for
-// the tail to land, and returns how many arrived and the time from the first
-// send to the last arrival — the full marshal→pace→syscall→decode→dispatch
-// pipeline on both sides.
+// path the runtime uses (nodeRuntime.Send inside Execute, as a load
+// generator outside the event loop does), waits for the tail to land, and
+// returns how many arrived and the time from the first send to the last
+// arrival — the full marshal→pace→syscall→decode→dispatch pipeline on both
+// sides.
 func pump(src *Node, recv *countingHandler, count int) (received int64, elapsed time.Duration) {
 	msg := &wire.Propose{Stream: 1, IDs: []wire.PacketID{1, 2, 3, 4, 5, 6, 7, 8}}
 	rt := &nodeRuntime{n: src}
+	send := func() { rt.Send(1, msg) }
 	base := recv.n.Load()
 	start := time.Now()
 	for i := 0; i < count; i++ {
-		// Send under the node mutex, as handler callbacks do.
-		src.mu.Lock()
-		rt.Send(1, msg)
-		src.mu.Unlock()
+		src.Execute(send)
 		if (i+1)%pumpStep == 0 {
 			limit := time.Now().Add(time.Second)
 			for recv.n.Load()-base < int64(i+1-pumpWindow) && time.Now().Before(limit) {

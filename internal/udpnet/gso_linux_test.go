@@ -191,7 +191,9 @@ func TestGSOTrainsDeliverIdentically(t *testing.T) {
 }
 
 // rawBatchIO opens a loopback socket with the batched path, skipping the
-// test when the kernel lacks either segmentation offload.
+// test when the kernel lacks either segmentation offload. The returned
+// conn is closed (the mmsgIO owns the socket); it still reports its local
+// address.
 func rawBatchIO(t *testing.T) (*mmsgIO, *net.UDPConn) {
 	t.Helper()
 	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
@@ -204,8 +206,9 @@ func rawBatchIO(t *testing.T) (*mmsgIO, *net.UDPConn) {
 		t.Skip(err)
 	}
 	m := bio.(*mmsgIO)
+	t.Cleanup(func() { m.Close() })
 	gro, groErr := 0, error(nil)
-	if err := m.rc.Control(func(fd uintptr) {
+	if err := m.Control(func(fd uintptr) {
 		gro, groErr = syscall.GetsockoptInt(int(fd), solUDP, udpGRO)
 	}); err != nil || groErr != nil || gro == 0 || !m.gso {
 		t.Skip("kernel without UDP GSO/GRO")
@@ -384,7 +387,7 @@ func TestRefusedGSOResendsUnsegmented(t *testing.T) {
 			t.Skip("kernel without UDP GSO")
 		}
 		var soerr error
-		if err := m.rc.Control(func(fd uintptr) {
+		if err := m.Control(func(fd uintptr) {
 			soerr = syscall.SetsockoptInt(int(fd), syscall.SOL_SOCKET, opt, val)
 		}); err != nil || soerr != nil {
 			t.Skip("socket option unavailable:", err, soerr)

@@ -9,13 +9,9 @@ import (
 
 func sockBuf(t *testing.T, n *Node, opt int) int {
 	t.Helper()
-	rc, err := n.conn.SyscallConn()
-	if err != nil {
-		t.Fatal(err)
-	}
 	var val int
 	var soerr error
-	if err := rc.Control(func(fd uintptr) {
+	if err := n.bio.Control(func(fd uintptr) {
 		val, soerr = syscall.GetsockoptInt(int(fd), syscall.SOL_SOCKET, opt)
 	}); err != nil {
 		t.Fatal(err)

@@ -5,42 +5,58 @@
 // application-level retransmission and upload throttling.
 //
 // Each datagram carries a 4-byte sender id followed by one wire message.
-// A Node serializes all handler callbacks (socket reads, timers) behind one
-// mutex, honoring the env contract that handlers are single-threaded.
+//
+// # One event loop per process
+//
+// Every started Node of a process runs on one loop goroutine (loop.go),
+// which keeps the simulator's queue discipline on the wall clock. A turn
+// runs the due timers in (due, arm order), flushes each node's paced
+// sender's released run, sleeps until the earliest due time (plus a
+// millisecond of timer slack, so timers due close together share a
+// wakeup), a readable socket or a poke, and then reads and dispatches each
+// readable socket's batch. Handler callbacks — socket reads, timers, Start
+// — run under the node's mutex, so a handler is never invoked concurrently
+// with itself (the env contract). Execute runs caller code under the same
+// mutex on the caller's goroutine, and a caller that has queued two full
+// batches on the node's sender flushes one itself rather than wait for the
+// loop. The sleep is the only platform-specific part: on Linux an epoll set
+// over the sockets, an eventfd and a timerfd, which the loop parks on in
+// the Go runtime's poller (wait_linux.go); elsewhere a reader goroutine per
+// socket (wait_portable.go).
 //
 // # Batched-syscall fast path
 //
-// On Linux the node amortizes syscalls across datagrams: the paced sender
-// (a ring under one mutex, whose drain wakes only from idle) takes every
-// item the pacing clock has released out in one lock hold and hands the
-// run to one sendmmsg(2), and the read loop pulls up to a batch of messages
-// per recvmmsg(2) into a free list of reusable staging buffers. Where the kernel offers UDP
-// segmentation offload, each run of released datagrams to one peer leaves
-// as one UDP_SEGMENT message — one kernel pass for the train — and the
-// receiving socket, with UDP_GRO on, reads the train back as one message
-// that the read loop splits at the reported segment size. Encode-path
-// buffers are pooled and returned after the kernel copy completes.
-// Node.Collect counts the send and receive syscalls. Everywhere else — and on
-// Linux under Config.DisableBatch — the same loops run over a batch of one:
-// singleIO issues one portable syscall per datagram, with identical
-// delivery and accounting semantics; see batch_linux.go / batch_fallback.go
-// for the build-tag split.
+// On Linux the node amortizes syscalls across datagrams: each turn the
+// loop takes the run the paced sender's clock has released, up to
+// ioBatchMax items, out in one lock hold and hands it to one sendmmsg(2),
+// and reads up to a batch of messages per recvmmsg(2) into reusable
+// staging buffers. Where the kernel offers UDP segmentation offload, each
+// run of released datagrams to one peer leaves as one UDP_SEGMENT message
+// — one kernel pass for the train — and the receiving socket, with UDP_GRO
+// on, reads the train back as one message that the loop splits at the
+// reported segment size. Encode-path buffers are pooled and returned after
+// the kernel copy completes. Node.Collect counts the send and receive
+// syscalls. Everywhere else — and on Linux under Config.DisableBatch — the
+// same loop runs over a batch of one: singleIO issues one portable syscall
+// per datagram, with identical delivery and accounting semantics; see
+// batch_linux.go / batch_fallback.go for the build-tag split.
 //
 // # A steady state that allocates nothing of its own
 //
-// The transport adds no heap objects to what the protocol allocates. The read
+// The transport adds no heap objects to what the protocol allocates. The
 // loop takes a batch in windows of at most ioBatchMax frames, keeps one
 // wire.Decoder per window position and decodes each frame in place, so a
 // whole window of messages stays valid until its single mutex-held
 // dispatch; by env.Handler's lifetime rule a handler keeps no message past
 // Receive, only a Serve's payload bytes — so Serve bodies, and nothing
 // else, are first copied into one arena allocation per window. The
-// syscall callbacks are bound once (batch_linux.go), the pacer queues into
-// a preallocated ring and re-arms one timer (ratelimit), and AfterFunc — every ticker period and retransmission
-// timeout — re-arms a fireTimer from a per-node free list instead of minting
-// a closure and a runtime timer per call. Close stops every fireTimer, so a
-// closed node's stack is garbage at once rather than when its last ticker
-// would have fired.
+// batched path issues its syscalls directly on a descriptor it owns
+// (batch_linux.go), the pacer queues into a preallocated ring (ratelimit),
+// and AfterFunc — every ticker period and retransmission timeout — and
+// every netem-delayed datagram are an entry in the loop's timer heap, not
+// a closure and a runtime timer. Close sweeps the node's entries off the
+// heap, so a closed node's stack is garbage at once rather than when its
+// last ticker would have fired.
 package udpnet
 
 import (
@@ -71,7 +87,7 @@ const frameHeader = 4
 // ioBatchMax is K, the batched-syscall fan-in: at most this many messages
 // ride one sendmmsg/recvmmsg call (a message may be a segmented train), the
 // paced sender coalesces at most this many released items per flush, and
-// the read loop dispatches at most this many frames per mutex hold.
+// the event loop dispatches at most this many frames per mutex hold.
 const ioBatchMax = 32
 
 // defaultSocketBuffer is the SO_RCVBUF/SO_SNDBUF request applied at bind
@@ -152,7 +168,7 @@ var sendBufPool = sync.Pool{New: func() any {
 func getSendBuf() *[]byte  { return sendBufPool.Get().(*[]byte) }
 func putSendBuf(b *[]byte) { sendBufPool.Put(b) }
 
-// batchIO is the socket as the node's read loop and paced sender see it.
+// batchIO is the socket as the event loop and the paced sender see it.
 // newBatchIO (see the build-tagged batch files) is the batched-syscall
 // implementation; singleIO is the portable batch of one.
 type batchIO interface {
@@ -160,9 +176,12 @@ type batchIO interface {
 	// writability as needed. Losing a datagram is normal UDP behaviour
 	// (protocols handle it), so per-datagram errors are swallowed.
 	WriteBatch(items []outDatagram)
-	// ReadBatch blocks until at least one datagram arrives and returns how
-	// many frames were received — one per datagram, or per segment of a
-	// coalesced train. The frames are valid until the next ReadBatch.
+	// ReadBatch reads what the socket holds and returns how many frames
+	// were received — one per datagram, or per segment of a coalesced
+	// train. The frames are valid until the next ReadBatch. The loop calls
+	// it only on a socket reported readable, of which it is the one reader;
+	// mmsgIO's read never waits, singleIO's portable read would wait were
+	// the socket empty.
 	ReadBatch() (int, error)
 	// Frame returns received frame i (header included).
 	Frame(i int) []byte
@@ -171,6 +190,11 @@ type batchIO interface {
 	// Syscalls returns how many send and receive calls the socket has
 	// made. Safe from any goroutine.
 	Syscalls() (send, recv int64)
+	// Control runs f with the socket's descriptor; an error means the
+	// socket is closed.
+	Control(f func(fd uintptr)) error
+	// Close closes the socket.
+	Close() error
 }
 
 // singleIO implements batchIO with the portable one-datagram-per-syscall
@@ -214,9 +238,20 @@ func (s *singleIO) SrcMatches(_ int, peer *peerAddr) bool {
 // the socket was not ready are not visible here.
 func (s *singleIO) Syscalls() (send, recv int64) { return s.sendCalls.Load(), s.recvCalls.Load() }
 
+func (s *singleIO) Control(f func(fd uintptr)) error {
+	rc, err := s.conn.SyscallConn()
+	if err != nil {
+		return err
+	}
+	return rc.Control(f)
+}
+
+func (s *singleIO) Close() error { return s.conn.Close() }
+
 // openIO picks the socket I/O and its batch size: batched syscalls where
 // they exist, else (non-Linux platforms, an exotic socket without a
-// raw-syscall view, or by request) the portable batch of one.
+// raw-syscall view, or by request) the portable batch of one. The batchIO
+// owns conn from here on.
 func openIO(conn *net.UDPConn, disableBatch bool) (batchIO, int) {
 	if !disableBatch {
 		if bio, err := newBatchIO(conn); err == nil {
@@ -231,10 +266,19 @@ func openIO(conn *net.UDPConn, disableBatch bool) (batchIO, int) {
 type Node struct {
 	id      wire.NodeID
 	handler env.Handler
-	conn    *net.UDPConn
+	addr    *net.UDPAddr
 	bio     batchIO
 	sender  *ratelimit.Sender[outDatagram]
 	epoch   time.Time
+
+	// host is the event loop the node joined at Start; token names its
+	// socket to the loop's wait. pacerDirty is set by the paced sender's
+	// notify; pacerDue, the loop's own, is when the sender's next item is
+	// due (zero: its ring was empty).
+	host       atomic.Pointer[host]
+	token      uint32
+	pacerDirty atomic.Bool
+	pacerDue   time.Time
 
 	mu      sync.Mutex // serializes handler callbacks and guards the fields below
 	rng     *rand.Rand
@@ -242,13 +286,6 @@ type Node struct {
 	netem   netem.Model
 	started bool
 	closed  bool
-	// timers is every fireTimer AfterFunc ever made, armed or free, so Close
-	// can stop them all; freeTimers threads the idle ones through their next
-	// fields. Both stay as short as the most timers ever armed at once.
-	timers     []*fireTimer
-	freeTimers *fireTimer
-
-	wg sync.WaitGroup
 
 	// DecodeErrors counts datagrams that failed to parse.
 	DecodeErrors int
@@ -301,7 +338,7 @@ func NewNode(id wire.NodeID, handler env.Handler, cfg Config) (*Node, error) {
 	n := &Node{
 		id:      id,
 		handler: handler,
-		conn:    conn,
+		addr:    conn.LocalAddr().(*net.UDPAddr),
 		epoch:   cfg.Epoch,
 		rng:     rand.New(rand.NewSource(cfg.Seed ^ int64(id)<<32 ^ 0x7ee1)),
 		peers:   make(map[wire.NodeID]*peerAddr),
@@ -309,19 +346,20 @@ func NewNode(id wire.NodeID, handler env.Handler, cfg Config) (*Node, error) {
 	}
 	var batchMax int
 	n.bio, batchMax = openIO(conn, cfg.DisableBatch)
-	sender, err := ratelimit.NewBatchSender(cfg.UploadBps, cfg.QueueCap, batchMax,
+	sender, err := ratelimit.NewSteppedSender(cfg.UploadBps, cfg.QueueCap, batchMax,
 		func(d outDatagram) int { return len(d.frame()) + wire.UDPOverheadBytes },
-		n.flushBatch)
+		n.flushBatch, n.wakeLoop)
 	if err != nil {
-		conn.Close()
+		n.bio.Close()
 		return nil, err
 	}
 	n.sender = sender
 	return n, nil
 }
 
-// flushBatch transmits one paced batch and returns the frame buffers to the
-// pool — the kernel has copied the data out by the time the syscall returns.
+// flushBatch transmits one paced batch, on the event loop, and returns the
+// frame buffers to the pool — the kernel has copied the data out by the
+// time the syscall returns.
 func (n *Node) flushBatch(items []outDatagram) {
 	n.bio.WriteBatch(items)
 	for i := range items {
@@ -334,7 +372,7 @@ func (n *Node) flushBatch(items []outDatagram) {
 func (n *Node) ID() wire.NodeID { return n.id }
 
 // Addr returns the bound UDP address.
-func (n *Node) Addr() *net.UDPAddr { return n.conn.LocalAddr().(*net.UDPAddr) }
+func (n *Node) Addr() *net.UDPAddr { return n.addr }
 
 // SetPeers installs the address directory (replacing any previous one).
 func (n *Node) SetPeers(peers map[wire.NodeID]*net.UDPAddr) {
@@ -353,28 +391,34 @@ func (n *Node) AddPeer(id wire.NodeID, addr *net.UDPAddr) {
 	n.peers[id] = newPeerAddr(addr)
 }
 
-// Start launches the read loop and starts the handler. It must be called at
-// most once.
+// Start joins the process's event loop (starting it if this is the first
+// running node) and starts the handler. It must be called at most once, and
+// not after Close.
 func (n *Node) Start() error {
 	n.mu.Lock()
-	if n.started {
-		n.mu.Unlock()
+	defer n.mu.Unlock()
+	switch {
+	case n.started:
 		return errors.New("udpnet: already started")
+	case n.closed:
+		return errors.New("udpnet: closed")
 	}
+	h, err := join(n)
+	if err != nil {
+		return fmt.Errorf("udpnet: event loop: %w", err)
+	}
+	n.host.Store(h)
 	n.started = true
 	n.handler.Start(&nodeRuntime{n: n})
-	n.mu.Unlock()
-
-	n.wg.Add(1)
-	go n.readLoop()
 	return nil
 }
 
-// Close stops the node: the socket is closed, the read loop exits, the
-// handler is stopped, the paced sender is shut down, and every timer
-// AfterFunc armed is stopped — a pending one would otherwise keep the whole
+// Close stops the node: it leaves the event loop, which drops its timers
+// and delayed datagrams — a pending one would otherwise keep the whole
 // stack (tables, buffered payloads) reachable until it fired, two minutes
-// for the engine's prune ticker. Idempotent.
+// for the engine's prune ticker — and stops when this was its last node;
+// then the socket is closed, the paced sender is shut down and the handler
+// is stopped. Idempotent.
 func (n *Node) Close() {
 	n.mu.Lock()
 	if n.closed {
@@ -382,22 +426,29 @@ func (n *Node) Close() {
 		return
 	}
 	n.closed = true
+	started := n.started
 	n.mu.Unlock()
 
-	n.conn.Close() // unblocks the read loop
-	n.wg.Wait()
+	if started {
+		n.host.Load().leave(n)
+	}
+	n.bio.Close()
 	n.sender.Close()
 
 	n.mu.Lock()
-	if n.started {
+	if started {
 		n.handler.Stop()
 	}
-	for _, ft := range n.timers {
-		ft.t.Stop()
-		ft.fn = nil
-	}
-	n.timers, n.freeTimers = nil, nil
 	n.mu.Unlock()
+}
+
+// wakeLoop is the paced sender's notify: the loop learns of an item that
+// entered an empty ring, or of a new rate, when it is parked.
+func (n *Node) wakeLoop() {
+	n.pacerDirty.Store(true)
+	if h := n.host.Load(); h != nil {
+		h.wake()
+	}
 }
 
 // SetUploadBps rewrites the paced sender's rate mid-run (capability drift,
@@ -490,91 +541,19 @@ func (n *Node) Attach(h env.Handler) bool {
 // Execute runs fn in the node's execution context (serialized with all
 // handler callbacks), so external code can safely touch handler state —
 // views, estimators, statistics. It reports false if the node is closed.
+// It runs on the caller's goroutine, not the event loop's; a caller whose
+// sends have put two full batches in the paced sender's queue (a load
+// generator outrunning the loop) flushes one before returning.
 func (n *Node) Execute(fn func()) bool {
 	n.mu.Lock()
-	defer n.mu.Unlock()
 	if n.closed {
+		n.mu.Unlock()
 		return false
 	}
 	fn()
+	n.mu.Unlock()
+	n.sender.FlushBacklog()
 	return true
-}
-
-// readLoop reads a batch of frames per ReadBatch — up to ioBatchMax
-// datagrams, more when they arrive as coalesced trains — and takes it in
-// windows of at most ioBatchMax frames. Each frame of a window is decoded
-// where it lies in the batchIO's staging buffer, with the window's decoder
-// for its position — one wire.Decoder per position, so every message of the
-// window stays valid until all of them have been dispatched under one
-// node-mutex hold, and a warm loop allocates nothing to decode however long
-// the trains grow. Messages die with the next window, which env.Handler's
-// lifetime rule allows; what a handler may keep is a Serve's payload bytes
-// (the engine buffers them to serve later), so Serve bodies — only those —
-// are copied into one arena allocation per window before they are decoded.
-func (n *Node) readLoop() {
-	defer n.wg.Done()
-	type inMsg struct {
-		sender wire.NodeID
-		msg    wire.Message
-		src    int // frame index, for the source-address check
-	}
-	msgs := make([]inMsg, 0, ioBatchMax)
-	decoders := make([]wire.Decoder, ioBatchMax)
-	isServe := func(f []byte) bool { return len(f) > frameHeader && wire.Kind(f[frameHeader]) == wire.KindServe }
-	for {
-		count, err := n.bio.ReadBatch()
-		if err != nil {
-			return // closed
-		}
-		for lo := 0; lo < count; lo += ioBatchMax {
-			hi := min(count, lo+ioBatchMax)
-			total := 0
-			for i := lo; i < hi; i++ {
-				if f := n.bio.Frame(i); isServe(f) {
-					total += len(f) - frameHeader
-				}
-			}
-			arena := make([]byte, 0, total) // no allocation when the window has no Serve
-			msgs = msgs[:0]
-			badFrames := 0
-			for i := lo; i < hi; i++ {
-				f := n.bio.Frame(i)
-				if len(f) < frameHeader {
-					badFrames++
-					continue
-				}
-				body := f[frameHeader:]
-				if isServe(f) {
-					start := len(arena)
-					arena = append(arena, body...)
-					body = arena[start:len(arena):len(arena)]
-				}
-				msg, err := decoders[i-lo].Unmarshal(body)
-				if err != nil {
-					badFrames++
-					continue
-				}
-				msgs = append(msgs, inMsg{
-					sender: wire.NodeID(int32(binary.BigEndian.Uint32(f))),
-					msg:    msg,
-					src:    i,
-				})
-			}
-			n.mu.Lock()
-			n.DecodeErrors += badFrames
-			if !n.closed {
-				for _, im := range msgs {
-					// Verify the claimed sender against the source address
-					// when we know it; unknown peers are accepted (late
-					// directory updates).
-					if known, ok := n.peers[im.sender]; !ok || n.bio.SrcMatches(im.src, known) {
-						n.handler.Receive(im.sender, im.msg)
-					}
-				}
-			}
-			n.mu.Unlock()
-		}
-	}
 }
 
 // nodeRuntime implements env.Runtime over the node.
@@ -619,20 +598,13 @@ func (rt *nodeRuntime) Send(to wire.NodeID, m wire.Message) {
 			putSendBuf(bp)
 			return
 		case verdict.Delay > 0:
+			// The datagram waits on the loop's timer heap and enters the
+			// sender when due. One still waiting when the node closes is
+			// discarded there rather than hitting the closed sender, which
+			// would count it as a queue-overflow drop and pollute the
+			// SendDropped congestion signal.
 			n.NetemDelayed++
-			time.AfterFunc(verdict.Delay, func() {
-				// Delayed datagrams still in flight when the node closes
-				// are discarded here rather than hitting the closed sender,
-				// which would count them as queue-overflow drops and
-				// pollute the SendDropped congestion signal. The check and
-				// the (non-blocking) enqueue stay under one mu hold so a
-				// concurrent Close cannot slip between them.
-				n.mu.Lock()
-				if n.closed || !n.sender.Enqueue(d) {
-					putSendBuf(bp)
-				}
-				n.mu.Unlock()
-			})
+			n.host.Load().push(timerEnt{n: n, d: d}, verdict.Delay)
 			return
 		}
 	}
@@ -641,48 +613,16 @@ func (rt *nodeRuntime) Send(to wire.NodeID, m wire.Message) {
 	}
 }
 
-// fireTimer is one reusable AfterFunc timer: armed while fn is set, else idle
-// on the node's free list. All fields are guarded by the node mutex.
-type fireTimer struct {
-	n    *Node
-	t    *time.Timer
-	fn   func()
-	next *fireTimer // free list link
-}
-
 // AfterFunc implements env.Runtime: the timer call of every ticker period,
 // retransmission timeout and shuffle reply deadline. Like every Runtime
-// method it runs in the node's execution context (under mu). It re-arms a
-// timer from the node's free list, so in steady state it allocates nothing;
-// a closed node arms nothing.
+// method it runs in the node's execution context (under mu). It pushes an
+// entry onto the event loop's timer heap, which allocates nothing once the
+// heap has grown to the most entries ever armed at once; a closed node arms
+// nothing.
 func (rt *nodeRuntime) AfterFunc(d time.Duration, fn func()) {
 	n := rt.n
 	if n.closed {
 		return
 	}
-	ft := n.freeTimers
-	if ft == nil {
-		ft = &fireTimer{n: n, fn: fn}
-		n.timers = append(n.timers, ft)
-		// Should it fire at once, fire still waits for mu, held here.
-		ft.t = time.AfterFunc(d, ft.fire)
-		return
-	}
-	n.freeTimers, ft.next, ft.fn = ft.next, nil, fn
-	ft.t.Reset(d)
-}
-
-// fire runs on the timer's goroutine. The timer goes back on the free list
-// before its callback runs, so a callback that re-arms itself (a ticker)
-// gets this very timer back.
-func (ft *fireTimer) fire() {
-	n := ft.n
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.closed {
-		return
-	}
-	fn := ft.fn
-	ft.fn, ft.next, n.freeTimers = nil, n.freeTimers, ft
-	fn()
+	n.host.Load().push(timerEnt{n: n, fn: fn}, d)
 }
