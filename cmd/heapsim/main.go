@@ -1,17 +1,13 @@
-// Command heapsim runs simulated streaming experiments and prints a
+// Command heapsim runs one simulated streaming experiment and prints a
 // summary: per-class bandwidth usage, stream quality at a playback lag, and
-// the lag distribution across nodes.
-//
-// With one protocol and one replica it runs a single experiment; a
-// comma-separated -protocol list and/or -replicas > 1 drive the parallel
-// sweep engine instead, printing one summary row per cell.
+// the lag distribution across nodes. -seed replays a run verbatim and -csv
+// exports its raw delivery matrix; grids of runs are heapsweep's job.
 //
 // Examples:
 //
 //	heapsim -protocol heap -dist ms-691 -nodes 270 -windows 31
 //	heapsim -protocol standard -dist ref-691 -fanout 15
 //	heapsim -protocol heap -dist ref-691 -churn 0.2
-//	heapsim -protocol heap,standard -replicas 3      # 6 runs, all cores
 package main
 
 import (
@@ -20,7 +16,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"strings"
 	"time"
 
 	"repro/internal/churn"
@@ -34,7 +29,7 @@ func main() {
 
 func run() int {
 	var (
-		protocol  = flag.String("protocol", "heap", "protocol, or a comma-separated list to sweep (heap, standard, tree)")
+		protocol  = flag.String("protocol", "heap", "protocol: heap, standard or tree")
 		distName  = flag.String("dist", "ms-691", "ref-691, ref-724, ms-691, uniform-691, or none (unconstrained)")
 		nodes     = flag.Int("nodes", 270, "system size incl. source")
 		windows   = flag.Int("windows", 31, "stream length in FEC windows (~1.93s each)")
@@ -44,15 +39,14 @@ func run() int {
 		churnFrac = flag.Float64("churn", 0, "fraction of nodes crashing at t=60s (0 disables)")
 		sameRetry = flag.Bool("same-proposer-retry", false, "paper-literal retransmission (ablation)")
 		bias      = flag.Bool("source-bias", false, "bias the source's first hop toward rich nodes (extension)")
-		replicas  = flag.Int("replicas", 1, "seed replicas (> 1 switches to the sweep engine)")
-		workers   = flag.Int("workers", 0, "sweep worker pool size (default GOMAXPROCS)")
-		csvDir    = flag.String("csv", "", "write delivery.csv and nodes.csv into this directory (single run only)")
+		csvDir    = flag.String("csv", "", "write delivery.csv and nodes.csv into this directory")
 		shards    = flag.Int("shards", runtime.GOMAXPROCS(0), "simulator shards (cores); results are identical at any count")
 	)
 	flag.Parse()
 
 	cfg := scenario.Config{
 		Name:            "heapsim",
+		Protocol:        scenario.Protocol(*protocol),
 		Nodes:           *nodes,
 		Fanout:          *fanout,
 		Windows:         *windows,
@@ -79,43 +73,6 @@ func run() int {
 		}
 	}
 
-	var protocols []scenario.Protocol
-	for _, p := range strings.Split(*protocol, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			protocols = append(protocols, scenario.Protocol(p))
-		}
-	}
-	if len(protocols) == 0 {
-		fmt.Fprintf(os.Stderr, "heapsim: no protocol given\n")
-		return 1
-	}
-
-	// Several protocols or replicas: hand the grid to the sweep engine.
-	if len(protocols) > 1 || *replicas > 1 {
-		if *csvDir != "" {
-			fmt.Fprintf(os.Stderr, "heapsim: -csv writes per-run delivery matrices and needs a single run; use heapsweep -csv for sweep grids\n")
-			return 1
-		}
-		res, err := scenario.RunSweep(scenario.Sweep{
-			Base:       cfg,
-			Protocols:  protocols,
-			Replicas:   *replicas,
-			BaseSeed:   *seed,
-			Workers:    *workers,
-			SummaryLag: *lagFlag,
-			DropRuns:   true,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "heapsim: %v\n", err)
-			return 1
-		}
-		fmt.Printf("swept %d runs on %d worker(s) in %.1fs\n\n",
-			len(res.Cells)**replicas, res.Workers, res.Elapsed.Seconds())
-		fmt.Print(res.Table().Render())
-		return 0
-	}
-
-	cfg.Protocol = protocols[0]
 	start := time.Now()
 	res, err := scenario.Run(cfg)
 	if err != nil {

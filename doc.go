@@ -64,7 +64,10 @@
 //	})
 //
 // and inspect res.Run with the metrics helpers (JitterFreeShare,
-// MinLagForJitterFree, ...). See examples/ for complete programs.
+// MinLagForJitterFree, ...). The package's Example functions run these
+// calls at toy size and check their output; cmd/heapsim (one run),
+// cmd/heapsweep (grids) and cmd/heapbench (the paper's artifacts) are the
+// command-line front ends.
 //
 // # Sweeps
 //
@@ -116,7 +119,7 @@
 // contact with no configuration. Stream 0 encodes exactly as the legacy
 // single-stream wire format, so multi-stream nodes interoperate with old
 // ones on the default stream. See the "Multi-source streams" section of
-// EXPERIMENTS.md and examples/multisource.
+// EXPERIMENTS.md and `heapbench -artifact multisource`.
 //
 // # Adaptive capability re-estimation
 //

@@ -49,9 +49,10 @@ func TestDocsRelativeLinks(t *testing.T) {
 }
 
 // TestDocsCommandFlags executes the docs' command lines as far as a test
-// can: every `go run ./cmd/<tool> ...` line inside a fenced block of the
-// README, EXPERIMENTS or docs/ must only use flags that tool's main.go
-// declares, so a renamed or misremembered flag fails here instead of in a
+// can: every `go run ./cmd/<tool> ...` or `go run ./examples/<dir> ...` line
+// inside a fenced block of the README, EXPERIMENTS or docs/ must name a
+// program that exists and only use flags its main.go declares, so a deleted
+// example or a renamed or misremembered flag fails here instead of in a
 // reader's terminal.
 func TestDocsCommandFlags(t *testing.T) {
 	docs, err := filepath.Glob(filepath.Join("docs", "*.md"))
@@ -59,9 +60,9 @@ func TestDocsCommandFlags(t *testing.T) {
 		t.Fatal(err)
 	}
 	docs = append(docs, "README.md", "EXPERIMENTS.md")
-	cmdRe := regexp.MustCompile(`^go run \./cmd/(\w+)(.*)$`)
+	cmdRe := regexp.MustCompile(`^go run \./((?:cmd|examples)/\w+)(.*)$`)
 	flagRe := regexp.MustCompile(`(?:^|\s)--?([a-zA-Z][\w-]*)`)
-	declared := map[string]map[string]bool{} // tool -> flag set
+	declared := map[string]map[string]bool{} // program -> flag set
 	checked := 0
 	for _, doc := range docs {
 		data, err := os.ReadFile(doc)
@@ -79,17 +80,23 @@ func TestDocsCommandFlags(t *testing.T) {
 			if !fenced || m == nil {
 				continue
 			}
-			tool, args := m[1], m[2]
+			prog, args := m[1], m[2]
 			if i := strings.Index(args, " #"); i >= 0 {
 				args = args[:i] // trailing shell comment
 			}
-			if declared[tool] == nil {
-				declared[tool] = declaredFlags(t, tool)
+			flags, seen := declared[prog]
+			if !seen {
+				flags = declaredFlags(prog)
+				declared[prog] = flags
+			}
+			if flags == nil {
+				t.Errorf("%s: `%s` runs ./%s, which has no main.go", doc, line, prog)
+				continue
 			}
 			for _, f := range flagRe.FindAllStringSubmatch(args, -1) {
 				checked++
-				if !declared[tool][f[1]] {
-					t.Errorf("%s: `%s` uses -%s, which cmd/%s/main.go does not declare", doc, line, f[1], tool)
+				if !flags[f[1]] {
+					t.Errorf("%s: `%s` uses -%s, which %s/main.go does not declare", doc, line, f[1], prog)
 				}
 			}
 		}
@@ -99,13 +106,12 @@ func TestDocsCommandFlags(t *testing.T) {
 	}
 }
 
-// declaredFlags returns the flag names cmd/<tool>/main.go registers with the
-// flag package.
-func declaredFlags(t *testing.T, tool string) map[string]bool {
-	t.Helper()
-	src, err := os.ReadFile(filepath.Join("cmd", tool, "main.go"))
+// declaredFlags returns the flag names <prog>/main.go registers with the
+// flag package, or nil if there is no such program.
+func declaredFlags(prog string) map[string]bool {
+	src, err := os.ReadFile(filepath.Join(filepath.FromSlash(prog), "main.go"))
 	if err != nil {
-		t.Fatalf("documented command: %v", err)
+		return nil
 	}
 	flags := map[string]bool{}
 	for _, m := range regexp.MustCompile(`flag\.\w+\((?:&\w+, )?"([\w-]+)"`).FindAllStringSubmatch(string(src), -1) {

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/netem"
 )
 
 func TestRunScenarioThroughPublicAPI(t *testing.T) {
@@ -319,6 +321,52 @@ func TestStandardUDPNodeBasics(t *testing.T) {
 	if st.EventsDelivered != 0 {
 		t.Fatalf("unexpected deliveries: %+v", st)
 	}
+}
+
+// TestNodeCapTraceSteps plays a netem capability trace covering one live
+// node: a step due after start reaches the advertisement, the latest of the
+// steps already past at start applies before StartNode returns, and a step
+// still pending at Close never applies.
+func TestNodeCapTraceSteps(t *testing.T) {
+	start := func(epoch time.Time, steps ...netem.CapStep) *Node {
+		t.Helper()
+		n, err := StartNode(NodeConfig{ID: 1, UploadKbps: 1000, Adaptive: true,
+			Epoch: epoch,
+			Netem: &Netem{Name: "trace", CapTraces: []netem.CapTraceSpec{
+				{Nodes: []NodeID{1}, Steps: steps},
+			}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+
+	t.Run("future step applies", func(t *testing.T) {
+		n := start(time.Time{}, netem.CapStep{At: 50 * time.Millisecond, Factor: 0.5})
+		defer n.Close()
+		deadline := time.Now().Add(3 * time.Second)
+		for n.AdvertisedKbps() != 500 {
+			if time.Now().After(deadline) {
+				t.Fatalf("AdvertisedKbps = %d, want 500 once the step is due", n.AdvertisedKbps())
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	})
+
+	t.Run("latest past step applies at start, pending step never after Close", func(t *testing.T) {
+		n := start(time.Now().Add(-10*time.Second),
+			netem.CapStep{At: time.Second, Factor: 0.5},
+			netem.CapStep{At: 5 * time.Second, Factor: 0.25},
+			netem.CapStep{At: 10*time.Second + 100*time.Millisecond, Factor: 2})
+		if got := n.AdvertisedKbps(); got != 250 {
+			t.Fatalf("AdvertisedKbps after StartNode = %d, want 250 (the latest past step)", got)
+		}
+		n.Close()
+		time.Sleep(300 * time.Millisecond)
+		if got := n.AdvertisedKbps(); got != 250 {
+			t.Fatalf("AdvertisedKbps after Close = %d, want 250 (the pending step must not fire)", got)
+		}
+	})
 }
 
 func TestPublicAPISurface(t *testing.T) {

@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"encoding/csv"
-	"fmt"
 	"io"
 	"sort"
 	"strconv"
@@ -103,52 +102,4 @@ func WriteDeliveryCSV(w io.Writer, run *Run) error {
 
 func fmtSeconds(d time.Duration) string {
 	return strconv.FormatFloat(d.Seconds(), 'f', 6, 64)
-}
-
-// Summary produces the per-run scalar summary used by heapsim and the CSV
-// exports: a stable, ordered list of (name, value) pairs.
-type Summary struct {
-	Fields []SummaryField
-}
-
-// SummaryField is one named scalar.
-type SummaryField struct {
-	Name  string
-	Value float64
-}
-
-// Add appends a field.
-func (s *Summary) Add(name string, value float64) {
-	s.Fields = append(s.Fields, SummaryField{Name: name, Value: value})
-}
-
-// WriteCSV writes the summary as a two-line CSV (header + values).
-func (s *Summary) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	names := make([]string, len(s.Fields))
-	vals := make([]string, len(s.Fields))
-	for i, f := range s.Fields {
-		names[i] = f.Name
-		vals[i] = strconv.FormatFloat(f.Value, 'g', -1, 64)
-	}
-	if err := cw.Write(names); err != nil {
-		return err
-	}
-	if err := cw.Write(vals); err != nil {
-		return err
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// String renders the summary as "name=value" pairs.
-func (s *Summary) String() string {
-	out := ""
-	for i, f := range s.Fields {
-		if i > 0 {
-			out += " "
-		}
-		out += fmt.Sprintf("%s=%.4g", f.Name, f.Value)
-	}
-	return out
 }

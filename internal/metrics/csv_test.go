@@ -108,20 +108,3 @@ func TestWriteDeliveryCSV(t *testing.T) {
 		t.Fatalf("lag cell = %q, want 0.010000", recs[1][4])
 	}
 }
-
-func TestSummary(t *testing.T) {
-	var s Summary
-	s.Add("p50_lag_s", 4.4)
-	s.Add("jitterfree", 0.93)
-	var sb strings.Builder
-	if err := s.WriteCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	recs := parseCSV(t, sb.String())
-	if len(recs) != 2 || recs[0][0] != "p50_lag_s" || recs[1][1] != "0.93" {
-		t.Fatalf("summary csv: %v", recs)
-	}
-	if got := s.String(); !strings.Contains(got, "p50_lag_s=4.4") {
-		t.Fatalf("summary string: %s", got)
-	}
-}

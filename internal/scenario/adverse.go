@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/netem"
 	"repro/internal/simnet"
-	"repro/internal/stack"
 )
 
 // This file wires internal/netem into the scenario layer: capability-trace
@@ -20,16 +19,17 @@ import (
 // fires, so factors never compound; a final factor of 1 restores the
 // original capability exactly. Silent traces skip the advertisement — the
 // node's claim goes stale against its real capacity, the regime the
-// adaptation layer (Config.Adapt) exists to detect.
-func applyCapTraces(net *simnet.Network, eng *netem.Engine, unconstrained bool,
-	effective []int64, advertised []uint32, nodes []*stack.Node) {
-	for _, tr := range eng.CapTraces() {
+// adaptation layer (Config.Adapt) exists to detect. Broadcasters never
+// degrade, so a trace skips every stream's source.
+func (r *run) applyCapTraces(net *simnet.Network) {
+	unconstrained, nodes := r.cfg.Unconstrained, r.nodes
+	for _, tr := range r.netem.CapTraces() {
 		for _, id := range tr.Nodes {
-			if int(id) <= 0 || int(id) >= len(effective) {
-				continue // the source (0) and out-of-range ids are never traced
+			if int(id) < 0 || int(id) >= len(r.effective) || r.sourceNode[id] {
+				continue // broadcasters and out-of-range ids are never traced
 			}
-			baseBps := effective[id]
-			baseAdv := advertised[id]
+			baseBps := r.effective[id]
+			baseAdv := r.advertised[id]
 			silent := tr.Silent
 			for _, step := range tr.Steps {
 				id, step := id, step

@@ -1,12 +1,14 @@
 package scenario
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/netem"
+	"repro/internal/wire"
 )
 
 func adverseBase(seed int64) Config {
@@ -142,6 +144,33 @@ func TestCapTraceReachesEstimatorsAndUplinks(t *testing.T) {
 	if degraded >= recovered*0.8 {
 		t.Fatalf("degrading 90%% of nodes to 25%% capability left bbar at %.0f (recovered run: %.0f)",
 			degraded, recovered)
+	}
+}
+
+// TestCapTraceSkipsBroadcasters names broadcaster 1 of a two-source run in
+// a capability trace: sources never degrade, so crippling its uplink to 1%
+// must leave every result byte-identical to a no-op (factor 1) trace.
+func TestCapTraceSkipsBroadcasters(t *testing.T) {
+	traced := func(factor float64) []byte {
+		res, err := Run(Config{
+			Nodes: 30, Protocol: HEAP, Dist: Ref691, Windows: 2, Seed: 43,
+			Drain:   10 * time.Second,
+			Streams: []StreamSpec{{}, {Start: 3 * time.Second}},
+			Netem: &netem.Config{
+				Name: "trace-broadcaster",
+				CapTraces: []netem.CapTraceSpec{{
+					Nodes: []wire.NodeID{1},
+					Steps: []netem.CapStep{{At: 0, Factor: factor}},
+				}},
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fingerprint(t, res)
+	}
+	if !bytes.Equal(traced(1), traced(0.01)) {
+		t.Fatal("a capability trace naming broadcaster 1 changed the run")
 	}
 }
 

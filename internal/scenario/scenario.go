@@ -974,7 +974,7 @@ func (r *run) scheduleDynamics() error {
 	}
 	applyChurnBursts(net, cfg, r.nodes, &r.victims)
 	if r.netem != nil {
-		applyCapTraces(net, r.netem, cfg.Unconstrained, r.effective, r.advertised, r.nodes)
+		r.applyCapTraces(net)
 	}
 	if r.adv != nil {
 		r.adv.scheduleLiars(net, r.caps, r.nodes)

@@ -125,11 +125,8 @@ func TestBatchAndFallbackDeliverIdentically(t *testing.T) {
 				t.Fatalf("event %d delivered %d times, want 2 (disable=%v)", id, n, disable)
 			}
 		}
-		b.mu.Lock()
-		decodeErrs := b.DecodeErrors
-		b.mu.Unlock()
-		if decodeErrs != 0 {
-			t.Fatalf("DecodeErrors = %d with disable=%v, want 0", decodeErrs, disable)
+		if decodeErrs := b.DecodeErrorCount(); decodeErrs != 0 {
+			t.Fatalf("DecodeErrorCount() = %d with disable=%v, want 0", decodeErrs, disable)
 		}
 		out := append([]string(nil), recv.frames...)
 		sort.Strings(out)

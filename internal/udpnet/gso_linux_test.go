@@ -292,7 +292,7 @@ func TestGROTrainSplitting(t *testing.T) {
 		waitFor(t, 3*time.Second, func() bool { return recv.count() >= len(train)-len(bad) })
 		time.Sleep(20 * time.Millisecond) // nothing further may arrive
 		if got := dst[0].DecodeErrorCount(); got != len(bad) {
-			t.Fatalf("DecodeErrors = %d, want %d", got, len(bad))
+			t.Fatalf("DecodeErrorCount() = %d, want %d", got, len(bad))
 		}
 		if got := recv.count(); got != len(train)-len(bad) {
 			t.Fatalf("delivered %d, want %d", got, len(train)-len(bad))

@@ -300,7 +300,7 @@ func (h *host) dispatch(n *Node, count int) {
 			})
 		}
 		n.mu.Lock()
-		n.DecodeErrors += badFrames
+		n.decodeErrors += badFrames
 		if !n.closed {
 			for _, im := range msgs {
 				// Verify the claimed sender against the source address when

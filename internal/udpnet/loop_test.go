@@ -215,10 +215,8 @@ func TestNetemDelayedDatagramsAllocateNothing(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	burst()
 	runtime.ReadMemStats(&after)
-	delayed := 0
-	src.Execute(func() { delayed = src.NetemDelayed })
-	if delayed != 3*datagrams {
-		t.Fatalf("NetemDelayed = %d, want %d", delayed, 3*datagrams)
+	if _, delayed := src.NetemCounters(); delayed != 3*datagrams {
+		t.Fatalf("delayed = %d, want %d", delayed, 3*datagrams)
 	}
 	if mallocs := after.Mallocs - before.Mallocs; mallocs > datagrams/50 {
 		t.Fatalf("%d delayed datagrams allocated %d objects, want next to none", datagrams, mallocs)

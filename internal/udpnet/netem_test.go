@@ -38,8 +38,7 @@ func TestNetemDropsOutbound(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, 3*time.Second, func() bool {
-		dropped := 0
-		a.Execute(func() { dropped = a.NetemDropped })
+		dropped, _ := a.NetemCounters()
 		return dropped >= 1
 	})
 	if recv.count() != 0 {
@@ -75,10 +74,8 @@ func TestNetemDelayDefersDelivery(t *testing.T) {
 	if elapsed := time.Since(start); elapsed < 200*time.Millisecond {
 		t.Fatalf("delivered after %v, want >= 200ms of netem delay", elapsed)
 	}
-	delayed := 0
-	a.Execute(func() { delayed = a.NetemDelayed })
-	if delayed != 1 {
-		t.Fatalf("NetemDelayed = %d, want 1", delayed)
+	if _, delayed := a.NetemCounters(); delayed != 1 {
+		t.Fatalf("delayed = %d, want 1", delayed)
 	}
 }
 

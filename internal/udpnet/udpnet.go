@@ -287,12 +287,12 @@ type Node struct {
 	started bool
 	closed  bool
 
-	// DecodeErrors counts datagrams that failed to parse.
-	DecodeErrors int
-	// NetemDropped / NetemDelayed count outbound datagrams the netem model
-	// dropped or deferred. Guarded by mu, like DecodeErrors.
-	NetemDropped int
-	NetemDelayed int
+	// decodeErrors counts datagrams that failed to parse; netemDropped and
+	// netemDelayed count outbound datagrams the netem model dropped or
+	// deferred. Read them through DecodeErrorCount and NetemCounters.
+	decodeErrors int
+	netemDropped int
+	netemDelayed int
 }
 
 var _ env.Runtime = (*nodeRuntime)(nil)
@@ -461,7 +461,7 @@ func (n *Node) SetUploadBps(bps int64) { n.sender.SetRate(bps) }
 func (n *Node) NetemCounters() (dropped, delayed int) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.NetemDropped, n.NetemDelayed
+	return n.netemDropped, n.netemDelayed
 }
 
 // SendDropped returns how many outgoing datagrams the paced sender has
@@ -495,7 +495,7 @@ func (n *Node) QueuedBytes() int64 { return n.sender.QueuedBytes() }
 func (n *Node) DecodeErrorCount() int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.DecodeErrors
+	return n.decodeErrors
 }
 
 // Collect emits the node's transport counters as named samples — the
@@ -508,7 +508,7 @@ func (n *Node) DecodeErrorCount() int {
 func (n *Node) Collect(emit func(name string, value float64)) {
 	n.sender.Collect(func(name string, v float64) { emit("udp_"+name, v) })
 	n.mu.Lock()
-	decode, dropped, delayed := n.DecodeErrors, n.NetemDropped, n.NetemDelayed
+	decode, dropped, delayed := n.decodeErrors, n.netemDropped, n.netemDelayed
 	hasNetem := n.netem != nil
 	n.mu.Unlock()
 	emit("udp_decode_errors_total", float64(decode))
@@ -594,7 +594,7 @@ func (rt *nodeRuntime) Send(to wire.NodeID, m wire.Message) {
 			time.Since(n.epoch), n.rng)
 		switch {
 		case verdict.Drop:
-			n.NetemDropped++
+			n.netemDropped++
 			putSendBuf(bp)
 			return
 		case verdict.Delay > 0:
@@ -603,7 +603,7 @@ func (rt *nodeRuntime) Send(to wire.NodeID, m wire.Message) {
 			// discarded there rather than hitting the closed sender, which
 			// would count it as a queue-overflow drop and pollute the
 			// SendDropped congestion signal.
-			n.NetemDelayed++
+			n.netemDelayed++
 			n.host.Load().push(timerEnt{n: n, d: d}, verdict.Delay)
 			return
 		}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/adapt"
 	"repro/internal/aggregation"
 	"repro/internal/core"
+	"repro/internal/env"
 	"repro/internal/membership"
 	"repro/internal/netem"
 	"repro/internal/stack"
@@ -124,7 +125,6 @@ type Node struct {
 	stack     *stack.Node
 	telemetry *telemetry.Registry
 	capKbps   atomic.Uint32
-	capTimers []*time.Timer
 }
 
 // read runs fn serialized with protocol callbacks — or directly once the node
@@ -245,7 +245,9 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		n.udp.Close()
 		return nil, err
 	}
-	n.scheduleCapSteps(cfg.UploadKbps, time.Since(cfg.Epoch), capSteps)
+	if len(capSteps) > 0 {
+		n.udp.Attach(&capTrace{node: n, uploadKbps: cfg.UploadKbps, steps: capSteps})
+	}
 	return n, nil
 }
 
@@ -332,7 +334,7 @@ type capStep struct {
 }
 
 // capStepsFor collects the trace steps covering id. Capability traces apply
-// node-locally; they are scheduled on the wall clock once the node runs.
+// node-locally, on the node's event loop once it runs (capTrace).
 func capStepsFor(engine *netem.Engine, id NodeID) []capStep {
 	var steps []capStep
 	for _, tr := range engine.CapTraces() {
@@ -348,42 +350,60 @@ func capStepsFor(engine *netem.Engine, id NodeID) []capStep {
 	return steps
 }
 
-// scheduleCapSteps arms the trace steps relative to the (possibly shared)
-// epoch, elapsed ago. Of the steps already in the past — a node starting or
-// restarting late into the schedule — only the latest applies,
-// synchronously, so racing zero-delay timers cannot leave a stale factor
-// advertised. Each step rewrites both the advertised capability and the real
-// pacer rate, the same pair the simulator's cap-trace application touches,
-// so a traced deployment actually loses (and regains) throughput. Silent
-// steps rewrite only the pacer: the node keeps claiming full capability and
-// only the adaptation loop (Adapt) can discover the gap — exactly the
-// simulator's silent-trace semantics.
-func (n *Node) scheduleCapSteps(uploadKbps uint32, elapsed time.Duration, steps []capStep) {
-	apply := func(st capStep) {
-		adv := uint32(float64(uploadKbps) * st.Factor)
-		if adv == 0 {
-			adv = 1
-		}
-		if !st.silent {
-			n.SetAdvertisedKbps(adv)
-		}
-		n.udp.SetUploadBps(int64(adv) * 1000)
-	}
+// capTrace is a lifecycle-only handler that plays this node's capability
+// trace on the event loop, its steps timed from the (possibly shared) epoch.
+// Of the steps already past at Start — a node starting or restarting late
+// into the schedule — only the latest applies, synchronously, before
+// StartNode returns. Each step rewrites both the advertised capability and
+// the real pacer rate, the same pair the simulator's cap-trace application
+// touches, so a traced deployment actually loses (and regains) throughput.
+// Silent steps rewrite only the pacer: the node keeps claiming full
+// capability and only the adaptation loop (Adapt) can discover the gap —
+// exactly the simulator's silent-trace semantics. A step still pending at
+// Close never fires.
+type capTrace struct {
+	node       *Node
+	uploadKbps uint32
+	steps      []capStep
+}
+
+func (c *capTrace) Start(rt env.Runtime) {
+	elapsed := rt.Now()
 	latestPast := -1
-	for i, st := range steps {
-		if st.At <= elapsed && (latestPast < 0 || st.At >= steps[latestPast].At) {
+	for i, st := range c.steps {
+		if st.At <= elapsed && (latestPast < 0 || st.At >= c.steps[latestPast].At) {
 			latestPast = i
 		}
 	}
 	if latestPast >= 0 {
-		apply(steps[latestPast])
+		c.apply(c.steps[latestPast])
 	}
-	for _, st := range steps {
+	for _, st := range c.steps {
 		if st.At > elapsed {
-			n.capTimers = append(n.capTimers, time.AfterFunc(st.At-elapsed, func() { apply(st) }))
+			rt.AfterFunc(st.At-elapsed, func() { c.apply(st) })
 		}
 	}
 }
+
+// apply runs in the node's execution context, so it writes the estimator
+// directly: SetAdvertisedKbps would re-enter it through Execute.
+func (c *capTrace) apply(st capStep) {
+	n := c.node
+	adv := uint32(float64(c.uploadKbps) * st.Factor)
+	if adv == 0 {
+		adv = 1
+	}
+	if !st.silent {
+		n.capKbps.Store(adv)
+		if est := n.stack.Estimator; est != nil {
+			est.SetSelfCapKbps(adv)
+		}
+	}
+	n.udp.SetUploadBps(int64(adv) * 1000)
+}
+
+func (c *capTrace) Receive(wire.NodeID, wire.Message) {}
+func (c *capTrace) Stop()                             {}
 
 // Addr returns the node's bound UDP address.
 func (n *Node) Addr() *net.UDPAddr { return n.udp.Addr() }
@@ -404,14 +424,11 @@ func (n *Node) RemovePeer(id NodeID) {
 
 // Close shuts the node down.
 func (n *Node) Close() {
-	for _, t := range n.capTimers {
-		t.Stop()
-	}
 	n.udp.Close()
 }
 
 // SetAdvertisedKbps rewrites the capability this node advertises to the
-// aggregation protocol (capability re-measurement, netem traces). The upload
+// aggregation protocol (capability re-measurement). The upload
 // throttle is unchanged — advertising is a claim, not a cap. No-op for
 // standard-gossip nodes.
 func (n *Node) SetAdvertisedKbps(kbps uint32) {
