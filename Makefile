@@ -28,8 +28,12 @@ linkcheck:
 
 # Race-detect the short suite: the sweep engine is the only concurrent code,
 # but pooled-event regressions would also surface here first.
+# internal/scenario, the slowest package under -race by far, runs on its own
+# after the others so it never races them for the CPU inside its 10-minute
+# per-package timeout.
 race:
-	$(GO) test -race -short ./...
+	$(GO) test -race -short $$($(GO) list ./... | grep -v '/internal/scenario$$')
+	$(GO) test -race -short ./internal/scenario
 
 # Full (not -short) race pass over the detection and adaptation loops plus
 # the paced sender they poll: the misbehavior oracle/property suite, the
@@ -65,11 +69,12 @@ test:
 bench-smoke:
 	cd benchmark && $(GO) vet . && $(GO) test -short -race .
 
-# One iteration of every benchmark bench_test.go still owns (the §5
-# ablations, the sweep pair, the 1k dynamics cells); -short skips the
-# 100k/1M cells, which run only when named (see EXPERIMENTS.md).
+# One iteration of every simulator benchmark (internal/scenario's
+# bench_test.go: the §5 ablations, the sweep pair, the 1k dynamics and
+# multi-stream cells); -short skips the 100k/1M cells, which run only when
+# named (see EXPERIMENTS.md).
 bench:
-	$(GO) test -short -bench=. -benchtime=1x -run='^$$' .
+	$(GO) test -short -bench=. -benchtime=1x -run='^$$' ./internal/scenario
 
 # The UDP fast-path saturation benchmark: loopback pps and allocs/datagram,
 # batched syscalls (sendmmsg/recvmmsg, with UDP_SEGMENT trains sent and

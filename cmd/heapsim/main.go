@@ -162,7 +162,7 @@ func printSummary(res *scenario.Result, lag, elapsed time.Duration) {
 		tbl.AddRow(cl, fmt.Sprintf("%d", n),
 			fmt.Sprintf("%.1f%%", 100*usage/float64(n)),
 			fmt.Sprintf("%.1f%%", 100*jf/float64(n)),
-			fmt.Sprintf("%.1fs (%d never)", metrics.Mean(lags), countInf(lags)))
+			fmt.Sprintf("%.1fs (%d never)", metrics.Mean(lags), metrics.CountInf(lags)))
 	}
 	fmt.Print(tbl.Render())
 
@@ -180,14 +180,4 @@ func distName(cfg scenario.Config) string {
 		return "unconstrained"
 	}
 	return cfg.Dist.Name()
-}
-
-func countInf(vals []float64) int {
-	n := 0
-	for _, v := range vals {
-		if v > 1e12 {
-			n++
-		}
-	}
-	return n
 }

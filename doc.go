@@ -93,13 +93,11 @@
 //
 // The paper stops at 270 nodes; the LargeScale family goes to 1k-20k with
 // the dynamics that only exist at that scale — flash-crowd join waves
-// (JoinWaves), correlated churn bursts (ChurnBursts), and a bimodal
-// capability distribution (Bimodal700):
-//
-//	res, err := heapgossip.RunScenario(heapgossip.LargeScale(10000, 1))
-//
-// or the whole grid via LargeScaleSweep / `heapsweep -largescale`. See the
-// "Large-N grid" section of EXPERIMENTS.md.
+// (Scenario.JoinWaves), correlated churn bursts (Scenario.ChurnBursts), and
+// a bimodal capability distribution — on Cyclon peer sampling. Run the grid
+// with `heapsweep -largescale`; the 100k and 1M cells are simulator
+// benchmarks (internal/scenario). See the "Large-N grid" section of
+// EXPERIMENTS.md.
 //
 // # Multi-source streams
 //
@@ -110,10 +108,10 @@
 // upload capability across the active streams, weighted by stream rate, so
 // aggregate sends never exceed the node's UploadKbps — several simultaneous
 // broadcasters competing for one uplink is where HEAP's bandwidth
-// accounting gets genuinely hard. In simulation, set Scenario.Streams to a
-// list of StreamSpec (K sources, staggered starts); results then carry one
-// measurement record per stream (ScenarioResult.StreamRuns) and per-stream
-// lag summaries (StreamSummaries). Over real sockets, configure
+// accounting gets genuinely hard. In simulation, `heapsweep -streams K`
+// runs K sources with staggered starts (Scenario.Streams); results then
+// carry one measurement record per stream (ScenarioResult.StreamRuns) and
+// per-stream lag summaries (StreamSummaries). Over real sockets, configure
 // NodeConfig.Source with a Stream id, or open additional streams on a
 // running node with Node.OpenStream; receivers track new streams on first
 // contact with no configuration. Stream 0 encodes exactly as the legacy
@@ -157,11 +155,11 @@
 // gossip target draws, has its proposals ignored, and loses its vote in
 // the capability average. Verdicts heal when contribution recovers.
 // Configure adversaries and detection in simulation with Scenario.Adversary
-// (AdversarySpec; results in ScenarioResult.AdversaryStats with per-class
-// detection rates, the false-positive record, and an observer-coalition
-// source-anonymity probe), sweep the honest/observe-only/armed A/B with
-// AdversaryVariants or `heapsweep -adversary`, render the measured tables
-// with `heapbench -artifact adversary`, and run the detector on a real
+// (results in ScenarioResult.AdversaryStats with per-class detection rates,
+// the false-positive record, and an observer-coalition source-anonymity
+// probe), sweep the honest/observe-only/armed A/B with `heapsweep
+// -adversary`, render the measured tables with `heapbench -artifact
+// adversary`, and run the detector on a real
 // socket with NodeConfig.Misbehave (`heapnode -detect`; inspect it via
 // Node.QuarantinedPeers and Node.MisbehaveEvidence). The detector draws no
 // randomness and evaluates on the engine's existing ticker, so adversarial
@@ -175,7 +173,7 @@
 // heal, latency spikes/drift, asymmetric per-direction degradation, and
 // capability traces that rewrite advertised upload capabilities mid-run.
 // Profiles are data: the same value drives the simulator (Scenario.Netem),
-// sweep grids (AdverseVariants, `heapsweep -netem`), and real sockets
+// sweep grids (`heapsweep -netem`), and real sockets
 // (NodeConfig.Netem, `heapnode -netem`), where identical models rule on
 // every datagram a node sends — the simulator's transmit-time consultation
 // point, reproduced on the wire. Model verdicts are deterministic functions of the
@@ -188,23 +186,22 @@
 // # Clustered topologies and hierarchical dissemination
 //
 // internal/topo embeds a run in a clustered WAN/LAN geometry instead of the
-// paper's uniform pairwise-latency band. A Topology value declares the
-// cluster count (optionally size-weighted), intra/inter-cluster latency
-// bands, and jitter; set Scenario.Topology and the run's cluster assignment
-// and every pair latency become pure hashes of the seed (no rng consumed, so
-// sharded runs stay byte-identical). Netem partitions and spikes can target
-// topology regions (PartitionSpec.Regions, RegionSpikes), cutting along real
-// cluster boundaries, and ScenarioResult.TopoStats accounts the run's
-// inter-cluster (WAN) bytes. Scenario.FanoutIntra/FanoutInter then split the
-// gossip fanout budget by locality — cluster-biased peer selection with
-// separate intra and inter draws, still scaled by HEAP's relative
-// capability — to cut WAN traffic without hurting delivery.
-// TopologyVariants (`heapsweep -topology wan3`) gives sweeps the
-// topo-blind/topo-aware A/B on the same clustered network, and `heapbench
-// -artifact topology` renders the WAN-bytes/stream-quality comparison; see
-// the "Topology-aware dissemination" section of EXPERIMENTS.md. With
-// Topology unset every path is untouched and results are byte-identical to
-// pre-topology builds.
+// paper's uniform pairwise-latency band. A topology declares the cluster
+// count (optionally size-weighted), intra/inter-cluster latency bands, and
+// jitter; set Scenario.Topology and the run's cluster assignment and every
+// pair latency become pure hashes of the seed (no rng consumed, so sharded
+// runs stay byte-identical). Netem partitions and spikes can target topology
+// regions (PartitionSpec.Regions, RegionSpikes), cutting along real cluster
+// boundaries, and ScenarioResult.TopoStats accounts the run's inter-cluster
+// (WAN) bytes. Scenario.FanoutIntra/FanoutInter then split the gossip fanout
+// budget by locality — cluster-biased peer selection with separate intra and
+// inter draws, still scaled by HEAP's relative capability — to cut WAN
+// traffic without hurting delivery. `heapsweep -topology wan3` gives sweeps
+// the topo-blind/topo-aware A/B on the same clustered network, and
+// `heapbench -artifact topology` renders the WAN-bytes/stream-quality
+// comparison; see the "Topology-aware dissemination" section of
+// EXPERIMENTS.md. With Topology unset every path is untouched and results
+// are byte-identical to pre-topology builds.
 //
 // # Observability
 //
@@ -223,7 +220,7 @@
 // per status tick).
 //
 // Dissemination tracing records the propose→request→serve path of sampled
-// packets. Set Scenario.Trace (a TraceConfig) and every node records hop
+// packets. Set Scenario.Trace and every node records hop
 // events — publish, first request, serve-path delivery — for the id-modulo
 // sampled packet ids into a bounded ring; an offline join then reconstructs
 // per-packet hop counts and per-hop latencies (ScenarioResult.TraceStats,

@@ -2,6 +2,10 @@ package heapgossip
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -369,7 +373,48 @@ func TestNodeCapTraceSteps(t *testing.T) {
 	})
 }
 
+// TestPublicAPISurface pins the facade: heapgossip.go exports exactly what
+// the command-line programs, examples/lan, the benchmark module and the
+// package's Examples use, so a new re-export is a deliberate edit here.
 func TestPublicAPISurface(t *testing.T) {
+	want := []string{
+		"AdaptConfig", "Distribution", "EngineStats", "Geometry", "HEAP",
+		"MS691", "MisbehaveConfig", "MisbehaveEvidence", "Netem",
+		"NetemProfile", "NetemProfileNames", "Never", "NewTelemetryRegistry",
+		"NodeID", "NodeRecord", "PacketID", "PaperGeometry", "Protocol",
+		"Ref691", "Ref724", "Run", "RunScenario", "RunSweep", "Scenario",
+		"ScenarioResult", "Seconds", "StandardGossip", "StaticTree",
+		"StreamID", "Sweep", "SweepResult", "TelemetryRegistry",
+		"TelemetryServer", "Uniform691",
+	}
+	f, err := parser.ParseFile(token.NewFileSet(), "heapgossip.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, decl := range f.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			got = append(got, d.Name.Name)
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch sp := spec.(type) {
+				case *ast.TypeSpec:
+					got = append(got, sp.Name.Name)
+				case *ast.ValueSpec:
+					for _, name := range sp.Names {
+						got = append(got, name.Name)
+					}
+				}
+			}
+		}
+	}
+	got = slices.DeleteFunc(got, func(name string) bool { return !ast.IsExported(name) })
+	slices.Sort(got)
+	if !slices.Equal(got, want) {
+		t.Fatalf("heapgossip.go exports\n%q\nwant\n%q", got, want)
+	}
+
 	// The facade re-exports the Table 1 distributions and geometry.
 	if Ref691.Name() != "ref-691" || MS691.Name() != "ms-691" ||
 		Ref724.Name() != "ref-724" || Uniform691.Name() != "uniform-691" {

@@ -86,6 +86,18 @@ func (c CDF) Points(xs []float64) []float64 {
 	return out
 }
 
+// CountInf returns how many samples are +Inf: the nodes whose lag was
+// Never (see Seconds).
+func CountInf(samples []float64) int {
+	n := 0
+	for _, v := range samples {
+		if math.IsInf(v, 1) {
+			n++
+		}
+	}
+	return n
+}
+
 // Mean returns the mean of the finite samples (NaN if none).
 func Mean(samples []float64) float64 {
 	var sum float64

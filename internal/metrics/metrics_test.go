@@ -275,6 +275,9 @@ func TestMeanSkipsInfinities(t *testing.T) {
 	if got := Mean([]float64{math.Inf(1)}); !math.IsNaN(got) {
 		t.Fatalf("mean of inf = %v, want NaN", got)
 	}
+	if got := CountInf([]float64{1, Seconds(Never), 3, Seconds(time.Hour)}); got != 1 {
+		t.Fatalf("CountInf = %d, want 1", got)
+	}
 }
 
 func TestSeconds(t *testing.T) {

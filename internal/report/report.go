@@ -121,6 +121,18 @@ func (s *Suite) protoRun(proto scenario.Protocol, dist scenario.Distribution) (*
 	})
 }
 
+// pair runs standard gossip and HEAP on one distribution: the pair Figures
+// 4-9 and Tables 2-3 compare.
+func (s *Suite) pair(dist scenario.Distribution) (std, heap *scenario.Result, err error) {
+	if std, err = s.protoRun(scenario.StandardGossip, dist); err != nil {
+		return nil, nil, err
+	}
+	if heap, err = s.protoRun(scenario.HEAP, dist); err != nil {
+		return nil, nil, err
+	}
+	return std, heap, nil
+}
+
 // lagForDist returns the playback lag the paper uses when reporting stream
 // quality for a distribution: 10 s for the reference distributions, 20 s
 // for the most-skewed one (Table 3).
@@ -293,11 +305,7 @@ func (s *Suite) Figure4() error {
 			"512kbps heap": "79.02%", "1Mbps heap": "74.71%", "3Mbps heap": "71.13%"},
 	}
 	for _, dist := range []scenario.Distribution{scenario.Ref691, scenario.MS691} {
-		stdRes, err := s.protoRun(scenario.StandardGossip, dist)
-		if err != nil {
-			return err
-		}
-		heapRes, err := s.protoRun(scenario.HEAP, dist)
+		stdRes, heapRes, err := s.pair(dist)
 		if err != nil {
 			return err
 		}
@@ -317,11 +325,7 @@ func (s *Suite) Figure4() error {
 
 // qualityByClass renders a Figures 5/6 panel.
 func (s *Suite) qualityByClass(title string, dist scenario.Distribution, lag time.Duration) error {
-	stdRes, err := s.protoRun(scenario.StandardGossip, dist)
-	if err != nil {
-		return err
-	}
-	heapRes, err := s.protoRun(scenario.HEAP, dist)
+	stdRes, heapRes, err := s.pair(dist)
 	if err != nil {
 		return err
 	}
@@ -356,11 +360,7 @@ func (s *Suite) Figure6() error {
 
 // Figure7 reproduces the jitter CDF on ref-691.
 func (s *Suite) Figure7() error {
-	stdRes, err := s.protoRun(scenario.StandardGossip, scenario.Ref691)
-	if err != nil {
-		return err
-	}
-	heapRes, err := s.protoRun(scenario.HEAP, scenario.Ref691)
+	stdRes, heapRes, err := s.pair(scenario.Ref691)
 	if err != nil {
 		return err
 	}
@@ -392,11 +392,7 @@ func (s *Suite) Figure7() error {
 // Figure8 reproduces the average min-lag to a jitter-free stream by class.
 func (s *Suite) Figure8() error {
 	for _, dist := range []scenario.Distribution{scenario.Ref691, scenario.MS691} {
-		stdRes, err := s.protoRun(scenario.StandardGossip, dist)
-		if err != nil {
-			return err
-		}
-		heapRes, err := s.protoRun(scenario.HEAP, dist)
+		stdRes, heapRes, err := s.pair(dist)
 		if err != nil {
 			return err
 		}
@@ -411,33 +407,19 @@ func (s *Suite) Figure8() error {
 			})[cl]
 			tbl.AddRow(cl,
 				fmt.Sprintf("%.1f", metrics.Mean(stdLags)),
-				fmt.Sprintf("%d/%d", countInf(stdLags), len(stdLags)),
+				fmt.Sprintf("%d/%d", metrics.CountInf(stdLags), len(stdLags)),
 				fmt.Sprintf("%.1f", metrics.Mean(heapLags)),
-				fmt.Sprintf("%d/%d", countInf(heapLags), len(heapLags)))
+				fmt.Sprintf("%d/%d", metrics.CountInf(heapLags), len(heapLags)))
 		}
 		s.printf("Figure 8 (%s): average stream lag to obtain a jitter-free stream\n%s\n", dist.Name(), tbl.Render())
 	}
 	return nil
 }
 
-func countInf(vals []float64) int {
-	n := 0
-	for _, v := range vals {
-		if v > 1e12 {
-			n++
-		}
-	}
-	return n
-}
-
 // Figure9 reproduces the min-lag CDFs.
 func (s *Suite) Figure9() error {
 	for _, dist := range []scenario.Distribution{scenario.Ref691, scenario.MS691} {
-		stdRes, err := s.protoRun(scenario.StandardGossip, dist)
-		if err != nil {
-			return err
-		}
-		heapRes, err := s.protoRun(scenario.HEAP, dist)
+		stdRes, heapRes, err := s.pair(dist)
 		if err != nil {
 			return err
 		}
@@ -523,11 +505,7 @@ func (s *Suite) Table2() error {
 	s.printf("Table 2: average delivery ratio in windows that cannot be fully decoded\n")
 	for _, dist := range []scenario.Distribution{scenario.Ref691, scenario.Ref724, scenario.MS691} {
 		lag := lagForDist(dist)
-		stdRes, err := s.protoRun(scenario.StandardGossip, dist)
-		if err != nil {
-			return err
-		}
-		heapRes, err := s.protoRun(scenario.HEAP, dist)
+		stdRes, heapRes, err := s.pair(dist)
 		if err != nil {
 			return err
 		}
@@ -567,11 +545,7 @@ func (s *Suite) Table3() error {
 	s.printf("Table 3: %% of nodes receiving a jitter-free stream by class\n")
 	for _, dist := range []scenario.Distribution{scenario.Ref691, scenario.Ref724, scenario.MS691} {
 		lag := lagForDist(dist)
-		stdRes, err := s.protoRun(scenario.StandardGossip, dist)
-		if err != nil {
-			return err
-		}
-		heapRes, err := s.protoRun(scenario.HEAP, dist)
+		stdRes, heapRes, err := s.pair(dist)
 		if err != nil {
 			return err
 		}
@@ -629,7 +603,7 @@ func (s *Suite) SensitivityDegraded() error {
 		})
 		tbl.AddRow(fmt.Sprintf("%.0f%%", frac*100),
 			fmt.Sprintf("%.1f%%", 100*jf),
-			fmt.Sprintf("%d/%d", countInf(lags), len(lags)))
+			fmt.Sprintf("%d/%d", metrics.CountInf(lags), len(lags)))
 	}
 	s.printf("Sensitivity (beyond the paper): nodes delivering half their advertised capability (ms-691, HEAP)\n%s\n", tbl.Render())
 	return nil

@@ -92,6 +92,60 @@ func fingerprint(t *testing.T, res *Result) []byte {
 	return buf.Bytes()
 }
 
+// sweepReplicas is the replica count of the worker-count sweeps: two in the
+// full suite, one under -short. Every grid has at least two cells, so eight
+// workers still run cells side by side.
+func sweepReplicas() int {
+	if testing.Short() {
+		return 1
+	}
+	return 2
+}
+
+// requireWorkerIndependent runs grid on 1 and on 8 workers and requires the
+// same cells, seeds and summaries (wall-clock Elapsed aside) and
+// byte-identical CSV, the exported artifact. It returns the serial result.
+func requireWorkerIndependent(t *testing.T, grid func(workers int) Sweep) *SweepResult {
+	t.Helper()
+	serial, err := RunSweep(grid(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	parallel, err := RunSweep(grid(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(serial.Cells) != len(parallel.Cells) {
+		t.Fatalf("cell count differs: %d vs %d", len(serial.Cells), len(parallel.Cells))
+	}
+	for i := range serial.Cells {
+		s, p := serial.Cells[i], parallel.Cells[i]
+		if s.Key != p.Key {
+			t.Fatalf("cell %d key differs: %v vs %v", i, s.Key, p.Key)
+		}
+		if !reflect.DeepEqual(s.Seeds, p.Seeds) {
+			t.Fatalf("cell %s seeds differ", s.Key)
+		}
+		ss, ps := s.Summary, p.Summary
+		ss.Elapsed, ps.Elapsed = 0, 0
+		if !reflect.DeepEqual(ss, ps) {
+			t.Fatalf("cell %s: summaries differ between 1 and 8 workers:\n  serial:   %+v\n  parallel: %+v",
+				s.Key, ss, ps)
+		}
+	}
+	var sc, pc bytes.Buffer
+	if err := serial.WriteCSV(&sc); err != nil {
+		t.Fatal(err)
+	}
+	if err := parallel.WriteCSV(&pc); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(sc.Bytes(), pc.Bytes()) {
+		t.Fatal("sweep CSV bytes differ between 1 and 8 workers")
+	}
+	return serial
+}
+
 func deterministicBase(seed int64) Config {
 	return Config{
 		Nodes:    80,
@@ -236,38 +290,13 @@ func TestDeterminismNetemSweepWorkers(t *testing.T) {
 			Base:      deterministicBase(0),
 			Protocols: []Protocol{StandardGossip, HEAP},
 			Variants:  append([]Variant{{Name: "baseline"}}, adv...),
-			Replicas:  2,
+			Replicas:  sweepReplicas(),
 			BaseSeed:  31,
 			Workers:   workers,
 			DropRuns:  true,
 		}
 	}
-	serial, err := RunSweep(grid(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := RunSweep(grid(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sc, pc bytes.Buffer
-	if err := serial.WriteCSV(&sc); err != nil {
-		t.Fatal(err)
-	}
-	if err := parallel.WriteCSV(&pc); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(sc.Bytes(), pc.Bytes()) {
-		t.Fatal("netem sweep CSV bytes differ between 1 and 8 workers")
-	}
-	for i := range serial.Cells {
-		s, p := serial.Cells[i], parallel.Cells[i]
-		ss, ps := s.Summary, p.Summary
-		ss.Elapsed, ps.Elapsed = 0, 0
-		if !reflect.DeepEqual(ss, ps) {
-			t.Fatalf("cell %s: summaries differ between 1 and 8 workers", s.Key)
-		}
-	}
+	requireWorkerIndependent(t, grid)
 }
 
 // adaptBase is the determinism suite's adaptation configuration: degraded
@@ -324,38 +353,13 @@ func TestDeterminismAdaptSweepWorkers(t *testing.T) {
 				{Name: "adapt-off", Mutate: func(c *Config) { c.Adapt = nil }},
 				{Name: "adapt-on"},
 			},
-			Replicas: 2,
+			Replicas: sweepReplicas(),
 			BaseSeed: 53,
 			Workers:  workers,
 			DropRuns: true,
 		}
 	}
-	serial, err := RunSweep(grid(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := RunSweep(grid(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sc, pc bytes.Buffer
-	if err := serial.WriteCSV(&sc); err != nil {
-		t.Fatal(err)
-	}
-	if err := parallel.WriteCSV(&pc); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(sc.Bytes(), pc.Bytes()) {
-		t.Fatal("adapt sweep CSV bytes differ between 1 and 8 workers")
-	}
-	for i := range serial.Cells {
-		s, p := serial.Cells[i], parallel.Cells[i]
-		ss, ps := s.Summary, p.Summary
-		ss.Elapsed, ps.Elapsed = 0, 0
-		if !reflect.DeepEqual(ss, ps) {
-			t.Fatalf("cell %s: summaries differ between 1 and 8 workers", s.Key)
-		}
-	}
+	requireWorkerIndependent(t, grid)
 }
 
 // adversaryDetBase is the determinism suite's adversarial configuration:
@@ -415,38 +419,13 @@ func TestDeterminismAdversarySweepWorkers(t *testing.T) {
 		return Sweep{
 			Base:     adversaryDetBase(0),
 			Variants: AdversaryVariants(AdversarySpec{FreeriderFraction: 0.1}),
-			Replicas: 2,
+			Replicas: sweepReplicas(),
 			BaseSeed: 61,
 			Workers:  workers,
 			DropRuns: true,
 		}
 	}
-	serial, err := RunSweep(grid(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := RunSweep(grid(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sc, pc bytes.Buffer
-	if err := serial.WriteCSV(&sc); err != nil {
-		t.Fatal(err)
-	}
-	if err := parallel.WriteCSV(&pc); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(sc.Bytes(), pc.Bytes()) {
-		t.Fatal("adversary sweep CSV bytes differ between 1 and 8 workers")
-	}
-	for i := range serial.Cells {
-		s, p := serial.Cells[i], parallel.Cells[i]
-		ss, ps := s.Summary, p.Summary
-		ss.Elapsed, ps.Elapsed = 0, 0
-		if !reflect.DeepEqual(ss, ps) {
-			t.Fatalf("cell %s: summaries differ between 1 and 8 workers", s.Key)
-		}
-	}
+	requireWorkerIndependent(t, grid)
 }
 
 // traceBase is the determinism suite's traced configuration: every 2nd
@@ -523,38 +502,13 @@ func TestDeterminismTraceSweepWorkers(t *testing.T) {
 				{Name: "trace-off", Mutate: func(c *Config) { c.Trace = nil }},
 				{Name: "trace-on"},
 			},
-			Replicas: 2,
+			Replicas: sweepReplicas(),
 			BaseSeed: 71,
 			Workers:  workers,
 			DropRuns: true,
 		}
 	}
-	serial, err := RunSweep(grid(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := RunSweep(grid(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sc, pc bytes.Buffer
-	if err := serial.WriteCSV(&sc); err != nil {
-		t.Fatal(err)
-	}
-	if err := parallel.WriteCSV(&pc); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(sc.Bytes(), pc.Bytes()) {
-		t.Fatal("trace sweep CSV bytes differ between 1 and 8 workers")
-	}
-	for i := range serial.Cells {
-		s, p := serial.Cells[i], parallel.Cells[i]
-		ss, ps := s.Summary, p.Summary
-		ss.Elapsed, ps.Elapsed = 0, 0
-		if !reflect.DeepEqual(ss, ps) {
-			t.Fatalf("cell %s: summaries differ between 1 and 8 workers", s.Key)
-		}
-	}
+	requireWorkerIndependent(t, grid)
 }
 
 // multiSourceBase is the determinism suite's multi-source configuration:
@@ -610,41 +564,17 @@ func TestDeterminismMultiSourceSweepWorkers(t *testing.T) {
 		return Sweep{
 			Base:      multiSourceBase(0),
 			Protocols: []Protocol{StandardGossip, HEAP},
-			Replicas:  2,
+			Replicas:  sweepReplicas(),
 			BaseSeed:  37,
 			Workers:   workers,
 			DropRuns:  true,
 		}
 	}
-	serial, err := RunSweep(grid(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := RunSweep(grid(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sc, pc bytes.Buffer
-	if err := serial.WriteCSV(&sc); err != nil {
-		t.Fatal(err)
-	}
-	if err := parallel.WriteCSV(&pc); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(sc.Bytes(), pc.Bytes()) {
-		t.Fatal("multi-source sweep CSV bytes differ between 1 and 8 workers")
-	}
-	for i := range serial.Cells {
-		s, p := serial.Cells[i], parallel.Cells[i]
-		ss, ps := s.Summary, p.Summary
-		ss.Elapsed, ps.Elapsed = 0, 0
-		if !reflect.DeepEqual(ss, ps) {
-			t.Fatalf("cell %s: summaries differ between 1 and 8 workers", s.Key)
-		}
+	for _, cell := range requireWorkerIndependent(t, grid).Cells {
 		// Multi-source cells pool both streams' node samples.
-		if want := (s.Key.Nodes - 1) * 2 * 2; ss.MeasuredNodes != want {
-			t.Fatalf("cell %s pooled %d node samples, want %d (nodes-1 x 2 streams x 2 replicas)",
-				s.Key, ss.MeasuredNodes, want)
+		if want := (cell.Key.Nodes - 1) * 2 * sweepReplicas(); cell.Summary.MeasuredNodes != want {
+			t.Fatalf("cell %s pooled %d node samples, want %d (nodes-1 x 2 streams x replicas)",
+				cell.Key, cell.Summary.MeasuredNodes, want)
 		}
 	}
 }
@@ -657,50 +587,13 @@ func TestDeterminismSweepWorkers(t *testing.T) {
 			Base:      deterministicBase(0),
 			Protocols: []Protocol{StandardGossip, HEAP},
 			Dists:     []Distribution{Ref691, MS691},
-			Replicas:  2,
+			Replicas:  sweepReplicas(),
 			BaseSeed:  23,
 			Workers:   workers,
 			DropRuns:  true,
 		}
 	}
-	serial, err := RunSweep(grid(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := RunSweep(grid(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(serial.Cells) != len(parallel.Cells) {
-		t.Fatalf("cell count differs: %d vs %d", len(serial.Cells), len(parallel.Cells))
-	}
-	for i := range serial.Cells {
-		s, p := serial.Cells[i], parallel.Cells[i]
-		if s.Key != p.Key {
-			t.Fatalf("cell %d key differs: %v vs %v", i, s.Key, p.Key)
-		}
-		if !reflect.DeepEqual(s.Seeds, p.Seeds) {
-			t.Fatalf("cell %s seeds differ", s.Key)
-		}
-		// Elapsed is wall clock and legitimately differs; everything else
-		// must match exactly.
-		ss, ps := s.Summary, p.Summary
-		ss.Elapsed, ps.Elapsed = 0, 0
-		if !reflect.DeepEqual(ss, ps) {
-			t.Fatalf("cell %s: summaries differ between 1 and 8 workers:\n  serial:   %+v\n  parallel: %+v",
-				s.Key, ss, ps)
-		}
-	}
-	var sc, pc bytes.Buffer
-	if err := serial.WriteCSV(&sc); err != nil {
-		t.Fatal(err)
-	}
-	if err := parallel.WriteCSV(&pc); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(sc.Bytes(), pc.Bytes()) {
-		t.Fatal("sweep CSV bytes differ between 1 and 8 workers")
-	}
+	requireWorkerIndependent(t, grid)
 }
 
 // topologyBase is the determinism suite's clustered configuration: three
@@ -824,38 +717,13 @@ func TestDeterminismTopologySweepWorkers(t *testing.T) {
 		return Sweep{
 			Base:     deterministicBase(0),
 			Variants: TopologyVariants(*base.Topology, base.FanoutIntra, base.FanoutInter),
-			Replicas: 2,
+			Replicas: sweepReplicas(),
 			BaseSeed: 79,
 			Workers:  workers,
 			DropRuns: true,
 		}
 	}
-	serial, err := RunSweep(grid(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := RunSweep(grid(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sc, pc bytes.Buffer
-	if err := serial.WriteCSV(&sc); err != nil {
-		t.Fatal(err)
-	}
-	if err := parallel.WriteCSV(&pc); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(sc.Bytes(), pc.Bytes()) {
-		t.Fatal("topology sweep CSV bytes differ between 1 and 8 workers")
-	}
-	for i := range serial.Cells {
-		s, p := serial.Cells[i], parallel.Cells[i]
-		ss, ps := s.Summary, p.Summary
-		ss.Elapsed, ps.Elapsed = 0, 0
-		if !reflect.DeepEqual(ss, ps) {
-			t.Fatalf("cell %s: summaries differ between 1 and 8 workers", s.Key)
-		}
-	}
+	requireWorkerIndependent(t, grid)
 }
 
 // TestDeterminismShardCounts is the sharded simulator's oracle: the same
@@ -866,8 +734,13 @@ func TestDeterminismTopologySweepWorkers(t *testing.T) {
 // barrier merge influencing dispatch order — breaks byte equality here. The
 // matrix deliberately spans the subsystems with their own scheduled state:
 // netem dynamics, multi-source streams, closed-loop adaptation, tracing, and
-// the LargeScale join/churn/freeze machinery.
+// the LargeScale join/churn/freeze machinery. Under -short each case runs
+// at 1 and 8 shards only; make race-detect runs the full matrix.
 func TestDeterminismShardCounts(t *testing.T) {
+	shardCounts := []int{1, 2, 8}
+	if testing.Short() {
+		shardCounts = []int{1, 8}
+	}
 	cases := []struct {
 		name string
 		cfg  func() Config
@@ -910,7 +783,7 @@ func TestDeterminismShardCounts(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var ref []byte
-			for _, shards := range []int{1, 2, 8} {
+			for _, shards := range shardCounts {
 				cfg := tc.cfg()
 				cfg.Shards = shards
 				res, err := Run(cfg)

@@ -71,13 +71,9 @@ type Config struct {
 	// and offline metrics settle. Default 60 s.
 	Drain time.Duration
 
-	// GossipPeriod is Algorithm 1's round period, RetPeriod the
-	// retransmission timeout, RetMaxAttempts the bound on request attempts
-	// per id. Zero leaves each to core.Config's default: 200 ms, 5 s (see
-	// core.Config.RetPeriod for why it must exceed congestion transients)
-	// and 2.
-	GossipPeriod   time.Duration
-	RetPeriod      time.Duration
+	// RetMaxAttempts bounds the request attempts per id. Zero leaves it to
+	// core.Config's default, 2. The round period and the retransmission
+	// timeout always take core.Config's defaults (200 ms, 5 s).
 	RetMaxAttempts int
 	// RetSameProposer switches retransmission to the paper-literal
 	// same-proposer policy (ablation; see core.Config.RetSameProposer).
@@ -106,16 +102,12 @@ type Config struct {
 	// without netem at all. Stock profiles come from netem.Profile and
 	// the Adverse* sweep variants.
 	Netem *netem.Config
-	// LatencyMin/LatencyMax bound the per-pair one-way base delay (each
-	// message adds up to latencyJitter on top). Defaults 10 ms / 100 ms.
-	// Ignored when Topology is set.
-	LatencyMin, LatencyMax time.Duration
 
 	// Topology embeds the run in a clustered WAN/LAN geometry
 	// (internal/topo): a hash-pure cluster assignment drawn from Seed, with
 	// split intra-/inter-cluster latency bands replacing the uniform
-	// LatencyMin/Max draw. Inter-cluster traffic is accounted per node
-	// (Result.TopoStats), and a configured Netem may target regions
+	// [latencyMin, latencyMax] draw. Inter-cluster traffic is accounted per
+	// node (Result.TopoStats), and a configured Netem may target regions
 	// (PartitionSpec.Regions, RegionSpikes) so failures fall along the
 	// topology's real cuts. Nil (the default) keeps the paper's uniform
 	// pairwise latency model — runs are then byte-identical to a build
@@ -249,6 +241,10 @@ type Config struct {
 // Model parameters with one value in every experiment: fixed here, not
 // Config knobs.
 const (
+	// latencyMin/latencyMax bound a pair's one-way base delay, drawn
+	// uniformly per pair when no Topology is set.
+	latencyMin = 10 * time.Millisecond
+	latencyMax = 100 * time.Millisecond
 	// latencyJitter is the per-message jitter on top of a pair's base delay.
 	latencyJitter = 5 * time.Millisecond
 	// sourceCapKbps is a source's upload capacity; the source must sustain
@@ -303,14 +299,6 @@ func (c *Config) applyDefaults() error {
 	if c.LossRate == 0 {
 		c.LossRate = 0.001
 	}
-	if c.LatencyMin == 0 && c.LatencyMax == 0 {
-		c.LatencyMin, c.LatencyMax = 10*time.Millisecond, 100*time.Millisecond
-	}
-	if c.LatencyMax == 0 {
-		// Only Min set: a constant base latency (the behaviour this config
-		// always had, now made explicit so it passes simnet's validation).
-		c.LatencyMax = c.LatencyMin
-	}
 	if c.DegradedFactor == 0 {
 		c.DegradedFactor = 0.5
 	}
@@ -335,9 +323,6 @@ func (c *Config) validate() error {
 	}
 	if err := c.Geometry.Validate(); err != nil {
 		return err
-	}
-	if c.LatencyMin < 0 || c.LatencyMax < c.LatencyMin {
-		return fmt.Errorf("scenario: invalid latency range [%v, %v]", c.LatencyMin, c.LatencyMax)
 	}
 	// Range checks are negated comparisons, so NaN fails them too.
 	if !(c.LossRate >= 0 && c.LossRate < 1) {
@@ -662,7 +647,7 @@ func (r *run) buildNetwork() error {
 	cfg := &r.cfg
 	netCfg := simnet.Config{
 		Seed:     cfg.Seed,
-		Latency:  simnet.NewPairwiseLatency(cfg.Seed, cfg.LatencyMin, cfg.LatencyMax, latencyJitter),
+		Latency:  simnet.NewPairwiseLatency(cfg.Seed, latencyMin, latencyMax, latencyJitter),
 		LossRate: cfg.LossRate,
 		Shards:   cfg.Shards,
 	}
@@ -827,8 +812,6 @@ func (r *run) stackSpec(i, present int, onDeliver core.DeliverFunc) stack.Spec {
 		ID: id,
 		Engine: core.Config{
 			Fanout:          cfg.Fanout,
-			GossipPeriod:    cfg.GossipPeriod,
-			RetPeriod:       cfg.RetPeriod,
 			RetMaxAttempts:  cfg.RetMaxAttempts,
 			RetSameProposer: cfg.RetSameProposer,
 			AdaptPeriod:     cfg.AdaptPeriod && heapNode,

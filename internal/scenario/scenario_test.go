@@ -101,11 +101,6 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := Run(Config{Nodes: 10, Dist: Ref691, Protocol: "bogus"}); err == nil {
 		t.Error("bogus protocol accepted")
 	}
-	// An inverted latency range is an error, not a simnet panic.
-	if _, err := Run(Config{Nodes: 10, Dist: Ref691,
-		LatencyMin: 100 * time.Millisecond, LatencyMax: 10 * time.Millisecond}); err == nil {
-		t.Error("inverted latency range accepted")
-	}
 	// Negative aggregation settings are errors, not an Int63n panic inside
 	// the event loop (period) or a HEAP run with aggregation silently off
 	// (fanout, k); zero still means the default. Nor may k exceed what the
@@ -126,15 +121,6 @@ func TestConfigValidation(t *testing.T) {
 	atLimit := Config{Nodes: 10, Dist: Ref691, Protocol: HEAP, AggFreshestK: aggregation.MaxFreshestK}
 	if err := atLimit.applyDefaults(); err != nil {
 		t.Errorf("AggFreshestK at the wire limit rejected: %v", err)
-	}
-	// Min alone is the historical "constant base latency" config and must
-	// keep working (Max defaults to Min).
-	cfg := Config{Nodes: 10, Dist: Ref691, LatencyMin: 50 * time.Millisecond}
-	if err := cfg.applyDefaults(); err != nil {
-		t.Errorf("Min-only latency rejected: %v", err)
-	}
-	if cfg.LatencyMax != 50*time.Millisecond {
-		t.Errorf("Min-only latency: Max = %v, want 50ms", cfg.LatencyMax)
 	}
 }
 

@@ -82,9 +82,7 @@ type NodeConfig struct {
 	// effective capability (with hysteresis) when the node cannot sustain
 	// its configured UploadKbps. The zero AdaptConfig selects the stock
 	// policy. Requires Adaptive (there is no advertisement to adapt under
-	// standard gossip). While adaptation runs, SetAdvertisedKbps calls
-	// race it and should be avoided; AdvertisedKbps tracks the adapted
-	// value.
+	// standard gossip). AdvertisedKbps tracks the adapted value.
 	Adapt *AdaptConfig
 	// Misbehave, if non-nil, runs the misbehavior detector on this node:
 	// per-peer contribution evidence is collected on the engine's message
@@ -386,7 +384,7 @@ func (c *capTrace) Start(rt env.Runtime) {
 }
 
 // apply runs in the node's execution context, so it writes the estimator
-// directly: SetAdvertisedKbps would re-enter it through Execute.
+// directly.
 func (c *capTrace) apply(st capStep) {
 	n := c.node
 	adv := uint32(float64(c.uploadKbps) * st.Factor)
@@ -427,38 +425,10 @@ func (n *Node) Close() {
 	n.udp.Close()
 }
 
-// SetAdvertisedKbps rewrites the capability this node advertises to the
-// aggregation protocol (capability re-measurement). The upload
-// throttle is unchanged — advertising is a claim, not a cap. No-op for
-// standard-gossip nodes.
-func (n *Node) SetAdvertisedKbps(kbps uint32) {
-	n.capKbps.Store(kbps)
-	n.udp.Execute(func() {
-		if est := n.stack.Estimator; est != nil {
-			est.SetSelfCapKbps(kbps)
-		}
-	})
-}
-
 // AdvertisedKbps returns the capability the node currently advertises.
 // Truthful after Close, like the statistics accessors. With Adapt enabled
 // it tracks the controller's effective estimate.
 func (n *Node) AdvertisedKbps() uint32 { return n.capKbps.Load() }
-
-// AdaptTrace returns the adaptation controller's re-advertisement history
-// (nil without an Adapt config; bounded to the controller's most recent
-// entries), serialized with protocol activity and — like the other
-// statistics accessors — truthful after Close. Times are durations since
-// the node's Epoch.
-func (n *Node) AdaptTrace() []AdaptReadvertisement {
-	var out []AdaptReadvertisement
-	n.read(func() {
-		if ctrl := n.stack.Controller; ctrl != nil {
-			out = append(out, ctrl.Trace()...)
-		}
-	})
-	return out
-}
 
 // AdaptReadvertisements returns how many times the adaptation controller
 // changed the advertised capability (0 without an Adapt config). Truthful
