@@ -6,10 +6,26 @@
 // of released frames for one peer leaves as one UDP_SEGMENT message (one
 // kernel pass for the whole train), and a UDP_GRO socket reads such a train
 // back as one message and splits it by the segment size the kernel reports.
-// The syscalls are issued directly via syscall.Syscall6 with a hand-rolled
-// mmsghdr layout (struct msghdr plus the kernel-written msg_len) and
-// hand-built control messages, so the module stays free of dependencies
-// outside the standard library; the portable one-syscall-per-datagram path
+// The syscalls are issued directly, with a hand-rolled mmsghdr layout
+// (struct msghdr plus the kernel-written msg_len) and hand-built control
+// messages, so the module stays free of dependencies outside the standard
+// library.
+//
+// The rule for the event loop's syscalls (here and in wait_linux.go): a call
+// that cannot block goes through syscall.RawSyscall6, and only a call that
+// can wait goes through syscall.Syscall6. Syscall6 tells the scheduler the
+// thread may block, so the runtime's monitor hands the loop's P to another
+// thread when the call outlasts ~20 µs — which a loopback sendmmsg, running
+// the receiver's whole stack inline, often does — and the loop pays the
+// handoff and the thread wakeups that follow. recvmmsg and sendmmsg cannot
+// block because the descriptor is non-blocking (newBatchIO sets O_NONBLOCK
+// on it and fails without it), and the eventfd poke writes a non-blocking
+// descriptor; the one scheduler-accounted call is waitWritable's ppoll on a
+// full send buffer, which sleeps up to a millisecond. The loop's own park
+// stays in the runtime poller (wait_linux.go). TestLoopSyscallsAreRaw scans
+// both files for the rule.
+//
+// The portable one-syscall-per-datagram path
 // (singleIO) serves the inverse build tag (batch_fallback.go) and
 // Config.DisableBatch. The batched path owns a duplicate of the socket's
 // descriptor and closes the net.UDPConn it came from, so the Go runtime's
@@ -122,7 +138,7 @@ type mmsgIO struct {
 	pfd       pollFd
 	pwait     syscall.Timespec
 
-	sendCalls, recvCalls atomic.Int64
+	sendCalls, recvCalls, recvEmpty atomic.Int64
 }
 
 // pollFd is struct pollfd, the same on every architecture.
@@ -164,6 +180,12 @@ func newBatchIO(conn *net.UDPConn) (batchIO, error) {
 	}
 	if dupErr != nil {
 		return nil, dupErr
+	}
+	// The dup shares the socket's file status, which the net package made
+	// non-blocking; say so here, since every call on fd relies on it.
+	if err := syscall.SetNonblock(fd, true); err != nil {
+		syscall.Close(fd)
+		return nil, err
 	}
 	local, _ := conn.LocalAddr().(*net.UDPAddr)
 	m := &mmsgIO{
@@ -261,7 +283,7 @@ func (m *mmsgIO) recv() {
 			m.rhdrs[i].hdr.SetControllen(recvCtrlSpace)
 		}
 		m.recvCalls.Add(1)
-		r1, _, e := syscall.Syscall6(syscall.SYS_RECVMMSG, uintptr(m.fd),
+		r1, _, e := syscall.RawSyscall6(syscall.SYS_RECVMMSG, uintptr(m.fd),
 			uintptr(unsafe.Pointer(&m.rhdrs[0])), uintptr(len(m.rhdrs)),
 			0, 0, 0)
 		switch e {
@@ -271,6 +293,7 @@ func (m *mmsgIO) recv() {
 		case syscall.EINTR:
 			continue
 		case syscall.EAGAIN:
+			m.recvEmpty.Add(1)
 			return // nothing queued: zero frames
 		default:
 			m.rerrno = e
@@ -303,8 +326,11 @@ func (m *mmsgIO) SrcMatches(i int, peer *peerAddr) bool {
 }
 
 // Syscalls implements batchIO: every sendmmsg and recvmmsg issued,
-// including those that found the socket not ready.
-func (m *mmsgIO) Syscalls() (send, recv int64) { return m.sendCalls.Load(), m.recvCalls.Load() }
+// including those that found the socket not ready, and the recvmmsg calls
+// that found nothing queued.
+func (m *mmsgIO) Syscalls() (send, recv, recvEmpty int64) {
+	return m.sendCalls.Load(), m.recvCalls.Load(), m.recvEmpty.Load()
+}
 
 // Control implements batchIO.
 func (m *mmsgIO) Control(f func(fd uintptr)) error {
@@ -421,7 +447,7 @@ func (m *mmsgIO) pack(chunk []outDatagram) int {
 func (m *mmsgIO) send() bool {
 	for m.wsent < m.wk {
 		m.sendCalls.Add(1)
-		r1, _, e := syscall.Syscall6(sysSendmmsg, uintptr(m.fd),
+		r1, _, e := syscall.RawSyscall6(sysSendmmsg, uintptr(m.fd),
 			uintptr(unsafe.Pointer(&m.shdrs[m.wsent])), uintptr(m.wk-m.wsent),
 			0, 0, 0)
 		switch e {
@@ -435,8 +461,7 @@ func (m *mmsgIO) send() bool {
 			if m.closing.Load() {
 				return false
 			}
-			_, _, _ = syscall.Syscall6(syscall.SYS_PPOLL, uintptr(unsafe.Pointer(&m.pfd)), 1,
-				uintptr(unsafe.Pointer(&m.pwait)), 0, 0, 0)
+			m.waitWritable()
 		default:
 			// EINVAL and EIO are how the kernel refuses a segmented send
 			// (udp_send_skb). Any other error is the destination's — no
@@ -450,6 +475,15 @@ func (m *mmsgIO) send() bool {
 		}
 	}
 	return true
+}
+
+// waitWritable sleeps until the socket is writable or a millisecond has
+// passed. It is the one call of the loop's I/O that can wait, so it goes
+// through Syscall6: the scheduler may run other goroutines on the loop's P
+// meanwhile.
+func (m *mmsgIO) waitWritable() {
+	_, _, _ = syscall.Syscall6(syscall.SYS_PPOLL, uintptr(unsafe.Pointer(&m.pfd)), 1,
+		uintptr(unsafe.Pointer(&m.pwait)), 0, 0, 0)
 }
 
 // putSockaddr encodes addr into sa in the socket's address family,

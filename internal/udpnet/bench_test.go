@@ -115,8 +115,8 @@ func BenchmarkUDPLoopbackSaturation(b *testing.B) {
 			b.ResetTimer()
 			received, elapsed := pump(src, recv, b.N)
 			b.StopTimer()
-			sendCalls, _ := src.bio.Syscalls()
-			_, recvCalls := dst.bio.Syscalls()
+			sendCalls, _, _ := src.bio.Syscalls()
+			_, recvCalls, _ := dst.bio.Syscalls()
 			b.ReportMetric(float64(received)/elapsed.Seconds(), "pps")
 			b.ReportMetric(float64(received)/float64(b.N)*100, "delivered%")
 			b.ReportMetric(float64(b.N)/float64(sendCalls), "dgrams/send")

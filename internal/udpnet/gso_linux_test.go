@@ -412,7 +412,7 @@ func TestRefusedGSOResendsUnsegmented(t *testing.T) {
 			t.Fatalf("delivered %d, want %d", got, len(items))
 		}
 		// The lone datagram, the refused run, the run again unsegmented.
-		if send, _ := m.Syscalls(); send < 3 {
+		if send, _, _ := m.Syscalls(); send < 3 {
 			t.Fatalf("%d send syscalls, want at least 3", send)
 		}
 	})
@@ -441,7 +441,7 @@ func TestRefusedGSOResendsUnsegmented(t *testing.T) {
 			t.Fatalf("delivered %d, want the %d of the live train", got, len(live))
 		}
 		// The failing train, then the live one: no resend.
-		if send, _ := m.Syscalls(); send != 2 {
+		if send, _, _ := m.Syscalls(); send != 2 {
 			t.Fatalf("%d send syscalls, want 2", send)
 		}
 	})

@@ -111,21 +111,20 @@ func (g *gossiper) Start(rt env.Runtime) {
 func (g *gossiper) Receive(from wire.NodeID, _ wire.Message) { g.from[from]++ }
 func (g *gossiper) Stop()                                    {}
 
-// TestCloseOneNodeOthersKeepDelivering: closing one node of a running
-// session leaves its socket, timers and pacer out of the loop and nothing
-// else: the other seven keep gossiping with one another.
-func TestCloseOneNodeOthersKeepDelivering(t *testing.T) {
-	const count = 8
+// startGossipers starts count paced nodes that each gossip to all the
+// others every 5 ms; the test's cleanup closes them.
+func startGossipers(t *testing.T, count int, seed int64) ([]*Node, []*gossiper) {
+	t.Helper()
 	nodes := make([]*Node, count)
 	handlers := make([]*gossiper, count)
 	addrs := map[wire.NodeID]*net.UDPAddr{}
 	for i := range nodes {
 		handlers[i] = &gossiper{peers: count, period: 5 * time.Millisecond}
-		n, err := NewNode(wire.NodeID(i), handlers[i], Config{Seed: int64(70 + i), UploadBps: 2_000_000})
+		n, err := NewNode(wire.NodeID(i), handlers[i], Config{Seed: seed + int64(i), UploadBps: 2_000_000})
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer n.Close()
+		t.Cleanup(func() { n.Close() })
 		nodes[i], addrs[wire.NodeID(i)] = n, n.Addr()
 	}
 	for _, n := range nodes {
@@ -134,6 +133,15 @@ func TestCloseOneNodeOthersKeepDelivering(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	return nodes, handlers
+}
+
+// TestCloseOneNodeOthersKeepDelivering: closing one node of a running
+// session leaves its socket, timers and pacer out of the loop and nothing
+// else: the other seven keep gossiping with one another.
+func TestCloseOneNodeOthersKeepDelivering(t *testing.T) {
+	const count = 8
+	nodes, handlers := startGossipers(t, count, 70)
 	snapshot := func() [count][count]int {
 		var s [count][count]int
 		for i, n := range nodes {

@@ -39,7 +39,10 @@
 // syscalls. Everywhere else — and on Linux under Config.DisableBatch — the
 // same loop runs over a batch of one: singleIO issues one portable syscall
 // per datagram, with identical delivery and accounting semantics; see
-// batch_linux.go / batch_fallback.go for the build-tag split.
+// batch_linux.go / batch_fallback.go for the build-tag split. That portable
+// path is the one for platforms without sendmmsg and the oracle the tests
+// hold the batched path to; it is not tuned for Linux, where one loop pays
+// a wait, a recvfrom and a sendto per datagram.
 //
 // # A steady state that allocates nothing of its own
 //
@@ -188,8 +191,9 @@ type batchIO interface {
 	// SrcMatches reports whether frame i's source address is peer's.
 	SrcMatches(i int, peer *peerAddr) bool
 	// Syscalls returns how many send and receive calls the socket has
-	// made. Safe from any goroutine.
-	Syscalls() (send, recv int64)
+	// made, and how many of the receive calls found nothing queued. Safe
+	// from any goroutine.
+	Syscalls() (send, recv, recvEmpty int64)
 	// Control runs f with the socket's descriptor; an error means the
 	// socket is closed.
 	Control(f func(fd uintptr)) error
@@ -235,8 +239,11 @@ func (s *singleIO) SrcMatches(_ int, peer *peerAddr) bool {
 }
 
 // Syscalls counts one call per datagram; the net package's retries after
-// the socket was not ready are not visible here.
-func (s *singleIO) Syscalls() (send, recv int64) { return s.sendCalls.Load(), s.recvCalls.Load() }
+// the socket was not ready are not visible here, so no receive counts as
+// empty.
+func (s *singleIO) Syscalls() (send, recv, recvEmpty int64) {
+	return s.sendCalls.Load(), s.recvCalls.Load(), 0
+}
 
 func (s *singleIO) Control(f func(fd uintptr)) error {
 	rc, err := s.conn.SyscallConn()
@@ -502,7 +509,9 @@ func (n *Node) DecodeErrorCount() int {
 // registration surface for a telemetry registry: the paced sender's books
 // (udp_ prefix, conservation-checkable; see ratelimit.Sender.Collect) plus
 // decode errors, the socket's send and receive syscalls (datagrams per
-// syscall is udp_send_datagrams_total over udp_send_syscalls_total) and,
+// syscall is udp_send_datagrams_total over udp_send_syscalls_total), the
+// receive syscalls that found the socket empty (the loop reads only sockets
+// its wait reported readable, so on the batched path this stays 0) and,
 // when a netem model runs, its outbound drop/delay counters. Safe from any
 // goroutine and truthful after Close.
 func (n *Node) Collect(emit func(name string, value float64)) {
@@ -512,9 +521,10 @@ func (n *Node) Collect(emit func(name string, value float64)) {
 	hasNetem := n.netem != nil
 	n.mu.Unlock()
 	emit("udp_decode_errors_total", float64(decode))
-	sendCalls, recvCalls := n.bio.Syscalls()
+	sendCalls, recvCalls, recvEmpty := n.bio.Syscalls()
 	emit("udp_send_syscalls_total", float64(sendCalls))
 	emit("udp_recv_syscalls_total", float64(recvCalls))
+	emit("udp_recv_empty_syscalls_total", float64(recvEmpty))
 	if hasNetem {
 		emit("netem_out_dropped_total", float64(dropped))
 		emit("netem_out_delayed_total", float64(delayed))

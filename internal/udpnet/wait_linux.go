@@ -171,7 +171,12 @@ func (w *epollWaiter) read(n *Node, _ uint32) (int, error) { return n.bio.ReadBa
 
 func (w *epollWaiter) consumed(uint32) {}
 
-func (w *epollWaiter) poke() { _, _ = syscall.Write(w.evfd, w.one[:]) }
+// poke adds one to the eventfd. The descriptor is non-blocking, so the write
+// is raw: it cannot wait (a full counter fails with EAGAIN, and a loop that
+// has that many pokes pending wakes anyway).
+func (w *epollWaiter) poke() {
+	_, _, _ = syscall.RawSyscall(syscall.SYS_WRITE, uintptr(w.evfd), uintptr(unsafe.Pointer(&w.one[0])), uintptr(len(w.one)))
+}
 
 func (w *epollWaiter) close() {
 	for _, fd := range []int{w.evfd, w.tfd} {
