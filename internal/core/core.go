@@ -47,6 +47,7 @@ import (
 	"math"
 	"slices"
 	"time"
+	"unsafe"
 
 	"repro/internal/env"
 	"repro/internal/membership"
@@ -278,15 +279,6 @@ const maxProposersTracked = 4
 // an attacker-supplied huge id would otherwise force the dense arrays to
 // allocate unboundedly. Ids past the bound are simply ignored.
 const maxTrackedPacketID = 1 << 22
-
-// retEntry is one armed retransmission batch: the ids requested together,
-// streamState.retIDs[lo:hi], and when their timeout expires. RetPeriod is
-// constant, so entries are enqueued in deadline order and the queue drains
-// FIFO off a single timer per stream.
-type retEntry struct {
-	due    time.Duration
-	lo, hi int32
-}
 
 // Engine is one node's dissemination protocol instance: engine-global
 // machinery (sampler, capability estimator, tickers, fanout budget) over one
@@ -680,9 +672,7 @@ func (e *Engine) armRetransmit(st *streamState, ids []wire.PacketID) {
 	if e.cfg.RetMaxAttempts <= 1 || len(ids) == 0 {
 		return
 	}
-	lo := len(st.retIDs)
-	st.retIDs = append(st.retIDs, ids...)
-	st.retQueue = append(st.retQueue, retEntry{due: e.rt.Now() + e.cfg.RetPeriod, lo: int32(lo), hi: int32(len(st.retIDs))})
+	st.ret.push(e.rt.Now()+e.cfg.RetPeriod, ids)
 	if !st.retArmed && !st.retFiring {
 		st.retArmed = true
 		e.rt.AfterFunc(e.cfg.RetPeriod, st.retFireFn)
@@ -698,34 +688,16 @@ func (e *Engine) retFire(st *streamState) {
 	}
 	st.retFiring = true
 	now := e.rt.Now()
-	for st.retHead < len(st.retQueue) && st.retQueue[st.retHead].due <= now {
-		r := st.retQueue[st.retHead]
-		st.retHead++
-		// retransmit reads the batch before it re-arms anything, and
-		// re-arming only appends past it.
-		e.retransmit(st, st.retIDs[r.lo:r.hi])
+	for !st.ret.empty() && st.ret.headDue() <= now {
+		// retransmit re-arms into the same queue, behind the batch it
+		// reads, so the batch is released only once it returns.
+		e.retransmit(st, st.ret.head())
+		st.ret.pop()
 	}
 	st.retFiring = false
-	if st.retHead == len(st.retQueue) {
-		st.retQueue, st.retIDs = st.retQueue[:0], st.retIDs[:0]
-		st.retHead = 0
-	} else {
-		// Under a steady request stream the queue never fully drains, so
-		// compact the consumed prefix, entries and ids alike, once it
-		// dominates — otherwise the backing arrays grow for the lifetime of
-		// the node.
-		if st.retHead > 64 && st.retHead*2 >= len(st.retQueue) {
-			base := st.retQueue[st.retHead].lo
-			st.retQueue = st.retQueue[:copy(st.retQueue, st.retQueue[st.retHead:])]
-			for i := range st.retQueue {
-				st.retQueue[i].lo -= base
-				st.retQueue[i].hi -= base
-			}
-			st.retIDs = st.retIDs[:copy(st.retIDs, st.retIDs[base:])]
-			st.retHead = 0
-		}
+	if !st.ret.empty() {
 		st.retArmed = true
-		e.rt.AfterFunc(st.retQueue[st.retHead].due-now, st.retFireFn)
+		e.rt.AfterFunc(st.ret.headDue()-now, st.retFireFn)
 	}
 }
 
@@ -816,7 +788,8 @@ func (e *Engine) onRequest(from wire.NodeID, msg *wire.Request) {
 	for _, id := range msg.IDs {
 		if st.packets.stateOf(id) == pktBuffered {
 			s := &st.packets.slots[id]
-			e.events = append(e.events, wire.Event{ID: id, Stream: st.id, Stamp: s.stamp, Payload: s.payload})
+			payload := unsafe.Slice(unsafe.StringData(s.payload), len(s.payload))
+			e.events = append(e.events, wire.Event{ID: id, Stream: st.id, Stamp: s.stamp, Payload: payload})
 		} else {
 			e.stats.UnservableIDs++
 		}
@@ -867,7 +840,8 @@ func (e *Engine) deliverLocal(st *streamState, ev wire.Event, propose bool) {
 	ev.Stream = st.id // normalize: the stream state is authoritative
 	now := e.rt.Now()
 	slot := st.packets.set(ev.ID, pktBuffered)
-	slot.recvAt, slot.stamp, slot.payload = now, ev.Stamp, ev.Payload
+	slot.recvAt, slot.stamp = now, ev.Stamp
+	slot.payload = unsafe.String(unsafe.SliceData(ev.Payload), len(ev.Payload))
 	if propose {
 		st.toPropose = append(st.toPropose, ev.ID)
 	}

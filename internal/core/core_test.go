@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/env"
 	"repro/internal/membership"
@@ -523,8 +524,7 @@ func TestDisseminationRoundAllocatesNothing(t *testing.T) {
 		next++
 		net.Run(net.Now() + 200*time.Millisecond)
 	}
-	// Warm-up: pools, scratch and the retransmit queue at size — the queue
-	// compacts its consumed prefix only once more than 64 batches timed out.
+	// Warm-up: pools, scratch and the retransmit queue's rings at size.
 	for range 3 * rounds {
 		round()
 	}
@@ -538,5 +538,32 @@ func TestDisseminationRoundAllocatesNothing(t *testing.T) {
 	}
 	if st := engines[1].Stats(); st.EventsDelivered != int64(next) || st.RequestsSent != int64(next) {
 		t.Fatalf("peer delivered %d and requested %d of %d packets: the rounds did not run", st.EventsDelivered, st.RequestsSent, next)
+	}
+}
+
+// TestServedPayloadIsTheReceivedBytes: the serve buffer keeps a view of a
+// delivered payload, not a copy, so a Serve answering a Request carries the
+// very backing array the payload arrived in, and serving it allocates
+// nothing.
+func TestServedPayloadIsTheReceivedBytes(t *testing.T) {
+	rt := &stubRuntime{rng: rand.New(rand.NewSource(1))}
+	e := MustNew(Config{Fanout: 1, Sampler: membership.NewDirectory(3).ViewFor(0)})
+	e.Start(rt)
+	received := payload(1316)
+	e.Receive(1, &wire.Serve{Events: []wire.Event{{ID: 4, Stamp: 9, Payload: received}}})
+	var served []byte
+	rt.onSend = func(m wire.Message) {
+		if s, ok := m.(*wire.Serve); ok && len(s.Events) == 1 {
+			served = s.Events[0].Payload
+		}
+	}
+	req := &wire.Request{IDs: []wire.PacketID{4}}
+	e.Receive(2, req)
+	if len(served) != len(received) || unsafe.SliceData(served) != unsafe.SliceData(received) {
+		t.Fatalf("served %d bytes at %p, received %d at %p: want the same backing array",
+			len(served), unsafe.SliceData(served), len(received), unsafe.SliceData(received))
+	}
+	if allocs := testing.AllocsPerRun(100, func() { e.Receive(2, req) }); allocs != 0 {
+		t.Fatalf("serving a buffered payload allocated %v objects, want 0", allocs)
 	}
 }

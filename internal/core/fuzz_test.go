@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/membership"
 	"repro/internal/wire"
@@ -18,12 +19,15 @@ import (
 // and its pending-record pool must hold exactly one record per pending id;
 // no table may grow past maxTrackedPacketID nor the engine past
 // maxTrackedStreams; every Serve it sends must carry only buffered ids, as
-// they were delivered; and OnDeliver must fire at most once per (stream, id).
+// they were delivered, on the very bytes delivered (the buffer keeps a view,
+// not a copy); and OnDeliver must fire at most once per (stream, id).
 //
 // An op is four header bytes [kind, from, stream, n] and n id bytes. kind%4
 // picks Propose, Request, Serve, or a clock advance of from×25 ms. Stream
 // bytes below 192 name streams 0-2; the other 64 are distinct streams, enough
 // to reach the stream bound. Id bytes from 240 up are past the id bound.
+// Besides engineSeeds, testdata/fuzz/FuzzEngineReceive holds ring-wrap, whose
+// second retransmission batch wraps around the end of its stream's ring.
 func FuzzEngineReceive(f *testing.F) {
 	for _, s := range engineSeeds() {
 		f.Add(s)
@@ -66,6 +70,9 @@ func runEngineScript(t *testing.T, data []byte) {
 			want := delivered[key{serve.Stream, ev.ID}]
 			if ev.Stream != want.Stream || ev.Stamp != want.Stamp || !bytes.Equal(ev.Payload, want.Payload) {
 				t.Fatalf("served %+v, delivered %+v", ev, want)
+			}
+			if unsafe.SliceData(ev.Payload) != unsafe.SliceData(want.Payload) {
+				t.Fatalf("served stream %d id %d from a copy, not the delivered bytes", serve.Stream, ev.ID)
 			}
 		}
 	}

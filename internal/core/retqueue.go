@@ -1,0 +1,93 @@
+package core
+
+import (
+	"math/bits"
+	"time"
+
+	"repro/internal/wire"
+)
+
+// retQueue is one stream's retransmission deadline queue: the batches of ids
+// requested together, each with the time its timeout expires. RetPeriod is
+// constant, so batches are pushed in deadline order, the queue drains FIFO,
+// and the stream's single timer only ever covers the head. The batches and
+// their ids (back to back, in batch order) live in two power-of-two rings
+// that grow, to the next power of two that fits, only when full: past the
+// minimum lengths below, a queue holds less than twice its peak outstanding
+// ids and batches, and a steady outstanding count allocates nothing.
+type retQueue struct {
+	batches     []retEntry // ring; its length is 0 or a power of two
+	bHead, bLen int
+	ids         []wire.PacketID // ring; its length is 0 or a power of two
+	iHead, iLen int
+	scratch     []wire.PacketID // the head batch made contiguous when it wraps
+}
+
+// The rings' minimum lengths. A stream that retransmits at all mostly peaks
+// well past them (sim-paper's nodes at hundreds of outstanding ids), so
+// starting there skips the smallest growth steps.
+const (
+	retMinBatches = 16
+	retMinIDs     = 64
+)
+
+// retEntry is one queued batch: its id count and when its timeout expires.
+type retEntry struct {
+	due time.Duration
+	n   int
+}
+
+// empty reports whether no batch is queued.
+func (q *retQueue) empty() bool { return q.bLen == 0 }
+
+// headDue returns the head batch's deadline; the queue must not be empty.
+func (q *retQueue) headDue() time.Duration { return q.batches[q.bHead].due }
+
+// push appends a batch of ids due at due, copying the ids.
+func (q *retQueue) push(due time.Duration, ids []wire.PacketID) {
+	if q.bLen == len(q.batches) {
+		q.batches = growRing(q.batches, q.bHead, q.bLen, max(q.bLen+1, retMinBatches))
+		q.bHead = 0
+	}
+	q.batches[(q.bHead+q.bLen)&(len(q.batches)-1)] = retEntry{due: due, n: len(ids)}
+	q.bLen++
+	if q.iLen+len(ids) > len(q.ids) {
+		q.ids = growRing(q.ids, q.iHead, q.iLen, max(q.iLen+len(ids), retMinIDs))
+		q.iHead = 0
+	}
+	tail := (q.iHead + q.iLen) & (len(q.ids) - 1)
+	copy(q.ids, ids[copy(q.ids[tail:], ids):])
+	q.iLen += len(ids)
+}
+
+// head returns the head batch's ids, contiguous: a view of the ring, or of
+// scratch when the batch wraps. The queue must not be empty. The view stays
+// valid across pushes — the batch's space is released only by pop, and a
+// growth copies the ring rather than writing the old one — until the next
+// pop.
+func (q *retQueue) head() []wire.PacketID {
+	lo, n := q.iHead, q.batches[q.bHead].n
+	if lo+n <= len(q.ids) {
+		return q.ids[lo : lo+n : lo+n]
+	}
+	q.scratch = append(append(q.scratch[:0], q.ids[lo:]...), q.ids[:lo+n-len(q.ids)]...)
+	return q.scratch
+}
+
+// pop releases the head batch; the queue must not be empty.
+func (q *retQueue) pop() {
+	n := q.batches[q.bHead].n
+	q.bHead = (q.bHead + 1) & (len(q.batches) - 1)
+	q.bLen--
+	q.iHead = (q.iHead + n) & (len(q.ids) - 1)
+	q.iLen -= n
+}
+
+// growRing returns a ring of the smallest power-of-two length holding need
+// elements, with the n elements of r from head copied to its start.
+func growRing[T any](r []T, head, n, need int) []T {
+	out := make([]T, 1<<bits.Len(uint(need-1)))
+	k := copy(out[:n], r[head:])
+	copy(out[k:n], r)
+	return out
+}

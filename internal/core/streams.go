@@ -43,12 +43,9 @@ type streamState struct {
 	toPropose []wire.PacketID // infect-and-die batch
 
 	// Retransmission runs off one fire-and-forget timer per stream and a
-	// FIFO deadline queue: armRetransmit appends, retFire drains everything
-	// due and re-arms for the next head. retIDs holds the queued batches' ids
-	// back to back, each entry's at [lo:hi].
-	retQueue  []retEntry
-	retIDs    []wire.PacketID
-	retHead   int
+	// FIFO deadline queue (retqueue.go): armRetransmit pushes, retFire
+	// drains everything due and re-arms for the next head.
+	ret       retQueue
 	retArmed  bool   // a wakeup is pending
 	retFireFn func() // cached retFire closure, allocated once per stream
 	retFiring bool   // suppresses re-arming from inside retFire

@@ -24,15 +24,22 @@ const (
 	pktDelivered              // delivered and pruned from the serve buffer
 )
 
-// packetSlot is one id's slot, 40 bytes: recvAt, stamp and payload while the
-// id is buffered. A pending id needs none of them, so its recvAt word holds
-// the index of its pendingRec in the table's pool instead; read that only
-// through recIndex. The id and the stream are the slot's position and its
-// table, so they are not stored.
+// packetSlot is one id's slot, 32 bytes — half a cache line, so no slot
+// straddles two: recvAt, stamp and payload while the id is buffered. A
+// pending id needs none of them, so its recvAt word holds the index of its
+// pendingRec in the table's pool instead; read that only through recIndex.
+// The id and the stream are the slot's position and its table, so they are
+// not stored.
+//
+// payload is a read-only view of the received payload bytes, not a copy:
+// a string's 16-byte header over the same backing array (deliverLocal makes
+// it with unsafe.String, onRequest turns it back with unsafe.Slice). That is
+// sound because a Serve's payload bytes are immutable once received (see
+// wire.Message), and it saves the 8-byte capacity word a slice would carry.
 type packetSlot struct {
 	recvAt  time.Duration // buffered: receive time; pending: pool index
 	stamp   int64
-	payload []byte
+	payload string
 }
 
 // recIndex reads a pending slot's recvAt word as its pool index.

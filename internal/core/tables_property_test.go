@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -29,7 +30,9 @@ type oracleEntry struct {
 
 // TestPacketTableMatchesOracle runs seeded random life-cycle sequences — the
 // transitions the engine makes — against a map oracle and compares every id's
-// state, its pending or buffered record, and both counts after every step.
+// state, its pending or buffered record, and both counts after every step. A
+// buffered payload must read back equal to the delivered bytes and be a view
+// of their backing array.
 func TestPacketTableMatchesOracle(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -50,10 +53,11 @@ func TestPacketTableMatchesOracle(t *testing.T) {
 				state:   pktBuffered,
 				recvAt:  time.Duration(rng.Intn(1000)) * time.Millisecond,
 				stamp:   rng.Int63(),
-				payload: []byte{byte(id)},
+				payload: bytes.Repeat([]byte{byte(id)}, 1+rng.Intn(3)),
 			}
 			s := tab.set(id, pktBuffered)
-			s.recvAt, s.stamp, s.payload = o.recvAt, o.stamp, o.payload
+			s.recvAt, s.stamp = o.recvAt, o.stamp
+			s.payload = unsafe.String(unsafe.SliceData(o.payload), len(o.payload)) // as deliverLocal stores it
 		}
 		for op := 0; op < 1500; op++ {
 			id := wire.PacketID(rng.Intn(propIDSpace))
@@ -129,8 +133,12 @@ func checkPacketTable(t *testing.T, seed int64, op int, tab *packetTable, oracle
 		case pktBuffered:
 			buffered++
 			s := &tab.slots[id]
-			if s.recvAt != o.recvAt || s.stamp != o.stamp || len(s.payload) != 1 || s.payload[0] != o.payload[0] {
+			if s.recvAt != o.recvAt || s.stamp != o.stamp || s.payload != string(o.payload) {
 				t.Fatalf("seed %d op %d: buffered record %d = %+v, oracle %+v", seed, op, id, *s, *o)
+			}
+			// The slot views the delivered bytes; it holds no copy.
+			if unsafe.StringData(s.payload) != unsafe.SliceData(o.payload) {
+				t.Fatalf("seed %d op %d: buffered payload of %d is not a view of the delivered bytes", seed, op, id)
 			}
 		}
 	}
@@ -171,22 +179,22 @@ func checkRecPool(tab *packetTable) error {
 }
 
 // TestPacketSlotSizePinned: a slot holds a buffered id's receive time, stamp
-// and payload — 40 bytes, which must not grow; a pending id's proposers and
-// attempts live in the pool.
+// and payload view — 32 bytes, half a cache line, which must not grow; a
+// pending id's proposers and attempts live in the pool.
 func TestPacketSlotSizePinned(t *testing.T) {
-	if got := unsafe.Sizeof(packetSlot{}); got != 40 {
-		t.Fatalf("packetSlot is %d bytes, want 40", got)
+	if got := unsafe.Sizeof(packetSlot{}); got != 32 {
+		t.Fatalf("packetSlot is %d bytes, want 32", got)
 	}
 }
 
 // TestPacketTableBytesPerID: a presized id costs its state byte and its slot,
-// 41 bytes, and requesting then delivering ids at a steady in-flight count
+// 33 bytes, and requesting then delivering ids at a steady in-flight count
 // allocates nothing once the pool has grown to that count.
 func TestPacketTableBytesPerID(t *testing.T) {
 	const n = 10_000
 	var tab packetTable
-	if got := allocBytes(func() { tab.presize(n) }); got > 41*n+8192 && !raceBuild {
-		t.Fatalf("presize(%d) allocated %d bytes, %.1f per id; want <= 41 plus a page", n, got, float64(got)/n)
+	if got := allocBytes(func() { tab.presize(n) }); got > 33*n+8192 && !raceBuild {
+		t.Fatalf("presize(%d) allocated %d bytes, %.1f per id; want <= 33 plus a page", n, got, float64(got)/n)
 	}
 	const inFlight = 32
 	cycle := func(id wire.PacketID) {

@@ -15,6 +15,7 @@ package gf256
 import (
 	"errors"
 	"fmt"
+	"sync"
 )
 
 // Polynomial is the primitive polynomial used to construct the field,
@@ -34,12 +35,36 @@ var ErrSingular = errors.New("gf256: matrix is singular")
 type Field struct {
 	exp [2 * Order]byte // exp[i] = g^i, doubled to avoid mod in Mul
 	log [Order]byte     // log[x] = i such that g^i = x; log[0] unused
+	mul *[Order][Order]byte
 }
+
+// productTable returns mul[a][b] = a·b for every pair, 64 KiB, built on the
+// first call and shared by every Field after it. It is computed by
+// carry-less multiplication reduced by Polynomial, independently of the
+// log/exp tables.
+var productTable = sync.OnceValue(func() *[Order][Order]byte {
+	mul := new([Order][Order]byte)
+	for a := 1; a < Order; a++ {
+		for b := 1; b < Order; b++ {
+			var p, av, bv uint16 = 0, uint16(a), uint16(b)
+			for ; bv != 0; bv >>= 1 {
+				if bv&1 != 0 {
+					p ^= av
+				}
+				if av <<= 1; av&0x100 != 0 {
+					av ^= Polynomial
+				}
+			}
+			mul[a][b] = byte(p)
+		}
+	}
+	return mul
+})
 
 // NewField builds the log/exp tables for GF(2^8) with generator 2 under
 // Polynomial.
 func NewField() *Field {
-	f := &Field{}
+	f := &Field{mul: productTable()}
 	x := 1
 	for i := 0; i < Order-1; i++ {
 		f.exp[i] = byte(x)
@@ -112,23 +137,21 @@ func (f *Field) MulSlice(c byte, dst, src []byte) {
 	if len(dst) != len(src) {
 		panic("gf256: MulSlice length mismatch")
 	}
-	if c == 0 {
-		for i := range dst {
-			dst[i] = 0
-		}
-		return
+	row := &f.mul[c]
+	i := 0
+	for ; i+8 <= len(src); i += 8 {
+		s, d := src[i:i+8:i+8], dst[i:i+8:i+8]
+		d[0] = row[s[0]]
+		d[1] = row[s[1]]
+		d[2] = row[s[2]]
+		d[3] = row[s[3]]
+		d[4] = row[s[4]]
+		d[5] = row[s[5]]
+		d[6] = row[s[6]]
+		d[7] = row[s[7]]
 	}
-	if c == 1 {
-		copy(dst, src)
-		return
-	}
-	logC := int(f.log[c])
-	for i, s := range src {
-		if s == 0 {
-			dst[i] = 0
-		} else {
-			dst[i] = f.exp[logC+int(f.log[s])]
-		}
+	for ; i < len(src); i++ {
+		dst[i] = row[src[i]]
 	}
 }
 
@@ -142,17 +165,21 @@ func (f *Field) MulAddSlice(c byte, dst, src []byte) {
 	if c == 0 {
 		return
 	}
-	if c == 1 {
-		for i, s := range src {
-			dst[i] ^= s
-		}
-		return
+	row := &f.mul[c]
+	i := 0
+	for ; i+8 <= len(src); i += 8 {
+		s, d := src[i:i+8:i+8], dst[i:i+8:i+8]
+		d[0] ^= row[s[0]]
+		d[1] ^= row[s[1]]
+		d[2] ^= row[s[2]]
+		d[3] ^= row[s[3]]
+		d[4] ^= row[s[4]]
+		d[5] ^= row[s[5]]
+		d[6] ^= row[s[6]]
+		d[7] ^= row[s[7]]
 	}
-	logC := int(f.log[c])
-	for i, s := range src {
-		if s != 0 {
-			dst[i] ^= f.exp[logC+int(f.log[s])]
-		}
+	for ; i < len(src); i++ {
+		dst[i] ^= row[src[i]]
 	}
 }
 

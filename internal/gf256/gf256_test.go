@@ -2,6 +2,7 @@ package gf256
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -200,6 +201,33 @@ func TestMulSliceAndMulAddSlice(t *testing.T) {
 		for i := range acc {
 			if acc[i] != want[i] {
 				t.Fatalf("MulAddSlice c=%d idx=%d: got %d want %d", c, i, acc[i], want[i])
+			}
+		}
+	}
+}
+
+// TestSliceKernelsMatchMul: MulSlice and MulAddSlice, which read one row of
+// the shared product table eight bytes at a time, equal element-wise Mul for
+// every coefficient at lengths around the unrolled block (0, 1, 7, 8, 9) and
+// at a paper shard's 1316 bytes; MulSlice also in place.
+func TestSliceKernelsMatchMul(t *testing.T) {
+	f := NewField()
+	rng := rand.New(rand.NewSource(11))
+	for _, n := range []int{0, 1, 7, 8, 9, 1316} {
+		src, acc := make([]byte, n), make([]byte, n)
+		for c := 0; c < Order; c++ {
+			rng.Read(src)
+			rng.Read(acc)
+			prod, sum, inPlace := make([]byte, n), slices.Clone(acc), slices.Clone(src)
+			f.MulSlice(byte(c), prod, src)
+			f.MulAddSlice(byte(c), sum, src)
+			f.MulSlice(byte(c), inPlace, inPlace)
+			for i, s := range src {
+				want := f.Mul(byte(c), s)
+				if prod[i] != want || inPlace[i] != want || sum[i] != acc[i]^want {
+					t.Fatalf("n=%d c=%d i=%d: MulSlice %d, in place %d, MulAddSlice %d; want %d and %d",
+						n, c, i, prod[i], inPlace[i], sum[i], want, acc[i]^want)
+				}
 			}
 		}
 	}

@@ -93,12 +93,51 @@ type mmsghdr struct {
 // (msg_iovlen is uint32 on 386 and arm, uint64 on amd64 and arm64).
 func setLen[T ~uint32 | ~uint64](field *T, n int) { *field = T(n) }
 
-// mmsgIO implements batchIO over one UDP socket's raw descriptor. The
-// receive staging buffers are the free list the event loop recycles: they
-// are filled by every recvmmsg call and never escape (messages are decoded
-// in place and dispatched before the next call; only Serve bodies, whose
-// payloads handlers keep, are copied out first), so one
-// ioBatchMax×maxDatagram allocation serves the node's whole lifetime.
+// rxStage is a receive staging area: recvmmsg's headers, iovecs, buffers,
+// source addresses and control space for ioBatchMax datagrams, and the
+// frames the last read into it split out — one per segment of every
+// received slot (segs grows to the largest batch seen, then stays). Its
+// frames never escape: messages are decoded in place and dispatched before
+// the next read (only Serve bodies, whose payloads handlers keep, are copied
+// out first). So one stage serves every socket whose reads are taken and
+// dispatched one at a time: the event loop's waiter keeps one
+// ioBatchMax×maxDatagram stage for all the sockets of the process
+// (wait_linux.go), and a socket read elsewhere gets its own on first use.
+type rxStage struct {
+	hdrs  []mmsghdr
+	iov   []syscall.Iovec
+	bufs  [][]byte
+	names []syscall.RawSockaddrAny
+	ctrl  []byte // recvCtrlSpace per slot
+	segs  []rxSegment
+	count int
+	errno syscall.Errno
+}
+
+func newRxStage() *rxStage {
+	s := &rxStage{
+		hdrs:  make([]mmsghdr, ioBatchMax),
+		iov:   make([]syscall.Iovec, ioBatchMax),
+		bufs:  make([][]byte, ioBatchMax),
+		names: make([]syscall.RawSockaddrAny, ioBatchMax),
+		ctrl:  make([]byte, ioBatchMax*recvCtrlSpace),
+		segs:  make([]rxSegment, 0, ioBatchMax),
+	}
+	backing := make([]byte, ioBatchMax*maxDatagram)
+	for i := range s.hdrs {
+		buf := backing[i*maxDatagram : (i+1)*maxDatagram]
+		s.bufs[i] = buf
+		s.iov[i].Base = &buf[0]
+		s.iov[i].SetLen(len(buf))
+		s.hdrs[i].hdr.Name = (*byte)(unsafe.Pointer(&s.names[i]))
+		s.hdrs[i].hdr.Iov = &s.iov[i]
+		s.hdrs[i].hdr.Iovlen = 1
+		s.hdrs[i].hdr.Control = &s.ctrl[i*recvCtrlSpace]
+	}
+	return s
+}
+
+// mmsgIO implements batchIO over one UDP socket's raw descriptor.
 type mmsgIO struct {
 	// mu is held shared by every use of fd and exclusively by Close, so no
 	// call reaches the number once it is closed (and perhaps reused).
@@ -109,18 +148,10 @@ type mmsgIO struct {
 	ipv6    bool        // socket family: encode destinations to match
 	gso     bool        // group same-peer runs into UDP_SEGMENT sends; off for good once the kernel refuses one
 
-	// Receive side, allocated once. recv reports through rcount/rerrno;
-	// only the event loop calls ReadBatch. segs is the batch's frames, one
-	// per segment of every received slot: it grows to the largest batch
-	// seen, then stays.
-	rhdrs  []mmsghdr
-	riov   []syscall.Iovec
-	rbufs  [][]byte
-	rnames []syscall.RawSockaddrAny
-	rctrl  []byte // recvCtrlSpace per slot
-	segs   []rxSegment
-	rcount int
-	rerrno syscall.Errno
+	// Receive side: rx is the stage of the last read, whose frames Frame
+	// and SrcMatches return; own is the socket's own stage, made by the
+	// first ReadBatch (the event loop reads into its waiter's instead).
+	rx, own *rxStage
 
 	// Send side, allocated once; headers are rebuilt per WriteBatch: one
 	// iovec per frame, one header per frame or segmented run. sfirst[h] is
@@ -191,12 +222,6 @@ func newBatchIO(conn *net.UDPConn) (batchIO, error) {
 	m := &mmsgIO{
 		fd:     fd,
 		ipv6:   local == nil || local.IP.To4() == nil,
-		rhdrs:  make([]mmsghdr, ioBatchMax),
-		riov:   make([]syscall.Iovec, ioBatchMax),
-		rbufs:  make([][]byte, ioBatchMax),
-		rnames: make([]syscall.RawSockaddrAny, ioBatchMax),
-		rctrl:  make([]byte, ioBatchMax*recvCtrlSpace),
-		segs:   make([]rxSegment, 0, ioBatchMax),
 		shdrs:  make([]mmsghdr, ioBatchMax),
 		siov:   make([]syscall.Iovec, ioBatchMax),
 		snames: make([]syscall.RawSockaddrAny, ioBatchMax),
@@ -213,59 +238,57 @@ func newBatchIO(conn *net.UDPConn) (batchIO, error) {
 	m.pfd = pollFd{fd: int32(fd), events: pollOut}
 	m.pwait = syscall.NsecToTimespec(int64(time.Millisecond))
 	conn.Close()
-	backing := make([]byte, ioBatchMax*maxDatagram)
-	for i := range m.rhdrs {
-		buf := backing[i*maxDatagram : (i+1)*maxDatagram]
-		m.rbufs[i] = buf
-		m.riov[i].Base = &buf[0]
-		m.riov[i].SetLen(len(buf))
-		m.rhdrs[i].hdr.Name = (*byte)(unsafe.Pointer(&m.rnames[i]))
-		m.rhdrs[i].hdr.Namelen = syscall.SizeofSockaddrAny
-		m.rhdrs[i].hdr.Iov = &m.riov[i]
-		m.rhdrs[i].hdr.Iovlen = 1
-		m.rhdrs[i].hdr.Control = &m.rctrl[i*recvCtrlSpace]
-	}
 	return m, nil
 }
 
-// ReadBatch implements batchIO: one recvmmsg call, split into frames — one
-// per datagram, or per segment of a coalesced train. It never waits: a
-// socket with nothing queued reads as zero frames.
+// ReadBatch implements batchIO: readInto the socket's own stage.
 func (m *mmsgIO) ReadBatch() (int, error) {
+	if m.own == nil {
+		m.own = newRxStage()
+	}
+	return m.readInto(m.own)
+}
+
+// readInto is one recvmmsg call into stage s, split into frames — one per
+// datagram, or per segment of a coalesced train — that alias s until its
+// next read. It never waits: a socket with nothing queued reads as zero
+// frames.
+func (m *mmsgIO) readInto(s *rxStage) (int, error) {
 	m.mu.RLock()
 	if m.closed {
 		m.mu.RUnlock()
 		return 0, net.ErrClosed
 	}
-	m.rcount, m.rerrno = 0, 0
-	m.recv()
+	m.rx = s
+	s.count, s.errno = 0, 0
+	m.recv(s)
 	m.mu.RUnlock()
-	if m.rerrno != 0 {
-		return 0, m.rerrno
+	if s.errno != 0 {
+		return 0, s.errno
 	}
-	m.segs = m.segs[:0]
-	for i := 0; i < m.rcount; i++ {
-		data := m.rbufs[i][:m.rhdrs[i].len]
-		size := m.segmentSize(i)
+	s.segs = s.segs[:0]
+	for i := 0; i < s.count; i++ {
+		data := s.bufs[i][:s.hdrs[i].len]
+		size := s.segmentSize(i)
 		if size <= 0 || size >= len(data) {
-			m.segs = append(m.segs, rxSegment{frame: data, slot: i})
+			s.segs = append(s.segs, rxSegment{frame: data, slot: i})
 			continue
 		}
 		for off := 0; off < len(data); off += size {
-			m.segs = append(m.segs, rxSegment{frame: data[off:min(off+size, len(data))], slot: i})
+			s.segs = append(s.segs, rxSegment{frame: data[off:min(off+size, len(data))], slot: i})
 		}
 	}
-	return len(m.segs), nil
+	return len(s.segs), nil
 }
 
 // segmentSize returns the segment size the kernel reported for slot i's
 // train, or 0 for a plain datagram. UDP_GRO's is the only control message
-// this socket asks for, so it is the only one to look at.
-func (m *mmsgIO) segmentSize(i int) int {
-	if int(m.rhdrs[i].hdr.Controllen) < syscall.CmsgLen(4) {
+// the batched sockets ask for, so it is the only one to look at.
+func (s *rxStage) segmentSize(i int) int {
+	if int(s.hdrs[i].hdr.Controllen) < syscall.CmsgLen(4) {
 		return 0
 	}
-	ctrl := m.rctrl[i*recvCtrlSpace:]
+	ctrl := s.ctrl[i*recvCtrlSpace:]
 	c := (*syscall.Cmsghdr)(unsafe.Pointer(&ctrl[0]))
 	if c.Level != solUDP || c.Type != udpGRO {
 		return 0
@@ -273,22 +296,22 @@ func (m *mmsgIO) segmentSize(i int) int {
 	return int(*(*int32)(unsafe.Pointer(&ctrl[syscall.CmsgLen(0)])))
 }
 
-// recv is ReadBatch's syscall; the caller holds mu shared.
-func (m *mmsgIO) recv() {
+// recv is readInto's syscall; the caller holds mu shared.
+func (m *mmsgIO) recv(s *rxStage) {
 	for {
 		// The kernel overwrites Namelen and Controllen with what it wrote
 		// on each receive; reset them before reusing the headers.
-		for i := range m.rhdrs {
-			m.rhdrs[i].hdr.Namelen = syscall.SizeofSockaddrAny
-			m.rhdrs[i].hdr.SetControllen(recvCtrlSpace)
+		for i := range s.hdrs {
+			s.hdrs[i].hdr.Namelen = syscall.SizeofSockaddrAny
+			s.hdrs[i].hdr.SetControllen(recvCtrlSpace)
 		}
 		m.recvCalls.Add(1)
 		r1, _, e := syscall.RawSyscall6(syscall.SYS_RECVMMSG, uintptr(m.fd),
-			uintptr(unsafe.Pointer(&m.rhdrs[0])), uintptr(len(m.rhdrs)),
+			uintptr(unsafe.Pointer(&s.hdrs[0])), uintptr(len(s.hdrs)),
 			0, 0, 0)
 		switch e {
 		case 0:
-			m.rcount = int(r1)
+			s.count = int(r1)
 			return
 		case syscall.EINTR:
 			continue
@@ -296,22 +319,22 @@ func (m *mmsgIO) recv() {
 			m.recvEmpty.Add(1)
 			return // nothing queued: zero frames
 		default:
-			m.rerrno = e
+			s.errno = e
 			return
 		}
 	}
 }
 
 // Frame implements batchIO: received frame i, header included, aliasing
-// the staging buffer until the next ReadBatch.
-func (m *mmsgIO) Frame(i int) []byte { return m.segs[i].frame }
+// the stage of the last read until that stage's next read.
+func (m *mmsgIO) Frame(i int) []byte { return m.rx.segs[i].frame }
 
 // SrcMatches implements batchIO without materializing a net.UDPAddr per
 // frame: the raw source sockaddr of frame i's slot — shared by every segment
 // of a train — is compared in place (net.IP.Equal handles the IPv4-in-IPv6
 // mapped forms both ways).
 func (m *mmsgIO) SrcMatches(i int, peer *peerAddr) bool {
-	sa, addr := &m.rnames[m.segs[i].slot], peer.udp
+	sa, addr := &m.rx.names[m.rx.segs[i].slot], peer.udp
 	switch sa.Addr.Family {
 	case syscall.AF_INET:
 		sa4 := (*syscall.RawSockaddrInet4)(unsafe.Pointer(sa))

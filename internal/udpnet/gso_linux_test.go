@@ -254,7 +254,7 @@ func TestGROTrainSplitting(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if msgs += rx.rcount; msgs > 2 {
+			if msgs += rx.own.count; msgs > 2 {
 				t.Fatalf("%d messages for 2 trains", msgs)
 			}
 			for i := 0; i < n; i, got = i+1, got+1 {

@@ -10,6 +10,9 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/env"
+	"repro/internal/wire"
 )
 
 // TestBatchSocketNonblocking: every call on the batched path's descriptor
@@ -119,6 +122,48 @@ func TestBatchedReadsNeverFindEmpty(t *testing.T) {
 		if empty := m["udp_recv_empty_syscalls_total"]; empty != 0 {
 			t.Errorf("node %d: %v of %v receive syscalls found the socket empty",
 				i, empty, m["udp_recv_syscalls_total"])
+		}
+	}
+}
+
+// TestLoopSharesOneReceiveStage: the event loop reads every batched socket
+// into its waiter's one staging area, so two receiving nodes on one loop
+// allocate no stage of their own.
+func TestLoopSharesOneReceiveStage(t *testing.T) {
+	recv := []*collector{{}, {}}
+	handlers := []env.Handler{&sendOnStart{to: 1}, recv[0], recv[1], &sendOnStart{to: 2}}
+	nodes := make([]*Node, len(handlers))
+	peers := map[wire.NodeID]*net.UDPAddr{}
+	for i, h := range handlers {
+		n, err := NewNode(wire.NodeID(i), h, Config{Seed: int64(40 + i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer n.Close()
+		nodes[i], peers[wire.NodeID(i)] = n, n.Addr()
+	}
+	for _, n := range nodes {
+		n.SetPeers(peers)
+	}
+	for _, i := range []int{1, 2, 0, 3} { // receivers first
+		if err := nodes[i].Start(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, 3*time.Second, func() bool { return recv[0].count() >= 1 && recv[1].count() >= 1 })
+	w, ok := nodes[1].host.Load().w.(*epollWaiter)
+	if !ok {
+		t.Skip("the loop does not wait in epoll")
+	}
+	for _, i := range []int{1, 2} {
+		m, ok := nodes[i].bio.(*mmsgIO)
+		if !ok {
+			t.Skip("no batched path on this host")
+		}
+		var rx, own *rxStage
+		nodes[i].Execute(func() { rx, own = m.rx, m.own })
+		if rx == nil || rx != w.rx || own != nil {
+			t.Fatalf("node %d read into stage %p (own %p), the waiter's is %p", i, rx, own, w.rx)
 		}
 	}
 }

@@ -49,6 +49,7 @@ type epollWaiter struct {
 	armed  time.Time // the deadline the timerfd holds; zero: disarmed
 	spec   itimerspec
 	one    [8]byte // the eventfd increment, in host byte order
+	rx     *rxStage
 }
 
 func newWaiter() (waiter, error) {
@@ -166,8 +167,19 @@ func (w *epollWaiter) arm(until time.Time) {
 }
 
 // read is one batched (or, under DisableBatch, portable) read of a socket
-// epoll reported readable, which therefore does not wait.
-func (w *epollWaiter) read(n *Node, _ uint32) (int, error) { return n.bio.ReadBatch() }
+// epoll reported readable, which therefore does not wait. Every batched
+// socket reads into the waiter's one stage: the loop dispatches a read
+// before it takes the next.
+func (w *epollWaiter) read(n *Node, _ uint32) (int, error) {
+	m, ok := n.bio.(*mmsgIO)
+	if !ok {
+		return n.bio.ReadBatch()
+	}
+	if w.rx == nil {
+		w.rx = newRxStage()
+	}
+	return m.readInto(w.rx)
+}
 
 func (w *epollWaiter) consumed(uint32) {}
 
