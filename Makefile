@@ -147,12 +147,15 @@ fuzz:
 # portable fallback (darwin) and the batched path on 32- and 64-bit Linux,
 # whose msghdr length fields differ in width (uint32 on 386/arm, uint64 on
 # amd64/arm64). udpnet is vetted for each, since its unsafe layouts differ.
+# The per-id size pins then run as 386 binaries (an amd64 host runs them
+# natively), so a layout that only fits on 64-bit fails here.
 cross:
 	@set -e; for p in darwin/arm64 linux/386 linux/arm64; do \
 		echo "GOOS=$${p%/*} GOARCH=$${p#*/}"; \
 		GOOS=$${p%/*} GOARCH=$${p#*/} $(GO) build ./...; \
 		GOOS=$${p%/*} GOARCH=$${p#*/} $(GO) vet ./internal/udpnet; \
 	done
+	GOARCH=386 $(GO) test -count=1 -run 'SizePinned|BytesPerID|Footprint' ./internal/core ./internal/aggregation
 
 # Non-test, non-comment, non-blank Go lines outside benchmark/.
 lines:

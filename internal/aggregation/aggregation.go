@@ -61,8 +61,10 @@ type Config struct {
 	// outside the limit still knows its own capability exactly — the
 	// estimate simply comes entirely from the sampled prefix. A limit also
 	// presizes the table: NewEstimator allocates it once for every id below
-	// the limit (at most maxTrackedNodeID), so it never grows. Zero means
-	// track everything, with the table grown as ids arrive.
+	// the limit, so it never grows. Zero means track every id below
+	// maxTrackedNodeID (2¹⁵), with the table grown as ids arrive; that
+	// ceiling applies under any limit, so past 32,768 nodes the estimate is
+	// the same unbiased sample of the id prefix.
 	TrackLimit int
 }
 
@@ -85,14 +87,18 @@ func (c *Config) applyDefaults() {
 // reaches back that far: an AgeMs of at most 2³² ms is under 50 days.
 const noEntry time.Duration = math.MinInt64
 
-// capLink is the rest of a table slot: the value and, for a present entry,
-// its place in its bucket's doubly linked list. next is the following entry's
-// id or -1; prev is the preceding entry's id, or -(slot+1) on the bucket's
-// first entry, so unlinking never has to work out which bucket the entry is
-// in. An absent id's link is zero.
-type capLink struct {
+// capSlot is one id's place in the table, 16 bytes on every GOARCH: asOf, the
+// local-clock time the value was measured at its owner (noEntry where
+// absent), the value, and for a present entry its place in its bucket's
+// doubly linked list. next is the following entry's id or -1; prev is the
+// preceding entry's id, or -(bucket+1) on the bucket's first entry, so
+// unlinking never has to work out which bucket the entry is in. Ids below
+// maxTrackedNodeID and buckets below maxBuckets make both fit an int16. An
+// absent id's slot is {asOf: noEntry}.
+type capSlot struct {
+	asOf       time.Duration
 	capKbps    uint32
-	next, prev int32
+	next, prev int16
 }
 
 // freshRec is one record of the freshest-k set: a copy of everything a message
@@ -116,11 +122,11 @@ type Estimator struct {
 	cfg Config
 	rt  env.Runtime
 
-	// The table is two arrays dense by node id: asOf, the local-clock time
-	// each value was measured at its owner (noEntry where absent), and links.
-	// Receive's freshness check reads only asOf.
-	asOf  []time.Duration
-	links []capLink
+	// slots is the table, dense by node id below limit, the first id
+	// tracked refuses. Receive's freshness check and the links it then
+	// rewrites share one slot.
+	slots []capSlot
+	limit wire.NodeID
 	count int    // present entries
 	sum   uint64 // sum of present capKbps
 
@@ -133,7 +139,7 @@ type Estimator struct {
 	// older than any entry in a newer one, and — the ring being more than
 	// an EntryTTL long and no asOf being ahead of the clock — whatever is
 	// behind the ring has already expired.
-	buckets []int32
+	buckets []int16
 	tail    int
 	oldest  time.Duration
 
@@ -159,14 +165,15 @@ type Estimator struct {
 	MessagesSent int
 }
 
-// maxTrackedNodeID bounds the dense table against hostile wire input:
-// node ids are dense, so a million-node ceiling is far beyond any deployment
-// this codebase targets while capping what one datagram can make us allocate.
-const maxTrackedNodeID = 1 << 20
+// maxTrackedNodeID bounds the dense table: ids are filed as int16 links, and
+// a lazily grown table costs hostile wire input at most 2¹⁵ × 16 B = 512 KB.
+// Ids at or past it are never tracked (see Config.TrackLimit): past 32,768
+// nodes the estimate comes from the id prefix below it, an unbiased sample.
+const maxTrackedNodeID = 1 << 15
 
-// maxBuckets bounds the ring, which is EntryTTL/Period long; the defaults
-// need 77 buckets.
-const maxBuckets = 1 << 16
+// maxBuckets bounds the ring, which is EntryTTL/Period long (the defaults
+// need 77 buckets), so that a bucket head's -(bucket+1) fits an int16.
+const maxBuckets = 1 << 15
 
 // MaxFreshestK is the most entries a message can carry: wire.Aggregate
 // encodes the count in one byte.
@@ -174,9 +181,34 @@ const MaxFreshestK = 255
 
 var _ env.Handler = (*Estimator)(nil)
 
+// ringLen is the bucket count of the ring: one bucket per period of TTL
+// (rounded up), one for the period in progress, and one so the oldest bucket
+// lies wholly beyond the TTL. c must hold positive Period and EntryTTL.
+func (c *Config) ringLen() int64 {
+	return int64((c.EntryTTL+c.Period-1)/c.Period) + 2
+}
+
+// Validate reports the first gossip setting NewEstimator refuses, with zero
+// fields taking their defaults: a non-positive Period or EntryTTL, an
+// EntryTTL more than maxBuckets-2 Periods long, or a FreshestK outside
+// [1, MaxFreshestK]. SelfCapKbps and Sampler are a node's own and checked by
+// NewEstimator alone.
+func (c Config) Validate() error {
+	c.applyDefaults()
+	if c.Period <= 0 || c.EntryTTL <= 0 {
+		return fmt.Errorf("aggregation: Period %v and EntryTTL %v must be positive", c.Period, c.EntryTTL)
+	}
+	if c.FreshestK < 1 || c.FreshestK > MaxFreshestK {
+		return fmt.Errorf("aggregation: FreshestK %d outside [1, %d]", c.FreshestK, MaxFreshestK)
+	}
+	if c.ringLen() > maxBuckets {
+		return fmt.Errorf("aggregation: EntryTTL %v is more than %d Periods of %v", c.EntryTTL, maxBuckets-2, c.Period)
+	}
+	return nil
+}
+
 // NewEstimator builds an Estimator. It panics on a nil sampler, a zero self
-// capability, a non-positive Period or EntryTTL, an EntryTTL more than
-// maxBuckets periods long, or a FreshestK outside [1, MaxFreshestK].
+// capability, or a Config that Validate rejects.
 func NewEstimator(cfg Config) *Estimator {
 	cfg.applyDefaults()
 	if cfg.Sampler == nil {
@@ -185,22 +217,15 @@ func NewEstimator(cfg Config) *Estimator {
 	if cfg.SelfCapKbps == 0 {
 		panic("aggregation: zero self capability")
 	}
-	if cfg.Period <= 0 || cfg.EntryTTL <= 0 {
-		panic(fmt.Sprintf("aggregation: Period %v and EntryTTL %v must be positive", cfg.Period, cfg.EntryTTL))
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
 	}
-	if cfg.FreshestK < 1 || cfg.FreshestK > MaxFreshestK {
-		panic(fmt.Sprintf("aggregation: FreshestK %d outside [1, %d]", cfg.FreshestK, MaxFreshestK))
-	}
-	// One bucket per period of TTL (rounded up), one for the period in
-	// progress, and one so the oldest bucket lies wholly beyond the TTL.
-	n := (cfg.EntryTTL+cfg.Period-1)/cfg.Period + 2
-	if n > maxBuckets {
-		panic(fmt.Sprintf("aggregation: EntryTTL %v is more than %d Periods of %v", cfg.EntryTTL, maxBuckets-2, cfg.Period))
-	}
+	n := int(cfg.ringLen())
 	e := &Estimator{
 		cfg:          cfg,
+		limit:        maxTrackedNodeID,
 		estimateKbps: float64(cfg.SelfCapKbps),
-		buckets:      make([]int32, n),
+		buckets:      make([]int16, n),
 		oldest:       -time.Duration(n-1) * cfg.Period, // newest bucket opens at the epoch
 		top:          make([]freshRec, 0, cfg.FreshestK),
 		topValid:     true,
@@ -209,27 +234,27 @@ func NewEstimator(cfg Config) *Estimator {
 		e.buckets[i] = -1
 	}
 	if cfg.TrackLimit > 0 {
-		n := min(cfg.TrackLimit, maxTrackedNodeID)
-		e.asOf, e.links = make([]time.Duration, 0, n), make([]capLink, 0, n)
-		e.grow(n)
+		e.limit = wire.NodeID(min(cfg.TrackLimit, maxTrackedNodeID))
+		e.slots = make([]capSlot, 0, e.limit)
+		e.grow(int(e.limit))
 	}
 	return e
 }
 
 // grow extends the table to n ids, none of them present.
 func (e *Estimator) grow(n int) {
-	old := len(e.asOf)
-	e.asOf = append(e.asOf, make([]time.Duration, n-old)...)
+	old := len(e.slots)
+	e.slots = append(e.slots, make([]capSlot, n-old)...)
 	for i := old; i < n; i++ {
-		e.asOf[i] = noEntry
+		e.slots[i].asOf = noEntry
 	}
-	e.links = append(e.links, make([]capLink, n-old)...)
 }
 
-// tracked reports whether id falls inside the dense table. With no
-// TrackLimit every valid id is tracked.
+// tracked reports whether id may enter the table: it lies in [0, limit), the
+// smaller of TrackLimit and maxTrackedNodeID. Negative ids and ids past the
+// ceiling are hostile or corrupt wire input, or a node outside the sample.
 func (e *Estimator) tracked(id wire.NodeID) bool {
-	return e.cfg.TrackLimit <= 0 || int(id) < e.cfg.TrackLimit
+	return id >= 0 && id < e.limit
 }
 
 // set inserts or replaces the entry for id, keeping sum/count, the ring and
@@ -237,27 +262,26 @@ func (e *Estimator) tracked(id wire.NodeID) bool {
 // asOf older than the one the entry already holds: Receive merges strictly
 // fresher claims only, and the node's own entry is rewritten at the clock.
 func (e *Estimator) set(id wire.NodeID, capKbps uint32, asOf time.Duration) {
-	if int(id) >= len(e.asOf) {
+	if int(id) >= len(e.slots) {
 		e.grow(int(id) + 1)
 	}
-	l := &e.links[id]
-	if e.asOf[id] != noEntry {
-		e.sum -= uint64(l.capKbps)
-		e.unlink(l)
+	s := &e.slots[id]
+	if s.asOf != noEntry {
+		e.sum -= uint64(s.capKbps)
+		e.unlink(s)
 	} else {
 		e.count++
 	}
-	l.capKbps = capKbps
-	e.asOf[id] = asOf
+	s.capKbps, s.asOf = capKbps, asOf
 	e.sum += uint64(capKbps)
 
-	slot := e.slotOf(asOf)
-	first := e.buckets[slot]
-	l.next, l.prev = first, int32(-slot-1)
+	b := e.bucketOf(asOf)
+	first := e.buckets[b]
+	s.next, s.prev = first, int16(-b-1)
 	if first >= 0 {
-		e.links[first].prev = int32(id)
+		e.slots[first].prev = int16(id)
 	}
-	e.buckets[slot] = int32(id)
+	e.buckets[b] = int16(id)
 	if e.topValid {
 		e.promote(freshRec{asOf, id, capKbps})
 	}
@@ -302,16 +326,16 @@ func (e *Estimator) refill() {
 	e.top = e.top[:0]
 	n := len(e.buckets)
 	for i := n - 1; len(e.top) < min(cap(e.top), e.count); i-- {
-		for id := e.buckets[(e.tail+i)%n]; id >= 0; id = e.links[id].next {
-			e.promote(freshRec{e.asOf[id], wire.NodeID(id), e.links[id].capKbps})
+		for id := e.buckets[(e.tail+i)%n]; id >= 0; id = e.slots[id].next {
+			e.promote(freshRec{e.slots[id].asOf, wire.NodeID(id), e.slots[id].capKbps})
 		}
 	}
 	e.topValid = true
 }
 
-// slotOf returns the ring slot asOf files under, first turning the ring if
+// bucketOf returns the ring slot asOf files under, first turning the ring if
 // asOf is newer than its newest bucket.
-func (e *Estimator) slotOf(asOf time.Duration) int {
+func (e *Estimator) bucketOf(asOf time.Duration) int {
 	if asOf < e.oldest {
 		return e.tail
 	}
@@ -324,14 +348,14 @@ func (e *Estimator) slotOf(asOf time.Duration) int {
 	return (e.tail + int(i)) % len(e.buckets)
 }
 
-func (e *Estimator) unlink(l *capLink) {
-	if l.prev < 0 {
-		e.buckets[-l.prev-1] = l.next
+func (e *Estimator) unlink(s *capSlot) {
+	if s.prev < 0 {
+		e.buckets[-int(s.prev)-1] = s.next
 	} else {
-		e.links[l.prev].next = l.next
+		e.slots[s.prev].next = s.next
 	}
-	if l.next >= 0 {
-		e.links[l.next].prev = l.prev
+	if s.next >= 0 {
+		e.slots[s.next].prev = s.prev
 	}
 }
 
@@ -351,13 +375,13 @@ func (e *Estimator) turn(steps int64) {
 			e.buckets[e.tail] = -1
 			if last := e.buckets[next]; last < 0 {
 				e.buckets[next] = carried
-				e.links[carried].prev = int32(-next - 1)
+				e.slots[carried].prev = int16(-next - 1)
 			} else {
-				for e.links[last].next >= 0 {
-					last = e.links[last].next
+				for e.slots[last].next >= 0 {
+					last = e.slots[last].next
 				}
-				e.links[last].next = carried
-				e.links[carried].prev = last
+				e.slots[last].next = carried
+				e.slots[carried].prev = last
 			}
 		}
 		e.tail = next
@@ -369,15 +393,14 @@ func (e *Estimator) turn(steps int64) {
 // ties with one), and the set is invalidated: its replacement is somewhere in
 // the ring.
 func (e *Estimator) drop(id wire.NodeID) {
-	l := &e.links[id]
-	if n := len(e.top); n > 0 && e.asOf[id] >= e.top[n-1].asOf {
+	s := &e.slots[id]
+	if n := len(e.top); n > 0 && s.asOf >= e.top[n-1].asOf {
 		e.topValid = false
 	}
-	e.sum -= uint64(l.capKbps)
+	e.sum -= uint64(s.capKbps)
 	e.count--
-	e.unlink(l)
-	*l = capLink{}
-	e.asOf[id] = noEntry
+	e.unlink(s)
+	*s = capSlot{asOf: noEntry}
 }
 
 // Start implements env.Handler.
@@ -429,20 +452,17 @@ func (e *Estimator) Receive(_ wire.NodeID, m wire.Message) {
 	}
 	now := e.rt.Now()
 	for _, entry := range agg.Entries {
-		if entry.Node == e.rt.ID() || entry.Node < 0 || entry.Node >= maxTrackedNodeID {
-			// Own value is always freshest; negative or absurdly large ids
-			// are hostile/corrupt wire input (ids are dense, and the dense
-			// table must not grow unboundedly on a peer's say-so).
+		if entry.Node == e.rt.ID() || !e.tracked(entry.Node) {
+			// Own value is always freshest; anything else untracked is
+			// outside the sample or hostile (see tracked), and the dense
+			// table must not grow on a peer's say-so.
 			continue
-		}
-		if !e.tracked(entry.Node) {
-			continue // outside the sampled prefix, see Config.TrackLimit
 		}
 		if e.cfg.Exclude != nil && e.cfg.Exclude(entry.Node) {
 			continue // quarantined claim owner, see Config.Exclude
 		}
 		asOf := now - time.Duration(entry.AgeMs)*time.Millisecond
-		if int(entry.Node) < len(e.asOf) && e.asOf[entry.Node] >= asOf {
+		if int(entry.Node) < len(e.slots) && e.slots[entry.Node].asOf >= asOf {
 			continue // ours is fresher
 		}
 		e.set(entry.Node, entry.CapKbps, asOf)
@@ -493,8 +513,8 @@ func (e *Estimator) prune(now time.Duration) {
 	n := len(e.buckets)
 	for i := 0; i < n && e.oldest+time.Duration(i)*e.cfg.Period < cutoff; i++ {
 		for id := e.buckets[(e.tail+i)%n]; id >= 0; {
-			next := e.links[id].next
-			if e.asOf[id] < cutoff {
+			next := e.slots[id].next
+			if e.slots[id].asOf < cutoff {
 				e.drop(wire.NodeID(id))
 			}
 			id = next
@@ -505,8 +525,8 @@ func (e *Estimator) prune(now time.Duration) {
 	}
 	// Quarantine has no instant to index by; detector runs are small-n.
 	self := e.rt.ID()
-	for id, asOf := range e.asOf {
-		if asOf != noEntry && wire.NodeID(id) != self && e.cfg.Exclude(wire.NodeID(id)) {
+	for id := range e.slots {
+		if e.slots[id].asOf != noEntry && wire.NodeID(id) != self && e.cfg.Exclude(wire.NodeID(id)) {
 			e.drop(wire.NodeID(id)) // quarantined since merged, see Config.Exclude
 		}
 	}

@@ -292,13 +292,135 @@ func TestNewEstimatorValidation(t *testing.T) {
 	}
 }
 
+// TestConfigValidateRingEdge: the ring must fit maxBuckets, the most an
+// int16 bucket head can name, so at the default 15 s EntryTTL the shortest
+// Period is 15 s / (maxBuckets-2), 457.792 µs. Validate draws that edge, and
+// NewEstimator panics with Validate's error.
+func TestConfigValidateRingEdge(t *testing.T) {
+	const edge = 457792 * time.Nanosecond
+	if err := (Config{Period: edge}).Validate(); err != nil {
+		t.Errorf("Period %v rejected: %v", edge, err)
+	}
+	short := Config{Period: edge - time.Nanosecond}
+	err := short.Validate()
+	if err == nil {
+		t.Fatalf("Period %v accepted, which needs a ring of more than %d buckets", short.Period, maxBuckets)
+	}
+	defer func() {
+		if got := recover(); got != err.Error() {
+			t.Errorf("NewEstimator panicked with %v, want Validate's %q", got, err)
+		}
+	}()
+	short.SelfCapKbps, short.Sampler = 1, fixedSampler{}
+	NewEstimator(short)
+}
+
+// TestUntrackedIDsNeverGrowTable: with no TrackLimit, ids at and past
+// maxTrackedNodeID are refused like negative ones — the table does not grow
+// for them and receiving them allocates nothing.
+func TestUntrackedIDsNeverGrowTable(t *testing.T) {
+	rt := &stubRuntime{id: 3, rng: rand.New(rand.NewSource(1))}
+	e := NewEstimator(Config{SelfCapKbps: 700, Sampler: fixedSampler{}})
+	e.Start(rt)
+	before := len(e.slots)
+	msg := &wire.Aggregate{Entries: []wire.CapEntry{
+		{Node: maxTrackedNodeID, CapKbps: 1}, {Node: 1 << 20, CapKbps: 2},
+		{Node: math.MaxInt32, CapKbps: 3}, {Node: -1, CapKbps: 4},
+	}}
+	if n := mallocs(func() { e.Receive(1, msg) }); n != 0 {
+		t.Errorf("receiving untracked ids allocated %d times, want 0", n)
+	}
+	if len(e.slots) != before || e.KnownNodes() != 1 {
+		t.Errorf("table of %d ids and %d entries after untracked ids, want %d and 1 (self)", len(e.slots), e.KnownNodes(), before)
+	}
+}
+
+// TestSelfPastCeilingEstimates: a node whose own id is past maxTrackedNodeID,
+// with no TrackLimit, never files itself — the id would not fit the int16
+// links — yet starts, ticks and estimates from the tracked ids.
+func TestSelfPastCeilingEstimates(t *testing.T) {
+	rt := &stubRuntime{id: 40000, rng: rand.New(rand.NewSource(1))}
+	e := NewEstimator(Config{SelfCapKbps: 700, Sampler: fixedSampler{}})
+	e.Start(rt)
+	e.Receive(1, &wire.Aggregate{Entries: []wire.CapEntry{
+		{Node: 1, CapKbps: 400}, {Node: maxTrackedNodeID - 1, CapKbps: 800}, {Node: 40000, CapKbps: 9},
+	}})
+	rt.fire()
+	e.SetSelfCapKbps(900)
+	rt.fire()
+	if err := ringError(e); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.KnownNodes(); got != 2 {
+		t.Errorf("KnownNodes %d, want the 2 tracked peers", got)
+	}
+	if got := e.EstimateKbps(); got != 600 {
+		t.Errorf("EstimateKbps %v, want the tracked peers' mean 600", got)
+	}
+	if got := e.RelativeCapability(); got != 1.5 {
+		t.Errorf("RelativeCapability %v, want 900/600", got)
+	}
+	if len(rt.sent) != 1 || len(rt.sent[0].Entries) != 2 {
+		t.Fatalf("tick sent %v, want one message of the 2 tracked entries", rt.sent)
+	}
+}
+
+// TestRingAtInt16Edge: a lazily grown table reaching the largest valid id,
+// in a ring of exactly maxBuckets buckets, keeps every link consistent while
+// entries are filed in the last bucket (whose head's back link is -32768),
+// rewritten, carried by the turning ring and expired.
+func TestRingAtInt16Edge(t *testing.T) {
+	rt := &stubRuntime{rng: rand.New(rand.NewSource(1))}
+	e := NewEstimator(Config{
+		SelfCapKbps: 700, Sampler: fixedSampler{},
+		Period: time.Millisecond, EntryTTL: (maxBuckets - 2) * time.Millisecond,
+	})
+	if len(e.buckets) != maxBuckets {
+		t.Fatalf("ring of %d buckets, want %d", len(e.buckets), maxBuckets)
+	}
+	e.Start(rt)
+	check := func(what string) {
+		t.Helper()
+		if err := ringError(e); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+	}
+	edge := func(id wire.NodeID, capKbps, ageMs uint32) *wire.Aggregate {
+		return &wire.Aggregate{Entries: []wire.CapEntry{{Node: id, CapKbps: capKbps, AgeMs: ageMs}}}
+	}
+	e.Receive(1, edge(maxTrackedNodeID-1, 10, 0))
+	e.Receive(1, edge(maxTrackedNodeID-2, 20, 0))
+	check("edge ids filed")
+	if len(e.slots) != maxTrackedNodeID {
+		t.Fatalf("table of %d ids, want %d", len(e.slots), maxTrackedNodeID)
+	}
+	if b := e.buckets[maxBuckets-1]; b != maxTrackedNodeID-2 || e.slots[b].prev != math.MinInt16 {
+		t.Fatalf("last bucket heads id %d with back link %d, want %d and %d", b, e.slots[b].prev, maxTrackedNodeID-2, math.MinInt16)
+	}
+	rt.now += 5 * time.Millisecond
+	e.Receive(1, edge(maxTrackedNodeID-1, 11, 0))
+	e.Receive(1, edge(1, 30, 2))
+	check("edge id rewritten")
+	rt.fire()
+	check("tick")
+	rt.now += e.cfg.EntryTTL - 3*time.Millisecond
+	rt.fire()
+	check("ring turned past the first entries")
+	rt.now += 10 * time.Millisecond
+	rt.fire()
+	check("first entries expired")
+	if got := e.KnownNodes(); got != 1 {
+		t.Errorf("KnownNodes %d after every peer expired, want 1 (self)", got)
+	}
+}
+
 // TestEstimatorFootprint pins what the index costs per entry and per call:
 // a million-node run holds hundreds of millions of entries and merges
 // billions of messages.
 func TestEstimatorFootprint(t *testing.T) {
-	// A tracked id costs its asOf and its link.
-	if size := unsafe.Sizeof(time.Duration(0)) + unsafe.Sizeof(capLink{}); size > 20 {
-		t.Errorf("a table slot (asOf and capLink) is %d bytes, want <= 20", size)
+	// A tracked id costs one slot: asOf, the value and two int16 links.
+	if size := unsafe.Sizeof(capSlot{}); size != 16 {
+		t.Errorf("capSlot is %d bytes, want 16", size)
 	}
 	// The freshest-k set costs a node 16·FreshestK bytes, a slice header and
 	// a flag.
@@ -342,9 +464,8 @@ func TestPresizedTableFirstReceiveAllocatesNothing(t *testing.T) {
 	const limit = 256
 	rt := &stubRuntime{id: 3, rng: rand.New(rand.NewSource(1))}
 	e := NewEstimator(Config{SelfCapKbps: 700, Sampler: fixedSampler{}, TrackLimit: limit})
-	if len(e.asOf) != limit || cap(e.asOf) != limit || len(e.links) != limit || cap(e.links) != limit {
-		t.Fatalf("table asOf %d/%d, links %d/%d (len/cap); want %d each",
-			len(e.asOf), cap(e.asOf), len(e.links), cap(e.links), limit)
+	if len(e.slots) != limit || cap(e.slots) != limit {
+		t.Fatalf("table of %d/%d slots (len/cap), want %d", len(e.slots), cap(e.slots), limit)
 	}
 	e.Start(rt)
 	msg := &wire.Aggregate{Entries: make([]wire.CapEntry, 8)}

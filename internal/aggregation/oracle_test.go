@@ -73,10 +73,13 @@ var oracleShapes = []Config{
 
 var (
 	oracleTrackLimits = []int{0, 0, 8, 16}
-	oracleSelfIDs     = []wire.NodeID{0, 3, 20} // 20 is beyond both track limits
+	// 20 is beyond both track limits; 40000 is past the table's ceiling.
+	oracleSelfIDs = []wire.NodeID{0, 3, 20, 40000}
 	// Ids outside [0, 28): hostile (negative, at and past the dense-table
-	// ceiling) and one valid but far from the rest.
-	oracleOddIDs    = []wire.NodeID{-1, -7, maxTrackedNodeID, maxTrackedNodeID + 5, math.MaxInt32, 3000}
+	// ceiling), one valid but far from the rest, and the two largest valid
+	// ids, whose links sit at the edge of an int16.
+	oracleOddIDs = []wire.NodeID{-1, -7, maxTrackedNodeID, maxTrackedNodeID + 5, math.MaxInt32, 3000,
+		maxTrackedNodeID - 2, maxTrackedNodeID - 1, 1 << 20}
 	oracleAgeScales = []uint32{1, 10, 200, 1000, 15000, 1 << 24}
 	oracleClockStep = []time.Duration{time.Millisecond, 10 * time.Millisecond, 200 * time.Millisecond,
 		time.Second, 20 * time.Second, time.Hour}
@@ -108,7 +111,7 @@ type oracle struct {
 }
 
 func (o *oracle) tracked(id wire.NodeID) bool {
-	return o.cfg.TrackLimit <= 0 || int(id) < o.cfg.TrackLimit
+	return id >= 0 && id < maxTrackedNodeID && (o.cfg.TrackLimit <= 0 || int(id) < o.cfg.TrackLimit)
 }
 
 func (o *oracle) setSelf(now time.Duration) {
@@ -119,8 +122,7 @@ func (o *oracle) setSelf(now time.Duration) {
 
 func (o *oracle) receive(now time.Duration, entries []wire.CapEntry) {
 	for _, in := range entries {
-		if in.Node == o.self || in.Node < 0 || in.Node >= maxTrackedNodeID ||
-			!o.tracked(in.Node) || o.excluded[in.Node] {
+		if in.Node == o.self || !o.tracked(in.Node) || o.excluded[in.Node] {
 			continue
 		}
 		asOf := now - time.Duration(in.AgeMs)*time.Millisecond
@@ -218,15 +220,16 @@ func (o *oracle) check(t *testing.T, e *Estimator, step int, what string) {
 }
 
 // ringError walks the ring oldest bucket first and reports the first breach
-// of its structure: every present entry linked exactly once with consistent
-// back links, in the bucket whose period holds its asOf (the oldest bucket
-// also holding everything before it), no bucket ahead of the clock, and
-// every absent id in the table holding a zero link.
+// of its structure: a table no longer than the int16 links can address,
+// every present entry linked exactly once with consistent back links, in the
+// bucket whose period holds its asOf (the oldest bucket also holding
+// everything before it), no bucket ahead of the clock, and every absent id
+// in the table holding an empty slot.
 func ringError(e *Estimator) error {
-	if len(e.asOf) != len(e.links) {
-		return fmt.Errorf("asOf covers %d ids, links %d", len(e.asOf), len(e.links))
+	if len(e.slots) > maxTrackedNodeID || len(e.buckets) > maxBuckets {
+		return fmt.Errorf("table of %d ids and ring of %d buckets, past the int16 links' reach", len(e.slots), len(e.buckets))
 	}
-	linked := make(map[int32]bool)
+	linked := make(map[int16]bool)
 	n := len(e.buckets)
 	if newest := e.oldest + time.Duration(n-1)*e.cfg.Period; newest > e.rt.Now() {
 		return fmt.Errorf("newest bucket opens at %v, ahead of the clock (%v)", newest, e.rt.Now())
@@ -234,17 +237,17 @@ func ringError(e *Estimator) error {
 	for i := 0; i < n; i++ {
 		slot := (e.tail + i) % n
 		opens := e.oldest + time.Duration(i)*e.cfg.Period
-		for id, prev := e.buckets[slot], int32(-slot-1); id >= 0; id, prev = e.links[id].next, id {
-			l, asOf := e.links[id], e.asOf[id]
+		for id, prev := e.buckets[slot], int16(-slot-1); id >= 0; id, prev = e.slots[id].next, id {
+			s := e.slots[id]
 			switch {
-			case asOf == noEntry:
+			case s.asOf == noEntry:
 				return fmt.Errorf("bucket %d links absent entry %d", i, id)
 			case linked[id]:
 				return fmt.Errorf("entry %d linked twice", id)
-			case l.prev != prev:
-				return fmt.Errorf("entry %d in bucket %d has prev %d, want %d", id, i, l.prev, prev)
-			case asOf >= opens+e.cfg.Period || i > 0 && asOf < opens:
-				return fmt.Errorf("entry %d (asOf %v) is in bucket %d, which opens at %v", id, asOf, i, opens)
+			case s.prev != prev:
+				return fmt.Errorf("entry %d in bucket %d has prev %d, want %d", id, i, s.prev, prev)
+			case s.asOf >= opens+e.cfg.Period || i > 0 && s.asOf < opens:
+				return fmt.Errorf("entry %d (asOf %v) is in bucket %d, which opens at %v", id, s.asOf, i, opens)
 			}
 			linked[id] = true
 		}
@@ -252,9 +255,9 @@ func ringError(e *Estimator) error {
 	if len(linked) != e.count {
 		return fmt.Errorf("%d entries linked, %d present", len(linked), e.count)
 	}
-	for id, asOf := range e.asOf {
-		if asOf == noEntry && e.links[id] != (capLink{}) {
-			return fmt.Errorf("absent id %d holds link %+v", id, e.links[id])
+	for id, s := range e.slots {
+		if s.asOf == noEntry && s != (capSlot{asOf: noEntry}) {
+			return fmt.Errorf("absent id %d holds slot %+v", id, s)
 		}
 	}
 	return nil
@@ -438,6 +441,20 @@ func oracleSeeds() [][]byte {
 			recv(20, 10, 0, 1, 7, 20, 0, 1, 8, 30, 0, 1), tick, setSelf(0, 9), advance(4, 1), tick, tick),
 		// A valid id far from the rest (the dense table grows to reach it).
 		cat(header(0, 0, 0, 0), recv(229, 90, 0, 1, 1, 10, 0, 2), tick, advance(4, 1), tick),
+		// No limit: the two largest valid ids grow the table to its ceiling
+		// and share buckets with small ids, are rewritten, carried by the
+		// turning ring and expired; ids at and past the ceiling stay out.
+		cat(header(0, 0, 0, 0), recv(231, 70, 0, 1, 230, 60, 0, 2, 1, 10, 0, 3, 232, 5, 0, 1, 226, 6, 0, 1),
+			tick, recv(230, 61, 0, 0, 231, 71, 1, 1), advance(2, 3), recv(2, 20, 0, 0, 231, 72, 0, 0), tick,
+			advance(3, 14), tick, recv(230, 62, 0, 0), advance(4, 1), tick, tick),
+		// The same with Exclude on and k 3: purges and refills reach the
+		// edge ids through the ring.
+		cat(header(2, 0, 1, 1), recv(231, 70, 0, 0, 230, 60, 0, 0, 5, 50, 0, 0, 6, 60, 0, 1),
+			tick, exclude(5, 6), tick, recv(231, 73, 0, 0), advance(3, 16), tick),
+		// Self past the ceiling, no limit: self is never filed, the estimate
+		// is all sampled prefix, edge ids included.
+		cat(header(0, 0, 3, 0), tick, recv(1, 10, 0, 1, 231, 20, 0, 1, 232, 30, 0, 1), tick,
+			setSelf(0, 9), advance(4, 1), tick, recv(230, 40, 0, 0), tick),
 		// FreshestK larger than the table; k 3 and fanout 3.
 		cat(header(4, 0, 0, 0), spread(27), tick, advance(3, 10), tick),
 		cat(header(2, 0, 0, 0), spread(27), tick, recv(9, 1, 0, 0), tick),

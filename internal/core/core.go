@@ -701,13 +701,16 @@ func (e *Engine) retFire(st *streamState) {
 	}
 }
 
-func (e *Engine) retransmit(st *streamState, ids []wire.PacketID) {
+// retransmit re-requests the still-missing ids of one due batch, read as
+// the retransmission ring stores them (retQueue).
+func (e *Engine) retransmit(st *streamState, ids []uint32) {
 	// Group still-missing ids by the proposer to ask next. Grouping is
 	// insertion-ordered (a linear scan over the few distinct targets, not a
 	// map) so runs stay deterministic and the scratch slices are reusable.
 	targets, groups := e.retTargets[:0], e.retGroups[:0]
 	now := e.rt.Now()
-	for _, id := range ids {
+	for _, id32 := range ids {
+		id := wire.PacketID(id32)
 		if st.packets.stateOf(id) != pktPending {
 			continue // delivered (or already abandoned) meanwhile
 		}

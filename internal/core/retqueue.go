@@ -15,13 +15,21 @@ import (
 // that grow, to the next power of two that fits, only when full: past the
 // minimum lengths below, a queue holds less than twice its peak outstanding
 // ids and batches, and a steady outstanding count allocates nothing.
+//
+// The id ring holds uint32s, half a PacketID: every queued id was requested,
+// and onPropose requests no id at or past maxTrackedPacketID (2²²). Should
+// that bound ever pass 2³², the ring must store ids relative to the stream's
+// window base instead.
 type retQueue struct {
 	batches     []retEntry // ring; its length is 0 or a power of two
 	bHead, bLen int
-	ids         []wire.PacketID // ring; its length is 0 or a power of two
+	ids         []uint32 // ring; its length is 0 or a power of two
 	iHead, iLen int
-	scratch     []wire.PacketID // the head batch made contiguous when it wraps
+	scratch     []uint32 // the head batch made contiguous when it wraps
 }
+
+// The id ring's uint32s hold every id onPropose requests.
+const _ = uint32(maxTrackedPacketID - 1)
 
 // The rings' minimum lengths. A stream that retransmits at all mostly peaks
 // well past them (sim-paper's nodes at hundreds of outstanding ids), so
@@ -43,7 +51,8 @@ func (q *retQueue) empty() bool { return q.bLen == 0 }
 // headDue returns the head batch's deadline; the queue must not be empty.
 func (q *retQueue) headDue() time.Duration { return q.batches[q.bHead].due }
 
-// push appends a batch of ids due at due, copying the ids.
+// push appends a batch of ids due at due, copying the ids; each must be below
+// maxTrackedPacketID.
 func (q *retQueue) push(due time.Duration, ids []wire.PacketID) {
 	if q.bLen == len(q.batches) {
 		q.batches = growRing(q.batches, q.bHead, q.bLen, max(q.bLen+1, retMinBatches))
@@ -55,17 +64,19 @@ func (q *retQueue) push(due time.Duration, ids []wire.PacketID) {
 		q.ids = growRing(q.ids, q.iHead, q.iLen, max(q.iLen+len(ids), retMinIDs))
 		q.iHead = 0
 	}
-	tail := (q.iHead + q.iLen) & (len(q.ids) - 1)
-	copy(q.ids, ids[copy(q.ids[tail:], ids):])
+	mask := len(q.ids) - 1
+	for i, id := range ids {
+		q.ids[(q.iHead+q.iLen+i)&mask] = uint32(id)
+	}
 	q.iLen += len(ids)
 }
 
-// head returns the head batch's ids, contiguous: a view of the ring, or of
-// scratch when the batch wraps. The queue must not be empty. The view stays
-// valid across pushes — the batch's space is released only by pop, and a
-// growth copies the ring rather than writing the old one — until the next
-// pop.
-func (q *retQueue) head() []wire.PacketID {
+// head returns the head batch's ids, contiguous and narrowed to uint32: a
+// view of the ring, or of scratch when the batch wraps. The queue must not
+// be empty. The view stays valid across pushes — the batch's space is
+// released only by pop, and a growth copies the ring rather than writing the
+// old one — until the next pop.
+func (q *retQueue) head() []uint32 {
 	lo, n := q.iHead, q.batches[q.bHead].n
 	if lo+n <= len(q.ids) {
 		return q.ids[lo : lo+n : lo+n]

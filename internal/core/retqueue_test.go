@@ -22,7 +22,9 @@ type retModel struct {
 // plain-slice model: batches come out in FIFO order with their ids and
 // deadlines, including batches that wrap around the ring's end, and a drain
 // re-arms into the queue while it reads the head, as retFire does, growing
-// the rings under the batch it holds. After every step each ring's length
+// the rings under the batch it holds. Ids run up to maxTrackedPacketID-1,
+// the largest onPropose requests, and come back from the uint32 ring
+// unchanged. After every step each ring's length
 // is the peak outstanding count (ids or batches) rounded up to a power of
 // two — below twice that peak — or the ring's minimum length if larger.
 func TestRetQueueMatchesModel(t *testing.T) {
@@ -35,10 +37,24 @@ func TestRetQueueMatchesModel(t *testing.T) {
 		batch := func(n int) []wire.PacketID {
 			b := make([]wire.PacketID, n)
 			for i := range b {
-				b[i] = next
-				next++
+				switch rng.Intn(4) {
+				case 0:
+					b[i] = maxTrackedPacketID - 1
+				case 1:
+					b[i] = maxTrackedPacketID - 1 - wire.PacketID(rng.Intn(1<<16))
+				default:
+					b[i] = next
+					next++
+				}
 			}
 			return b
+		}
+		widen := func(ids []uint32) []wire.PacketID {
+			out := make([]wire.PacketID, len(ids))
+			for i, id := range ids {
+				out[i] = wire.PacketID(id)
+			}
+			return out
 		}
 		push := func(due time.Duration, ids []wire.PacketID) {
 			q.push(due, ids)
@@ -59,14 +75,14 @@ func TestRetQueueMatchesModel(t *testing.T) {
 					t.Fatalf("seed %d op %d: head due %v, model %v", seed, op, q.headDue(), m.dues[0])
 				}
 				head := q.head()
-				if !slices.Equal(head, m.ids[0]) {
+				if !slices.Equal(widen(head), m.ids[0]) {
 					t.Fatalf("seed %d op %d: head batch %v, model %v", seed, op, head, m.ids[0])
 				}
 				for range rng.Intn(3) {
 					lo := rng.Intn(len(head))
-					push(now+5, head[lo:lo+1+rng.Intn(len(head)-lo)])
+					push(now+5, widen(head[lo:lo+1+rng.Intn(len(head)-lo)]))
 				}
-				if !slices.Equal(head, m.ids[0]) {
+				if !slices.Equal(widen(head), m.ids[0]) {
 					t.Fatalf("seed %d op %d: re-arming changed the head batch to %v, model %v", seed, op, head, m.ids[0])
 				}
 				q.pop()
@@ -89,7 +105,7 @@ func TestRetQueueMatchesModel(t *testing.T) {
 // included — allocates nothing.
 func TestRetQueueSteadyStateAllocatesNothing(t *testing.T) {
 	var q retQueue
-	ids := []wire.PacketID{1, 2, 3, 4, 5}
+	ids := []wire.PacketID{1, 2, 3, 4, maxTrackedPacketID - 1}
 	cycle := func() {
 		q.push(0, ids)
 		if got := q.head(); len(got) != len(ids) {

@@ -138,9 +138,9 @@ type GilbertElliott struct {
 }
 
 // maxTrackedSender bounds the dense chain slice against hostile wire input
-// on the real-UDP path, mirroring aggregation's maxTrackedNodeID: node ids
-// are dense, so anything past this is a forged sender id and shares one
-// overflow chain instead of growing the slice on a peer's say-so.
+// on the real-UDP path, mirroring membership.MaxPeerID: node ids are dense,
+// so anything past this is a forged sender id and shares one overflow chain
+// instead of growing the slice on a peer's say-so.
 const maxTrackedSender = 1 << 20
 
 // NewGilbertElliott builds the model, panicking on invalid parameters (a

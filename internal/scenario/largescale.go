@@ -224,7 +224,7 @@ func LargeScaleXL(n int, seed int64, shards int) Config {
 	c.Shards = shards
 	// 256 tracked entries keep bbar's standard error in the mid single
 	// digits for the bimodal distribution while holding each node's
-	// capability table, presized at the limit, to 256 × 20 B = 5 KB — the
+	// capability table, presized at the limit, to 256 × 16 B = 4 KB — the
 	// untracked table is what made 1M nodes run out of memory.
 	c.AggTrackLimit = 256
 	return c

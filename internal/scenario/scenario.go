@@ -341,9 +341,8 @@ func (c *Config) validate() error {
 		return fmt.Errorf("scenario: negative aggregation setting (AggPeriod %v, AggFanout %d, AggFreshestK %d, AggTrackLimit %d)",
 			c.AggPeriod, c.AggFanout, c.AggFreshestK, c.AggTrackLimit)
 	}
-	if c.AggFreshestK > aggregation.MaxFreshestK {
-		return fmt.Errorf("scenario: AggFreshestK %d exceeds the %d entries an aggregation message can encode",
-			c.AggFreshestK, aggregation.MaxFreshestK)
+	if err := (aggregation.Config{Period: c.AggPeriod, FreshestK: c.AggFreshestK}).Validate(); err != nil {
+		return err
 	}
 	if c.AdaptPeriod && c.Protocol != HEAP {
 		return fmt.Errorf("scenario: AdaptPeriod requires the HEAP protocol")

@@ -104,13 +104,18 @@ func TestConfigValidation(t *testing.T) {
 	// Negative aggregation settings are errors, not an Int63n panic inside
 	// the event loop (period) or a HEAP run with aggregation silently off
 	// (fanout, k); zero still means the default. Nor may k exceed what the
-	// wire format's one-byte entry count can carry.
+	// wire format's one-byte entry count can carry, nor the period be so
+	// short that the estimator's ring (EntryTTL 15 s / AggPeriod buckets)
+	// outgrows what its int16 links can name: that is an error too, not a
+	// panic in NewEstimator.
 	for name, mutate := range map[string]func(*Config){
 		"negative AggPeriod":     func(c *Config) { c.AggPeriod = -time.Second },
 		"negative AggFanout":     func(c *Config) { c.AggFanout = -1 },
 		"negative AggFreshestK":  func(c *Config) { c.AggFreshestK = -1 },
 		"negative AggTrackLimit": func(c *Config) { c.AggTrackLimit = -1 },
 		"AggFreshestK 300":       func(c *Config) { c.AggFreshestK = 300 },
+		"AggPeriod 100µs":        func(c *Config) { c.AggPeriod = 100 * time.Microsecond; c.Dist = MS691 },
+		"AggPeriod 457µs":        func(c *Config) { c.AggPeriod = 457 * time.Microsecond },
 	} {
 		cfg := Config{Nodes: 10, Dist: Ref691, Protocol: HEAP}
 		mutate(&cfg)
@@ -121,6 +126,10 @@ func TestConfigValidation(t *testing.T) {
 	atLimit := Config{Nodes: 10, Dist: Ref691, Protocol: HEAP, AggFreshestK: aggregation.MaxFreshestK}
 	if err := atLimit.applyDefaults(); err != nil {
 		t.Errorf("AggFreshestK at the wire limit rejected: %v", err)
+	}
+	shortest := Config{Nodes: 10, Dist: Ref691, Protocol: HEAP, AggPeriod: 458 * time.Microsecond}
+	if err := shortest.applyDefaults(); err != nil {
+		t.Errorf("AggPeriod 458µs, whose ring fits, rejected: %v", err)
 	}
 }
 
