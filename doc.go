@@ -239,7 +239,7 @@
 // pooled through a free list, a timer is a recycled event slot with no
 // handle (timers cannot be canceled, so an event leaves the calendar queue
 // only by being popped), and the dissemination engine keeps its per-packet
-// state in one dense table per stream — a state byte and a 32-byte slot per
+// state in one dense table per stream — a state byte and a 24-byte slot per
 // packet id, sized from the stream geometry, plus a pooled record for each
 // id requested and not yet served, reused once it is. A 10,000-node HEAP run is
 // routine on one core (minutes of wall clock, a few GB peak); the practical

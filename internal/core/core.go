@@ -315,6 +315,9 @@ type Engine struct {
 	adaptiveFn   func() // cached adaptiveRound closure (period-adaptation mode)
 	pruneTicker  *env.Ticker
 	serveBuffer  time.Duration // the serveBuffer constant; tests shorten it
+	started      time.Duration // Start's time, from which prune ticks count
+	prunePeriod  time.Duration // serveBuffer/4 + 1ns, the prune ticker's period
+	pruneTick    int           // the next prune tick's number, mod pruneEpochs
 	stopped      bool
 
 	// effUploadKbps is the upload budget the allocator divides: the
@@ -382,7 +385,8 @@ func (e *Engine) Start(rt env.Runtime) {
 	} else {
 		e.gossipTicker = env.NewTicker(rt, phase, e.cfg.GossipPeriod, e.gossipRound)
 	}
-	e.pruneTicker = env.NewTicker(rt, e.serveBuffer, e.serveBuffer/4+1, e.pruneBuffer)
+	e.started, e.prunePeriod = rt.Now(), e.serveBuffer/4+1
+	e.pruneTicker = env.NewTicker(rt, e.serveBuffer, e.prunePeriod, e.pruneBuffer)
 }
 
 // Stop implements env.Handler.
@@ -605,10 +609,10 @@ func (e *Engine) onPropose(from wire.NodeID, msg *wire.Propose) {
 		if id >= maxTrackedPacketID {
 			continue // wire-robustness bound, see maxTrackedPacketID
 		}
-		switch st.packets.stateOf(id) {
-		case pktBuffered, pktDelivered:
+		switch s := st.packets.stateOf(id); {
+		case s >= pktDelivered:
 			continue
-		case pktPending:
+		case s == pktPending:
 			// Already outstanding: remember the alternate proposer.
 			if p := st.packets.rec(id); int(p.numProposers) < maxProposersTracked {
 				seen := false
@@ -789,7 +793,7 @@ func (e *Engine) onRequest(from wire.NodeID, msg *wire.Request) {
 	}
 	e.events = e.events[:0]
 	for _, id := range msg.IDs {
-		if st.packets.stateOf(id) == pktBuffered {
+		if st.packets.stateOf(id) >= pktBuffered {
 			s := &st.packets.slots[id]
 			payload := unsafe.Slice(unsafe.StringData(s.payload), len(s.payload))
 			e.events = append(e.events, wire.Event{ID: id, Stream: st.id, Stamp: s.stamp, Payload: payload})
@@ -842,8 +846,8 @@ func (e *Engine) onServe(from wire.NodeID, msg *wire.Serve) {
 func (e *Engine) deliverLocal(st *streamState, ev wire.Event, propose bool) {
 	ev.Stream = st.id // normalize: the stream state is authoritative
 	now := e.rt.Now()
-	slot := st.packets.set(ev.ID, pktBuffered)
-	slot.recvAt, slot.stamp = now, ev.Stamp
+	slot := st.packets.set(ev.ID, bufferedState(e.pruneEpoch(now)))
+	slot.stamp = ev.Stamp
 	slot.payload = unsafe.String(unsafe.SliceData(ev.Payload), len(ev.Payload))
 	if propose {
 		st.toPropose = append(st.toPropose, ev.ID)
@@ -854,13 +858,29 @@ func (e *Engine) deliverLocal(st *streamState, ev wire.Event, propose bool) {
 	}
 }
 
-// pruneBuffer drops served payloads older than serveBuffer (bounds memory;
-// late requests for pruned ids count as UnservableIDs).
+// pruneEpoch is the number of the prune tick that releases an id received
+// at now. Tick j is due at start+serveBuffer+j·P, P being prunePeriod, and
+// on schedule it releases what the age rule "received before
+// now−serveBuffer" would: the ids received before start+j·P, so an id
+// received at r goes at tick ⌊(r−start)/P⌋+1. That is at most five ticks
+// past the next one due at r; only a ticker running more than pruneEpochs/2
+// ticks behind schedule (an hour at the 120 s buffer) could release an id
+// early.
+func (e *Engine) pruneEpoch(now time.Duration) int {
+	return int((now-e.started)/e.prunePeriod) + 1
+}
+
+// pruneBuffer drops served payloads that have been buffered for
+// serveBuffer (bounds memory; late requests for pruned ids count as
+// UnservableIDs): tick j releases every buffered id of epoch j or less. A
+// tick that fires late releases no more than on schedule; the ids received
+// between its scheduled and actual cutoffs wait for the next tick, at most
+// serveBuffer/4 later.
 func (e *Engine) pruneBuffer() {
-	cutoff := e.rt.Now() - e.serveBuffer
 	for _, st := range e.streams {
-		st.packets.prune(cutoff)
+		st.packets.prune(e.pruneTick)
 	}
+	e.pruneTick = (e.pruneTick + 1) % pruneEpochs
 }
 
 // PendingRequests returns the number of outstanding requested ids across all

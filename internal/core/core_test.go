@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 	"unsafe"
@@ -362,6 +363,92 @@ func TestServeBufferPruning(t *testing.T) {
 		if got := e.lookupStream(0).packets.stateOf(1); got != pktDelivered {
 			t.Fatalf("node %d: id 1 in state %d after prune, want pktDelivered", i, got)
 		}
+	}
+}
+
+// pruneTestEngine starts an engine with a 4 s serve buffer on a stub runtime
+// whose clock reads start; its prune ticks are due at start+4 s+j·(1 s+1 ns).
+func pruneTestEngine(start time.Duration) (*Engine, *stubRuntime) {
+	rt := &stubRuntime{now: start, rng: rand.New(rand.NewSource(5))}
+	e := MustNew(Config{Fanout: 2, Sampler: membership.NewDirectory(4).ViewFor(0)})
+	e.serveBuffer = 4 * time.Second
+	e.Start(rt)
+	return e, rt
+}
+
+// receiveAt advances the stub's clock to at, then hands the engine an
+// unrequested one-event Serve of id, which it delivers and buffers.
+func receiveAt(e *Engine, rt *stubRuntime, id wire.PacketID, at time.Duration) {
+	rt.advance(at)
+	e.Receive(1, &wire.Serve{Events: []wire.Event{{ID: id, Payload: payload(10)}}})
+}
+
+// TestPruneEpochsMatchAgeRule: after every prune tick that fires on schedule,
+// the engine buffers exactly the ids that the age rule "received at or after
+// now−serveBuffer" keeps, computed from this test's own log of receive times.
+// Ids arrive at random times over 320 prune periods, so the epochs wrap past
+// pruneEpochs, some at the very instant a tick fired; the engine starts off
+// the clock's zero.
+func TestPruneEpochsMatchAgeRule(t *testing.T) {
+	start := 777 * time.Millisecond
+	e, rt := pruneTestEngine(start)
+	rng := rand.New(rand.NewSource(9))
+	recvAt := map[wire.PacketID]time.Duration{}
+	for j := 0; j < 320; j++ {
+		tick := start + e.serveBuffer + time.Duration(j)*e.prunePeriod
+		at := make([]time.Duration, rng.Intn(6))
+		for i := range at {
+			at[i] = rt.now + time.Duration(rng.Int63n(int64(tick-rt.now)))
+		}
+		slices.Sort(at)
+		for _, r := range at {
+			id := wire.PacketID(len(recvAt))
+			recvAt[id] = r
+			receiveAt(e, rt, id, r)
+		}
+		rt.advance(tick)
+		kept := 0
+		for id, r := range recvAt {
+			want := r >= tick-e.serveBuffer
+			if got := e.lookupStream(0).packets.stateOf(id) >= pktBuffered; got != want {
+				t.Fatalf("tick %d at %v: id %d received at %v buffered = %v, age rule says %v", j, tick, id, r, got, want)
+			}
+			if want {
+				kept++
+			}
+		}
+		if e.BufferedEvents() != kept {
+			t.Fatalf("tick %d: BufferedEvents %d, age rule keeps %d", j, e.BufferedEvents(), kept)
+		}
+	}
+	if len(recvAt) < 500 {
+		t.Fatalf("only %d ids delivered", len(recvAt))
+	}
+}
+
+// TestLatePruneTickReleasesOnlyItsEpochs pins the one way prune epochs differ
+// from the age rule: a tick that fires late, here on a frozen node, releases
+// only what it would have released on schedule. An id received between its
+// scheduled and its actual cutoff, which the age rule would release, waits
+// for the next tick.
+func TestLatePruneTickReleasesOnlyItsEpochs(t *testing.T) {
+	e, rt := pruneTestEngine(0)
+	receiveAt(e, rt, 1, 500*time.Millisecond)  // epoch 1
+	receiveAt(e, rt, 2, 1200*time.Millisecond) // epoch 2
+	state := func(id wire.PacketID) uint8 { return e.lookupStream(0).packets.stateOf(id) }
+	rt.advance(4500 * time.Millisecond) // tick 0, at 4 s, releases nothing
+	if state(1) < pktBuffered || state(2) < pktBuffered {
+		t.Fatalf("after tick 0: states %d and %d, want both buffered", state(1), state(2))
+	}
+	rt.frozenUntil = 5500 * time.Millisecond
+	rt.advance(rt.frozenUntil) // tick 1, due at 5 s+1 ns, fires at 5.5 s
+	// The age rule would release both: each was received before 5.5 s − 4 s.
+	if state(1) != pktDelivered || state(2) < pktBuffered {
+		t.Fatalf("after late tick 1: states %d and %d, want pruned and buffered", state(1), state(2))
+	}
+	rt.advance(6*time.Second + 2) // tick 2, on schedule
+	if state(2) != pktDelivered || e.BufferedEvents() != 0 {
+		t.Fatalf("after tick 2: id 2 in state %d, %d buffered; want pruned, 0", state(2), e.BufferedEvents())
 	}
 }
 

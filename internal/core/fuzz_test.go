@@ -16,7 +16,9 @@ import (
 // advances between them that fire its gossip rounds, retransmission timers
 // and serve-buffer prunes. Whatever the sequence, the engine must not panic;
 // its pending and buffered counts must equal a recount over the state bytes,
-// and its pending-record pool must hold exactly one record per pending id;
+// no buffered id's prune epoch may lie more than five ticks past the next
+// prune tick, and its pending-record pool must hold exactly one record per
+// pending id;
 // no table may grow past maxTrackedPacketID nor the engine past
 // maxTrackedStreams; every Serve it sends must carry only buffered ids, as
 // they were delivered, on the very bytes delivered (the buffer keeps a view,
@@ -64,7 +66,7 @@ func runEngineScript(t *testing.T, data []byte) {
 		}
 		st := e.lookupStream(serve.Stream)
 		for _, ev := range serve.Events {
-			if st == nil || st.packets.stateOf(ev.ID) != pktBuffered {
+			if st == nil || st.packets.stateOf(ev.ID) < pktBuffered {
 				t.Fatalf("served stream %d id %d, which is not buffered", serve.Stream, ev.ID)
 			}
 			want := delivered[key{serve.Stream, ev.ID}]
@@ -119,12 +121,17 @@ func runEngineScript(t *testing.T, data []byte) {
 				t.Fatalf("stream %d: %d state bytes, %d slots", st.id, len(tab.state), len(tab.slots))
 			}
 			var p, b int
-			for _, s := range tab.state {
-				switch s {
-				case pktPending:
+			for id, s := range tab.state {
+				switch {
+				case s == pktPending:
 					p++
-				case pktBuffered:
+				case s >= pktBuffered:
 					b++
+					// The stub fires every tick on schedule, so a buffered
+					// id waits at most five ticks from the next one due.
+					if wait := (int(s-pktBuffered) - e.pruneTick + pruneEpochs) % pruneEpochs; wait > 5 {
+						t.Fatalf("stream %d id %d buffered %d ticks ahead of prune tick %d", st.id, id, wait, e.pruneTick)
+					}
 				}
 			}
 			if p != tab.pending || b != tab.buffered {
@@ -172,13 +179,15 @@ func engineSeeds() [][]byte {
 
 // stubRuntime is a single-node runtime on a manual clock: advance fires due
 // timers in (deadline, arming) order, and onSend, when set, observes every
-// message.
+// message. Timers due before frozenUntil fire at frozenUntil instead, as a
+// frozen simnet node's do.
 type stubRuntime struct {
-	now    time.Duration
-	rng    *rand.Rand
-	timers []stubTimer
-	armed  int
-	onSend func(wire.Message)
+	now         time.Duration
+	rng         *rand.Rand
+	timers      []stubTimer
+	armed       int
+	onSend      func(wire.Message)
+	frozenUntil time.Duration
 }
 
 type stubTimer struct {
@@ -202,11 +211,12 @@ func (r *stubRuntime) AfterFunc(d time.Duration, fn func()) {
 }
 
 func (r *stubRuntime) advance(to time.Duration) {
+	due := func(tm stubTimer) time.Duration { return max(tm.at, r.frozenUntil) }
 	for {
 		next := -1
 		for i, tm := range r.timers {
-			if tm.at <= to && (next < 0 || tm.at < r.timers[next].at ||
-				tm.at == r.timers[next].at && tm.seq < r.timers[next].seq) {
+			if at := due(tm); at <= to && (next < 0 || at < due(r.timers[next]) ||
+				at == due(r.timers[next]) && tm.seq < r.timers[next].seq) {
 				next = i
 			}
 		}
@@ -215,7 +225,7 @@ func (r *stubRuntime) advance(to time.Duration) {
 		}
 		tm := r.timers[next]
 		r.timers = append(r.timers[:next], r.timers[next+1:]...)
-		r.now = tm.at
+		r.now = due(tm)
 		tm.fn()
 	}
 	r.now = to

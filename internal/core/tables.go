@@ -1,10 +1,6 @@
 package core
 
-import (
-	"time"
-
-	"repro/internal/wire"
-)
+import "repro/internal/wire"
 
 // Packet ids are assigned densely in publish order (internal/stream), so the
 // engine's per-packet bookkeeping lives in flat slices indexed by id instead
@@ -16,20 +12,30 @@ import (
 // hashes nor allocates.
 
 // Packet states. The order matters: an id is delivered iff its state is at
-// least pktBuffered.
+// least pktDelivered, and every state from pktBuffered up is buffered, the
+// byte carrying the id's prune epoch (pktBuffered+epoch, see bufferedState).
 const (
 	pktUnknown   uint8 = iota // never requested, or abandoned after a give-up
 	pktPending                // requested; the slot points at a pendingRec
-	pktBuffered               // delivered; the slot holds the payload for serving
 	pktDelivered              // delivered and pruned from the serve buffer
+	pktBuffered               // delivered; the slot holds the payload for serving
 )
 
-// packetSlot is one id's slot, 32 bytes — half a cache line, so no slot
-// straddles two: recvAt, stamp and payload while the id is buffered. A
-// pending id needs none of them, so its recvAt word holds the index of its
-// pendingRec in the table's pool instead; read that only through recIndex.
-// The id and the stream are the slot's position and its table, so they are
-// not stored.
+// pruneEpochs is how many prune epochs a buffered state byte tells apart.
+// Epochs are tick numbers of the engine's prune ticker taken mod
+// pruneEpochs; an id waits at most five ticks (see Engine.pruneEpoch), far
+// inside the half range prune compares within.
+const pruneEpochs = 256 - int(pktBuffered)
+
+// bufferedState is the state byte of an id buffered until prune tick epoch
+// (mod pruneEpochs).
+func bufferedState(epoch int) uint8 { return pktBuffered + uint8(epoch%pruneEpochs) }
+
+// packetSlot is one id's slot, 24 bytes: stamp and payload while the id is
+// buffered. A pending id needs neither, so its stamp word holds the index of
+// its pendingRec in the table's pool instead; read that only through
+// recIndex. The id and the stream are the slot's position and its table, and
+// a buffered id's prune epoch is its state byte, so none of them is stored.
 //
 // payload is a read-only view of the received payload bytes, not a copy:
 // a string's 16-byte header over the same backing array (deliverLocal makes
@@ -37,19 +43,19 @@ const (
 // sound because a Serve's payload bytes are immutable once received (see
 // wire.Message), and it saves the 8-byte capacity word a slice would carry.
 type packetSlot struct {
-	recvAt  time.Duration // buffered: receive time; pending: pool index
-	stamp   int64
+	stamp   int64 // buffered: publish stamp; pending: pool index
 	payload string
 }
 
-// recIndex reads a pending slot's recvAt word as its pool index.
-func (s *packetSlot) recIndex() int32 { return int32(s.recvAt) }
+// recIndex reads a pending slot's stamp word as its pool index.
+func (s *packetSlot) recIndex() int32 { return int32(s.stamp) }
 
 // pendingRec is what retransmission needs of a requested, undelivered id: its
 // proposers (a fixed-size array, maxProposersTracked) and the attempt count.
 // Records live in a per-table pool with a free list, grown on demand and never
 // presized: the pool only ever holds as many records as the node had ids
-// pending at once. Measured per node at seed 17: the benchmark's sim-paper
+// pending at once, and a pending id reaches its record through its slot's
+// stamp word. Measured per node at seed 17: the benchmark's sim-paper
 // cell peaks at 119 records (median 86) of 3,410 ids, sim-large at 166
 // (median 53) of 330.
 type pendingRec struct {
@@ -68,7 +74,7 @@ type packetTable struct {
 	recs     []pendingRec
 	free     []int32 // indices of unused recs
 	pending  int     // ids in pktPending, each holding one rec
-	buffered int     // ids in pktBuffered
+	buffered int     // ids in a buffered state
 }
 
 // presize reserves ids [0, n) in the unknown state.
@@ -93,7 +99,7 @@ func (t *packetTable) stateOf(id wire.PacketID) uint8 {
 
 // delivered reports whether id has been delivered (buffered or pruned since).
 func (t *packetTable) delivered(id wire.PacketID) bool {
-	return t.stateOf(id) >= pktBuffered
+	return t.stateOf(id) >= pktDelivered
 }
 
 // rec returns the pending record of id, which must be in pktPending. The
@@ -119,7 +125,7 @@ func (t *packetTable) set(id wire.PacketID, s uint8) *packetSlot {
 	t.state[id] = s
 	*slot = packetSlot{}
 	if s == pktPending {
-		slot.recvAt = time.Duration(t.takeRec())
+		slot.stamp = int64(t.takeRec())
 	}
 	return slot
 }
@@ -137,20 +143,21 @@ func (t *packetTable) takeRec() int32 {
 }
 
 func (t *packetTable) count(s uint8, d int) {
-	switch s {
-	case pktPending:
+	switch {
+	case s == pktPending:
 		t.pending += d
-	case pktBuffered:
+	case s >= pktBuffered:
 		t.buffered += d
 	}
 }
 
-// prune moves every buffered id received before cutoff to pktDelivered,
-// releasing its payload, walking ids in ascending order. A pruned id stays
-// delivered: a late Serve for it is a duplicate, not a second delivery.
-func (t *packetTable) prune(cutoff time.Duration) {
+// prune moves every buffered id whose epoch is at most tick (mod
+// pruneEpochs, within half the range) to pktDelivered, releasing its
+// payload, walking ids in ascending order. A pruned id stays delivered: a
+// late Serve for it is a duplicate, not a second delivery.
+func (t *packetTable) prune(tick int) {
 	for id, s := range t.state {
-		if s == pktBuffered && t.slots[id].recvAt < cutoff {
+		if s >= pktBuffered && (tick-int(s-pktBuffered)+pruneEpochs)%pruneEpochs <= pruneEpochs/2 {
 			t.set(wire.PacketID(id), pktDelivered)
 		}
 	}

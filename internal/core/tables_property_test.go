@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
-	"time"
 	"unsafe"
 
 	"repro/internal/wire"
@@ -23,7 +22,7 @@ type oracleEntry struct {
 	proposers    [maxProposersTracked]wire.NodeID
 	numProposers uint8
 	attempts     uint16
-	recvAt       time.Duration
+	epoch        int // buffered: the prune tick that releases it, not wrapped
 	stamp        int64
 	payload      []byte
 }
@@ -32,7 +31,9 @@ type oracleEntry struct {
 // transitions the engine makes — against a map oracle and compares every id's
 // state, its pending or buffered record, and both counts after every step. A
 // buffered payload must read back equal to the delivered bytes and be a view
-// of their backing array.
+// of their backing array. Prunes run ticks as pruneBuffer does, one number
+// after another, and the oracle releases by the unwrapped tick number: each
+// seed runs ~500 ticks, so the epochs wrap past pruneEpochs at least once.
 func TestPacketTableMatchesOracle(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -41,6 +42,7 @@ func TestPacketTableMatchesOracle(t *testing.T) {
 			tab.presize(64) // half the runs start presized, half grow from zero
 		}
 		oracle := map[wire.PacketID]*oracleEntry{}
+		tick := 0 // the next prune tick's number
 		get := func(id wire.PacketID) *oracleEntry {
 			if oracle[id] == nil {
 				oracle[id] = &oracleEntry{}
@@ -49,14 +51,15 @@ func TestPacketTableMatchesOracle(t *testing.T) {
 		}
 		deliver := func(id wire.PacketID) {
 			o := get(id)
+			epoch := tick + rng.Intn(6) // at most five ticks away, as pruneEpoch makes it
 			*o = oracleEntry{
-				state:   pktBuffered,
-				recvAt:  time.Duration(rng.Intn(1000)) * time.Millisecond,
+				state:   bufferedState(epoch),
+				epoch:   epoch,
 				stamp:   rng.Int63(),
 				payload: bytes.Repeat([]byte{byte(id)}, 1+rng.Intn(3)),
 			}
-			s := tab.set(id, pktBuffered)
-			s.recvAt, s.stamp = o.recvAt, o.stamp
+			s := tab.set(id, o.state)
+			s.stamp = o.stamp
 			s.payload = unsafe.String(unsafe.SliceData(o.payload), len(o.payload)) // as deliverLocal stores it
 		}
 		for op := 0; op < 1500; op++ {
@@ -98,13 +101,15 @@ func TestPacketTableMatchesOracle(t *testing.T) {
 				if o.state == pktUnknown {
 					deliver(id)
 				}
-			case 5: // age-based prune, as pruneBuffer applies it
-				cutoff := time.Duration(rng.Intn(1000)) * time.Millisecond
-				tab.prune(cutoff)
-				for _, e := range oracle {
-					if e.state == pktBuffered && e.recvAt < cutoff {
-						*e = oracleEntry{state: pktDelivered}
+			case 5: // one to three prune ticks, as pruneBuffer runs them
+				for n := 1 + rng.Intn(3); n > 0; n-- {
+					tab.prune(tick % pruneEpochs)
+					for _, e := range oracle {
+						if e.state >= pktBuffered && e.epoch <= tick {
+							*e = oracleEntry{state: pktDelivered}
+						}
 					}
+					tick++
 				}
 			}
 			checkPacketTable(t, seed, op, &tab, oracle)
@@ -123,17 +128,17 @@ func checkPacketTable(t *testing.T, seed int64, op int, tab *packetTable, oracle
 		if got := tab.stateOf(id); got != o.state {
 			t.Fatalf("seed %d op %d: stateOf(%d) = %d, oracle %d", seed, op, id, got, o.state)
 		}
-		switch o.state {
-		case pktPending:
+		switch {
+		case o.state == pktPending:
 			pending++
 			r := tab.rec(id)
 			if r.proposers != o.proposers || r.numProposers != o.numProposers || r.attempts != o.attempts {
 				t.Fatalf("seed %d op %d: pending record %d = %+v, oracle %+v", seed, op, id, *r, *o)
 			}
-		case pktBuffered:
+		case o.state >= pktBuffered:
 			buffered++
 			s := &tab.slots[id]
-			if s.recvAt != o.recvAt || s.stamp != o.stamp || s.payload != string(o.payload) {
+			if s.stamp != o.stamp || s.payload != string(o.payload) {
 				t.Fatalf("seed %d op %d: buffered record %d = %+v, oracle %+v", seed, op, id, *s, *o)
 			}
 			// The slot views the delivered bytes; it holds no copy.
@@ -178,30 +183,30 @@ func checkRecPool(tab *packetTable) error {
 	return nil
 }
 
-// TestPacketSlotSizePinned: a slot holds a buffered id's receive time, stamp
-// and payload view — two 8-byte words and a string header, 32 bytes on a
-// 64-bit GOARCH (half a cache line) and 24 on a 32-bit one, which must not
-// grow; a pending id's proposers and attempts live in the pool.
+// TestPacketSlotSizePinned: a slot holds a buffered id's stamp and payload
+// view — one 8-byte word and a string header, 24 bytes on a 64-bit GOARCH and
+// 16 on a 32-bit one, which must not grow; a buffered id's prune epoch is its
+// state byte, and a pending id's proposers and attempts live in the pool.
 func TestPacketSlotSizePinned(t *testing.T) {
-	want := 2*unsafe.Sizeof(int64(0)) + unsafe.Sizeof("")
+	want := unsafe.Sizeof(int64(0)) + unsafe.Sizeof("")
 	if got := unsafe.Sizeof(packetSlot{}); got != want {
 		t.Fatalf("packetSlot is %d bytes, want %d", got, want)
 	}
 }
 
 // TestPacketTableBytesPerID: a presized id costs its state byte and its slot,
-// 33 bytes, and requesting then delivering ids at a steady in-flight count
+// 25 bytes, and requesting then delivering ids at a steady in-flight count
 // allocates nothing once the pool has grown to that count.
 func TestPacketTableBytesPerID(t *testing.T) {
 	const n = 10_000
 	var tab packetTable
-	if got := allocBytes(func() { tab.presize(n) }); got > 33*n+8192 && !raceBuild {
-		t.Fatalf("presize(%d) allocated %d bytes, %.1f per id; want <= 33 plus a page", n, got, float64(got)/n)
+	if got := allocBytes(func() { tab.presize(n) }); got > 25*n+8192 && !raceBuild {
+		t.Fatalf("presize(%d) allocated %d bytes, %.1f per id; want <= 25 plus a page", n, got, float64(got)/n)
 	}
 	const inFlight = 32
 	cycle := func(id wire.PacketID) {
 		if id >= inFlight {
-			tab.set(id-inFlight, pktBuffered).recvAt = time.Duration(id)
+			tab.set(id-inFlight, bufferedState(int(id))).stamp = int64(id)
 		}
 		tab.set(id, pktPending)
 		tab.rec(id).attempts = 1

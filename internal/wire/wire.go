@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // NodeID identifies a node in the system. In the simulator it is a dense
@@ -467,12 +468,16 @@ func (d *Decoder) Unmarshal(buf []byte) (Message, error) {
 	return m, nil
 }
 
-// Pool copies messages into storage it recycles: a free list of each kind,
-// whose slices keep their capacity from one use to the next, so a warm pool
-// allocates nothing. A copy shares nothing with its original except a
-// Serve's payload bytes, which are immutable and may be kept by anyone. The
-// simulator keeps one per shard for the messages it holds in flight. The
-// zero value is ready to use; a Pool is not safe for concurrent use.
+// Pool copies messages into storage it recycles: a free list of message
+// structs per kind, and free lists of slices filed by power-of-two capacity
+// class, one set per element type (ids, events, capability entries,
+// descriptors). A copy of n items takes a slice from class ⌈log₂ n⌉, so its
+// capacity is less than twice what it carries whatever longer messages of its
+// kind went through the pool before it, and a warm pool allocates nothing. A
+// copy shares nothing with its original except a Serve's payload bytes, which
+// are immutable and may be kept by anyone. The simulator keeps one per shard
+// for the messages it holds in flight. The zero value is ready to use; a Pool
+// is not safe for concurrent use.
 type Pool struct {
 	proposes       []*Propose
 	requests       []*Request
@@ -482,6 +487,11 @@ type Pool struct {
 	shuffleReplies []*ShuffleReply
 	avgPushes      []*AvgPush
 	avgReplies     []*AvgReply
+
+	ids         sizeClasses[PacketID] // Propose and Request
+	events      sizeClasses[Event]
+	entries     sizeClasses[CapEntry]
+	descriptors sizeClasses[PeerDescriptor] // ShuffleReq and ShuffleReply
 }
 
 // Copy returns a deep copy of m, one of this package's messages, in recycled
@@ -490,27 +500,27 @@ func (p *Pool) Copy(m Message) Message {
 	switch x := m.(type) {
 	case *Propose:
 		c := take(&p.proposes)
-		c.Stream, c.IDs = x.Stream, append(c.IDs[:0], x.IDs...)
+		c.Stream, c.IDs = x.Stream, p.ids.copyOf(x.IDs)
 		return c
 	case *Request:
 		c := take(&p.requests)
-		c.Stream, c.IDs = x.Stream, append(c.IDs[:0], x.IDs...)
+		c.Stream, c.IDs = x.Stream, p.ids.copyOf(x.IDs)
 		return c
 	case *Serve:
 		c := take(&p.serves)
-		c.Stream, c.Events = x.Stream, append(c.Events[:0], x.Events...)
+		c.Stream, c.Events = x.Stream, p.events.copyOf(x.Events)
 		return c
 	case *Aggregate:
 		c := take(&p.aggregates)
-		c.Entries = append(c.Entries[:0], x.Entries...)
+		c.Entries = p.entries.copyOf(x.Entries)
 		return c
 	case *ShuffleReq:
 		c := take(&p.shuffleReqs)
-		c.Descriptors = append(c.Descriptors[:0], x.Descriptors...)
+		c.Descriptors = p.descriptors.copyOf(x.Descriptors)
 		return c
 	case *ShuffleReply:
 		c := take(&p.shuffleReplies)
-		c.Descriptors = append(c.Descriptors[:0], x.Descriptors...)
+		c.Descriptors = p.descriptors.copyOf(x.Descriptors)
 		return c
 	case *AvgPush:
 		c := take(&p.avgPushes)
@@ -525,27 +535,71 @@ func (p *Pool) Copy(m Message) Message {
 }
 
 // Put takes back a copy Copy returned, possibly from another Pool; neither
-// it nor any slice in it may be used afterwards. A Serve's events are
-// cleared first, so a pooled message pins no payload. Put(nil) does nothing.
+// it nor any slice in it may be used afterwards. Its slice goes to the free
+// list of its capacity class and the emptied message to that of its kind; a
+// Serve's events are cleared first, so a pooled slice pins no payload.
+// Put(nil) does nothing.
 func (p *Pool) Put(m Message) {
 	switch x := m.(type) {
 	case *Propose:
+		p.ids.put(x.IDs)
+		*x = Propose{}
 		p.proposes = append(p.proposes, x)
 	case *Request:
+		p.ids.put(x.IDs)
+		*x = Request{}
 		p.requests = append(p.requests, x)
 	case *Serve:
 		clear(x.Events)
+		p.events.put(x.Events)
+		*x = Serve{}
 		p.serves = append(p.serves, x)
 	case *Aggregate:
+		p.entries.put(x.Entries)
+		*x = Aggregate{}
 		p.aggregates = append(p.aggregates, x)
 	case *ShuffleReq:
+		p.descriptors.put(x.Descriptors)
+		*x = ShuffleReq{}
 		p.shuffleReqs = append(p.shuffleReqs, x)
 	case *ShuffleReply:
+		p.descriptors.put(x.Descriptors)
+		*x = ShuffleReply{}
 		p.shuffleReplies = append(p.shuffleReplies, x)
 	case *AvgPush:
 		p.avgPushes = append(p.avgPushes, x)
 	case *AvgReply:
 		p.avgReplies = append(p.avgReplies, x)
+	}
+}
+
+// sizeClasses holds free slices of one element type by capacity class:
+// class c holds slices of capacity at least 1<<c, exactly that for every
+// slice copyOf made.
+type sizeClasses[T any] [bits.UintSize][][]T
+
+// copyOf returns a copy of s in a slice of the smallest class that holds it,
+// allocating one of exactly that class's capacity when the class has none
+// free. An empty s copies as nil.
+func (sc *sizeClasses[T]) copyOf(s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	c := bits.Len(uint(len(s) - 1))
+	if free := sc[c]; len(free) > 0 {
+		d := free[len(free)-1]
+		free[len(free)-1] = nil
+		sc[c] = free[:len(free)-1]
+		return append(d, s...)
+	}
+	return append(make([]T, 0, 1<<c), s...)
+}
+
+// put files s, emptied, under the largest class its capacity covers.
+func (sc *sizeClasses[T]) put(s []T) {
+	if cap(s) > 0 {
+		c := bits.Len(uint(cap(s))) - 1
+		sc[c] = append(sc[c], s[:0])
 	}
 }
 
