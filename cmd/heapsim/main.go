@@ -141,36 +141,19 @@ func printSummary(res *scenario.Result, lag, elapsed time.Duration) {
 	// Per-class summary.
 	tbl := &metrics.Table{Headers: []string{"class", "nodes", "usage",
 		fmt.Sprintf("jitter-free@%s", lag), "min-lag jitter-free (mean)"}}
-	classes := res.Run.Classes()
-	for _, cl := range classes {
-		var usage, jf float64
-		var lags []float64
-		var n int
-		for i := 1; i < len(res.CapsKbps); i++ {
-			node := &res.Run.Nodes[i]
-			if node.Class != cl || node.Crashed {
-				continue
-			}
-			n++
-			usage += res.Usage[i]
-			jf += res.Run.JitterFreeShare(node, lag)
-			lags = append(lags, metrics.Seconds(res.Run.MinLagForJitterFree(node, 0)))
-		}
-		if n == 0 {
-			continue
-		}
-		tbl.AddRow(cl, fmt.Sprintf("%d", n),
-			fmt.Sprintf("%.1f%%", 100*usage/float64(n)),
-			fmt.Sprintf("%.1f%%", 100*jf/float64(n)),
+	q := res.Run.Quality()
+	usage := res.UsageByClass()
+	for _, cl := range q.Classes() {
+		class := q.Class(cl)
+		lags := class.MinLags(0)
+		tbl.AddRow(cl, fmt.Sprintf("%d", class.Len()),
+			fmt.Sprintf("%.1f%%", 100*usage[cl]),
+			fmt.Sprintf("%.1f%%", 100*metrics.Mean(class.JitterFree(lag))),
 			fmt.Sprintf("%.1fs (%d never)", metrics.Mean(lags), metrics.CountInf(lags)))
 	}
 	fmt.Print(tbl.Render())
 
-	// Lag CDF.
-	vals := res.Run.PerNode(func(n *metrics.NodeRecord) float64 {
-		return metrics.Seconds(res.Run.LagForDeliveryRatio(n, 0.99))
-	})
-	cdf := metrics.NewCDF(vals)
+	cdf := q.LagCDF()
 	fmt.Printf("\nlag to receive 99%% of the stream: P50=%.1fs P75=%.1fs P90=%.1fs\n",
 		cdf.ValueAtPercentile(50), cdf.ValueAtPercentile(75), cdf.ValueAtPercentile(90))
 }

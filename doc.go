@@ -63,8 +63,9 @@
 //	    Seed:     1,
 //	})
 //
-// and inspect res.Run with the metrics helpers (JitterFreeShare,
-// MinLagForJitterFree, ...). The package's Example functions run these
+// and inspect res.Run with the metrics helpers: per node (JitterFreeShare,
+// MinLagForJitterFree, ...) or across the nodes that count (res.Run.Quality(),
+// the read-out every figure and summary uses). The package's Example functions run these
 // calls at toy size and check their output; cmd/heapsim (one run),
 // cmd/heapsweep (grids) and cmd/heapbench (the paper's artifacts) are the
 // command-line front ends.

@@ -6,6 +6,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"repro/internal/report"
 )
 
 // TestDocsRelativeLinks is the docs link-checker `make check` runs: every
@@ -51,9 +53,10 @@ func TestDocsRelativeLinks(t *testing.T) {
 // TestDocsCommandFlags executes the docs' command lines as far as a test
 // can: every `go run ./cmd/<tool> ...` or `go run ./examples/<dir> ...` line
 // inside a fenced block of the README, EXPERIMENTS or docs/ must name a
-// program that exists and only use flags its main.go declares, so a deleted
-// example or a renamed or misremembered flag fails here instead of in a
-// reader's terminal.
+// program that exists and only use flags its main.go declares, and every
+// `heapbench -artifact NAME`, fenced or in backticks, must name an artifact
+// heapbench renders, so a deleted example or a renamed or misremembered flag
+// or artifact fails here instead of in a reader's terminal.
 func TestDocsCommandFlags(t *testing.T) {
 	docs, err := filepath.Glob(filepath.Join("docs", "*.md"))
 	if err != nil {
@@ -63,18 +66,38 @@ func TestDocsCommandFlags(t *testing.T) {
 	cmdRe := regexp.MustCompile(`^go run \./((?:cmd|examples)/\w+)(.*)$`)
 	flagRe := regexp.MustCompile(`(?:^|\s)--?([a-zA-Z][\w-]*)`)
 	declared := map[string]map[string]bool{} // program -> flag set
-	checked := 0
+	artifacts := map[string]bool{"all": true}
+	for _, name := range report.Artifacts() {
+		artifacts[name] = true
+	}
+	checked, checkedArtifacts := 0, 0
+	checkArtifact := func(doc, code string) {
+		code = strings.Join(strings.Fields(code), " ")
+		for _, m := range artifactRe.FindAllStringSubmatch(code, -1) {
+			checkedArtifacts++
+			if !artifacts[m[1]] {
+				t.Errorf("%s: `%s` names artifact %q, which heapbench does not render (known: %v)",
+					doc, code, m[1], report.Artifacts())
+			}
+		}
+	}
 	for _, doc := range docs {
 		data, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
 		}
 		fenced := false
+		var prose strings.Builder // the text outside fenced blocks
 		for _, line := range strings.Split(string(data), "\n") {
 			line = strings.TrimSpace(line)
 			if strings.HasPrefix(line, "```") {
 				fenced = !fenced
 				continue
+			}
+			if !fenced {
+				prose.WriteString(line + "\n")
+			} else {
+				checkArtifact(doc, line)
 			}
 			m := cmdRe.FindStringSubmatch(line)
 			if !fenced || m == nil {
@@ -100,11 +123,23 @@ func TestDocsCommandFlags(t *testing.T) {
 				}
 			}
 		}
+		// Inline code spans, which may wrap onto the next line.
+		for _, m := range inlineCodeRe.FindAllStringSubmatch(prose.String(), -1) {
+			checkArtifact(doc, m[1])
+		}
 	}
-	if checked == 0 {
-		t.Fatal("no documented command flags found: the parser matches nothing")
+	if checked == 0 || checkedArtifacts == 0 {
+		t.Fatalf("%d documented command flags and %d artifact names found: the parser matches nothing",
+			checked, checkedArtifacts)
 	}
 }
+
+var (
+	// artifactRe matches a heapbench command's -artifact value.
+	artifactRe = regexp.MustCompile(`\bheapbench\b[^#]*?\s--?artifact[ =]([\w-]+)`)
+	// inlineCodeRe matches a markdown inline code span.
+	inlineCodeRe = regexp.MustCompile("`([^`]+)`")
+)
 
 // declaredFlags returns the flag names <prog>/main.go registers with the
 // flag package, or nil if there is no such program.

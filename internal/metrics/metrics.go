@@ -13,12 +13,18 @@
 //     the DataPerWindow-th smallest packet lag within it.
 //   - A window is jittered at lag L when its decode lag exceeds L.
 //   - A node's stream is jitter-free at lag L when no window is jittered.
+//
+// The per-node methods of Run answer one question about one node. Across
+// nodes, every figure, table and summary reads a Quality (Run.Quality),
+// which decides which nodes count and computes each node's window decode
+// lags once; FormatLag, CDF.Spread and CDF.NeverFrac decide how a lag that
+// never came is counted and rendered.
 package metrics
 
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/stream"
@@ -104,7 +110,7 @@ func (r *Run) LagForDeliveryRatio(n *NodeRecord, ratio float64) time.Duration {
 	if len(lags) < need {
 		return Never
 	}
-	sort.Slice(lags, func(i, j int) bool { return lags[i] < lags[j] })
+	slices.Sort(lags)
 	return lags[need-1]
 }
 
@@ -112,24 +118,31 @@ func (r *Run) LagForDeliveryRatio(n *NodeRecord, ratio float64) time.Duration {
 // node can fully decode it (Never when it never can): the DataPerWindow-th
 // smallest packet lag within the window.
 func (r *Run) WindowDecodeLags(n *NodeRecord) []time.Duration {
+	return r.perWindowKth(func(id int) time.Duration { return r.Lag(n, id) })
+}
+
+// perWindowKth returns, for every window, the DataPerWindow-th smallest
+// value among its packets (value returns Never for a packet that never
+// arrived), or Never when fewer arrived: for packet lags the window's decode
+// lag, for arrival times the instant it becomes decodable.
+func (r *Run) perWindowKth(value func(id int) time.Duration) []time.Duration {
 	g := r.Geometry
 	ppw := g.PacketsPerWindow()
 	out := make([]time.Duration, r.Windows)
-	lags := make([]time.Duration, 0, ppw)
-	for w := 0; w < r.Windows; w++ {
-		lags = lags[:0]
-		base := w * ppw
-		for i := 0; i < ppw; i++ {
-			if lag := r.Lag(n, base+i); lag != Never {
-				lags = append(lags, lag)
+	vals := make([]time.Duration, 0, ppw)
+	for w := range out {
+		vals = vals[:0]
+		for id := w * ppw; id < (w+1)*ppw; id++ {
+			if v := value(id); v != Never {
+				vals = append(vals, v)
 			}
 		}
-		if len(lags) < g.DataPerWindow {
+		if len(vals) < g.DataPerWindow {
 			out[w] = Never
 			continue
 		}
-		sort.Slice(lags, func(i, j int) bool { return lags[i] < lags[j] })
-		out[w] = lags[g.DataPerWindow-1]
+		slices.Sort(vals)
+		out[w] = vals[g.DataPerWindow-1]
 	}
 	return out
 }
@@ -148,7 +161,10 @@ func decodableAt(d, lag time.Duration) bool {
 // viewable at the given playback lag (Figures 5-6 plot its mean per class;
 // Figure 7 plots the CDF of 1 minus it).
 func (r *Run) JitterFreeShare(n *NodeRecord, lag time.Duration) float64 {
-	decodeLags := r.WindowDecodeLags(n)
+	return jitterFreeShare(r.WindowDecodeLags(n), lag)
+}
+
+func jitterFreeShare(decodeLags []time.Duration, lag time.Duration) float64 {
 	ok := 0
 	for _, d := range decodeLags {
 		if decodableAt(d, lag) {
@@ -163,16 +179,20 @@ func (r *Run) JitterFreeShare(n *NodeRecord, lag time.Duration) float64 {
 // the quantity of Figures 8-9. Returns Never when even offline viewing
 // leaves more than maxJitter windows undecodable.
 func (r *Run) MinLagForJitterFree(n *NodeRecord, maxJitter float64) time.Duration {
-	decodeLags := r.WindowDecodeLags(n)
-	sort.Slice(decodeLags, func(i, j int) bool { return decodeLags[i] < decodeLags[j] })
+	return minLagForJitterFree(r.WindowDecodeLags(n), maxJitter)
+}
+
+func minLagForJitterFree(decodeLags []time.Duration, maxJitter float64) time.Duration {
+	sorted := slices.Clone(decodeLags)
+	slices.Sort(sorted)
 	// We may leave up to floor(maxJitter·W) windows jittered; the required
 	// lag is the largest decode lag among the windows we must cover.
-	allowed := int(math.Floor(maxJitter * float64(len(decodeLags))))
-	idx := len(decodeLags) - 1 - allowed
+	allowed := int(math.Floor(maxJitter * float64(len(sorted))))
+	idx := len(sorted) - 1 - allowed
 	if idx < 0 {
 		return 0
 	}
-	return decodeLags[idx]
+	return sorted[idx]
 }
 
 // DeliveryRatioInJitteredWindows returns the node's average delivery ratio
@@ -180,9 +200,12 @@ func (r *Run) MinLagForJitterFree(n *NodeRecord, maxJitter float64) time.Duratio
 // the windows that are jittered at the given lag — Table 2. The boolean
 // reports whether the node had any jittered window.
 func (r *Run) DeliveryRatioInJitteredWindows(n *NodeRecord, lag time.Duration) (float64, bool) {
+	return r.jitteredDeliveryRatio(n, r.WindowDecodeLags(n), lag)
+}
+
+func (r *Run) jitteredDeliveryRatio(n *NodeRecord, decodeLags []time.Duration, lag time.Duration) (float64, bool) {
 	g := r.Geometry
 	ppw := g.PacketsPerWindow()
-	decodeLags := r.WindowDecodeLags(n)
 	var sum float64
 	var count int
 	for w, d := range decodeLags {
@@ -228,82 +251,6 @@ func (r *Run) PerWindowCoverage(lag time.Duration) []float64 {
 	}
 	for w := range out {
 		out[w] /= float64(nodes)
-	}
-	return out
-}
-
-// included yields the node records that participate in across-node
-// aggregations.
-func (r *Run) included() []*NodeRecord {
-	out := make([]*NodeRecord, 0, len(r.Nodes))
-	for i := range r.Nodes {
-		n := &r.Nodes[i]
-		if n.Excluded || n.Crashed {
-			continue
-		}
-		out = append(out, n)
-	}
-	return out
-}
-
-// Classes returns the distinct class labels among included nodes, ordered by
-// ascending capability.
-func (r *Run) Classes() []string {
-	type classInfo struct {
-		label string
-		cap   uint32
-	}
-	seen := map[string]uint32{}
-	for _, n := range r.included() {
-		seen[n.Class] = n.CapKbps
-	}
-	infos := make([]classInfo, 0, len(seen))
-	for label, c := range seen {
-		infos = append(infos, classInfo{label, c})
-	}
-	sort.Slice(infos, func(i, j int) bool {
-		if infos[i].cap != infos[j].cap {
-			return infos[i].cap < infos[j].cap
-		}
-		return infos[i].label < infos[j].label
-	})
-	out := make([]string, len(infos))
-	for i, ci := range infos {
-		out[i] = ci.label
-	}
-	return out
-}
-
-// PerNode maps fn over all included nodes and returns the values.
-func (r *Run) PerNode(fn func(n *NodeRecord) float64) []float64 {
-	nodes := r.included()
-	out := make([]float64, len(nodes))
-	for i, n := range nodes {
-		out[i] = fn(n)
-	}
-	return out
-}
-
-// PerClass maps fn over included nodes grouped by class label.
-func (r *Run) PerClass(fn func(n *NodeRecord) float64) map[string][]float64 {
-	out := make(map[string][]float64)
-	for _, n := range r.included() {
-		out[n.Class] = append(out[n.Class], fn(n))
-	}
-	return out
-}
-
-// ClassMeans returns the per-class mean of fn over included nodes.
-func (r *Run) ClassMeans(fn func(n *NodeRecord) float64) map[string]float64 {
-	sums := make(map[string]float64)
-	counts := make(map[string]int)
-	for _, n := range r.included() {
-		sums[n.Class] += fn(n)
-		counts[n.Class]++
-	}
-	out := make(map[string]float64, len(sums))
-	for k, s := range sums {
-		out[k] = s / float64(counts[k])
 	}
 	return out
 }

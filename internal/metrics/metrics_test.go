@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -220,22 +221,81 @@ func TestClassGrouping(t *testing.T) {
 	run.Nodes[0].Class, run.Nodes[0].CapKbps = "poor", 256
 	run.Nodes[1].Class, run.Nodes[1].CapKbps = "rich", 2000
 	run.Nodes[2].Class, run.Nodes[2].CapKbps = "poor", 256
-	classes := run.Classes()
+	q := run.Quality()
+	classes := q.Classes()
 	if len(classes) != 2 || classes[0] != "poor" || classes[1] != "rich" {
 		t.Fatalf("classes = %v", classes)
 	}
-	means := run.ClassMeans(func(n *NodeRecord) float64 {
-		if n.Class == "rich" {
-			return 10
-		}
-		return 4
-	})
-	if means["poor"] != 4 || means["rich"] != 10 {
-		t.Fatalf("means = %v", means)
+	if poor, rich := q.Class("poor").Len(), q.Class("rich").Len(); poor != 2 || rich != 1 {
+		t.Fatalf("per-class nodes: poor %d, rich %d", poor, rich)
 	}
-	vals := run.PerClass(func(n *NodeRecord) float64 { return 1 })
-	if len(vals["poor"]) != 2 || len(vals["rich"]) != 1 {
-		t.Fatalf("per-class = %v", vals)
+	// Excluded and crashed nodes do not count, nor do their classes.
+	run.Nodes[1].Crashed = true
+	run.Nodes[2].Excluded = true
+	q = run.Quality()
+	if classes := q.Classes(); len(classes) != 1 || classes[0] != "poor" || q.Len() != 1 {
+		t.Fatalf("after crash/exclusion: classes %v, %d nodes", classes, q.Len())
+	}
+}
+
+// TestQualityMatchesPerNodeMetrics checks that the read-out's per-node
+// samples equal the per-node Run methods, in node order.
+func TestQualityMatchesPerNodeMetrics(t *testing.T) {
+	g := tinyGeom()
+	lags := [][]int{
+		{10, 20, 30, -1, 90, 10, 20, 30, 40, 50},
+		{-1, -1, 30, -1, -1, 10, 15, -1, 40, 60},
+		{5, 5, 5, 5, 5, 5, 5, 5, 5, 5},
+		{10, 20, 30, 40, 50, 60, 70, 80, 90, 100},
+	}
+	run := buildRun(t, g, 2, lags)
+	run.Nodes[3].Crashed = true
+	q := run.Quality()
+	if q.Len() != 3 {
+		t.Fatalf("Len = %d, want 3", q.Len())
+	}
+	lag := 35 * time.Millisecond
+	jf, min0, lagCDF := q.JitterFree(lag), q.MinLags(0), q.LagCDF()
+	var want99 []float64
+	for i := 0; i < 3; i++ {
+		n := &run.Nodes[i]
+		if got, want := jf[i], run.JitterFreeShare(n, lag); got != want {
+			t.Errorf("node %d: JitterFree %v, want %v", i, got, want)
+		}
+		if got, want := min0[i], Seconds(run.MinLagForJitterFree(n, 0)); got != want {
+			t.Errorf("node %d: MinLags %v, want %v", i, got, want)
+		}
+		want99 = append(want99, Seconds(run.LagForDeliveryRatio(n, 0.99)))
+	}
+	if want := NewCDF(want99); !slices.Equal(lagCDF.Values, want.Values) {
+		t.Errorf("LagCDF %v, want %v", lagCDF.Values, want.Values)
+	}
+	// Only node 1 has jittered windows at 35 ms: window 0 never decodes (1
+	// of its 3 source packets in time), window 1 decodes at 40 ms (2 of 3).
+	if mean, nodes := q.JitteredDeliveryRatio(lag); nodes != 1 || mean != 0.5 {
+		t.Errorf("JitteredDeliveryRatio = %v over %d nodes, want 0.5 over 1", mean, nodes)
+	}
+	if got := q.Received(); got[0] != 0.9 || got[1] != 0.5 || got[2] != 1 {
+		t.Errorf("Received = %v", got)
+	}
+	if got := q.DeliveredWithin(25 * time.Millisecond); got[0] != 4.0/6 || got[1] != 2.0/6 || got[2] != 1 {
+		t.Errorf("DeliveredWithin(25ms) = %v", got)
+	}
+}
+
+func TestLagRendering(t *testing.T) {
+	if got := FormatLag(Seconds(Never)); got != "never" {
+		t.Errorf("FormatLag(Never) = %q", got)
+	}
+	if got := FormatLag(1.26); got != "1.3" {
+		t.Errorf("FormatLag(1.26) = %q", got)
+	}
+	c := NewCDF([]float64{1, 2, 3, math.Inf(1)})
+	if got := c.Spread(); got != "2.0 / never" {
+		t.Errorf("Spread = %q", got)
+	}
+	if got := c.NeverFrac(); got != 0.25 {
+		t.Errorf("NeverFrac = %v, want 0.25", got)
 	}
 }
 

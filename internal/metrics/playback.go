@@ -1,8 +1,9 @@
 package metrics
 
 import (
-	"sort"
 	"time"
+
+	"repro/internal/stream"
 )
 
 // PlaybackReport describes the viewer experience of one node for a given
@@ -31,26 +32,12 @@ type PlaybackReport struct {
 // windowDecodeTimes returns, per window, the absolute time the window
 // becomes fully decodable (the DataPerWindow-th earliest arrival), or Never.
 func (r *Run) windowDecodeTimes(n *NodeRecord) []time.Duration {
-	g := r.Geometry
-	ppw := g.PacketsPerWindow()
-	out := make([]time.Duration, r.Windows)
-	arrivals := make([]time.Duration, 0, ppw)
-	for w := 0; w < r.Windows; w++ {
-		arrivals = arrivals[:0]
-		base := w * ppw
-		for i := 0; i < ppw; i++ {
-			if at := n.Recv[base+i]; at >= 0 {
-				arrivals = append(arrivals, at)
-			}
+	return r.perWindowKth(func(id int) time.Duration {
+		if at := n.Recv[id]; at != stream.NotReceived {
+			return at
 		}
-		if len(arrivals) < g.DataPerWindow {
-			out[w] = Never
-			continue
-		}
-		sort.Slice(arrivals, func(i, j int) bool { return arrivals[i] < arrivals[j] })
-		out[w] = arrivals[g.DataPerWindow-1]
-	}
-	return out
+		return Never
+	})
 }
 
 // Playback simulates a player with the given startup delay at node n and

@@ -31,7 +31,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/netem"
 	"repro/internal/scenario"
-	"repro/internal/wire"
 )
 
 // Suite runs the paper's experiments at a configurable scale and renders
@@ -147,17 +146,20 @@ func (s *Suite) printf(format string, args ...any) {
 	fmt.Fprintf(s.Out, format, args...)
 }
 
-// lagCDFSeries computes the Figures 1-3 curve: CDF over nodes of the
-// minimum lag at which the node has >= ratio of the stream.
-func lagCDFSeries(res *scenario.Result, ratio float64) []metrics.Point {
-	lags := res.Run.PerNode(func(n *metrics.NodeRecord) float64 {
-		return metrics.Seconds(res.Run.LagForDeliveryRatio(n, ratio))
-	})
-	return metrics.CDFSeries(lags)
+// lagPlot returns the axes of the lag CDFs (Figures 1-3 and 9).
+func lagPlot(title string) metrics.Plot {
+	return metrics.Plot{Title: title, XLabel: "stream lag (s)", YLabel: "% of nodes (CDF)", XMax: 60, YMax: 100}
 }
 
-func cdfOf(res *scenario.Result, f func(n *metrics.NodeRecord) float64) metrics.CDF {
-	return metrics.NewCDF(res.Run.PerNode(f))
+// lagCDFFigure renders Figures 1 and 3: the CDF over nodes of the lag to
+// receive 99% of the stream, and its P50/P75/P90 against the paper's.
+func (s *Suite) lagCDFFigure(res *scenario.Result, title, paper string) {
+	cdf := res.Run.Quality().LagCDF()
+	plot := lagPlot(title)
+	plot.Add("99% delivery", metrics.CDFSeries(cdf.Values))
+	s.printf("%s\n", plot.Render())
+	s.printf("P50=%.1fs P75=%.1fs P90=%.1fs (paper: %s)\n\n",
+		cdf.ValueAtPercentile(50), cdf.ValueAtPercentile(75), cdf.ValueAtPercentile(90), paper)
 }
 
 // Figure1 reproduces the unconstrained-gossip lag CDF.
@@ -170,30 +172,14 @@ func (s *Suite) Figure1() error {
 	if err != nil {
 		return err
 	}
-	cdf := cdfOf(res, func(n *metrics.NodeRecord) float64 {
-		return metrics.Seconds(res.Run.LagForDeliveryRatio(n, 0.99))
-	})
-	plot := metrics.Plot{
-		Title:  "Figure 1: unconstrained standard gossip (f=7) — nodes receiving >=99% of the stream",
-		XLabel: "stream lag (s)",
-		YLabel: "% of nodes (CDF)",
-		XMax:   60, YMax: 100,
-	}
-	plot.Add("99% delivery", lagCDFSeries(res, 0.99))
-	s.printf("%s\n", plot.Render())
-	s.printf("P50=%.1fs P75=%.1fs P90=%.1fs (paper: 1.3s / 2.4s / 21s)\n\n",
-		cdf.ValueAtPercentile(50), cdf.ValueAtPercentile(75), cdf.ValueAtPercentile(90))
+	s.lagCDFFigure(res, "Figure 1: unconstrained standard gossip (f=7) — nodes receiving >=99% of the stream",
+		"1.3s / 2.4s / 21s")
 	return nil
 }
 
 // Figure2 reproduces the fixed-fanout sweep under constrained bandwidth.
 func (s *Suite) Figure2() error {
-	plot := metrics.Plot{
-		Title:  "Figure 2: constrained standard gossip — fanout sweep (dist1=ms-691, dist2=uniform-691)",
-		XLabel: "stream lag (s)",
-		YLabel: "% of nodes (CDF)",
-		XMax:   60, YMax: 100,
-	}
+	plot := lagPlot("Figure 2: constrained standard gossip — fanout sweep (dist1=ms-691, dist2=uniform-691)")
 	type curve struct {
 		fanout float64
 		dist   scenario.Distribution
@@ -216,45 +202,21 @@ func (s *Suite) Figure2() error {
 			return err
 		}
 		label := fmt.Sprintf("f=%g %s", c.fanout, c.dist.Name())
-		plot.Add(label, lagCDFSeries(res, 0.99))
-		cdf := cdfOf(res, func(n *metrics.NodeRecord) float64 {
-			return metrics.Seconds(res.Run.LagForDeliveryRatio(n, 0.99))
-		})
-		never := 100 * (1 - cdf.FractionAtOrBelow(1e12))
+		q := res.Run.Quality()
+		cdf := q.LagCDF()
+		plot.Add(label, metrics.CDFSeries(cdf.Values))
 		// Supplementary: how much of the stream arrives within the paper's
 		// 60 s axis — makes the fanout ordering visible on distributions
 		// where no fanout reaches the 99% threshold.
-		at60 := cdfOf(res, func(n *metrics.NodeRecord) float64 {
-			return 100 * deliveredWithin(res, n, 60*time.Second)
-		})
+		at60 := metrics.NewCDF(q.DeliveredWithin(60 * time.Second))
 		summary.AddRow(label,
 			fmt.Sprintf("%.1f", cdf.ValueAtPercentile(50)),
 			fmt.Sprintf("%.1f", cdf.ValueAtPercentile(75)),
-			fmt.Sprintf("%.0f%%", never),
-			fmt.Sprintf("%.0f%%", at60.ValueAtPercentile(50)))
+			fmt.Sprintf("%.0f%%", 100*cdf.NeverFrac()),
+			fmt.Sprintf("%.0f%%", 100*at60.ValueAtPercentile(50)))
 	}
 	s.printf("%s\n%s\n", plot.Render(), summary.Render())
 	return nil
-}
-
-// deliveredWithin returns the fraction of source packets the node received
-// with lag <= horizon.
-func deliveredWithin(res *scenario.Result, n *metrics.NodeRecord, horizon time.Duration) float64 {
-	g := res.Config.Geometry
-	total, got := 0, 0
-	for id := range n.Recv {
-		if g.IsParity(wire.PacketID(id)) {
-			continue
-		}
-		total++
-		if lag := res.Run.Lag(n, id); lag != metrics.Never && lag <= horizon {
-			got++
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(got) / float64(total)
 }
 
 // Figure3 reproduces HEAP's lag CDF on the skewed distribution.
@@ -263,37 +225,29 @@ func (s *Suite) Figure3() error {
 	if err != nil {
 		return err
 	}
-	cdf := cdfOf(res, func(n *metrics.NodeRecord) float64 {
-		return metrics.Seconds(res.Run.LagForDeliveryRatio(n, 0.99))
-	})
-	plot := metrics.Plot{
-		Title:  "Figure 3: HEAP on ms-691 (avg fanout 7) — nodes receiving >=99% of the stream",
-		XLabel: "stream lag (s)",
-		YLabel: "% of nodes (CDF)",
-		XMax:   60, YMax: 100,
-	}
-	plot.Add("99% delivery", lagCDFSeries(res, 0.99))
-	s.printf("%s\n", plot.Render())
-	s.printf("P50=%.1fs P75=%.1fs P90=%.1fs (paper: 13.3s / 14.1s / 19.5s)\n\n",
-		cdf.ValueAtPercentile(50), cdf.ValueAtPercentile(75), cdf.ValueAtPercentile(90))
+	s.lagCDFFigure(res, "Figure 3: HEAP on ms-691 (avg fanout 7) — nodes receiving >=99% of the stream",
+		"13.3s / 14.1s / 19.5s")
 	return nil
 }
 
-// usageByClass computes the Figure 4 quantity: mean upload utilization per
-// capability class (excluding the source).
-func usageByClass(res *scenario.Result) map[string]float64 {
-	sums := map[string]float64{}
-	counts := map[string]int{}
-	for i := 1; i < len(res.CapsKbps); i++ {
-		cl := res.Config.Dist.ClassOf(res.CapsKbps[i])
-		sums[cl] += res.Usage[i]
-		counts[cl]++
+// classTable builds the standard-vs-HEAP tables by capability class
+// (Figures 4, 5/6 and 8, Tables 2 and 3): one row per class of the standard
+// run holding cell's columns for the standard run, then for the HEAP run,
+// then paper's columns when paper is not nil.
+func classTable(std, heap *scenario.Result, headers []string,
+	cell func(res *scenario.Result, class string, q *metrics.Quality) []string,
+	paper func(class string) []string) *metrics.Table {
+	tbl := &metrics.Table{Headers: append([]string{"class"}, headers...)}
+	stdQ, heapQ := std.Run.Quality(), heap.Run.Quality()
+	for _, cl := range stdQ.Classes() {
+		row := append([]string{cl}, cell(std, cl, stdQ.Class(cl))...)
+		row = append(row, cell(heap, cl, heapQ.Class(cl))...)
+		if paper != nil {
+			row = append(row, paper(cl)...)
+		}
+		tbl.AddRow(row...)
 	}
-	out := map[string]float64{}
-	for cl, sum := range sums {
-		out[cl] = sum / float64(counts[cl])
-	}
-	return out
+	return tbl
 }
 
 // Figure4 reproduces the bandwidth-usage breakdown.
@@ -309,15 +263,13 @@ func (s *Suite) Figure4() error {
 		if err != nil {
 			return err
 		}
-		stdUse, heapUse := usageByClass(stdRes), usageByClass(heapRes)
-		tbl := &metrics.Table{Headers: []string{"class", "standard", "HEAP", "paper std", "paper HEAP"}}
-		for _, cl := range stdRes.Run.Classes() {
-			tbl.AddRow(cl,
-				fmt.Sprintf("%.1f%%", 100*stdUse[cl]),
-				fmt.Sprintf("%.1f%%", 100*heapUse[cl]),
-				paper[dist.Name()][cl+" std"],
-				paper[dist.Name()][cl+" heap"])
-		}
+		tbl := classTable(stdRes, heapRes, []string{"standard", "HEAP", "paper std", "paper HEAP"},
+			func(res *scenario.Result, cl string, _ *metrics.Quality) []string {
+				return []string{fmtPct(res.UsageByClass()[cl])}
+			},
+			func(cl string) []string {
+				return []string{paper[dist.Name()][cl+" std"], paper[dist.Name()][cl+" heap"]}
+			})
 		s.printf("Figure 4 (%s): average bandwidth usage by class\n%s\n", dist.Name(), tbl.Render())
 	}
 	return nil
@@ -329,18 +281,10 @@ func (s *Suite) qualityByClass(title string, dist scenario.Distribution, lag tim
 	if err != nil {
 		return err
 	}
-	jfShare := func(res *scenario.Result) map[string]float64 {
-		return res.Run.ClassMeans(func(n *metrics.NodeRecord) float64 {
-			return res.Run.JitterFreeShare(n, lag)
-		})
-	}
-	stdJF, heapJF := jfShare(stdRes), jfShare(heapRes)
-	tbl := &metrics.Table{Headers: []string{"class", "standard", "HEAP"}}
-	for _, cl := range stdRes.Run.Classes() {
-		tbl.AddRow(cl,
-			fmt.Sprintf("%.1f%%", 100*stdJF[cl]),
-			fmt.Sprintf("%.1f%%", 100*heapJF[cl]))
-	}
+	tbl := classTable(stdRes, heapRes, []string{"standard", "HEAP"},
+		func(_ *scenario.Result, _ string, q *metrics.Quality) []string {
+			return []string{fmtPct(metrics.Mean(q.JitterFree(lag)))}
+		}, nil)
 	s.printf("%s (lag %s): jitter-free %% of the stream by class\n%s\n", title, lag, tbl.Render())
 	return nil
 }
@@ -358,34 +302,36 @@ func (s *Suite) Figure6() error {
 	return s.qualityByClass("Figure 6b (ref-724)", scenario.Ref724, 10*time.Second)
 }
 
+// jitteredPct returns each node's percentage of windows jittered at lag.
+func jitteredPct(q *metrics.Quality, lag time.Duration) []float64 {
+	vals := q.JitterFree(lag)
+	for i, v := range vals {
+		vals[i] = 100 * (1 - v)
+	}
+	return vals
+}
+
 // Figure7 reproduces the jitter CDF on ref-691.
 func (s *Suite) Figure7() error {
 	stdRes, heapRes, err := s.pair(scenario.Ref691)
 	if err != nil {
 		return err
 	}
+	stdQ, heapQ := stdRes.Run.Quality(), heapRes.Run.Quality()
+	heapAt10 := jitteredPct(heapQ, 10*time.Second)
 	plot := metrics.Plot{
 		Title:  "Figure 7: cumulative distribution of experienced jitter (ref-691)",
 		XLabel: "% of windows jittered",
 		YLabel: "% of nodes (CDF)",
 		XMax:   100, YMax: 100,
 	}
-	addCurve := func(label string, res *scenario.Result, lag time.Duration) {
-		vals := res.Run.PerNode(func(n *metrics.NodeRecord) float64 {
-			return 100 * (1 - res.Run.JitterFreeShare(n, lag))
-		})
-		plot.Add(label, metrics.CDFSeries(vals))
-	}
-	addCurve("std 10s lag", stdRes, 10*time.Second)
-	addCurve("std offline", stdRes, metrics.Never)
-	addCurve("HEAP 10s lag", heapRes, 10*time.Second)
-	addCurve("HEAP offline", heapRes, metrics.Never)
+	plot.Add("std 10s lag", metrics.CDFSeries(jitteredPct(stdQ, 10*time.Second)))
+	plot.Add("std offline", metrics.CDFSeries(jitteredPct(stdQ, metrics.Never)))
+	plot.Add("HEAP 10s lag", metrics.CDFSeries(heapAt10))
+	plot.Add("HEAP offline", metrics.CDFSeries(jitteredPct(heapQ, metrics.Never)))
 	s.printf("%s\n", plot.Render())
-	heapAt10 := metrics.NewCDF(heapRes.Run.PerNode(func(n *metrics.NodeRecord) float64 {
-		return 100 * (1 - heapRes.Run.JitterFreeShare(n, 10*time.Second))
-	}))
 	s.printf("HEAP @10s lag: %.0f%% of nodes experience <=10%% jitter (paper: 93%%)\n\n",
-		100*heapAt10.FractionAtOrBelow(10))
+		100*metrics.NewCDF(heapAt10).FractionAtOrBelow(10))
 	return nil
 }
 
@@ -396,21 +342,13 @@ func (s *Suite) Figure8() error {
 		if err != nil {
 			return err
 		}
-		tbl := &metrics.Table{Headers: []string{"class",
-			"standard mean lag (s)", "std never", "HEAP mean lag (s)", "HEAP never"}}
-		for _, cl := range stdRes.Run.Classes() {
-			stdLags := stdRes.Run.PerClass(func(n *metrics.NodeRecord) float64 {
-				return metrics.Seconds(stdRes.Run.MinLagForJitterFree(n, 0))
-			})[cl]
-			heapLags := heapRes.Run.PerClass(func(n *metrics.NodeRecord) float64 {
-				return metrics.Seconds(heapRes.Run.MinLagForJitterFree(n, 0))
-			})[cl]
-			tbl.AddRow(cl,
-				fmt.Sprintf("%.1f", metrics.Mean(stdLags)),
-				fmt.Sprintf("%d/%d", metrics.CountInf(stdLags), len(stdLags)),
-				fmt.Sprintf("%.1f", metrics.Mean(heapLags)),
-				fmt.Sprintf("%d/%d", metrics.CountInf(heapLags), len(heapLags)))
-		}
+		tbl := classTable(stdRes, heapRes,
+			[]string{"standard mean lag (s)", "std never", "HEAP mean lag (s)", "HEAP never"},
+			func(_ *scenario.Result, _ string, q *metrics.Quality) []string {
+				lags := q.MinLags(0)
+				return []string{fmt.Sprintf("%.1f", metrics.Mean(lags)),
+					fmt.Sprintf("%d/%d", metrics.CountInf(lags), len(lags))}
+			}, nil)
 		s.printf("Figure 8 (%s): average stream lag to obtain a jitter-free stream\n%s\n", dist.Name(), tbl.Render())
 	}
 	return nil
@@ -423,32 +361,17 @@ func (s *Suite) Figure9() error {
 		if err != nil {
 			return err
 		}
-		plot := metrics.Plot{
-			Title:  fmt.Sprintf("Figure 9 (%s): cumulative distribution of stream lag", dist.Name()),
-			XLabel: "stream lag (s)",
-			YLabel: "% of nodes (CDF)",
-			XMax:   60, YMax: 100,
-		}
-		add := func(label string, res *scenario.Result, maxJitter float64) {
-			vals := res.Run.PerNode(func(n *metrics.NodeRecord) float64 {
-				return metrics.Seconds(res.Run.MinLagForJitterFree(n, maxJitter))
-			})
-			plot.Add(label, metrics.CDFSeries(vals))
-		}
-		add("std no jitter", stdRes, 0)
-		add("std max 1% jitter", stdRes, 0.01)
-		add("HEAP no jitter", heapRes, 0)
-		add("HEAP max 1% jitter", heapRes, 0.01)
+		stdQ, heapQ := stdRes.Run.Quality(), heapRes.Run.Quality()
+		stdLags, heapLags := stdQ.MinLags(0), heapQ.MinLags(0)
+		plot := lagPlot(fmt.Sprintf("Figure 9 (%s): cumulative distribution of stream lag", dist.Name()))
+		plot.Add("std no jitter", metrics.CDFSeries(stdLags))
+		plot.Add("std max 1% jitter", metrics.CDFSeries(stdQ.MinLags(0.01)))
+		plot.Add("HEAP no jitter", metrics.CDFSeries(heapLags))
+		plot.Add("HEAP max 1% jitter", metrics.CDFSeries(heapQ.MinLags(0.01)))
 		s.printf("%s\n", plot.Render())
 		if dist.Name() == scenario.Ref691.Name() {
-			stdCDF := cdfOf(stdRes, func(n *metrics.NodeRecord) float64 {
-				return metrics.Seconds(stdRes.Run.MinLagForJitterFree(n, 0))
-			})
-			heapCDF := cdfOf(heapRes, func(n *metrics.NodeRecord) float64 {
-				return metrics.Seconds(heapRes.Run.MinLagForJitterFree(n, 0))
-			})
 			s.printf("lag to reach 80%% of nodes jitter-free: std=%.1fs HEAP=%.1fs (paper: 26.6s vs 12s)\n\n",
-				stdCDF.ValueAtPercentile(80), heapCDF.ValueAtPercentile(80))
+				metrics.NewCDF(stdLags).ValueAtPercentile(80), metrics.NewCDF(heapLags).ValueAtPercentile(80))
 		}
 	}
 	return nil
@@ -509,34 +432,17 @@ func (s *Suite) Table2() error {
 		if err != nil {
 			return err
 		}
-		tbl := &metrics.Table{Headers: []string{"class", "standard", "HEAP"}}
-		for _, cl := range stdRes.Run.Classes() {
-			tbl.AddRow(cl,
-				jitteredRatioCell(stdRes, cl, lag),
-				jitteredRatioCell(heapRes, cl, lag))
-		}
+		tbl := classTable(stdRes, heapRes, []string{"standard", "HEAP"},
+			func(_ *scenario.Result, _ string, q *metrics.Quality) []string {
+				ratio, n := q.JitteredDeliveryRatio(lag)
+				if n == 0 {
+					return []string{"no jittered windows"}
+				}
+				return []string{fmt.Sprintf("%.1f%% (n=%d)", 100*ratio, n)}
+			}, nil)
 		s.printf("%s (lag %s)\n%s\n", dist.Name(), lag, tbl.Render())
 	}
 	return nil
-}
-
-func jitteredRatioCell(res *scenario.Result, class string, lag time.Duration) string {
-	var sum float64
-	var n int
-	for i := range res.Run.Nodes {
-		node := &res.Run.Nodes[i]
-		if node.Excluded || node.Crashed || node.Class != class {
-			continue
-		}
-		if ratio, any := res.Run.DeliveryRatioInJitteredWindows(node, lag); any {
-			sum += ratio
-			n++
-		}
-	}
-	if n == 0 {
-		return "no jittered windows"
-	}
-	return fmt.Sprintf("%.1f%% (n=%d)", 100*sum/float64(n), n)
 }
 
 // Table3 reproduces the percentage of nodes receiving a fully jitter-free
@@ -549,29 +455,16 @@ func (s *Suite) Table3() error {
 		if err != nil {
 			return err
 		}
-		share := func(res *scenario.Result, class string) float64 {
-			var ok, n int
-			for i := range res.Run.Nodes {
-				node := &res.Run.Nodes[i]
-				if node.Excluded || node.Crashed || node.Class != class {
-					continue
+		tbl := classTable(stdRes, heapRes, []string{"standard", "HEAP"},
+			func(_ *scenario.Result, _ string, q *metrics.Quality) []string {
+				ok := 0
+				for _, share := range q.JitterFree(lag) {
+					if share >= 1 {
+						ok++
+					}
 				}
-				n++
-				if res.Run.JitterFreeShare(node, lag) >= 1 {
-					ok++
-				}
-			}
-			if n == 0 {
-				return 0
-			}
-			return 100 * float64(ok) / float64(n)
-		}
-		tbl := &metrics.Table{Headers: []string{"class", "standard", "HEAP"}}
-		for _, cl := range stdRes.Run.Classes() {
-			tbl.AddRow(cl,
-				fmt.Sprintf("%.1f%%", share(stdRes, cl)),
-				fmt.Sprintf("%.1f%%", share(heapRes, cl)))
-		}
+				return []string{fmt.Sprintf("%.1f%%", 100*float64(ok)/float64(q.Len()))}
+			}, nil)
 		s.printf("%s (lag %s)\n%s\n", dist.Name(), lag, tbl.Render())
 	}
 	return nil
@@ -595,14 +488,11 @@ func (s *Suite) SensitivityDegraded() error {
 		if err != nil {
 			return err
 		}
-		jf := metrics.Mean(res.Run.PerNode(func(n *metrics.NodeRecord) float64 {
-			return res.Run.JitterFreeShare(n, 10*time.Second)
-		}))
-		lags := res.Run.PerNode(func(n *metrics.NodeRecord) float64 {
-			return metrics.Seconds(res.Run.MinLagForJitterFree(n, 0))
-		})
+		q := res.Run.Quality()
+		jf := metrics.Mean(q.JitterFree(10 * time.Second))
+		lags := q.MinLags(0)
 		tbl.AddRow(fmt.Sprintf("%.0f%%", frac*100),
-			fmt.Sprintf("%.1f%%", 100*jf),
+			fmtPct(jf),
 			fmt.Sprintf("%d/%d", metrics.CountInf(lags), len(lags)))
 	}
 	s.printf("Sensitivity (beyond the paper): nodes delivering half their advertised capability (ms-691, HEAP)\n%s\n", tbl.Render())
@@ -653,18 +543,9 @@ func (s *Suite) Robustness() error {
 		// "never", not "+Inf" (guaranteed for the partition profile's P90:
 		// the cut-off quarter never recovers the packets aired behind the
 		// split).
-		fmtLag := func(v float64) string {
-			if v > 1e12 {
-				return "never"
-			}
-			return fmt.Sprintf("%.1f", v)
-		}
 		row := func(res *scenario.Result) (lags, never string) {
-			cdf := cdfOf(res, func(n *metrics.NodeRecord) float64 {
-				return metrics.Seconds(res.Run.LagForDeliveryRatio(n, 0.99))
-			})
-			return fmtLag(cdf.ValueAtPercentile(50)) + " / " + fmtLag(cdf.ValueAtPercentile(90)),
-				fmt.Sprintf("%.0f%%", 100*(1-cdf.FractionAtOrBelow(1e12)))
+			cdf := res.Run.Quality().LagCDF()
+			return cdf.Spread(), fmt.Sprintf("%.0f%%", 100*cdf.NeverFrac())
 		}
 		stdLags, stdNever := row(stdRes)
 		heapLags, heapNever := row(heapRes)
@@ -728,15 +609,12 @@ func (s *Suite) IntroTree() error {
 		if err != nil {
 			return err
 		}
-		jf := metrics.Mean(res.Run.PerNode(func(n *metrics.NodeRecord) float64 {
-			return res.Run.JitterFreeShare(n, 10*time.Second)
-		}))
-		at60 := cdfOf(res, func(n *metrics.NodeRecord) float64 {
-			return 100 * deliveredWithin(res, n, 60*time.Second)
-		})
+		q := res.Run.Quality()
+		jf := metrics.Mean(q.JitterFree(10 * time.Second))
+		at60 := metrics.NewCDF(q.DeliveredWithin(60 * time.Second))
 		tbl.AddRow(string(proto),
-			fmt.Sprintf("%.1f%%", 100*jf),
-			fmt.Sprintf("%.0f%%", at60.ValueAtPercentile(50)))
+			fmtPct(jf),
+			fmt.Sprintf("%.0f%%", 100*at60.ValueAtPercentile(50)))
 	}
 	s.printf("Introduction: static tree vs gossip among 30 nodes (ms-691 capabilities, 1%% loss)\n%s\n", tbl.Render())
 	return nil
@@ -776,38 +654,43 @@ func (s *Suite) MultiSource() error {
 		}
 		tbl := &metrics.Table{Headers: []string{"stream", "source", "start",
 			"P50/P90 lag (s)", "never@99%", "delivered", "jitter-free@20s"}}
-		fmtLag := func(v float64) string {
-			if v > 1e12 {
-				return "never"
-			}
-			return fmt.Sprintf("%.1f", v)
-		}
 		for _, sum := range res.StreamSummaries(20 * time.Second) {
 			tbl.AddRow(
 				fmt.Sprintf("%d", sum.Spec.ID),
 				fmt.Sprintf("node %d", sum.Spec.Source),
 				sum.Spec.Start.String(),
-				fmtLag(sum.LagP50)+" / "+fmtLag(sum.LagP90),
+				metrics.FormatLag(sum.LagP50)+" / "+metrics.FormatLag(sum.LagP90),
 				fmt.Sprintf("%.0f%%", 100*sum.NeverFrac),
 				fmt.Sprintf("%.1f%%", 100*sum.DeliveryMean),
 				fmt.Sprintf("%.1f%%", 100*sum.JFMean))
 		}
-		maxUsage, maxBacklog := 0.0, 0.0
+		maxUsage := 0.0
 		for _, u := range res.Usage {
 			if u > maxUsage {
 				maxUsage = u
 			}
 		}
-		for _, b := range res.BacklogSamples {
-			if b.Max > maxBacklog {
-				maxBacklog = b.Max
-			}
-		}
 		s.printf("Multi-source (beyond the paper): %d concurrent broadcasters on ms-691, HEAP, %d windows each\n%s"+
 			"budget: max upload utilization %.0f%%, max uplink backlog %.1fs — aggregate sends within every UploadKbps\n\n",
-			k, windows, tbl.Render(), 100*maxUsage, maxBacklog)
+			k, windows, tbl.Render(), 100*maxUsage, maxBacklog(res, ""))
 	}
 	return nil
+}
+
+// maxBacklog returns the largest uplink backlog (seconds) the run's probes
+// sampled: of any node, or of the given class's mean when class is set.
+func maxBacklog(res *scenario.Result, class string) float64 {
+	worst := 0.0
+	for _, sample := range res.BacklogSamples {
+		b := sample.Max
+		if class != "" {
+			b = sample.MeanByClass[class]
+		}
+		if b > worst {
+			worst = b
+		}
+	}
+	return worst
 }
 
 // Adaptation goes beyond the paper: it closes the loop the capability traces
@@ -831,25 +714,6 @@ func (s *Suite) MultiSource() error {
 // (re-advertisement count, effective/configured capability ratio).
 func (s *Suite) Adaptation() error {
 	adaptOn := &adapt.Config{}
-	fmtLag := func(v float64) string {
-		if v > 1e12 {
-			return "never"
-		}
-		return fmt.Sprintf("%.1f", v)
-	}
-	maxBacklog := func(res *scenario.Result, class string) float64 {
-		worst := 0.0
-		for _, sample := range res.BacklogSamples {
-			b := sample.Max
-			if class != "" {
-				b = sample.MeanByClass[class]
-			}
-			if b > worst {
-				worst = b
-			}
-		}
-		return worst
-	}
 	adaptCells := func(res *scenario.Result) (readv, ratio string) {
 		if res.AdaptStats == nil {
 			return "-", "-"
@@ -882,17 +746,13 @@ func (s *Suite) Adaptation() error {
 		if err != nil {
 			return err
 		}
-		cdf := cdfOf(res, func(n *metrics.NodeRecord) float64 {
-			return metrics.Seconds(res.Run.LagForDeliveryRatio(n, 0.99))
-		})
-		jf := metrics.Mean(res.Run.PerNode(func(n *metrics.NodeRecord) float64 {
-			return res.Run.JitterFreeShare(n, 20*time.Second)
-		}))
+		q := res.Run.Quality()
+		cdf := q.LagCDF()
+		jf := metrics.Mean(q.JitterFree(20 * time.Second))
 		readv, ratio := adaptCells(res)
-		trace.AddRow(mode.name,
-			fmtLag(cdf.ValueAtPercentile(50))+" / "+fmtLag(cdf.ValueAtPercentile(90)),
-			fmt.Sprintf("%.0f%%", 100*(1-cdf.FractionAtOrBelow(1e12))),
-			fmt.Sprintf("%.1f%%", 100*jf),
+		trace.AddRow(mode.name, cdf.Spread(),
+			fmt.Sprintf("%.0f%%", 100*cdf.NeverFrac()),
+			fmtPct(jf),
 			fmt.Sprintf("%.1f", maxBacklog(res, "")),
 			readv, ratio)
 	}
@@ -921,20 +781,15 @@ func (s *Suite) Adaptation() error {
 			if err != nil {
 				return err
 			}
-			jf := metrics.Mean(res.Run.PerNode(func(n *metrics.NodeRecord) float64 {
-				return res.Run.JitterFreeShare(n, 10*time.Second)
-			}))
-			cdf := cdfOf(res, func(n *metrics.NodeRecord) float64 {
-				return metrics.Seconds(res.Run.LagForDeliveryRatio(n, 0.99))
-			})
+			q := res.Run.Quality()
+			jf := metrics.Mean(q.JitterFree(10 * time.Second))
 			readv, _ := adaptCells(res)
 			backlogCell := "-"
 			if frac > 0 {
 				backlogCell = fmt.Sprintf("%.1f", maxBacklog(res, "degraded"))
 			}
 			deg.AddRow(fmt.Sprintf("%.0f%%", frac*100), mode.name,
-				fmt.Sprintf("%.1f%%", 100*jf),
-				fmtLag(cdf.ValueAtPercentile(50))+" / "+fmtLag(cdf.ValueAtPercentile(90)),
+				fmtPct(jf), q.LagCDF().Spread(),
 				backlogCell, readv)
 		}
 	}

@@ -57,26 +57,15 @@ func (s *Suite) Topology() error {
 	}
 
 	lag := lagForDist(scenario.MS691)
-	fmtLag := func(v float64) string {
-		if v > 1e12 {
-			return "never"
-		}
-		return fmt.Sprintf("%.1f", v)
-	}
 	table := &metrics.Table{Headers: []string{"variant", "total MB", "WAN MB",
 		"WAN share", "jitter-free", "lag P50/P90 (s)"}}
 	row := func(name string, res *scenario.Result) {
 		ts := res.TopoStats
-		jf := mean(res.Run.PerNode(func(n *metrics.NodeRecord) float64 {
-			return res.Run.JitterFreeShare(n, lag)
-		}))
-		lags := metrics.NewCDF(res.Run.PerNode(func(n *metrics.NodeRecord) float64 {
-			return metrics.Seconds(res.Run.LagForDeliveryRatio(n, 0.99))
-		}))
+		q := res.Run.Quality()
 		table.AddRow(name,
 			fmtMB(ts.TotalBytes), fmtMB(ts.InterBytes),
-			fmtPct(ts.InterShare()), fmtPct(jf),
-			fmtLag(lags.ValueAtPercentile(50))+" / "+fmtLag(lags.ValueAtPercentile(90)))
+			fmtPct(ts.InterShare()), fmtPct(metrics.Mean(q.JitterFree(lag))),
+			q.LagCDF().Spread())
 	}
 	row("topo-blind", blind)
 	row("topo-aware", aware)
@@ -93,17 +82,6 @@ func (s *Suite) Topology() error {
 		blind.Config.Fanout, float64(topologyFanoutIntra), float64(topologyFanoutInter),
 		table.Render(), saved)
 	return nil
-}
-
-func mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
 }
 
 func fmtMB(b int64) string {

@@ -593,16 +593,8 @@ func (r *Result) HonestJitterFree(lag time.Duration) float64 {
 			}
 		}
 	}
-	run := r.Run
-	vals := make([]float64, 0, len(run.Nodes))
-	for i := range run.Nodes {
-		n := &run.Nodes[i]
-		if n.Excluded || n.Crashed || adversarial[n.Node] {
-			continue
-		}
-		vals = append(vals, run.JitterFreeShare(n, lag))
-	}
-	return metrics.Mean(vals)
+	honest := r.Run.Quality().Filter(func(n *metrics.NodeRecord) bool { return !adversarial[n.Node] })
+	return metrics.Mean(honest.JitterFree(lag))
 }
 
 // AdversaryVariants returns the three-way axis of adversary sweeps: the

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/netem"
 	"repro/internal/wire"
 )
@@ -86,9 +85,7 @@ func TestAdverseProfilesRun(t *testing.T) {
 			}
 			// Even adverse, the system must still deliver most of the stream
 			// to most nodes (the profiles degrade, they do not sever).
-			never := 1 - metrics.NewCDF(res.Run.PerNode(func(n *metrics.NodeRecord) float64 {
-				return metrics.Seconds(res.Run.LagForDeliveryRatio(n, 0.99))
-			})).FractionAtOrBelow(1e12)
+			never := res.Run.Quality().LagCDF().NeverFrac()
 			if never > 0.5 {
 				t.Errorf("%.0f%% of nodes never reached 99%% delivery under %s", 100*never, name)
 			}

@@ -51,16 +51,12 @@ func mustRun(b *testing.B, cfg Config) *Result {
 
 // meanJitterFree is the average fraction of viewable windows at the lag.
 func meanJitterFree(res *Result, lag time.Duration) float64 {
-	return metrics.Mean(res.Run.PerNode(func(n *metrics.NodeRecord) float64 {
-		return res.Run.JitterFreeShare(n, lag)
-	}))
+	return metrics.Mean(res.Run.Quality().JitterFree(lag))
 }
 
 // lagP is the p-th percentile over nodes of the min lag for 99% delivery.
 func lagP(res *Result, p float64) float64 {
-	cdf := metrics.NewCDF(res.Run.PerNode(func(n *metrics.NodeRecord) float64 {
-		return metrics.Seconds(res.Run.LagForDeliveryRatio(n, 0.99))
-	}))
+	cdf := res.Run.Quality().LagCDF()
 	return cdf.ValueAtPercentile(p)
 }
 

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/adapt"
-	"repro/internal/metrics"
 	"repro/internal/misbehave"
 	"repro/internal/netem"
 	"repro/internal/telemetry"
@@ -72,20 +71,14 @@ func fingerprint(t *testing.T, res *Result) []byte {
 	// The derived CDFs, explicitly: the lag distribution every figure and
 	// sweep summary is built from — one per stream (StreamRuns[0] is Run,
 	// already encoded above; its CDF anchors the legacy fingerprint bytes).
-	lags := res.Run.PerNode(func(n *metrics.NodeRecord) float64 {
-		return metrics.Seconds(res.Run.LagForDeliveryRatio(n, 0.99))
-	})
-	if err := enc.Encode(metrics.NewCDF(lags).Values); err != nil {
+	if err := enc.Encode(res.Run.Quality().LagCDF().Values); err != nil {
 		t.Fatalf("fingerprint: %v", err)
 	}
 	for _, run := range res.StreamRuns[1:] {
 		if err := enc.Encode(run); err != nil {
 			t.Fatalf("fingerprint: %v", err)
 		}
-		lags := run.PerNode(func(n *metrics.NodeRecord) float64 {
-			return metrics.Seconds(run.LagForDeliveryRatio(n, 0.99))
-		})
-		if err := enc.Encode(metrics.NewCDF(lags).Values); err != nil {
+		if err := enc.Encode(run.Quality().LagCDF().Values); err != nil {
 			t.Fatalf("fingerprint: %v", err)
 		}
 	}

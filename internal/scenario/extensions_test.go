@@ -76,9 +76,7 @@ func TestPSSRunDeliversStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	share := metrics.Mean(res.Run.PerNode(func(n *metrics.NodeRecord) float64 {
-		return res.Run.JitterFreeShare(n, metrics.Never)
-	}))
+	share := metrics.Mean(res.Run.Quality().JitterFree(metrics.Never))
 	t.Logf("offline jitter-free share with PSS: %.3f", share)
 	if share < 0.90 {
 		t.Fatalf("PSS-based run decoded only %.1f%% of windows offline", 100*share)
@@ -102,9 +100,7 @@ func TestSourceBiasRun(t *testing.T) {
 	// The source's first hops go predominantly to rich nodes, which should
 	// be visible in how often rich nodes are proposed to early; at minimum
 	// the run must still deliver the stream.
-	share := metrics.Mean(res.Run.PerNode(func(n *metrics.NodeRecord) float64 {
-		return res.Run.JitterFreeShare(n, 10*time.Second)
-	}))
+	share := metrics.Mean(res.Run.Quality().JitterFree(10 * time.Second))
 	if share < 0.85 {
 		t.Fatalf("source-bias run jitter-free share %.3f", share)
 	}
@@ -146,9 +142,7 @@ func TestAutoFanoutEstimatesSizeAndDelivers(t *testing.T) {
 		t.Fatalf("only %d/%d nodes estimated n within +-30%%", good, n)
 	}
 	// And the stream must still arrive.
-	share := metrics.Mean(res.Run.PerNode(func(nr *metrics.NodeRecord) float64 {
-		return res.Run.JitterFreeShare(nr, 10*time.Second)
-	}))
+	share := metrics.Mean(res.Run.Quality().JitterFree(10 * time.Second))
 	if share < 0.9 {
 		t.Fatalf("auto-fanout run jitter-free share %.3f", share)
 	}
@@ -180,20 +174,14 @@ func TestFreezeInjectionDoesNotLoseTheStream(t *testing.T) {
 	}
 	res := sweep.CellByVariant("frozen").Runs[0]
 	clean := sweep.CellByVariant("clean").Runs[0]
-	offline := metrics.Mean(res.Run.PerNode(func(n *metrics.NodeRecord) float64 {
-		return res.Run.JitterFreeShare(n, metrics.Never)
-	}))
+	offline := metrics.Mean(res.Run.Quality().JitterFree(metrics.Never))
 	if offline < 0.95 {
 		t.Fatalf("offline jitter-free share %.3f with freezes", offline)
 	}
 	// At a tight lag, freezes should cost some quality vs the freeze-free
 	// run (sanity that the injection actually does something).
-	frozen10 := metrics.Mean(res.Run.PerNode(func(n *metrics.NodeRecord) float64 {
-		return res.Run.JitterFreeShare(n, 3*time.Second)
-	}))
-	clean10 := metrics.Mean(clean.Run.PerNode(func(n *metrics.NodeRecord) float64 {
-		return clean.Run.JitterFreeShare(n, 3*time.Second)
-	}))
+	frozen10 := metrics.Mean(res.Run.Quality().JitterFree(3 * time.Second))
+	clean10 := metrics.Mean(clean.Run.Quality().JitterFree(3 * time.Second))
 	t.Logf("jitter-free@3s: frozen=%.3f clean=%.3f", frozen10, clean10)
 	if frozen10 > clean10 {
 		t.Fatalf("freeze injection had no adverse effect (%.3f vs %.3f)", frozen10, clean10)
@@ -225,9 +213,7 @@ func TestStaticTreeBaselineFailsWhereGossipSucceeds(t *testing.T) {
 	treeRes := sweep.Cells[0].Runs[0]
 	gossipRes := sweep.Cells[1].Runs[0]
 	jf := func(res *Result) float64 {
-		return metrics.Mean(res.Run.PerNode(func(n *metrics.NodeRecord) float64 {
-			return res.Run.JitterFreeShare(n, 10*time.Second)
-		}))
+		return metrics.Mean(res.Run.Quality().JitterFree(10 * time.Second))
 	}
 	treeJF, gossipJF := jf(treeRes), jf(gossipRes)
 	t.Logf("jitter-free@10s: tree=%.3f gossip=%.3f", treeJF, gossipJF)
@@ -265,9 +251,7 @@ func TestStaticTreeCapacityOrderHelps(t *testing.T) {
 		t.Fatal(err)
 	}
 	recv := func(res *Result) float64 {
-		return metrics.Mean(res.Run.PerNode(func(n *metrics.NodeRecord) float64 {
-			return res.Run.JitterFreeShare(n, metrics.Never)
-		}))
+		return metrics.Mean(res.Run.Quality().JitterFree(metrics.Never))
 	}
 	naiveJF, orderedJF := recv(naiveRes), recv(orderedRes)
 	t.Logf("offline jitter-free: naive=%.3f capacity-ordered=%.3f", naiveJF, orderedJF)

@@ -56,22 +56,8 @@ func TestFullScaleHeadline(t *testing.T) {
 
 	lag := 20 * time.Second
 	jf := func(res *Result) float64 {
-		return metrics.Mean(res.Run.PerNode(func(n *metrics.NodeRecord) float64 {
-			return res.Run.JitterFreeShare(n, lag)
-		}))
+		return metrics.Mean(res.Run.Quality().JitterFree(lag))
 	}
-	usage := func(res *Result, class string) float64 {
-		var sum float64
-		var n int
-		for i := 1; i < len(res.CapsKbps); i++ {
-			if res.Config.Dist.ClassOf(res.CapsKbps[i]) == class {
-				sum += res.Usage[i]
-				n++
-			}
-		}
-		return sum / float64(n)
-	}
-
 	stdJF, heapJF, periodJF := jf(stdRes), jf(heapRes), jf(periodRes)
 	t.Logf("jitter-free@%v: std=%.3f heap=%.3f period=%.3f", lag, stdJF, heapJF, periodJF)
 
@@ -79,7 +65,8 @@ func TestFullScaleHeadline(t *testing.T) {
 	if stdJF > 0.7 {
 		t.Errorf("standard gossip jitter-free %.3f; paper shows collapse (<0.5)", stdJF)
 	}
-	stdPoor, stdRich := usage(stdRes, "512kbps"), usage(stdRes, "3Mbps")
+	stdUsage := stdRes.UsageByClass()
+	stdPoor, stdRich := stdUsage["512kbps"], stdUsage["3Mbps"]
 	t.Logf("std usage: 512kbps=%.2f 3Mbps=%.2f", stdPoor, stdRich)
 	if stdPoor < 0.9 {
 		t.Errorf("std poor-class usage %.2f; paper shows saturation (~0.88+)", stdPoor)
@@ -102,7 +89,8 @@ func TestFullScaleHeadline(t *testing.T) {
 	if heapJF < stdJF+0.3 {
 		t.Errorf("HEAP (%.3f) does not clearly beat standard (%.3f)", heapJF, stdJF)
 	}
-	heapPoor, heapRich := usage(heapRes, "512kbps"), usage(heapRes, "3Mbps")
+	heapUsage := heapRes.UsageByClass()
+	heapPoor, heapRich := heapUsage["512kbps"], heapUsage["3Mbps"]
 	t.Logf("heap usage: 512kbps=%.2f 3Mbps=%.2f", heapPoor, heapRich)
 	if heapRich < stdRich+0.2 {
 		t.Errorf("HEAP rich usage %.2f not clearly above std %.2f", heapRich, stdRich)
@@ -116,9 +104,7 @@ func TestFullScaleHeadline(t *testing.T) {
 	}
 	// HEAP's stream lag is a few seconds (paper: 13-20 s on PlanetLab; our
 	// simulator has no background noise, so lower is expected).
-	heapLag := metrics.Mean(heapRes.Run.PerNode(func(n *metrics.NodeRecord) float64 {
-		return metrics.Seconds(heapRes.Run.MinLagForJitterFree(n, 0))
-	}))
+	heapLag := metrics.Mean(heapRes.Run.Quality().MinLags(0))
 	t.Logf("HEAP mean min-lag for jitter-free stream: %.1fs", heapLag)
 	if heapLag > 15 {
 		t.Errorf("HEAP mean min-lag %.1fs; expected seconds", heapLag)

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/stream"
 	"repro/internal/wire"
 )
@@ -110,9 +109,7 @@ func TestMultiSourceTwoStreamsDeliver(t *testing.T) {
 	for k, run := range res.StreamRuns {
 		// Offline (lag = Never) jitter-free share: both streams must be
 		// near-fully decodable across the system.
-		vals := run.PerNode(func(n *metrics.NodeRecord) float64 {
-			return run.JitterFreeShare(n, 1<<62)
-		})
+		vals := run.Quality().JitterFree(1 << 62)
 		var sum float64
 		for _, v := range vals {
 			sum += v

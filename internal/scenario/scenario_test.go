@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/aggregation"
 	"repro/internal/churn"
-	"repro/internal/metrics"
 	"repro/internal/stream"
 )
 
@@ -158,10 +157,7 @@ func TestUnconstrainedRunDeliversQuickly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lags := res.Run.PerNode(func(n *metrics.NodeRecord) float64 {
-		return metrics.Seconds(res.Run.LagForDeliveryRatio(n, 0.99))
-	})
-	cdf := metrics.NewCDF(lags)
+	cdf := res.Run.Quality().LagCDF()
 	// Without bandwidth constraints gossip delivers 99% of the stream to
 	// the median node within a couple of seconds (Figure 1's shape).
 	if p50 := cdf.ValueAtPercentile(50); p50 > 3 {

@@ -157,32 +157,51 @@ func (r *Result) StreamSummaries(lag time.Duration) []StreamSummary {
 	specs := r.Config.effectiveStreams()
 	out := make([]StreamSummary, 0, len(r.StreamRuns))
 	for k, run := range r.StreamRuns {
-		lags := run.PerNode(func(n *metrics.NodeRecord) float64 {
-			return metrics.Seconds(run.LagForDeliveryRatio(n, 0.99))
-		})
-		cdf := metrics.NewCDF(lags)
-		jf := run.PerNode(func(n *metrics.NodeRecord) float64 {
-			return run.JitterFreeShare(n, lag)
-		})
-		totalPkts := float64(run.Geometry.TotalPackets(run.Windows))
-		delivery := run.PerNode(func(n *metrics.NodeRecord) float64 {
-			got := 0
-			for _, at := range n.Recv {
-				if at != stream.NotReceived {
-					got++
-				}
-			}
-			return float64(got) / totalPkts
-		})
+		q := run.Quality()
+		cdf := q.LagCDF()
 		out = append(out, StreamSummary{
 			Spec:          specs[k],
-			MeasuredNodes: len(lags),
+			MeasuredNodes: q.Len(),
 			LagP50:        cdf.ValueAtPercentile(50),
 			LagP90:        cdf.ValueAtPercentile(90),
-			NeverFrac:     1 - cdf.FractionAtOrBelow(1e12),
-			JFMean:        metrics.Mean(jf),
-			DeliveryMean:  metrics.Mean(delivery),
+			NeverFrac:     cdf.NeverFrac(),
+			JFMean:        metrics.Mean(q.JitterFree(lag)),
+			DeliveryMean:  metrics.Mean(q.Received()),
 		})
 	}
 	return out
+}
+
+// usageNodes lists the nodes whose Usage enters usage statistics: every
+// node but the broadcasters, whose well-provisioned caps would dilute their
+// class, and the crashed nodes, whose Usage is pre-crash bytes over the
+// whole stream span.
+func (r *Result) usageNodes() []int {
+	sources := make(map[wire.NodeID]bool)
+	for _, sp := range r.Config.effectiveStreams() {
+		sources[sp.Source] = true
+	}
+	var out []int
+	for i := range r.Usage {
+		if !sources[wire.NodeID(i)] && !r.Run.Nodes[i].Crashed {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// UsageByClass returns the mean upload utilization per capability class
+// over the nodes usage statistics count (Figure 4).
+func (r *Result) UsageByClass() map[string]float64 {
+	sums := map[string]float64{}
+	counts := map[string]int{}
+	for _, i := range r.usageNodes() {
+		cl := r.Run.Nodes[i].Class
+		sums[cl] += r.Usage[i]
+		counts[cl]++
+	}
+	for cl := range sums {
+		sums[cl] /= float64(counts[cl])
+	}
+	return sums
 }

@@ -13,7 +13,6 @@ import (
 	"repro/internal/churn"
 	"repro/internal/metrics"
 	"repro/internal/topo"
-	"repro/internal/wire"
 )
 
 // Sweep describes a grid of scenarios: the cross product of the axis slices
@@ -502,39 +501,15 @@ func summarizeCell(s *CellSummary, runs []*Result, lag time.Duration) {
 		// Multi-source cells pool node samples across their streams, so the
 		// summary reflects every stream's dissemination (single-stream runs
 		// have exactly one entry aliasing res.Run).
-		streamRuns := res.StreamRuns
-		if len(streamRuns) == 0 {
-			streamRuns = []*metrics.Run{res.Run}
+		for _, run := range res.StreamRuns {
+			q := run.Quality()
+			jf = append(jf, q.JitterFree(lag)...)
+			lagCDFs = append(lagCDFs, q.LagCDF())
+			minLags = append(minLags, q.MinLags(0)...)
 		}
-		for _, run := range streamRuns {
-			jf = append(jf, run.PerNode(func(n *metrics.NodeRecord) float64 {
-				return run.JitterFreeShare(n, lag)
-			})...)
-			lagCDFs = append(lagCDFs, metrics.NewCDF(run.PerNode(func(n *metrics.NodeRecord) float64 {
-				return metrics.Seconds(run.LagForDeliveryRatio(n, 0.99))
-			})))
-			minLags = append(minLags, run.PerNode(func(n *metrics.NodeRecord) float64 {
-				return metrics.Seconds(run.MinLagForJitterFree(n, 0))
-			})...)
-		}
-		if !res.Config.Unconstrained {
-			// Skip crashed nodes, as every other pooled statistic does:
-			// their Usage is pre-crash bytes over the full stream span,
-			// which would drag churned cells' utilization down. Skip every
-			// broadcaster too (single-stream cells skip node 0; multi-source
-			// cells have K well-provisioned sources whose 10 Mbps caps would
-			// dilute the mean).
-			sources := make(map[wire.NodeID]bool)
-			for _, sp := range res.Config.effectiveStreams() {
-				sources[sp.Source] = true
-			}
-			for i := 1; i < len(res.Usage); i++ {
-				if res.Run.Nodes[i].Crashed || sources[wire.NodeID(i)] {
-					continue
-				}
-				usageSum += res.Usage[i]
-				usageN++
-			}
+		for _, i := range res.usageNodes() {
+			usageSum += res.Usage[i]
+			usageN++
 		}
 		msgs += float64(res.NetStats.MsgsSent)
 	}
@@ -545,7 +520,7 @@ func summarizeCell(s *CellSummary, runs []*Result, lag time.Duration) {
 	s.LagCDF = metrics.MergeCDFs(lagCDFs...)
 	s.LagP50 = s.LagCDF.ValueAtPercentile(50)
 	s.LagP90 = s.LagCDF.ValueAtPercentile(90)
-	s.NeverFrac = 1 - s.LagCDF.FractionAtOrBelow(1e12)
+	s.NeverFrac = s.LagCDF.NeverFrac()
 	s.MinLagJFMean = metrics.Mean(minLags)
 	if usageN > 0 {
 		s.UsageMean = usageSum / float64(usageN)
