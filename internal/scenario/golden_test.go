@@ -32,14 +32,20 @@ func init() {
 	}
 }
 
+// TestGoldenFingerprints pins each config's gob fingerprint twice: whole,
+// and with NetStats.EventsProcessed zeroed. A change that only alters how
+// many simulator events run (a timer that fires and does nothing, say)
+// moves the first digest and keeps the second; one that moves the second
+// changed what the protocol did.
 func TestGoldenFingerprints(t *testing.T) {
 	cases := []struct {
-		name string
-		cfg  func() Config
-		want string
+		name   string
+		cfg    func() Config
+		want   string
+		masked string // the fingerprint with NetStats.EventsProcessed zeroed
 	}{
-		{"standard", func() Config { c := deterministicBase(41); c.Protocol = StandardGossip; return c }, "0373baa1366bcce11c1599be83bec6f6d75dd78a7019e5c92d0639f027f69d7b"},
-		{"heap", func() Config { return deterministicBase(41) }, "490dba476d3fb1cc073f1971d0942a424825a9951bcf52f5c1a7b3c648077797"},
+		{"standard", func() Config { c := deterministicBase(41); c.Protocol = StandardGossip; return c }, "0373baa1366bcce11c1599be83bec6f6d75dd78a7019e5c92d0639f027f69d7b", "c4209b3d7aaf81d398f58bfc38b5d54fff1580c3246a39b9d3091d8bef67050c"},
+		{"heap", func() Config { return deterministicBase(41) }, "490dba476d3fb1cc073f1971d0942a424825a9951bcf52f5c1a7b3c648077797", "736af72d77fc3a95135f2b9feff231b38ca8eb5b232b10fa4339c8da366ddffa"},
 		{"dynamics", func() Config {
 			cfg := LargeScaleBase(150, 7)
 			cfg.Windows = 2
@@ -47,7 +53,7 @@ func TestGoldenFingerprints(t *testing.T) {
 			cfg.JoinWaves = []JoinWave{{At: 6 * time.Second, Count: 30}}
 			cfg.ChurnBursts = []ChurnBurst{{At: 8 * time.Second, Fraction: 0.1}}
 			return cfg
-		}, "f406b724044bb9dd7527386bd1a6c7cec173cec9d5db1f71db4bdea2c401b411"},
+		}, "f406b724044bb9dd7527386bd1a6c7cec173cec9d5db1f71db4bdea2c401b411", "a4539ebd1f3fa0b0f17fa9a049b913e15886945f1a94531b30c1ac12f44bfbda"},
 		{"netem", func() Config {
 			cfg := deterministicBase(19)
 			p, err := netem.Profile("captrace")
@@ -56,22 +62,22 @@ func TestGoldenFingerprints(t *testing.T) {
 			}
 			cfg.Netem = &p
 			return cfg
-		}, "467ce89bd97e8e1b0083b4588c5b73b6c1c1a8588df801e47f1406d98da61781"},
-		{"adapt", func() Config { return adaptBase(47) }, "1c4745f4dee2c64462feb151c675a0901c3bd879f057a91e8326182bc977620a"},
-		{"adversary", func() Config { return adversaryDetBase(59) }, "66711d5a9acc8d1e36f5102b4d34d45d5acc0d7fac8c09b7358335a9132c682a"},
-		{"trace", func() Config { return traceBase(67) }, "50696b6b6c6acf03e021325c1d88d91c82f58469f0cca9eb472b6f1d80b272c6"},
-		{"multisource", func() Config { return multiSourceBase(43) }, "53ba8184ad646aa022ad5311b4ad0530c0ae97d69ad483fe10a44d77cf8e7017"},
-		{"topology", func() Config { return topologyBase(73) }, "84dce36d01ff6d917d9893daecd4e4d4b52a315cad47b4f07f50dc06205ccda0"},
-		{"autofanout", func() Config { c := deterministicBase(41); c.AutoFanout = true; return c }, "19c9c94bd7266564b839f9d0acbbb06df0a1e8b57796128fb3d007e96498a510"},
-		{"tree", func() Config { c := deterministicBase(41); c.Protocol = StaticTree; return c }, "75773fdb54b27a356632744e4f8fbbe373812861ff8ddde8e56ec37ac8f3e249"},
-		{"unconstrained", func() Config { c := deterministicBase(41); c.Unconstrained = true; return c }, "cd42307feb4284f824f808d3f16a4fc3e4c93c0905561d1b7b19b61d4d3debd5"},
+		}, "467ce89bd97e8e1b0083b4588c5b73b6c1c1a8588df801e47f1406d98da61781", "4a455619f54b2ead4b9236ae6feab4044be1a9af23e0966a4cc6d3e80e71de30"},
+		{"adapt", func() Config { return adaptBase(47) }, "1c4745f4dee2c64462feb151c675a0901c3bd879f057a91e8326182bc977620a", "3260c7fbe615c5fa3944fe011221ea8889b212f37f721666f70f1f5af3d13ed4"},
+		{"adversary", func() Config { return adversaryDetBase(59) }, "66711d5a9acc8d1e36f5102b4d34d45d5acc0d7fac8c09b7358335a9132c682a", "e981d0202952cc1e3b84e85f21693b82dac505d75fb07a3e8ebf3977a88cb940"},
+		{"trace", func() Config { return traceBase(67) }, "50696b6b6c6acf03e021325c1d88d91c82f58469f0cca9eb472b6f1d80b272c6", "37c7f042473290381b825a77f4ddc068e723a089feb522f8ca8680ebd8b550e9"},
+		{"multisource", func() Config { return multiSourceBase(43) }, "53ba8184ad646aa022ad5311b4ad0530c0ae97d69ad483fe10a44d77cf8e7017", "45a476843abdb96ab8c0e908c238bfd1ed26ea9be221a4adb984bdf7e01b5375"},
+		{"topology", func() Config { return topologyBase(73) }, "84dce36d01ff6d917d9893daecd4e4d4b52a315cad47b4f07f50dc06205ccda0", "45bf41d2016d7ae688113fda364348e45b97dbdddde1c0f0561a112da8575995"},
+		{"autofanout", func() Config { c := deterministicBase(41); c.AutoFanout = true; return c }, "19c9c94bd7266564b839f9d0acbbb06df0a1e8b57796128fb3d007e96498a510", "48f64638ad103e493c9e5ed5d8cec43ebae8abcd73fc0b11b0115585e7cca2f0"},
+		{"tree", func() Config { c := deterministicBase(41); c.Protocol = StaticTree; return c }, "75773fdb54b27a356632744e4f8fbbe373812861ff8ddde8e56ec37ac8f3e249", "d39838c44c9667d84de5600ff2ad09b2c2bbcceeffba3dc8a9b49be05a9cf4e9"},
+		{"unconstrained", func() Config { c := deterministicBase(41); c.Unconstrained = true; return c }, "cd42307feb4284f824f808d3f16a4fc3e4c93c0905561d1b7b19b61d4d3debd5", "575adb3ce76640094b8948a8294f50c1591774a74825b0cd78cb130d081e12d9"},
 		{"adversary-topology", func() Config {
 			c := adversaryDetBase(59)
 			t := topologyBase(0)
 			c.Topology, c.FanoutIntra, c.FanoutInter = t.Topology, t.FanoutIntra, t.FanoutInter
 			return c
-		}, "a2b219d1eae597f75f8b720287e19639cf3367b1727442f8d2033eed8d93b7d1"},
-		{"sourcebias", func() Config { c := deterministicBase(41); c.SourceBias = true; return c }, "180a27a846a9a4139078f35fdf5bd75babbd53f1ed97afab9b89c294933430b0"},
+		}, "a2b219d1eae597f75f8b720287e19639cf3367b1727442f8d2033eed8d93b7d1", "17066b90a07dd1e2c207f352a39b72d6f0deedfd0215500e1ddcc09f20e42a5e"},
+		{"sourcebias", func() Config { c := deterministicBase(41); c.SourceBias = true; return c }, "180a27a846a9a4139078f35fdf5bd75babbd53f1ed97afab9b89c294933430b0", "63a91804fb528ffb2d4f82cf8100e529cbefd18d86a7ed8e9685d39bb9e26c5a"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -82,6 +88,11 @@ func TestGoldenFingerprints(t *testing.T) {
 			sum := sha256.Sum256(fingerprint(t, res))
 			if got := hex.EncodeToString(sum[:]); got != tc.want {
 				t.Errorf("fingerprint sha256 = %s, want %s", got, tc.want)
+			}
+			res.NetStats.EventsProcessed = 0
+			sum = sha256.Sum256(fingerprint(t, res))
+			if got := hex.EncodeToString(sum[:]); got != tc.masked {
+				t.Errorf("fingerprint without EventsProcessed sha256 = %s, want %s", got, tc.masked)
 			}
 		})
 	}
