@@ -235,8 +235,8 @@ func (r *SweepResult) Table() *metrics.Table {
 		tbl.AddRow(c.Key.String(),
 			strconv.Itoa(s.Replicas),
 			fmt.Sprintf("%.1f%%", 100*s.JFMean),
-			fmt.Sprintf("%.1f", s.LagP50),
-			fmt.Sprintf("%.1f", s.LagP90),
+			metrics.FormatLag(s.LagP50),
+			metrics.FormatLag(s.LagP90),
 			fmt.Sprintf("%.0f%%", 100*s.NeverFrac),
 			fmt.Sprintf("%.0f%%", 100*s.UsageMean),
 			fmt.Sprintf("%.1fs", s.Elapsed.Seconds()))

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -229,5 +230,35 @@ func TestSweepDropRunsAndChurnAxis(t *testing.T) {
 	if churned.MeasuredNodes >= calm.MeasuredNodes {
 		t.Fatalf("churn had no effect: churned cell measured %d nodes vs calm %d",
 			churned.MeasuredNodes, calm.MeasuredNodes)
+	}
+}
+
+// TestSweepTableRendersNeverLag: a cell whose lag percentiles land on nodes
+// that never reach 99 % delivery prints "never", as the report and heapsim
+// do, not Go's "+Inf".
+func TestSweepTableRendersNeverLag(t *testing.T) {
+	res := SweepResult{SummaryLag: 5 * time.Second, Cells: []CellResult{
+		{Key: CellKey{Protocol: HEAP, Dist: "ms-691", Nodes: 40, Fanout: 7}, Summary: CellSummary{Replicas: 2, LagP50: 12.34, LagP90: 18.25}},
+		{Key: CellKey{Protocol: HEAP, Dist: "ms-691", Nodes: 40, Fanout: 2}, Summary: CellSummary{Replicas: 2, LagP50: 31.5, LagP90: math.Inf(1), NeverFrac: 0.2}},
+	}}
+	lines := strings.Split(res.Table().Render(), "\n")
+	if strings.Contains(strings.Join(lines, "\n"), "Inf") {
+		t.Fatalf("table prints an infinite lag as Inf:\n%s", strings.Join(lines, "\n"))
+	}
+	for _, want := range [][]string{{"/f7", "12.3", "18.2"}, {"/f2", "31.5", "never"}} {
+		found := false
+		for _, l := range lines {
+			if strings.Contains(l, want[0]) {
+				found = true
+				// "| cell | reps | jitter-free | lag P50 | lag P90 | ..."
+				f := strings.Split(l, "|")
+				if len(f) < 6 || strings.TrimSpace(f[4]) != want[1] || strings.TrimSpace(f[5]) != want[2] {
+					t.Errorf("row %q: want lag columns %s and %s", l, want[1], want[2])
+				}
+			}
+		}
+		if !found {
+			t.Errorf("no row for cell %s", want[0])
+		}
 	}
 }
