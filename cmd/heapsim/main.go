@@ -79,9 +79,11 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "heapsim: %v\n", err)
 		return 1
 	}
-	printSummary(res, *lagFlag, time.Since(start))
+	elapsed := time.Since(start)
+	q := res.Run.Quality()
+	printSummary(res, q, *lagFlag, elapsed)
 	if *csvDir != "" {
-		if err := writeCSVs(res, *csvDir, *lagFlag); err != nil {
+		if err := writeCSVs(res.Run, q, *csvDir, *lagFlag); err != nil {
 			fmt.Fprintf(os.Stderr, "heapsim: %v\n", err)
 			return 1
 		}
@@ -90,9 +92,9 @@ func run() int {
 	return 0
 }
 
-// writeCSVs exports the run's raw delivery matrix and per-node metrics for
-// external replotting.
-func writeCSVs(res *scenario.Result, dir string, lag time.Duration) error {
+// writeCSVs exports the run's raw delivery matrix and, for the nodes the
+// read-out counts, per-node metrics for external replotting.
+func writeCSVs(run *metrics.Run, q *metrics.Quality, dir string, lag time.Duration) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -101,7 +103,7 @@ func writeCSVs(res *scenario.Result, dir string, lag time.Duration) error {
 		return err
 	}
 	defer deliveryFile.Close()
-	if err := metrics.WriteDeliveryCSV(deliveryFile, res.Run); err != nil {
+	if err := metrics.WriteDeliveryCSV(deliveryFile, run); err != nil {
 		return err
 	}
 	nodesFile, err := os.Create(filepath.Join(dir, "nodes.csv"))
@@ -109,23 +111,15 @@ func writeCSVs(res *scenario.Result, dir string, lag time.Duration) error {
 		return err
 	}
 	defer nodesFile.Close()
-	return metrics.WriteNodeMetricsCSV(nodesFile, res.Run, map[string]func(*metrics.NodeRecord) float64{
-		"jitterfree": func(n *metrics.NodeRecord) float64 {
-			return res.Run.JitterFreeShare(n, lag)
-		},
-		"minlag_jitterfree_s": func(n *metrics.NodeRecord) float64 {
-			return metrics.Seconds(res.Run.MinLagForJitterFree(n, 0))
-		},
-		"lag99_s": func(n *metrics.NodeRecord) float64 {
-			return metrics.Seconds(res.Run.LagForDeliveryRatio(n, 0.99))
-		},
-		"min_startup_s": func(n *metrics.NodeRecord) float64 {
-			return metrics.Seconds(res.Run.MinStartupForSmoothPlayback(n))
-		},
+	return metrics.WriteNodeMetricsCSV(nodesFile, q, map[string][]float64{
+		"jitterfree":          q.JitterFree(lag),
+		"minlag_jitterfree_s": q.MinLags(0),
+		"lag99_s":             q.Lags(),
+		"min_startup_s":       q.MinStartups(),
 	})
 }
 
-func printSummary(res *scenario.Result, lag, elapsed time.Duration) {
+func printSummary(res *scenario.Result, q *metrics.Quality, lag, elapsed time.Duration) {
 	cfg := res.Config
 	fmt.Printf("protocol=%s dist=%s nodes=%d windows=%d (stream %.0fs) fanout=%g seed=%d\n",
 		cfg.Protocol, distName(cfg), cfg.Nodes, cfg.Windows,
@@ -141,7 +135,6 @@ func printSummary(res *scenario.Result, lag, elapsed time.Duration) {
 	// Per-class summary.
 	tbl := &metrics.Table{Headers: []string{"class", "nodes", "usage",
 		fmt.Sprintf("jitter-free@%s", lag), "min-lag jitter-free (mean)"}}
-	q := res.Run.Quality()
 	usage := res.UsageByClass()
 	for _, cl := range q.Classes() {
 		class := q.Class(cl)

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"encoding/csv"
+	"fmt"
 	"io"
 	"sort"
 	"strconv"
@@ -32,12 +33,16 @@ func WriteSeriesCSV(w io.Writer, series []Series) error {
 	return cw.Error()
 }
 
-// WriteNodeMetricsCSV writes one row per included node with arbitrary named
-// metric columns computed by the supplied functions.
-func WriteNodeMetricsCSV(w io.Writer, run *Run, columns map[string]func(*NodeRecord) float64) error {
+// WriteNodeMetricsCSV writes one row per node the read-out counts, in its
+// node order, with named metric columns: each column holds one value per
+// counted node in that order, as Quality's per-node samples do.
+func WriteNodeMetricsCSV(w io.Writer, q *Quality, columns map[string][]float64) error {
 	cw := csv.NewWriter(w)
 	names := make([]string, 0, len(columns))
-	for name := range columns {
+	for name, col := range columns {
+		if len(col) != q.Len() {
+			return fmt.Errorf("metrics: column %q has %d values for %d nodes", name, len(col), q.Len())
+		}
 		names = append(names, name)
 	}
 	sort.Strings(names)
@@ -45,18 +50,14 @@ func WriteNodeMetricsCSV(w io.Writer, run *Run, columns map[string]func(*NodeRec
 	if err := cw.Write(header); err != nil {
 		return err
 	}
-	for i := range run.Nodes {
-		n := &run.Nodes[i]
-		if n.Excluded {
-			continue
-		}
+	for i, nq := range q.nodes {
 		rec := make([]string, 0, len(header))
 		rec = append(rec,
-			strconv.Itoa(int(n.Node)),
-			n.Class,
-			strconv.FormatUint(uint64(n.CapKbps), 10))
+			strconv.Itoa(int(nq.rec.Node)),
+			nq.rec.Class,
+			strconv.FormatUint(uint64(nq.rec.CapKbps), 10))
 		for _, name := range names {
-			rec = append(rec, strconv.FormatFloat(columns[name](n), 'g', -1, 64))
+			rec = append(rec, strconv.FormatFloat(columns[name][i], 'g', -1, 64))
 		}
 		if err := cw.Write(rec); err != nil {
 			return err

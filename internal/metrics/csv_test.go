@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"encoding/csv"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -63,24 +64,20 @@ func TestWriteSeriesCSV(t *testing.T) {
 
 func TestWriteNodeMetricsCSV(t *testing.T) {
 	run := csvRun(t)
+	crashed := run.Nodes[1]
+	crashed.Node, crashed.Crashed = 2, true
+	run.Nodes = append(run.Nodes, crashed)
+	q := run.Quality()
 	var sb strings.Builder
-	err := WriteNodeMetricsCSV(&sb, run, map[string]func(*NodeRecord) float64{
-		"received": func(n *NodeRecord) float64 {
-			c := 0.0
-			for _, at := range n.Recv {
-				if at != stream.NotReceived {
-					c++
-				}
-			}
-			return c
-		},
-		"jitterfree": func(n *NodeRecord) float64 { return run.JitterFreeShare(n, time.Second) },
+	err := WriteNodeMetricsCSV(&sb, q, map[string][]float64{
+		"received":   q.Received(),
+		"jitterfree": q.JitterFree(time.Second),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	recs := parseCSV(t, sb.String())
-	// Header + node 1 only (node 0 excluded).
+	// Header + node 1 only (node 0 excluded, node 2 crashed).
 	if len(recs) != 2 {
 		t.Fatalf("rows = %d, want 2:\n%v", len(recs), recs)
 	}
@@ -88,8 +85,11 @@ func TestWriteNodeMetricsCSV(t *testing.T) {
 	if recs[0][3] != "jitterfree" || recs[0][4] != "received" {
 		t.Fatalf("header = %v", recs[0])
 	}
-	if recs[1][1] != "poor" || recs[1][4] != "4" {
+	if recs[1][0] != "1" || recs[1][1] != "poor" || recs[1][4] != "0.8" {
 		t.Fatalf("row = %v", recs[1])
+	}
+	if err := WriteNodeMetricsCSV(io.Discard, q, map[string][]float64{"short": nil}); err == nil {
+		t.Fatal("a column with fewer values than counted nodes was written")
 	}
 }
 

@@ -85,12 +85,26 @@ func (q *Quality) Classes() []string {
 // LagCDF returns the CDF over nodes of the lag, in seconds, to receive 99%
 // of the source packets (Figures 1-3); a node that never does counts as
 // +Inf.
-func (q *Quality) LagCDF() CDF {
-	lags := make([]float64, len(q.nodes))
+func (q *Quality) LagCDF() CDF { return NewCDF(q.Lags()) }
+
+// Lags returns each node's lag, in seconds, to receive 99% of the source
+// packets (+Inf: never).
+func (q *Quality) Lags() []float64 {
+	out := make([]float64, len(q.nodes))
 	for i, nq := range q.nodes {
-		lags[i] = Seconds(nq.lag99)
+		out[i] = Seconds(nq.lag99)
 	}
-	return NewCDF(lags)
+	return out
+}
+
+// MinStartups returns each node's minimum startup delay, in seconds, for
+// smooth playback (Run.MinStartupForSmoothPlayback; +Inf: never).
+func (q *Quality) MinStartups() []float64 {
+	out := make([]float64, len(q.nodes))
+	for i, nq := range q.nodes {
+		out[i] = Seconds(q.run.MinStartupForSmoothPlayback(nq.rec))
+	}
+	return out
 }
 
 // JitterFree returns each node's share of windows viewable at the given
