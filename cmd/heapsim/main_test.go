@@ -35,7 +35,7 @@ wrote DIR/delivery.csv and DIR/nodes.csv
 // same run.
 var wantCSVDigests = map[string]string{
 	"delivery.csv": "0de5a754da41df3a9a6d38cf956762348466235189a38befb06e69be0ceff74c",
-	"nodes.csv":    "1af209fe2d290cac5b5905873c04c77c85d41770fc93790de19bbfc13e666de7",
+	"nodes.csv":    "1feedade38dd3330f0aee7db41fa6cb873b38fda616dc089aa35ba395f41aae1",
 }
 
 func TestRunPinnedOutput(t *testing.T) {
