@@ -426,4 +426,14 @@ type waiter interface {
 	// host mutex held, never after close.
 	poke()
 	close()
+	// counts returns the waiter's wake counters.
+	counts() *wakeCounts
+}
+
+// wakeCounts are a loop's wake counters, which every node on it reports
+// from Collect: the waits that parked the loop (found nothing ready and
+// slept), the times a wait (re)set its deadline timer, and the pokes sent
+// to end a wait. Parks per delivery is what a live session pays in wakeups.
+type wakeCounts struct {
+	parks, timerArms, pokes atomic.Uint64
 }

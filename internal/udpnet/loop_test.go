@@ -2,10 +2,12 @@ package udpnet
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"net"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -286,6 +288,9 @@ func TestPortableWait(t *testing.T) {
 			case <-time.After(5 * time.Second):
 				t.Fatal("the timer chain did not finish")
 			}
+			if w := wakeCounters(a); w["udp_loop_parks_total"] < 1 || w["udp_timer_arms_total"] < 1 {
+				t.Fatalf("wake counters %v after a 100-timer chain, want parks and timer arms", w)
+			}
 			a.Close()
 			b.Close()
 		})
@@ -363,9 +368,37 @@ func TestSendWakesParkedLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	msg := &wire.Propose{IDs: []wire.PacketID{5}}
+	before := wakeCounters(a)
 	for i := 1; i <= 3; i++ {
 		time.Sleep(20 * time.Millisecond) // the loop has parked
 		a.Execute(func() { tx.rt.Send(1, msg) })
 		waitFor(t, time.Second, func() bool { return recv.count() >= i })
 	}
+	// Each send found the loop parked, so each poked it; each of those
+	// parks ended a wait, and the loop parked again after the last.
+	after := wakeCounters(a)
+	if pokes, parks := after["udp_loop_pokes_total"]-before["udp_loop_pokes_total"],
+		after["udp_loop_parks_total"]-before["udp_loop_parks_total"]; pokes < 3 || parks < 3 {
+		t.Fatalf("%v pokes and %v parks over 3 sends to a parked loop, want at least 3 each", pokes, parks)
+	}
+	if b := wakeCounters(b); !maps.Equal(b, wakeCounters(a)) {
+		t.Fatalf("nodes on one loop report different wake counts: %v and %v", b, wakeCounters(a))
+	}
+	fired := make(chan struct{})
+	a.Execute(func() { tx.rt.AfterFunc(5*time.Millisecond, func() { close(fired) }) })
+	<-fired
+	if arms := wakeCounters(a)["udp_timer_arms_total"] - after["udp_timer_arms_total"]; arms < 1 {
+		t.Fatalf("a timer armed on a parked loop set its deadline %v times", arms)
+	}
+}
+
+// wakeCounters returns the loop's wake counters as n's Collect reports them.
+func wakeCounters(n *Node) map[string]float64 {
+	m := map[string]float64{}
+	n.Collect(func(name string, v float64) {
+		if strings.HasPrefix(name, "udp_loop_") || name == "udp_timer_arms_total" {
+			m[name] = v
+		}
+	})
+	return m
 }

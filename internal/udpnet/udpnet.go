@@ -511,7 +511,10 @@ func (n *Node) DecodeErrorCount() int {
 // decode errors, the socket's send and receive syscalls (datagrams per
 // syscall is udp_send_datagrams_total over udp_send_syscalls_total), the
 // receive syscalls that found the socket empty (the loop reads only sockets
-// its wait reported readable, so on the batched path this stays 0) and,
+// its wait reported readable, so on the batched path this stays 0), the
+// event loop's parks, deadline-timer arms and pokes (udp_loop_parks_total,
+// udp_timer_arms_total, udp_loop_pokes_total: one loop serves every node of
+// the process, so each of its nodes reports the same loop-wide counts) and,
 // when a netem model runs, its outbound drop/delay counters. Safe from any
 // goroutine and truthful after Close.
 func (n *Node) Collect(emit func(name string, value float64)) {
@@ -525,6 +528,15 @@ func (n *Node) Collect(emit func(name string, value float64)) {
 	emit("udp_send_syscalls_total", float64(sendCalls))
 	emit("udp_recv_syscalls_total", float64(recvCalls))
 	emit("udp_recv_empty_syscalls_total", float64(recvEmpty))
+	// The loop's wake counters, shared by every node started on it.
+	var parks, arms, pokes uint64
+	if h := n.host.Load(); h != nil {
+		c := h.w.counts()
+		parks, arms, pokes = c.parks.Load(), c.timerArms.Load(), c.pokes.Load()
+	}
+	emit("udp_loop_parks_total", float64(parks))
+	emit("udp_timer_arms_total", float64(arms))
+	emit("udp_loop_pokes_total", float64(pokes))
 	if hasNetem {
 		emit("netem_out_dropped_total", float64(dropped))
 		emit("netem_out_delayed_total", float64(delayed))

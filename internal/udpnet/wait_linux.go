@@ -42,7 +42,7 @@ type epollWaiter struct {
 	epfd, evfd, tfd int
 	file            *os.File // epfd, as the runtime poller watches it
 	rc              syscall.RawConn
-	pollFn          func(fd uintptr) bool // w.poll, bound once
+	parkFn          func(fd uintptr) bool // w.pollOrPark, bound once
 
 	events [64]syscall.EpollEvent
 	count  int
@@ -50,6 +50,7 @@ type epollWaiter struct {
 	spec   itimerspec
 	one    [8]byte // the eventfd increment, in host byte order
 	rx     *rxStage
+	wakes  wakeCounts
 }
 
 func newWaiter() (waiter, error) {
@@ -92,7 +93,7 @@ func newWaiter() (waiter, error) {
 	if w.rc, err = w.file.SyscallConn(); err != nil {
 		return fail(err)
 	}
-	w.pollFn = w.poll
+	w.parkFn = w.pollOrPark
 	return w, nil
 }
 
@@ -132,12 +133,22 @@ func (w *epollWaiter) poll(uintptr) bool {
 	}
 }
 
+// pollOrPark is poll as the runtime poller's read callback: the poller
+// parks the loop each time it reports nothing pending.
+func (w *epollWaiter) pollOrPark(fd uintptr) bool {
+	if w.poll(fd) {
+		return true
+	}
+	w.wakes.parks.Add(1)
+	return false
+}
+
 func (w *epollWaiter) wait(until time.Time, ready []uint32) []uint32 {
 	if !until.IsZero() && !until.After(time.Now()) {
 		w.poll(0)
 	} else {
 		w.arm(until)
-		_ = w.rc.Read(w.pollFn) // polls first, and parks only if nothing is pending
+		_ = w.rc.Read(w.parkFn) // polls first, and parks only if nothing is pending
 	}
 	for _, ev := range w.events[:w.count] {
 		switch tok := uint32(ev.Fd); tok {
@@ -164,6 +175,7 @@ func (w *epollWaiter) arm(until time.Time) {
 	}
 	_, _, _ = syscall.RawSyscall6(syscall.SYS_TIMERFD_SETTIME, uintptr(w.tfd), 0,
 		uintptr(unsafe.Pointer(&w.spec)), 0, 0, 0)
+	w.wakes.timerArms.Add(1)
 }
 
 // read is one batched (or, under DisableBatch, portable) read of a socket
@@ -188,7 +200,10 @@ func (w *epollWaiter) consumed(uint32) {}
 // has that many pokes pending wakes anyway).
 func (w *epollWaiter) poke() {
 	_, _, _ = syscall.RawSyscall(syscall.SYS_WRITE, uintptr(w.evfd), uintptr(unsafe.Pointer(&w.one[0])), uintptr(len(w.one)))
+	w.wakes.pokes.Add(1)
 }
+
+func (w *epollWaiter) counts() *wakeCounts { return &w.wakes }
 
 func (w *epollWaiter) close() {
 	for _, fd := range []int{w.evfd, w.tfd} {

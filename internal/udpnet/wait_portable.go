@@ -18,6 +18,8 @@ type portWaiter struct {
 
 	mu      sync.Mutex
 	readers map[uint32]*portReader
+
+	wakes wakeCounts
 }
 
 type portReader struct {
@@ -97,13 +99,21 @@ func (w *portWaiter) wait(until time.Time, ready []uint32) []uint32 {
 		} else {
 			w.timer.Reset(timeout)
 		}
+		w.wakes.timerArms.Add(1)
 		expired = w.timer.C
 	}
 	select {
 	case tok := <-w.ready:
 		ready = append(ready, tok)
 	case <-w.pokes:
-	case <-expired:
+	default:
+		w.wakes.parks.Add(1)
+		select {
+		case tok := <-w.ready:
+			ready = append(ready, tok)
+		case <-w.pokes:
+		case <-expired:
+		}
 	}
 	if w.timer != nil {
 		w.timer.Stop()
@@ -128,10 +138,13 @@ func (w *portWaiter) consumed(tok uint32) {
 }
 
 func (w *portWaiter) poke() {
+	w.wakes.pokes.Add(1)
 	select {
 	case w.pokes <- struct{}{}:
 	default:
 	}
 }
+
+func (w *portWaiter) counts() *wakeCounts { return &w.wakes }
 
 func (w *portWaiter) close() {}
