@@ -39,7 +39,7 @@ func ExampleRunScenario() {
 		fmt.Printf("%s: %.0f%% jitter-free\n", protocol, 100*share/float64(n))
 	}
 	// Output:
-	// standard: 61% jitter-free
+	// standard: 64% jitter-free
 	// heap: 100% jitter-free
 }
 
@@ -64,7 +64,7 @@ func ExampleRun_playback() {
 	min := res.Run.MinStartupForSmoothPlayback(node)
 	fmt.Printf("smooth playback needs %v of buffering\n", min.Round(100*time.Millisecond))
 	// Output:
-	// startup 0s: 4 stalls
+	// startup 0s: 1 stalls
 	// startup 1s: 0 stalls
 	// smooth playback needs 700ms of buffering
 }
@@ -87,8 +87,8 @@ func ExampleRunSweep() {
 	}
 	// Output:
 	// protocol,dist,nodes,fanout,churn,variant,replicas,measured_nodes,jf_mean,jf_p10,lag_p50_s,lag_p90_s,never_frac,minlag_jf_mean_s,usage_mean,msgs_per_run
-	// standard,ref-691,40,7,0,,1,39,1,1,2.1297,3.1278,0.025641,1.75692,0.739223,26156
-	// standard,ms-691,40,7,0,,1,39,1,1,1.86845,2.22865,0,1.58991,0.747163,26556
-	// heap,ref-691,40,7,0,,1,39,1,1,1.32676,1.51723,0,1.12886,0.687389,40670
-	// heap,ms-691,40,7,0,,1,39,1,1,1.39563,1.54658,0,1.17927,0.675964,40578
+	// standard,ref-691,40,7,0,,1,39,1,1,2.34761,3.25885,0,1.81319,0.738357,25781
+	// standard,ms-691,40,7,0,,1,39,1,1,1.93489,2.22119,0,1.6143,0.746311,26607
+	// heap,ref-691,40,7,0,,1,39,1,1,1.33893,1.49426,0,1.12643,0.687782,40500
+	// heap,ms-691,40,7,0,,1,39,1,1,1.31125,1.70051,0,1.12998,0.682067,40612
 }

@@ -44,8 +44,8 @@ func TestGoldenFingerprints(t *testing.T) {
 		want   string
 		masked string // the fingerprint with NetStats.EventsProcessed zeroed
 	}{
-		{"standard", func() Config { c := deterministicBase(41); c.Protocol = StandardGossip; return c }, "0373baa1366bcce11c1599be83bec6f6d75dd78a7019e5c92d0639f027f69d7b", "c4209b3d7aaf81d398f58bfc38b5d54fff1580c3246a39b9d3091d8bef67050c"},
-		{"heap", func() Config { return deterministicBase(41) }, "490dba476d3fb1cc073f1971d0942a424825a9951bcf52f5c1a7b3c648077797", "736af72d77fc3a95135f2b9feff231b38ca8eb5b232b10fa4339c8da366ddffa"},
+		{"standard", func() Config { c := deterministicBase(41); c.Protocol = StandardGossip; return c }, "50ccfe659e4099d26a0777c6c9bc8b9b6825628a707a54da758f69cdddfc6e67", "fc0f25fd3bb3ff59b72bb8e2f8b21ef915958902490c45cb396f3cb687853f10"},
+		{"heap", func() Config { return deterministicBase(41) }, "ce03a6d39a2c07e5adf99df4dc9048a28dfa9a8bcafda31fd71e1075af3732c7", "cfd9ca7fc68a8cd187b670dcd14e78e3e0c347d23c2e017d3df9c1cc5ad477f4"},
 		{"dynamics", func() Config {
 			cfg := LargeScaleBase(150, 7)
 			cfg.Windows = 2
@@ -53,7 +53,7 @@ func TestGoldenFingerprints(t *testing.T) {
 			cfg.JoinWaves = []JoinWave{{At: 6 * time.Second, Count: 30}}
 			cfg.ChurnBursts = []ChurnBurst{{At: 8 * time.Second, Fraction: 0.1}}
 			return cfg
-		}, "f406b724044bb9dd7527386bd1a6c7cec173cec9d5db1f71db4bdea2c401b411", "a4539ebd1f3fa0b0f17fa9a049b913e15886945f1a94531b30c1ac12f44bfbda"},
+		}, "4917151f335e5d9506f6c73e20d635e03bedd5f97ca844a3dc8ea6fba72c0f8a", "818cfb59caaf63daa5bfb44b1485d301d1dd504dd8bb1648b89d0f7a7053160d"},
 		{"netem", func() Config {
 			cfg := deterministicBase(19)
 			p, err := netem.Profile("captrace")
@@ -62,22 +62,22 @@ func TestGoldenFingerprints(t *testing.T) {
 			}
 			cfg.Netem = &p
 			return cfg
-		}, "467ce89bd97e8e1b0083b4588c5b73b6c1c1a8588df801e47f1406d98da61781", "4a455619f54b2ead4b9236ae6feab4044be1a9af23e0966a4cc6d3e80e71de30"},
-		{"adapt", func() Config { return adaptBase(47) }, "1c4745f4dee2c64462feb151c675a0901c3bd879f057a91e8326182bc977620a", "3260c7fbe615c5fa3944fe011221ea8889b212f37f721666f70f1f5af3d13ed4"},
-		{"adversary", func() Config { return adversaryDetBase(59) }, "66711d5a9acc8d1e36f5102b4d34d45d5acc0d7fac8c09b7358335a9132c682a", "e981d0202952cc1e3b84e85f21693b82dac505d75fb07a3e8ebf3977a88cb940"},
-		{"trace", func() Config { return traceBase(67) }, "50696b6b6c6acf03e021325c1d88d91c82f58469f0cca9eb472b6f1d80b272c6", "37c7f042473290381b825a77f4ddc068e723a089feb522f8ca8680ebd8b550e9"},
-		{"multisource", func() Config { return multiSourceBase(43) }, "53ba8184ad646aa022ad5311b4ad0530c0ae97d69ad483fe10a44d77cf8e7017", "45a476843abdb96ab8c0e908c238bfd1ed26ea9be221a4adb984bdf7e01b5375"},
-		{"topology", func() Config { return topologyBase(73) }, "84dce36d01ff6d917d9893daecd4e4d4b52a315cad47b4f07f50dc06205ccda0", "45bf41d2016d7ae688113fda364348e45b97dbdddde1c0f0561a112da8575995"},
-		{"autofanout", func() Config { c := deterministicBase(41); c.AutoFanout = true; return c }, "19c9c94bd7266564b839f9d0acbbb06df0a1e8b57796128fb3d007e96498a510", "48f64638ad103e493c9e5ed5d8cec43ebae8abcd73fc0b11b0115585e7cca2f0"},
-		{"tree", func() Config { c := deterministicBase(41); c.Protocol = StaticTree; return c }, "75773fdb54b27a356632744e4f8fbbe373812861ff8ddde8e56ec37ac8f3e249", "d39838c44c9667d84de5600ff2ad09b2c2bbcceeffba3dc8a9b49be05a9cf4e9"},
-		{"unconstrained", func() Config { c := deterministicBase(41); c.Unconstrained = true; return c }, "cd42307feb4284f824f808d3f16a4fc3e4c93c0905561d1b7b19b61d4d3debd5", "575adb3ce76640094b8948a8294f50c1591774a74825b0cd78cb130d081e12d9"},
+		}, "2b5a1649776b93c845db50b4a4b19d654066dff6d56d2396125df56266aef671", "dfc7e2fd6478b7117908f8a0c354042957d128616e5e1b013ebeef15429df162"},
+		{"adapt", func() Config { return adaptBase(47) }, "a8c5324beb3b1091ffc5a1bf7d96dffff09ec424f65f02f98122daac510984c7", "e9daa760a2657022e85622d2b95826f94374b8a579b5575b2cfb54f923162a63"},
+		{"adversary", func() Config { return adversaryDetBase(59) }, "549faa17afbcdc14532019c15bb1f4b85d364a06369b55b5319ae1cf81f0d19f", "d559450cc0e67061304dcd6b6499c5becd140b561950ea60713129e64535696d"},
+		{"trace", func() Config { return traceBase(67) }, "8cdd336008813ee89485a86dbe23dee8b6419093fa19db62f7acec78a3588d33", "1e655d611deb4a3652f27490afb9da028e4a205695dcdc685d54c0d2e59340c2"},
+		{"multisource", func() Config { return multiSourceBase(43) }, "1457a07c6b500c3aca2967867787333be0d3823478fdc49f0844bc53ae2fba5f", "ab7e3d485223212eaade2915d485a729c68dabe6df0838f4817fcb1dbdf075fd"},
+		{"topology", func() Config { return topologyBase(73) }, "6d43c08a366f9d7ecf2ce3a79bb39f5540a33e0cee1323a4e2dbf3e8a7aa36c1", "7f7df2e6dac213811a77fd6e03387560a485dad44546bc6874d404e6c71f6156"},
+		{"autofanout", func() Config { c := deterministicBase(41); c.AutoFanout = true; return c }, "28e8aa529af13193cb2bf2d2bca74950f2dfa0f015ab65592caea14c6fcf3c09", "6065ef1a8ea48e16f26755e6e011e68f9a44a57e7703112e84bd49bb829f9c3f"},
+		{"tree", func() Config { c := deterministicBase(41); c.Protocol = StaticTree; return c }, "f72644e0f35b516aac803d7f839a80c52103a0c0780313db56036af92915c680", "02db954d9b7a0c1365cb2cdb5c6a6ae82a8c1d738eba81d9ae3ba9b56c5d3190"},
+		{"unconstrained", func() Config { c := deterministicBase(41); c.Unconstrained = true; return c }, "db65152a1d3c9409574cbd0e481db547dccea257e2c8f60e00d4f72b04dacec2", "b3249c45ed6d0dba21fed0e5bacf12fecf97bcb786f4a670d2f7da53c257a519"},
 		{"adversary-topology", func() Config {
 			c := adversaryDetBase(59)
 			t := topologyBase(0)
 			c.Topology, c.FanoutIntra, c.FanoutInter = t.Topology, t.FanoutIntra, t.FanoutInter
 			return c
-		}, "a2b219d1eae597f75f8b720287e19639cf3367b1727442f8d2033eed8d93b7d1", "17066b90a07dd1e2c207f352a39b72d6f0deedfd0215500e1ddcc09f20e42a5e"},
-		{"sourcebias", func() Config { c := deterministicBase(41); c.SourceBias = true; return c }, "180a27a846a9a4139078f35fdf5bd75babbd53f1ed97afab9b89c294933430b0", "63a91804fb528ffb2d4f82cf8100e529cbefd18d86a7ed8e9685d39bb9e26c5a"},
+		}, "a244ee00b135906adaa39be913d49200882bdcbd9b2a61fd0b6fb258cd268b1f", "129941da4e6a895bf18de1ef15eb255a743bc89219d1b62bfe3fcadceb0c93da"},
+		{"sourcebias", func() Config { c := deterministicBase(41); c.SourceBias = true; return c }, "802049aa0fcebed9747b5efa07094d5d8ba57db287dc0afa37c9883306107064", "7a40e2e1a6db3088f58fac35262fe3a26621a03d28aecdc20547967c623a4692"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -256,9 +256,8 @@ func (n *Network) send(from *simNode, to wire.NodeID, m wire.Message) {
 		sh.stats.MsgsLost++
 		return
 	}
-	stamp := from.seq
-	from.seq++
-	lat := n.latency.Latency(from.id, to, stamp)
+	lat := n.latency.Latency(from.id, to, from.sent)
+	from.sent++
 	if verdict.Delay > 0 {
 		lat += verdict.Delay
 		sh.stats.MsgsNetemDelay++
@@ -267,7 +266,8 @@ func (n *Network) send(from *simNode, to wire.NodeID, m wire.Message) {
 	ev.at = txFinish + lat
 	ev.kind = evDeliver
 	ev.src = from.id
-	ev.srcSeq = stamp
+	ev.srcSeq = from.seq
+	from.seq++
 	ev.to = to
 	// Send keeps nothing of m (env.Runtime.Send): the event carries a copy,
 	// made only now that the datagram survived the tail-drop and netem.

@@ -83,9 +83,11 @@ import (
 // LatencyModel produces one-way propagation delays. Implementations must be
 // pure functions of (from, to, stamp): no shared state, no rng — that is
 // what keeps latency independent of event interleaving, which both the
-// sharded runtime and shard-count-invariant fingerprints rely on. stamp is a
-// per-sender monotonic counter (the sender's event sequence number), the key
-// for per-message jitter.
+// sharded runtime and shard-count-invariant fingerprints rely on. stamp is
+// the sender's message count: how many of its messages reached propagation
+// before this one (0 for its first), the key for per-message jitter. Timers
+// do not advance it, so how many timers a node arms moves none of its
+// messages.
 type LatencyModel interface {
 	Latency(from, to wire.NodeID, stamp uint64) time.Duration
 	// MinLatency is a lower bound on Latency over all arguments. It is the
@@ -309,7 +311,8 @@ type simNode struct {
 	handler env.Handler
 	rng     *rand.Rand // handler-visible protocol rng (env.Runtime's Rand)
 	txRng   *rand.Rand // transmit-side rng: netem draws, one stream per sender
-	seq     uint64     // per-node event sequence: canonical tie-break + jitter stamp
+	seq     uint64     // per-node event sequence (timers and messages): the canonical tie-break
+	sent    uint64     // messages that reached propagation: the latency jitter stamp
 	cfg     NodeConfig
 
 	frozenUntil  time.Duration

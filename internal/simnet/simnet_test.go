@@ -403,6 +403,74 @@ func TestPairwiseLatencyStableAndSymmetric(t *testing.T) {
 	}
 }
 
+// TestExtraTimersMoveNoMessage: a message's latency jitter is keyed by its
+// sender's message count, not by the event sequence its timers share, so a
+// node that arms extra timers that do nothing delivers every message at the
+// same instant, at one shard and at two.
+func TestExtraTimersMoveNoMessage(t *testing.T) {
+	type arrival struct {
+		to, from wire.NodeID
+		at       time.Duration
+	}
+	run := func(shards, noops int) []arrival {
+		net := New(Config{Seed: 9, Shards: shards,
+			Latency: NewPairwiseLatency(9, 10*time.Millisecond, 40*time.Millisecond, 5*time.Millisecond)})
+		var got []arrival
+		rs := make([]*recorder, 3)
+		for i := range rs {
+			r := &recorder{}
+			rs[i] = r
+			id := wire.NodeID(i)
+			r.onRecv = func(from wire.NodeID, _ wire.Message) {
+				got = append(got, arrival{id, from, r.rt.Now()})
+				if id == 1 {
+					r.rt.Send(from, ping()) // node 1's replies carry jitter too
+				}
+			}
+		}
+		rs[0].onStart = func(rt env.Runtime) {
+			left := 100
+			var tick func()
+			tick = func() {
+				for i := range noops + left%3 {
+					rt.AfterFunc(time.Duration(i)*time.Millisecond, func() {})
+				}
+				rt.Send(1, ping())
+				rt.Send(2, ping())
+				if left--; left > 0 {
+					rt.AfterFunc(2*time.Millisecond, tick)
+				}
+			}
+			rt.AfterFunc(0, tick)
+		}
+		for _, r := range rs {
+			net.AddNode(r, NodeConfig{UploadBps: 200_000})
+		}
+		net.Run(5 * time.Second)
+		slices.SortFunc(got, func(a, b arrival) int {
+			if a.to != b.to {
+				return int(a.to) - int(b.to)
+			}
+			if a.at != b.at {
+				return int(a.at - b.at)
+			}
+			return int(a.from) - int(b.from)
+		})
+		return got
+	}
+	want := run(1, 0)
+	if len(want) != 300 {
+		t.Fatalf("%d deliveries, want 300", len(want))
+	}
+	for _, shards := range []int{1, 2} {
+		for _, noops := range []int{1, 4} {
+			if got := run(shards, noops); !slices.Equal(got, want) {
+				t.Fatalf("%d shards, %d extra timers a tick: deliveries moved", shards, noops)
+			}
+		}
+	}
+}
+
 func TestQueueBacklogVisible(t *testing.T) {
 	net := New(Config{Seed: 1})
 	payload := make([]byte, 1316-18-3)
