@@ -671,10 +671,15 @@ func (e *Engine) sendRequest(st *streamState, to wire.NodeID, ids []wire.PacketI
 // expiry, ids still undelivered are re-requested from alternate proposers
 // (Algorithm 2 re-injects the proposal on RetTimer expiry). Batches share
 // one timer per stream: RetPeriod is constant, so the deadline queue is FIFO
-// and the timer only ever needs to cover its head.
+// and the timer only ever needs to cover its head. A push made outside
+// retFire first pops the head batches already delivered (inside it,
+// retransmit holds a view of the head).
 func (e *Engine) armRetransmit(st *streamState, ids []wire.PacketID) {
 	if e.cfg.RetMaxAttempts <= 1 || len(ids) == 0 {
 		return
+	}
+	if !st.retFiring {
+		st.ret.popDelivered(&st.packets)
 	}
 	st.ret.push(e.rt.Now()+e.cfg.RetPeriod, ids)
 	if !st.retArmed && !st.retFiring {
@@ -683,8 +688,10 @@ func (e *Engine) armRetransmit(st *streamState, ids []wire.PacketID) {
 	}
 }
 
-// retFire drains every due retransmission batch of one stream, then re-arms
-// the stream's timer for the next deadline (if any).
+// retFire drains every due retransmission batch of one stream, pops the
+// head batches already delivered, and re-arms the stream's timer for the
+// deadline of the head left (if any). A batch popped early changes nothing
+// but the timer: retransmit would have found none of its ids pending.
 func (e *Engine) retFire(st *streamState) {
 	st.retArmed = false
 	if e.stopped {
@@ -699,6 +706,7 @@ func (e *Engine) retFire(st *streamState) {
 		st.ret.pop()
 	}
 	st.retFiring = false
+	st.ret.popDelivered(&st.packets)
 	if !st.ret.empty() {
 		st.retArmed = true
 		e.rt.AfterFunc(st.ret.headDue()-now, st.retFireFn)

@@ -178,8 +178,9 @@ func engineSeeds() [][]byte {
 }
 
 // stubRuntime is a single-node runtime on a manual clock: advance fires due
-// timers in (deadline, arming) order, and onSend, when set, observes every
-// message. Timers due before frozenUntil fire at frozenUntil instead, as a
+// timers in (deadline, arming) order, onSend, when set, observes every
+// message (lastTo holds its destination meanwhile), and onArm every timer
+// armed. Timers due before frozenUntil fire at frozenUntil instead, as a
 // frozen simnet node's do.
 type stubRuntime struct {
 	now         time.Duration
@@ -187,6 +188,8 @@ type stubRuntime struct {
 	timers      []stubTimer
 	armed       int
 	onSend      func(wire.Message)
+	lastTo      wire.NodeID
+	onArm       func(fn func())
 	frozenUntil time.Duration
 }
 
@@ -199,13 +202,17 @@ type stubTimer struct {
 func (r *stubRuntime) ID() wire.NodeID    { return 0 }
 func (r *stubRuntime) Rand() *rand.Rand   { return r.rng }
 func (r *stubRuntime) Now() time.Duration { return r.now }
-func (r *stubRuntime) Send(_ wire.NodeID, m wire.Message) {
+func (r *stubRuntime) Send(to wire.NodeID, m wire.Message) {
+	r.lastTo = to
 	if r.onSend != nil {
 		r.onSend(m)
 	}
 }
 
 func (r *stubRuntime) AfterFunc(d time.Duration, fn func()) {
+	if r.onArm != nil {
+		r.onArm(fn)
+	}
 	r.armed++
 	r.timers = append(r.timers, stubTimer{at: r.now + d, seq: r.armed, fn: fn})
 }

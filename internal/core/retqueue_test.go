@@ -126,3 +126,53 @@ func TestRetQueueSteadyStateAllocatesNothing(t *testing.T) {
 		t.Fatalf("rings of %d ids and %d batches, want the minimums %d and %d", len(q.ids), len(q.batches), retMinIDs, retMinBatches)
 	}
 }
+
+// TestRetQueuePopDelivered: popDelivered pops head batches whose ids are all
+// delivered, buffered or pruned, and stops at the first batch holding an id
+// that is pending or unknown (abandoned), however many settled batches
+// follow it.
+func TestRetQueuePopDelivered(t *testing.T) {
+	var q retQueue
+	var tab packetTable
+	tab.presize(16)
+	for _, b := range [][]wire.PacketID{{1, 2}, {3}, {4, 5}, {6}, {7}} {
+		for _, id := range b {
+			tab.set(id, pktPending)
+		}
+		q.push(0, b)
+	}
+	head := func() []wire.PacketID {
+		if q.empty() {
+			return nil
+		}
+		var out []wire.PacketID
+		for _, id := range q.head() {
+			out = append(out, wire.PacketID(id))
+		}
+		return out
+	}
+	for _, step := range []struct {
+		deliver []wire.PacketID
+		state   uint8
+		want    []wire.PacketID
+	}{
+		{nil, 0, []wire.PacketID{1, 2}},
+		{[]wire.PacketID{2, 4, 5}, pktDelivered, []wire.PacketID{1, 2}},
+		{[]wire.PacketID{1}, bufferedState(7), []wire.PacketID{3}},
+		{[]wire.PacketID{6}, pktDelivered, []wire.PacketID{3}},
+		{[]wire.PacketID{3}, bufferedState(0), []wire.PacketID{7}},
+		{[]wire.PacketID{7}, pktUnknown, []wire.PacketID{7}},
+	} {
+		for _, id := range step.deliver {
+			tab.set(id, step.state)
+		}
+		q.popDelivered(&tab)
+		if got := head(); !slices.Equal(got, step.want) {
+			t.Fatalf("after setting %v to state %d: head %v, want %v", step.deliver, step.state, got, step.want)
+		}
+	}
+	tab.set(7, pktDelivered)
+	if q.popDelivered(&tab); !q.empty() || q.iLen != 0 {
+		t.Fatalf("%d batches of %d ids left once every id was delivered", q.bLen, q.iLen)
+	}
+}
