@@ -415,18 +415,12 @@ func TestExtraTimersMoveNoMessage(t *testing.T) {
 	run := func(shards, noops int) []arrival {
 		net := New(Config{Seed: 9, Shards: shards,
 			Latency: NewPairwiseLatency(9, 10*time.Millisecond, 40*time.Millisecond, 5*time.Millisecond)})
-		var got []arrival
 		rs := make([]*recorder, 3)
 		for i := range rs {
-			r := &recorder{}
-			rs[i] = r
-			id := wire.NodeID(i)
-			r.onRecv = func(from wire.NodeID, _ wire.Message) {
-				got = append(got, arrival{id, from, r.rt.Now()})
-				if id == 1 {
-					r.rt.Send(from, ping()) // node 1's replies carry jitter too
-				}
-			}
+			rs[i] = &recorder{}
+		}
+		rs[1].onRecv = func(from wire.NodeID, _ wire.Message) {
+			rs[1].rt.Send(from, ping()) // node 1's replies carry jitter too
 		}
 		rs[0].onStart = func(rt env.Runtime) {
 			left := 100
@@ -447,6 +441,13 @@ func TestExtraTimersMoveNoMessage(t *testing.T) {
 			net.AddNode(r, NodeConfig{UploadBps: 200_000})
 		}
 		net.Run(5 * time.Second)
+		// Each recorder is written only by its own node's shard.
+		var got []arrival
+		for i, r := range rs {
+			for _, m := range r.got {
+				got = append(got, arrival{wire.NodeID(i), m.from, m.at})
+			}
+		}
 		slices.SortFunc(got, func(a, b arrival) int {
 			if a.to != b.to {
 				return int(a.to) - int(b.to)
