@@ -13,11 +13,12 @@ import (
 // and the stream's single timer only ever covers the head. A head batch
 // whose ids have all been delivered is popped before its deadline
 // (popDelivered), so the queue holds batches from the oldest one still
-// waiting for an id onward, and the timer is armed only for those. The batches and
-// their ids (back to back, in batch order) live in two power-of-two rings
-// that grow, to the next power of two that fits, only when full: past the
-// minimum lengths below, a queue holds less than twice its peak outstanding
-// ids and batches, and a steady outstanding count allocates nothing.
+// waiting for an id onward, and the timer is armed only for those. The
+// batches and their ids (back to back, in batch order) live in two
+// power-of-two rings that grow, to the next power of two that fits, only
+// when full: past the minimum lengths below, a queue holds less than twice
+// its peak outstanding ids and batches, and a steady outstanding count
+// allocates nothing.
 //
 // The id ring holds uint32s, half a PacketID: every queued id was requested,
 // and onPropose requests no id at or past maxTrackedPacketID (2²²). Should
