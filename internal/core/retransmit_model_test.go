@@ -38,10 +38,11 @@ func (l *timeoutLog) ObserveTimeout(peer wire.NodeID, n int, now time.Duration) 
 }
 
 // eagerRetModel is Algorithm 2 as the paper states it: every batch of
-// requested ids gets a timer of its own when it is requested, and on expiry the ids
-// still missing are re-requested from the next proposer (or given up after
-// maxAttempts). It has no queue to settle and no timer to share, so it is
-// the reference for what the engine's one timer per stream must do.
+// requested ids gets a timer of its own when it is requested, and on expiry
+// the ids still missing are re-requested from the next proposer (or given
+// up after maxAttempts). It has no queue to settle and no timer to share,
+// so it is the reference for what the engine's one timer per stream must
+// do.
 type eagerRetModel struct {
 	rt          *stubRuntime
 	period      time.Duration
