@@ -331,7 +331,7 @@ func (c *Config) buildPool(pool []wire.NodeID, seed int64, baseLoss float64, reg
 				}
 			}
 			if len(groups) == 0 {
-				groups = splitGroups(rng, pool, spec.SplitFractions)
+				groups = SplitGroups(rng, pool, spec.SplitFractions)
 			}
 			parts = append(parts, Partition{From: spec.From, Until: spec.Until, Groups: groups})
 		}
@@ -412,13 +412,12 @@ func pickNodes(rng *rand.Rand, pool []wire.NodeID, explicit []wire.NodeID, fract
 	return out
 }
 
-// splitGroups materializes SplitFractions into explicit groups over the
-// candidate pool; the unassigned remainder (node 0 included) stays in the
-// implicit group.
-func splitGroups(rng *rand.Rand, pool []wire.NodeID, fractions []float64) [][]wire.NodeID {
-	if len(pool) == 0 {
-		return [][]wire.NodeID{nil}
-	}
+// SplitGroups draws disjoint node sets, one per fraction (each rounded by
+// fractionCount, the last ones clipped to what is left), from one
+// permutation of pool, each in ascending id order. Partitions materialize
+// SplitFractions with it — the unassigned remainder stays in the implicit
+// group — and the scenario layer its adversary classes.
+func SplitGroups(rng *rand.Rand, pool []wire.NodeID, fractions []float64) [][]wire.NodeID {
 	perm := rng.Perm(len(pool))
 	groups := make([][]wire.NodeID, 0, len(fractions))
 	next := 0

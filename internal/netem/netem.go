@@ -436,8 +436,9 @@ type ModelStats struct {
 	DelaySum time.Duration
 }
 
-// CapStep is one point of a capability trace: at At, the node's advertised
-// upload capability becomes Factor times its base value.
+// CapStep is one point of a capability trace: at At, the node's upload
+// capability — its uplink rate and, unless the trace is silent, its claim —
+// becomes Factor times its base value.
 type CapStep struct {
 	At     time.Duration
 	Factor float64
@@ -516,6 +517,41 @@ func (e *Engine) AddCapTrace(t CapTrace) { e.capTraces = append(e.capTraces, t) 
 // CapTraces returns the engine's capability traces for the substrate to
 // apply.
 func (e *Engine) CapTraces() []CapTrace { return e.capTraces }
+
+// NodeStep is one capability-trace step as it covers one node.
+type NodeStep struct {
+	CapStep
+	Silent bool
+}
+
+// NodeSteps returns each traced node's steps, trace by trace and in step
+// order within a trace: the order in which the substrates apply steps that
+// fall due at one instant.
+func (e *Engine) NodeSteps() map[wire.NodeID][]NodeStep {
+	out := make(map[wire.NodeID][]NodeStep)
+	for _, tr := range e.capTraces {
+		for _, id := range tr.Nodes {
+			for _, st := range tr.Steps {
+				out[id] = append(out[id], NodeStep{CapStep: st, Silent: tr.Silent})
+			}
+		}
+	}
+	return out
+}
+
+// InForce returns the factor of the step in force at t among a node's
+// steps (a NodeSteps list) and whether one is: the latest step at or
+// before t, and of steps at one instant the later in the list. For the
+// node's claim, silent steps are passed over — they scale the uplink only.
+func InForce(steps []NodeStep, t time.Duration, claim bool) (factor float64, ok bool) {
+	var at time.Duration
+	for _, st := range steps {
+		if st.At <= t && (!ok || st.At >= at) && !(claim && st.Silent) {
+			factor, at, ok = st.Factor, st.At, true
+		}
+	}
+	return factor, ok
+}
 
 // Judge implements Model: models are consulted in order, delays add, the
 // first drop wins and short-circuits (drop verdicts discard accumulated

@@ -2,6 +2,7 @@ package netem
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -320,5 +321,49 @@ func TestBuildDeterministicMaterialization(t *testing.T) {
 	}
 	if same {
 		t.Fatal("different seeds picked identical node sets")
+	}
+}
+
+// TestInForce covers the step-in-force lookup both substrates read a
+// node's capability through: node 2 walks a plain trace, a silent one and
+// a second plain one whose 8 s step ties the first trace's.
+func TestInForce(t *testing.T) {
+	cfg := Config{Name: "steps", CapTraces: []CapTraceSpec{
+		{Nodes: []wire.NodeID{1, 2}, Steps: []CapStep{{At: 2 * time.Second, Factor: 0.5}, {At: 8 * time.Second, Factor: 1}}},
+		{Nodes: []wire.NodeID{2}, Silent: true, Steps: []CapStep{{At: 5 * time.Second, Factor: 0.25}}},
+		{Nodes: []wire.NodeID{2}, Steps: []CapStep{{At: 8 * time.Second, Factor: 0.6}}},
+	}}
+	steps := mustBuild(t, cfg, 4, 1, 0).NodeSteps()
+	if got := steps[3]; got != nil {
+		t.Fatalf("untraced node 3 has steps %v", got)
+	}
+	var silent []bool
+	for _, st := range steps[2] {
+		silent = append(silent, st.Silent)
+	}
+	if want := []bool{false, false, true, false}; !slices.Equal(silent, want) {
+		t.Fatalf("node 2's steps marked silent %v, want %v", silent, want)
+	}
+	for _, tc := range []struct {
+		name   string
+		id     wire.NodeID
+		at     time.Duration
+		claim  bool
+		factor float64
+		ok     bool
+	}{
+		{"before the first step", 1, 2*time.Second - 1, false, 0, false},
+		{"a step at exactly t", 1, 2 * time.Second, false, 0.5, true},
+		{"between steps", 1, 7 * time.Second, true, 0.5, true},
+		{"the later step wins across traces", 2, 6 * time.Second, false, 0.25, true},
+		{"a silent step leaves the claim", 2, 6 * time.Second, true, 0.5, true},
+		{"a tie goes to the later trace", 2, 8 * time.Second, false, 0.6, true},
+		{"a tie goes to the later trace (claim)", 2, time.Minute, true, 0.6, true},
+	} {
+		f, ok := InForce(steps[tc.id], tc.at, tc.claim)
+		if f != tc.factor || ok != tc.ok {
+			t.Errorf("%s: InForce(node %d, %v, claim %v) = %v, %v; want %v, %v",
+				tc.name, tc.id, tc.at, tc.claim, f, ok, tc.factor, tc.ok)
+		}
 	}
 }

@@ -22,7 +22,8 @@ import (
 // traces.
 type AdaptStats struct {
 	// ConfiguredKbps is each controller's ceiling: the capability the node
-	// advertised at start (freeriders' under-claims included).
+	// claimed when it joined (Result.AdvertisedKbps — a liar's lie and a
+	// non-silent trace step in force included).
 	ConfiguredKbps []uint32
 	// EffectiveKbps is each controller's final effective capability.
 	EffectiveKbps []uint32

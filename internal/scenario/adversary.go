@@ -10,6 +10,7 @@ import (
 	"repro/internal/env"
 	"repro/internal/metrics"
 	"repro/internal/misbehave"
+	"repro/internal/netem"
 	"repro/internal/simnet"
 	"repro/internal/stack"
 	"repro/internal/wire"
@@ -24,17 +25,16 @@ import (
 // detector for a run. Adversaries are drawn deterministically from the run
 // seed out of the non-source population; the three classes are disjoint.
 // Class semantics live in internal/misbehave (freeriders drop inbound
-// Requests, droppers drop inbound Proposes, liars over-advertise to the
-// aggregation protocol). Distinct from the legacy Config.FreeriderFraction
-// knob, which under-advertises while behaving honestly — these adversaries
-// advertise honestly (or over-advertise) and misbehave; where the node sets
-// overlap, the adversary's advertisement wins.
+// Requests, droppers drop inbound Proposes, liars misstate their capability
+// to the aggregation protocol). A liar with a LiarFactor below 1 is the
+// paper's §5 freerider: it serves honestly but under-advertises, so HEAP
+// gives it a small fanout and it contributes less than its share.
 type AdversarySpec struct {
 	// FreeriderFraction of non-source nodes consume without serving.
 	FreeriderFraction float64
 	// LiarFraction of non-source nodes advertise LiarFactor times their
-	// real capability. Requires the HEAP protocol (standard gossip ignores
-	// advertisements entirely).
+	// real capability (capAt). Requires the HEAP protocol (standard gossip
+	// ignores advertisements entirely).
 	LiarFraction float64
 	// DropperFraction of non-source nodes swallow inbound proposals.
 	DropperFraction float64
@@ -42,7 +42,9 @@ type AdversarySpec struct {
 	// freeriders and droppers (partial misbehavior hides better).
 	// Default 1.
 	Intensity float64
-	// LiarFactor is the liars' advertisement multiplier. Default 4.
+	// LiarFactor is the liars' advertisement multiplier: above 1 a liar
+	// over-advertises, below 1 it under-advertises (the §5 freerider).
+	// Any positive value but 1. Default 4.
 	LiarFactor float64
 	// Onset delays all misbehavior: before it, every adversary is honest
 	// (sleeper adversaries, the harder detection case). Default 0.
@@ -116,8 +118,8 @@ func (c *Config) validateAdversary() error {
 	if !(a.Intensity >= 0 && a.Intensity <= 1) {
 		return fmt.Errorf("scenario: adversary intensity %v outside [0,1]", a.Intensity)
 	}
-	if !(a.LiarFactor == 0 || a.LiarFactor > 1) {
-		return fmt.Errorf("scenario: liar factor %v must exceed 1 (or 0 for the default)", a.LiarFactor)
+	if !(a.LiarFactor >= 0 && a.LiarFactor != 1) {
+		return fmt.Errorf("scenario: liar factor %v must be positive and not 1 (or 0 for the default)", a.LiarFactor)
 	}
 	if a.Onset < 0 {
 		return fmt.Errorf("scenario: adversary onset %v must not be negative", a.Onset)
@@ -150,10 +152,10 @@ type adversaryState struct {
 	interceptors []*misbehave.Interceptor // freeriders and droppers
 }
 
-// newAdversaryState draws the adversary node sets from the run seed — one
-// permutation of the non-source population, split into disjoint class
-// prefixes, each sorted ascending — mirroring how netem materializes its
-// node sets. Returns nil when the config has no adversary.
+// newAdversaryState draws the adversary node sets from the run seed with
+// netem.SplitGroups: one permutation of the non-source population, split
+// into disjoint class prefixes, each sorted ascending. Returns nil when the
+// config has no adversary.
 func newAdversaryState(cfg *Config, total int, sourceNode []bool) *adversaryState {
 	if cfg.Adversary == nil {
 		return nil
@@ -170,47 +172,16 @@ func newAdversaryState(cfg *Config, total int, sourceNode []bool) *adversaryStat
 		}
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x61647672))
-	perm := rng.Perm(len(pool))
-	next := 0
-	take := func(fraction float64, class misbehave.Class) []wire.NodeID {
-		n := advFractionCount(fraction, len(pool))
-		if n > len(pool)-next {
-			n = len(pool) - next
-		}
-		if n == 0 {
-			return nil
-		}
-		out := make([]wire.NodeID, 0, n)
-		for _, pi := range perm[next : next+n] {
-			id := pool[pi]
+	sets := netem.SplitGroups(rng, pool, []float64{
+		a.spec.FreeriderFraction, a.spec.LiarFraction, a.spec.DropperFraction,
+	})
+	a.freeriders, a.liars, a.droppers = sets[0], sets[1], sets[2]
+	for k, class := range []misbehave.Class{misbehave.ClassFreerider, misbehave.ClassLiar, misbehave.ClassDropper} {
+		for _, id := range sets[k] {
 			a.class[id] = class
-			out = append(out, id)
 		}
-		next += n
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-		return out
 	}
-	a.freeriders = take(a.spec.FreeriderFraction, misbehave.ClassFreerider)
-	a.liars = take(a.spec.LiarFraction, misbehave.ClassLiar)
-	a.droppers = take(a.spec.DropperFraction, misbehave.ClassDropper)
 	return a
-}
-
-// advFractionCount converts a node fraction to a count over pool size n:
-// rounded, at least 1 for any positive fraction, capped at n (the same
-// semantics as netem's node-set materialization).
-func advFractionCount(f float64, n int) int {
-	if f <= 0 || n == 0 {
-		return 0
-	}
-	c := int(math.Round(f * float64(n)))
-	if c == 0 {
-		c = 1
-	}
-	if c > n {
-		c = n
-	}
-	return c
 }
 
 // armed reports whether the detectors issue verdicts.
@@ -232,17 +203,19 @@ func (a *adversaryState) detectorConfig(net *simnet.Network) *misbehave.Config {
 	return &cfg
 }
 
-// liarAdvertised returns what a liar with real capability c advertises.
+// liarAdvertised returns what a liar with real capability c advertises:
+// LiarFactor times c, at least c+1 for a factor above 1 (the lie must show)
+// and at least 1 below it (the estimator refuses a zero claim).
 func (a *adversaryState) liarAdvertised(c uint32) uint32 {
 	v := float64(c) * a.spec.LiarFactor
 	if v > math.MaxUint32 {
 		v = math.MaxUint32
 	}
 	adv := uint32(v)
-	if adv <= c {
+	if a.spec.LiarFactor > 1 && adv <= c {
 		adv = c + 1
 	}
-	return adv
+	return max(adv, 1)
 }
 
 // interceptorFor wraps the engine of adversarial node i with its class's
@@ -260,25 +233,6 @@ func (a *adversaryState) interceptorFor(i int, inner env.Handler) env.Handler {
 	}
 	a.interceptors[i] = ic
 	return ic
-}
-
-// scheduleLiars arms delayed-onset lying: at Onset, each liar rewrites its
-// advertised capability through the same SetSelfCapKbps path netem's
-// capability traces use. Onset-zero liars advertise the inflated value from
-// the start (wired in Run before estimators are built).
-func (a *adversaryState) scheduleLiars(net *simnet.Network, caps []uint32, nodes []*stack.Node) {
-	if a.spec.Onset <= 0 {
-		return
-	}
-	for _, id := range a.liars {
-		id := id
-		adv := a.liarAdvertised(caps[id])
-		net.Schedule(a.spec.Onset, func() {
-			if n := nodes[id]; n != nil && n.Estimator != nil {
-				n.Estimator.SetSelfCapKbps(adv)
-			}
-		})
-	}
 }
 
 // ClassDetectionStats summarizes detection of one adversary class.

@@ -45,11 +45,6 @@ func TestAdversaryConfigValidation(t *testing.T) {
 		t.Error("intensity above 1 accepted")
 	}
 	cfg = base()
-	cfg.Adversary.LiarFactor = 0.5
-	if _, err := Run(cfg); err == nil {
-		t.Error("liar factor below 1 accepted")
-	}
-	cfg = base()
 	cfg.Adversary.Detect = &misbehave.Config{ServeRatioFloor: 0.9, ReleaseRatio: 0.8}
 	if _, err := Run(cfg); err == nil {
 		t.Error("release ratio below the quarantine floor accepted")
@@ -74,7 +69,6 @@ func TestNaNKnobsRefused(t *testing.T) {
 		"DegradedFraction 1.5":        func(c *Config) { c.DegradedFraction = 1.5 },
 		"DegradedFactor -0.5":         func(c *Config) { c.DegradedFraction, c.DegradedFactor = 0.1, -0.5 },
 		"DegradedFactor 1.5":          func(c *Config) { c.DegradedFraction, c.DegradedFactor = 0.1, 1.5 },
-		"FreeriderFraction":           func(c *Config) { c.FreeriderFraction = nan },
 		"Fanout":                      func(c *Config) { c.Fanout = nan },
 		"FanoutIntra":                 func(c *Config) { c.FanoutIntra = nan },
 		"LossRate":                    func(c *Config) { c.LossRate = nan },
@@ -93,14 +87,19 @@ func TestNaNKnobsRefused(t *testing.T) {
 }
 
 // FuzzAdversarySpec checks that an AdversarySpec validation accepts builds its
-// adversary state — the class draw, every node's interceptor, the liars'
-// inflated advertisements — without panicking.
+// adversary state — the class draw, every node's interceptor — without
+// panicking, and that a liar's claim lies on the side of its capability that
+// the factor names (above it for a factor over 1, below it, floored at 1,
+// under 1).
 func FuzzAdversarySpec(f *testing.F) {
 	f.Add(0.1, 0.1, 0.1, 1.0, 4.0, int64(0), 64)
 	f.Add(0.3, 0.0, 0.0, 0.5, 0.0, int64(time.Second), 1)
 	f.Add(0.0, 0.9, 0.0, 0.0, 1e300, int64(0), 0)
 	f.Add(1e-9, 1e-9, 0.99, 1.0, 1.0000001, int64(5), 3)
 	f.Add(math.NaN(), 0.0, 0.0, 1.0, 4.0, int64(0), 64)
+	f.Add(0.0, 0.3, 0.0, 1.0, 0.25, int64(0), 64)
+	f.Add(0.0, 0.3, 0.0, 1.0, 1.0, int64(0), 64)
+	f.Add(0.0, 0.3, 0.0, 1.0, math.NaN(), int64(0), 64)
 	f.Fuzz(func(t *testing.T, free, liar, drop, intensity, factor float64, onset int64, trials int) {
 		cfg := Config{Nodes: 10, Dist: Ref691, Protocol: HEAP, Seed: onset, Adversary: &AdversarySpec{
 			FreeriderFraction: free, LiarFraction: liar, DropperFraction: drop,
@@ -120,8 +119,10 @@ func FuzzAdversarySpec(f *testing.F) {
 			a.interceptorFor(i, env.HandlerFunc(func(wire.NodeID, wire.Message) {}))
 		}
 		for _, c := range []uint32{1, 691, math.MaxUint32 - 1} {
-			if adv := a.liarAdvertised(c); adv <= c {
-				t.Fatalf("liar with capability %d advertises %d", c, adv)
+			adv := a.liarAdvertised(c)
+			over := a.spec.LiarFactor > 1
+			if over && adv <= c || !over && (adv == 0 || adv >= c && c > 1) {
+				t.Fatalf("liar with capability %d and factor %v advertises %d", c, a.spec.LiarFactor, adv)
 			}
 		}
 	})
@@ -433,5 +434,36 @@ func TestAdversaryMaterializationDeterminism(t *testing.T) {
 	}
 	if len(seen) == 0 {
 		t.Fatal("no adversaries materialized")
+	}
+}
+
+// TestWaveLiarJoinsAfterOnset: a liar that joins after a delayed Onset
+// advertises its lie from its join, like a liar present at the onset.
+func TestWaveLiarJoinsAfterOnset(t *testing.T) {
+	cfg := capProbeBase()
+	cfg.Adversary = &AdversarySpec{LiarFraction: 0.3, Onset: 5 * time.Second}
+	r, err := simulate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := r.collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	waveLiars := 0
+	for _, id := range res.AdversaryStats.Liars {
+		lie := r.adv.liarAdvertised(res.CapsKbps[id])
+		if id >= 40 {
+			waveLiars++
+			if res.AdvertisedKbps[id] != lie {
+				t.Errorf("wave liar %d (%d kbps) joined claiming %d, want %d", id, res.CapsKbps[id], res.AdvertisedKbps[id], lie)
+			}
+		}
+		if got := selfClaim(r, id); got != lie {
+			t.Errorf("liar %d (%d kbps) ends claiming %d, want %d", id, res.CapsKbps[id], got, lie)
+		}
+	}
+	if waveLiars == 0 {
+		t.Fatal("no liar among the wave nodes")
 	}
 }

@@ -5,61 +5,11 @@ import (
 	"time"
 
 	"repro/internal/netem"
-	"repro/internal/simnet"
 )
 
-// This file wires internal/netem into the scenario layer: capability-trace
-// application, and the Adverse* variant axis that puts the stock adverse
-// profiles into sweep grids (`heapsweep -netem`) and the LargeScale family.
-
-// applyCapTraces schedules the engine's materialized capability traces:
-// at each step, the node's uplink capacity (unless the run is
-// unconstrained) and its advertised capability (HEAP) are rewritten to
-// Factor times their base values. The base is captured before any step
-// fires, so factors never compound; a final factor of 1 restores the
-// original capability exactly. Silent traces skip the advertisement — the
-// node's claim goes stale against its real capacity, the regime the
-// adaptation layer (Config.Adapt) exists to detect. Broadcasters never
-// degrade, so a trace skips every stream's source.
-func (r *run) applyCapTraces(net *simnet.Network) {
-	unconstrained, nodes := r.cfg.Unconstrained, r.nodes
-	for _, tr := range r.netem.CapTraces() {
-		for _, id := range tr.Nodes {
-			if int(id) < 0 || int(id) >= len(r.effective) || r.sourceNode[id] {
-				continue // broadcasters and out-of-range ids are never traced
-			}
-			baseBps := r.effective[id]
-			baseAdv := r.advertised[id]
-			silent := tr.Silent
-			for _, step := range tr.Steps {
-				id, step := id, step
-				net.Schedule(step.At, func() {
-					if int(id) >= net.NumNodes() {
-						return // a wave node traced before its wave landed
-					}
-					// Unconstrained runs have no uplink caps to degrade,
-					// and a tiny factor must not round a capped uplink
-					// down to 0 — simnet reads 0 as "unconstrained", the
-					// inverse of degradation.
-					if !unconstrained && baseBps > 0 {
-						bps := int64(float64(baseBps) * step.Factor)
-						if bps == 0 {
-							bps = 1
-						}
-						net.SetUploadBps(id, bps)
-					}
-					if est := nodes[id].Estimator; est != nil && !silent {
-						adv := uint32(float64(baseAdv) * step.Factor)
-						if adv == 0 {
-							adv = 1
-						}
-						est.SetSelfCapKbps(adv)
-					}
-				})
-			}
-		}
-	}
-}
+// This file holds the Adverse* variant axis that puts the stock adverse
+// netem profiles into sweep grids (`heapsweep -netem`) and the LargeScale
+// family. Capability traces apply through capAt (scenario.go).
 
 // AdverseVariants returns one sweep variant per named netem profile (all
 // stock profiles when names is empty): each cell runs with that profile's

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -228,6 +229,58 @@ func TestNetemSummaryRendering(t *testing.T) {
 	for _, want := range []string{"gilbert-elliott:7 dropped", "spike", "10 delayed", "100ms"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("summary %q missing %q", s, want)
+		}
+	}
+}
+
+// capProbeBase is a small HEAP run whose 10-node join wave lands at 12 s,
+// after the capability changes the two tests below schedule.
+func capProbeBase() Config {
+	return Config{
+		Nodes:     40,
+		Protocol:  HEAP,
+		Dist:      Ref691,
+		Windows:   3,
+		Seed:      5,
+		Drain:     20 * time.Second,
+		JoinWaves: []JoinWave{{At: 12 * time.Second, Count: 10}},
+	}
+}
+
+// selfClaim reads the capability node id's estimator currently advertises.
+func selfClaim(r *run, id wire.NodeID) uint32 {
+	est := r.nodes[id].Estimator
+	return uint32(math.Round(est.RelativeCapability() * est.EstimateKbps()))
+}
+
+// TestWaveJoinsUnderTraceStep: a node that joins while a trace's 0.35 step
+// is in force boots with the scaled claim and the scaled uplink, the values
+// a node present at the step holds.
+func TestWaveJoinsUnderTraceStep(t *testing.T) {
+	cfg := capProbeBase()
+	traced := []wire.NodeID{3, 41, 44, 47}
+	cfg.Netem = &netem.Config{Name: "wave-trace", CapTraces: []netem.CapTraceSpec{
+		{Nodes: traced, Steps: []netem.CapStep{{At: 8 * time.Second, Factor: 0.35}}},
+	}}
+	r, err := simulate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := r.collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range traced {
+		c := res.CapsKbps[id]
+		claim, bps := uint32(float64(c)*0.35), int64(float64(c)*1000*0.35)
+		if id >= 40 && res.AdvertisedKbps[id] != claim {
+			t.Errorf("wave node %d (%d kbps) joined claiming %d, want %d", id, c, res.AdvertisedKbps[id], claim)
+		}
+		if got := selfClaim(r, id); got != claim {
+			t.Errorf("node %d (%d kbps) ends claiming %d, want %d", id, c, got, claim)
+		}
+		if got := r.net.UploadBps(id); got != bps {
+			t.Errorf("node %d (%d kbps) ends with a %d bps uplink, want %d", id, c, got, bps)
 		}
 	}
 }

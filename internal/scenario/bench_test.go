@@ -158,13 +158,14 @@ func BenchmarkAblationAggregation(b *testing.B) {
 }
 
 // BenchmarkAblationFreeriders measures dissemination quality as more nodes
-// under-advertise their capability (§5 freeriding threat).
+// under-advertise their capability (§5 freeriding threat): liars claiming a
+// quarter of what they have.
 func BenchmarkAblationFreeriders(b *testing.B) {
 	for _, frac := range []float64{0, 0.1, 0.3, 0.5} {
 		b.Run(fmt.Sprintf("%d%%", int(frac*100)), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := benchConfig(HEAP, MS691)
-				cfg.FreeriderFraction = frac
+				cfg.Adversary = &AdversarySpec{LiarFraction: frac, LiarFactor: 0.25}
 				res := mustRun(b, cfg)
 				b.ReportMetric(100*meanJitterFree(res, 10*time.Second), "jitterfree@10s-%")
 			}

@@ -772,6 +772,19 @@ func TestDeterminismShardCounts(t *testing.T) {
 			cfg.FreezesPerNode = 0.2
 			return cfg
 		}},
+		{"capability dynamics", func() Config {
+			// A join wave lands while a trace step is in force, and liars
+			// (wave members among them) start lying late: every node is
+			// built with capAt, and steps and onsets re-apply it.
+			cfg := deterministicBase(53)
+			cfg.JoinWaves = []JoinWave{{At: 12 * time.Second, Count: 20}}
+			cfg.Netem = &netem.Config{Name: "capability-dynamics", CapTraces: []netem.CapTraceSpec{
+				{Fraction: 0.3, Steps: []netem.CapStep{{At: 8 * time.Second, Factor: 0.35}, {At: 20 * time.Second, Factor: 1}}},
+				{Fraction: 0.2, Silent: true, Steps: []netem.CapStep{{At: 10 * time.Second, Factor: 0.5}}},
+			}}
+			cfg.Adversary = &AdversarySpec{LiarFraction: 0.2, Onset: 5 * time.Second}
+			return cfg
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -8,22 +9,26 @@ import (
 )
 
 func TestFreeridersReduceTheirContribution(t *testing.T) {
-	// Freeriders advertise 25% of their true capability; HEAP should assign
-	// them proportionally less serve work than honest nodes of the same
-	// true capability.
+	// The §5 freeriders: liars that advertise 25% of their true capability.
+	// HEAP should assign them proportionally less serve work than honest
+	// nodes of the same true capability.
 	cfg := Config{
-		Nodes:             120,
-		Dist:              Ref691,
-		Protocol:          HEAP,
-		Windows:           10,
-		Seed:              11,
-		FreeriderFraction: 0.3,
-		StreamStart:       5 * time.Second,
-		Drain:             20 * time.Second,
+		Nodes:       120,
+		Dist:        Ref691,
+		Protocol:    HEAP,
+		Windows:     10,
+		Seed:        11,
+		Adversary:   &AdversarySpec{LiarFraction: 0.3, LiarFactor: 0.25},
+		StreamStart: 5 * time.Second,
+		Drain:       20 * time.Second,
 	}
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	freerider := make([]bool, cfg.Nodes)
+	for _, id := range res.AdversaryStats.Liars {
+		freerider[id] = true
 	}
 	var freeServed, honestServed float64
 	var freeN, honestN int
@@ -32,7 +37,7 @@ func TestFreeridersReduceTheirContribution(t *testing.T) {
 			continue // compare within one class for a fair baseline
 		}
 		served := float64(res.CoreStats[i].EventsServed)
-		if res.Freeriders[i] {
+		if freerider[i] {
 			freeServed += served
 			freeN++
 		} else {
@@ -106,9 +111,36 @@ func TestSourceBiasRun(t *testing.T) {
 	}
 }
 
-func TestFreeriderFractionValidation(t *testing.T) {
-	if _, err := Run(Config{Nodes: 10, Dist: Ref691, FreeriderFraction: 1.5}); err == nil {
-		t.Fatal("freerider fraction 1.5 accepted")
+// TestLiarFactorRange checks the liar factor's range, (0, 1) ∪ (1, ∞) with
+// 0 for the default, and the claim on each side of 1.
+func TestLiarFactorRange(t *testing.T) {
+	for _, f := range []float64{1, -0.5, math.Inf(-1), math.NaN()} {
+		cfg := Config{Nodes: 10, Dist: Ref691, Protocol: HEAP, Windows: 1,
+			Adversary: &AdversarySpec{LiarFraction: 0.2, LiarFactor: f}}
+		if _, err := Run(cfg); err == nil {
+			t.Errorf("liar factor %v accepted", f)
+		}
+	}
+	for _, tc := range []struct {
+		factor float64
+		c      uint32
+		want   uint32
+	}{
+		{0, 691, 2764}, // the default factor 4
+		{0.25, 768, 192},
+		{0.25, 3, 1}, // floored at 1: the estimator refuses a zero claim
+		{1.0000001, 691, 692},
+		{4, 0, 1},
+	} {
+		cfg := Config{Nodes: 10, Dist: Ref691, Protocol: HEAP, Windows: 1,
+			Adversary: &AdversarySpec{LiarFraction: 0.2, LiarFactor: tc.factor}}
+		if err := cfg.applyDefaults(); err != nil {
+			t.Fatalf("liar factor %v refused: %v", tc.factor, err)
+		}
+		a := newAdversaryState(&cfg, cfg.Nodes, make([]bool, cfg.Nodes))
+		if got := a.liarAdvertised(tc.c); got != tc.want {
+			t.Errorf("factor %v: liarAdvertised(%d) = %d, want %d", tc.factor, tc.c, got, tc.want)
+		}
 	}
 }
 

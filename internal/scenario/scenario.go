@@ -134,12 +134,6 @@ type Config struct {
 	DegradedFraction float64
 	DegradedFactor   float64
 
-	// FreeriderFraction of nodes advertise only freeriderFactor of their
-	// true capability to the aggregation protocol while keeping their full
-	// capacity — the §5 freeriding threat: HEAP assigns them a small fanout
-	// and they contribute less than their share. Default 0.
-	FreeriderFraction float64
-
 	// AdaptPeriod switches HEAP's knob from fanout to gossip period
 	// (§5 alternative; ablation). Requires Protocol == HEAP.
 	AdaptPeriod bool
@@ -251,9 +245,6 @@ const (
 	// roughly Fanout times the stream rate (every first-hop proposal is
 	// pulled). 10 Mbps mimics the paper's well-provisioned PlanetLab source.
 	sourceCapKbps = 10_000
-	// freeriderFactor is the share of its true capability a freerider
-	// advertises.
-	freeriderFactor = 0.25
 	// fanoutC is AutoFanout's additive reliability margin c: ln(270)+1.4 ~= 7,
 	// the paper's fanout at its scale.
 	fanoutC = 1.4
@@ -327,9 +318,6 @@ func (c *Config) validate() error {
 	// Range checks are negated comparisons, so NaN fails them too.
 	if !(c.LossRate >= 0 && c.LossRate < 1) {
 		return fmt.Errorf("scenario: loss rate %v outside [0,1)", c.LossRate)
-	}
-	if !(c.FreeriderFraction >= 0 && c.FreeriderFraction < 1) {
-		return fmt.Errorf("scenario: freerider fraction %v outside [0,1)", c.FreeriderFraction)
 	}
 	if !(c.DegradedFraction >= 0 && c.DegradedFraction <= 1) {
 		return fmt.Errorf("scenario: degraded fraction %v outside [0,1]", c.DegradedFraction)
@@ -411,11 +399,10 @@ type Result struct {
 	StreamRuns []*metrics.Run
 	// CapsKbps is the true capability per node (source included).
 	CapsKbps []uint32
-	// AdvertisedKbps is what each node told the aggregation protocol; it
-	// differs from CapsKbps only for freeriders.
+	// AdvertisedKbps is the capability each node claimed when it joined
+	// (capAt at its join): CapsKbps, times LiarFactor for a liar already
+	// lying, times the factor of a non-silent trace step already in force.
 	AdvertisedKbps []uint32
-	// Freeriders marks nodes that under-advertised their capability.
-	Freeriders []bool
 	// Usage is each node's upload utilization during the streaming phase:
 	// bytes actually sent (incl. UDP overhead) over capability (Fig 4).
 	// Unconstrained runs report zeros.
@@ -508,10 +495,13 @@ type run struct {
 	specIdx    map[wire.StreamID]int
 	sourceNode []bool
 
-	caps, advertised []uint32
-	effective        []int64 // what each uplink really delivers, bps
-	freerider        []bool
-	adv              *adversaryState
+	caps      []uint32
+	effective []int64 // what each uplink delivers before any trace step, bps
+	// advertised[i] is node i's claim when it joined (Result.AdvertisedKbps).
+	advertised []uint32
+	adv        *adversaryState
+	// capSteps holds each traced non-source node's netem trace steps.
+	capSteps map[wire.NodeID][]netem.NodeStep
 
 	net      *simnet.Network
 	netem    *netem.Engine
@@ -566,9 +556,10 @@ func simulate(cfg Config) (*run, error) {
 	return r, nil
 }
 
-// assignCapabilities decides what every node has, delivers and claims. Source
-// nodes are the paper's well-provisioned broadcasters: they get
-// sourceCapKbps, never degrade, freeride, or adapt their fanout.
+// assignCapabilities decides what every node has and delivers, and draws
+// the adversary classes; capAt turns these into a claim and an uplink rate
+// over time. Source nodes are the paper's well-provisioned broadcasters:
+// they get sourceCapKbps, never degrade, lie, or adapt their fanout.
 func (r *run) assignCapabilities() {
 	cfg, total := &r.cfg, r.total
 	setupRng := rand.New(rand.NewSource(cfg.Seed ^ 0x5ca1ab1e))
@@ -609,34 +600,80 @@ func (r *run) assignCapabilities() {
 			}
 		}
 	}
-	// Freeriders advertise less than they have (keeping full capacity).
 	r.advertised = make([]uint32, total)
-	copy(r.advertised, r.caps)
-	r.freerider = make([]bool, total)
-	if cfg.FreeriderFraction > 0 {
-		for i := 1; i < total; i++ {
-			if !r.sourceNode[i] && setupRng.Float64() < cfg.FreeriderFraction {
-				r.freerider[i] = true
-				r.advertised[i] = uint32(float64(r.caps[i]) * freeriderFactor)
-				if r.advertised[i] == 0 {
-					r.advertised[i] = 1
+	// Adversarial nodes: the class assignment draws from its own seeded rng
+	// (like netem's node sets).
+	r.adv = newAdversaryState(cfg, total, r.sourceNode)
+}
+
+// capAt is the one rule for node i's claim (kbps) and uplink rate (bps; 0
+// when unconstrained, which simnet reads as no cap) at virtual time t. It
+// starts from the assigned capability and the uplink DegradedFraction left
+// it; from Onset on, a liar claims liarAdvertised of its capability; then
+// the netem trace step in force at t (netem.InForce) scales the uplink and,
+// unless the step is silent, the claim. Broadcasters are never traced.
+// Every node is built with capAt at its join, and every trace step and
+// liar onset re-applies it at its instant (scheduleCapChanges).
+func (r *run) capAt(i int, t time.Duration) (claim uint32, bps int64) {
+	claim, bps = r.caps[i], r.effective[i]
+	if r.cfg.Unconstrained {
+		bps = 0
+	}
+	if r.adv != nil && r.adv.class[i] == misbehave.ClassLiar && t >= r.adv.spec.Onset {
+		claim = r.adv.liarAdvertised(claim)
+	}
+	steps := r.capSteps[wire.NodeID(i)]
+	// Scaled values floor at 1: a tiny factor must not round a capped
+	// uplink down to 0, the inverse of degradation.
+	if f, ok := netem.InForce(steps, t, false); ok && bps > 0 {
+		bps = max(int64(float64(bps)*f), 1)
+	}
+	if f, ok := netem.InForce(steps, t, true); ok {
+		claim = max(uint32(float64(claim)*f), 1)
+	}
+	return claim, bps
+}
+
+// scheduleCapChanges arms one global event per (traced node, trace step)
+// and, under a delayed Onset, one per liar. Each re-applies capAt at its
+// instant to a node that has joined (a later joiner is built with capAt).
+func (r *run) scheduleCapChanges() {
+	if r.netem != nil {
+		for _, tr := range r.netem.CapTraces() {
+			for _, id := range tr.Nodes {
+				if int(id) < 0 || int(id) >= r.total || r.sourceNode[id] {
+					continue // broadcasters and out-of-range ids are never traced
+				}
+				for _, st := range tr.Steps {
+					r.scheduleCapChange(st.At, id, !tr.Silent)
 				}
 			}
 		}
 	}
-
-	// Adversarial nodes: the class assignment draws from its own seeded rng
-	// (like netem's node sets). Onset-zero liars over-advertise from the
-	// first aggregation exchange — their estimators are built on the
-	// inflated value; delayed liars are rescheduled after the network
-	// exists (scheduleLiars). Where a liar overlaps a legacy freerider
-	// pick, the liar's advertisement wins.
-	r.adv = newAdversaryState(cfg, total, r.sourceNode)
-	if r.adv != nil && r.adv.spec.Onset == 0 {
+	if r.adv != nil && r.adv.spec.Onset > 0 {
 		for _, id := range r.adv.liars {
-			r.advertised[id] = r.adv.liarAdvertised(r.caps[id])
+			r.scheduleCapChange(r.adv.spec.Onset, id, true)
 		}
 	}
+}
+
+// scheduleCapChange re-applies capAt to node id at instant at: its uplink
+// and, if claim is set, its claim. Only a silent step leaves the claim, and
+// the estimator with it, untouched: SetSelfCapKbps refreshes the claim's
+// timestamp, so even an unchanged value is news to the aggregation gossip.
+func (r *run) scheduleCapChange(at time.Duration, id wire.NodeID, claim bool) {
+	r.net.Schedule(at, func() {
+		if int(id) >= r.net.NumNodes() {
+			return // a wave node that has not joined yet
+		}
+		c, bps := r.capAt(int(id), at)
+		if bps > 0 {
+			r.net.SetUploadBps(id, bps)
+		}
+		if est := r.nodes[id].Estimator; claim && est != nil {
+			est.SetSelfCapKbps(c)
+		}
+	})
 }
 
 // buildNetwork creates the simulated network and everything nodes are built
@@ -669,6 +706,10 @@ func (r *run) buildNetwork() error {
 			return err
 		}
 		netCfg.Netem = r.netem
+		r.capSteps = r.netem.NodeSteps()
+		for _, sp := range r.specs {
+			delete(r.capSteps, sp.Source)
+		}
 	}
 	r.net = simnet.New(netCfg)
 	r.nodes = make([]*stack.Node, r.total)
@@ -737,6 +778,8 @@ func (r *run) buildNodes() error {
 // wave included).
 func (r *run) buildNode(i, present int) error {
 	cfg, id := &r.cfg, wire.NodeID(i)
+	var uploadBps int64
+	r.advertised[i], uploadBps = r.capAt(i, r.net.Now())
 	rcvs := make([]*stream.Receiver, len(r.specs))
 	for k, sp := range r.specs {
 		rcv, err := stream.NewReceiver(sp.Geometry, sp.Windows, cfg.VerifyPayloads)
@@ -769,11 +812,7 @@ func (r *run) buildNode(i, present int) error {
 	node.Receivers = rcvs
 	r.nodes[i] = node
 
-	nodeCfg := simnet.NodeConfig{}
-	if !cfg.Unconstrained {
-		nodeCfg.UploadBps = r.effective[i]
-	}
-	if got := r.net.AddNode(node.Handler, nodeCfg); got != id {
+	if got := r.net.AddNode(node.Handler, simnet.NodeConfig{UploadBps: uploadBps}); got != id {
 		return fmt.Errorf("scenario: node id mismatch: %d != %d", got, id)
 	}
 	return nil
@@ -955,12 +994,7 @@ func (r *run) scheduleDynamics() error {
 		}
 	}
 	applyChurnBursts(net, cfg, r.nodes, &r.victims)
-	if r.netem != nil {
-		r.applyCapTraces(net)
-	}
-	if r.adv != nil {
-		r.adv.scheduleLiars(net, r.caps, r.nodes)
-	}
+	r.scheduleCapChanges()
 
 	// Bandwidth-usage sampling during the streaming phase (Fig 4). The
 	// sampling window spans all streams (earliest start to latest last
@@ -1064,7 +1098,6 @@ func (r *run) collect() (*Result, error) {
 		Config:         cfg,
 		CapsKbps:       caps,
 		AdvertisedKbps: r.advertised,
-		Freeriders:     r.freerider,
 		Usage:          make([]float64, nodes),
 		Victims:        r.victims,
 		NodeNetStats:   make([]simnet.NodeStats, nodes),

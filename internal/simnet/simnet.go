@@ -484,6 +484,9 @@ func (n *Network) SetUploadBps(id wire.NodeID, bps int64) {
 	n.node(id).cfg.UploadBps = bps
 }
 
+// UploadBps returns a node's current uplink capacity (0: unconstrained).
+func (n *Network) UploadBps(id wire.NodeID) int64 { return n.node(id).cfg.UploadBps }
+
 // QueueBacklog returns the current uplink backlog (time until the node's
 // uplink drains) — the congestion signal the paper discusses in §3.6. Safe
 // from the global context and from the node's own handler context (the

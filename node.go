@@ -210,7 +210,7 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		Seed:              cfg.Seed,
 		Epoch:             cfg.Epoch,
 	}
-	var capSteps []capStep
+	var capSteps []netem.NodeStep
 	if cfg.Netem != nil {
 		// Materialize over the actual deployment ids (peers files need not
 		// be dense), so partition groups and traced node sets land on nodes
@@ -220,7 +220,7 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 			return nil, err
 		}
 		udpCfg.Netem = engine
-		capSteps = capStepsFor(engine, cfg.ID)
+		capSteps = engine.NodeSteps()[cfg.ID]
 	}
 	peers := make(map[wire.NodeID]*net.UDPAddr, len(cfg.Peers))
 	for id, addrStr := range cfg.Peers {
@@ -325,80 +325,51 @@ func (n *Node) sourceConfig(sc SourceConfig) stream.SourceConfig {
 	}
 }
 
-// capStep is one netem capability-trace step covering this node.
-type capStep struct {
-	netem.CapStep
-	silent bool
-}
-
-// capStepsFor collects the trace steps covering id. Capability traces apply
-// node-locally, on the node's event loop once it runs (capTrace).
-func capStepsFor(engine *netem.Engine, id NodeID) []capStep {
-	var steps []capStep
-	for _, tr := range engine.CapTraces() {
-		for _, traced := range tr.Nodes {
-			if traced != id {
-				continue
-			}
-			for _, st := range tr.Steps {
-				steps = append(steps, capStep{CapStep: st, silent: tr.Silent})
-			}
-		}
-	}
-	return steps
-}
-
 // capTrace is a lifecycle-only handler that plays this node's capability
 // trace on the event loop, its steps timed from the (possibly shared) epoch.
-// Of the steps already past at Start — a node starting or restarting late
-// into the schedule — only the latest applies, synchronously, before
-// StartNode returns. Each step rewrites both the advertised capability and
-// the real pacer rate, the same pair the simulator's cap-trace application
-// touches, so a traced deployment actually loses (and regains) throughput.
-// Silent steps rewrite only the pacer: the node keeps claiming full
-// capability and only the adaptation loop (Adapt) can discover the gap —
-// exactly the simulator's silent-trace semantics. A step still pending at
-// Close never fires.
+// At Start — a node starting or restarting late into the schedule — the
+// steps in force apply synchronously, before StartNode returns; each later
+// step applies at its instant. Both follow netem.InForce, the rule the
+// simulator builds and steps its nodes by: the uplink (the pacer rate) is
+// scaled by the step in force, the advertised capability by the latest
+// step that is not silent. A silent trace so leaves the node claiming full
+// capability, a gap only the adaptation loop (Adapt) can discover. A step
+// still pending at Close never fires.
 type capTrace struct {
 	node       *Node
 	uploadKbps uint32
-	steps      []capStep
+	steps      []netem.NodeStep
 }
 
 func (c *capTrace) Start(rt env.Runtime) {
 	elapsed := rt.Now()
-	latestPast := -1
-	for i, st := range c.steps {
-		if st.At <= elapsed && (latestPast < 0 || st.At >= c.steps[latestPast].At) {
-			latestPast = i
-		}
-	}
-	if latestPast >= 0 {
-		c.apply(c.steps[latestPast])
-	}
+	c.apply(elapsed, true)
 	for _, st := range c.steps {
 		if st.At > elapsed {
-			rt.AfterFunc(st.At-elapsed, func() { c.apply(st) })
+			rt.AfterFunc(st.At-elapsed, func() { c.apply(st.At, !st.Silent) })
 		}
 	}
 }
 
-// apply runs in the node's execution context, so it writes the estimator
-// directly.
-func (c *capTrace) apply(st capStep) {
+// apply sets the pacer rate, and the claim unless only a silent step fell
+// due, to what the steps in force at t make them. It runs in the node's
+// execution context, so it writes the estimator directly.
+func (c *capTrace) apply(t time.Duration, claim bool) {
 	n := c.node
-	adv := uint32(float64(c.uploadKbps) * st.Factor)
-	if adv == 0 {
-		adv = 1
+	if f, ok := netem.InForce(c.steps, t, false); ok {
+		n.udp.SetUploadBps(int64(c.scaled(f)) * 1000)
 	}
-	if !st.silent {
+	if f, ok := netem.InForce(c.steps, t, true); ok && claim {
+		adv := c.scaled(f)
 		n.capKbps.Store(adv)
 		if est := n.stack.Estimator; est != nil {
 			est.SetSelfCapKbps(adv)
 		}
 	}
-	n.udp.SetUploadBps(int64(adv) * 1000)
 }
+
+// scaled is the configured capability times f, at least 1 kbps.
+func (c *capTrace) scaled(f float64) uint32 { return max(uint32(float64(c.uploadKbps)*f), 1) }
 
 func (c *capTrace) Receive(wire.NodeID, wire.Message) {}
 func (c *capTrace) Stop()                             {}
