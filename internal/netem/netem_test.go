@@ -358,7 +358,7 @@ func TestInForce(t *testing.T) {
 		{"the later step wins across traces", 2, 6 * time.Second, false, 0.25, true},
 		{"a silent step leaves the claim", 2, 6 * time.Second, true, 0.5, true},
 		{"a tie goes to the later trace", 2, 8 * time.Second, false, 0.6, true},
-		{"a tie goes to the later trace (claim)", 2, time.Minute, true, 0.6, true},
+		{"a tie goes to the later trace, for the claim too", 2, time.Minute, true, 0.6, true},
 	} {
 		f, ok := InForce(steps[tc.id], tc.at, tc.claim)
 		if f != tc.factor || ok != tc.ok {

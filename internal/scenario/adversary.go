@@ -33,8 +33,9 @@ type AdversarySpec struct {
 	// FreeriderFraction of non-source nodes consume without serving.
 	FreeriderFraction float64
 	// LiarFraction of non-source nodes advertise LiarFactor times their
-	// real capability (capAt). Requires the HEAP protocol (standard gossip
-	// ignores advertisements entirely).
+	// real capability from Onset on; a netem trace step scales the lie like
+	// any claim. Requires the HEAP protocol (standard gossip ignores
+	// advertisements entirely).
 	LiarFraction float64
 	// DropperFraction of non-source nodes swallow inbound proposals.
 	DropperFraction float64
